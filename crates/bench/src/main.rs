@@ -32,7 +32,7 @@
 
 use std::time::Instant;
 
-use switchless_core::machine::{Machine, MachineConfig, MonitorKind};
+use switchless_core::machine::{Engine, Machine, MachineConfig, MonitorKind};
 use switchless_isa::asm::assemble;
 use switchless_mem::monitor::{CamFilter, HashFilter, MonitorFilter, WatchId};
 use switchless_mem::PAddr;
@@ -149,13 +149,13 @@ fn bench_spin(window_ms: u64) -> f64 {
     })
 }
 
-/// `bench_spin` with the superblock engine disabled: the per-inst
-/// single-step burst path. Keeping this measured guards the fallback
+/// `bench_spin` on the reference engine (superblocks off): the
+/// per-inst single-step burst path. Keeping this measured guards the fallback
 /// path (everything that is not a hot inert loop) against regressions
 /// the superblock numbers would mask.
 fn bench_spin_nosb(window_ms: u64) -> f64 {
     let mut m = spin_machine(MachineConfig::small());
-    m.set_superblocks(false);
+    m.set_engine(Engine::Reference);
     measure(window_ms, || {
         let before = m.counters().get("inst.executed");
         m.run_for(Cycles(200_000));

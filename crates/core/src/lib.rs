@@ -46,6 +46,6 @@ pub mod store;
 pub mod tdt;
 pub mod tid;
 
-pub use machine::{Machine, MachineConfig, ShardStats, ThreadId};
+pub use machine::{Engine, Machine, MachineConfig, ShardStats, ThreadId};
 pub use perm::{Perms, TdtEntry};
 pub use tid::{Ptid, ThreadState, Vtid};

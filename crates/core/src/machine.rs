@@ -312,34 +312,58 @@ pub(crate) enum Ev {
 /// the queue.
 pub(crate) const MAX_BURST: u64 = 1024;
 
-/// Process-wide default for the superblock engine (DESIGN.md §10), read
-/// once from the `SWITCHLESS_SUPERBLOCKS` environment variable:
-/// `0`/`off`/`false` disable, anything else (or unset) enables. Like
-/// `MAX_BURST` this is purely a host-side wall-clock knob.
-fn superblocks_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SWITCHLESS_SUPERBLOCKS").as_deref(),
-            Ok("0" | "off" | "false")
-        )
-    })
+/// Which host execution engine runs the simulation (DESIGN.md §9, §10).
+/// Both produce bit-identical simulated state, so this is purely a
+/// wall-clock switch; `Reference` is the oracle `Fast` is diffed against.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Engine {
+    /// The serial event loop: instruction bursts single-step every
+    /// instruction, with no superblocks and no epochs.
+    Reference,
+    /// Superblocks (register and memory-inclusive) inside bursts, and,
+    /// on a multi-core machine with the invariant checker off, the
+    /// core-sharded epoch engine at every `machine_jobs` value.
+    #[default]
+    Fast,
 }
 
-/// Process-wide default for memory-inclusive superblock formation
-/// (DESIGN.md §10, "memory-inclusive regions"), read once from
-/// `SWITCHLESS_MEM_SUPERBLOCKS`: `0`/`off`/`false` restrict regions to
-/// the pure-register PR 9 behaviour, anything else (or unset) admits
-/// local-effect loads/stores. Host-side wall-clock knob only; simulated
-/// state is bit-identical either way.
-fn mem_superblocks_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SWITCHLESS_MEM_SUPERBLOCKS").as_deref(),
-            Ok("0" | "off" | "false")
-        )
-    })
+impl Engine {
+    /// Environment variable holding the process-wide default engine.
+    pub const ENV: &'static str = "SWITCHLESS_ENGINE";
+
+    /// Parses an engine name: `reference` or `fast`.
+    ///
+    /// # Errors
+    ///
+    /// Any other value is an error naming [`Engine::ENV`] and the
+    /// rejected value, never a silent default: a typo in CI would
+    /// otherwise quietly turn an engine identity diff into a no-op.
+    pub fn parse(raw: &str) -> Result<Engine, String> {
+        match raw.trim() {
+            "reference" => Ok(Engine::Reference),
+            "fast" => Ok(Engine::Fast),
+            v => Err(format!(
+                "{} must be `reference` or `fast`, got {v:?}",
+                Engine::ENV
+            )),
+        }
+    }
+
+    /// The engine every new [`Machine`] starts on: [`Engine::ENV`], read
+    /// once per process; [`Engine::Fast`] when unset.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown [`Engine::ENV`] value; front ends validate it
+    /// first with [`Engine::parse`] and report the error themselves.
+    #[must_use]
+    pub fn process_default() -> Engine {
+        static DEFAULT: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
+        *DEFAULT.get_or_init(|| match std::env::var(Engine::ENV) {
+            Ok(raw) => Engine::parse(&raw).unwrap_or_else(|msg| panic!("{msg}")),
+            Err(_) => Engine::default(),
+        })
+    }
 }
 
 type HostCall = Box<dyn FnMut(&mut Machine, ThreadId)>;
@@ -492,7 +516,8 @@ pub struct Machine {
     /// Named per-device conservation ledgers ([`Machine::ledger`]).
     /// A `Vec` keeps iteration in attach order (determinism).
     device_ledgers: Vec<(&'static str, Ledger)>,
-    /// Worker threads for the core-sharded epoch engine; 1 = serial.
+    /// Host threads for the epoch engine's per-core workers; 1 runs
+    /// them inline. Never selects an engine.
     pub(crate) machine_jobs: usize,
     /// Host-declared per-core private data windows `(base, len)` for the
     /// epoch engine ([`Machine::set_core_domain`]). A worker may execute
@@ -504,14 +529,8 @@ pub struct Machine {
     pub(crate) epoch_len: Cycles,
     /// Host-side statistics for the sharded engine.
     pub(crate) shard_stats: ShardStats,
-    /// Whether the superblock engine may form and execute pre-costed
-    /// regions (DESIGN.md §10). Host-side only: simulated state is
-    /// bit-identical either way.
-    pub(crate) sb_on: bool,
-    /// Whether region formation may admit local-effect loads/stores
-    /// (memory-inclusive superblocks, DESIGN.md §10). Host-side only:
-    /// simulated state is bit-identical either way.
-    pub(crate) sb_mem_on: bool,
+    /// Host execution engine ([`Machine::set_engine`]).
+    engine: Engine,
     /// Sorted MMIO hook addresses, maintained by [`Machine::register_mmio`].
     /// The superblock store probe binary-searches this instead of
     /// scanning the hook map, and the shard engine borrows it per epoch.
@@ -533,7 +552,8 @@ pub struct Machine {
 /// outside [`Counters`] deliberately: they describe how the simulation
 /// was *executed* (epochs attempted, bailed, committed), not what the
 /// simulated machine did, so they must not leak into results files or
-/// chaos digests that are compared across `--machine-jobs` settings.
+/// chaos digests that are compared across engines and `--machine-jobs`
+/// settings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Epochs whose speculative execution was committed.
@@ -623,8 +643,7 @@ impl Machine {
             core_domains: vec![None; cfg.cores],
             epoch_len: Cycles(64),
             shard_stats: ShardStats::default(),
-            sb_on: superblocks_default(),
-            sb_mem_on: mem_superblocks_default(),
+            engine: Engine::process_default(),
             mmio_addrs: Vec::new(),
             sbm_lines: Vec::new(),
             sbm_pages: Vec::new(),
@@ -668,54 +687,27 @@ impl Machine {
         &mut self.counters
     }
 
-    /// Sets the number of host worker threads the core-sharded epoch
-    /// engine may use (see `shard.rs`). `0` or `1` selects the serial
-    /// engine. The simulated outcome is bit-identical for every value —
-    /// the epoch engine only commits speculation it can prove the serial
-    /// engine would reproduce — so this is purely a wall-clock knob.
+    /// Sets how many host threads run the epoch engine's per-core
+    /// workers (see `shard.rs`); `0` or `1` runs them inline on the
+    /// calling thread. It never selects an engine ([`Machine::set_engine`]
+    /// does), and the simulated outcome is bit-identical for every value,
+    /// so this is purely a wall-clock knob.
     pub fn set_machine_jobs(&mut self, jobs: usize) {
         self.machine_jobs = jobs.max(1);
     }
 
-    /// Worker threads the epoch engine may use (1 = serial).
+    /// Host threads the epoch engine's workers may use.
     #[must_use]
     pub fn machine_jobs(&self) -> usize {
         self.machine_jobs
     }
 
-    /// Enables or disables the superblock engine (DESIGN.md §10).
-    /// Defaults to the `SWITCHLESS_SUPERBLOCKS` environment variable
-    /// (`0`/`off`/`false` disable; anything else, or unset, enables).
-    /// The simulated outcome is bit-identical either way — superblocks
-    /// only batch work the single-step path would perform anyway — so
-    /// this is purely a wall-clock knob.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.sb_on = on;
-    }
-
-    /// Whether the superblock engine is enabled.
-    #[must_use]
-    pub fn superblocks(&self) -> bool {
-        self.sb_on
-    }
-
-    /// Enables or disables memory-inclusive superblock formation
-    /// (DESIGN.md §10, "memory-inclusive regions"). Defaults to the
-    /// `SWITCHLESS_MEM_SUPERBLOCKS` environment variable (`0`/`off`/
-    /// `false` restrict regions to pure register code; anything else, or
-    /// unset, admits local-effect loads/stores). Purely a wall-clock
-    /// knob: a memory block executes only when its whole batched effect
-    /// is provably what single-stepping would produce, and bails to the
-    /// single-step path otherwise, so the simulated outcome is
-    /// bit-identical either way.
-    pub fn set_mem_superblocks(&mut self, on: bool) {
-        self.sb_mem_on = on;
-    }
-
-    /// Whether memory-inclusive superblock formation is enabled.
-    #[must_use]
-    pub fn mem_superblocks(&self) -> bool {
-        self.sb_mem_on
+    /// Selects the host execution engine. Defaults to [`Engine::ENV`]
+    /// (`reference` or `fast`; [`Engine::Fast`] when unset). The
+    /// simulated outcome is bit-identical for both, so this is purely a
+    /// wall-clock switch.
+    pub fn set_engine(&mut self, engine: Engine) {
+        self.engine = engine;
     }
 
     /// Declares `[base, base + len)` as `core`'s private data window for
@@ -1472,12 +1464,14 @@ impl Machine {
 
     /// Runs until simulated time `t` (or the machine halts).
     ///
-    /// With [`Machine::set_machine_jobs`] above 1 (and the invariant
-    /// checker off — it wants to observe every event boundary), the
-    /// core-sharded epoch engine in `shard.rs` runs instead; it is
-    /// bit-identical to this serial loop by construction.
+    /// On [`Engine::Fast`], a multi-core machine with the invariant
+    /// checker off (it wants to observe every event boundary) runs the
+    /// core-sharded epoch engine in `shard.rs`, at every
+    /// [`Machine::set_machine_jobs`] value; it is bit-identical to the
+    /// serial loop by construction. Single-core machines, checked runs
+    /// and [`Engine::Reference`] take the serial loop.
     pub fn run_until(&mut self, t: Cycles) {
-        if self.machine_jobs > 1 && !self.invariants_on {
+        if self.engine == Engine::Fast && self.cfg.cores > 1 && !self.invariants_on {
             self.run_until_sharded(t);
         } else {
             self.run_until_serial(t);
@@ -2061,7 +2055,7 @@ impl Machine {
                 // (`busy_until <= done` stays true as `done` only
                 // grows). Any failed precondition falls back to the
                 // single-step path below — never a burst exit.
-                if self.sb_on {
+                if self.engine == Engine::Fast {
                     let pc = self.threads[ptid.0 as usize].arch.pc;
                     let via_jump = pc != seq_pc;
                     seq_pc = pc + 8;
@@ -2237,12 +2231,11 @@ impl Machine {
             return None;
         }
         let slot = (off >> 3) as usize;
-        let allow_mem = self.sb_mem_on;
         let r = &mut self.code[idx];
         match r.sb[slot] {
             SB_DEAD => None,
             s if s >= SB_FORMED => Some((idx, s & !SB_FORMED)),
-            heat if heat + 1 >= SB_HOT => match sblock::form(r.base, &r.insts, slot, allow_mem) {
+            heat if heat + 1 >= SB_HOT => match sblock::form(r.base, &r.insts, slot) {
                 Some(b) => {
                     let bi = r.alloc_block(b);
                     r.sb[slot] = SB_FORMED | bi;
@@ -3014,5 +3007,27 @@ impl core::fmt::Debug for Machine {
             .field("threads", &self.threads.len())
             .field("halted", &self.halted)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Engine;
+
+    #[test]
+    fn engine_parse_accepts_both_names() {
+        assert_eq!(Engine::parse("reference"), Ok(Engine::Reference));
+        assert_eq!(Engine::parse("fast"), Ok(Engine::Fast));
+        assert_eq!(Engine::parse(" fast\n"), Ok(Engine::Fast));
+        assert_eq!(Engine::default(), Engine::Fast);
+    }
+
+    #[test]
+    fn engine_parse_rejects_everything_else() {
+        for bad in ["", "0", "off", "maybe", "Fast", "ref"] {
+            let err = Engine::parse(bad).unwrap_err();
+            assert!(err.contains(Engine::ENV), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

@@ -96,21 +96,13 @@ pub(crate) struct Superblock {
 /// returns `None` when the region is not worth caching. `base` is the
 /// image base address; `insts` its decoded words.
 ///
-/// With `allow_mem` set, local-effect loads and stores
-/// ([`Inst::is_local_mem`]) are admitted alongside inert instructions —
-/// the memory-inclusive regions of DESIGN.md §10. Their effective
-/// addresses are data-dependent, so the block records only the *count*
-/// of data accesses; the executing engine resolves the data footprint at
-/// run time and bails to single-step on any non-local effect. With
-/// `allow_mem` clear (SWITCHLESS_MEM_SUPERBLOCKS=0) formation is
-/// bit-identical to the pure-register engine: a memory instruction ends
-/// the region.
-pub(crate) fn form(
-    base: u64,
-    insts: &[Option<Inst>],
-    slot: usize,
-    allow_mem: bool,
-) -> Option<Superblock> {
+/// Local-effect loads and stores ([`Inst::is_local_mem`]) are admitted
+/// alongside inert instructions — the memory-inclusive regions of
+/// DESIGN.md §10. Their effective addresses are data-dependent, so the
+/// block records only the *count* of data accesses; the executing engine
+/// resolves the data footprint at run time and bails to single-step on
+/// any non-local effect.
+pub(crate) fn form(base: u64, insts: &[Option<Inst>], slot: usize) -> Option<Superblock> {
     let entry_pc = base + 8 * slot as u64;
     let mut seq: Vec<Inst> = Vec::new();
     let mut terminal: Option<Inst> = None;
@@ -121,7 +113,7 @@ pub(crate) fn form(
         // A non-decoding word ends the region (the slow path re-raises
         // the precise exception; it can never be inside a block).
         let Some(i) = *w else { break };
-        if i.is_inert() || (allow_mem && i.is_local_mem()) {
+        if i.is_inert() || i.is_local_mem() {
             seq.push(i);
         } else if i.is_region_terminal() {
             terminal = Some(i);
@@ -283,25 +275,25 @@ mod tests {
     }
 
     #[test]
-    fn region_stops_before_memory_and_trap_ops() {
+    fn region_stops_before_monitor_and_trap_ops() {
         let (base, insts) = decoded(
             ".base 0x1000\n\
              entry: addi r1, r1, 1\n\
              addi r2, r2, 2\n\
              xor r3, r1, r2\n\
              mul r4, r3, r3\n\
-             st r1, r5, 0\n\
+             monitor r5\n\
              halt\n",
         );
-        let b = form(base, &insts, 0, false).expect("four inert insts form");
+        let b = form(base, &insts, 0).expect("four inert insts form");
         assert_eq!(b.len_slots, 4);
         assert_eq!(b.insts.len(), 4);
         // 1 + 1 + 1 + 3 (mul).
         assert_eq!(b.cost, Cycles(6));
         assert_eq!(b.last_cost, Cycles(3));
         assert_eq!(b.touched, 0b11110);
-        // Starting *at* the store: not a region.
-        assert!(form(base, &insts, 4, false).is_none());
+        // Starting *at* the monitor: not a region.
+        assert!(form(base, &insts, 4).is_none());
     }
 
     #[test]
@@ -312,7 +304,7 @@ mod tests {
              addi r2, r2, 2\n\
              halt\n",
         );
-        assert!(form(base, &insts, 0, false).is_none(), "2 < SB_MIN_LEN");
+        assert!(form(base, &insts, 0).is_none(), "2 < SB_MIN_LEN");
     }
 
     #[test]
@@ -324,7 +316,7 @@ mod tests {
              xor r3, r2, r1\n\
              jmp loop\n",
         );
-        let b = form(base, &insts, 0, false).expect("self-loop forms");
+        let b = form(base, &insts, 0).expect("self-loop forms");
         assert_eq!(b.len_slots, 4);
         assert_eq!(b.insts.len(), 256, "unrolled to SB_MAX_LEN / 4 copies");
         assert_eq!(b.cost, Cycles(256));
@@ -348,7 +340,7 @@ mod tests {
              jmp entry2\n\
              entry2: halt\n",
         );
-        let b = form(base, &insts, 0, false).expect("jmp-closed region forms");
+        let b = form(base, &insts, 0).expect("jmp-closed region forms");
         assert_eq!(b.insts.len(), 4);
         let mut gprs = [0u64; 16];
         let exit = exec_regs(&b.insts, &mut gprs, base);
@@ -365,7 +357,7 @@ mod tests {
              bne r1, r4, entry\n\
              halt\n",
         );
-        let b = form(base, &insts, 0, false).expect("branch-closed region forms");
+        let b = form(base, &insts, 0).expect("branch-closed region forms");
         assert_eq!(b.insts.len(), 4);
         let mut gprs = [0u64; 16];
         // r1 becomes 1 != r4 (0): branch taken, back to entry.
@@ -385,7 +377,7 @@ mod tests {
         }
         src.push_str("halt\n");
         let (base, insts) = decoded(&src);
-        let b = form(base, &insts, 0, false).expect("9 inert insts form");
+        let b = form(base, &insts, 0).expect("9 inert insts form");
         assert_eq!(
             b.lines.as_slice(),
             &[(PAddr(0x1000), 8), (PAddr(0x1040), 9)]
@@ -393,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn allow_mem_admits_loads_and_stores() {
+    fn form_admits_loads_and_stores() {
         let (base, insts) = decoded(
             ".base 0x1000\n\
              entry: addi r1, r1, 1\n\
@@ -402,9 +394,7 @@ mod tests {
              st r2, r5, 0\n\
              halt\n",
         );
-        // Without allow_mem the load ends the region at length 1 < MIN.
-        assert!(form(base, &insts, 0, false).is_none());
-        let b = form(base, &insts, 0, true).expect("mem region forms");
+        let b = form(base, &insts, 0).expect("mem region forms");
         assert_eq!(b.len_slots, 4);
         assert_eq!(b.mem_ops, 2);
         assert!(b.last_is_mem, "final instruction is the store");
@@ -425,7 +415,7 @@ mod tests {
              st r1, r5, 8\n\
              jmp loop\n",
         );
-        let b = form(base, &insts, 0, true).expect("store loop forms");
+        let b = form(base, &insts, 0).expect("store loop forms");
         assert_eq!(b.len_slots, 3);
         assert_eq!(b.insts.len(), 255, "85 copies of 3");
         assert_eq!(b.mem_ops, 170);
@@ -437,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn pure_blocks_are_identical_with_and_without_allow_mem() {
+    fn pure_blocks_have_no_mem_ops() {
         let (base, insts) = decoded(
             ".base 0x1000\n\
              loop: addi r1, r1, 1\n\
@@ -445,11 +435,7 @@ mod tests {
              xor r3, r2, r1\n\
              jmp loop\n",
         );
-        let a = form(base, &insts, 0, false).expect("forms");
-        let b = form(base, &insts, 0, true).expect("forms");
-        assert_eq!(a.insts.len(), b.insts.len());
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.lines, b.lines);
+        let b = form(base, &insts, 0).expect("forms");
         assert_eq!(b.mem_ops, 0);
         assert!(!b.last_is_mem);
     }

@@ -1,9 +1,10 @@
 //! Conservative core-sharded parallel engine (see DESIGN.md §9).
 //!
-//! [`Machine::run_until`] with `machine_jobs > 1` executes *epochs*: the
-//! host stages every event strictly below a cross-core event horizon `B`,
-//! hands each core's staged events to a worker running against **clones**
-//! of that core's private state (scheduler, state store, L1/L2, TLB,
+//! [`Machine::run_until`] on [`Engine::Fast`] executes *epochs* on every
+//! multi-core machine whose invariant checker is off: the host stages
+//! every event strictly below a cross-core event horizon `B`, hands each
+//! core's staged events to a worker running against **clones** of that
+//! core's private state (scheduler, state store, L1/L2, TLB,
 //! prefetch capture, threads enrolled there, and its registered memory
 //! domain), and commits all of it back at an epoch barrier.
 //!
@@ -34,9 +35,22 @@
 //!   identical store-tier stamps up to relative order — so workers may
 //!   place splits differently (at `B`) without divergence.
 //!
-//! Nothing here runs unless the host opts in via
-//! [`Machine::set_machine_jobs`] and partitions memory with
-//! [`Machine::set_core_domain`]; the serial engine remains the reference.
+//! The gain comes from per-core lookahead, not host threads: a worker's
+//! burst loop sees only its own core's local queue, so it runs long
+//! bursts and superblocks where the serial loop stops at the next event
+//! on *any* core. [`Machine::set_machine_jobs`] only sets how many host
+//! threads run the workers (1 runs them inline). Stores commit in
+//! parallel only inside a window declared with
+//! [`Machine::set_core_domain`]; without one they bail to serial replay.
+//! Workers consume superblocks the serial replay has formed, read-only
+//! (heat and formation stay serial, since `code` is shared across
+//! worker threads); block execution is effect-identical to
+//! single-stepping, so which engine happens to use a block is invisible.
+//! [`Engine::Reference`] (the serial loop, superblocks off) is the oracle
+//! this engine is diffed against.
+//!
+//! [`Engine::Fast`]: crate::machine::Engine::Fast
+//! [`Engine::Reference`]: crate::machine::Engine::Reference
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -120,13 +134,6 @@ struct Shared<'a> {
     /// that core, which per-core horizons permit because a committed
     /// epoch contains no cross-core effects at all.
     gap: u64,
-    /// Whether workers may consume formed superblocks (read-only: heat
-    /// bumping and formation stay in the serial engine, since `code` is
-    /// shared across worker threads). Which engine happens to use a
-    /// block is invisible — block execution is effect-identical to
-    /// single-stepping — so serial/sharded stay bit-identical even when
-    /// their block usage differs.
-    sb_on: bool,
 }
 
 /// One core's slice of machine state, cloned for the epoch.
@@ -499,49 +506,47 @@ impl Worker<'_> {
             // the fresh-event horizon as the extra bound on the final
             // dispatch cursor. Any failed precondition single-steps —
             // never a burst exit.
-            if self.sh.sb_on {
-                let pc = self.threads[ti].1.arch.pc;
-                let via_jump = pc != seq_pc;
-                seq_pc = pc + 8;
-                if via_jump {
-                    if let Some((ri, bi)) = self.sb_lookup(pc) {
-                        let (bcost, last_cost, len) = {
-                            let b = &self.sh.code[ri].blocks[bi as usize];
-                            // Dynamic block cost, exactly as in the serial
-                            // engine: base costs plus one L1 hit per data
-                            // access (the block only runs fully resident).
-                            let l1 = self.sh.cfg.hierarchy.lat_l1;
-                            (
-                                b.cost + Cycles(b.mem_ops * l1.0),
-                                b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
-                                b.insts.len() as u64,
-                            )
-                        };
-                        // As in the serial engine, `extra` may overshoot
-                        // `MAX_BURST` by at most one block.
-                        let d_last = done + bcost - last_cost;
-                        if d_last <= self.sh.t && d_last < self.fresh_b {
-                            let mut clear = true;
-                            while let Some(tq) = qmin {
-                                if tq > d_last {
-                                    break;
-                                }
-                                if self.q.peek_slot() == Some(slot) {
-                                    clear = false;
-                                    break;
-                                }
-                                let lifted = self.q.pop_head().expect("peek/pop agree");
-                                self.stash.push(lifted);
-                                qmin = self.q.next_deadline();
+            let pc = self.threads[ti].1.arch.pc;
+            let via_jump = pc != seq_pc;
+            seq_pc = pc + 8;
+            if via_jump {
+                if let Some((ri, bi)) = self.sb_lookup(pc) {
+                    let (bcost, last_cost, len) = {
+                        let b = &self.sh.code[ri].blocks[bi as usize];
+                        // Dynamic block cost, exactly as in the serial
+                        // engine: base costs plus one L1 hit per data
+                        // access (the block only runs fully resident).
+                        let l1 = self.sh.cfg.hierarchy.lat_l1;
+                        (
+                            b.cost + Cycles(b.mem_ops * l1.0),
+                            b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
+                            b.insts.len() as u64,
+                        )
+                    };
+                    // As in the serial engine, `extra` may overshoot
+                    // `MAX_BURST` by at most one block.
+                    let d_last = done + bcost - last_cost;
+                    if d_last <= self.sh.t && d_last < self.fresh_b {
+                        let mut clear = true;
+                        while let Some(tq) = qmin {
+                            if tq > d_last {
+                                break;
                             }
-                            if clear && self.exec_superblock(ri, bi as usize, ti) {
-                                self.local_now = d_last;
-                                done += bcost;
-                                burst_cost += bcost;
-                                extra += len;
-                                seq_pc = u64::MAX;
-                                continue 'burst;
+                            if self.q.peek_slot() == Some(slot) {
+                                clear = false;
+                                break;
                             }
+                            let lifted = self.q.pop_head().expect("peek/pop agree");
+                            self.stash.push(lifted);
+                            qmin = self.q.next_deadline();
+                        }
+                        if clear && self.exec_superblock(ri, bi as usize, ti) {
+                            self.local_now = d_last;
+                            done += bcost;
+                            burst_cost += bcost;
+                            extra += len;
+                            seq_pc = u64::MAX;
+                            continue 'burst;
                         }
                     }
                 }
@@ -1141,9 +1146,6 @@ impl Machine {
     /// The sharded run loop: epochs where the event stream allows them,
     /// serial replay (via [`Machine::step_one`]) where it does not.
     pub(crate) fn run_until_sharded(&mut self, t: Cycles) {
-        if self.cfg.cores < 2 {
-            return self.run_until_serial(t);
-        }
         // Events strictly below the floor replay serially (a bailed or
         // too-thin window is settled the reference way before retrying).
         let mut serial_floor = Cycles::ZERO;
@@ -1314,7 +1316,6 @@ impl Machine {
                 // a tie from an unusually expensive instruction is
                 // still caught at commit and retried.
                 gap: ((b.0 - head.0) / (2 * self.cfg.cores.max(1) as u64)).min(64),
-                sb_on: self.sb_on,
             };
             par_map_owned(jobs, inputs, |_, input| run_worker(&sh, input))
         };

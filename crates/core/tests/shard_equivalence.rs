@@ -1,12 +1,14 @@
-//! Cross-engine equivalence: the core-sharded epoch engine
-//! (`--machine-jobs N`) must be **bit-identical** to the serial engine —
-//! same memory, same architectural state, same counters, same cache and
-//! wake statistics, same `now` — for any job count, on workloads that
-//! commit epochs, bail out of them, and fall back to serial replay.
+//! Cross-engine equivalence: `Engine::Fast` (superblocks plus the
+//! core-sharded epoch engine on every multi-core machine) must be
+//! **bit-identical** to `Engine::Reference`, the serial loop — same
+//! memory, same architectural state, same counters, same cache and wake
+//! statistics, same `now` — at every `machine_jobs` value (1 runs the
+//! epoch workers inline), on workloads that commit epochs, bail out of
+//! them, and fall back to serial replay.
 
 use std::fmt::Write as _;
 
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_core::ThreadId;
 use switchless_isa::asm::assemble;
 use switchless_sim::time::Cycles;
@@ -60,10 +62,15 @@ fn fingerprint(m: &Machine, tids: &[ThreadId], spans: &[(u64, u64)]) -> String {
 /// Per-core compute loops over disjoint memory domains, deliberately
 /// staggered (different strides, work amounts and loop lengths) so the
 /// cores' event streams do not stay phase-locked.
-fn build_compute(cores: usize, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
+fn build_compute(
+    cores: usize,
+    engine: Engine,
+    jobs: usize,
+) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
     let mut cfg = MachineConfig::small();
     cfg.cores = cores;
     let mut m = Machine::new(cfg);
+    m.set_engine(engine);
     m.set_machine_jobs(jobs);
     let mut tids = Vec::new();
     let mut spans = Vec::new();
@@ -104,6 +111,9 @@ fn build_compute(cores: usize, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64
     (m, tids, spans)
 }
 
+/// The fast engine at every job count under test.
+const JOBS: [usize; 3] = [1, 2, 4];
+
 /// Runs a machine to `t` in uneven increments (exercises epoch retries,
 /// the serial floor, and the `now = t` tail on every segment boundary).
 fn run_chunked(m: &mut Machine, t: u64) {
@@ -116,12 +126,12 @@ fn run_chunked(m: &mut Machine, t: u64) {
 #[test]
 fn sharded_matches_serial_on_domain_compute() {
     let t = 300_000;
-    let (mut serial, tids_s, spans) = build_compute(4, 1);
+    let (mut serial, tids_s, spans) = build_compute(4, Engine::Reference, 1);
     run_chunked(&mut serial, t);
     let want = fingerprint(&serial, &tids_s, &spans);
 
-    for jobs in [2, 4] {
-        let (mut par, tids_p, spans_p) = build_compute(4, jobs);
+    for jobs in JOBS {
+        let (mut par, tids_p, spans_p) = build_compute(4, Engine::Fast, jobs);
         run_chunked(&mut par, t);
         let got = fingerprint(&par, &tids_p, &spans_p);
         assert_eq!(want, got, "machine-jobs {jobs} diverged from serial");
@@ -136,9 +146,9 @@ fn sharded_matches_serial_on_domain_compute() {
 #[test]
 fn sharded_is_deterministic_across_runs() {
     let t = 150_000;
-    let (mut a, tids_a, spans_a) = build_compute(4, 4);
+    let (mut a, tids_a, spans_a) = build_compute(4, Engine::Fast, 4);
     run_chunked(&mut a, t);
-    let (mut b, tids_b, spans_b) = build_compute(4, 4);
+    let (mut b, tids_b, spans_b) = build_compute(4, Engine::Fast, 4);
     run_chunked(&mut b, t);
     assert_eq!(
         fingerprint(&a, &tids_a, &spans_a),
@@ -155,10 +165,11 @@ fn sharded_is_deterministic_across_runs() {
 /// truncate every epoch window, wakes produce cross-record effects
 /// (histogram samples, `last_wake`), and threads repeatedly park —
 /// the engine must interleave serial replay with epochs and still match.
-fn build_wakers(jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
+fn build_wakers(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
     let mut cfg = MachineConfig::small();
     cfg.cores = 2;
     let mut m = Machine::new(cfg);
+    m.set_engine(engine);
     m.set_machine_jobs(jobs);
     let mut tids = Vec::new();
     let mut spans = Vec::new();
@@ -200,14 +211,19 @@ fn build_wakers(jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
 #[test]
 fn sharded_matches_serial_under_wake_traffic() {
     let t = 120_000;
-    let (mut serial, tids_s, spans) = build_wakers(1);
+    let (mut serial, tids_s, spans) = build_wakers(Engine::Reference, 1);
     serial.run_until(Cycles(t));
     let want = fingerprint(&serial, &tids_s, &spans);
 
-    let (mut par, tids_p, spans_p) = build_wakers(4);
-    par.run_until(Cycles(t));
-    let got = fingerprint(&par, &tids_p, &spans_p);
-    assert_eq!(want, got, "wake-heavy workload diverged under machine-jobs");
+    for jobs in JOBS {
+        let (mut par, tids_p, spans_p) = build_wakers(Engine::Fast, jobs);
+        par.run_until(Cycles(t));
+        let got = fingerprint(&par, &tids_p, &spans_p);
+        assert_eq!(
+            want, got,
+            "wake-heavy workload diverged at machine-jobs {jobs}"
+        );
+    }
 }
 
 /// Without registered domains every store leaves the shard, so epochs
@@ -215,10 +231,11 @@ fn sharded_matches_serial_under_wake_traffic() {
 #[test]
 fn sharded_matches_serial_without_domains() {
     let t = 60_000;
-    let build = |jobs: usize| {
+    let build = |engine: Engine, jobs: usize| {
         let mut cfg = MachineConfig::small();
         cfg.cores = 2;
         let mut m = Machine::new(cfg);
+        m.set_engine(engine);
         m.set_machine_jobs(jobs);
         let mut tids = Vec::new();
         let mut spans = Vec::new();
@@ -249,19 +266,23 @@ fn sharded_matches_serial_without_domains() {
         }
         (m, tids, spans)
     };
-    let (mut serial, tids_s, spans) = build(1);
+    let (mut serial, tids_s, spans) = build(Engine::Reference, 1);
     serial.run_until(Cycles(t));
-    let (mut par, tids_p, spans_p) = build(4);
-    par.run_until(Cycles(t));
-    assert_eq!(
-        fingerprint(&serial, &tids_s, &spans),
-        fingerprint(&par, &tids_p, &spans_p),
-    );
-    assert!(
-        par.shard_stats().bailed > 0,
-        "undomained stores should be bailing epochs: {:?}",
-        par.shard_stats()
-    );
+    let want = fingerprint(&serial, &tids_s, &spans);
+    for jobs in JOBS {
+        let (mut par, tids_p, spans_p) = build(Engine::Fast, jobs);
+        par.run_until(Cycles(t));
+        assert_eq!(
+            want,
+            fingerprint(&par, &tids_p, &spans_p),
+            "machine-jobs {jobs}"
+        );
+        assert!(
+            par.shard_stats().bailed > 0,
+            "undomained stores should be bailing epochs: {:?}",
+            par.shard_stats()
+        );
+    }
 }
 
 /// Two enrolled threads per core: bursts are ineligible (no sole
@@ -269,10 +290,11 @@ fn sharded_matches_serial_without_domains() {
 #[test]
 fn sharded_matches_serial_with_scheduler_rotation() {
     let t = 80_000;
-    let build = |jobs: usize| {
+    let build = |engine: Engine, jobs: usize| {
         let mut cfg = MachineConfig::small();
         cfg.cores = 2;
         let mut m = Machine::new(cfg);
+        m.set_engine(engine);
         m.set_machine_jobs(jobs);
         let mut tids = Vec::new();
         let mut spans = Vec::new();
@@ -305,19 +327,41 @@ fn sharded_matches_serial_with_scheduler_rotation() {
         }
         (m, tids, spans)
     };
-    let (mut serial, tids_s, spans) = build(1);
+    let (mut serial, tids_s, spans) = build(Engine::Reference, 1);
     run_chunked(&mut serial, t);
-    let (mut par, tids_p, spans_p) = build(3);
-    run_chunked(&mut par, t);
-    assert_eq!(
-        fingerprint(&serial, &tids_s, &spans),
-        fingerprint(&par, &tids_p, &spans_p),
+    let want = fingerprint(&serial, &tids_s, &spans);
+    for jobs in [1, 3] {
+        let (mut par, tids_p, spans_p) = build(Engine::Fast, jobs);
+        run_chunked(&mut par, t);
+        assert_eq!(
+            want,
+            fingerprint(&par, &tids_p, &spans_p),
+            "machine-jobs {jobs}"
+        );
+    }
+}
+
+/// One host job runs the epoch workers inline, and the per-core
+/// lookahead is where the gain comes from: on the F15c shape nearly every
+/// instruction retires inside a committed epoch.
+#[test]
+fn machine_jobs_one_commits_epochs() {
+    let (mut m, _, _) = build_compute(4, Engine::Fast, 1);
+    m.run_until(Cycles(300_000));
+    let st = m.shard_stats();
+    let insts = m.counters().get("inst.executed");
+    assert!(st.committed > 0, "{st:?}");
+    assert!(
+        st.insts_parallel as f64 / insts as f64 > 0.9,
+        "only {} of {insts} instructions retired in committed epochs: {st:?}",
+        st.insts_parallel
     );
 }
 
+/// The reference engine never stages an epoch, whatever `machine_jobs`.
 #[test]
-fn machine_jobs_one_is_the_serial_engine() {
-    let (mut m, tids, spans) = build_compute(4, 1);
+fn reference_engine_runs_no_epochs() {
+    let (mut m, tids, spans) = build_compute(4, Engine::Reference, 4);
     m.run_until(Cycles(50_000));
     let st = m.shard_stats();
     assert_eq!(

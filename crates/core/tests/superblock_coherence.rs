@@ -7,22 +7,22 @@
 //! block-overlap kill can catch it), with execution falling back to
 //! single-step over the patched words.
 //!
-//! Each test force-enables the engine with `set_superblocks(true)` so
-//! the scenario is exercised regardless of the `SWITCHLESS_SUPERBLOCKS`
+//! Each test force-selects `Engine::Fast` with `set_engine` so the
+//! scenario is exercised regardless of the `SWITCHLESS_ENGINE`
 //! environment: first a hot inert loop runs long enough to be formed
 //! (well past the heat threshold), then the mutation lands, then the
 //! patched behavior must be observed. With a stale block the loop
 //! would keep replaying the old instructions and every assertion below
 //! would fail.
 
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_core::tid::ThreadState;
 use switchless_isa::asm::assemble;
 use switchless_sim::time::Cycles;
 
 fn small_sb() -> Machine {
     let mut m = Machine::new(MachineConfig::small());
-    m.set_superblocks(true);
+    m.set_engine(Engine::Fast);
     m
 }
 

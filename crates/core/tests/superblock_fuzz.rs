@@ -2,7 +2,8 @@
 //! programs — inert ALU runs, bounded loops (the shape that forms
 //! superblocks), data stores, and self-modifying stores that splat
 //! random words over the program's own first slots — run on two
-//! machines that differ *only* in the superblock toggle. Final machine
+//! machines that differ *only* in the engine: `Engine::Reference`
+//! (single-step) and `Engine::Fast` (superblocks). Final machine
 //! digests (every architectural register, pc, thread state, `now`,
 //! executed-instruction count, and the full code + data memory) must
 //! be bit-identical: superblocks may change wall-clock time, never
@@ -13,7 +14,7 @@
 //! the thread, and — with no exception descriptor installed — halt the
 //! machine): every such path must still digest identically.
 
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_isa::asm::assemble;
 use switchless_sim::rng::Rng;
 use switchless_sim::time::Cycles;
@@ -93,19 +94,18 @@ fn fuzz_once(seed: u64, run: Cycles) {
     let mut rng = Rng::seed_from(seed);
     let src = random_program(&mut rng);
     let prog = assemble(&src).unwrap_or_else(|e| panic!("seed {seed}: bad program: {e:?}\n{src}"));
-    let run_one = |sb: bool| {
+    let run_one = |engine: Engine| {
         let mut m = Machine::new(MachineConfig::small());
-        m.set_superblocks(sb);
+        m.set_engine(engine);
         let tid = m.load_program(0, &prog).expect("load");
         m.start_thread(tid);
         m.run_for(run);
         digest(&m, tid, prog.end())
     };
-    let on = run_one(true);
-    let off = run_one(false);
     assert_eq!(
-        on, off,
-        "seed {seed}: digests diverged between superblocks on and off\n{src}"
+        run_one(Engine::Fast),
+        run_one(Engine::Reference),
+        "seed {seed}: digests diverged between the fast and reference engines\n{src}"
     );
 }
 

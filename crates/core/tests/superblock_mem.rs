@@ -1,8 +1,7 @@
 //! Memory-inclusive superblocks: the batched load/store fast path must
-//! be behaviourally invisible. Each scenario runs on three twin
-//! machines — default (superblocks + memory blocks), memory blocks off
-//! (`set_mem_superblocks(false)`), and the whole engine off
-//! (`set_superblocks(false)`) — and requires identical simulated time,
+//! be behaviourally invisible. Each scenario runs on twin machines —
+//! `Engine::Reference` (single-step, no superblocks) and `Engine::Fast`
+//! (register and memory superblocks) — and requires identical simulated time,
 //! thread states, registers, statistics counters, and cache hit/miss
 //! totals. Scenarios target the three bail routes the fast path adds:
 //!
@@ -15,40 +14,16 @@
 //!    (the probe must bail and the single-step store must kill the
 //!    block).
 
-use switchless_core::machine::{Machine, MachineConfig, ThreadId};
+use switchless_core::machine::{Engine, Machine, MachineConfig, ThreadId};
 use switchless_core::tid::ThreadState;
 use switchless_isa::asm::{assemble, Program};
 use switchless_sim::time::Cycles;
 
-/// Engine configurations under comparison.
-#[derive(Clone, Copy, Debug)]
-enum Engine {
-    MemBlocks,
-    PureBlocksOnly,
-    SingleStep,
-}
-
-const ENGINES: [Engine; 3] = [
-    Engine::MemBlocks,
-    Engine::PureBlocksOnly,
-    Engine::SingleStep,
-];
+const ENGINES: [Engine; 2] = [Engine::Reference, Engine::Fast];
 
 fn machine(engine: Engine) -> Machine {
     let mut m = Machine::new(MachineConfig::small());
-    match engine {
-        Engine::MemBlocks => {
-            m.set_superblocks(true);
-            m.set_mem_superblocks(true);
-        }
-        Engine::PureBlocksOnly => {
-            m.set_superblocks(true);
-            m.set_mem_superblocks(false);
-        }
-        Engine::SingleStep => {
-            m.set_superblocks(false);
-        }
-    }
+    m.set_engine(engine);
     m
 }
 
@@ -82,7 +57,7 @@ fn observe(m: &Machine, tids: &[ThreadId]) -> Observed {
     }
 }
 
-/// Runs `scenario` on all three engines and asserts the final
+/// Runs `scenario` on both engines and asserts the final
 /// observations match. A single end-of-scenario snapshot suffices:
 /// every intermediate divergence would feed forward into the final
 /// counters, registers, or simulated time.

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_core::ThreadId;
 use switchless_dev::msix::MsixBridge;
 use switchless_dev::nic::{Nic, NicConfig};
@@ -65,10 +65,11 @@ fn fingerprint(m: &Machine, tids: &[ThreadId], words: &[u64]) -> String {
 /// Builds a 4-core machine: NIC consumer on core 0, MSI-X parker on
 /// core 1, domain compute loops on cores 2 and 3; NIC RX and MSI-X
 /// completion traffic throughout the run.
-fn build(jobs: usize) -> (Machine, Vec<ThreadId>, Vec<u64>) {
+fn build(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<u64>) {
     let mut cfg = MachineConfig::small();
     cfg.cores = 4;
     let mut m = Machine::new(cfg);
+    m.set_engine(engine);
     m.set_machine_jobs(jobs);
     let mut tids = Vec::new();
     let mut words = Vec::new();
@@ -136,7 +137,7 @@ fn build(jobs: usize) -> (Machine, Vec<ThreadId>, Vec<u64>) {
 #[test]
 fn completion_routing_matches_serial_engine() {
     let t = 120_000;
-    let (mut serial, tids_s, words) = build(1);
+    let (mut serial, tids_s, words) = build(Engine::Reference, 1);
     serial.run_until(Cycles(t));
     let want = fingerprint(&serial, &tids_s, &words);
     assert!(
@@ -145,21 +146,19 @@ fn completion_routing_matches_serial_engine() {
         "fixture must actually deliver completions"
     );
 
-    for jobs in [2, 4] {
-        let (mut par, tids_p, words_p) = build(jobs);
+    for jobs in [1, 2, 4] {
+        let (mut par, tids_p, words_p) = build(Engine::Fast, jobs);
         par.run_until(Cycles(t));
         let got = fingerprint(&par, &tids_p, &words_p);
         assert_eq!(
             want, got,
-            "machine-jobs {jobs} diverged under device completions"
+            "fast engine at machine-jobs {jobs} diverged under device completions"
+        );
+        // And the epoch engine did real work between completions.
+        let st = par.shard_stats();
+        assert!(
+            st.committed > 0,
+            "compute cores should commit epochs between completions: {st:?}"
         );
     }
-    // And the engine did real parallel work between completions.
-    let (mut par, _, _) = build(4);
-    par.run_until(Cycles(t));
-    let st = par.shard_stats();
-    assert!(
-        st.committed > 0,
-        "compute cores should commit epochs between completions: {st:?}"
-    );
 }

@@ -12,18 +12,22 @@
 //!   shared L3), then performance returns to warm speed — quantifying
 //!   both the §4 migration cost and why the scheduler should care about
 //!   locality.
-//! * **F15c**: the core-sharded parallel engine
+//! * **F15c**: the core-sharded epoch engine
 //!   ([`switchless_core::shard`]) on a 4-core compute workload with
 //!   per-core memory domains. Every simulated metric in the table is
-//!   bit-identical for any `--machine-jobs` value — the engine commits
-//!   an epoch only when it can prove it matches the serial engine —
-//!   so the flag shows up exclusively as wall-clock time in the run
-//!   timing table. F15a keeps the serial engine on purpose: its host
-//!   event callbacks land every few hundred cycles and would truncate
-//!   every epoch window, which is exactly the traffic shape the
-//!   conservative engine refuses to parallelize.
+//!   bit-identical for any engine and any `--machine-jobs` value — the
+//!   epoch engine commits an epoch only when it can prove it matches
+//!   the serial reference loop — so both show up exclusively as
+//!   wall-clock time in the run timing table.
+//!
+//! Every multi-core machine here runs on the process's engine
+//! (`SWITCHLESS_ENGINE`, fast by default), so F15a and F15b take the
+//! epoch engine too. F15a's host event callbacks land every few hundred
+//! cycles and truncate most epoch windows to fewer than two busy cores
+//! (`TooFew`), which then replay serially: exactly the traffic shape the
+//! conservative engine declines to run ahead on.
 
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_isa::asm::assemble;
 use switchless_kern::nointr::EventHandlerSet;
 use switchless_sim::report::{fnum, Table};
@@ -134,13 +138,15 @@ fn measure_migration() -> (u64, u64, u64, u64) {
 /// staggered stride/work mix so the cores' event streams are not
 /// phase-locked. Returns per-core `(iterations, passes, billed cycles)`
 /// plus total executed instructions — all *simulated* quantities, so
-/// they are bit-identical for any `machine_jobs`; only wall-clock time
-/// (reported in the run timing table, never in `results/`) changes.
-fn measure_sharded(machine_jobs: usize, t: u64) -> (Vec<(u64, u64, u64)>, u64) {
+/// they are bit-identical for any `engine` and `machine_jobs`; only
+/// wall-clock time (reported in the run timing table, never in
+/// `results/`) changes.
+fn measure_sharded(engine: Engine, machine_jobs: usize, t: u64) -> (Vec<(u64, u64, u64)>, u64) {
     const CORES: usize = 4;
     let mut cfg = MachineConfig::small();
     cfg.cores = CORES;
     let mut m = Machine::new(cfg);
+    m.set_engine(engine);
     m.set_machine_jobs(machine_jobs);
     let mut tids = Vec::new();
     for c in 0..CORES {
@@ -198,7 +204,8 @@ fn measure_sharded(machine_jobs: usize, t: u64) -> (Vec<(u64, u64, u64)>, u64) {
 /// builds its own machine with a fixed seed), so they shard across
 /// `ctx.jobs` workers; results are collected in input order and the
 /// 1-core row doubles as the scaling baseline, making the table
-/// bit-identical for any worker count. F15c honors `ctx.machine_jobs`.
+/// bit-identical for any worker count. F15c honors `ctx.machine_jobs`
+/// (host threads for the epoch engine's per-core workers).
 pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     let events = if ctx.quick { 200 } else { 1_000 };
     let mut a = Table::new(
@@ -247,7 +254,7 @@ pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     );
 
     let horizon = if ctx.quick { 4_000_000 } else { 60_000_000 };
-    let (sharded, insts) = measure_sharded(ctx.machine_jobs, horizon);
+    let (sharded, insts) = measure_sharded(Engine::process_default(), ctx.machine_jobs, horizon);
     let mut c = Table::new(
         "F15c: core-sharded engine - simulated results independent of --machine-jobs",
         &["core", "iterations", "passes", "billed cycles", "cy/iter"],
@@ -296,14 +303,16 @@ mod tests {
 
     #[test]
     fn sharded_rows_match_serial_rows() {
-        let (serial, insts_serial) = measure_sharded(1, 400_000);
-        let (sharded, insts_sharded) = measure_sharded(4, 400_000);
-        assert_eq!(
-            serial, sharded,
-            "F15c rows must not depend on --machine-jobs"
-        );
-        assert_eq!(insts_serial, insts_sharded);
+        let serial = measure_sharded(Engine::Reference, 1, 400_000);
+        for jobs in [1, 2, 4] {
+            assert_eq!(
+                serial,
+                measure_sharded(Engine::Fast, jobs, 400_000),
+                "F15c rows must not depend on the engine (fast, --machine-jobs {jobs})"
+            );
+        }
         assert!(serial
+            .0
             .iter()
             .all(|&(iters, _, billed)| iters > 0 && billed > 0));
     }

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_dev::fabric::Fabric;
 use switchless_dev::msix::MsixBridge;
 use switchless_dev::nic::{Nic, NicConfig};
@@ -164,6 +164,7 @@ fn parker_src(base: u64, watch: u64) -> String {
 fn run_storm(
     plan: &ChaosPlan,
     sabotage: bool,
+    engine: Engine,
     machine_jobs: usize,
 ) -> Result<StormOutcome, SimError> {
     let fault_plan = plan.to_fault_plan()?;
@@ -173,9 +174,10 @@ fn run_storm(
     let mut m = Machine::new(cfg);
     m.enable_invariants(true);
     // The invariant checker wants eyes on every event boundary, so the
-    // machine falls back to the serial engine whichever `machine_jobs`
-    // is requested — chaos digests are identical across job counts by
-    // construction, and `digests_do_not_depend_on_machine_jobs` pins it.
+    // machine runs the serial loop on either engine and at any
+    // `machine_jobs`; only superblocks differ between engines, and
+    // `digests_do_not_depend_on_machine_jobs` pins the digests.
+    m.set_engine(engine);
     m.set_machine_jobs(machine_jobs);
     if sabotage {
         m.register_invariant("fixture.fabric_never_loses", |m| {
@@ -345,12 +347,12 @@ fn run_storm(
 /// Returns a structured [`SimError`] for a plan that fails
 /// [`ChaosPlan::to_fault_plan`] validation.
 pub fn run_plan(plan: &ChaosPlan) -> Result<StormOutcome, SimError> {
-    run_storm(plan, false, 1)
+    run_storm(plan, false, Engine::process_default(), 1)
 }
 
-/// [`run_plan`] with an explicit core-sharded engine budget
+/// [`run_plan`] with an explicit epoch-worker thread budget
 /// (`--machine-jobs`). Digests are identical for every value: storms run
-/// with the invariant checker enabled, which pins the serial engine.
+/// with the invariant checker enabled, which pins the serial loop.
 ///
 /// # Errors
 ///
@@ -359,7 +361,7 @@ pub fn run_plan_with_machine_jobs(
     plan: &ChaosPlan,
     machine_jobs: usize,
 ) -> Result<StormOutcome, SimError> {
-    run_storm(plan, false, machine_jobs)
+    run_storm(plan, false, Engine::process_default(), machine_jobs)
 }
 
 /// The strongest active fabric-loss rate at time `t` under `plan`.
@@ -665,14 +667,18 @@ mod tests {
     #[test]
     fn digests_do_not_depend_on_machine_jobs() {
         let plan = ChaosPlan::generate(23, &test_cfg());
-        let serial = run_plan(&plan).expect("plan runs serially");
-        let sharded = run_plan_with_machine_jobs(&plan, 4).expect("plan runs with machine-jobs 4");
-        assert_eq!(
-            serial.digest, sharded.digest,
-            "chaos digests must be identical across --machine-jobs values"
-        );
-        assert_eq!(serial.violations, sharded.violations);
-        assert_eq!(serial.goodput, sharded.goodput);
+        let reference = run_storm(&plan, false, Engine::Reference, 1)
+            .expect("plan runs on the reference engine");
+        for jobs in [1, 4] {
+            let fast =
+                run_storm(&plan, false, Engine::Fast, jobs).expect("plan runs on the fast engine");
+            assert_eq!(
+                reference.digest, fast.digest,
+                "chaos digests must match the reference engine (fast, --machine-jobs {jobs})"
+            );
+            assert_eq!(reference.violations, fast.violations);
+            assert_eq!(reference.goodput, fast.goodput);
+        }
     }
 
     #[test]
@@ -811,7 +817,9 @@ mod tests {
             ],
             digest: None,
         };
-        let fails = |p: &ChaosPlan| run_storm(p, true, 1).is_ok_and(|o| o.violations > 0);
+        let fails = |p: &ChaosPlan| {
+            run_storm(p, true, Engine::process_default(), 1).is_ok_and(|o| o.violations > 0)
+        };
         assert!(fails(&plan), "fixture trips on the full storm");
         let healthy = run_plan(&plan).expect("plan validates");
         assert_eq!(healthy.violations, 0, "healthy invariants stay silent");

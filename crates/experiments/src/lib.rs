@@ -5,7 +5,7 @@
 //! ```text
 //! experiments all [--quick] [--jobs N] [--out DIR]   # run everything
 //! experiments f1 f7 [--quick]                        # run selected experiments
-//! experiments f15 --machine-jobs 4                   # core-sharded machine engine
+//! experiments f15 --machine-jobs 4                   # epoch-worker host threads
 //! experiments list                                   # list experiment ids
 //! experiments --soak 100 [--soak-seed S] [--quick]   # chaos soak, invariants on
 //! experiments --replay storm.txt                     # re-execute a chaos artifact
@@ -24,17 +24,23 @@
 //! timing table is appended to the run log so speedups are measured, not
 //! asserted; it is deliberately never written to `results/`.
 //!
-//! `--machine-jobs N` additionally runs each *single simulated machine*
-//! on the core-sharded epoch engine (`switchless_core::shard`) with up
-//! to `N` workers, one per simulated core. The engine is conservative:
-//! every epoch either commits bit-identically to the serial engine or is
-//! discarded and replayed serially, so simulated results — and therefore
-//! the CSV tree — are bit-identical for every `--machine-jobs` value;
-//! only wall-clock time changes. Experiments that run with the invariant
-//! checker enabled (F17) fall back to the serial engine automatically.
+//! **Engines.** `SWITCHLESS_ENGINE=reference|fast` (default `fast`)
+//! picks the host execution engine of every simulated machine
+//! (`switchless_core::Engine`). `fast` runs superblocks and, on every
+//! multi-core machine, the core-sharded epoch engine
+//! (`switchless_core::shard`); `reference` is the plain serial loop the
+//! fast engine is diffed against. `--machine-jobs N` sets how many host
+//! threads run the epoch engine's per-core workers (default 1: inline).
+//! The epoch engine is conservative: every epoch either commits
+//! bit-identically to the serial loop or is discarded and replayed
+//! serially, so simulated results — and therefore the CSV tree — are
+//! bit-identical for either engine and every `--machine-jobs` value;
+//! only wall-clock time changes. Machines that run with the invariant
+//! checker enabled (F17) take the serial loop on either engine.
 
 use std::path::PathBuf;
 
+use switchless_core::Engine;
 use switchless_sim::par;
 use switchless_sim::report::{fnum, CsvSink, Table};
 
@@ -198,8 +204,9 @@ pub struct Cli {
     pub quick: bool,
     /// Explicit `--jobs N`; `None` defers to `SWITCHLESS_JOBS`/host.
     pub jobs: Option<usize>,
-    /// Explicit `--machine-jobs N` for the core-sharded machine engine;
-    /// `None` means 1 (serial engine).
+    /// Explicit `--machine-jobs N`: host threads for the epoch engine's
+    /// per-core workers; `None` means 1 (workers run inline). It never
+    /// selects an engine (`SWITCHLESS_ENGINE` does).
     pub machine_jobs: Option<usize>,
     /// Explicit `--out DIR` for the CSV tree; `None` means `results/`.
     pub out: Option<PathBuf>,
@@ -284,6 +291,23 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// Validates the environment variables the harness reads: the raw
+/// `SWITCHLESS_JOBS` and `SWITCHLESS_ENGINE` values (`None` when unset).
+/// Malformed values are errors, never a silent default.
+///
+/// # Errors
+///
+/// Returns the offending variable's parse error.
+pub fn check_env(jobs: Option<&str>, engine: Option<&str>) -> Result<(), String> {
+    if let Some(raw) = jobs {
+        par::parse_jobs_env(raw)?;
+    }
+    if let Some(raw) = engine {
+        Engine::parse(raw)?;
+    }
+    Ok(())
+}
+
 /// Entry point of the `experiments` binary.
 ///
 /// Runs the selected experiments on up to `--jobs` worker threads while
@@ -293,6 +317,9 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
 /// writes go through one [`CsvSink`], so slug collisions are uniquified
 /// deterministically. Ends with a per-experiment wall-clock timing table
 /// (stdout only, never a CSV — timings are volatile by nature).
+///
+/// Exits 2 on a malformed flag or environment variable, and 1 after the
+/// timing table when any CSV write failed.
 pub fn run_cli() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_cli(&args) {
@@ -302,6 +329,11 @@ pub fn run_cli() {
             std::process::exit(2);
         }
     };
+    let env = |name| std::env::var(name).ok();
+    if let Err(msg) = check_env(env(par::JOBS_ENV).as_deref(), env(Engine::ENV).as_deref()) {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    }
 
     // Chaos modes short-circuit the experiment registry entirely.
     if let Some(path) = &cli.replay {
@@ -368,6 +400,7 @@ pub fn run_cli() {
     let dir = cli.out.clone().unwrap_or_else(results_dir);
     let mut sink = CsvSink::new(&dir);
     let mut timings: Vec<(&'static str, f64)> = Vec::new();
+    let mut csv_failures = 0usize;
     let wall0 = std::time::Instant::now();
 
     par::for_each_ordered(
@@ -385,7 +418,10 @@ pub fn run_cli() {
                 print!("{}", table.render());
                 match sink.write(table) {
                     Ok(path) => println!("  csv: {}", path.display()),
-                    Err(err) => eprintln!("  csv write failed: {err}"),
+                    Err(err) => {
+                        eprintln!("  csv write failed: {err}");
+                        csv_failures += 1;
+                    }
                 }
             }
             println!("  ({secs:.1}s)");
@@ -411,6 +447,10 @@ pub fn run_cli() {
     ));
     println!();
     print!("{}", t.render());
+    if csv_failures > 0 {
+        eprintln!("{csv_failures} CSV write(s) failed under {}", dir.display());
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
@@ -455,6 +495,21 @@ mod tests {
         assert!(parse(&["--machine-jobs", "0"]).is_err());
         assert!(parse(&["--machine-jobs", "four"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn check_env_accepts_unset_and_valid_values() {
+        assert_eq!(check_env(None, None), Ok(()));
+        assert_eq!(check_env(Some("4"), Some("fast")), Ok(()));
+        assert_eq!(check_env(Some("0"), Some("reference")), Ok(()));
+    }
+
+    #[test]
+    fn check_env_rejects_malformed_values() {
+        let err = check_env(Some("4x"), None).unwrap_err();
+        assert!(err.contains(par::JOBS_ENV) && err.contains("4x"), "{err}");
+        let err = check_env(None, Some("maybe")).unwrap_err();
+        assert!(err.contains(Engine::ENV) && err.contains("maybe"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Tier-1 gate: everything here runs fully offline.
 #
 #   build    release build of the whole workspace
-#   test     the ~450 unit/integration/property tests
+#   test     the ~580 unit/integration/property tests
 #   clippy   workspace lints, warnings are errors
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
@@ -16,24 +16,18 @@
 #   jobs     parallel-determinism check: the full --quick suite at
 #            --jobs 1 and --jobs 4 must write bit-identical results/
 #            trees (the harness's core invariant)
-#   mjobs    engine-determinism check: the suite at --machine-jobs 1
-#            (serial engine) and --machine-jobs 4 (core-sharded epoch
-#            engine) must write bit-identical results/ trees, both for
-#            the full suite and for --quick --jobs 4 (the sharded
-#            engine may only change wall-clock time, never results)
-#   sblocks  superblock-determinism check: the suite with the
-#            superblock engine disabled (SWITCHLESS_SUPERBLOCKS=0) must
-#            write results/ trees bit-identical to the default-on runs
-#            above, both for the full suite and for --quick --jobs 4
-#            (superblocks may only change wall-clock time, never
-#            results)
-#   memsb    memory-superblock-determinism check: the suite with only
-#            the batched load/store fast path disabled
-#            (SWITCHLESS_MEM_SUPERBLOCKS=0, pure-register superblocks
-#            still on) must write results/ trees bit-identical to the
-#            default-on runs, both for the full suite and for --quick
-#            --jobs 4 (the memory fast path may only change wall-clock
-#            time, never results)
+#   engine   engine-identity check: the suite on the reference engine
+#            (SWITCHLESS_ENGINE=reference: the serial loop, no
+#            superblocks, no epochs) must write results/ trees and logs
+#            bit-identical to the default fast engine, both for
+#            --quick --jobs 4 and for the full suite (the fast engine
+#            may only change wall-clock time, never results)
+#   results  the default full run must reproduce the committed
+#            results/ CSVs byte for byte, so a quick-mode or stale
+#            table cannot be committed
+#   mjobs    epoch-worker check: f15 and f17, the only experiments that
+#            read --machine-jobs, must write bit-identical trees and
+#            logs at --machine-jobs 1 and --machine-jobs 4
 #   bench    host-throughput smoke + regression gate: switchless-bench
 #            --quick must emit well-formed switchless-bench/v1 JSON, and
 #            no bench may drop more than 20% below the newest committed
@@ -108,76 +102,60 @@ if [ "$s1" != "$s4" ]; then
 fi
 echo "parallel determinism: identical results/ trees and logs"
 
-step "engine determinism (--machine-jobs 1 vs --machine-jobs 4, --quick)"
-mq1=target/ci-results-mj1-quick
-mq4=target/ci-results-mj4-quick
-rm -rf "$mq1" "$mq4"
-mlog1="$(cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --machine-jobs 1 --out "$mq1")"
-mlog4="$(cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --machine-jobs 4 --out "$mq4")"
-if ! diff -r "$mq1" "$mq4"; then
-    echo "FAIL: results/ trees differ between --machine-jobs 1 and --machine-jobs 4 (--quick)" >&2
+step "engine identity (SWITCHLESS_ENGINE=reference vs default, --quick --jobs 4)"
+rq=target/ci-results-ref-quick
+rm -rf "$rq"
+logr="$(SWITCHLESS_ENGINE=reference cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --out "$rq")"
+if ! diff -r "$j4" "$rq"; then
+    echo "FAIL: results/ trees differ between the fast and reference engines (--quick)" >&2
     exit 1
 fi
-m1="$(printf '%s\n' "$mlog1" | strip_volatile | sed "s|$mq1|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
-m4="$(printf '%s\n' "$mlog4" | strip_volatile | sed "s|$mq4|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
+sr="$(printf '%s\n' "$logr" | strip_volatile | sed "s|$rq|RESULTS|g")"
+if [ "$s4" != "$sr" ]; then
+    echo "FAIL: run logs differ between the fast and reference engines (--quick)" >&2
+    diff <(printf '%s\n' "$s4") <(printf '%s\n' "$sr") >&2 || true
+    exit 1
+fi
+echo "engine identity (quick): identical results/ trees and logs"
+
+step "engine identity (SWITCHLESS_ENGINE=reference vs default, full)"
+ff=target/ci-results-fast-full
+rf=target/ci-results-ref-full
+rm -rf "$ff" "$rf"
+cargo run -q --release -p switchless-experiments -- all --out "$ff" >/dev/null
+SWITCHLESS_ENGINE=reference cargo run -q --release -p switchless-experiments -- all --out "$rf" >/dev/null
+if ! diff -r "$ff" "$rf"; then
+    echo "FAIL: results/ trees differ between the fast and reference engines (full)" >&2
+    exit 1
+fi
+echo "engine identity (full): identical results/ trees"
+
+step "committed results/ (default full run vs results/)"
+# full_run.txt is the committed run log, not a CSV the --out tree holds.
+if ! diff -r -x full_run.txt results "$ff"; then
+    echo "FAIL: the full run does not reproduce the committed results/ CSVs" >&2
+    exit 1
+fi
+echo "committed results/: reproduced byte for byte"
+
+step "epoch-worker threads (f15 f17, --machine-jobs 1 vs --machine-jobs 4)"
+mj1=target/ci-results-mj1
+mj4=target/ci-results-mj4
+rm -rf "$mj1" "$mj4"
+mlog1="$(cargo run -q --release -p switchless-experiments -- f15 f17 --machine-jobs 1 --out "$mj1")"
+mlog4="$(cargo run -q --release -p switchless-experiments -- f15 f17 --machine-jobs 4 --out "$mj4")"
+if ! diff -r "$mj1" "$mj4"; then
+    echo "FAIL: f15/f17 trees differ between --machine-jobs 1 and --machine-jobs 4" >&2
+    exit 1
+fi
+m1="$(printf '%s\n' "$mlog1" | strip_volatile | sed "s|$mj1|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
+m4="$(printf '%s\n' "$mlog4" | strip_volatile | sed "s|$mj4|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
 if [ "$m1" != "$m4" ]; then
-    echo "FAIL: run logs differ between --machine-jobs 1 and --machine-jobs 4 (--quick)" >&2
+    echo "FAIL: f15/f17 logs differ between --machine-jobs 1 and --machine-jobs 4" >&2
     diff <(printf '%s\n' "$m1") <(printf '%s\n' "$m4") >&2 || true
     exit 1
 fi
-echo "engine determinism (quick): identical results/ trees and logs"
-
-step "engine determinism (--machine-jobs 1 vs --machine-jobs 4, full)"
-mf1=target/ci-results-mj1-full
-mf4=target/ci-results-mj4-full
-rm -rf "$mf1" "$mf4"
-cargo run -q --release -p switchless-experiments -- all --machine-jobs 1 --out "$mf1" >/dev/null
-cargo run -q --release -p switchless-experiments -- all --machine-jobs 4 --out "$mf4" >/dev/null
-if ! diff -r "$mf1" "$mf4"; then
-    echo "FAIL: results/ trees differ between --machine-jobs 1 and --machine-jobs 4 (full)" >&2
-    exit 1
-fi
-echo "engine determinism (full): identical results/ trees"
-
-step "superblock determinism (SWITCHLESS_SUPERBLOCKS=0 vs default-on, --quick)"
-sbq=target/ci-results-nosb-quick
-rm -rf "$sbq"
-SWITCHLESS_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --out "$sbq" >/dev/null
-if ! diff -r "$mq1" "$sbq"; then
-    echo "FAIL: results/ trees differ between superblocks on and off (--quick)" >&2
-    exit 1
-fi
-echo "superblock determinism (quick): identical results/ trees"
-
-step "superblock determinism (SWITCHLESS_SUPERBLOCKS=0 vs default-on, full)"
-sbf=target/ci-results-nosb-full
-rm -rf "$sbf"
-SWITCHLESS_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --out "$sbf" >/dev/null
-if ! diff -r "$mf1" "$sbf"; then
-    echo "FAIL: results/ trees differ between superblocks on and off (full)" >&2
-    exit 1
-fi
-echo "superblock determinism (full): identical results/ trees"
-
-step "memory-superblock determinism (SWITCHLESS_MEM_SUPERBLOCKS=0 vs default-on, --quick)"
-msq=target/ci-results-nomemsb-quick
-rm -rf "$msq"
-SWITCHLESS_MEM_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --quick --jobs 4 --out "$msq" >/dev/null
-if ! diff -r "$mq1" "$msq"; then
-    echo "FAIL: results/ trees differ between memory superblocks on and off (--quick)" >&2
-    exit 1
-fi
-echo "memory-superblock determinism (quick): identical results/ trees"
-
-step "memory-superblock determinism (SWITCHLESS_MEM_SUPERBLOCKS=0 vs default-on, full)"
-msf=target/ci-results-nomemsb-full
-rm -rf "$msf"
-SWITCHLESS_MEM_SUPERBLOCKS=0 cargo run -q --release -p switchless-experiments -- all --out "$msf" >/dev/null
-if ! diff -r "$mf1" "$msf"; then
-    echo "FAIL: results/ trees differ between memory superblocks on and off (full)" >&2
-    exit 1
-fi
-echo "memory-superblock determinism (full): identical results/ trees"
+echo "epoch-worker threads: identical f15/f17 trees and logs"
 
 step "bench smoke (switchless-bench --quick)"
 bj=target/bench-smoke.json
