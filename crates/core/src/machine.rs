@@ -424,7 +424,8 @@ impl CodeRange {
 }
 
 /// Pre-resolved [`CounterId`]s for counters bumped on (nearly) every
-/// dispatched instruction or store — skips the per-call string hash.
+/// dispatched instruction, store, DMA or park — skips the per-call string
+/// hash.
 pub(crate) struct HotCounters {
     pub(crate) inst_executed: CounterId,
     pub(crate) sched_dispatches: CounterId,
@@ -433,6 +434,11 @@ pub(crate) struct HotCounters {
     pub(crate) monitor_false_wakes: CounterId,
     pub(crate) thread_wakes: CounterId,
     pub(crate) activate: [CounterId; 4],
+    pub(crate) dma_bytes: CounterId,
+    pub(crate) monitor_armed: CounterId,
+    pub(crate) mwait_blocked: CounterId,
+    pub(crate) mwait_fallthrough: CounterId,
+    pub(crate) mwait_unarmed: CounterId,
 }
 
 impl HotCounters {
@@ -450,6 +456,11 @@ impl HotCounters {
                 counters.id("store.activate.l3"),
                 counters.id("store.activate.dram"),
             ],
+            dma_bytes: counters.id("dma.bytes"),
+            monitor_armed: counters.id("monitor.armed"),
+            mwait_blocked: counters.id("mwait.blocked"),
+            mwait_fallthrough: counters.id("mwait.fallthrough"),
+            mwait_unarmed: counters.id("mwait.unarmed"),
         }
     }
 }
@@ -466,8 +477,12 @@ pub struct Machine {
     pub(crate) filter: Box<dyn MonitorFilter>,
     pub(crate) prefetcher: WakePrefetcher,
     pub(crate) events: EventQueue<Ev>,
-    callbacks: FxHashMap<u64, HostEvent>,
-    next_cb: u64,
+    /// Host callbacks scheduled with [`Machine::at`], indexed by the
+    /// key their `Ev::Call` carries; `None` once run. Keys are reused
+    /// through `free_cbs`, so the slab is as large as the most callbacks
+    /// ever pending at once.
+    callbacks: Vec<Option<HostEvent>>,
+    free_cbs: Vec<u64>,
     hcalls: FxHashMap<u16, HostCall>,
     /// Device doorbells: store hooks keyed by exact 8-byte-aligned
     /// address; fired after the monitor filter on any covering store.
@@ -611,8 +626,8 @@ impl Machine {
             filter,
             prefetcher: WakePrefetcher::new(64),
             events: EventQueue::new(),
-            callbacks: FxHashMap::default(),
-            next_cb: 0,
+            callbacks: Vec::new(),
+            free_cbs: Vec::new(),
             hcalls: FxHashMap::default(),
             mmio_hooks: FxHashMap::default(),
             counters,
@@ -999,16 +1014,33 @@ impl Machine {
                 self.hier.invalidate_line(line);
             }
         }
-        self.counters.add("dma.bytes", bytes.len() as u64);
+        self.counters.bump(self.hot.dma_bytes, bytes.len() as u64);
         self.after_store(addr, bytes.len() as u64, true);
     }
 
     /// Schedules a host callback at absolute time `at` (device models).
+    /// Callbacks due at the same cycle run in the order they were
+    /// scheduled. The boxed callback waits in a slab slot whose index the
+    /// queued event carries; the slot is freed for reuse when it runs.
     pub fn at(&mut self, at: Cycles, f: impl FnOnce(&mut Machine) + 'static) {
-        let key = self.next_cb;
-        self.next_cb += 1;
-        self.callbacks.insert(key, Box::new(f));
+        let cb: HostEvent = Box::new(f);
+        let key = if let Some(key) = self.free_cbs.pop() {
+            self.callbacks[key as usize] = Some(cb);
+            key
+        } else {
+            self.callbacks.push(Some(cb));
+            self.callbacks.len() as u64 - 1
+        };
         self.events.schedule(at, Ev::Call(key));
+    }
+
+    /// Runs the callback behind an `Ev::Call(key)` and frees its slot.
+    fn run_callback(&mut self, key: u64) {
+        let cb = self.callbacks[key as usize]
+            .take()
+            .expect("a queued call holds its callback");
+        self.free_cbs.push(key);
+        cb(self);
     }
 
     /// Registers a device doorbell: `hook` runs after any store that
@@ -1494,11 +1526,7 @@ impl Machine {
             }
             match ev {
                 Ev::SlotFree { core, slot } => self.dispatch(core as usize, slot as usize, t, None),
-                Ev::Call(key) => {
-                    if let Some(cb) = self.callbacks.remove(&key) {
-                        cb(self);
-                    }
-                }
+                Ev::Call(key) => self.run_callback(key),
             }
         }
         if self.invariants_on {
@@ -1530,11 +1558,7 @@ impl Machine {
             Ev::SlotFree { core, slot } => {
                 self.dispatch(core as usize, slot as usize, horizon, None);
             }
-            Ev::Call(key) => {
-                if let Some(cb) = self.callbacks.remove(&key) {
-                    cb(self);
-                }
-            }
+            Ev::Call(key) => self.run_callback(key),
         }
         true
     }
@@ -1572,11 +1596,7 @@ impl Machine {
                     deadline,
                     Some((tid.ptid, state)),
                 ),
-                Ev::Call(key) => {
-                    if let Some(cb) = self.callbacks.remove(&key) {
-                        cb(self);
-                    }
-                }
+                Ev::Call(key) => self.run_callback(key),
             }
         }
         self.thread_state(tid) == state
@@ -1633,12 +1653,7 @@ impl Machine {
             let tier = self.cores[core].store.tier_of(ptid);
             if tier != Tier::Rf {
                 let (cost, from) = self.cores[core].store.activate(ptid, prio2, bytes);
-                self.counters.inc(match from {
-                    Tier::Rf => "store.activate.rf",
-                    Tier::L2 => "store.activate.l2",
-                    Tier::L3 => "store.activate.l3",
-                    Tier::Dram => "store.activate.dram",
-                });
+                self.counters.bump(self.hot.activate[from as usize], 1);
                 // Transfer overlaps with queueing: the thread cannot be
                 // dispatched before the transfer completes, but other
                 // threads keep the pipeline busy meanwhile.
@@ -2811,20 +2826,20 @@ impl Machine {
                     if armed {
                         self.filter.disarm_all(WatchId(u64::from(ptid.0)));
                     }
-                    self.counters.inc("mwait.fallthrough");
+                    self.counters.bump(self.hot.mwait_fallthrough, 1);
                     return cost;
                 }
                 if !t.monitor_armed {
                     // mwait with nothing armed would sleep forever; treat
                     // as nop (x86 behaves as such with invalid monitor).
-                    self.counters.inc("mwait.unarmed");
+                    self.counters.bump(self.hot.mwait_unarmed, 1);
                 } else {
                     t.arch.pc = next_pc;
                     t.park_epoch = t.park_epoch.wrapping_add(1);
                     let epoch = t.park_epoch;
                     let watchdog = t.watchdog;
                     self.disable_thread(ptid, ThreadState::Waiting);
-                    self.counters.inc("mwait.blocked");
+                    self.counters.bump(self.hot.mwait_blocked, 1);
                     if let Some(w) = watchdog {
                         let at = self.now + w;
                         // Watchdog: if this exact park outlives its
@@ -2913,7 +2928,7 @@ impl Machine {
             Ok(()) => {
                 let t = self.thread_mut(ptid);
                 t.monitor_armed = true;
-                self.counters.inc("monitor.armed");
+                self.counters.bump(self.hot.monitor_armed, 1);
             }
             Err(_) => {
                 // Filter exhausted (CAM design): deliver as a permission
@@ -3012,7 +3027,77 @@ impl core::fmt::Debug for Machine {
 
 #[cfg(test)]
 mod tests {
-    use super::Engine;
+    use super::{Engine, Machine, MachineConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use switchless_sim::time::Cycles;
+
+    type Log = Rc<RefCell<Vec<(u64, u32)>>>;
+
+    /// Schedules a callback that logs `(now, id)`.
+    fn log_at(m: &mut Machine, at: Cycles, log: &Log, id: u32) {
+        let log = Rc::clone(log);
+        m.at(at, move |m| log.borrow_mut().push((m.now().0, id)));
+    }
+
+    #[test]
+    fn callbacks_run_once_in_time_then_schedule_order() {
+        let mut m = Machine::new(MachineConfig::small());
+        let log: Log = Rc::default();
+        for root in 0..3u32 {
+            let l = Rc::clone(&log);
+            m.at(Cycles(10), move |m| {
+                l.borrow_mut().push((m.now().0, root * 10));
+                // A same-time child lands behind every earlier-scheduled
+                // event at this cycle; a later one behind them all.
+                let now = m.now();
+                log_at(m, now + Cycles(5), &l, root * 10 + 2);
+                log_at(m, now, &l, root * 10 + 1);
+            });
+        }
+        log_at(&mut m, Cycles(15), &log, 99);
+        m.run_for(Cycles(100));
+        assert_eq!(
+            *log.borrow(),
+            [
+                (10, 0),
+                (10, 10),
+                (10, 20),
+                (10, 1),
+                (10, 11),
+                (10, 21),
+                (15, 99),
+                (15, 2),
+                (15, 12),
+                (15, 22),
+            ]
+        );
+        // Seven callbacks were pending at the peak (the six children and
+        // `99`); slots are reused, and every one is free again.
+        assert_eq!(m.callbacks.len(), 7);
+        assert_eq!(m.free_cbs.len(), 7);
+        assert!(m.callbacks.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_self_rescheduling_callback_reuses_one_slot() {
+        fn tick(m: &mut Machine, left: u32, log: Log) {
+            log.borrow_mut().push((m.now().0, left));
+            if left > 0 {
+                let at = m.now() + Cycles(7);
+                m.at(at, move |m| tick(m, left - 1, log));
+            }
+        }
+        let mut m = Machine::new(MachineConfig::small());
+        let log: Log = Rc::default();
+        let l = Rc::clone(&log);
+        m.at(Cycles(0), move |m| tick(m, 1000, l));
+        m.run_for(Cycles(10_000));
+        let got = log.borrow();
+        assert_eq!(got.len(), 1001, "every tick ran exactly once");
+        assert!(got.iter().all(|&(t, left)| t == u64::from(1000 - left) * 7));
+        assert_eq!(m.callbacks.len(), 1, "one slot, reused by every tick");
+    }
 
     #[test]
     fn engine_parse_accepts_both_names() {

@@ -19,6 +19,7 @@
 use switchless_core::machine::Machine;
 use switchless_sim::error::SimError;
 use switchless_sim::fault::FaultKind;
+use switchless_sim::stats::CounterId;
 use switchless_sim::time::Cycles;
 
 /// Bytes per RX descriptor slot.
@@ -58,6 +59,9 @@ pub struct Nic {
     pub ring_base: u64,
     /// Base of the packet buffers.
     pub buf_base: u64,
+    /// `nic.rx.packets`, resolved once at attach on the machine's
+    /// registry; delivery bumps it per packet without a name lookup.
+    rx_packets: CounterId,
 }
 
 impl Nic {
@@ -98,6 +102,7 @@ impl Nic {
             rx_tail,
             ring_base,
             buf_base,
+            rx_packets: m.counters_mut().id("nic.rx.packets"),
         })
     }
 
@@ -166,7 +171,7 @@ impl Nic {
             let tail = (seq + 1).max(mach.peek_u64(nic.rx_tail));
             mach.dma_write(nic.rx_tail, &tail.to_le_bytes());
             // Stats.
-            mach.counters_mut().inc("nic.rx.packets");
+            mach.counters_mut().bump(nic.rx_packets, 1);
             let led = mach.ledger("nic.rx");
             led.in_flight -= 1;
             led.completed += 1;

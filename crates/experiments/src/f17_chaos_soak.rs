@@ -396,10 +396,10 @@ fn run_legacy(plan: &ChaosPlan) -> LegacyOutcome {
             if rate > 0.0 && rng.chance(rate) {
                 let gap = rng.next_range(0, TICK - 1);
                 recovery.record(gap + wake);
-                t += DEADLINE + gap + wake;
+                t = t.saturating_add(DEADLINE + gap + wake);
             } else {
                 goodput += 1;
-                t += rtt + REMOTE + wake + 2 * costs.syscall_mode_switch.0;
+                t = t.saturating_add(rtt + REMOTE + wake + 2 * costs.syscall_mode_switch.0);
             }
         }
     }

@@ -1,10 +1,13 @@
 //! Exit statuses of the `experiments` binary on bad input: a malformed
 //! environment variable is a usage error (exit 2, never a panic), and a
 //! CSV tree that cannot be written fails the run (exit 1) instead of
-//! passing with a message on stderr.
+//! passing with a message on stderr, and a chaos replay artifact whose
+//! duration is out of range is refused (exit 1) instead of running
+//! forever.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn experiments(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
@@ -50,4 +53,35 @@ fn unknown_engine_env_exits_2() {
     let o = experiments(&["list"], &[("SWITCHLESS_ENGINE", "maybe")]);
     assert_eq!(o.status.code(), Some(2), "stderr: {}", stderr(&o));
     assert!(stderr(&o).contains("SWITCHLESS_ENGINE"), "{}", stderr(&o));
+}
+
+#[test]
+fn replay_of_an_unbounded_duration_exits_1_promptly() {
+    let plan = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-endless-plan.txt");
+    std::fs::write(
+        &plan,
+        format!("chaos-plan/v1\nseed 1\nduration {}\ndevices 1\n", u64::MAX),
+    )
+    .expect("write the plan");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("--replay")
+        .arg(&plan)
+        .env_remove("SWITCHLESS_JOBS")
+        .env_remove("SWITCHLESS_ENGINE")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run the experiments binary");
+    // Generous for a parse error, far short of "until killed".
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll the child").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill the runaway replay");
+            panic!("--replay of an unbounded plan did not exit within 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let o = child.wait_with_output().expect("collect the output");
+    assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
+    assert!(stderr(&o).contains("duration"), "{}", stderr(&o));
 }

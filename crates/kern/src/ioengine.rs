@@ -20,13 +20,14 @@
 //! note.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use switchless_core::machine::{Machine, ThreadId};
 use switchless_dev::nic::Nic;
 use switchless_isa::asm::assemble;
 use switchless_sim::error::SimError;
+use switchless_sim::hash::FxHashMap;
 use switchless_sim::stats::Histogram;
 use switchless_sim::time::Cycles;
 
@@ -122,7 +123,7 @@ struct EngineState {
     nic_tail: u64,
     seen: u64,
     /// Packet metadata registered by the harness, by sequence number.
-    meta: HashMap<u64, (Cycles, Cycles)>,
+    meta: FxHashMap<u64, (Cycles, Cycles)>,
     /// Packets waiting for a free worker.
     backlog: VecDeque<Packet>,
     /// Per-worker assignment queues (at most one deep in practice).
@@ -265,7 +266,7 @@ impl IoEngine {
             nic: *nic,
             nic_tail: nic.rx_tail,
             seen: 0,
-            meta: HashMap::new(),
+            meta: FxHashMap::default(),
             backlog: VecDeque::new(),
             assigned: vec![VecDeque::new(); n_workers],
             mailboxes,
@@ -308,13 +309,15 @@ impl IoEngine {
 
         // Worker request service.
         let st = Rc::clone(&state);
-        let worker_ids = workers.clone();
+        // Worker index by thread, built once: the handler runs per request.
+        let worker_of: FxHashMap<ThreadId, usize> =
+            workers.iter().enumerate().map(|(w, &t)| (t, w)).collect();
         m.register_hcall(HCALL_WORK, move |mach, tid| {
             let mut s = st.borrow_mut();
             // A foreign thread issuing this hcall (misloaded image,
             // chaos-restarted stranger) is counted and ignored, never a
             // machine-killing panic.
-            let Some(w) = worker_ids.iter().position(|&t| t == tid) else {
+            let Some(&w) = worker_of.get(&tid) else {
                 mach.counters_mut().inc("engine.foreign_hcall");
                 return;
             };

@@ -32,6 +32,11 @@ use crate::time::Cycles;
 /// RNG stream tag for chaos-plan generation ("CHAS").
 const CHAOS_STREAM: u64 = 0x4348_4153;
 
+/// Longest soak duration [`ChaosPlan::parse`] accepts, in cycles. The
+/// soak generator's longest plan is 6 M cycles; a billion leaves ample
+/// headroom while refusing artifacts that would run (nearly) forever.
+pub const MAX_DURATION: Cycles = Cycles(1_000_000_000);
+
 /// Oracle-call budget for [`shrink`]; generous for plans of tens of
 /// bursts, and a hard stop against pathological oracles.
 const SHRINK_BUDGET: u32 = 512;
@@ -237,6 +242,12 @@ impl ChaosPlan {
     }
 
     /// Parses a `chaos-plan/v1` artifact.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Parse`] for a malformed line or a duration above
+    /// [`MAX_DURATION`]; [`SimError::FaultPlan`] for bursts that do not
+    /// form a valid [`FaultPlan`].
     pub fn parse(text: &str) -> Result<ChaosPlan, SimError> {
         let bad = |line: usize, detail: String| SimError::Parse { line, detail };
         let mut lines = text.lines().enumerate();
@@ -281,7 +292,18 @@ impl ChaosPlan {
             let mut f = line.split_ascii_whitespace();
             match f.next().unwrap_or("") {
                 "seed" => plan.seed = take_u64(&mut f, n, "seed", 10)?,
-                "duration" => plan.duration = Cycles(take_u64(&mut f, n, "duration", 10)?),
+                "duration" => {
+                    plan.duration = Cycles(take_u64(&mut f, n, "duration", 10)?);
+                    if plan.duration > MAX_DURATION {
+                        return Err(bad(
+                            n,
+                            format!(
+                                "duration {} exceeds the cap of {} cycles",
+                                plan.duration.0, MAX_DURATION.0
+                            ),
+                        ));
+                    }
+                }
                 "devices" => {
                     plan.devices = take_u64(&mut f, n, "device count", 10)?.clamp(1, 255) as u8;
                 }
@@ -518,6 +540,17 @@ mod tests {
         let text = "chaos-plan/v1\nseed 1\nburst nic.drop 0 20 10 3fb999999999999a\n";
         let e = ChaosPlan::parse(text).unwrap_err();
         assert!(matches!(e, SimError::FaultPlan(_)), "{e}");
+    }
+
+    #[test]
+    fn parse_rejects_durations_above_the_cap() {
+        let text = format!("chaos-plan/v1\nseed 1\nduration {}\n", u64::MAX);
+        let e = ChaosPlan::parse(&text).unwrap_err();
+        assert!(matches!(e, SimError::Parse { line: 3, .. }), "{e}");
+        let over = format!("chaos-plan/v1\nduration {}\n", MAX_DURATION.0 + 1);
+        assert!(ChaosPlan::parse(&over).is_err());
+        let at_cap = format!("chaos-plan/v1\nduration {}\n", MAX_DURATION.0);
+        assert_eq!(ChaosPlan::parse(&at_cap).unwrap().duration, MAX_DURATION);
     }
 
     #[test]

@@ -6,16 +6,25 @@
 //! [`EventToken`] which can later be passed to [`EventQueue::cancel`].
 //! Cancelled events are dropped lazily when they reach the head of the queue.
 //!
-//! # Internals: timing wheel + overflow heap
+//! # Internals: timing wheel + far FIFO + overflow heap
 //!
 //! Simulators schedule almost every event a short, bounded distance into
 //! the future (instruction costs, activation latencies), so the common
 //! case is served by a timing wheel: slot `at % WHEEL_SLOTS` holds a FIFO
-//! of the events due at cycle `at`, and an occupancy bitmap finds the
-//! next non-empty slot with a handful of word scans. Events outside the
-//! wheel horizon — scheduled in the past or more than [`WHEEL_SLOTS`]
-//! cycles ahead — go to a binary heap and are merged by `(time, seq)` at
-//! pop time.
+//! of the events due at cycle `at`. A two-level occupancy bitmap — one
+//! bit per slot, plus one summary word with a bit per non-empty bitmap
+//! word — finds the next non-empty slot with two `trailing_zeros`, however
+//! sparse the wheel is.
+//!
+//! Events outside the wheel horizon (more than [`WHEEL_SLOTS`] cycles
+//! ahead) are usually a pre-scheduled trace — device arrivals handed to
+//! the queue in time order. Such an event, due no earlier than the far
+//! FIFO's last entry, is appended to that FIFO, which is therefore sorted
+//! by `(time, seq)` by construction. Only far events that arrive out of
+//! order, and events scheduled in the past, go to a binary heap. The pop side merges wheel,
+//! FIFO and heap by `(time, seq)`, so which structure holds an event
+//! never changes the order it pops in. The choice follows the observed
+//! schedule order alone; there is no setting.
 //!
 //! The wheel is exact, not approximate: every wheel entry's time lies in
 //! `[cursor, cursor + WHEEL_SLOTS)` where `cursor` is the last popped
@@ -23,7 +32,7 @@
 //! and slot order equals time order starting from the cursor's slot.
 
 use core::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Per-seq state index: seq `s` (with `s >= ring_base`) lives at
 /// `s & (RING_WINDOW - 1)` — windowing guarantees at most `RING_WINDOW`
@@ -60,6 +69,8 @@ const RING_WINDOW: usize = 4096;
 const WHEEL_SLOTS: usize = 4096;
 /// Words in the slot-occupancy bitmap.
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+// The summary word holds one bit per bitmap word.
+const _: () = assert!(WHEEL_WORDS == 64);
 
 /// A passive priority queue of timestamped events.
 ///
@@ -70,8 +81,8 @@ const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 ///
 /// | operation                         | cost            |
 /// |-----------------------------------|-----------------|
-/// | [`schedule`](EventQueue::schedule) | O(1) within the wheel horizon, O(log n) beyond |
-/// | [`pop`](EventQueue::pop) / [`pop_due`](EventQueue::pop_due) | O(1) amortised within the horizon |
+/// | [`schedule`](EventQueue::schedule) | O(1) within the wheel horizon or in time order beyond it; O(log n) for out-of-order far or past events |
+/// | [`pop`](EventQueue::pop) / [`pop_due`](EventQueue::pop_due) | O(1) amortised, except O(log n) for heap entries |
 /// | [`cancel`](EventQueue::cancel)    | O(1)            |
 /// | [`peek_time`](EventQueue::peek_time) / [`peek`](EventQueue::peek) | O(1) amortised |
 /// | [`len`](EventQueue::len) / [`is_empty`](EventQueue::is_empty) | O(1), exact |
@@ -97,8 +108,14 @@ pub struct EventQueue<E> {
     free_head: u32,
     /// One bit per wheel slot, set when that slot's FIFO is non-empty.
     occupied: [u64; WHEEL_WORDS],
-    /// Events outside the wheel horizon (far future, or scheduled in the
-    /// past), merged with the wheel by `(time, seq)` at pop time.
+    /// Bit `w` set when `occupied[w]` is non-zero.
+    summary: u64,
+    /// Far-future events scheduled at or after the previous far event's
+    /// time, so sorted by `(time, seq)` as appended.
+    far: VecDeque<Entry<E>>,
+    /// Every other event outside the wheel horizon (out-of-order far
+    /// future, or scheduled in the past). Wheel, `far` and `overflow` are
+    /// merged by `(time, seq)` at pop time.
     overflow: BinaryHeap<Reverse<Entry<E>>>,
     /// Lifecycle state of the newest seqs: seq `s` in
     /// `[ring_base, next_seq)` lives at `s & (RING_WINDOW - 1)`. A flat
@@ -175,6 +192,7 @@ impl<E> Ord for Entry<E> {
 #[derive(Clone, Copy)]
 enum Src {
     Wheel(usize),
+    Far,
     Overflow,
 }
 
@@ -194,6 +212,8 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free_head: NIL,
             occupied: [0; WHEEL_WORDS],
+            summary: 0,
+            far: VecDeque::new(),
             overflow: BinaryHeap::new(),
             ring: Box::new([RETIRED; RING_WINDOW]),
             ring_base: 0,
@@ -248,7 +268,19 @@ impl<E> EventQueue<E> {
             self.slab[f.tail as usize].next = idx;
             self.slots[slot].tail = idx;
         }
-        self.occupied[(slot >> 6) & (WHEEL_WORDS - 1)] |= 1 << (slot & 63);
+        self.mark_occupied(slot);
+    }
+
+    /// Sets `slot`'s occupancy bit, and its word's summary bit when the
+    /// word was empty.
+    #[inline]
+    fn mark_occupied(&mut self, slot: usize) {
+        let w = (slot >> 6) & (WHEEL_WORDS - 1);
+        let word = &mut self.occupied[w];
+        if *word == 0 {
+            self.summary |= 1 << w;
+        }
+        *word |= 1 << (slot & 63);
     }
 
     /// Unlinks and returns `slot`'s head node, clearing the occupancy bit
@@ -267,7 +299,12 @@ impl<E> EventQueue<E> {
         if next == NIL {
             self.slots[slot].head = NIL;
             self.slots[slot].tail = NIL;
-            self.occupied[(slot >> 6) & (WHEEL_WORDS - 1)] &= !(1 << (slot & 63));
+            let w = (slot >> 6) & (WHEEL_WORDS - 1);
+            let word = &mut self.occupied[w];
+            *word &= !(1 << (slot & 63));
+            if *word == 0 {
+                self.summary &= !(1 << w);
+            }
         } else {
             let nn = &self.slab[next as usize];
             let (nat, nseq) = (nn.at, nn.seq);
@@ -280,7 +317,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire at absolute time `at`. O(1) for events
-    /// within the wheel horizon, O(log n) beyond it.
+    /// within the wheel horizon and for far events in time order, O(log n)
+    /// for out-of-order far events and events in the past.
     ///
     /// Returns a token usable with [`EventQueue::cancel`]. Scheduling in the
     /// past is allowed (the event fires "immediately", i.e. before any
@@ -292,7 +330,7 @@ impl<E> EventQueue<E> {
             let slot = at.0 as usize & (WHEEL_SLOTS - 1);
             self.slot_push_back(slot, at, seq, event);
         } else {
-            self.overflow.push(Reverse(Entry { at, seq, event }));
+            self.push_beyond_wheel(Entry { at, seq, event });
         }
         if seq - self.ring_base == RING_WINDOW as u64 {
             // The oldest ring slot ages out (it is the one `seq` is about
@@ -314,6 +352,21 @@ impl<E> EventQueue<E> {
         self.ring[ring_slot!(seq)] = LIVE;
         self.live += 1;
         EventToken(seq)
+    }
+
+    /// Queues a newly scheduled event outside the wheel horizon: in the
+    /// far FIFO when it is in the future and no earlier than the FIFO's
+    /// last entry, else in the heap. Out of line so the wheel path of
+    /// `schedule` stays small: inlined, it made a device-serving run
+    /// about 7% slower.
+    #[inline(never)]
+    fn push_beyond_wheel(&mut self, e: Entry<E>) {
+        if e.at > self.last_popped && self.far.back().is_none_or(|b| e.at >= b.at) {
+            // `e.seq` is the newest, so the FIFO stays `(time, seq)` sorted.
+            self.far.push_back(e);
+        } else {
+            self.overflow.push(Reverse(e));
+        }
     }
 
     /// Cancels a previously scheduled event. O(1).
@@ -395,6 +448,10 @@ impl<E> EventQueue<E> {
                 let n = &self.slab[head as usize];
                 Some((n.at, n.event.as_ref().expect("live node has an event")))
             }
+            (Src::Far, ..) => {
+                let e = self.far.front().expect("checked");
+                Some((e.at, &e.event))
+            }
             (Src::Overflow, ..) => {
                 let Reverse(e) = self.overflow.peek().expect("checked");
                 Some((e.at, &e.event))
@@ -402,8 +459,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops the earliest pending event. O(1) amortised within the wheel
-    /// horizon, O(log n) for overflow events.
+    /// Pops the earliest pending event. O(1) amortised for wheel and far
+    /// FIFO events, O(log n) for overflow heap events.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
         let (src, ..) = self.live_min_src()?;
         Some(self.take(src))
@@ -472,8 +529,10 @@ impl<E> EventQueue<E> {
                     self.slots[slot].tail = idx;
                 }
             }
-            self.occupied[(slot >> 6) & (WHEEL_WORDS - 1)] |= 1 << (slot & 63);
+            self.mark_occupied(slot);
         } else {
+            // `pop_keyed` moved the cursor to at least `at`, so a restored
+            // entry is never beyond the horizon: it is in the past.
             self.overflow.push(Reverse(Entry { at, seq, event }));
         }
         if seq >= self.ring_base {
@@ -517,43 +576,49 @@ impl<E> EventQueue<E> {
         self.cancelled_queued
     }
 
-    /// Locates the minimum `(time, seq)` entry across wheel and overflow;
-    /// returns its source plus that `(time, seq)` so callers do not have
-    /// to re-find the front.
+    /// Locates the minimum `(time, seq)` entry across wheel, far FIFO and
+    /// overflow; returns its source plus that `(time, seq)` so callers do
+    /// not have to re-find the front.
     #[inline]
     fn min_src(&self) -> Option<(Src, Cycles, u64)> {
         if self.live == 0 && self.cancelled_queued == 0 {
             return None;
         }
-        if self.overflow.is_empty() {
-            // Overflow is empty in the steady state of short-horizon
-            // simulations; skip the merge entirely.
+        if self.overflow.is_empty() && self.far.is_empty() {
+            // The steady state of short-horizon simulations: skip the
+            // merge entirely.
             let slot = self.next_occupied_slot()?;
             let f = &self.slots[slot & (WHEEL_SLOTS - 1)];
             return Some((Src::Wheel(slot), f.at, f.seq));
         }
-        let wheel = self.next_occupied_slot().map(|slot| {
+        self.merge_min()
+    }
+
+    /// `min_src` with far or overflow events pending: the earliest of the
+    /// wheel's first occupied slot, the far FIFO's head and the heap's.
+    /// Out of line so the wheel-only path of `min_src` stays small (about
+    /// 1% faster on dense wheel churn, 1.5% slower on a far trace).
+    #[inline(never)]
+    fn merge_min(&self) -> Option<(Src, Cycles, u64)> {
+        let mut best = self.next_occupied_slot().map(|slot| {
             let f = &self.slots[slot & (WHEEL_SLOTS - 1)];
-            (f.at, f.seq, slot)
+            (Src::Wheel(slot), f.at, f.seq)
         });
-        let over = self.overflow.peek().map(|Reverse(e)| (e.at, e.seq));
-        match (wheel, over) {
-            (None, None) => None,
-            (Some((at, seq, slot)), None) => Some((Src::Wheel(slot), at, seq)),
-            (None, Some((at, seq))) => Some((Src::Overflow, at, seq)),
-            (Some((wat, wseq, slot)), Some((oat, oseq))) => {
-                if (wat, wseq) <= (oat, oseq) {
-                    Some((Src::Wheel(slot), wat, wseq))
-                } else {
-                    Some((Src::Overflow, oat, oseq))
-                }
+        let heads = [
+            self.far.front().map(|e| (Src::Far, e)),
+            self.overflow.peek().map(|Reverse(e)| (Src::Overflow, e)),
+        ];
+        for (src, e) in heads.into_iter().flatten() {
+            if best.is_none_or(|(_, at, seq)| (e.at, e.seq) < (at, seq)) {
+                best = Some((src, e.at, e.seq));
             }
         }
+        best
     }
 
     /// First occupied wheel slot in time order, starting at the cursor's
-    /// slot and wrapping. Bitmap scan: the hot case resolves in the first
-    /// word.
+    /// slot and wrapping: the cursor's own word first, then the summary
+    /// word picks the next non-empty word.
     fn next_occupied_slot(&self) -> Option<usize> {
         let start = self.last_popped.0 as usize & (WHEEL_SLOTS - 1);
         let w0 = start >> 6;
@@ -561,16 +626,17 @@ impl<E> EventQueue<E> {
         if first != 0 {
             return Some((w0 << 6) + first.trailing_zeros() as usize);
         }
-        for k in 1..=WHEEL_WORDS {
-            // k == WHEEL_WORDS revisits the start word to catch slots
-            // below `start` (wrapped, i.e. latest-in-window times).
-            let w = (w0 + k) & (WHEEL_WORDS - 1);
-            let word = self.occupied[w];
-            if word != 0 {
-                return Some((w << 6) + word.trailing_zeros() as usize);
-            }
+        // Rotate so word `w0 + 1` is bit 0 and `w0` itself comes last: its
+        // bits at or above `start` are clear, so any left are below
+        // `start` (wrapped, i.e. latest-in-window times).
+        let rest = self
+            .summary
+            .rotate_right(((w0 + 1) & (WHEEL_WORDS - 1)) as u32);
+        if rest == 0 {
+            return None;
         }
-        None
+        let w = (w0 + 1 + rest.trailing_zeros() as usize) & (WHEEL_WORDS - 1);
+        Some((w << 6) + self.occupied[w].trailing_zeros() as usize)
     }
 
     /// Removes and returns the head entry (which the caller has located
@@ -586,6 +652,7 @@ impl<E> EventQueue<E> {
     fn remove_head(&mut self, src: Src) -> Entry<E> {
         match src {
             Src::Wheel(slot) => self.slot_pop_front(slot & (WHEEL_SLOTS - 1)),
+            Src::Far => self.far.pop_front().expect("checked"),
             Src::Overflow => self.overflow.pop().expect("checked").0,
         }
     }
@@ -916,6 +983,58 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Cycles(100)));
         assert!(q.cancel(tok), "restored event is live again");
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn in_order_far_events_use_the_fifo_and_others_the_heap() {
+        let mut q = EventQueue::new();
+        let w = WHEEL_SLOTS as u64;
+        // An arrival trace in time order (ties included) beyond the
+        // horizon: FIFO only.
+        for (i, at) in [2 * w, 3 * w, 3 * w, 9 * w].into_iter().enumerate() {
+            q.schedule(Cycles(at), i);
+        }
+        assert_eq!((q.far.len(), q.overflow.len()), (4, 0));
+        // Behind the FIFO tail: heap. In the wheel horizon: wheel.
+        q.schedule(Cycles(5 * w), 4);
+        q.schedule(Cycles(w - 1), 5);
+        assert_eq!((q.far.len(), q.overflow.len()), (4, 1));
+        let order: Vec<_> = core::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (Cycles(w - 1), 5),
+                (Cycles(2 * w), 0),
+                (Cycles(3 * w), 1),
+                (Cycles(3 * w), 2),
+                (Cycles(5 * w), 4),
+                (Cycles(9 * w), 3),
+            ]
+        );
+        // In the past: heap, even with the FIFO empty.
+        q.schedule(Cycles(1), 6);
+        assert_eq!((q.far.len(), q.overflow.len()), (0, 1));
+        assert_eq!(q.pop(), Some((Cycles(1), 6)));
+    }
+
+    #[test]
+    fn summary_word_finds_slots_in_any_word_and_wraps() {
+        let mut q = EventQueue::new();
+        let w = WHEEL_SLOTS as u64;
+        // Move the cursor into the middle of a bitmap word.
+        q.schedule(Cycles(1000), "cursor");
+        assert_eq!(q.pop(), Some((Cycles(1000), "cursor")));
+        // The last in-horizon cycle maps to the slot just below the
+        // cursor's (same word, wrapped); the others sit in later words.
+        q.schedule(Cycles(1000 + w - 1), "wrapped");
+        q.schedule(Cycles(1000 + 3000), "later-word");
+        q.schedule(Cycles(1000 + 100), "next-word");
+        assert_eq!(q.summary.count_ones(), 3);
+        assert_eq!(q.pop(), Some((Cycles(1100), "next-word")));
+        assert_eq!(q.pop(), Some((Cycles(4000), "later-word")));
+        assert_eq!(q.pop(), Some((Cycles(1000 + w - 1), "wrapped")));
+        assert_eq!((q.summary, q.occupied), (0, [0; WHEEL_WORDS]));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
