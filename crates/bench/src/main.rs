@@ -1,10 +1,8 @@
 //! `switchless-bench` — dependency-free host-throughput benchmark.
 //!
-//! Criterion (behind the `criterion` feature) is for local deep-dives;
-//! this binary is the tier-1-buildable complement: it measures how fast
-//! the *host* executes the simulator's hot paths and writes the numbers
-//! to a `BENCH_<n>.json` at the repo root so the perf trajectory across
-//! PRs has data points. Simulated-cycle results are untouched by
+//! This binary measures how fast the *host* executes the simulator's hot
+//! paths and writes the numbers to a `BENCH_<n>.json` at the repo root so
+//! the perf trajectory across PRs has data points. Simulated-cycle results are untouched by
 //! anything measured here — see "results/ bit-identical" in
 //! EXPERIMENTS.md.
 //!

@@ -37,11 +37,14 @@
 //!   for bulk kernel logic (see DESIGN.md); handlers charge explicit
 //!   cycle costs via [`Machine::charge`].
 
+use std::convert::Infallible;
+
 use switchless_isa::arch::{ArchState, Mode, RegSel};
 use switchless_isa::asm::Program;
-use switchless_isa::inst::Inst;
-use switchless_mem::addr::PAddr;
-use switchless_mem::hierarchy::{AccessKind, Hierarchy, HierarchyConfig, HitLevel};
+use switchless_isa::inst::{Inst, Reg};
+use switchless_mem::addr::{PAddr, PAGE_BYTES};
+use switchless_mem::cache::PartitionId;
+use switchless_mem::hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, HitLevel};
 use switchless_mem::monitor::{CamFilter, HashFilter, MonitorFilter, WakeEvent, WatchId};
 use switchless_mem::prefetch::WakePrefetcher;
 use switchless_mem::tlb::{Tlb, TlbConfig};
@@ -284,6 +287,12 @@ impl Thread {
         let gprs = u64::from((self.touched & 0xffff).count_ones());
         (16 + gprs * 8).min(self.state_bytes())
     }
+
+    /// Writes a GPR and marks it dirty.
+    pub(crate) fn set_gpr(&mut self, r: Reg, v: u64) {
+        self.arch.gprs[r.0 as usize & 0xf] = v;
+        self.touched |= 1 << (r.0 & 0xf);
+    }
 }
 
 #[derive(Clone)]
@@ -310,7 +319,7 @@ pub(crate) enum Ev {
 /// scheduler, so the cap never changes simulated behavior — it only
 /// bounds how much work one `SlotFree` event can do before re-entering
 /// the queue.
-pub(crate) const MAX_BURST: u64 = 1024;
+const MAX_BURST: u64 = 1024;
 
 /// Which host execution engine runs the simulation (DESIGN.md §9, §10).
 /// Both produce bit-identical simulated state, so this is purely a
@@ -550,17 +559,8 @@ pub struct Machine {
     /// The superblock store probe binary-searches this instead of
     /// scanning the hook map, and the shard engine borrows it per epoch.
     pub(crate) mmio_addrs: Vec<u64>,
-    /// Reusable scratch for the memory-inclusive superblock probe: the
-    /// merged fetch+data line footprint (line, last-access position,
-    /// written), the data-page footprint (page, last data-access index),
-    /// the dedup-keep-last data-line order for the prefetcher, the
-    /// store undo log (addr, old value, width), and the distinct store
-    /// ranges already intersection-tested against the monitor filter.
-    sbm_lines: Vec<(PAddr, u64, bool)>,
-    sbm_pages: Vec<(u64, u64)>,
-    sbm_plines: Vec<PAddr>,
-    sbm_undo: Vec<(u64, u64, u8)>,
-    sbm_stores: Vec<(u64, u64)>,
+    /// Memory-superblock probe scratch.
+    probe: Option<Box<Probe>>,
 }
 
 /// Host-side statistics for the core-sharded epoch engine. These live
@@ -660,11 +660,7 @@ impl Machine {
             shard_stats: ShardStats::default(),
             engine: Engine::process_default(),
             mmio_addrs: Vec::new(),
-            sbm_lines: Vec::new(),
-            sbm_pages: Vec::new(),
-            sbm_plines: Vec::new(),
-            sbm_undo: Vec::new(),
-            sbm_stores: Vec::new(),
+            probe: None,
         }
     }
 
@@ -913,27 +909,6 @@ impl Machine {
         self.code_lo = self.code_lo.min(base);
         self.code_hi = self.code_hi.max(end);
         Ok(())
-    }
-
-    /// Cached decode of the word at `pc`, if `pc` is an aligned slot of a
-    /// loaded image. `None` means "use the slow fetch-and-decode path"
-    /// (unaligned pc, pc outside every image, or a non-decoding word).
-    #[inline]
-    fn cached_inst(&mut self, pc: u64) -> Option<Inst> {
-        let hint = self.last_code;
-        let idx = match self.code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = self.code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
-            }
-        };
-        let off = pc - self.code[idx].base;
-        if off & 7 != 0 {
-            return None;
-        }
-        self.code[idx].insts[(off >> 3) as usize]
     }
 
     /// Re-decodes cached instruction slots covered by a store of `len`
@@ -1512,23 +1487,7 @@ impl Machine {
 
     /// The serial event loop (the reference engine).
     pub(crate) fn run_until_serial(&mut self, t: Cycles) {
-        while self.halted.is_none() {
-            // pop_due folds peek+pop into one heap traversal (hot loop).
-            let Some((ts, ev)) = self.events.pop_due(t) else {
-                break;
-            };
-            if ts > self.now {
-                // Event-queue boundary: all work at `now` has settled.
-                if self.invariants_on {
-                    self.check_invariants();
-                }
-                self.now = ts;
-            }
-            match ev {
-                Ev::SlotFree { core, slot } => self.dispatch(core as usize, slot as usize, t, None),
-                Ev::Call(key) => self.run_callback(key),
-            }
-        }
+        while self.halted.is_none() && self.step(t, t, None) {}
         if self.invariants_on {
             self.check_invariants();
         }
@@ -1537,18 +1496,22 @@ impl Machine {
         }
     }
 
-    /// Pops and handles one event due at or before `pop_bound`, with
-    /// dispatch horizon `horizon` (the run deadline). Returns whether an
-    /// event was processed. Serial-replay primitive for the epoch engine;
-    /// body identical to one `run_until_serial` iteration.
-    pub(crate) fn step_one(&mut self, pop_bound: Cycles, horizon: Cycles) -> bool {
-        if self.halted.is_some() {
-            return false;
-        }
+    /// Pops and handles one event due at or before `pop_bound`,
+    /// dispatching with `horizon` and `watch` (see [`dispatch`]).
+    /// Returns whether an event was processed. The one event-step body
+    /// of every run loop, including the epoch engine's serial replay.
+    pub(crate) fn step(
+        &mut self,
+        pop_bound: Cycles,
+        horizon: Cycles,
+        watch: Option<(Ptid, ThreadState)>,
+    ) -> bool {
+        // pop_due folds peek+pop into one heap traversal (hot loop).
         let Some((ts, ev)) = self.events.pop_due(pop_bound) else {
             return false;
         };
         if ts > self.now {
+            // Event-queue boundary: all work at `now` has settled.
             if self.invariants_on {
                 self.check_invariants();
             }
@@ -1556,7 +1519,7 @@ impl Machine {
         }
         match ev {
             Ev::SlotFree { core, slot } => {
-                self.dispatch(core as usize, slot as usize, horizon, None);
+                let Ok(()) = dispatch(self, core as usize, slot as usize, horizon, watch);
             }
             Ev::Call(key) => self.run_callback(key),
         }
@@ -1573,30 +1536,11 @@ impl Machine {
     pub fn run_until_state(&mut self, tid: ThreadId, state: ThreadState, limit: Cycles) -> bool {
         let deadline = self.now + limit;
         // Event-driven stepping: process one event at a time and check.
-        while self.now <= deadline && self.halted.is_none() {
-            if self.thread_state(tid) == state {
-                return true;
-            }
-            let Some((ts, ev)) = self.events.pop_due(deadline) else {
+        // The watch pair makes bursts bail the moment `tid` reaches
+        // `state`, so `now` on return is exactly the single-step value.
+        while self.now <= deadline && self.halted.is_none() && self.thread_state(tid) != state {
+            if !self.step(deadline, deadline, Some((tid.ptid, state))) {
                 break;
-            };
-            if ts > self.now {
-                if self.invariants_on {
-                    self.check_invariants();
-                }
-                self.now = ts;
-            }
-            match ev {
-                // The watch pair makes bursts bail the moment `tid`
-                // reaches `state`, so `now` on return is exactly the
-                // single-step value.
-                Ev::SlotFree { core, slot } => self.dispatch(
-                    core as usize,
-                    slot as usize,
-                    deadline,
-                    Some((tid.ptid, state)),
-                ),
-                Ev::Call(key) => self.run_callback(key),
             }
         }
         self.thread_state(tid) == state
@@ -1728,7 +1672,7 @@ impl Machine {
         self.trace.record_with(self.now, "fault", || {
             format!("{ptid} {kind} info={info:#x}")
         });
-        if edp == 0 || edp + crate::exception::DESCRIPTOR_BYTES > self.cfg.mem_bytes {
+        if edp == 0 || !in_mem(edp, crate::exception::DESCRIPTOR_BYTES, self.cfg.mem_bytes) {
             self.exc_ledger.dropped += 1;
             self.halted = Some(format!(
                 "unhandled {kind} in {ptid} at pc={pc:#x} (no exception descriptor \
@@ -1830,26 +1774,6 @@ impl Machine {
         }
     }
 
-    /// Data access from a thread on `core`; returns latency or a fault.
-    fn data_access(
-        &mut self,
-        core: usize,
-        ptid: Ptid,
-        addr: u64,
-        len: u64,
-        kind: AccessKind,
-    ) -> Result<Cycles, ExceptionKind> {
-        if addr.checked_add(len).is_none() || addr + len > self.cfg.mem_bytes {
-            return Err(ExceptionKind::BadMemory);
-        }
-        let tlb_cost = self.tlbs[core].access(0, addr / switchless_mem::addr::PAGE_BYTES);
-        let part = self.threads[ptid.0 as usize].partition;
-        let res = self.hier.access(self.now, core, PAddr(addr), kind, part);
-        self.prefetcher
-            .record_access(WatchId(u64::from(ptid.0)), PAddr(addr));
-        Ok(tlb_cost + res.latency)
-    }
-
     // -----------------------------------------------------------------
     // Internal: TDT lookups and permission checks
     // -----------------------------------------------------------------
@@ -1873,13 +1797,20 @@ impl Machine {
             return Ok((e, cost));
         }
         // Miss: fetch the entry from memory through the hierarchy.
-        let addr = tdtr + u64::from(vtid.0) * 8;
-        if addr + 8 > self.cfg.mem_bytes {
+        let Some(addr) = tdtr
+            .checked_add(u64::from(vtid.0) * 8)
+            .filter(|&a| in_mem(a, 8, self.cfg.mem_bytes))
+        else {
             return Err(ExceptionKind::BadMemory);
-        }
-        let lat = self
-            .data_access(core, caller, addr, 8, AccessKind::Read)
-            .map_err(|_| ExceptionKind::BadMemory)?;
+        };
+        let Ok(lat) = data_access(
+            self,
+            core,
+            caller,
+            caller.0 as usize,
+            addr,
+            AccessKind::Read,
+        );
         let entry = TdtEntry::decode(self.peek_u64(addr));
         self.cores[core].tdt.install(tdtr, vtid, entry);
         if !entry.valid {
@@ -1900,1027 +1831,11 @@ impl Machine {
     }
 
     // -----------------------------------------------------------------
-    // Internal: dispatch & instruction execution
+    // Internal: system instructions (see `ExecCtx::exec_system`)
     // -----------------------------------------------------------------
 
-    /// Dispatches one pipeline slot: picks a thread, charges activation,
-    /// and executes an instruction **burst** — up to [`MAX_BURST`]
-    /// instructions inline, advancing a local cycle cursor, instead of
-    /// one event-queue round-trip per instruction (see DESIGN.md §8).
-    ///
-    /// `horizon` is the run deadline: no instruction may dispatch after
-    /// it (mirrors `pop_due`). `watch` is `run_until_state`'s target; a
-    /// burst bails the moment it is reached so the caller observes the
-    /// same `now` a single-step run would.
-    fn dispatch(
-        &mut self,
-        core: usize,
-        slot: usize,
-        horizon: Cycles,
-        watch: Option<(Ptid, ThreadState)>,
-    ) {
-        if self.halted.is_some() {
-            return;
-        }
-        let now = self.now;
-        // Split borrows: scheduler vs thread table.
-        let picked = {
-            let threads = &self.threads;
-            self.cores[core]
-                .sched
-                .pick(|p| threads[p.0 as usize].busy_until > now)
-        };
-        let Some(ptid) = picked else {
-            // Runnable threads may exist but be busy (state transfer or an
-            // in-flight instruction on the other slot): retry when the
-            // earliest becomes free. Otherwise idle until a wake re-kicks.
-            let threads = &self.threads;
-            let next = self.cores[core].sched.min_over_enrolled(|p| {
-                let b = threads[p.0 as usize].busy_until;
-                (b > now).then_some(b)
-            });
-            match next {
-                Some(at) => {
-                    self.events.schedule(
-                        at,
-                        Ev::SlotFree {
-                            core: core as u32,
-                            slot: slot as u32,
-                        },
-                    );
-                }
-                None => self.cores[core].idle_slot[slot] = true,
-            }
-            return;
-        };
-        self.counters.bump(self.hot.sched_dispatches, 1);
-
-        // Activation cost: pipeline refill (plus state transfer when the
-        // thread's state is not RF-resident and wasn't prefetched).
-        let mut cost = Cycles::ZERO;
-        let tier = self.cores[core].store.tier_of(ptid);
-        let needs_activation = !self.threads[ptid.0 as usize].activated || tier != Tier::Rf;
-        if needs_activation {
-            let (bytes, prio) = {
-                let t = &self.threads[ptid.0 as usize];
-                let bytes = if self.cfg.store.dirty_tracking {
-                    t.dirty_bytes()
-                } else {
-                    t.state_bytes()
-                };
-                (bytes, t.arch.prio)
-            };
-            let (act, from) = self.cores[core].store.activate(ptid, prio, bytes);
-            self.counters.bump(self.hot.activate[from as usize], 1);
-            cost += act;
-            let t = self.thread_mut(ptid);
-            t.activated = true;
-            t.touched = 0;
-        } else {
-            self.cores[core].store.touch(ptid);
-        }
-        // Wake-to-execution latency: scheduler queueing (now - wake)
-        // plus the state-activation / pipeline-refill time just charged
-        // (`cost` holds exactly the activation portion at this point).
-        if let Some(wake) = self.threads[ptid.0 as usize].wake_at.take() {
-            let sample = (now - wake + cost).0;
-            self.wake_latency.record(sample);
-            self.last_wake = Some((ptid, sample));
-            let ws = &mut self.threads[ptid.0 as usize].wake_stats;
-            ws.0 += 1;
-            ws.1 += sample;
-            ws.2 = ws.2.max(sample);
-        }
-
-        // Execute the first instruction (the one this SlotFree paid for).
-        self.pending_charge = Cycles::ZERO;
-        cost += self.exec_inst(core, ptid);
-        cost += self.pending_charge;
-        self.pending_charge = Cycles::ZERO;
-        cost = cost.max(Cycles(1));
-        let mut done = now + cost;
-
-        // Burst engine: while this thread is provably the next pick and
-        // nothing else can observe machine state first, keep executing its
-        // instructions inline. Continuation is decided *after* each
-        // instruction's effects, so any cross-thread side effect (a wake
-        // that enrols a second thread, a scheduled callback, an exception,
-        // a halt) ends the burst exactly where single-stepping would have
-        // re-arbitrated differently. `next_deadline` is cached and only
-        // recomputed when something scheduled (schedules are the only way
-        // the deadline can move earlier).
-        let mut burst_cost = Cycles::ZERO;
-        let mut extra: u64 = 0; // instructions beyond the first
-
-        // Superblock entry gate (the heat hoist): a region entry is only
-        // ever *reached* by a jump — straight-line continuation lands on
-        // pc + 8. `seq_pc` tracks that fall-through continuation; while
-        // the burst walks sequential code, the table lookup (and its
-        // heat/formed bookkeeping) is skipped entirely, so single-step
-        // dispatch of non-candidate code pays nothing per instruction.
-        // `u64::MAX` means "provenance unknown — check": the first burst
-        // iteration and every block exit.
-        let mut seq_pc = u64::MAX;
-        if watch.is_none_or(|(p, s)| self.threads[p.0 as usize].state != s) {
-            let mut mark = self.events.schedule_mark();
-            let mut qmin = self.events.next_deadline();
-            'burst: while extra < MAX_BURST
-                && done <= horizon
-                && self.burst_eligible(core, ptid, done)
-            {
-                // Event-horizon gate: nothing due at or before `done` may
-                // be skipped. One exception: a pending `SlotFree` for a
-                // *sibling* slot of this core. With this thread
-                // sole-runnable and busy through every burst cursor,
-                // single-stepping that event is provably inert — its pick
-                // always loses to this slot (our pending `SlotFree` at
-                // any shared timestamp carries the earlier seq) and it
-                // merely reschedules itself. It is lifted out of the
-                // deadline computation via `pop_keyed` and restored
-                // verbatim at burst exit; because the restore preserves
-                // the original `(time, seq)` key, the run loop afterwards
-                // pops it exactly where single-stepping would have, and
-                // it re-enters real arbitration there.
-                while let Some(t) = qmin {
-                    if t > done {
-                        break;
-                    }
-                    let consumable = matches!(
-                        self.events.peek(),
-                        Some((_, &Ev::SlotFree { core: c, slot: s }))
-                            if c as usize == core && s as usize != slot
-                    );
-                    if !consumable {
-                        break 'burst;
-                    }
-                    let Some(lifted) = self.events.pop_keyed() else {
-                        unreachable!("peek/pop agree on the head event");
-                    };
-                    self.burst_stash.push(lifted);
-                    qmin = self.events.next_deadline();
-                }
-                // Superblock fast path (DESIGN.md §10): a formed inert
-                // region executes as one unit when its whole span
-                // provably stays inside this burst's window. Inert
-                // instructions cannot schedule events, change any thread
-                // state, touch memory, or incur a pending charge, so the
-                // per-instruction mark/watch/eligibility re-checks are
-                // all constant across the block: the one check already
-                // done at the loop head covers every interior cursor
-                // (`busy_until <= done` stays true as `done` only
-                // grows). Any failed precondition falls back to the
-                // single-step path below — never a burst exit.
-                if self.engine == Engine::Fast {
-                    let pc = self.threads[ptid.0 as usize].arch.pc;
-                    let via_jump = pc != seq_pc;
-                    seq_pc = pc + 8;
-                    if via_jump {
-                        if let Some((ri, bi)) = self.sb_lookup(pc) {
-                            let (bcost, last_cost, len) = {
-                                let b = &self.code[ri].blocks[bi as usize];
-                                // Dynamic block cost: base costs plus one
-                                // L1 hit per data access. The block only
-                                // executes when every fetch/data line is
-                                // L1-resident and every data page is
-                                // TLB-resident (a TLB hit adds zero), so
-                                // the cost is static and `d_last` is
-                                // known before any probing.
-                                let l1 = self.cfg.hierarchy.lat_l1;
-                                (
-                                    b.cost + Cycles(b.mem_ops * l1.0),
-                                    b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
-                                    b.insts.len() as u64,
-                                )
-                            };
-                            // Dispatch time of the block's final
-                            // instruction: the burst window must reach
-                            // it, exactly as the loop head would have
-                            // required step by step. `extra` may
-                            // overshoot `MAX_BURST` by at most one block
-                            // — the cap is a host-side amortisation knob
-                            // and burst length is observably invisible,
-                            // so a looser bound only moves where bursts
-                            // split.
-                            let d_last = done + bcost - last_cost;
-                            if d_last <= horizon {
-                                // Extend the sibling-lift gate through
-                                // `d_last`: single-stepping the block
-                                // would run this gate at every interior
-                                // cursor. Over-lifting on a failed
-                                // attempt is harmless — lifted events
-                                // are restored under their original keys
-                                // either way.
-                                let mut clear = true;
-                                while let Some(t) = qmin {
-                                    if t > d_last {
-                                        break;
-                                    }
-                                    let consumable = matches!(
-                                        self.events.peek(),
-                                        Some((_, &Ev::SlotFree { core: c, slot: s }))
-                                            if c as usize == core && s as usize != slot
-                                    );
-                                    if !consumable {
-                                        // Single-stepping would stop
-                                        // partway into the region; do
-                                        // that instead.
-                                        clear = false;
-                                        break;
-                                    }
-                                    let Some(lifted) = self.events.pop_keyed() else {
-                                        unreachable!("peek/pop agree on the head event");
-                                    };
-                                    self.burst_stash.push(lifted);
-                                    qmin = self.events.next_deadline();
-                                }
-                                if clear && self.exec_superblock(core, ri, bi as usize, ptid) {
-                                    // Serial single-stepping leaves
-                                    // `now` at the last dispatch cursor,
-                                    // not at the completion time.
-                                    self.now = d_last;
-                                    done += bcost;
-                                    burst_cost += bcost;
-                                    extra += len;
-                                    // A block exit is a fresh control
-                                    // transfer: re-check at the next pc.
-                                    seq_pc = u64::MAX;
-                                    continue 'burst;
-                                }
-                            }
-                        }
-                    }
-                }
-                self.now = done;
-                self.pending_charge = Cycles::ZERO;
-                let mut c = self.exec_inst(core, ptid);
-                c += self.pending_charge;
-                self.pending_charge = Cycles::ZERO;
-                c = c.max(Cycles(1));
-                done += c;
-                burst_cost += c;
-                extra += 1;
-                if self.events.schedule_mark() != mark {
-                    mark = self.events.schedule_mark();
-                    qmin = self.events.next_deadline();
-                }
-                if let Some((p, s)) = watch {
-                    if self.threads[p.0 as usize].state == s {
-                        break;
-                    }
-                }
-            }
-        }
-        // Put lifted sibling events back under their original keys: the
-        // queue is now exactly what single-stepping would have pending,
-        // and the run loop re-arbitrates those slots for real.
-        while let Some((at, tok, ev)) = self.burst_stash.pop() {
-            self.events.restore(at, tok, ev);
-        }
-
-        // Batched bookkeeping: one account/bump per burst, totals exactly
-        // equal to per-instruction accounting.
-        self.cores[core].sched.account(ptid, cost);
-        if extra > 0 {
-            self.cores[core]
-                .sched
-                .account_burst(ptid, burst_cost, extra);
-            self.counters.bump(self.hot.sched_dispatches, extra);
-        }
-        {
-            let t = self.thread_mut(ptid);
-            t.busy_until = t.busy_until.max(done);
-        }
-        self.counters.bump(self.hot.inst_executed, 1 + extra);
-        self.events.schedule(
-            done,
-            Ev::SlotFree {
-                core: core as u32,
-                slot: slot as u32,
-            },
-        );
-    }
-
-    /// Whether the burst may execute one more instruction for `ptid`
-    /// dispatching at time `done`. True only when the single-step machine
-    /// would provably arrive at the identical pick with identical charges:
-    /// the thread is still runnable on this core with RF-resident,
-    /// already-activated state (no activation cost to charge), not made
-    /// busy by anything, and it is the **sole** enrolled thread (so
-    /// round-robin rotation is the identity and no fairness quantum can
-    /// be violated). Everything an instruction's side effects can touch
-    /// is re-read here, which makes the bailout effect-based — strictly
-    /// stronger than a syntactic instruction blacklist.
-    #[inline]
-    fn burst_eligible(&self, core: usize, ptid: Ptid, done: Cycles) -> bool {
-        if self.halted.is_some() {
-            return false;
-        }
-        let t = &self.threads[ptid.0 as usize];
-        t.state == ThreadState::Runnable
-            && t.activated
-            && t.home == core
-            && t.busy_until <= done
-            && self.cores[core].sched.sole_runnable() == Some(ptid)
-            && self.cores[core].store.tier_of(ptid) == Tier::Rf
-    }
-
-    /// Superblock lookup at `pc`: the (code-range, block) indices of a
-    /// formed, live superblock entered there. Misses bump the entry
-    /// slot's heat counter; crossing [`SB_HOT`] forms the region once
-    /// (or marks the slot [`SB_DEAD`] when no worthwhile region starts
-    /// there). Formation is driven purely by observed execution heat —
-    /// no static configuration (cf. "Switchless Calls Made Configless").
-    #[inline]
-    fn sb_lookup(&mut self, pc: u64) -> Option<(usize, u32)> {
-        let hint = self.last_code;
-        let idx = match self.code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = self.code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
-            }
-        };
-        let off = pc - self.code[idx].base;
-        if off & 7 != 0 {
-            return None;
-        }
-        let slot = (off >> 3) as usize;
-        let r = &mut self.code[idx];
-        match r.sb[slot] {
-            SB_DEAD => None,
-            s if s >= SB_FORMED => Some((idx, s & !SB_FORMED)),
-            heat if heat + 1 >= SB_HOT => match sblock::form(r.base, &r.insts, slot) {
-                Some(b) => {
-                    let bi = r.alloc_block(b);
-                    r.sb[slot] = SB_FORMED | bi;
-                    Some((idx, bi))
-                }
-                None => {
-                    r.sb[slot] = SB_DEAD;
-                    None
-                }
-            },
-            heat => {
-                r.sb[slot] = heat + 1;
-                None
-            }
-        }
-    }
-
-    /// Executes a formed superblock as one unit. Returns `false`
-    /// (having mutated nothing) when any fetch line is not L1-resident;
-    /// the caller single-steps instead, charging the miss exactly as
-    /// always. On success the L1 metadata (LRU stamps, tick, hit
-    /// counts) and the thread's registers, pc and dirty mask are
-    /// precisely what single-stepping the block would have produced.
-    fn exec_superblock(&mut self, core: usize, ri: usize, bi: usize, ptid: Ptid) -> bool {
-        if self.code[ri].blocks[bi].mem_ops > 0 {
-            return self.exec_superblock_mem(core, ri, bi, ptid);
-        }
-        let b = &self.code[ri].blocks[bi];
-        if !self
-            .hier
-            .l1_access_run(core, &b.lines, b.insts.len() as u64)
-        {
-            return false;
-        }
-        let t = &mut self.threads[ptid.0 as usize];
-        let entry = t.arch.pc;
-        t.arch.pc = sblock::exec_regs(&b.insts, &mut t.arch.gprs, entry);
-        t.touched |= b.touched;
-        true
-    }
-
-    /// Executes a memory-inclusive superblock as one unit (DESIGN.md
-    /// §10, "memory-inclusive regions"). The walk interprets the block
-    /// on a scratch register file, applies stores to memory under an
-    /// undo log (so later loads in the block see them), and *stages* the
-    /// block's exact dynamic footprint: the merged fetch+data L1 line
-    /// stream, the data-page TLB stream, and the dedup-keep-last data
-    /// lines for the prefetcher. Any effect the batch cannot reproduce
-    /// bails — reverse-replaying the undo log, mutating nothing — and
-    /// the caller single-steps, which raises/charges/invalidates/wakes
-    /// exactly as always:
-    ///
-    /// - an out-of-range address (single-step raises the precise fault);
-    /// - a non-resident L1 line or TLB page (single-step charges the
-    ///   miss and performs the fills);
-    /// - a store overlapping the code hull — including the block's own
-    ///   fetch lines (single-step runs `invalidate_code`, which kills
-    ///   the block);
-    /// - a store whose range intersects an armed monitor line
-    ///   (`MonitorFilter::would_wake` — conservative, so no wakeup is
-    ///   ever lost or delayed);
-    /// - a store within MMIO-doorbell proximity of a registered hook.
-    ///
-    /// On success the commit applies one batched, provably per-access-
-    /// equal update per structure: `Cache::access_run_mixed` for the L1,
-    /// `Tlb::access_run` for the pages, `WakePrefetcher::record_run` for
-    /// the data lines, and one `note_quiet_stores` bump for the filter's
-    /// store statistics (the serial store path discards `on_store`'s
-    /// cost, and a no-wake `on_store` has no other observable effect).
-    #[allow(clippy::too_many_lines)]
-    fn exec_superblock_mem(&mut self, core: usize, ri: usize, bi: usize, ptid: Ptid) -> bool {
-        const PAGE_BYTES: u64 = switchless_mem::addr::PAGE_BYTES;
-        let mem_bytes = self.cfg.mem_bytes;
-        let (code_lo, code_hi) = (self.code_lo, self.code_hi);
-        let b = &self.code[ri].blocks[bi];
-        self.sbm_lines.clear();
-        self.sbm_lines
-            .extend(b.lines.iter().map(|&(l, at)| (l, at, false)));
-        self.sbm_pages.clear();
-        self.sbm_plines.clear();
-        self.sbm_stores.clear();
-        self.sbm_undo.clear();
-
-        let mut gprs = self.threads[ptid.0 as usize].arch.gprs;
-        let mut pc = self.threads[ptid.0 as usize].arch.pc;
-        let mut ok = true;
-        let mut pos = 0u64; // position in the merged fetch+data stream
-        let mut data_idx = 0u64; // 1-based index in the data-access stream
-        let mut n_stores = 0u64;
-
-        macro_rules! gpr {
-            ($r:expr) => {
-                gprs[$r.0 as usize & 0xf]
-            };
-        }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                gprs[$r.0 as usize & 0xf] = v;
-            }};
-        }
-        // One data access: bail checks (bounds, TLB, L1), then stage the
-        // line/page/prefetch bookkeeping at the current stream position.
-        // The serial path accesses exactly the line and page *containing*
-        // the address, regardless of width — mirror that. Expands to a
-        // bool (labels cannot cross macro hygiene, so callers break on
-        // `ok` after the match).
-        macro_rules! data_access {
-            ($addr:expr, $len:expr, $write:expr) => {{
-                let addr: u64 = $addr;
-                if addr.checked_add($len).is_none()
-                    || addr + $len > mem_bytes
-                    || !self.tlbs[core].contains(0, addr / PAGE_BYTES)
-                    || !self.hier.l1_contains(core, PAddr(addr).line())
-                {
-                    false
-                } else {
-                    let page = addr / PAGE_BYTES;
-                    let line = PAddr(addr).line();
-                    pos += 1;
-                    data_idx += 1;
-                    match self.sbm_lines.iter_mut().find(|e| e.0 == line) {
-                        Some(e) => {
-                            // A fetch access of this line may come later
-                            // in the merged stream than this data access.
-                            e.1 = e.1.max(pos);
-                            e.2 |= $write;
-                        }
-                        None => self.sbm_lines.push((line, pos, $write)),
-                    }
-                    match self.sbm_pages.iter_mut().find(|e| e.0 == page) {
-                        Some(e) => e.1 = data_idx,
-                        None => self.sbm_pages.push((page, data_idx)),
-                    }
-                    if let Some(p) = self.sbm_plines.iter().position(|&l| l == line) {
-                        self.sbm_plines.remove(p);
-                    }
-                    self.sbm_plines.push(line);
-                    true
-                }
-            }};
-        }
-        macro_rules! load {
-            ($d:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                if data_access!(addr, $len, false) {
-                    let a = addr as usize;
-                    let v = if $len == 8 {
-                        u64::from_le_bytes(self.mem[a..a + 8].try_into().expect("8 bytes"))
-                    } else {
-                        u64::from(self.mem[a])
-                    };
-                    set_gpr!($d, v);
-                } else {
-                    ok = false;
-                }
-            }};
-        }
-        // A store additionally vets — once per distinct range, since a
-        // block cannot load images, arm monitors, or register hooks
-        // mid-flight — the decoded-code overlap (the hull compare
-        // `after_store` uses is a pre-filter that over-approximates
-        // when unrelated data sits between two images; only a real
-        // range overlap must single-step through `invalidate_code`,
-        // which covers self-modifying stores into the block's own fetch
-        // lines), the aggregated monitor test (`would_wake`), and
-        // MMIO-doorbell proximity.
-        macro_rules! store {
-            ($v:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                if !data_access!(addr, $len, true) {
-                    ok = false;
-                } else {
-                    if !self.sbm_stores.contains(&(addr, $len)) {
-                        let hits_code = addr < code_hi
-                            && addr + $len > code_lo
-                            && self
-                                .code
-                                .iter()
-                                .any(|r| addr < r.end && addr + $len > r.base);
-                        let lo = addr.saturating_sub(7);
-                        let i0 = self.mmio_addrs.partition_point(|&a| a < lo);
-                        if hits_code
-                            || self.filter.would_wake(PAddr(addr), $len)
-                            || self.mmio_addrs.get(i0).is_some_and(|&a| a < addr + $len)
-                        {
-                            ok = false;
-                        } else {
-                            self.sbm_stores.push((addr, $len));
-                        }
-                    }
-                    if ok {
-                        n_stores += 1;
-                        let a = addr as usize;
-                        if $len == 8 {
-                            let old =
-                                u64::from_le_bytes(self.mem[a..a + 8].try_into().expect("8 bytes"));
-                            self.sbm_undo.push((addr, old, 8));
-                            self.mem[a..a + 8].copy_from_slice(&($v).to_le_bytes());
-                        } else {
-                            self.sbm_undo.push((addr, u64::from(self.mem[a]), 1));
-                            self.mem[a] = (($v) & 0xff) as u8;
-                        }
-                    }
-                }
-            }};
-        }
-
-        for i in &b.insts {
-            pos += 1; // this instruction's fetch access
-            let mut next = pc + 8;
-            use Inst::*;
-            match *i {
-                Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-                Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-                And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-                Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-                Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-                Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-                Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-                Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-                Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-                Movi { d, imm } => set_gpr!(d, imm as u64),
-                Mov { d, a } => set_gpr!(d, gpr!(a)),
-                Nop | Work { .. } | Fence => {}
-                Ld { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 8),
-                LdA { d, addr } => load!(d, addr, 8),
-                LdB { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 1),
-                St { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 8),
-                StA { s, addr } => store!(gpr!(s), addr, 8),
-                StB { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 1),
-                Jmp { addr } => next = addr,
-                Jr { a } => next = gpr!(a),
-                Jal { d, addr } => {
-                    set_gpr!(d, pc + 8);
-                    next = addr;
-                }
-                Beq { a, b, addr } => {
-                    if gpr!(a) == gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Bne { a, b, addr } => {
-                    if gpr!(a) != gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Blt { a, b, addr } => {
-                    if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                Bge { a, b, addr } => {
-                    if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                _ => unreachable!("non-admissible instruction inside a memory superblock"),
-            }
-            if !ok {
-                break;
-            }
-            pc = next;
-        }
-
-        let (n_insts, mem_ops, touched) = (b.insts.len() as u64, b.mem_ops, b.touched);
-        // The commit's only fallible step is the L1 batch: the walk
-        // verified every *data* line, but the static fetch lines are
-        // checked (without mutation) inside `access_run_mixed` itself,
-        // exactly as on the pure-block path.
-        if !ok
-            || !self
-                .hier
-                .l1_access_run_mixed(core, &self.sbm_lines, n_insts + mem_ops)
-        {
-            for &(addr, old, len) in self.sbm_undo.iter().rev() {
-                let a = addr as usize;
-                if len == 8 {
-                    self.mem[a..a + 8].copy_from_slice(&old.to_le_bytes());
-                } else {
-                    self.mem[a] = old as u8;
-                }
-            }
-            return false;
-        }
-        debug_assert!(data_idx == mem_ops, "every instruction executed");
-        let tlb_ok = self.tlbs[core].access_run(0, &self.sbm_pages, mem_ops);
-        debug_assert!(tlb_ok, "probe checked TLB residency for every page");
-        self.prefetcher
-            .record_run(WatchId(u64::from(ptid.0)), &self.sbm_plines);
-        if n_stores > 0 {
-            self.filter.note_quiet_stores(n_stores);
-        }
-        let t = &mut self.threads[ptid.0 as usize];
-        t.arch.gprs = gprs;
-        t.arch.pc = pc;
-        t.touched |= touched;
-        true
-    }
-
-    /// Executes one instruction for `ptid`; returns its cost. All state
-    /// effects (including faults) happen here.
-    #[allow(clippy::too_many_lines)]
-    fn exec_inst(&mut self, core: usize, ptid: Ptid) -> Cycles {
-        let pc = self.threads[ptid.0 as usize].arch.pc;
-        // Instruction fetch.
-        if pc + 8 > self.cfg.mem_bytes {
-            self.raise_exception(ptid, ExceptionKind::BadMemory, pc);
-            return Cycles(1);
-        }
-        let ifetch = self.hier.access(
-            self.now,
-            core,
-            PAddr(pc),
-            AccessKind::Read,
-            switchless_mem::cache::PartitionId::DEFAULT,
-        );
-        // A pipelined frontend hides L1-hit fetch latency entirely.
-        let ifetch_cost = if ifetch.level == HitLevel::L1 {
-            Cycles::ZERO
-        } else {
-            ifetch.latency
-        };
-        // Decoded-instruction cache: loaded images are pre-decoded, so the
-        // steady state skips both the byte fetch and `Inst::decode`. Pcs
-        // outside every image (or unaligned, or over a non-decoding word)
-        // fall back to fetch-and-decode, preserving the exception payload.
-        let inst = match self.cached_inst(pc) {
-            Some(i) => i,
-            None => {
-                let word = self.peek_u64(pc);
-                match Inst::decode(word) {
-                    Ok(i) => i,
-                    Err(_) => {
-                        self.raise_exception(ptid, ExceptionKind::BadInstruction, word);
-                        return ifetch_cost + Cycles(1);
-                    }
-                }
-            }
-        };
-
-        // Privilege check (§3.2: privileged ops from user mode disable the
-        // thread and write a descriptor, enabling emulation).
-        if inst.is_privileged() && self.threads[ptid.0 as usize].arch.mode == Mode::User {
-            // Cold path: fetch the raw encoding for the descriptor's info
-            // word (the cache only holds the decoded form).
-            let word = self.peek_u64(pc);
-            self.raise_exception(ptid, ExceptionKind::PrivilegedOp, word);
-            return ifetch_cost + Cycles(1);
-        }
-
-        let mut cost = ifetch_cost + Cycles(inst.base_cost());
-        let mut next_pc = pc + 8;
-
-        macro_rules! gpr {
-            ($r:expr) => {
-                self.threads[ptid.0 as usize].arch.gprs[$r.0 as usize & 0xf]
-            };
-        }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                let t = &mut self.threads[ptid.0 as usize];
-                t.arch.gprs[$r.0 as usize & 0xf] = v;
-                t.touched |= 1 << ($r.0 & 0xf);
-            }};
-        }
-
-        use Inst::*;
-        match inst {
-            Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-            Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-            And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-            Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-            Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-            Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-            Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-            Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-            Div { d, a, b } => {
-                let divisor = gpr!(b);
-                if divisor == 0 {
-                    self.raise_exception(ptid, ExceptionKind::DivZero, pc);
-                    return cost;
-                }
-                set_gpr!(d, gpr!(a) / divisor);
-            }
-            Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-            Movi { d, imm } => set_gpr!(d, imm as u64),
-            Mov { d, a } => set_gpr!(d, gpr!(a)),
-            Ld { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 8, AccessKind::Read) {
-                    Ok(lat) => {
-                        cost += lat;
-                        set_gpr!(d, self.peek_u64(addr));
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            LdA { d, addr } => match self.data_access(core, ptid, addr, 8, AccessKind::Read) {
-                Ok(lat) => {
-                    cost += lat;
-                    set_gpr!(d, self.peek_u64(addr));
-                }
-                Err(k) => {
-                    self.raise_exception(ptid, k, addr);
-                    return cost;
-                }
-            },
-            St { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 8, AccessKind::Write) {
-                    Ok(lat) => {
-                        cost += lat;
-                        let v = gpr!(s);
-                        self.raw_write_u64(addr, v);
-                        self.after_store(addr, 8, false);
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            StA { s, addr } => match self.data_access(core, ptid, addr, 8, AccessKind::Write) {
-                Ok(lat) => {
-                    cost += lat;
-                    let v = gpr!(s);
-                    self.raw_write_u64(addr, v);
-                    self.after_store(addr, 8, false);
-                }
-                Err(k) => {
-                    self.raise_exception(ptid, k, addr);
-                    return cost;
-                }
-            },
-            LdB { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 1, AccessKind::Read) {
-                    Ok(lat) => {
-                        cost += lat;
-                        set_gpr!(d, u64::from(self.mem[addr as usize]));
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            StB { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                match self.data_access(core, ptid, addr, 1, AccessKind::Write) {
-                    Ok(lat) => {
-                        cost += lat;
-                        let v = (gpr!(s) & 0xff) as u8;
-                        self.mem[addr as usize] = v;
-                        self.after_store(addr, 1, false);
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, addr);
-                        return cost;
-                    }
-                }
-            }
-            Jmp { addr } => next_pc = addr,
-            Jr { a } => next_pc = gpr!(a),
-            Jal { d, addr } => {
-                set_gpr!(d, pc + 8);
-                next_pc = addr;
-            }
-            Beq { a, b, addr } => {
-                if gpr!(a) == gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Bne { a, b, addr } => {
-                if gpr!(a) != gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Blt { a, b, addr } => {
-                if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
-            Bge { a, b, addr } => {
-                if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
-            Halt => {
-                self.thread_mut(ptid).arch.pc = next_pc;
-                self.disable_thread(ptid, ThreadState::Halted);
-                return cost;
-            }
-            Nop | Work { .. } | Fence => {}
-            Syscall { num } => {
-                match self.cfg.trap {
-                    TrapMode::SameThread { syscall_cost, .. } => {
-                        cost += syscall_cost;
-                        if self.syscall_vector == 0 {
-                            self.raise_exception(ptid, ExceptionKind::SyscallTrap, u64::from(num));
-                            return cost;
-                        }
-                        let t = self.thread_mut(ptid);
-                        t.arch.gprs[14] = pc + 8; // link
-                        t.arch.gprs[11] = u64::from(num);
-                        t.arch.mode = Mode::Supervisor;
-                        next_pc = self.syscall_vector;
-                        self.counters.inc("syscall.same_thread");
-                    }
-                    TrapMode::Descriptor => {
-                        self.thread_mut(ptid).arch.pc = pc + 8;
-                        self.raise_exception(ptid, ExceptionKind::SyscallTrap, u64::from(num));
-                        self.counters.inc("syscall.descriptor");
-                        return cost;
-                    }
-                }
-            }
-            VmCall { num } => match self.cfg.trap {
-                TrapMode::SameThread { vmexit_cost, .. } => {
-                    cost += vmexit_cost;
-                    if self.vm_vector == 0 {
-                        self.raise_exception(ptid, ExceptionKind::VmExit, u64::from(num));
-                        return cost;
-                    }
-                    let t = self.thread_mut(ptid);
-                    t.arch.gprs[14] = pc + 8;
-                    t.arch.gprs[11] = u64::from(num);
-                    t.arch.mode = Mode::Supervisor;
-                    next_pc = self.vm_vector;
-                    self.counters.inc("vmexit.same_thread");
-                }
-                TrapMode::Descriptor => {
-                    self.thread_mut(ptid).arch.pc = pc + 8;
-                    self.raise_exception(ptid, ExceptionKind::VmExit, u64::from(num));
-                    self.counters.inc("vmexit.descriptor");
-                    return cost;
-                }
-            },
-            HCall { num } => {
-                self.thread_mut(ptid).arch.pc = next_pc;
-                if let Some(mut h) = self.hcalls.remove(&num) {
-                    let tid = ThreadId { core, ptid };
-                    h(self, tid);
-                    self.hcalls.entry(num).or_insert(h);
-                } else {
-                    self.raise_exception(ptid, ExceptionKind::BadInstruction, u64::from(num));
-                }
-                // The handler may have blocked/redirected the thread; do
-                // not overwrite pc below.
-                return cost;
-            }
-            Monitor { a } => {
-                let addr = gpr!(a);
-                self.arm_monitor(ptid, addr, &mut cost);
-            }
-            MonitorA { addr } => {
-                self.arm_monitor(ptid, addr, &mut cost);
-            }
-            MWait => {
-                let t = self.thread_mut(ptid);
-                if t.monitor_triggered {
-                    // A write raced in between monitor and mwait: fall
-                    // through without blocking (x86 semantics).
-                    t.monitor_triggered = false;
-                    t.arch.pc = next_pc;
-                    let armed = t.monitor_armed;
-                    t.monitor_armed = false;
-                    if armed {
-                        self.filter.disarm_all(WatchId(u64::from(ptid.0)));
-                    }
-                    self.counters.bump(self.hot.mwait_fallthrough, 1);
-                    return cost;
-                }
-                if !t.monitor_armed {
-                    // mwait with nothing armed would sleep forever; treat
-                    // as nop (x86 behaves as such with invalid monitor).
-                    self.counters.bump(self.hot.mwait_unarmed, 1);
-                } else {
-                    t.arch.pc = next_pc;
-                    t.park_epoch = t.park_epoch.wrapping_add(1);
-                    let epoch = t.park_epoch;
-                    let watchdog = t.watchdog;
-                    self.disable_thread(ptid, ThreadState::Waiting);
-                    self.counters.bump(self.hot.mwait_blocked, 1);
-                    if let Some(w) = watchdog {
-                        let at = self.now + w;
-                        // Watchdog: if this exact park outlives its
-                        // deadline, the thread is wedged — disable it
-                        // with a descriptor instead of letting it sleep
-                        // forever. The epoch guard makes a timer from an
-                        // earlier park harmless after a wake/re-park.
-                        self.at(at, move |mach| {
-                            let t = &mach.threads[ptid.0 as usize];
-                            if t.state == ThreadState::Waiting && t.park_epoch == epoch {
-                                mach.counters.inc("watchdog.fired");
-                                mach.raise_exception(ptid, ExceptionKind::WatchdogExpired, at.0);
-                            }
-                        });
-                    }
-                    return cost;
-                }
-            }
-            Start { .. } | StartI { .. } | Stop { .. } | StopI { .. } => {
-                let (vtid, enable) = match inst {
-                    Start { vt } => (Vtid(gpr!(vt) as u16), true),
-                    StartI { vtid } => (Vtid(vtid), true),
-                    Stop { vt } => (Vtid(gpr!(vt) as u16), false),
-                    StopI { vtid } => (Vtid(vtid), false),
-                    _ => unreachable!(),
-                };
-                match self.start_stop(core, ptid, vtid, enable) {
-                    Ok(extra) => cost += extra,
-                    Err(k) => {
-                        self.raise_exception(ptid, k, u64::from(vtid.0));
-                        return cost;
-                    }
-                }
-            }
-            RPull { vt, local, remote } => {
-                let vtid = Vtid(gpr!(vt) as u16);
-                match self.remote_reg(core, ptid, vtid, remote, None) {
-                    Ok((value, extra)) => {
-                        cost += extra;
-                        set_gpr!(local, value);
-                    }
-                    Err(k) => {
-                        self.raise_exception(ptid, k, u64::from(vtid.0));
-                        return cost;
-                    }
-                }
-            }
-            RPush { vt, remote, local } => {
-                let vtid = Vtid(gpr!(vt) as u16);
-                let value = gpr!(local);
-                match self.remote_reg(core, ptid, vtid, remote, Some(value)) {
-                    Ok((_, extra)) => cost += extra,
-                    Err(k) => {
-                        self.raise_exception(ptid, k, u64::from(vtid.0));
-                        return cost;
-                    }
-                }
-            }
-            InvTid { vt } => {
-                let vtid = Vtid(gpr!(vt) as u16);
-                let tdtr = self.threads[ptid.0 as usize].arch.tdtr;
-                self.cores[core].tdt.invalidate(tdtr, vtid);
-            }
-            CsrR { d, csr } => {
-                let v = self.threads[ptid.0 as usize].arch.read(RegSel::Ctrl(csr));
-                set_gpr!(d, v);
-            }
-            CsrW { csr, a } => {
-                let v = gpr!(a);
-                let t = self.thread_mut(ptid);
-                t.arch.write(RegSel::Ctrl(csr), v);
-                t.touched |= 1 << 16;
-            }
-        }
-
-        self.thread_mut(ptid).arch.pc = next_pc;
-        cost
-    }
-
     fn arm_monitor(&mut self, ptid: Ptid, addr: u64, cost: &mut Cycles) {
-        if addr + 8 > self.cfg.mem_bytes {
+        if !in_mem(addr, 8, self.cfg.mem_bytes) {
             self.raise_exception(ptid, ExceptionKind::BadMemory, addr);
             return;
         }
@@ -3011,6 +1926,1133 @@ impl Machine {
             None => t.arch.read(remote),
         };
         Ok((value, lookup_cost + tier_cost))
+    }
+}
+
+// ---------------------------------------------------------------------
+// The interpreter: one copy, run by the serial machine and epoch workers
+// ---------------------------------------------------------------------
+
+/// Everything that differs between the serial machine and an epoch
+/// worker (`shard.rs`): where threads, memory, caches, events and
+/// counters live, and what an effect outside the context's reach does.
+/// `dispatch`, the burst loop, superblocks and `exec_inst` are written
+/// once against this trait and monomorphised for both. A thread handle
+/// `h` comes from [`ExecCtx::th_index`].
+pub(crate) trait ExecCtx {
+    /// Why execution stops early: never on the serial machine; a
+    /// worker abandons its epoch.
+    type Bail;
+
+    fn cfg(&self) -> &MachineConfig;
+    fn now(&self) -> Cycles;
+    fn set_now(&mut self, t: Cycles);
+    fn halted(&self) -> bool;
+    /// Whether bursts may run superblocks ([`Engine::Fast`]).
+    fn superblocks(&self) -> bool;
+    fn core_mut(&mut self, core: usize) -> &mut CoreState;
+    fn th_index(&self, ptid: Ptid) -> usize;
+    fn th(&self, h: usize) -> &Thread;
+    fn th_mut(&mut self, h: usize) -> &mut Thread;
+    /// The scheduler's pick on `core` at `now`; when every enrolled
+    /// thread is busy, the earliest time one frees up.
+    fn pick(&mut self, core: usize, now: Cycles) -> Result<Ptid, Option<Cycles>>;
+
+    fn schedule_slot(&mut self, at: Cycles, core: usize, slot: usize);
+    /// Changes whenever an event is scheduled.
+    fn schedule_mark(&self) -> u64;
+    fn next_deadline(&mut self) -> Option<Cycles>;
+    /// Lifts the head event into the burst stash when it is a sibling
+    /// slot's `SlotFree` on `core` (see [`lift_siblings`]).
+    fn lift_sibling(&mut self, core: usize, slot: usize) -> bool;
+    /// Restores every lifted event under its original key.
+    fn restore_lifted(&mut self);
+
+    fn note_dispatches(&mut self, n: u64);
+    fn note_insts(&mut self, n: u64);
+    fn note_activation(&mut self, from: usize);
+    fn note_wake(&mut self, ptid: Ptid, sample: u64);
+    fn note_quiet_stores(&mut self, n: u64);
+    /// Takes the charge hcall handlers added to the current instruction.
+    fn take_charge(&mut self) -> Cycles;
+
+    fn code(&self) -> &[CodeRange];
+    /// Index into `code` of the range that served the last lookup.
+    fn code_hint(&mut self) -> &mut usize;
+    /// `(min base, max end)` over `code`.
+    fn code_hull(&self) -> (u64, u64);
+    /// A superblock-table miss at `code[ri]` slot `slot` after `heat`
+    /// entry visits. The serial machine bumps the heat and forms the
+    /// block once hot; workers only read blocks (`code` is shared).
+    fn heat(&mut self, ri: usize, slot: usize, heat: u32) -> Option<u32>;
+    /// The probe scratch, boxed so a block takes it out and puts it
+    /// back with one pointer move each.
+    fn probe(&mut self) -> &mut Option<Box<Probe>>;
+
+    /// Reads `len` (1 or 8) bytes at an in-memory `addr`.
+    fn load(&self, addr: u64, len: u64) -> Result<u64, Self::Bail>;
+    /// Writes the low `len` bytes of `v` with no side effect; returns
+    /// the old value.
+    fn write(&mut self, addr: u64, len: u64, v: u64) -> Result<u64, Self::Bail>;
+    /// A CPU store's side effects: code coherence, monitor wakes, MMIO
+    /// doorbells.
+    fn store_effects(&mut self, addr: u64, len: u64) -> Result<(), Self::Bail>;
+    fn filter(&self) -> &dyn MonitorFilter;
+    fn mmio_addrs(&self) -> &[u64];
+
+    fn cache_access(
+        &mut self,
+        core: usize,
+        addr: PAddr,
+        kind: AccessKind,
+        part: PartitionId,
+    ) -> Result<AccessResult, Self::Bail>;
+    fn tlb(&mut self, core: usize) -> &mut Tlb;
+    fn l1_contains(&self, core: usize, line: PAddr) -> bool;
+    /// Runs `code[ri].blocks[bi]`'s fetch stream as one L1 batch.
+    fn l1_block_run(&mut self, core: usize, ri: usize, bi: usize) -> bool;
+    fn l1_access_run_mixed(&mut self, core: usize, lines: &[(PAddr, u64, bool)], n: u64) -> bool;
+    fn prefetch_access(&mut self, ptid: Ptid, addr: PAddr);
+    fn prefetch_run(&mut self, ptid: Ptid, lines: &[PAddr]);
+
+    fn raise(&mut self, ptid: Ptid, kind: ExceptionKind, info: u64) -> Result<(), Self::Bail>;
+    /// Executes a system instruction — anything but ALU/branch, `Div`
+    /// and local memory — adding to `cost`. Returns the next pc, or
+    /// `None` when the instruction settled the pc itself.
+    fn exec_system(
+        &mut self,
+        core: usize,
+        ptid: Ptid,
+        inst: Inst,
+        pc: u64,
+        cost: &mut Cycles,
+    ) -> Result<Option<u64>, Self::Bail>;
+}
+
+/// Reusable scratch for the memory-superblock probe: the merged
+/// fetch+data L1 line stream (line, last-access position, written), the
+/// data-page stream (page, last data-access index), the dedup-keep-last
+/// data lines for the prefetcher, the store undo log (addr, old value,
+/// width), and the distinct store ranges already vetted by
+/// [`store_is_quiet`].
+#[derive(Default)]
+pub(crate) struct Probe {
+    lines: Vec<(PAddr, u64, bool)>,
+    pages: Vec<(u64, u64)>,
+    plines: Vec<PAddr>,
+    undo: Vec<(u64, u64, u64)>,
+    stores: Vec<(u64, u64)>,
+}
+
+/// Whether `[addr, addr + len)` lies inside `mem_bytes` of memory.
+#[inline(always)]
+fn in_mem(addr: u64, len: u64, mem_bytes: u64) -> bool {
+    addr.checked_add(len).is_some_and(|end| end <= mem_bytes)
+}
+
+/// Little-endian read of `len` (1 or 8) bytes.
+#[inline(always)]
+pub(crate) fn read_le(bytes: &[u8], len: u64) -> u64 {
+    if len == 8 {
+        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+    } else {
+        u64::from(bytes[0])
+    }
+}
+
+/// Little-endian write of the low `len` (1 or 8) bytes of `v`.
+#[inline(always)]
+pub(crate) fn write_le(bytes: &mut [u8], len: u64, v: u64) {
+    if len == 8 {
+        bytes[..8].copy_from_slice(&v.to_le_bytes());
+    } else {
+        bytes[0] = v as u8;
+    }
+}
+
+/// [`ExecCtx::pick`] over a scheduler and a thread's `busy_until`.
+pub(crate) fn pick_free(
+    sched: &mut HwScheduler,
+    now: Cycles,
+    busy_until: impl Fn(Ptid) -> Cycles,
+) -> Result<Ptid, Option<Cycles>> {
+    sched
+        .pick(|p| busy_until(p) > now)
+        .ok_or_else(|| sched.min_over_enrolled(|p| Some(busy_until(p)).filter(|&b| b > now)))
+}
+
+/// Dispatches one pipeline slot: picks a thread, charges activation,
+/// and executes an instruction **burst** — up to [`MAX_BURST`]
+/// instructions inline, advancing a local cycle cursor, instead of one
+/// event-queue round-trip per instruction (see DESIGN.md §8).
+///
+/// `horizon` is the last cycle an instruction may dispatch at (the run
+/// deadline, mirroring `pop_due`; a worker's fresh-event horizon).
+/// `watch` is `run_until_state`'s target; a burst bails the moment it
+/// is reached so the caller observes the same `now` a single-step run
+/// would.
+pub(crate) fn dispatch<X: ExecCtx>(
+    x: &mut X,
+    core: usize,
+    slot: usize,
+    horizon: Cycles,
+    watch: Option<(Ptid, ThreadState)>,
+) -> Result<(), X::Bail> {
+    if x.halted() {
+        return Ok(());
+    }
+    let now = x.now();
+    let ptid = match x.pick(core, now) {
+        Ok(p) => p,
+        // Runnable threads may exist but be busy (state transfer or an
+        // in-flight instruction on the other slot): retry when the
+        // earliest becomes free. Otherwise idle until a wake re-kicks.
+        Err(Some(at)) => {
+            x.schedule_slot(at, core, slot);
+            return Ok(());
+        }
+        Err(None) => {
+            x.core_mut(core).idle_slot[slot] = true;
+            return Ok(());
+        }
+    };
+    x.note_dispatches(1);
+    let h = x.th_index(ptid);
+
+    // Activation cost: pipeline refill (plus state transfer when the
+    // thread's state is not RF-resident and wasn't prefetched).
+    let mut cost = Cycles::ZERO;
+    let tier = x.core_mut(core).store.tier_of(ptid);
+    if !x.th(h).activated || tier != Tier::Rf {
+        let t = x.th(h);
+        let bytes = if x.cfg().store.dirty_tracking {
+            t.dirty_bytes()
+        } else {
+            t.state_bytes()
+        };
+        let prio = t.arch.prio;
+        let (act, from) = x.core_mut(core).store.activate(ptid, prio, bytes);
+        x.note_activation(from as usize);
+        cost += act;
+        let t = x.th_mut(h);
+        t.activated = true;
+        t.touched = 0;
+    } else {
+        x.core_mut(core).store.touch(ptid);
+    }
+    // Wake-to-execution latency: scheduler queueing (now - wake) plus
+    // the state-activation / pipeline-refill time just charged (`cost`
+    // holds exactly the activation portion at this point).
+    if let Some(wake) = x.th_mut(h).wake_at.take() {
+        let sample = (now - wake + cost).0;
+        x.note_wake(ptid, sample);
+        let ws = &mut x.th_mut(h).wake_stats;
+        ws.0 += 1;
+        ws.1 += sample;
+        ws.2 = ws.2.max(sample);
+    }
+
+    // Execute the first instruction (the one this SlotFree paid for).
+    cost = (cost + exec_charged(x, core, ptid, h)?).max(Cycles(1));
+    let mut done = now + cost;
+
+    // Burst engine: while this thread is provably the next pick and
+    // nothing else can observe machine state first, keep executing its
+    // instructions inline. Continuation is decided *after* each
+    // instruction's effects, so any cross-thread side effect (a wake
+    // that enrols a second thread, a scheduled callback, an exception,
+    // a halt) ends the burst exactly where single-stepping would have
+    // re-arbitrated differently. `next_deadline` is cached and only
+    // recomputed when something scheduled (schedules are the only way
+    // the deadline can move earlier).
+    let mut burst_cost = Cycles::ZERO;
+    let mut extra: u64 = 0; // instructions beyond the first
+
+    // Superblock entry gate (the heat hoist): a region entry is only
+    // ever *reached* by a jump — straight-line continuation lands on
+    // pc + 8. `seq_pc` tracks that fall-through continuation; while the
+    // burst walks sequential code, the table lookup (and its
+    // heat/formed bookkeeping) is skipped entirely. `u64::MAX` means
+    // "provenance unknown — check": the first burst iteration and every
+    // block exit.
+    let mut seq_pc = u64::MAX;
+    if watch.is_none_or(|(p, s)| x.th(x.th_index(p)).state != s) {
+        let mut mark = x.schedule_mark();
+        let mut qmin = x.next_deadline();
+        while extra < MAX_BURST && done <= horizon && burst_eligible(x, core, ptid, h, done) {
+            if !lift_siblings(x, core, slot, &mut qmin, done) {
+                break;
+            }
+            // Superblock fast path (DESIGN.md §10): a formed region
+            // executes as one unit when its whole span provably stays
+            // inside this burst's window. Block instructions cannot
+            // schedule events, change any thread state, or incur a
+            // pending charge, so the per-instruction mark/watch/
+            // eligibility re-checks are constant across the block: the
+            // check at the loop head covers every interior cursor
+            // (`busy_until <= done` stays true as `done` only grows).
+            // Any failed precondition single-steps — never a burst exit.
+            if x.superblocks() {
+                let pc = x.th(h).arch.pc;
+                let via_jump = pc != seq_pc;
+                seq_pc = pc.wrapping_add(8);
+                if let Some((ri, bi)) = if via_jump { sb_lookup(x, pc) } else { None } {
+                    let (bcost, last_cost, len) = {
+                        // Dynamic block cost: base costs plus one L1 hit
+                        // per data access. The block only executes when
+                        // every fetch/data line is L1-resident and every
+                        // data page is TLB-resident (a TLB hit adds
+                        // zero), so the cost is known before probing.
+                        let b = &x.code()[ri].blocks[bi];
+                        let l1 = x.cfg().hierarchy.lat_l1;
+                        (
+                            b.cost + Cycles(b.mem_ops * l1.0),
+                            b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
+                            b.insts.len() as u64,
+                        )
+                    };
+                    // Dispatch time of the block's final instruction: the
+                    // burst window must reach it, and the sibling-lift
+                    // gate runs through it, exactly as single-stepping
+                    // would at every interior cursor (over-lifting on a
+                    // failed attempt is harmless: lifted events are
+                    // restored under their original keys). `extra` may
+                    // overshoot `MAX_BURST` by at most one block — burst
+                    // length is observably invisible.
+                    let d_last = done + bcost - last_cost;
+                    if d_last <= horizon
+                        && lift_siblings(x, core, slot, &mut qmin, d_last)
+                        && exec_superblock(x, core, ptid, h, ri, bi)
+                    {
+                        // Single-stepping leaves `now` at the last
+                        // dispatch cursor, not at the completion time.
+                        x.set_now(d_last);
+                        done += bcost;
+                        burst_cost += bcost;
+                        extra += len;
+                        seq_pc = u64::MAX;
+                        continue;
+                    }
+                }
+            }
+            x.set_now(done);
+            let c = exec_charged(x, core, ptid, h)?.max(Cycles(1));
+            done += c;
+            burst_cost += c;
+            extra += 1;
+            if x.schedule_mark() != mark {
+                mark = x.schedule_mark();
+                qmin = x.next_deadline();
+            }
+            if watch.is_some_and(|(p, s)| x.th(x.th_index(p)).state == s) {
+                break;
+            }
+        }
+    }
+    // Put lifted sibling events back under their original keys: the
+    // queue is now exactly what single-stepping would have pending.
+    x.restore_lifted();
+
+    // Batched bookkeeping: one account/bump per burst, totals exactly
+    // equal to per-instruction accounting.
+    x.core_mut(core).sched.account(ptid, cost);
+    if extra > 0 {
+        x.core_mut(core)
+            .sched
+            .account_burst(ptid, burst_cost, extra);
+        x.note_dispatches(extra);
+    }
+    let t = x.th_mut(h);
+    t.busy_until = t.busy_until.max(done);
+    x.note_insts(1 + extra);
+    x.schedule_slot(done, core, slot);
+    Ok(())
+}
+
+/// One instruction plus the charge its hcall handler added.
+fn exec_charged<X: ExecCtx>(
+    x: &mut X,
+    core: usize,
+    ptid: Ptid,
+    h: usize,
+) -> Result<Cycles, X::Bail> {
+    x.take_charge();
+    let c = exec_inst(x, core, ptid, h)?;
+    Ok(c + x.take_charge())
+}
+
+/// Whether the burst may execute one more instruction for `ptid`
+/// dispatching at time `done`. True only when the single-step machine
+/// would provably arrive at the identical pick with identical charges:
+/// the thread is still runnable on this core with RF-resident,
+/// already-activated state, not made busy by anything, and it is the
+/// **sole** enrolled thread (so round-robin rotation is the identity).
+/// Everything an instruction's side effects can touch is re-read here,
+/// which makes the bailout effect-based.
+#[inline]
+fn burst_eligible<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, h: usize, done: Cycles) -> bool {
+    let t = x.th(h);
+    let ready = t.state == ThreadState::Runnable
+        && t.activated
+        && t.home == core
+        && t.busy_until <= done
+        && !x.halted();
+    let cs = x.core_mut(core);
+    ready && cs.sched.sole_runnable() == Some(ptid) && cs.store.tier_of(ptid) == Tier::Rf
+}
+
+/// The burst's event-horizon gate through `until`: nothing due at or
+/// before it may be skipped, with one exception — a pending `SlotFree`
+/// for a *sibling* slot of this core. With this thread sole-runnable
+/// and busy through every burst cursor, single-stepping that event is
+/// provably inert (its pick loses to this slot and it merely
+/// reschedules itself), so it is lifted out and restored verbatim at
+/// burst exit, where the run loop pops it exactly where single-stepping
+/// would have. Returns false when anything else is due first.
+fn lift_siblings<X: ExecCtx>(
+    x: &mut X,
+    core: usize,
+    slot: usize,
+    qmin: &mut Option<Cycles>,
+    until: Cycles,
+) -> bool {
+    while let Some(t) = *qmin {
+        if t > until {
+            break;
+        }
+        if !x.lift_sibling(core, slot) {
+            return false;
+        }
+        *qmin = x.next_deadline();
+    }
+    true
+}
+
+/// `(code range, word slot)` of an aligned `pc` inside a loaded image.
+#[inline]
+fn code_slot<X: ExecCtx>(x: &mut X, pc: u64) -> Option<(usize, usize)> {
+    let hint = *x.code_hint();
+    let ri = match x.code().get(hint) {
+        Some(r) if r.base <= pc && pc < r.end => hint,
+        _ => {
+            let ri = x.code().iter().position(|r| r.base <= pc && pc < r.end)?;
+            *x.code_hint() = ri;
+            ri
+        }
+    };
+    let off = pc - x.code()[ri].base;
+    (off & 7 == 0).then_some((ri, (off >> 3) as usize))
+}
+
+/// Cached decode of the word at `pc`. `None` means "use the slow
+/// fetch-and-decode path" (unaligned pc, pc outside every image, or a
+/// non-decoding word).
+#[inline]
+fn cached_inst<X: ExecCtx>(x: &mut X, pc: u64) -> Option<Inst> {
+    let (ri, slot) = code_slot(x, pc)?;
+    x.code()[ri].insts[slot]
+}
+
+/// Superblock lookup at `pc`: the (code-range, block) indices of a
+/// formed, live superblock entered there. Misses go to
+/// [`ExecCtx::heat`]. Formation is driven purely by observed execution
+/// heat — no static configuration (cf. "Switchless Calls Made
+/// Configless").
+#[inline]
+fn sb_lookup<X: ExecCtx>(x: &mut X, pc: u64) -> Option<(usize, usize)> {
+    let (ri, slot) = code_slot(x, pc)?;
+    let bi = match x.code()[ri].sb[slot] {
+        SB_DEAD => return None,
+        s if s >= SB_FORMED => s & !SB_FORMED,
+        heat => x.heat(ri, slot, heat)?,
+    };
+    Some((ri, bi as usize))
+}
+
+/// Executes a formed superblock as one unit. Returns `false` (having
+/// mutated nothing) when any fetch line is not L1-resident; the caller
+/// single-steps instead, charging the miss exactly as always. On
+/// success the L1 metadata (LRU stamps, tick, hit counts) and the
+/// thread's registers, pc and dirty mask are precisely what
+/// single-stepping the block would have produced.
+fn exec_superblock<X: ExecCtx>(
+    x: &mut X,
+    core: usize,
+    ptid: Ptid,
+    h: usize,
+    ri: usize,
+    bi: usize,
+) -> bool {
+    let b = &x.code()[ri].blocks[bi];
+    if b.mem_ops > 0 {
+        return exec_superblock_mem(x, core, ptid, h, ri, bi);
+    }
+    let touched = b.touched;
+    if !x.l1_block_run(core, ri, bi) {
+        return false;
+    }
+    let (mut gprs, entry) = (x.th(h).arch.gprs, x.th(h).arch.pc);
+    let exit = sblock::exec_regs(&x.code()[ri].blocks[bi].insts, &mut gprs, entry);
+    let t = x.th_mut(h);
+    t.arch.gprs = gprs;
+    t.arch.pc = exit;
+    t.touched |= touched;
+    true
+}
+
+/// A local memory instruction's direction.
+enum MemOp {
+    /// Load into this register.
+    Load(Reg),
+    /// Store this value.
+    Store(u64),
+}
+
+/// A local memory instruction's effective address, width and direction;
+/// `None` for every other instruction.
+#[inline(always)]
+fn mem_op(i: Inst, gprs: &[u64; 16]) -> Option<(u64, u64, MemOp)> {
+    let r = |r: Reg| gprs[r.0 as usize & 0xf];
+    use Inst::*;
+    Some(match i {
+        Ld { d, a, off } => (r(a).wrapping_add(off as u64), 8, MemOp::Load(d)),
+        LdB { d, a, off } => (r(a).wrapping_add(off as u64), 1, MemOp::Load(d)),
+        LdA { d, addr } => (addr, 8, MemOp::Load(d)),
+        St { s, a, off } => (r(a).wrapping_add(off as u64), 8, MemOp::Store(r(s))),
+        StB { s, a, off } => (r(a).wrapping_add(off as u64), 1, MemOp::Store(r(s))),
+        StA { s, addr } => (addr, 8, MemOp::Store(r(s))),
+        _ => return None,
+    })
+}
+
+/// Whether a store to `[addr, addr + len)` is *quiet*: it overlaps no
+/// decoded code range (the hull compare is only a pre-filter: it
+/// over-approximates when unrelated data sits between two images),
+/// intersects no armed monitor line (`would_wake` is conservative, so no
+/// wakeup is ever lost), and is outside MMIO-doorbell proximity.
+pub(crate) fn store_is_quiet<X: ExecCtx>(x: &X, addr: u64, len: u64) -> bool {
+    let end = addr.saturating_add(len.max(1));
+    let (lo, hi) = x.code_hull();
+    let mmio = x.mmio_addrs();
+    let i = mmio.partition_point(|&a| a < addr.saturating_sub(7));
+    let hits_code = addr < hi && end > lo && x.code().iter().any(|r| addr < r.end && end > r.base);
+    !(hits_code || x.filter().would_wake(PAddr(addr), len) || mmio.get(i).is_some_and(|&a| a < end))
+}
+
+/// Executes a memory-inclusive superblock as one unit (DESIGN.md §10,
+/// "memory-inclusive regions"). The walk interprets the block on a
+/// scratch register file, applies stores under an undo log (so later
+/// loads in the block see them), and *stages* the block's exact dynamic
+/// footprint in the [`Probe`]. Any effect the batch cannot reproduce
+/// fails the probe — reverse-replaying the undo log, mutating nothing —
+/// and the caller single-steps, which raises/charges/invalidates/wakes
+/// (or bails) exactly as always:
+///
+/// - an out-of-range address (single-step raises the precise fault);
+/// - a non-resident L1 line or TLB page (single-step charges the miss
+///   and performs the fills);
+/// - a store that is not [`store_is_quiet`] — including into the
+///   block's own fetch lines, whose single-step `invalidate_code` kills
+///   the block;
+/// - a load or store the context cannot serve (a worker's access
+///   outside its own memory domain).
+///
+/// On success the commit applies one batched, provably per-access-equal
+/// update per structure: `access_run_mixed` for the L1, `access_run`
+/// for the TLB, `record_run` for the prefetcher, and one quiet-store
+/// count for the filter (a no-wake `on_store` has no other effect).
+fn exec_superblock_mem<X: ExecCtx>(
+    x: &mut X,
+    core: usize,
+    ptid: Ptid,
+    h: usize,
+    ri: usize,
+    bi: usize,
+) -> bool {
+    let mut p = x.probe().take().unwrap_or_default();
+    let b = &x.code()[ri].blocks[bi];
+    let (n_insts, mem_ops, touched) = (b.insts.len(), b.mem_ops, b.touched);
+    p.lines.clear();
+    p.lines
+        .extend(b.lines.iter().map(|&(l, at)| (l, at, false)));
+    p.pages.clear();
+    p.plines.clear();
+    p.stores.clear();
+    p.undo.clear();
+
+    let mem_bytes = x.cfg().mem_bytes;
+    let (mut gprs, mut pc) = (x.th(h).arch.gprs, x.th(h).arch.pc);
+    let mut ok = true;
+    let mut pos = 0u64; // position in the merged fetch+data stream
+    let mut data_idx = 0u64; // 1-based index in the data-access stream
+    let mut n_stores = 0u64;
+    for k in 0..n_insts {
+        let i = x.code()[ri].blocks[bi].insts[k];
+        pos += 1; // this instruction's fetch access
+        if let Some(next) = sblock::alu(i, &mut gprs, &mut 0, pc) {
+            pc = next;
+            continue;
+        }
+        let (addr, len, op) = mem_op(i, &gprs).expect("a block holds ALU/branch and local memory");
+        // The serial path accesses exactly the line and page containing
+        // the address, regardless of width.
+        let (page, line) = (addr / PAGE_BYTES, PAddr(addr).line());
+        ok = in_mem(addr, len, mem_bytes)
+            && x.tlb(core).contains(0, page)
+            && x.l1_contains(core, line);
+        if !ok {
+            break;
+        }
+        pos += 1;
+        data_idx += 1;
+        let write = matches!(op, MemOp::Store(_));
+        match p.lines.iter_mut().find(|e| e.0 == line) {
+            Some(e) => {
+                // A fetch access of this line may come later in the
+                // merged stream than this data access.
+                e.1 = e.1.max(pos);
+                e.2 |= write;
+            }
+            None => p.lines.push((line, pos, write)),
+        }
+        match p.pages.iter_mut().find(|e| e.0 == page) {
+            Some(e) => e.1 = data_idx,
+            None => p.pages.push((page, data_idx)),
+        }
+        if let Some(at) = p.plines.iter().position(|&l| l == line) {
+            p.plines.remove(at);
+        }
+        p.plines.push(line);
+        match op {
+            MemOp::Load(d) => match x.load(addr, len) {
+                Ok(v) => gprs[d.0 as usize & 0xf] = v,
+                Err(_) => ok = false,
+            },
+            MemOp::Store(v) => {
+                // Vetted once per distinct range: a block cannot load
+                // images, arm monitors, or register hooks mid-flight.
+                if !p.stores.contains(&(addr, len)) {
+                    ok = store_is_quiet(x, addr, len);
+                    p.stores.push((addr, len));
+                }
+                if ok {
+                    match x.write(addr, len, v) {
+                        Ok(old) => p.undo.push((addr, old, len)),
+                        Err(_) => ok = false,
+                    }
+                    n_stores += 1;
+                }
+            }
+        }
+        if !ok {
+            break;
+        }
+        pc += 8;
+    }
+
+    // The commit's only fallible step is the L1 batch: the walk verified
+    // every *data* line, but the static fetch lines are checked (without
+    // mutation) inside `access_run_mixed` itself.
+    if !ok || !x.l1_access_run_mixed(core, &p.lines, n_insts as u64 + mem_ops) {
+        for &(addr, old, len) in p.undo.iter().rev() {
+            let _ = x.write(addr, len, old);
+        }
+        *x.probe() = Some(p);
+        return false;
+    }
+    debug_assert!(data_idx == mem_ops, "every instruction executed");
+    let tlb_ok = x.tlb(core).access_run(0, &p.pages, mem_ops);
+    debug_assert!(tlb_ok, "probe checked TLB residency for every page");
+    x.prefetch_run(ptid, &p.plines);
+    if n_stores > 0 {
+        x.note_quiet_stores(n_stores);
+    }
+    *x.probe() = Some(p);
+    let t = x.th_mut(h);
+    t.arch.gprs = gprs;
+    t.arch.pc = pc;
+    t.touched |= touched;
+    true
+}
+
+/// A data access by `ptid` on `core` to an in-memory address: TLB,
+/// cache hierarchy and prefetch capture; returns the latency.
+#[inline(always)]
+fn data_access<X: ExecCtx>(
+    x: &mut X,
+    core: usize,
+    ptid: Ptid,
+    h: usize,
+    addr: u64,
+    kind: AccessKind,
+) -> Result<Cycles, X::Bail> {
+    let tlb_cost = x.tlb(core).access(0, addr / PAGE_BYTES);
+    let part = x.th(h).partition;
+    let res = x.cache_access(core, PAddr(addr), kind, part)?;
+    x.prefetch_access(ptid, PAddr(addr));
+    Ok(tlb_cost + res.latency)
+}
+
+/// Executes one instruction for `ptid`; returns its cost. All state
+/// effects (including faults) happen here.
+fn exec_inst<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, h: usize) -> Result<Cycles, X::Bail> {
+    let pc = x.th(h).arch.pc;
+    let mem_bytes = x.cfg().mem_bytes;
+    // Instruction fetch.
+    if !in_mem(pc, 8, mem_bytes) {
+        x.raise(ptid, ExceptionKind::BadMemory, pc)?;
+        return Ok(Cycles(1));
+    }
+    let ifetch = x.cache_access(core, PAddr(pc), AccessKind::Read, PartitionId::DEFAULT)?;
+    // A pipelined frontend hides L1-hit fetch latency entirely.
+    let ifetch_cost = if ifetch.level == HitLevel::L1 {
+        Cycles::ZERO
+    } else {
+        ifetch.latency
+    };
+    // Decoded-instruction cache: loaded images are pre-decoded, so the
+    // steady state skips both the byte fetch and `Inst::decode`. Other
+    // pcs fall back to fetch-and-decode, preserving the fault payload.
+    let inst = match cached_inst(x, pc) {
+        Some(i) => i,
+        None => {
+            let word = x.load(pc, 8)?;
+            match Inst::decode(word) {
+                Ok(i) => i,
+                Err(_) => {
+                    x.raise(ptid, ExceptionKind::BadInstruction, word)?;
+                    return Ok(ifetch_cost + Cycles(1));
+                }
+            }
+        }
+    };
+    // Privilege check (§3.2: privileged ops from user mode disable the
+    // thread and write a descriptor, enabling emulation). The raw
+    // encoding is the descriptor's info word.
+    if inst.is_privileged() && x.th(h).arch.mode == Mode::User {
+        let word = x.load(pc, 8)?;
+        x.raise(ptid, ExceptionKind::PrivilegedOp, word)?;
+        return Ok(ifetch_cost + Cycles(1));
+    }
+
+    let mut cost = ifetch_cost + Cycles(inst.base_cost());
+    let t = x.th_mut(h);
+    if let Some(next) = sblock::alu(inst, &mut t.arch.gprs, &mut t.touched, pc) {
+        t.arch.pc = next;
+        return Ok(cost);
+    }
+    let next_pc = if let Some((addr, len, op)) = mem_op(inst, &t.arch.gprs) {
+        if !in_mem(addr, len, mem_bytes) {
+            x.raise(ptid, ExceptionKind::BadMemory, addr)?;
+            return Ok(cost);
+        }
+        let kind = match op {
+            MemOp::Load(_) => AccessKind::Read,
+            MemOp::Store(_) => AccessKind::Write,
+        };
+        cost += data_access(x, core, ptid, h, addr, kind)?;
+        match op {
+            MemOp::Load(d) => {
+                let v = x.load(addr, len)?;
+                x.th_mut(h).set_gpr(d, v);
+            }
+            MemOp::Store(v) => {
+                x.write(addr, len, v)?;
+                x.store_effects(addr, len)?;
+            }
+        }
+        pc + 8
+    } else if let Inst::Div { d, a, b } = inst {
+        let (n, divisor) = (
+            t.arch.gprs[a.0 as usize & 0xf],
+            t.arch.gprs[b.0 as usize & 0xf],
+        );
+        if divisor == 0 {
+            x.raise(ptid, ExceptionKind::DivZero, pc)?;
+            return Ok(cost);
+        }
+        x.th_mut(h).set_gpr(d, n / divisor);
+        pc + 8
+    } else {
+        match x.exec_system(core, ptid, inst, pc, &mut cost)? {
+            Some(next) => next,
+            None => return Ok(cost),
+        }
+    };
+    x.th_mut(h).arch.pc = next_pc;
+    Ok(cost)
+}
+
+impl ExecCtx for Machine {
+    type Bail = Infallible;
+
+    fn cfg(&self) -> &MachineConfig {
+        &self.cfg
+    }
+    fn now(&self) -> Cycles {
+        self.now
+    }
+    fn set_now(&mut self, t: Cycles) {
+        self.now = t;
+    }
+    fn halted(&self) -> bool {
+        self.halted.is_some()
+    }
+    fn superblocks(&self) -> bool {
+        self.engine == Engine::Fast
+    }
+    fn core_mut(&mut self, core: usize) -> &mut CoreState {
+        &mut self.cores[core]
+    }
+    fn th_index(&self, ptid: Ptid) -> usize {
+        ptid.0 as usize
+    }
+    fn th(&self, h: usize) -> &Thread {
+        &self.threads[h]
+    }
+    fn th_mut(&mut self, h: usize) -> &mut Thread {
+        &mut self.threads[h]
+    }
+    #[inline]
+    fn pick(&mut self, core: usize, now: Cycles) -> Result<Ptid, Option<Cycles>> {
+        let threads = &self.threads;
+        pick_free(&mut self.cores[core].sched, now, |p| {
+            threads[p.0 as usize].busy_until
+        })
+    }
+
+    fn schedule_slot(&mut self, at: Cycles, core: usize, slot: usize) {
+        let (core, slot) = (core as u32, slot as u32);
+        self.events.schedule(at, Ev::SlotFree { core, slot });
+    }
+    fn schedule_mark(&self) -> u64 {
+        self.events.schedule_mark()
+    }
+    fn next_deadline(&mut self) -> Option<Cycles> {
+        self.events.next_deadline()
+    }
+    #[inline]
+    fn lift_sibling(&mut self, core: usize, slot: usize) -> bool {
+        let sibling = matches!(
+            self.events.peek(),
+            Some((_, &Ev::SlotFree { core: c, slot: s })) if c as usize == core && s as usize != slot
+        );
+        if sibling {
+            let lifted = self
+                .events
+                .pop_keyed()
+                .expect("peek/pop agree on the head event");
+            self.burst_stash.push(lifted);
+        }
+        sibling
+    }
+    fn restore_lifted(&mut self) {
+        while let Some((at, tok, ev)) = self.burst_stash.pop() {
+            self.events.restore(at, tok, ev);
+        }
+    }
+
+    fn note_dispatches(&mut self, n: u64) {
+        self.counters.bump(self.hot.sched_dispatches, n);
+    }
+    fn note_insts(&mut self, n: u64) {
+        self.counters.bump(self.hot.inst_executed, n);
+    }
+    fn note_activation(&mut self, from: usize) {
+        self.counters.bump(self.hot.activate[from], 1);
+    }
+    fn note_wake(&mut self, ptid: Ptid, sample: u64) {
+        self.wake_latency.record(sample);
+        self.last_wake = Some((ptid, sample));
+    }
+    fn note_quiet_stores(&mut self, n: u64) {
+        self.filter.note_quiet_stores(n);
+    }
+    fn take_charge(&mut self) -> Cycles {
+        std::mem::take(&mut self.pending_charge)
+    }
+
+    fn code(&self) -> &[CodeRange] {
+        &self.code
+    }
+    fn code_hint(&mut self) -> &mut usize {
+        &mut self.last_code
+    }
+    fn code_hull(&self) -> (u64, u64) {
+        (self.code_lo, self.code_hi)
+    }
+    /// Bumps the entry slot's heat; crossing [`SB_HOT`] forms the region
+    /// once (or marks the slot [`SB_DEAD`] when no worthwhile region
+    /// starts there).
+    fn heat(&mut self, ri: usize, slot: usize, heat: u32) -> Option<u32> {
+        let r = &mut self.code[ri];
+        if heat + 1 < SB_HOT {
+            r.sb[slot] = heat + 1;
+            return None;
+        }
+        let Some(b) = sblock::form(r.base, &r.insts, slot) else {
+            r.sb[slot] = SB_DEAD;
+            return None;
+        };
+        let bi = r.alloc_block(b);
+        r.sb[slot] = SB_FORMED | bi;
+        Some(bi)
+    }
+    fn probe(&mut self) -> &mut Option<Box<Probe>> {
+        &mut self.probe
+    }
+
+    #[inline(always)]
+    fn load(&self, addr: u64, len: u64) -> Result<u64, Infallible> {
+        Ok(read_le(&self.mem[addr as usize..], len))
+    }
+    #[inline(always)]
+    fn write(&mut self, addr: u64, len: u64, v: u64) -> Result<u64, Infallible> {
+        let bytes = &mut self.mem[addr as usize..];
+        let old = read_le(bytes, len);
+        write_le(bytes, len, v);
+        Ok(old)
+    }
+    fn store_effects(&mut self, addr: u64, len: u64) -> Result<(), Infallible> {
+        self.after_store(addr, len, false);
+        Ok(())
+    }
+    fn filter(&self) -> &dyn MonitorFilter {
+        self.filter.as_ref()
+    }
+    fn mmio_addrs(&self) -> &[u64] {
+        &self.mmio_addrs
+    }
+
+    fn cache_access(
+        &mut self,
+        core: usize,
+        addr: PAddr,
+        kind: AccessKind,
+        part: PartitionId,
+    ) -> Result<AccessResult, Infallible> {
+        Ok(self.hier.access(self.now, core, addr, kind, part))
+    }
+    fn tlb(&mut self, core: usize) -> &mut Tlb {
+        &mut self.tlbs[core]
+    }
+    fn l1_contains(&self, core: usize, line: PAddr) -> bool {
+        self.hier.l1_contains(core, line)
+    }
+    fn l1_block_run(&mut self, core: usize, ri: usize, bi: usize) -> bool {
+        let b = &self.code[ri].blocks[bi];
+        self.hier
+            .l1_access_run(core, &b.lines, b.insts.len() as u64)
+    }
+    fn l1_access_run_mixed(&mut self, core: usize, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
+        self.hier.l1_access_run_mixed(core, lines, n)
+    }
+    fn prefetch_access(&mut self, ptid: Ptid, addr: PAddr) {
+        self.prefetcher
+            .record_access(WatchId(u64::from(ptid.0)), addr);
+    }
+    fn prefetch_run(&mut self, ptid: Ptid, lines: &[PAddr]) {
+        self.prefetcher
+            .record_run(WatchId(u64::from(ptid.0)), lines);
+    }
+
+    fn raise(&mut self, ptid: Ptid, kind: ExceptionKind, info: u64) -> Result<(), Infallible> {
+        self.raise_exception(ptid, kind, info);
+        Ok(())
+    }
+
+    #[allow(clippy::too_many_lines)]
+    fn exec_system(
+        &mut self,
+        core: usize,
+        ptid: Ptid,
+        inst: Inst,
+        pc: u64,
+        cost: &mut Cycles,
+    ) -> Result<Option<u64>, Infallible> {
+        let next_pc = pc + 8;
+        let gpr = |m: &Machine, r: Reg| m.threads[ptid.0 as usize].arch.gprs[r.0 as usize & 0xf];
+        use Inst::*;
+        Ok(match inst {
+            Halt => {
+                self.thread_mut(ptid).arch.pc = next_pc;
+                self.disable_thread(ptid, ThreadState::Halted);
+                None
+            }
+            Syscall { num } | VmCall { num } => {
+                let sys = matches!(inst, Syscall { .. });
+                let (kind, vector, same_thread, descriptor) = if sys {
+                    let v = self.syscall_vector;
+                    (
+                        ExceptionKind::SyscallTrap,
+                        v,
+                        "syscall.same_thread",
+                        "syscall.descriptor",
+                    )
+                } else {
+                    let v = self.vm_vector;
+                    (
+                        ExceptionKind::VmExit,
+                        v,
+                        "vmexit.same_thread",
+                        "vmexit.descriptor",
+                    )
+                };
+                match self.cfg.trap {
+                    TrapMode::SameThread {
+                        syscall_cost,
+                        vmexit_cost,
+                    } => {
+                        *cost += if sys { syscall_cost } else { vmexit_cost };
+                        if vector == 0 {
+                            self.raise_exception(ptid, kind, u64::from(num));
+                            return Ok(None);
+                        }
+                        let t = self.thread_mut(ptid);
+                        t.arch.gprs[14] = next_pc; // link
+                        t.arch.gprs[11] = u64::from(num);
+                        t.arch.mode = Mode::Supervisor;
+                        self.counters.inc(same_thread);
+                        Some(vector)
+                    }
+                    TrapMode::Descriptor => {
+                        self.thread_mut(ptid).arch.pc = next_pc;
+                        self.raise_exception(ptid, kind, u64::from(num));
+                        self.counters.inc(descriptor);
+                        None
+                    }
+                }
+            }
+            HCall { num } => {
+                self.thread_mut(ptid).arch.pc = next_pc;
+                if let Some(mut h) = self.hcalls.remove(&num) {
+                    h(self, ThreadId { core, ptid });
+                    self.hcalls.entry(num).or_insert(h);
+                } else {
+                    self.raise_exception(ptid, ExceptionKind::BadInstruction, u64::from(num));
+                }
+                // The handler may have blocked/redirected the thread; do
+                // not overwrite its pc.
+                None
+            }
+            Monitor { a } => {
+                self.arm_monitor(ptid, gpr(self, a), cost);
+                Some(next_pc)
+            }
+            MonitorA { addr } => {
+                self.arm_monitor(ptid, addr, cost);
+                Some(next_pc)
+            }
+            MWait => {
+                let t = self.thread_mut(ptid);
+                if t.monitor_triggered {
+                    // A write raced in between monitor and mwait: fall
+                    // through without blocking (x86 semantics).
+                    t.monitor_triggered = false;
+                    t.arch.pc = next_pc;
+                    if std::mem::take(&mut t.monitor_armed) {
+                        self.filter.disarm_all(WatchId(u64::from(ptid.0)));
+                    }
+                    self.counters.bump(self.hot.mwait_fallthrough, 1);
+                    return Ok(None);
+                }
+                if !t.monitor_armed {
+                    // mwait with nothing armed would sleep forever; treat
+                    // as nop (x86 behaves as such with invalid monitor).
+                    self.counters.bump(self.hot.mwait_unarmed, 1);
+                    return Ok(Some(next_pc));
+                }
+                t.arch.pc = next_pc;
+                t.park_epoch = t.park_epoch.wrapping_add(1);
+                let epoch = t.park_epoch;
+                let watchdog = t.watchdog;
+                self.disable_thread(ptid, ThreadState::Waiting);
+                self.counters.bump(self.hot.mwait_blocked, 1);
+                if let Some(w) = watchdog {
+                    let at = self.now + w;
+                    // Watchdog: if this exact park outlives its deadline,
+                    // the thread is wedged — disable it with a descriptor
+                    // instead of letting it sleep forever. The epoch guard
+                    // makes a timer from an earlier park harmless after a
+                    // wake/re-park.
+                    self.at(at, move |mach| {
+                        let t = &mach.threads[ptid.0 as usize];
+                        if t.state == ThreadState::Waiting && t.park_epoch == epoch {
+                            mach.counters.inc("watchdog.fired");
+                            mach.raise_exception(ptid, ExceptionKind::WatchdogExpired, at.0);
+                        }
+                    });
+                }
+                None
+            }
+            Start { .. } | StartI { .. } | Stop { .. } | StopI { .. } => {
+                let (vtid, enable) = match inst {
+                    Start { vt } => (Vtid(gpr(self, vt) as u16), true),
+                    StartI { vtid } => (Vtid(vtid), true),
+                    Stop { vt } => (Vtid(gpr(self, vt) as u16), false),
+                    StopI { vtid } => (Vtid(vtid), false),
+                    _ => unreachable!(),
+                };
+                match self.start_stop(core, ptid, vtid, enable) {
+                    Ok(extra) => {
+                        *cost += extra;
+                        Some(next_pc)
+                    }
+                    Err(k) => {
+                        self.raise_exception(ptid, k, u64::from(vtid.0));
+                        None
+                    }
+                }
+            }
+            RPull { vt, local, remote } => {
+                let vtid = Vtid(gpr(self, vt) as u16);
+                match self.remote_reg(core, ptid, vtid, remote, None) {
+                    Ok((value, extra)) => {
+                        *cost += extra;
+                        self.thread_mut(ptid).set_gpr(local, value);
+                        Some(next_pc)
+                    }
+                    Err(k) => {
+                        self.raise_exception(ptid, k, u64::from(vtid.0));
+                        None
+                    }
+                }
+            }
+            RPush { vt, remote, local } => {
+                let vtid = Vtid(gpr(self, vt) as u16);
+                let value = gpr(self, local);
+                match self.remote_reg(core, ptid, vtid, remote, Some(value)) {
+                    Ok((_, extra)) => {
+                        *cost += extra;
+                        Some(next_pc)
+                    }
+                    Err(k) => {
+                        self.raise_exception(ptid, k, u64::from(vtid.0));
+                        None
+                    }
+                }
+            }
+            InvTid { vt } => {
+                let vtid = Vtid(gpr(self, vt) as u16);
+                let tdtr = self.threads[ptid.0 as usize].arch.tdtr;
+                self.cores[core].tdt.invalidate(tdtr, vtid);
+                Some(next_pc)
+            }
+            CsrR { d, csr } => {
+                let t = self.thread_mut(ptid);
+                let v = t.arch.read(RegSel::Ctrl(csr));
+                t.set_gpr(d, v);
+                Some(next_pc)
+            }
+            CsrW { csr, a } => {
+                let v = gpr(self, a);
+                let t = self.thread_mut(ptid);
+                t.arch.write(RegSel::Ctrl(csr), v);
+                t.touched |= 1 << 16;
+                Some(next_pc)
+            }
+            _ => unreachable!("exec_inst runs ALU/branch, Div and memory instructions"),
+        })
     }
 }
 

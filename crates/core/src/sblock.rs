@@ -5,7 +5,7 @@
 //! loaded image, optionally closed by one pure-control-flow terminal,
 //! pre-decoded once and summarised (total cycle cost, registers
 //! written, the exact L1 fetch-stream footprint). The burst loop in
-//! `Machine::dispatch` executes a formed superblock as **one unit**
+//! `dispatch` (in `machine.rs`) executes a formed superblock as **one unit**
 //! whenever its whole span provably fits inside the current burst; the
 //! summary makes every entry check O(1) instead of O(instructions).
 //!
@@ -195,70 +195,66 @@ pub(crate) fn form(base: u64, insts: &[Option<Inst>], slot: usize) -> Option<Sup
 }
 
 /// Executes a superblock's instruction sequence over one thread's
-/// registers, mirroring `Machine::exec_inst` for the inert + terminal
-/// subset exactly; returns the exit pc. The caller folds the block's
+/// registers; returns the exit pc. The caller folds the block's
 /// pre-computed `touched` mask into the thread.
 #[inline]
 pub(crate) fn exec_regs(insts: &[Inst], gprs: &mut [u64; 16], entry_pc: u64) -> u64 {
-    let mut pc = entry_pc;
+    let (mut pc, mut touched) = (entry_pc, 0);
+    for &i in insts {
+        pc = alu(i, gprs, &mut touched, pc).expect("superblocks hold only ALU/branch instructions");
+    }
+    pc
+}
+
+/// The ALU/branch semantics, the one copy every interpreter path shares
+/// (`exec_regs`, the memory-superblock walk and `exec_inst`): executes
+/// `i` at `pc` over `gprs`, marking written registers in `touched`
+/// (the `Thread::touched` mask), and returns the next pc, or `None` when
+/// `i` is not a register or branch instruction (`Div`, which can fault,
+/// is not one). `pc + 8` must not overflow; every caller fetched `i`
+/// from inside memory.
+#[inline(always)]
+pub(crate) fn alu(i: Inst, gprs: &mut [u64; 16], touched: &mut u32, pc: u64) -> Option<u64> {
     macro_rules! gpr {
         ($r:expr) => {
             gprs[$r.0 as usize & 0xf]
         };
     }
-    macro_rules! set_gpr {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            gprs[$r.0 as usize & 0xf] = v;
+    macro_rules! set {
+        ($d:expr, $v:expr) => {{
+            gprs[$d.0 as usize & 0xf] = $v;
+            *touched |= 1 << ($d.0 & 0xf);
         }};
     }
-    for i in insts {
-        let mut next = pc + 8;
-        use Inst::*;
-        match *i {
-            Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-            Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-            And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-            Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-            Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-            Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-            Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-            Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-            Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-            Movi { d, imm } => set_gpr!(d, imm as u64),
-            Mov { d, a } => set_gpr!(d, gpr!(a)),
-            Nop | Work { .. } | Fence => {}
-            Jmp { addr } => next = addr,
-            Jr { a } => next = gpr!(a),
-            Jal { d, addr } => {
-                set_gpr!(d, pc + 8);
-                next = addr;
-            }
-            Beq { a, b, addr } => {
-                if gpr!(a) == gpr!(b) {
-                    next = addr;
-                }
-            }
-            Bne { a, b, addr } => {
-                if gpr!(a) != gpr!(b) {
-                    next = addr;
-                }
-            }
-            Blt { a, b, addr } => {
-                if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                    next = addr;
-                }
-            }
-            Bge { a, b, addr } => {
-                if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                    next = addr;
-                }
-            }
-            _ => unreachable!("non-inert instruction inside a superblock"),
+    let mut next = pc + 8;
+    use Inst::*;
+    match i {
+        Add { d, a, b } => set!(d, gpr!(a).wrapping_add(gpr!(b))),
+        Sub { d, a, b } => set!(d, gpr!(a).wrapping_sub(gpr!(b))),
+        And { d, a, b } => set!(d, gpr!(a) & gpr!(b)),
+        Or { d, a, b } => set!(d, gpr!(a) | gpr!(b)),
+        Xor { d, a, b } => set!(d, gpr!(a) ^ gpr!(b)),
+        Shl { d, a, b } => set!(d, gpr!(a) << (gpr!(b) & 63)),
+        Shr { d, a, b } => set!(d, gpr!(a) >> (gpr!(b) & 63)),
+        Mul { d, a, b } => set!(d, gpr!(a).wrapping_mul(gpr!(b))),
+        Addi { d, a, imm } => set!(d, gpr!(a).wrapping_add(imm as u64)),
+        Movi { d, imm } => set!(d, imm as u64),
+        Mov { d, a } => set!(d, gpr!(a)),
+        Nop | Work { .. } | Fence => {}
+        Jmp { addr } => next = addr,
+        Jr { a } => next = gpr!(a),
+        Jal { d, addr } => {
+            set!(d, pc + 8);
+            next = addr;
         }
-        pc = next;
+        Beq { a, b, addr } if gpr!(a) == gpr!(b) => next = addr,
+        Bne { a, b, addr } if gpr!(a) != gpr!(b) => next = addr,
+        Blt { a, b, addr } if (gpr!(a) as i64) < (gpr!(b) as i64) => next = addr,
+        Bge { a, b, addr } if (gpr!(a) as i64) >= (gpr!(b) as i64) => next = addr,
+        Beq { .. } | Bne { .. } | Blt { .. } | Bge { .. } => {}
+        _ => return None,
     }
-    pc
+    Some(next)
 }
 
 #[cfg(test)]

@@ -1,4 +1,11 @@
-//! Conservative core-sharded parallel engine (see DESIGN.md §9).
+//! Conservative core-sharded parallel engine (see DESIGN.md §9): the
+//! epoch driver, and the epoch worker's execution context.
+//!
+//! Workers run the serial machine's own interpreter — `dispatch`, the
+//! burst loop, superblocks and `exec_inst` in `machine.rs` — through
+//! the worker's [`ExecCtx`] impl below, which confines every effect to
+//! one core's cloned state and bails on anything else. This module holds
+//! no instruction semantics of its own.
 //!
 //! [`Machine::run_until`] on [`Engine::Fast`] executes *epochs* on every
 //! multi-core machine whose invariant checker is off: the host stages
@@ -55,11 +62,10 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use switchless_isa::arch::Mode;
 use switchless_isa::inst::Inst;
-use switchless_mem::addr::{PAddr, PAGE_BYTES};
+use switchless_mem::addr::PAddr;
 use switchless_mem::cache::PartitionId;
-use switchless_mem::hierarchy::{AccessKind, CoreCaches, HitLevel};
+use switchless_mem::hierarchy::{AccessKind, AccessResult, CoreCaches};
 use switchless_mem::monitor::{MonitorFilter, WatchId};
 use switchless_mem::prefetch::PrefetchView;
 use switchless_mem::tlb::Tlb;
@@ -67,10 +73,12 @@ use switchless_sim::par::par_map_owned;
 use switchless_sim::shard::{merge_epoch, EpochRecord, PopKey};
 use switchless_sim::time::Cycles;
 
-use crate::machine::{CodeRange, CoreState, Ev, Machine, MachineConfig, Thread, MAX_BURST};
-use crate::sblock::{self, SB_DEAD, SB_FORMED};
-use crate::store::Tier;
-use crate::tid::{Ptid, ThreadState};
+use crate::exception::ExceptionKind;
+use crate::machine::{
+    dispatch, pick_free, read_le, store_is_quiet, write_le, CodeRange, CoreState, Ev, ExecCtx,
+    Machine, MachineConfig, Probe, Thread,
+};
+use crate::tid::Ptid;
 
 /// Epochs double up to this length while committing cleanly.
 const MAX_EPOCH: u64 = 1 << 20;
@@ -238,29 +246,18 @@ impl LocalQueue {
     }
 }
 
-/// Where a worker memory access resolves.
-enum Loc {
-    /// Offset into the worker's own domain scratch.
-    Own(usize),
-    /// Fully outside every registered domain: the frozen shared image.
-    Shared,
-}
-
 /// Finds `p` in a sorted enrolled-thread table.
-fn find(threads: &[(u32, Thread)], p: Ptid) -> &Thread {
-    let i = threads
+fn find(threads: &[(u32, Thread)], p: Ptid) -> usize {
+    threads
         .binary_search_by_key(&p.0, |e| e.0)
-        .expect("scheduler picked a thread enrolled on this core");
-    &threads[i].1
+        .expect("scheduler picked a thread enrolled on this core")
 }
 
-/// One epoch worker: a serial machine restricted to a single core.
+/// One epoch worker: the serial machine's interpreter (`dispatch` in
+/// `machine.rs`) run against a single core's cloned state, through this
+/// context.
 struct Worker<'a> {
     sh: &'a Shared<'a>,
-    core: usize,
-    /// This core's fresh-event horizon (`B - gap * core`): bursts stop
-    /// here so continuation events land in the core's own time band.
-    fresh_b: Cycles,
     cs: CoreState,
     threads: Vec<(u32, Thread)>,
     caches: CoreCaches,
@@ -273,24 +270,16 @@ struct Worker<'a> {
     local_now: Cycles,
     /// Fresh events created so far (the next fresh key suffix).
     created: u64,
-    /// Decoded-code range hint (mirrors `Machine::last_code`; the hint
-    /// only short-circuits the range search, never changes its result).
+    /// Decoded-code range hint (worker-local; ranges never overlap, so
+    /// hint hits and scans agree).
     last_code: usize,
-    records: Vec<PopRecord>,
+    /// The wake sample the current dispatch consumed, if any.
+    wake: Option<(u32, u64)>,
     d_dispatches: u64,
     d_insts: u64,
     d_activate: [u64; 4],
     quiet_stores: u64,
-    /// Memory-superblock probe scratch (mirrors `Machine::sbm_*`):
-    /// merged fetch+data L1 line stream with write bits, data-page TLB
-    /// stream, dedup-keep-last data lines for the prefetcher, applied
-    /// store undo log, and the distinct store ranges already vetted
-    /// against the monitor filter and MMIO table.
-    sbm_lines: Vec<(PAddr, u64, bool)>,
-    sbm_pages: Vec<(u64, u64)>,
-    sbm_plines: Vec<PAddr>,
-    sbm_undo: Vec<(u64, u64, u8)>,
-    sbm_stores: Vec<(u64, u64)>,
+    probe: Option<Box<Probe>>,
 }
 
 fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
@@ -304,10 +293,16 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
     // core's serial stream.
     let fresh_b =
         Cycles(sh.b.0.saturating_sub(sh.gap * input.core as u64)).max(sh.now0 + Cycles(1));
+    // Bursts stop at the run deadline and before the fresh horizon: no
+    // instruction may *start* at or after it (its pop would belong to
+    // the next window). The serial engine may split bursts at other
+    // points (foreign events, stale deadline hints); splits are
+    // observably invisible, so the placement may differ — which is also
+    // why the per-core stagger of this bound is free.
+    let horizon = sh.t.min(Cycles(fresh_b.0 - 1));
+    let core = input.core;
     let mut w = Worker {
         sh,
-        core: input.core,
-        fresh_b,
         cs: input.cs,
         threads: input.threads,
         caches: input.caches,
@@ -319,17 +314,14 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
         local_now: sh.now0,
         created: 0,
         last_code: 0,
-        records: Vec::new(),
+        wake: None,
         d_dispatches: 0,
         d_insts: 0,
         d_activate: [0; 4],
         quiet_stores: 0,
-        sbm_lines: Vec::new(),
-        sbm_pages: Vec::new(),
-        sbm_plines: Vec::new(),
-        sbm_undo: Vec::new(),
-        sbm_stores: Vec::new(),
+        probe: None,
     };
+    let mut records = Vec::new();
     while let Some((ts, key, slot)) = w.q.pop_below(sh.b) {
         if key >= sh.staged_total && ts >= fresh_b {
             // The core's window ends here: the event survives to the
@@ -341,18 +333,18 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
             w.local_now = ts;
         }
         let created_before = w.created;
-        let wake = w.dispatch(slot)?;
+        dispatch(&mut w, core, slot as usize, horizon, None)?;
         let pop_key = if key < sh.staged_total {
             PopKey::Staged(key)
         } else {
             PopKey::Fresh(key - sh.staged_total)
         };
-        w.records.push(PopRecord {
+        records.push(PopRecord {
             time: ts,
             key: pop_key,
             creates: w.created - created_before,
             now_after: w.local_now,
-            wake,
+            wake: w.wake.take(),
         });
     }
     let mut survivors: Vec<(u64, Cycles, u32)> = Vec::new();
@@ -370,8 +362,8 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
     // Creation order, so commit-side vseq lookup walks monotonically.
     survivors.sort_unstable_by_key(|&(local, _, _)| local);
     Ok(WorkerOk {
-        core: w.core,
-        records: w.records,
+        core,
+        records,
         survivors,
         cs: w.cs,
         threads: w.threads,
@@ -387,764 +379,221 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
 }
 
 impl Worker<'_> {
-    /// Schedules a fresh own-core `SlotFree`; keys continue after the
-    /// staged namespace in creation order.
-    fn schedule_local(&mut self, at: Cycles, slot: u32) {
-        let key = self.sh.staged_total + self.created;
-        self.created += 1;
-        self.q.push(at, key, slot);
-    }
-
-    fn th_idx(&self, ptid: Ptid) -> usize {
-        self.threads
-            .binary_search_by_key(&ptid.0, |e| e.0)
-            .expect("scheduler picked a thread enrolled on this core")
-    }
-
-    /// Mirrors `Machine::dispatch` with `watch = None`, restricted to
-    /// this core; returns the wake sample consumed, if any.
-    #[allow(clippy::too_many_lines)]
-    fn dispatch(&mut self, slot: u32) -> Result<Option<(u32, u64)>, Bail> {
-        let now = self.local_now;
-        let picked = {
-            let threads = &self.threads;
-            self.cs.sched.pick(|p| find(threads, p).busy_until > now)
-        };
-        let Some(ptid) = picked else {
-            let next = {
-                let threads = &self.threads;
-                self.cs.sched.min_over_enrolled(|p| {
-                    let b = find(threads, p).busy_until;
-                    (b > now).then_some(b)
-                })
-            };
-            match next {
-                Some(at) => self.schedule_local(at, slot),
-                None => self.cs.idle_slot[slot as usize] = true,
-            }
-            return Ok(None);
-        };
-        self.d_dispatches += 1;
-        let ti = self.th_idx(ptid);
-
-        let mut cost = Cycles::ZERO;
-        let tier = self.cs.store.tier_of(ptid);
-        let needs_activation = !self.threads[ti].1.activated || tier != Tier::Rf;
-        if needs_activation {
-            let (bytes, prio) = {
-                let t = &self.threads[ti].1;
-                let bytes = if self.sh.cfg.store.dirty_tracking {
-                    t.dirty_bytes()
-                } else {
-                    t.state_bytes()
-                };
-                (bytes, t.arch.prio)
-            };
-            let (act, from) = self.cs.store.activate(ptid, prio, bytes);
-            self.d_activate[from as usize] += 1;
-            cost += act;
-            let t = &mut self.threads[ti].1;
-            t.activated = true;
-            t.touched = 0;
-        } else {
-            self.cs.store.touch(ptid);
-        }
-        let wake = if let Some(w) = self.threads[ti].1.wake_at.take() {
-            let sample = (now - w + cost).0;
-            let ws = &mut self.threads[ti].1.wake_stats;
-            ws.0 += 1;
-            ws.1 += sample;
-            ws.2 = ws.2.max(sample);
-            Some((ptid.0, sample))
-        } else {
-            None
-        };
-
-        // First instruction. `pending_charge` stays zero on every path a
-        // worker is allowed to take (hcalls bail), so it is not modelled.
-        cost += self.exec_inst(ti)?;
-        cost = cost.max(Cycles(1));
-        let mut done = now + cost;
-
-        // Burst engine, with the core's fresh-event horizon as an extra
-        // bound: no instruction may *start* at or after it (its pop
-        // would belong to the next window). The serial engine may split
-        // bursts at other points (foreign events, stale deadline
-        // hints); splits are observably invisible, so the placement may
-        // differ — which is also why the per-core stagger of this bound
-        // is free (see `Shared::gap`).
-        let mut burst_cost = Cycles::ZERO;
-        let mut extra: u64 = 0;
-        let mut qmin = self.q.next_deadline();
-        // Superblock entry gate (the heat hoist, as in the serial
-        // engine): entries are only reached by jumps, so the lookup is
-        // skipped while the burst walks sequential code.
-        let mut seq_pc = u64::MAX;
-        'burst: while extra < MAX_BURST
-            && done <= self.sh.t
-            && done < self.fresh_b
-            && self.burst_eligible(ptid, done)
-        {
-            while let Some(tq) = qmin {
-                if tq > done {
-                    break;
-                }
-                // The local queue holds only own-core SlotFrees; a
-                // sibling slot's is consumable exactly as in the serial
-                // engine, anything else ends the burst.
-                if self.q.peek_slot() == Some(slot) {
-                    break 'burst;
-                }
-                let lifted = self.q.pop_head().expect("peek/pop agree");
-                self.stash.push(lifted);
-                qmin = self.q.next_deadline();
-            }
-            // Superblock fast path — mirrors `Machine::dispatch`
-            // (DESIGN.md §10). Workers only consume blocks the serial
-            // engine has already formed (`sb_lookup` is read-only
-            // here); the serial exactness argument carries over, with
-            // the fresh-event horizon as the extra bound on the final
-            // dispatch cursor. Any failed precondition single-steps —
-            // never a burst exit.
-            let pc = self.threads[ti].1.arch.pc;
-            let via_jump = pc != seq_pc;
-            seq_pc = pc + 8;
-            if via_jump {
-                if let Some((ri, bi)) = self.sb_lookup(pc) {
-                    let (bcost, last_cost, len) = {
-                        let b = &self.sh.code[ri].blocks[bi as usize];
-                        // Dynamic block cost, exactly as in the serial
-                        // engine: base costs plus one L1 hit per data
-                        // access (the block only runs fully resident).
-                        let l1 = self.sh.cfg.hierarchy.lat_l1;
-                        (
-                            b.cost + Cycles(b.mem_ops * l1.0),
-                            b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
-                            b.insts.len() as u64,
-                        )
-                    };
-                    // As in the serial engine, `extra` may overshoot
-                    // `MAX_BURST` by at most one block.
-                    let d_last = done + bcost - last_cost;
-                    if d_last <= self.sh.t && d_last < self.fresh_b {
-                        let mut clear = true;
-                        while let Some(tq) = qmin {
-                            if tq > d_last {
-                                break;
-                            }
-                            if self.q.peek_slot() == Some(slot) {
-                                clear = false;
-                                break;
-                            }
-                            let lifted = self.q.pop_head().expect("peek/pop agree");
-                            self.stash.push(lifted);
-                            qmin = self.q.next_deadline();
-                        }
-                        if clear && self.exec_superblock(ri, bi as usize, ti) {
-                            self.local_now = d_last;
-                            done += bcost;
-                            burst_cost += bcost;
-                            extra += len;
-                            seq_pc = u64::MAX;
-                            continue 'burst;
-                        }
-                    }
-                }
-            }
-            self.local_now = done;
-            let c = self.exec_inst(ti)?.max(Cycles(1));
-            done += c;
-            burst_cost += c;
-            extra += 1;
-            qmin = self.q.next_deadline();
-        }
-        while let Some((at, key, s)) = self.stash.pop() {
-            self.q.push(at, key, s);
-        }
-
-        self.cs.sched.account(ptid, cost);
-        if extra > 0 {
-            self.cs.sched.account_burst(ptid, burst_cost, extra);
-            self.d_dispatches += extra;
-        }
-        {
-            let t = &mut self.threads[ti].1;
-            t.busy_until = t.busy_until.max(done);
-        }
-        self.d_insts += 1 + extra;
-        self.schedule_local(done, slot);
-        Ok(wake)
-    }
-
-    /// Mirrors `Machine::burst_eligible` (the machine cannot halt inside
-    /// a worker — `Halt` bails).
-    fn burst_eligible(&self, ptid: Ptid, done: Cycles) -> bool {
-        let t = find(&self.threads, ptid);
-        t.state == ThreadState::Runnable
-            && t.activated
-            && t.home == self.core
-            && t.busy_until <= done
-            && self.cs.sched.sole_runnable() == Some(ptid)
-            && self.cs.store.tier_of(ptid) == Tier::Rf
-    }
-
-    /// Read-only superblock lookup: workers consume blocks the serial
-    /// engine has formed, but never bump heat or form new ones (the
-    /// code table is shared across worker threads).
-    #[inline]
-    fn sb_lookup(&mut self, pc: u64) -> Option<(usize, u32)> {
-        let code = self.sh.code;
-        let hint = self.last_code;
-        let idx = match code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
-            }
-        };
-        let off = pc - code[idx].base;
-        if off & 7 != 0 {
-            return None;
-        }
-        match code[idx].sb[(off >> 3) as usize] {
-            SB_DEAD => None,
-            s if s >= SB_FORMED => Some((idx, s & !SB_FORMED)),
-            _ => None,
-        }
-    }
-
-    /// Mirrors `Machine::exec_superblock` against the worker's private
-    /// cache view and thread clone.
-    fn exec_superblock(&mut self, ri: usize, bi: usize, ti: usize) -> bool {
-        if self.sh.code[ri].blocks[bi].mem_ops > 0 {
-            return self.exec_superblock_mem(ri, bi, ti);
-        }
-        let b = &self.sh.code[ri].blocks[bi];
-        if !self.caches.l1_access_run(&b.lines, b.insts.len() as u64) {
-            return false;
-        }
-        let t = &mut self.threads[ti].1;
-        let entry = t.arch.pc;
-        t.arch.pc = sblock::exec_regs(&b.insts, &mut t.arch.gprs, entry);
-        t.touched |= b.touched;
-        true
-    }
-
-    /// Mirrors `Machine::exec_superblock_mem` against the worker's
-    /// private clones, with the shard discipline layered on top: loads
-    /// may resolve to the worker's own domain scratch or the frozen
-    /// shared image, but any store must land fully inside the own
-    /// domain — everything else fails the probe, and the single-step
-    /// path then bails the epoch exactly as it always did. Stores are
-    /// applied to the domain scratch under an undo log so later loads
-    /// in the block see them; a failed probe reverse-replays the log
-    /// and mutates nothing.
-    #[allow(clippy::too_many_lines)]
-    fn exec_superblock_mem(&mut self, ri: usize, bi: usize, ti: usize) -> bool {
-        let sh = self.sh;
-        let b = &sh.code[ri].blocks[bi];
-        let mem_bytes = sh.cfg.mem_bytes;
-        let (code_lo, code_hi) = (sh.code_lo, sh.code_hi);
-        self.sbm_lines.clear();
-        self.sbm_lines
-            .extend(b.lines.iter().map(|&(l, at)| (l, at, false)));
-        self.sbm_pages.clear();
-        self.sbm_plines.clear();
-        self.sbm_stores.clear();
-        self.sbm_undo.clear();
-
-        let mut gprs = self.threads[ti].1.arch.gprs;
-        let mut pc = self.threads[ti].1.arch.pc;
-        let mut ok = true;
-        let mut pos = 0u64; // position in the merged fetch+data stream
-        let mut data_idx = 0u64; // 1-based index in the data-access stream
-        let mut n_stores = 0u64;
-
-        macro_rules! gpr {
-            ($r:expr) => {
-                gprs[$r.0 as usize & 0xf]
-            };
-        }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                gprs[$r.0 as usize & 0xf] = v;
-            }};
-        }
-        macro_rules! data_access {
-            ($addr:expr, $len:expr, $write:expr) => {{
-                let addr: u64 = $addr;
-                if addr.checked_add($len).is_none()
-                    || addr + $len > mem_bytes
-                    || !self.tlb.contains(0, addr / PAGE_BYTES)
-                    || !self.caches.l1_contains(PAddr(addr).line())
-                {
-                    false
-                } else {
-                    let page = addr / PAGE_BYTES;
-                    let line = PAddr(addr).line();
-                    pos += 1;
-                    data_idx += 1;
-                    match self.sbm_lines.iter_mut().find(|e| e.0 == line) {
-                        Some(e) => {
-                            e.1 = e.1.max(pos);
-                            e.2 |= $write;
-                        }
-                        None => self.sbm_lines.push((line, pos, $write)),
-                    }
-                    match self.sbm_pages.iter_mut().find(|e| e.0 == page) {
-                        Some(e) => e.1 = data_idx,
-                        None => self.sbm_pages.push((page, data_idx)),
-                    }
-                    if let Some(p) = self.sbm_plines.iter().position(|&l| l == line) {
-                        self.sbm_plines.remove(p);
-                    }
-                    self.sbm_plines.push(line);
-                    true
-                }
-            }};
-        }
-        macro_rules! load {
-            ($d:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                if data_access!(addr, $len, false) {
-                    match self.read_bytes(addr, $len) {
-                        Ok(bytes) => {
-                            let v = if $len == 8 {
-                                u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-                            } else {
-                                u64::from(bytes[0])
-                            };
-                            set_gpr!($d, v);
-                        }
-                        Err(Bail) => ok = false,
-                    }
-                } else {
-                    ok = false;
-                }
-            }};
-        }
-        macro_rules! store {
-            ($v:expr, $addr:expr, $len:expr) => {{
-                let addr: u64 = $addr;
-                let end = addr + $len;
-                let own_off = match &self.domain {
-                    Some((base, bytes)) if addr >= *base && end <= base + bytes.len() as u64 => {
-                        Some((addr - base) as usize)
-                    }
-                    _ => None,
-                };
-                match (data_access!(addr, $len, true), own_off) {
-                    (true, Some(off)) => {
-                        if !self.sbm_stores.contains(&(addr, $len)) {
-                            // Precise code-overlap test, as in the serial
-                            // probe: the hull over-approximates when
-                            // unrelated data sits between two images.
-                            let hits_code = addr < code_hi
-                                && end > code_lo
-                                && sh.code.iter().any(|r| addr < r.end && end > r.base);
-                            let lo = addr.saturating_sub(7);
-                            let i0 = sh.mmio_addrs.partition_point(|&a| a < lo);
-                            if hits_code
-                                || sh.filter.would_wake(PAddr(addr), $len)
-                                || sh.mmio_addrs.get(i0).is_some_and(|&a| a < end)
-                            {
-                                ok = false;
-                            } else {
-                                self.sbm_stores.push((addr, $len));
-                            }
-                        }
-                        if ok {
-                            n_stores += 1;
-                            let bytes = &mut self.domain.as_mut().expect("own offset").1;
-                            if $len == 8 {
-                                let old = u64::from_le_bytes(
-                                    bytes[off..off + 8].try_into().expect("8 bytes"),
-                                );
-                                self.sbm_undo.push((addr, old, 8));
-                                bytes[off..off + 8].copy_from_slice(&($v).to_le_bytes());
-                            } else {
-                                self.sbm_undo.push((addr, u64::from(bytes[off]), 1));
-                                bytes[off] = (($v) & 0xff) as u8;
-                            }
-                        }
-                    }
-                    _ => ok = false,
-                }
-            }};
-        }
-
-        for i in &b.insts {
-            pos += 1; // this instruction's fetch access
-            let mut next = pc + 8;
-            use Inst::*;
-            match *i {
-                Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-                Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-                And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-                Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-                Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-                Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-                Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-                Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-                Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-                Movi { d, imm } => set_gpr!(d, imm as u64),
-                Mov { d, a } => set_gpr!(d, gpr!(a)),
-                Nop | Work { .. } | Fence => {}
-                Ld { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 8),
-                LdA { d, addr } => load!(d, addr, 8),
-                LdB { d, a, off } => load!(d, gpr!(a).wrapping_add(off as u64), 1),
-                St { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 8),
-                StA { s, addr } => store!(gpr!(s), addr, 8),
-                StB { s, a, off } => store!(gpr!(s), gpr!(a).wrapping_add(off as u64), 1),
-                Jmp { addr } => next = addr,
-                Jr { a } => next = gpr!(a),
-                Jal { d, addr } => {
-                    set_gpr!(d, pc + 8);
-                    next = addr;
-                }
-                Beq { a, b, addr } => {
-                    if gpr!(a) == gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Bne { a, b, addr } => {
-                    if gpr!(a) != gpr!(b) {
-                        next = addr;
-                    }
-                }
-                Blt { a, b, addr } => {
-                    if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                Bge { a, b, addr } => {
-                    if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                        next = addr;
-                    }
-                }
-                _ => unreachable!("non-admissible instruction inside a memory superblock"),
-            }
-            if !ok {
-                break;
-            }
-            pc = next;
-        }
-
-        let (n_insts, mem_ops, touched) = (b.insts.len() as u64, b.mem_ops, b.touched);
-        if !ok
-            || !self
-                .caches
-                .l1_access_run_mixed(&self.sbm_lines, n_insts + mem_ops)
-        {
-            let bytes = self.domain.as_mut().map(|(base, bytes)| (*base, bytes));
-            if let Some((base, bytes)) = bytes {
-                for &(addr, old, len) in self.sbm_undo.iter().rev() {
-                    let off = (addr - base) as usize;
-                    if len == 8 {
-                        bytes[off..off + 8].copy_from_slice(&old.to_le_bytes());
-                    } else {
-                        bytes[off] = old as u8;
-                    }
-                }
-            }
-            return false;
-        }
-        debug_assert!(data_idx == mem_ops, "every instruction executed");
-        let tlb_ok = self.tlb.access_run(0, &self.sbm_pages, mem_ops);
-        debug_assert!(tlb_ok, "probe checked TLB residency for every page");
-        let ptid = self.threads[ti].0;
-        self.prefetch
-            .record_run(WatchId(u64::from(ptid)), &self.sbm_plines);
-        self.quiet_stores += n_stores;
-        let t = &mut self.threads[ti].1;
-        t.arch.gprs = gprs;
-        t.arch.pc = pc;
-        t.touched |= touched;
-        true
-    }
-
-    /// Resolves an access of `len` bytes at `addr`: the worker's own
-    /// domain, the frozen shared image, or a bail (any overlap with a
-    /// registered domain that is not full containment in our own).
-    fn locate(&self, addr: u64, len: u64) -> Result<Loc, Bail> {
+    /// Resolves an access of `len` bytes at in-memory `addr`:
+    /// `Some(offset)` into the worker's own domain, `None` for the frozen
+    /// shared image (fully outside every registered domain), or a bail
+    /// on any other overlap with a registered domain.
+    #[inline(always)]
+    fn locate(&self, addr: u64, len: u64) -> Result<Option<usize>, Bail> {
         let end = addr + len;
         if let Some((base, bytes)) = &self.domain {
             if addr >= *base && end <= base + bytes.len() as u64 {
-                return Ok(Loc::Own((addr - base) as usize));
+                return Ok(Some((addr - base) as usize));
             }
         }
-        for (b, l) in self.sh.domains.iter().flatten() {
-            if addr < b + l && *b < end {
-                return Err(Bail);
-            }
+        let overlaps = |&(b, l): &(u64, u64)| addr < b + l && b < end;
+        if self.sh.domains.iter().flatten().any(overlaps) {
+            return Err(Bail);
         }
-        Ok(Loc::Shared)
+        Ok(None)
+    }
+}
+
+/// The shard discipline: a worker performs only effects confined to its
+/// core. Everything else — an exception, a system instruction (privilege
+/// trap, syscall, hcall, monitor/mwait, thread control, CSR, `Halt`), an
+/// access that needs the shared L3, a store outside the own domain or
+/// one that is not quiet — bails the epoch. Bailing before any
+/// shard-visible effect is not required (clones are discarded
+/// wholesale); bailing before any *shared* effect is, and every shared
+/// touchpoint here is read-only.
+impl ExecCtx for Worker<'_> {
+    type Bail = Bail;
+
+    fn cfg(&self) -> &MachineConfig {
+        &self.sh.cfg
+    }
+    fn now(&self) -> Cycles {
+        self.local_now
+    }
+    fn set_now(&mut self, t: Cycles) {
+        self.local_now = t;
+    }
+    fn halted(&self) -> bool {
+        false
+    }
+    fn superblocks(&self) -> bool {
+        true
+    }
+    fn core_mut(&mut self, _: usize) -> &mut CoreState {
+        &mut self.cs
+    }
+    fn th_index(&self, ptid: Ptid) -> usize {
+        find(&self.threads, ptid)
+    }
+    fn th(&self, h: usize) -> &Thread {
+        &self.threads[h].1
+    }
+    fn th_mut(&mut self, h: usize) -> &mut Thread {
+        &mut self.threads[h].1
+    }
+    fn pick(&mut self, _: usize, now: Cycles) -> Result<Ptid, Option<Cycles>> {
+        let threads = &self.threads;
+        pick_free(&mut self.cs.sched, now, |p| {
+            threads[find(threads, p)].1.busy_until
+        })
     }
 
-    fn read_bytes(&self, addr: u64, len: u64) -> Result<&[u8], Bail> {
-        match self.locate(addr, len)? {
-            Loc::Own(off) => {
-                let bytes = &self
-                    .domain
-                    .as_ref()
-                    .expect("own location implies a domain")
-                    .1;
-                Ok(&bytes[off..off + len as usize])
-            }
-            Loc::Shared => Ok(&self.sh.mem[addr as usize..(addr + len) as usize]),
+    /// Schedules a fresh own-core `SlotFree`; keys continue after the
+    /// staged namespace in creation order.
+    fn schedule_slot(&mut self, at: Cycles, _: usize, slot: usize) {
+        let key = self.sh.staged_total + self.created;
+        self.created += 1;
+        self.q.push(at, key, slot as u32);
+    }
+    fn schedule_mark(&self) -> u64 {
+        self.created
+    }
+    fn next_deadline(&mut self) -> Option<Cycles> {
+        self.q.next_deadline()
+    }
+    /// The local queue holds only own-core `SlotFree`s: any other slot's
+    /// is a sibling.
+    fn lift_sibling(&mut self, _: usize, slot: usize) -> bool {
+        if self.q.peek_slot() == Some(slot as u32) {
+            return false;
+        }
+        let lifted = self.q.pop_head().expect("peek/pop agree");
+        self.stash.push(lifted);
+        true
+    }
+    fn restore_lifted(&mut self) {
+        while let Some((at, key, s)) = self.stash.pop() {
+            self.q.push(at, key, s);
         }
     }
 
-    fn read_u64(&self, addr: u64) -> Result<u64, Bail> {
-        Ok(u64::from_le_bytes(
-            self.read_bytes(addr, 8)?.try_into().expect("8 bytes"),
-        ))
+    fn note_dispatches(&mut self, n: u64) {
+        self.d_dispatches += n;
+    }
+    fn note_insts(&mut self, n: u64) {
+        self.d_insts += n;
+    }
+    fn note_activation(&mut self, from: usize) {
+        self.d_activate[from] += 1;
+    }
+    fn note_wake(&mut self, ptid: Ptid, sample: u64) {
+        self.wake = Some((ptid.0, sample));
+    }
+    /// Quiet stores' only filter effect (`stores_checked`) is batched to
+    /// commit.
+    fn note_quiet_stores(&mut self, n: u64) {
+        self.quiet_stores += n;
+    }
+    /// Hcalls bail, so no charge ever accrues.
+    fn take_charge(&mut self) -> Cycles {
+        Cycles::ZERO
     }
 
-    fn read_u8(&self, addr: u64) -> Result<u8, Bail> {
-        Ok(self.read_bytes(addr, 1)?[0])
+    fn code(&self) -> &[CodeRange] {
+        self.sh.code
+    }
+    fn code_hint(&mut self) -> &mut usize {
+        &mut self.last_code
+    }
+    fn code_hull(&self) -> (u64, u64) {
+        (self.sh.code_lo, self.sh.code_hi)
+    }
+    /// Read-only: heat and formation stay serial.
+    fn heat(&mut self, _: usize, _: usize, _: u32) -> Option<u32> {
+        None
+    }
+    fn probe(&mut self) -> &mut Option<Box<Probe>> {
+        &mut self.probe
     }
 
+    #[inline(always)]
+    fn load(&self, addr: u64, len: u64) -> Result<u64, Bail> {
+        Ok(match self.locate(addr, len)? {
+            Some(off) => read_le(&self.domain.as_ref().expect("own domain").1[off..], len),
+            None => read_le(&self.sh.mem[addr as usize..], len),
+        })
+    }
     /// Writes must land fully inside the worker's own domain.
-    fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), Bail> {
-        match self.locate(addr, data.len() as u64)? {
-            Loc::Own(off) => {
-                let bytes = &mut self
-                    .domain
-                    .as_mut()
-                    .expect("own location implies a domain")
-                    .1;
-                bytes[off..off + data.len()].copy_from_slice(data);
-                Ok(())
-            }
-            Loc::Shared => Err(Bail),
-        }
+    #[inline(always)]
+    fn write(&mut self, addr: u64, len: u64, v: u64) -> Result<u64, Bail> {
+        let off = self.locate(addr, len)?.ok_or(Bail)?;
+        let bytes = &mut self.domain.as_mut().expect("own domain").1[off..];
+        let old = read_le(bytes, len);
+        write_le(bytes, len, v);
+        Ok(old)
     }
-
-    /// The store side effects a worker may *not* have: code-image
-    /// invalidation, monitor wakes, MMIO doorbells. A quiet store's only
-    /// filter effect (`stores_checked`) is batched to commit.
-    fn check_store(&self, addr: u64, len: u64) -> Result<(), Bail> {
-        let end = addr.saturating_add(len.max(1));
-        if addr < self.sh.code_hi
-            && end > self.sh.code_lo
-            && self.sh.code.iter().any(|r| addr < r.end && end > r.base)
-        {
-            // A real decoded-range overlap: the serial engine would run
-            // `invalidate_code`, a shared effect. A hull hit *between*
-            // images has no code effect and commits fine.
+    /// Only a quiet store commits: code invalidation, monitor wakes and
+    /// MMIO doorbells are shared effects.
+    fn store_effects(&mut self, addr: u64, len: u64) -> Result<(), Bail> {
+        if !store_is_quiet(self, addr, len) {
             return Err(Bail);
         }
-        if self.sh.filter.would_wake(PAddr(addr), len) {
-            return Err(Bail);
-        }
-        if !self.sh.mmio_addrs.is_empty() {
-            let lo = addr.saturating_sub(7);
-            let i = self.sh.mmio_addrs.partition_point(|&a| a < lo);
-            if self.sh.mmio_addrs.get(i).is_some_and(|&a| a < end) {
-                return Err(Bail);
-            }
-        }
+        self.quiet_stores += 1;
         Ok(())
     }
+    fn filter(&self) -> &dyn MonitorFilter {
+        self.sh.filter
+    }
+    fn mmio_addrs(&self) -> &[u64] {
+        self.sh.mmio_addrs
+    }
 
-    /// Mirrors `Machine::data_access`; the L1/L2-only cache view makes
-    /// any access that needs the shared L3 a bail.
-    fn data_access(
+    /// The L1/L2-only cache view makes any access that needs the shared
+    /// L3 a bail.
+    fn cache_access(
         &mut self,
-        ti: usize,
-        addr: u64,
-        len: u64,
+        _: usize,
+        addr: PAddr,
         kind: AccessKind,
-    ) -> Result<Cycles, Bail> {
-        if addr.checked_add(len).is_none() || addr + len > self.sh.cfg.mem_bytes {
-            // Serial raises BadMemory here — an exception path.
-            return Err(Bail);
-        }
-        let tlb_cost = self.tlb.access(0, addr / PAGE_BYTES);
-        let part = self.threads[ti].1.partition;
-        let Some(res) = self.caches.try_access(PAddr(addr), kind, part) else {
-            return Err(Bail);
-        };
-        let ptid = self.threads[ti].0;
+        part: PartitionId,
+    ) -> Result<AccessResult, Bail> {
+        self.caches.try_access(addr, kind, part).ok_or(Bail)
+    }
+    fn tlb(&mut self, _: usize) -> &mut Tlb {
+        &mut self.tlb
+    }
+    fn l1_contains(&self, _: usize, line: PAddr) -> bool {
+        self.caches.l1_contains(line)
+    }
+    fn l1_block_run(&mut self, _: usize, ri: usize, bi: usize) -> bool {
+        let b = &self.sh.code[ri].blocks[bi];
+        self.caches.l1_access_run(&b.lines, b.insts.len() as u64)
+    }
+    fn l1_access_run_mixed(&mut self, _: usize, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
+        self.caches.l1_access_run_mixed(lines, n)
+    }
+    fn prefetch_access(&mut self, ptid: Ptid, addr: PAddr) {
         self.prefetch
-            .record_access(WatchId(u64::from(ptid)), PAddr(addr));
-        Ok(tlb_cost + res.latency)
+            .record_access(WatchId(u64::from(ptid.0)), addr);
+    }
+    fn prefetch_run(&mut self, ptid: Ptid, lines: &[PAddr]) {
+        self.prefetch.record_run(WatchId(u64::from(ptid.0)), lines);
     }
 
-    /// Mirrors `Machine::cached_inst` (the hint is worker-local; ranges
-    /// never overlap, so hint hits and scans agree).
-    fn cached_inst(&mut self, pc: u64) -> Option<Inst> {
-        let code = self.sh.code;
-        let hint = self.last_code;
-        let idx = match code.get(hint) {
-            Some(r) if r.base <= pc && pc < r.end => hint,
-            _ => {
-                let idx = code.iter().position(|r| r.base <= pc && pc < r.end)?;
-                self.last_code = idx;
-                idx
-            }
-        };
-        let off = pc - code[idx].base;
-        if off & 7 != 0 {
-            return None;
-        }
-        code[idx].insts[(off >> 3) as usize]
+    fn raise(&mut self, _: Ptid, _: ExceptionKind, _: u64) -> Result<(), Bail> {
+        Err(Bail)
     }
-
-    /// Mirrors `Machine::exec_inst` over the pure-compute + core-local
-    /// memory subset; anything else — exceptions, privilege traps,
-    /// syscalls, hcalls, monitor/mwait, thread control, CSRs, `Halt`,
-    /// L3-bound accesses, non-local stores — bails the epoch. Bailing
-    /// *before* any shard-visible effect is not required (clones are
-    /// discarded wholesale); bailing before any *shared* effect is, and
-    /// every shared touchpoint above is read-only.
-    #[allow(clippy::too_many_lines)]
-    fn exec_inst(&mut self, ti: usize) -> Result<Cycles, Bail> {
-        let pc = self.threads[ti].1.arch.pc;
-        if pc.checked_add(8).is_none_or(|e| e > self.sh.cfg.mem_bytes) {
-            return Err(Bail);
-        }
-        let Some(ifetch) =
-            self.caches
-                .try_access(PAddr(pc), AccessKind::Read, PartitionId::DEFAULT)
-        else {
-            return Err(Bail);
-        };
-        let ifetch_cost = if ifetch.level == HitLevel::L1 {
-            Cycles::ZERO
-        } else {
-            ifetch.latency
-        };
-        let inst = match self.cached_inst(pc) {
-            Some(i) => i,
-            None => {
-                let word = self.read_u64(pc)?;
-                match Inst::decode(word) {
-                    Ok(i) => i,
-                    Err(_) => return Err(Bail),
-                }
-            }
-        };
-        if inst.is_privileged() && self.threads[ti].1.arch.mode == Mode::User {
-            return Err(Bail);
-        }
-
-        let mut cost = ifetch_cost + Cycles(inst.base_cost());
-        let mut next_pc = pc + 8;
-
-        macro_rules! gpr {
-            ($r:expr) => {
-                self.threads[ti].1.arch.gprs[$r.0 as usize & 0xf]
-            };
-        }
-        macro_rules! set_gpr {
-            ($r:expr, $v:expr) => {{
-                let v = $v;
-                let t = &mut self.threads[ti].1;
-                t.arch.gprs[$r.0 as usize & 0xf] = v;
-                t.touched |= 1 << ($r.0 & 0xf);
-            }};
-        }
-        use Inst::*;
-        match inst {
-            Add { d, a, b } => set_gpr!(d, gpr!(a).wrapping_add(gpr!(b))),
-            Sub { d, a, b } => set_gpr!(d, gpr!(a).wrapping_sub(gpr!(b))),
-            And { d, a, b } => set_gpr!(d, gpr!(a) & gpr!(b)),
-            Or { d, a, b } => set_gpr!(d, gpr!(a) | gpr!(b)),
-            Xor { d, a, b } => set_gpr!(d, gpr!(a) ^ gpr!(b)),
-            Shl { d, a, b } => set_gpr!(d, gpr!(a) << (gpr!(b) & 63)),
-            Shr { d, a, b } => set_gpr!(d, gpr!(a) >> (gpr!(b) & 63)),
-            Mul { d, a, b } => set_gpr!(d, gpr!(a).wrapping_mul(gpr!(b))),
-            Div { d, a, b } => {
-                let divisor = gpr!(b);
-                if divisor == 0 {
-                    return Err(Bail);
-                }
-                set_gpr!(d, gpr!(a) / divisor);
-            }
-            Addi { d, a, imm } => set_gpr!(d, gpr!(a).wrapping_add(imm as u64)),
-            Movi { d, imm } => set_gpr!(d, imm as u64),
-            Mov { d, a } => set_gpr!(d, gpr!(a)),
-            Ld { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 8, AccessKind::Read)?;
-                let v = self.read_u64(addr)?;
-                set_gpr!(d, v);
-            }
-            LdA { d, addr } => {
-                cost += self.data_access(ti, addr, 8, AccessKind::Read)?;
-                let v = self.read_u64(addr)?;
-                set_gpr!(d, v);
-            }
-            St { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 8, AccessKind::Write)?;
-                self.check_store(addr, 8)?;
-                let v = gpr!(s);
-                self.write_bytes(addr, &v.to_le_bytes())?;
-                self.quiet_stores += 1;
-            }
-            StA { s, addr } => {
-                cost += self.data_access(ti, addr, 8, AccessKind::Write)?;
-                self.check_store(addr, 8)?;
-                let v = gpr!(s);
-                self.write_bytes(addr, &v.to_le_bytes())?;
-                self.quiet_stores += 1;
-            }
-            LdB { d, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 1, AccessKind::Read)?;
-                let v = u64::from(self.read_u8(addr)?);
-                set_gpr!(d, v);
-            }
-            StB { s, a, off } => {
-                let addr = gpr!(a).wrapping_add(off as u64);
-                cost += self.data_access(ti, addr, 1, AccessKind::Write)?;
-                self.check_store(addr, 1)?;
-                let v = (gpr!(s) & 0xff) as u8;
-                self.write_bytes(addr, &[v])?;
-                self.quiet_stores += 1;
-            }
-            Jmp { addr } => next_pc = addr,
-            Jr { a } => next_pc = gpr!(a),
-            Jal { d, addr } => {
-                set_gpr!(d, pc + 8);
-                next_pc = addr;
-            }
-            Beq { a, b, addr } => {
-                if gpr!(a) == gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Bne { a, b, addr } => {
-                if gpr!(a) != gpr!(b) {
-                    next_pc = addr;
-                }
-            }
-            Blt { a, b, addr } => {
-                if (gpr!(a) as i64) < (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
-            Bge { a, b, addr } => {
-                if (gpr!(a) as i64) >= (gpr!(b) as i64) {
-                    next_pc = addr;
-                }
-            }
-            Nop | Work { .. } | Fence => {}
-            _ => return Err(Bail),
-        }
-        self.threads[ti].1.arch.pc = next_pc;
-        Ok(cost)
+    fn exec_system(
+        &mut self,
+        _: usize,
+        _: Ptid,
+        _: Inst,
+        _: u64,
+        _: &mut Cycles,
+    ) -> Result<Option<u64>, Bail> {
+        Err(Bail)
     }
 }
 
 impl Machine {
     /// The sharded run loop: epochs where the event stream allows them,
-    /// serial replay (via [`Machine::step_one`]) where it does not.
+    /// serial replay (via [`Machine::step`]) where it does not.
     pub(crate) fn run_until_sharded(&mut self, t: Cycles) {
         // Events strictly below the floor replay serially (a bailed or
         // too-thin window is settled the reference way before retrying).
@@ -1196,7 +645,7 @@ impl Machine {
                     .peek_time()
                     .is_some_and(|h| h < serial_floor && h <= t)
             {
-                self.step_one(bound, t);
+                self.step(bound, t, None);
                 self.shard_stats.serial_events += 1;
             }
         }

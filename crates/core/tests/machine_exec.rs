@@ -2,7 +2,7 @@
 //! event-driven machine model.
 
 use switchless_core::exception::{Descriptor, ExceptionKind};
-use switchless_core::machine::{Machine, MachineConfig, ThreadId, TrapMode};
+use switchless_core::machine::{Engine, Machine, MachineConfig, ThreadId, TrapMode};
 use switchless_core::perm::{Perms, TdtEntry};
 use switchless_core::tid::{ThreadState, Vtid};
 use switchless_isa::asm::assemble;
@@ -920,4 +920,56 @@ fn migration_to_bad_core_rejected_and_same_core_noop() {
     let same = m.migrate_thread(tid, 0).unwrap();
     assert_eq!(same.core, 0);
     assert_eq!(m.counters().get("thread.migrations"), 0);
+}
+
+/// Runs `program` in supervisor mode, with its exception descriptor at
+/// 0x8000, on a fresh small machine on each engine, and hands every
+/// machine to `check`.
+fn on_both_engines(program: &str, check: impl Fn(&Machine, ThreadId)) {
+    let p = assemble(program).unwrap();
+    for engine in [Engine::Reference, Engine::Fast] {
+        let mut m = small();
+        m.set_engine(engine);
+        let tid = m.load_program(0, &p).unwrap();
+        m.set_thread_edp(tid, 0x8000);
+        m.start_thread(tid);
+        run(&mut m, 10_000);
+        check(&m, tid);
+    }
+}
+
+#[test]
+fn jump_to_the_top_of_the_address_space_faults_bad_memory() {
+    // pc + 8 overflows: the fetch is out of memory, not a host panic.
+    let src = "entry:\n movi r1, -4\n jr r1\n";
+    on_both_engines(src, |m, tid| {
+        assert_eq!(m.halted_reason(), None);
+        assert_eq!(m.thread_state(tid), ThreadState::Disabled);
+        assert_eq!(m.peek_u64(0x8000), ExceptionKind::BadMemory.code());
+        assert_eq!(m.peek_u64(0x8000 + 24), u64::MAX - 3, "info: the fetch pc");
+    });
+}
+
+#[test]
+fn descriptor_pointer_at_the_top_of_memory_halts_like_no_pointer() {
+    // edp + 32 overflows: the descriptor cannot be written anywhere.
+    let src = "entry:\n movi r1, -8\n csrw edp, r1\n movi r2, 0\n div r3, r1, r2\n halt\n";
+    on_both_engines(src, |m, tid| {
+        let reason = m.halted_reason().expect("machine must halt");
+        assert!(reason.contains("triple-fault"), "{reason}");
+        assert_eq!(m.thread_state(tid), ThreadState::Disabled);
+    });
+}
+
+#[test]
+fn thread_table_at_the_top_of_memory_faults_bad_memory() {
+    // tdtr + 8 * vtid overflows: the entry address is out of memory,
+    // not a wrapped read of low memory.
+    let src = "entry:\n movi r1, -8\n csrw tdtr, r1\n start 4\n halt\n";
+    on_both_engines(src, |m, tid| {
+        assert_eq!(m.halted_reason(), None);
+        assert_eq!(m.thread_state(tid), ThreadState::Disabled);
+        assert_eq!(m.peek_u64(0x8000), ExceptionKind::BadMemory.code());
+        assert_eq!(m.peek_u64(0x8000 + 24), 4, "info: the vtid");
+    });
 }

@@ -120,3 +120,107 @@ fn random_programs_digest_identically_with_and_without_superblocks() {
 fn long_run_digests_identically() {
     fuzz_once(0xb10c, Cycles(2_000_000));
 }
+
+/// Builds a random per-core program for the epoch engine: counted loops
+/// whose bodies mix ALU ops with loads and stores inside the core's own
+/// memory domain (through `r7`), plus occasional loads and stores to a
+/// shared word outside every domain (through `r9`) — a load there reads
+/// the frozen epoch image, a store there bails the epoch.
+fn random_domain_program(rng: &mut Rng, base: u64, buf: u64, shared: u64) -> String {
+    let mut src = format!(
+        ".base {base:#x}\nentry: movi r7, {buf:#x}\nmovi r9, {shared:#x}\nmovi r6, {}\n",
+        24 + rng.next_below(200)
+    );
+    for l in 0..2 + rng.next_below(3) {
+        src.push_str(&format!("movi r5, 0\nl{l}:\n"));
+        for _ in 0..2 + rng.next_below(6) {
+            let d = 1 + rng.next_below(4);
+            let a = 1 + rng.next_below(4);
+            let b = 1 + rng.next_below(4);
+            let off = 8 * rng.next_below(16);
+            match rng.next_below(16) {
+                0..=2 => src.push_str(&format!("addi r{d}, r{a}, {}\n", rng.next_below(64))),
+                3 => src.push_str(&format!("add r{d}, r{a}, r{b}\n")),
+                4 => src.push_str(&format!("xor r{d}, r{a}, r{b}\n")),
+                5 => src.push_str(&format!("mul r{d}, r{a}, r{b}\n")),
+                6 => src.push_str(&format!("work {}\n", rng.next_below(32))),
+                7..=9 => src.push_str(&format!("ld r{d}, r7, {off}\n")),
+                10..=12 => src.push_str(&format!("st r{a}, r7, {off}\n")),
+                13 => src.push_str(&format!("ldb r{d}, r7, {}\n", rng.next_below(128))),
+                14 => src.push_str(&format!("ld r{d}, r9, 0\n")),
+                _ => src.push_str(&format!("st r{a}, r9, 0\n")),
+            }
+        }
+        src.push_str(&format!("addi r5, r5, 1\nblt r5, r6, l{l}\n"));
+    }
+    src.push_str("halt\n");
+    src
+}
+
+/// The epoch workers' side of the one interpreter: four cores, each
+/// running its own random program against its own memory domain, digest
+/// identically on `Engine::Reference` and on `Engine::Fast` (epoch
+/// workers, superblocks consumed read-only) at one and two worker
+/// threads.
+#[test]
+fn multicore_domain_programs_digest_identically_on_epoch_workers() {
+    const CORES: usize = 4;
+    for seed in 0..12 {
+        let mut rng = Rng::seed_from(0xe90c_0000 + seed);
+        let bases: Vec<u64> = (0..CORES as u64).map(|c| 0x10000 + c * 0x4000).collect();
+        let (bufs, shared): (Vec<u64>, u64) = {
+            let mut m = Machine::new(MachineConfig::small());
+            let bufs = (0..CORES).map(|_| m.alloc(4096)).collect();
+            (bufs, m.alloc(64))
+        };
+        let progs: Vec<_> = (0..CORES)
+            .map(|c| {
+                let src = random_domain_program(&mut rng, bases[c], bufs[c], shared);
+                assemble(&src).unwrap_or_else(|e| panic!("seed {seed}: {e:?}\n{src}"))
+            })
+            .collect();
+        let run_one = |engine: Engine, jobs: usize| {
+            let mut m = Machine::new(MachineConfig {
+                cores: CORES,
+                ..MachineConfig::small()
+            });
+            m.set_engine(engine);
+            m.set_machine_jobs(jobs);
+            let tids: Vec<_> = (0..CORES)
+                .map(|c| {
+                    assert_eq!(m.alloc(4096), bufs[c], "same layout on every machine");
+                    let tid = m.load_program(c, &progs[c]).expect("load");
+                    m.set_core_domain(c, bufs[c], 4096);
+                    tid
+                })
+                .collect();
+            assert_eq!(m.alloc(64), shared);
+            for &tid in &tids {
+                m.start_thread(tid);
+            }
+            m.run_for(Cycles(150_000));
+            let mut d = Vec::new();
+            for (c, &tid) in tids.iter().enumerate() {
+                d.extend(digest(&m, tid, progs[c].end()));
+                d.extend((0..512).map(|i| m.peek_u64(bufs[c] + 8 * i)));
+            }
+            d.push(m.peek_u64(shared));
+            let ((l1h, l1m), (l2h, l2m), (l3h, l3m)) = m.cache_stats();
+            let (wb1, wb2, wb3) = m.cache_writebacks();
+            d.extend([l1h, l1m, l2h, l2m, l3h, l3m, wb1, wb2, wb3]);
+            (d, m.shard_stats())
+        };
+        let (reference, _) = run_one(Engine::Reference, 1);
+        for jobs in [1, 2] {
+            let (fast, stats) = run_one(Engine::Fast, jobs);
+            assert_eq!(
+                fast, reference,
+                "seed {seed}: machine_jobs {jobs}: the epoch engine diverged from the reference"
+            );
+            assert!(
+                stats.committed > 0,
+                "seed {seed}: no epoch committed: {stats:?}"
+            );
+        }
+    }
+}
