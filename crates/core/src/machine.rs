@@ -44,9 +44,11 @@ use switchless_isa::asm::Program;
 use switchless_isa::inst::{Inst, Reg};
 use switchless_mem::addr::{PAddr, PAGE_BYTES};
 use switchless_mem::cache::PartitionId;
-use switchless_mem::hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, HitLevel};
+use switchless_mem::hierarchy::{
+    AccessKind, AccessResult, CoreCaches, Hierarchy, HierarchyConfig, HitLevel,
+};
 use switchless_mem::monitor::{CamFilter, HashFilter, MonitorFilter, WakeEvent, WatchId};
-use switchless_mem::prefetch::WakePrefetcher;
+use switchless_mem::prefetch::{Capture, WakePrefetcher};
 use switchless_mem::tlb::{Tlb, TlbConfig};
 use switchless_sim::error::SimError;
 use switchless_sim::event::{EventQueue, EventToken};
@@ -2008,12 +2010,10 @@ pub(crate) trait ExecCtx {
         part: PartitionId,
     ) -> Result<AccessResult, Self::Bail>;
     fn tlb(&mut self, core: usize) -> &mut Tlb;
-    fn l1_contains(&self, core: usize, line: PAddr) -> bool;
-    /// Runs `code[ri].blocks[bi]`'s fetch stream as one L1 batch.
-    fn l1_block_run(&mut self, core: usize, ri: usize, bi: usize) -> bool;
-    fn l1_access_run_mixed(&mut self, core: usize, lines: &[(PAddr, u64, bool)], n: u64) -> bool;
-    fn prefetch_access(&mut self, ptid: Ptid, addr: PAddr);
-    fn prefetch_run(&mut self, ptid: Ptid, lines: &[PAddr]);
+    /// `core`'s private cache levels.
+    fn caches(&mut self, core: usize) -> &mut CoreCaches;
+    /// The wake prefetcher's working-set capture.
+    fn capture(&mut self) -> &mut Capture;
 
     fn raise(&mut self, ptid: Ptid, kind: ExceptionKind, info: u64) -> Result<(), Self::Bail>;
     /// Executes a system instruction — anything but ALU/branch, `Div`
@@ -2029,7 +2029,7 @@ pub(crate) trait ExecCtx {
     ) -> Result<Option<u64>, Self::Bail>;
 }
 
-/// Reusable scratch for the memory-superblock probe: the merged
+/// Reusable scratch for the superblock probe: the merged
 /// fetch+data L1 line stream (line, last-access position, written), the
 /// data-page stream (page, last data-access index), the dedup-keep-last
 /// data lines for the prefetcher, the store undo log (addr, old value,
@@ -2206,7 +2206,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
                         let b = &x.code()[ri].blocks[bi];
                         let l1 = x.cfg().hierarchy.lat_l1;
                         (
-                            b.cost + Cycles(b.mem_ops * l1.0),
+                            b.cost + Cycles(b.mem_ops() * l1.0),
                             b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
                             b.insts.len() as u64,
                         )
@@ -2369,37 +2369,6 @@ fn sb_lookup<X: ExecCtx>(x: &mut X, pc: u64) -> Option<(usize, usize)> {
     Some((ri, bi as usize))
 }
 
-/// Executes a formed superblock as one unit. Returns `false` (having
-/// mutated nothing) when any fetch line is not L1-resident; the caller
-/// single-steps instead, charging the miss exactly as always. On
-/// success the L1 metadata (LRU stamps, tick, hit counts) and the
-/// thread's registers, pc and dirty mask are precisely what
-/// single-stepping the block would have produced.
-fn exec_superblock<X: ExecCtx>(
-    x: &mut X,
-    core: usize,
-    ptid: Ptid,
-    h: usize,
-    ri: usize,
-    bi: usize,
-) -> bool {
-    let b = &x.code()[ri].blocks[bi];
-    if b.mem_ops > 0 {
-        return exec_superblock_mem(x, core, ptid, h, ri, bi);
-    }
-    let touched = b.touched;
-    if !x.l1_block_run(core, ri, bi) {
-        return false;
-    }
-    let (mut gprs, entry) = (x.th(h).arch.gprs, x.th(h).arch.pc);
-    let exit = sblock::exec_regs(&x.code()[ri].blocks[bi].insts, &mut gprs, entry);
-    let t = x.th_mut(h);
-    t.arch.gprs = gprs;
-    t.arch.pc = exit;
-    t.touched |= touched;
-    true
-}
-
 /// A local memory instruction's direction.
 enum MemOp {
     /// Load into this register.
@@ -2439,18 +2408,19 @@ pub(crate) fn store_is_quiet<X: ExecCtx>(x: &X, addr: u64, len: u64) -> bool {
     !(hits_code || x.filter().would_wake(PAddr(addr), len) || mmio.get(i).is_some_and(|&a| a < end))
 }
 
-/// Executes a memory-inclusive superblock as one unit (DESIGN.md §10,
-/// "memory-inclusive regions"). The walk interprets the block on a
-/// scratch register file, applies stores under an undo log (so later
-/// loads in the block see them), and *stages* the block's exact dynamic
-/// footprint in the [`Probe`]. Any effect the batch cannot reproduce
-/// fails the probe — reverse-replaying the undo log, mutating nothing —
-/// and the caller single-steps, which raises/charges/invalidates/wakes
-/// (or bails) exactly as always:
+/// Executes a formed superblock as one unit (DESIGN.md §10). The walk
+/// interprets the block on a scratch register file — each ALU/branch
+/// stretch in one [`sblock::exec_regs`] pass over the block's slice —
+/// applies stores under an undo log (so later loads in the block see
+/// them), and *stages* the block's exact dynamic footprint in the
+/// [`Probe`]. Any effect the batch cannot reproduce fails the probe —
+/// reverse-replaying the undo log, mutating nothing — and the caller
+/// single-steps, which raises/charges/invalidates/wakes (or bails)
+/// exactly as always:
 ///
 /// - an out-of-range address (single-step raises the precise fault);
-/// - a non-resident L1 line or TLB page (single-step charges the miss
-///   and performs the fills);
+/// - a non-resident L1 line (fetch or data) or TLB page (single-step
+///   charges the miss and performs the fills);
 /// - a store that is not [`store_is_quiet`] — including into the
 ///   block's own fetch lines, whose single-step `invalidate_code` kills
 ///   the block;
@@ -2460,8 +2430,10 @@ pub(crate) fn store_is_quiet<X: ExecCtx>(x: &X, addr: u64, len: u64) -> bool {
 /// On success the commit applies one batched, provably per-access-equal
 /// update per structure: `access_run_mixed` for the L1, `access_run`
 /// for the TLB, `record_run` for the prefetcher, and one quiet-store
-/// count for the filter (a no-wake `on_store` has no other effect).
-fn exec_superblock_mem<X: ExecCtx>(
+/// count for the filter (a no-wake `on_store` has no other effect). A
+/// block without memory instructions leaves the data streams empty, and
+/// empty TLB and prefetcher runs are no-ops.
+fn exec_superblock<X: ExecCtx>(
     x: &mut X,
     core: usize,
     ptid: Ptid,
@@ -2471,7 +2443,7 @@ fn exec_superblock_mem<X: ExecCtx>(
 ) -> bool {
     let mut p = x.probe().take().unwrap_or_default();
     let b = &x.code()[ri].blocks[bi];
-    let (n_insts, mem_ops, touched) = (b.insts.len(), b.mem_ops, b.touched);
+    let (n_insts, mem_ops, touched) = (b.insts.len(), b.mem_ops(), b.touched);
     p.lines.clear();
     p.lines
         .extend(b.lines.iter().map(|&(l, at)| (l, at, false)));
@@ -2486,20 +2458,27 @@ fn exec_superblock_mem<X: ExecCtx>(
     let mut pos = 0u64; // position in the merged fetch+data stream
     let mut data_idx = 0u64; // 1-based index in the data-access stream
     let mut n_stores = 0u64;
-    for k in 0..n_insts {
-        let i = x.code()[ri].blocks[bi].insts[k];
-        pos += 1; // this instruction's fetch access
-        if let Some(next) = sblock::alu(i, &mut gprs, &mut 0, pc) {
-            pc = next;
-            continue;
+    let mut k = 0;
+    loop {
+        // The ALU/branch stretch before the next memory instruction (or
+        // the block's end), one fetch access each.
+        let b = &x.code()[ri].blocks[bi];
+        let end = b.mem_at.get(data_idx as usize).map_or(n_insts, |&m| m);
+        pc = sblock::exec_regs(&b.insts[k..end], &mut gprs, pc);
+        pos += (end - k) as u64;
+        if end == n_insts {
+            break;
         }
+        let i = b.insts[end];
+        k = end + 1;
+        pos += 1; // the memory instruction's fetch
         let (addr, len, op) = mem_op(i, &gprs).expect("a block holds ALU/branch and local memory");
         // The serial path accesses exactly the line and page containing
         // the address, regardless of width.
         let (page, line) = (addr / PAGE_BYTES, PAddr(addr).line());
         ok = in_mem(addr, len, mem_bytes)
             && x.tlb(core).contains(0, page)
-            && x.l1_contains(core, line);
+            && x.caches(core).l1_contains(line);
         if !ok {
             break;
         }
@@ -2553,7 +2532,11 @@ fn exec_superblock_mem<X: ExecCtx>(
     // The commit's only fallible step is the L1 batch: the walk verified
     // every *data* line, but the static fetch lines are checked (without
     // mutation) inside `access_run_mixed` itself.
-    if !ok || !x.l1_access_run_mixed(core, &p.lines, n_insts as u64 + mem_ops) {
+    if !ok
+        || !x
+            .caches(core)
+            .l1_access_run_mixed(&p.lines, n_insts as u64 + mem_ops)
+    {
         for &(addr, old, len) in p.undo.iter().rev() {
             let _ = x.write(addr, len, old);
         }
@@ -2563,7 +2546,8 @@ fn exec_superblock_mem<X: ExecCtx>(
     debug_assert!(data_idx == mem_ops, "every instruction executed");
     let tlb_ok = x.tlb(core).access_run(0, &p.pages, mem_ops);
     debug_assert!(tlb_ok, "probe checked TLB residency for every page");
-    x.prefetch_run(ptid, &p.plines);
+    x.capture()
+        .record_run(WatchId(u64::from(ptid.0)), &p.plines);
     if n_stores > 0 {
         x.note_quiet_stores(n_stores);
     }
@@ -2589,7 +2573,8 @@ fn data_access<X: ExecCtx>(
     let tlb_cost = x.tlb(core).access(0, addr / PAGE_BYTES);
     let part = x.th(h).partition;
     let res = x.cache_access(core, PAddr(addr), kind, part)?;
-    x.prefetch_access(ptid, PAddr(addr));
+    x.capture()
+        .record_access(WatchId(u64::from(ptid.0)), PAddr(addr));
     Ok(tlb_cost + res.latency)
 }
 
@@ -2836,24 +2821,11 @@ impl ExecCtx for Machine {
     fn tlb(&mut self, core: usize) -> &mut Tlb {
         &mut self.tlbs[core]
     }
-    fn l1_contains(&self, core: usize, line: PAddr) -> bool {
-        self.hier.l1_contains(core, line)
+    fn caches(&mut self, core: usize) -> &mut CoreCaches {
+        self.hier.core_mut(core)
     }
-    fn l1_block_run(&mut self, core: usize, ri: usize, bi: usize) -> bool {
-        let b = &self.code[ri].blocks[bi];
-        self.hier
-            .l1_access_run(core, &b.lines, b.insts.len() as u64)
-    }
-    fn l1_access_run_mixed(&mut self, core: usize, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
-        self.hier.l1_access_run_mixed(core, lines, n)
-    }
-    fn prefetch_access(&mut self, ptid: Ptid, addr: PAddr) {
-        self.prefetcher
-            .record_access(WatchId(u64::from(ptid.0)), addr);
-    }
-    fn prefetch_run(&mut self, ptid: Ptid, lines: &[PAddr]) {
-        self.prefetcher
-            .record_run(WatchId(u64::from(ptid.0)), lines);
+    fn capture(&mut self) -> &mut Capture {
+        self.prefetcher.capture_mut()
     }
 
     fn raise(&mut self, ptid: Ptid, kind: ExceptionKind, info: u64) -> Result<(), Infallible> {

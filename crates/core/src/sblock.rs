@@ -70,17 +70,19 @@ pub(crate) struct Superblock {
     pub(crate) last_cost: Cycles,
     /// Union of `Thread::touched` bits the sequence writes.
     pub(crate) touched: u32,
-    /// Number of local-effect memory instructions in `insts` (each
-    /// performs exactly one data access). Zero for pure register blocks,
-    /// which execute through `exec_regs`; memory-inclusive blocks go
-    /// through the engine-specific batched probe instead.
-    pub(crate) mem_ops: u64,
+    /// Indices in `insts` of the local-effect memory instructions, in
+    /// order (each performs exactly one data access); empty for pure
+    /// register blocks. Every block runs through the one executor
+    /// (`exec_superblock` in `machine.rs`), which runs the ALU/branch
+    /// stretch before each of them with `exec_regs` and resolves the data
+    /// access at run time.
+    pub(crate) mem_at: Vec<usize>,
     /// Whether the final instruction is a memory access — its dynamic
     /// dispatch cost is `last_cost` plus one L1 hit, which the engines
     /// need to place `now` at the last instruction's dispatch time.
     pub(crate) last_is_mem: bool,
     /// Distinct L1 lines of the fetch stream, each with the 1-based
-    /// index of its last access (see `Cache::access_run`). For
+    /// index of its last access (see `Cache::access_run_mixed`). For
     /// memory-inclusive blocks the indices are positions in the *merged*
     /// fetch+data access stream (each instruction fetches, then memory
     /// instructions immediately perform their one data access), so the
@@ -90,6 +92,13 @@ pub(crate) struct Superblock {
     /// Cleared when a code mutation kills the block; the `blocks` slot
     /// is recycled through `CodeRange::sb_free`.
     pub(crate) live: bool,
+}
+
+impl Superblock {
+    /// Number of data accesses the block performs.
+    pub(crate) fn mem_ops(&self) -> u64 {
+        self.mem_at.len() as u64
+    }
 }
 
 /// Walks the decoded image from `slot` and forms a superblock, or
@@ -152,7 +161,7 @@ pub(crate) fn form(base: u64, insts: &[Option<Inst>], slot: usize) -> Option<Sup
     let last = seq.last().expect("checked non-empty");
     let last_cost = Cycles(last.base_cost());
     let last_is_mem = last.is_local_mem();
-    let mem_ops = seq.iter().filter(|i| i.is_local_mem()).count() as u64;
+    let mem_at = (0..seq.len()).filter(|&k| seq[k].is_local_mem()).collect();
 
     // Fetch-stream footprint: walk the pc sequence (interior control
     // flow is only ever the unrolled self-jump, whose target is static)
@@ -187,27 +196,27 @@ pub(crate) fn form(base: u64, insts: &[Option<Inst>], slot: usize) -> Option<Sup
         cost: Cycles(cost),
         last_cost,
         touched,
-        mem_ops,
+        mem_at,
         last_is_mem,
         lines,
         live: true,
     })
 }
 
-/// Executes a superblock's instruction sequence over one thread's
-/// registers; returns the exit pc. The caller folds the block's
-/// pre-computed `touched` mask into the thread.
+/// Executes an ALU/branch-only stretch of a superblock's instruction
+/// sequence over one thread's registers; returns the exit pc. The
+/// caller folds the block's pre-computed `touched` mask into the thread.
 #[inline]
 pub(crate) fn exec_regs(insts: &[Inst], gprs: &mut [u64; 16], entry_pc: u64) -> u64 {
     let (mut pc, mut touched) = (entry_pc, 0);
     for &i in insts {
-        pc = alu(i, gprs, &mut touched, pc).expect("superblocks hold only ALU/branch instructions");
+        pc = alu(i, gprs, &mut touched, pc).expect("a stretch holds only ALU/branch instructions");
     }
     pc
 }
 
 /// The ALU/branch semantics, the one copy every interpreter path shares
-/// (`exec_regs`, the memory-superblock walk and `exec_inst`): executes
+/// (`exec_regs`, which the superblock walk runs, and `exec_inst`): executes
 /// `i` at `pc` over `gprs`, marking written registers in `touched`
 /// (the `Thread::touched` mask), and returns the next pc, or `None` when
 /// `i` is not a register or branch instruction (`Div`, which can fault,
@@ -392,7 +401,7 @@ mod tests {
         );
         let b = form(base, &insts, 0).expect("mem region forms");
         assert_eq!(b.len_slots, 4);
-        assert_eq!(b.mem_ops, 2);
+        assert_eq!(b.mem_ops(), 2);
         assert!(b.last_is_mem, "final instruction is the store");
         assert_eq!(b.cost, Cycles(4), "base costs only; latency is dynamic");
         assert_eq!(b.last_cost, Cycles(1));
@@ -401,6 +410,8 @@ mod tests {
         // Merged-stream numbering: fetches at 1, 2, 4, 5 (the load's
         // data access occupies 3, the store's 6); one fetch line.
         assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 5)]);
+        // The load and the store sit at indices 1 and 3.
+        assert_eq!(b.mem_at, [1, 3]);
     }
 
     #[test]
@@ -414,7 +425,7 @@ mod tests {
         let b = form(base, &insts, 0).expect("store loop forms");
         assert_eq!(b.len_slots, 3);
         assert_eq!(b.insts.len(), 255, "85 copies of 3");
-        assert_eq!(b.mem_ops, 170);
+        assert_eq!(b.mem_ops(), 170);
         assert!(!b.last_is_mem, "final instruction is the jump");
         // Merged stream: 255 fetches + 170 data accesses = 425
         // positions; the last access of the single fetch line is the
@@ -432,7 +443,7 @@ mod tests {
              jmp loop\n",
         );
         let b = form(base, &insts, 0).expect("forms");
-        assert_eq!(b.mem_ops, 0);
+        assert_eq!(b.mem_ops(), 0);
         assert!(!b.last_is_mem);
     }
 }

@@ -67,7 +67,7 @@ use switchless_mem::addr::PAddr;
 use switchless_mem::cache::PartitionId;
 use switchless_mem::hierarchy::{AccessKind, AccessResult, CoreCaches};
 use switchless_mem::monitor::{MonitorFilter, WatchId};
-use switchless_mem::prefetch::PrefetchView;
+use switchless_mem::prefetch::Capture;
 use switchless_mem::tlb::Tlb;
 use switchless_sim::par::par_map_owned;
 use switchless_sim::shard::{merge_epoch, EpochRecord, PopKey};
@@ -154,7 +154,7 @@ struct WorkerInput {
     threads: Vec<(u32, Thread)>,
     caches: CoreCaches,
     tlb: Tlb,
-    prefetch: PrefetchView,
+    capture: Capture,
     /// `(base, bytes)` scratch copy of this core's memory domain.
     domain: Option<(u64, Vec<u8>)>,
 }
@@ -171,7 +171,7 @@ struct WorkerOk {
     threads: Vec<(u32, Thread)>,
     caches: CoreCaches,
     tlb: Tlb,
-    prefetch: PrefetchView,
+    capture: Capture,
     domain: Option<(u64, Vec<u8>)>,
     d_dispatches: u64,
     d_insts: u64,
@@ -262,7 +262,7 @@ struct Worker<'a> {
     threads: Vec<(u32, Thread)>,
     caches: CoreCaches,
     tlb: Tlb,
-    prefetch: PrefetchView,
+    capture: Capture,
     domain: Option<(u64, Vec<u8>)>,
     q: LocalQueue,
     /// Sibling-slot events lifted mid-burst (restored at burst exit).
@@ -307,7 +307,7 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
         threads: input.threads,
         caches: input.caches,
         tlb: input.tlb,
-        prefetch: input.prefetch,
+        capture: input.capture,
         domain: input.domain,
         q,
         stash: Vec::new(),
@@ -369,7 +369,7 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
         threads: w.threads,
         caches: w.caches,
         tlb: w.tlb,
-        prefetch: w.prefetch,
+        capture: w.capture,
         domain: w.domain,
         d_dispatches: w.d_dispatches,
         d_insts: w.d_insts,
@@ -558,22 +558,11 @@ impl ExecCtx for Worker<'_> {
     fn tlb(&mut self, _: usize) -> &mut Tlb {
         &mut self.tlb
     }
-    fn l1_contains(&self, _: usize, line: PAddr) -> bool {
-        self.caches.l1_contains(line)
+    fn caches(&mut self, _: usize) -> &mut CoreCaches {
+        &mut self.caches
     }
-    fn l1_block_run(&mut self, _: usize, ri: usize, bi: usize) -> bool {
-        let b = &self.sh.code[ri].blocks[bi];
-        self.caches.l1_access_run(&b.lines, b.insts.len() as u64)
-    }
-    fn l1_access_run_mixed(&mut self, _: usize, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
-        self.caches.l1_access_run_mixed(lines, n)
-    }
-    fn prefetch_access(&mut self, ptid: Ptid, addr: PAddr) {
-        self.prefetch
-            .record_access(WatchId(u64::from(ptid.0)), addr);
-    }
-    fn prefetch_run(&mut self, ptid: Ptid, lines: &[PAddr]) {
-        self.prefetch.record_run(WatchId(u64::from(ptid.0)), lines);
+    fn capture(&mut self) -> &mut Capture {
+        &mut self.capture
     }
 
     fn raise(&mut self, _: Ptid, _: ExceptionKind, _: u64) -> Result<(), Bail> {
@@ -720,7 +709,7 @@ impl Machine {
                     .iter()
                     .map(|&i| (i, self.threads[i as usize].clone()))
                     .collect();
-                let prefetch = self
+                let capture = self
                     .prefetcher
                     .core_view(tids.iter().map(|&i| WatchId(u64::from(i))));
                 let domain = self.core_domains[c].map(|(base, len)| {
@@ -736,7 +725,7 @@ impl Machine {
                     threads,
                     caches: self.hier.core_view(c),
                     tlb: self.tlbs[c].clone(),
-                    prefetch,
+                    capture,
                     domain,
                 }
             })
@@ -866,7 +855,7 @@ impl Machine {
                 cs,
                 caches,
                 tlb,
-                prefetch,
+                capture,
                 domain,
                 d_dispatches,
                 d_insts,
@@ -880,7 +869,7 @@ impl Machine {
             self.cores[core] = cs;
             self.hier.commit_core_view(core, caches);
             self.tlbs[core] = tlb;
-            self.prefetcher.absorb(prefetch);
+            self.prefetcher.absorb(capture);
             if let Some((base, bytes)) = domain {
                 let lo = base as usize;
                 self.mem[lo..lo + bytes.len()].copy_from_slice(&bytes);

@@ -786,21 +786,6 @@ impl Inst {
         )
     }
 
-    /// Access width in bytes for local-effect memory instructions
-    /// ([`Inst::is_local_mem`]); `None` for everything else. Together
-    /// with the (data-dependent) effective address this is the
-    /// instruction's exact memory footprint, which superblock execution
-    /// resolves to cache-line and page footprints at run time.
-    #[must_use]
-    pub fn mem_footprint(&self) -> Option<u64> {
-        use Inst::*;
-        match self {
-            Ld { .. } | LdA { .. } | St { .. } | StA { .. } => Some(8),
-            LdB { .. } | StB { .. } => Some(1),
-            _ => None,
-        }
-    }
-
     /// Whether this instruction may close a superblock: pure control
     /// flow whose only effects are the next pc and (for `Jal`) the link
     /// register. Branch direction is data-dependent, so a terminal ends

@@ -98,10 +98,12 @@ impl DistRt {
         let thread_ids = threads.clone();
         let resp_copy = resp_words.clone();
         m.register_hcall(HCALL_RPC, move |mach, tid| {
-            let idx = thread_ids
-                .iter()
-                .position(|&t| t == tid)
-                .expect("rpc hcall from unknown thread");
+            // `hcall` is unprivileged: any other thread may issue it. It
+            // is counted and ignored, never a machine-killing panic.
+            let Some(idx) = thread_ids.iter().position(|&t| t == tid) else {
+                mach.counters_mut().inc("distrt.foreign_hcall");
+                return;
+            };
             let seq = mach.thread_reg(tid, 1);
             let now = mach.now();
             cfg.fabric
@@ -302,10 +304,11 @@ impl FanoutRt {
         let thread_ids = threads.clone();
         let legs_copy = resp_words.clone();
         m.register_hcall(HCALL_FANOUT, move |mach, tid| {
-            let idx = thread_ids
-                .iter()
-                .position(|&t| t == tid)
-                .expect("fanout hcall from unknown thread");
+            // Foreign callers are ignored, as for `HCALL_RPC`.
+            let Some(idx) = thread_ids.iter().position(|&t| t == tid) else {
+                mach.counters_mut().inc("distrt.foreign_hcall");
+                return;
+            };
             let seq = mach.thread_reg(tid, 1);
             let now = mach.now();
             for (i, &resp) in legs_copy[idx].iter().enumerate() {
@@ -399,6 +402,31 @@ mod fanout_tests {
                 assert_eq!(m.peek_u64(r), 3, "every leg saw the final round seq");
             }
         }
+    }
+
+    #[test]
+    fn foreign_hcalls_are_counted_not_fatal() {
+        let mut m = Machine::new(MachineConfig::small());
+        let c = cfg(1, 2, 2);
+        let rpc_cfg = DistRtConfig {
+            threads: 1,
+            iters: 2,
+            local_work: c.local_work,
+            remote_service: c.remote_service,
+            fabric: c.fabric,
+        };
+        let rpc = DistRt::install(&mut m, 0, rpc_cfg, 0x40000).unwrap();
+        let fan = FanoutRt::install(&mut m, 0, c, 0x50000).unwrap();
+        let stray = assemble(&format!(
+            ".base 0x60000\nentry: hcall {HCALL_RPC}\nhcall {HCALL_FANOUT}\nhalt\n"
+        ))
+        .unwrap();
+        let t = m.load_program_user(0, &stray).unwrap();
+        m.start_thread(t);
+        assert!(rpc.run_to_completion(&mut m, Cycles(100_000_000)).is_some());
+        assert!(fan.run_to_completion(&mut m, Cycles(100_000_000)).is_some());
+        assert_eq!(m.counters().get("distrt.foreign_hcall"), 2);
+        assert_eq!((rpc.issued(), fan.issued()), (2, 4));
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl Cache {
         self.targets.insert(part, lines.max(1));
     }
 
-    /// Removes a partition's quota (its lines become unmanaged).
-    pub fn clear_partition_target(&mut self, part: PartitionId) {
-        self.targets.remove(&part);
-    }
-
     /// Current occupancy of a partition, in lines.
     #[must_use]
     pub fn occupancy(&self, part: PartitionId) -> u64 {
@@ -163,68 +158,56 @@ impl Cache {
     /// Returns `true` on hit. Does **not** fill on miss — callers decide
     /// (the hierarchy fills on the way back down).
     pub fn access(&mut self, addr: PAddr, write: bool) -> bool {
-        self.tick += 1;
-        let tag = addr.0 / LINE_BYTES;
-        let range = self.set_range(addr);
-        for w in &mut self.ways[range] {
-            if w.valid && w.tag == tag {
-                w.stamp = self.tick;
-                w.dirty |= write;
-                self.hits += 1;
-                return true;
-            }
+        let hit = self.hit(addr, write);
+        if !hit {
+            self.miss();
         }
-        self.misses += 1;
-        false
+        hit
     }
 
-    /// Applies a pre-computed run of `n` sequential read hits — the
-    /// instruction-fetch stream of one superblock — as a single batch.
+    /// The hit half of [`Cache::access`]: on a hit, exactly its effect;
+    /// on a miss, no effect at all — the caller records the miss with
+    /// [`Cache::miss`] once the access goes ahead.
+    #[inline]
+    pub(crate) fn hit(&mut self, addr: PAddr, write: bool) -> bool {
+        let tag = addr.0 / LINE_BYTES;
+        let range = self.set_range(addr);
+        let stamp = self.tick + 1;
+        let Some(w) = self.ways[range]
+            .iter_mut()
+            .find(|w| w.valid && w.tag == tag)
+        else {
+            return false;
+        };
+        w.stamp = stamp;
+        w.dirty |= write;
+        self.tick = stamp;
+        self.hits += 1;
+        true
+    }
+
+    /// The miss half of [`Cache::access`].
+    #[inline]
+    pub(crate) fn miss(&mut self) {
+        self.tick += 1;
+        self.misses += 1;
+    }
+
+    /// Applies a pre-computed run of `n` sequential hits — the merged
+    /// fetch+data access stream of one superblock — as a single batch.
     ///
-    /// `lines` holds each distinct line the run touches together with
-    /// the 1-based index of its **last** access within the run. Because
-    /// LRU stamps are absolute `tick` values, `n` sequential hits leave
-    /// each line stamped `tick + last_index`, the tick advanced by `n`,
-    /// and `n` extra hits — so the batch reproduces `access()` called
-    /// `n` times bit-for-bit in O(lines) instead of O(n).
+    /// `lines` holds each distinct line with the 1-based index of its
+    /// **last** access within the run and the OR of the `write` flags of
+    /// every access that touched it. Because LRU stamps are absolute
+    /// `tick` values, `n` sequential all-hit `access()` calls leave each
+    /// line stamped `tick + last_index` with `dirty |= any_write`, the
+    /// tick advanced by `n`, and `n` extra hits — so this reproduces the
+    /// per-access path bit-for-bit in O(lines) instead of O(n).
     ///
     /// Returns `false` — and mutates nothing — unless every line is
     /// resident: a miss anywhere in the run must be modelled by the
     /// caller's per-access path (fills, latency, eviction order all
     /// depend on where in the stream it lands).
-    pub fn access_run(&mut self, lines: &[(PAddr, u64)], n: u64) -> bool {
-        if !lines.iter().all(|&(a, _)| self.contains(a)) {
-            return false;
-        }
-        for &(addr, last) in lines {
-            let tag = addr.0 / LINE_BYTES;
-            let range = self.set_range(addr);
-            for w in &mut self.ways[range] {
-                if w.valid && w.tag == tag {
-                    w.stamp = self.tick + last;
-                    break;
-                }
-            }
-        }
-        self.tick += n;
-        self.hits += n;
-        true
-    }
-
-    /// Write-aware batch hit path: applies a pre-computed run of `n`
-    /// sequential hits that mixes reads and writes — the merged
-    /// fetch+data access stream of one memory-inclusive superblock.
-    ///
-    /// `lines` holds each distinct line with the 1-based index of its
-    /// **last** access within the run and the OR of the `write` flags of
-    /// every access that touched it. `n` sequential all-hit `access()`
-    /// calls leave each line stamped `tick + last_index` with
-    /// `dirty |= any_write`, the tick advanced by `n`, and `n` extra
-    /// hits — so this reproduces the per-access path bit-for-bit in
-    /// O(lines) instead of O(n).
-    ///
-    /// Returns `false` — and mutates nothing — unless every line is
-    /// resident, exactly like [`Cache::access_run`].
     pub fn access_run_mixed(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
         if !lines.iter().all(|&(a, _, _)| self.contains(a)) {
             return false;
@@ -514,8 +497,8 @@ mod tests {
         for &(s, _) in &[(0, 1u64), (0, 2), (0, 3), (1, 4), (1, 5), (0, 6)] {
             assert!(a.access(addr(s, 0), false));
         }
-        let lines = [(addr(0, 0), 6u64), (addr(1, 0), 5)];
-        assert!(b.access_run(&lines, 6));
+        let lines = [(addr(0, 0), 6u64, false), (addr(1, 0), 5, false)];
+        assert!(b.access_run_mixed(&lines, 6));
         // `Cache` derives `Debug` over every field (ways with stamps,
         // tick, stats): textual equality is full state equality.
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
@@ -526,8 +509,8 @@ mod tests {
         let mut c = tiny();
         c.fill(addr(0, 0), PartitionId::DEFAULT, false);
         let before = format!("{c:?}");
-        let lines = [(addr(0, 0), 1u64), (addr(1, 0), 2)];
-        assert!(!c.access_run(&lines, 2), "line (1,0) is not resident");
+        let lines = [(addr(0, 0), 1u64, false), (addr(1, 0), 2, false)];
+        assert!(!c.access_run_mixed(&lines, 2), "line (1,0) is not resident");
         assert_eq!(format!("{c:?}"), before, "a refused run must not mutate");
     }
 

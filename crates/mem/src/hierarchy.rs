@@ -109,16 +109,16 @@ impl HierarchyConfig {
     }
 }
 
-/// A detached copy of one core's private cache levels (L1 + L2), used by
-/// the shard engine's epoch workers.
+/// One core's private cache levels (L1 + L2) and their write-back
+/// counts: the per-core half of a [`Hierarchy`].
 ///
-/// In the serial engine, only instructions executing on core `c` touch
-/// `l1[c]`/`l2[c]` (cross-core effects like DMA invalidates go through
-/// the machine and end the epoch), so a worker may run against a clone
-/// and the owner can splice it back verbatim at the epoch barrier —
-/// LRU stamps, dirty bits, and hit/miss counts land exactly as if the
-/// accesses had run serially. Accesses that would escalate to the shared
-/// L3 return `None`; the worker abandons the epoch instead.
+/// Only instructions executing on core `c` touch its private levels
+/// (cross-core effects like DMA invalidates go through the machine and
+/// end a shard-engine epoch), so an epoch worker may run against a clone
+/// ([`Hierarchy::core_view`]) that is assigned back verbatim at the epoch
+/// barrier ([`Hierarchy::commit_core_view`]) — LRU stamps, dirty bits,
+/// hit/miss and write-back counts land exactly as if the accesses had run
+/// serially.
 #[derive(Clone, Debug)]
 pub struct CoreCaches {
     l1: Cache,
@@ -130,9 +130,23 @@ pub struct CoreCaches {
 }
 
 impl CoreCaches {
-    /// Serves one access from the private levels alone, mirroring the
-    /// L1/L2 prefix of [`Hierarchy::access`] exactly. `None` means the
-    /// line is in neither level and the access needs the shared L3.
+    fn new(config: &HierarchyConfig) -> CoreCaches {
+        CoreCaches {
+            l1: Cache::new(config.l1),
+            l2: Cache::new(config.l2),
+            lat_l1: config.lat_l1,
+            lat_l2: config.lat_l2,
+            wb_l1: 0,
+            wb_l2: 0,
+        }
+    }
+
+    /// Serves one access from the private levels alone: the L1/L2 prefix
+    /// of [`Hierarchy::access`]. `None` means the line is in neither
+    /// level and the access needs the shared L3; the levels are then
+    /// left untouched (the hierarchy records both misses before going
+    /// on).
+    #[inline]
     pub fn try_access(
         &mut self,
         addr: PAddr,
@@ -140,41 +154,45 @@ impl CoreCaches {
         part: PartitionId,
     ) -> Option<AccessResult> {
         let write = kind == AccessKind::Write;
-        if self.l1.access(addr, write) {
+        if self.l1.hit(addr, write) {
             return Some(AccessResult {
                 latency: self.lat_l1,
                 level: HitLevel::L1,
             });
         }
-        if self.l2.access(addr, write) {
-            if self.l1.fill(addr, part, write).is_some() {
-                self.wb_l1 += 1;
-            }
-            return Some(AccessResult {
-                latency: self.lat_l2,
-                level: HitLevel::L2,
-            });
+        if !self.l2.hit(addr, write) {
+            return None;
         }
-        None
+        self.l1.miss();
+        if self.l1.fill(addr, part, write).is_some() {
+            self.wb_l1 += 1;
+        }
+        Some(AccessResult {
+            latency: self.lat_l2,
+            level: HitLevel::L2,
+        })
     }
 
-    /// Whether the view's L1 holds the line (no LRU/statistics effect).
+    /// Installs a line served from beyond the private levels (L2 clean,
+    /// L1 dirty on a write), counting dirty evictions.
+    fn fill(&mut self, addr: PAddr, part: PartitionId, write: bool) {
+        if self.l2.fill(addr, part, false).is_some() {
+            self.wb_l2 += 1;
+        }
+        if self.l1.fill(addr, part, write).is_some() {
+            self.wb_l1 += 1;
+        }
+    }
+
+    /// Whether the L1 holds the line (no LRU/statistics effect).
     #[must_use]
     pub fn l1_contains(&self, addr: PAddr) -> bool {
         self.l1.contains(addr)
     }
 
-    /// Applies a superblock's fetch stream against the view's L1 as one
-    /// batch (see [`Cache::access_run`]): `false` — and no mutation —
-    /// unless every line is L1-resident.
-    pub fn l1_access_run(&mut self, lines: &[(PAddr, u64)], n: u64) -> bool {
-        self.l1.access_run(lines, n)
-    }
-
-    /// Applies a memory-inclusive superblock's merged fetch+data stream
-    /// against the view's L1 as one batch (see
-    /// [`Cache::access_run_mixed`]): `false` — and no mutation — unless
-    /// every line is L1-resident.
+    /// Applies a superblock's merged fetch+data stream against the L1 as
+    /// one batch (see [`Cache::access_run_mixed`]): `false` — and no
+    /// mutation — unless every line is L1-resident.
     pub fn l1_access_run_mixed(&mut self, lines: &[(PAddr, u64, bool)], n: u64) -> bool {
         self.l1.access_run_mixed(lines, n)
     }
@@ -184,12 +202,11 @@ impl CoreCaches {
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     config: HierarchyConfig,
-    l1: Vec<Cache>,
-    l2: Vec<Cache>,
+    cores: Vec<CoreCaches>,
     l3: Cache,
     dram: Dram,
-    /// Dirty lines written back on eviction, per level (l1, l2, l3).
-    writebacks: (u64, u64, u64),
+    /// Dirty lines written back on L3 eviction.
+    wb_l3: u64,
 }
 
 impl Hierarchy {
@@ -203,18 +220,17 @@ impl Hierarchy {
         assert!(cores > 0, "hierarchy needs at least one core");
         Hierarchy {
             config,
-            l1: (0..cores).map(|_| Cache::new(config.l1)).collect(),
-            l2: (0..cores).map(|_| Cache::new(config.l2)).collect(),
+            cores: (0..cores).map(|_| CoreCaches::new(&config)).collect(),
             l3: Cache::new(config.l3),
             dram: Dram::new(config.dram),
-            writebacks: (0, 0, 0),
+            wb_l3: 0,
         }
     }
 
     /// Number of cores this hierarchy was built for.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.l1.len()
+        self.cores.len()
     }
 
     /// The configuration in effect.
@@ -236,79 +252,53 @@ impl Hierarchy {
         kind: AccessKind,
         part: PartitionId,
     ) -> AccessResult {
+        let cc = &mut self.cores[core];
+        if let Some(r) = cc.try_access(addr, kind, part) {
+            return r;
+        }
+        cc.l1.miss();
+        cc.l2.miss();
         let write = kind == AccessKind::Write;
-        if self.l1[core].access(addr, write) {
-            return AccessResult {
-                latency: self.config.lat_l1,
-                level: HitLevel::L1,
-            };
-        }
-        if self.l2[core].access(addr, write) {
-            if self.l1[core].fill(addr, part, write).is_some() {
-                self.writebacks.0 += 1;
+        let (latency, level) = if self.l3.access(addr, write) {
+            (self.config.lat_l3, HitLevel::L3)
+        } else {
+            let dram_lat = self.dram.access_line(now, addr.line().0);
+            if self.l3.fill(addr, part, false).is_some() {
+                self.wb_l3 += 1;
             }
-            return AccessResult {
-                latency: self.config.lat_l2,
-                level: HitLevel::L2,
-            };
-        }
-        if self.l3.access(addr, write) {
-            if self.l2[core].fill(addr, part, false).is_some() {
-                self.writebacks.1 += 1;
-            }
-            if self.l1[core].fill(addr, part, write).is_some() {
-                self.writebacks.0 += 1;
-            }
-            return AccessResult {
-                latency: self.config.lat_l3,
-                level: HitLevel::L3,
-            };
-        }
-        let dram_lat = self.dram.access_line(now, addr.line().0);
-        if self.l3.fill(addr, part, false).is_some() {
-            self.writebacks.2 += 1;
-        }
-        if self.l2[core].fill(addr, part, false).is_some() {
-            self.writebacks.1 += 1;
-        }
-        if self.l1[core].fill(addr, part, write).is_some() {
-            self.writebacks.0 += 1;
-        }
-        AccessResult {
-            latency: self.config.lat_l3 + dram_lat,
-            level: HitLevel::Dram,
-        }
+            (self.config.lat_l3 + dram_lat, HitLevel::Dram)
+        };
+        cc.fill(addr, part, write);
+        AccessResult { latency, level }
     }
 
-    /// Clones `core`'s private levels into a [`CoreCaches`] view an epoch
-    /// worker can mutate off-thread.
+    /// `core`'s private levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn core_mut(&mut self, core: usize) -> &mut CoreCaches {
+        &mut self.cores[core]
+    }
+
+    /// A clone of `core`'s private levels an epoch worker can mutate
+    /// off-thread.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     #[must_use]
     pub fn core_view(&self, core: usize) -> CoreCaches {
-        CoreCaches {
-            l1: self.l1[core].clone(),
-            l2: self.l2[core].clone(),
-            lat_l1: self.config.lat_l1,
-            lat_l2: self.config.lat_l2,
-            wb_l1: 0,
-            wb_l2: 0,
-        }
+        self.cores[core].clone()
     }
 
-    /// Splices a worker's [`CoreCaches`] view back as `core`'s private
-    /// levels and folds its write-back deltas into the machine totals.
+    /// Installs a worker's [`CoreCaches`] view as `core`'s private levels.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     pub fn commit_core_view(&mut self, core: usize, view: CoreCaches) {
-        self.l1[core] = view.l1;
-        self.l2[core] = view.l2;
-        self.writebacks.0 += view.wb_l1;
-        self.writebacks.1 += view.wb_l2;
+        self.cores[core] = view;
     }
 
     /// Dirty lines written back on eviction, per level `(l1, l2, l3)`.
@@ -317,15 +307,20 @@ impl Hierarchy {
     /// access (the write buffer drains off the critical path).
     #[must_use]
     pub fn writebacks(&self) -> (u64, u64, u64) {
-        self.writebacks
+        let (l1, l2) = self
+            .cores
+            .iter()
+            .fold((0, 0), |(a, b), c| (a + c.wb_l1, b + c.wb_l2));
+        (l1, l2, self.wb_l3)
     }
 
     /// Installs a line into `core`'s caches without charging latency —
     /// used by the wake-prefetcher (§4) to warm a thread's working set.
     pub fn warm(&mut self, core: usize, addr: PAddr, part: PartitionId) {
         self.l3.fill(addr, part, false);
-        self.l2[core].fill(addr, part, false);
-        self.l1[core].fill(addr, part, false);
+        let cc = &mut self.cores[core];
+        cc.l2.fill(addr, part, false);
+        cc.l1.fill(addr, part, false);
     }
 
     /// Installs a line in the shared L3 only — models DDIO-style DMA
@@ -342,59 +337,23 @@ impl Hierarchy {
     /// Invalidates a line everywhere — models a DMA write from a device
     /// that is not cache-coherent with a stale copy, or explicit flush.
     pub fn invalidate_line(&mut self, addr: PAddr) {
-        for c in &mut self.l1 {
-            c.invalidate(addr);
-        }
-        for c in &mut self.l2 {
-            c.invalidate(addr);
+        for c in &mut self.cores {
+            c.l1.invalidate(addr);
+            c.l2.invalidate(addr);
         }
         self.l3.invalidate(addr);
-    }
-
-    /// Whether `core`'s L1 currently holds the line (for tests/prefetch).
-    #[must_use]
-    pub fn l1_contains(&self, core: usize, addr: PAddr) -> bool {
-        self.l1[core].contains(addr)
-    }
-
-    /// Applies a superblock's fetch stream against `core`'s L1 as one
-    /// batch (see [`Cache::access_run`]): `false` — and no mutation —
-    /// unless every line is L1-resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn l1_access_run(&mut self, core: usize, lines: &[(PAddr, u64)], n: u64) -> bool {
-        self.l1[core].access_run(lines, n)
-    }
-
-    /// Applies a memory-inclusive superblock's merged fetch+data stream
-    /// against `core`'s L1 as one batch (see
-    /// [`Cache::access_run_mixed`]): `false` — and no mutation — unless
-    /// every line is L1-resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn l1_access_run_mixed(
-        &mut self,
-        core: usize,
-        lines: &[(PAddr, u64, bool)],
-        n: u64,
-    ) -> bool {
-        self.l1[core].access_run_mixed(lines, n)
     }
 
     /// Per-level (hits, misses) aggregated over cores: `(l1, l2, l3)`.
     #[must_use]
     pub fn level_stats(&self) -> ((u64, u64), (u64, u64), (u64, u64)) {
-        let agg = |cs: &[Cache]| {
-            cs.iter().fold((0, 0), |(h, m), c| {
-                let (ch, cm) = c.hit_miss();
+        let agg = |level: fn(&CoreCaches) -> &Cache| {
+            self.cores.iter().fold((0, 0), |(h, m), c| {
+                let (ch, cm) = level(c).hit_miss();
                 (h + ch, m + cm)
             })
         };
-        (agg(&self.l1), agg(&self.l2), self.l3.hit_miss())
+        (agg(|c| &c.l1), agg(|c| &c.l2), self.l3.hit_miss())
     }
 
     /// L3 occupancy of a partition, in lines.
@@ -474,6 +433,73 @@ mod tests {
         let ((l1h, l1m), _, (l3h, l3m)) = m.level_stats();
         assert_eq!((l1h, l1m), (1, 1));
         assert_eq!((l3h, l3m), (0, 1));
+    }
+
+    /// 32 lines, written, then read back: core 0's L2 holds all of
+    /// them, its L1 the last 16.
+    fn warmed() -> Hierarchy {
+        let mut m = h();
+        for i in 0..32u64 {
+            let kind = if i % 3 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            m.access(Cycles(i), 0, PAddr(i * 64), kind, PartitionId::DEFAULT);
+        }
+        m
+    }
+
+    #[test]
+    fn core_view_round_trip_equals_direct_access() {
+        let mut direct = warmed();
+        let mut viewed = direct.clone();
+        let mut view = viewed.core_view(0);
+        // Every line is L1- or L2-resident: L2 hits refill the L1 and
+        // write dirty victims back.
+        for round in 0..3u64 {
+            for i in 0..32u64 {
+                let addr = PAddr(i * 64 + round * 8);
+                let kind = if (i + round) % 2 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let want = direct.access(Cycles(100), 0, addr, kind, PartitionId::DEFAULT);
+                let got = view.try_access(addr, kind, PartitionId::DEFAULT);
+                assert_eq!(got, Some(want));
+            }
+        }
+        viewed.commit_core_view(0, view);
+        assert_eq!(format!("{direct:?}"), format!("{viewed:?}"));
+        assert_eq!(direct.level_stats(), viewed.level_stats());
+        assert_eq!(direct.writebacks(), viewed.writebacks());
+        assert!(
+            direct.writebacks().0 > 0,
+            "the stream must evict dirty L1 lines"
+        );
+    }
+
+    #[test]
+    fn l3_bound_try_access_leaves_view_untouched() {
+        let mut m = warmed();
+        // In the shared L3 only (core 1 pulled it in), and nowhere.
+        let l3_only = PAddr(0x8000);
+        m.access(
+            Cycles(0),
+            1,
+            l3_only,
+            AccessKind::Read,
+            PartitionId::DEFAULT,
+        );
+        let mut view = m.core_view(0);
+        let before = format!("{view:?}");
+        for addr in [l3_only, PAddr(0x9000)] {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                assert_eq!(view.try_access(addr, kind, PartitionId::DEFAULT), None);
+                assert_eq!(format!("{view:?}"), before);
+            }
+        }
     }
 
     #[test]

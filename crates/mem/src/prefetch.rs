@@ -12,22 +12,55 @@ use switchless_sim::hash::FxHashMap;
 use crate::addr::PAddr;
 use crate::monitor::WatchId;
 
-/// Per-thread captured working set (most-recent-N distinct lines).
-#[derive(Clone, Debug, Default)]
-struct WorkingSet {
-    /// Line addresses, most recently touched last.
-    lines: Vec<PAddr>,
+/// Per-thread working-set capture: the most-recent `capacity` distinct
+/// lines each thread touched, oldest first. [`WakePrefetcher`] owns one
+/// for every thread; an epoch worker records into a clone holding its
+/// core's threads ([`WakePrefetcher::core_view`]), folded back with
+/// [`WakePrefetcher::absorb`] at commit.
+#[derive(Clone, Debug)]
+pub struct Capture {
+    /// Fx-hashed: only keyed lookups; replay order comes from the
+    /// per-thread line vector, never from map iteration.
+    sets: FxHashMap<WatchId, Vec<PAddr>>,
+    /// Max distinct lines remembered per thread.
+    capacity: usize,
+    enabled: bool,
+}
+
+impl Capture {
+    /// Notes that `thread` touched `addr` while running.
+    pub fn record_access(&mut self, thread: WatchId, addr: PAddr) {
+        self.record_run(thread, &[addr.line()]);
+    }
+
+    /// Batch equivalent of a run of [`Capture::record_access`] calls:
+    /// `lines` must be the run's **distinct** line addresses in
+    /// last-access order. The per-thread state is an LRU list — after
+    /// any access history it holds the last `capacity` distinct lines
+    /// of that history in last-access order, which is a function of the
+    /// history's dedup-keep-last projection only. Replaying the deduped
+    /// run therefore lands in exactly the state the full per-access run
+    /// would.
+    pub fn record_run(&mut self, thread: WatchId, lines: &[PAddr]) {
+        if !self.enabled || lines.is_empty() {
+            return;
+        }
+        let set = self.sets.entry(thread).or_default();
+        for &line in lines {
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                set.remove(pos);
+            } else if set.len() >= self.capacity {
+                set.remove(0);
+            }
+            set.push(line);
+        }
+    }
 }
 
 /// Records working sets per thread and replays them on wake.
 #[derive(Clone, Debug)]
 pub struct WakePrefetcher {
-    /// Fx-hashed: only keyed lookups; replay order comes from the
-    /// per-thread `lines` vector, never from map iteration.
-    sets: FxHashMap<WatchId, WorkingSet>,
-    /// Max distinct lines remembered per thread.
-    capacity: usize,
-    enabled: bool,
+    capture: Capture,
     replays: u64,
     lines_replayed: u64,
 }
@@ -42,9 +75,11 @@ impl WakePrefetcher {
     pub fn new(capacity: usize) -> WakePrefetcher {
         assert!(capacity > 0, "prefetcher capacity must be positive");
         WakePrefetcher {
-            sets: FxHashMap::default(),
-            capacity,
-            enabled: true,
+            capture: Capture {
+                sets: FxHashMap::default(),
+                capacity,
+                enabled: true,
+            },
             replays: 0,
             lines_replayed: 0,
         }
@@ -52,51 +87,18 @@ impl WakePrefetcher {
 
     /// Enables or disables capture+replay (the F13 ablation switch).
     pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
+        self.capture.enabled = on;
     }
 
     /// Whether the prefetcher is active.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.capture.enabled
     }
 
-    /// Notes that `thread` touched `addr` while running.
-    pub fn record_access(&mut self, thread: WatchId, addr: PAddr) {
-        if !self.enabled {
-            return;
-        }
-        let set = self.sets.entry(thread).or_default();
-        let line = addr.line();
-        if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-            set.lines.remove(pos);
-        } else if set.lines.len() >= self.capacity {
-            set.lines.remove(0);
-        }
-        set.lines.push(line);
-    }
-
-    /// Batch equivalent of a run of [`WakePrefetcher::record_access`]
-    /// calls: `lines` must be the run's **distinct** line addresses in
-    /// last-access order. The per-thread state is an LRU list — after
-    /// any access history it holds the last `capacity` distinct lines
-    /// of that history in last-access order, which is a function of the
-    /// history's dedup-keep-last projection only. Replaying the deduped
-    /// run therefore lands in exactly the state the full per-access run
-    /// would.
-    pub fn record_run(&mut self, thread: WatchId, lines: &[PAddr]) {
-        if !self.enabled || lines.is_empty() {
-            return;
-        }
-        let set = self.sets.entry(thread).or_default();
-        for &line in lines {
-            if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-                set.lines.remove(pos);
-            } else if set.lines.len() >= self.capacity {
-                set.lines.remove(0);
-            }
-            set.lines.push(line);
-        }
+    /// The capture state running threads record into.
+    pub fn capture_mut(&mut self) -> &mut Capture {
+        &mut self.capture
     }
 
     /// Returns the lines to warm for a thread being woken (oldest first),
@@ -104,14 +106,14 @@ impl WakePrefetcher {
     /// wakes are frequent under I/O-heavy workloads.
     #[must_use]
     pub fn wake_set(&mut self, thread: WatchId) -> &[PAddr] {
-        if !self.enabled {
+        if !self.capture.enabled {
             return &[];
         }
-        match self.sets.get(&thread) {
-            Some(ws) => {
+        match self.capture.sets.get(&thread) {
+            Some(lines) => {
                 self.replays += 1;
-                self.lines_replayed += ws.lines.len() as u64;
-                &ws.lines
+                self.lines_replayed += lines.len() as u64;
+                lines
             }
             None => &[],
         }
@@ -119,7 +121,7 @@ impl WakePrefetcher {
 
     /// Forgets a thread's set (thread destroyed / reassigned).
     pub fn forget(&mut self, thread: WatchId) {
-        self.sets.remove(&thread);
+        self.capture.sets.remove(&thread);
     }
 
     /// `(wake replays performed, total lines replayed)`.
@@ -131,78 +133,27 @@ impl WakePrefetcher {
     /// Number of distinct lines currently captured for `thread`.
     #[must_use]
     pub fn captured_len(&self, thread: WatchId) -> usize {
-        self.sets.get(&thread).map_or(0, |s| s.lines.len())
+        self.capture.sets.get(&thread).map_or(0, Vec::len)
     }
 
-    /// Clones the capture state for `threads` into a [`PrefetchView`] an
+    /// Clones the capture state for `threads` into a [`Capture`] an
     /// epoch worker can record into off-thread. Wake replay never happens
     /// inside a committed epoch (a wake ends it), so only capture state
     /// travels.
-    pub fn core_view<I: IntoIterator<Item = WatchId>>(&self, threads: I) -> PrefetchView {
-        let mut sets = FxHashMap::default();
-        for t in threads {
-            if let Some(ws) = self.sets.get(&t) {
-                sets.insert(t, ws.clone());
-            }
-        }
-        PrefetchView {
-            sets,
-            capacity: self.capacity,
-            enabled: self.enabled,
-        }
+    pub fn core_view<I: IntoIterator<Item = WatchId>>(&self, threads: I) -> Capture {
+        let c = &self.capture;
+        let sets = threads
+            .into_iter()
+            .filter_map(|t| Some((t, c.sets.get(&t)?.clone())))
+            .collect();
+        Capture { sets, ..*c }
     }
 
-    /// Folds a worker's [`PrefetchView`] back in: each thread's captured
-    /// set is replaced wholesale (per-thread state, so per-key overwrite
+    /// Folds a worker's [`Capture`] back in: each thread's captured set
+    /// is replaced wholesale (per-thread state, so per-key overwrite
     /// reproduces the serial outcome regardless of merge order).
-    pub fn absorb(&mut self, view: PrefetchView) {
-        for (t, ws) in view.sets {
-            self.sets.insert(t, ws);
-        }
-    }
-}
-
-/// A detached slice of [`WakePrefetcher`] capture state for the threads
-/// enrolled on one core, mutated by an epoch worker and folded back with
-/// [`WakePrefetcher::absorb`] at commit.
-#[derive(Clone, Debug)]
-pub struct PrefetchView {
-    sets: FxHashMap<WatchId, WorkingSet>,
-    capacity: usize,
-    enabled: bool,
-}
-
-impl PrefetchView {
-    /// Notes that `thread` touched `addr`; identical recency/eviction
-    /// behaviour to [`WakePrefetcher::record_access`].
-    pub fn record_access(&mut self, thread: WatchId, addr: PAddr) {
-        if !self.enabled {
-            return;
-        }
-        let set = self.sets.entry(thread).or_default();
-        let line = addr.line();
-        if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-            set.lines.remove(pos);
-        } else if set.lines.len() >= self.capacity {
-            set.lines.remove(0);
-        }
-        set.lines.push(line);
-    }
-
-    /// Batch recording, identical to [`WakePrefetcher::record_run`].
-    pub fn record_run(&mut self, thread: WatchId, lines: &[PAddr]) {
-        if !self.enabled || lines.is_empty() {
-            return;
-        }
-        let set = self.sets.entry(thread).or_default();
-        for &line in lines {
-            if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-                set.lines.remove(pos);
-            } else if set.lines.len() >= self.capacity {
-                set.lines.remove(0);
-            }
-            set.lines.push(line);
-        }
+    pub fn absorb(&mut self, view: Capture) {
+        self.capture.sets.extend(view.sets);
     }
 }
 
@@ -214,9 +165,9 @@ mod tests {
     fn captures_distinct_lines() {
         let mut p = WakePrefetcher::new(8);
         let t = WatchId(1);
-        p.record_access(t, PAddr(0));
-        p.record_access(t, PAddr(8)); // same line
-        p.record_access(t, PAddr(64));
+        p.capture_mut().record_access(t, PAddr(0));
+        p.capture_mut().record_access(t, PAddr(8)); // same line
+        p.capture_mut().record_access(t, PAddr(64));
         assert_eq!(p.captured_len(t), 2);
         assert_eq!(p.wake_set(t), vec![PAddr(0), PAddr(64)]);
     }
@@ -225,9 +176,9 @@ mod tests {
     fn capacity_evicts_oldest() {
         let mut p = WakePrefetcher::new(2);
         let t = WatchId(1);
-        p.record_access(t, PAddr(0));
-        p.record_access(t, PAddr(64));
-        p.record_access(t, PAddr(128));
+        p.capture_mut().record_access(t, PAddr(0));
+        p.capture_mut().record_access(t, PAddr(64));
+        p.capture_mut().record_access(t, PAddr(128));
         assert_eq!(p.wake_set(t), vec![PAddr(64), PAddr(128)]);
     }
 
@@ -235,10 +186,10 @@ mod tests {
     fn retouch_refreshes_recency() {
         let mut p = WakePrefetcher::new(2);
         let t = WatchId(1);
-        p.record_access(t, PAddr(0));
-        p.record_access(t, PAddr(64));
-        p.record_access(t, PAddr(0)); // refresh line 0
-        p.record_access(t, PAddr(128)); // evicts 64
+        p.capture_mut().record_access(t, PAddr(0));
+        p.capture_mut().record_access(t, PAddr(64));
+        p.capture_mut().record_access(t, PAddr(0)); // refresh line 0
+        p.capture_mut().record_access(t, PAddr(128)); // evicts 64
         assert_eq!(p.wake_set(t), vec![PAddr(0), PAddr(128)]);
     }
 
@@ -251,14 +202,15 @@ mod tests {
         let mut run = WakePrefetcher::new(2);
         let t = WatchId(7);
         for p in [&mut per, &mut run] {
-            p.record_access(t, PAddr(0));
-            p.record_access(t, PAddr(64));
+            p.capture_mut().record_access(t, PAddr(0));
+            p.capture_mut().record_access(t, PAddr(64));
         }
         // Stream: 128, 0, 128, 192 (lines). Dedup keep-last: 0, 128, 192.
         for a in [128u64, 0, 128, 192] {
-            per.record_access(t, PAddr(a));
+            per.capture_mut().record_access(t, PAddr(a));
         }
-        run.record_run(t, &[PAddr(0), PAddr(128), PAddr(192)]);
+        run.capture_mut()
+            .record_run(t, &[PAddr(0), PAddr(128), PAddr(192)]);
         assert_eq!(per.wake_set(t).to_vec(), run.wake_set(t).to_vec());
         assert_eq!(per.captured_len(t), run.captured_len(t));
     }
@@ -268,9 +220,46 @@ mod tests {
         let mut p = WakePrefetcher::new(4);
         p.set_enabled(false);
         let t = WatchId(1);
-        p.record_access(t, PAddr(0));
+        p.capture_mut().record_access(t, PAddr(0));
         assert!(p.wake_set(t).is_empty());
         assert_eq!(p.stats(), (0, 0));
+    }
+
+    #[test]
+    fn worker_view_round_trip_equals_direct_recording() {
+        // Two threads on the worker's core, one elsewhere; capacity 3 so
+        // the worker's stream evicts mid-run.
+        let (a, b, other) = (WatchId(1), WatchId(2), WatchId(3));
+        let stream: &[(WatchId, u64)] = &[
+            (a, 0x40),
+            (b, 0x80),
+            (a, 0x48), // same line as 0x40: refresh
+            (a, 0xc0),
+            (a, 0x100),
+            (a, 0x140), // evicts the oldest of a's lines
+            (b, 0x80),
+            (b, 0x2000),
+        ];
+        for enabled in [true, false] {
+            let mut direct = WakePrefetcher::new(3);
+            direct.set_enabled(enabled);
+            for t in [a, other] {
+                direct.capture_mut().record_access(t, PAddr(0x1000));
+            }
+            let mut viewed = direct.clone();
+            let mut view = viewed.core_view([a, b]);
+            for &(t, addr) in stream {
+                direct.capture_mut().record_access(t, PAddr(addr));
+                view.record_access(t, PAddr(addr));
+            }
+            viewed.absorb(view);
+            for t in [a, b, other] {
+                assert_eq!(direct.captured_len(t), viewed.captured_len(t));
+                assert_eq!(direct.wake_set(t).to_vec(), viewed.wake_set(t).to_vec());
+            }
+            assert_eq!(direct.stats(), viewed.stats());
+            assert_eq!(direct.captured_len(a), if enabled { 3 } else { 0 });
+        }
     }
 
     #[test]
@@ -283,7 +272,7 @@ mod tests {
     fn forget_clears() {
         let mut p = WakePrefetcher::new(4);
         let t = WatchId(1);
-        p.record_access(t, PAddr(0));
+        p.capture_mut().record_access(t, PAddr(0));
         p.forget(t);
         assert_eq!(p.captured_len(t), 0);
     }
@@ -292,8 +281,8 @@ mod tests {
     fn stats_count_replays() {
         let mut p = WakePrefetcher::new(4);
         let t = WatchId(1);
-        p.record_access(t, PAddr(0));
-        p.record_access(t, PAddr(64));
+        p.capture_mut().record_access(t, PAddr(0));
+        p.capture_mut().record_access(t, PAddr(64));
         let _ = p.wake_set(t);
         let _ = p.wake_set(t);
         assert_eq!(p.stats(), (2, 4));

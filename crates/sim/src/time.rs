@@ -71,12 +71,6 @@ impl Cycles {
             other
         }
     }
-
-    /// Converts to a floating-point cycle count, for statistics.
-    #[must_use]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
 }
 
 impl Add for Cycles {

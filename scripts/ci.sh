@@ -2,8 +2,13 @@
 # Tier-1 gate: everything here runs fully offline.
 #
 #   build    release build of the whole workspace
-#   test     the ~580 unit/integration/property tests
+#   test     the ~610 unit/integration/property tests
 #   clippy   workspace lints, warnings are errors
+#   perfbench  the repository benchmark (perfbench/, a Cargo workspace
+#            of its own that links the crates/* APIs) must build
+#            offline, and its suite, multicore and io_serving workloads
+#            must exit 0 in one-second runs: a non-zero exit is a
+#            pinned-digest mismatch or a failed operation
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
 #            reports (timing and absolute-path lines stripped)
@@ -56,6 +61,17 @@ cargo test -q --workspace
 
 step "cargo clippy -D warnings"
 cargo clippy --workspace -- -D warnings
+
+step "perfbench (offline build; suite, multicore, io_serving for 1 s each)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for w in suite multicore io_serving; do
+    if ! cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seconds 1 | tail -1; then
+        echo "FAIL: perfbench --workload $w exited non-zero" >&2
+        exit 1
+    fi
+done
+echo "perfbench: builds offline, every workload's digests match"
 
 step "deterministic replay (f16 twice, same seed)"
 # Strip wall-clock noise: per-experiment "(N.Ns)" lines, csv paths, and
