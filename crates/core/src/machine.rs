@@ -522,7 +522,7 @@ pub struct Machine {
     pending_charge: Cycles,
     /// Sibling-slot events lifted out of the queue by an in-progress
     /// burst (see `dispatch`); always drained back before it returns.
-    burst_stash: Vec<(Cycles, EventToken, Ev)>,
+    burst_stash: Vec<(EventToken, Ev)>,
     /// Wake-to-first-dispatch latency histogram (cycles).
     pub(crate) wake_latency: Histogram,
     /// Most recent wake-latency sample, with the woken thread.
@@ -2714,7 +2714,7 @@ impl ExecCtx for Machine {
         self.events.schedule_mark()
     }
     fn next_deadline(&mut self) -> Option<Cycles> {
-        self.events.next_deadline()
+        self.events.peek_time()
     }
     #[inline]
     fn lift_sibling(&mut self, core: usize, slot: usize) -> bool {
@@ -2723,17 +2723,17 @@ impl ExecCtx for Machine {
             Some((_, &Ev::SlotFree { core: c, slot: s })) if c as usize == core && s as usize != slot
         );
         if sibling {
-            let lifted = self
+            let (_, tok, ev) = self
                 .events
                 .pop_keyed()
                 .expect("peek/pop agree on the head event");
-            self.burst_stash.push(lifted);
+            self.burst_stash.push((tok, ev));
         }
         sibling
     }
     fn restore_lifted(&mut self) {
-        while let Some((at, tok, ev)) = self.burst_stash.pop() {
-            self.events.restore(at, tok, ev);
+        while let Some((tok, ev)) = self.burst_stash.pop() {
+            self.events.restore(tok, ev);
         }
     }
 

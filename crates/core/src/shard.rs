@@ -666,10 +666,10 @@ impl Machine {
                 break;
             };
             if matches!(ev, Ev::Call(_)) {
-                self.events.restore(at, tok, ev);
+                self.events.restore(tok, ev);
                 while staged.last().is_some_and(|&(t2, _, _)| t2 == at) {
-                    let (t2, tok2, ev2) = staged.pop().expect("non-empty");
-                    self.events.restore(t2, tok2, ev2);
+                    let (_, tok2, ev2) = staged.pop().expect("non-empty");
+                    self.events.restore(tok2, ev2);
                 }
                 b = at;
                 break;
@@ -679,8 +679,8 @@ impl Machine {
 
         let restore_staged =
             |m: &mut Machine, staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)>| {
-                for (at, tok, ev) in staged.into_iter().rev() {
-                    m.events.restore(at, tok, ev);
+                for (_, tok, ev) in staged.into_iter().rev() {
+                    m.events.restore(tok, ev);
                 }
             };
 

@@ -3,8 +3,10 @@
 //! Events are ordered by their scheduled cycle; ties are broken by insertion
 //! order (FIFO), which makes simulations deterministic for a fixed seed.
 //! Cancellation is by token: [`EventQueue::schedule`] returns an
-//! [`EventToken`] which can later be passed to [`EventQueue::cancel`].
-//! Cancelled events are dropped lazily when they reach the head of the queue.
+//! [`EventToken`] carrying the event's `(time, seq)` key, and
+//! [`EventQueue::cancel`] uses that key to remove the event from wherever
+//! it is queued. Every queued event is therefore live, so the queue keeps
+//! no per-seq state.
 //!
 //! # Internals: timing wheel + far FIFO + overflow heap
 //!
@@ -30,38 +32,21 @@
 //! `[cursor, cursor + WHEEL_SLOTS)` where `cursor` is the last popped
 //! time (pops are monotone), so a slot never holds two distinct times
 //! and slot order equals time order starting from the cursor's slot.
+//! Far FIFO entries are never earlier than the cursor either; only the
+//! heap holds events in the past.
 
 use core::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Per-seq state index: seq `s` (with `s >= ring_base`) lives at
-/// `s & (RING_WINDOW - 1)` — windowing guarantees at most `RING_WINDOW`
-/// in-ring seqs, so the masked indices never collide.
-macro_rules! ring_slot {
-    ($seq:expr) => {
-        ($seq as usize) & (RING_WINDOW - 1)
-    };
-}
-
-use crate::hash::FxHashSet;
 use crate::time::Cycles;
 
-/// Handle identifying a scheduled event, used for cancellation.
+/// Handle identifying a scheduled event, used for cancellation: the
+/// event's `(time, seq)` key, which locates it in the queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
-
-/// Per-seq lifecycle state tracked in the recency ring.
-const LIVE: u8 = 0;
-const CANCELLED: u8 = 1;
-const RETIRED: u8 = 2;
-
-/// Seqs within this distance of the newest keep their state in a flat
-/// ring (no hashing). Older survivors spill to hash sets on age-out.
-/// Simulation hot loops pop events scheduled at most a few thousand
-/// schedules earlier (bounded by outstanding events), so steady state
-/// never touches a hash table; the ring itself costs `RING_WINDOW`
-/// bytes at most.
-const RING_WINDOW: usize = 4096;
+pub struct EventToken {
+    at: Cycles,
+    seq: u64,
+}
 
 /// Number of wheel slots; also the wheel horizon in cycles. Power of two
 /// so the slot index is a mask. Events due further out overflow to the
@@ -83,16 +68,12 @@ const _: () = assert!(WHEEL_WORDS == 64);
 /// |-----------------------------------|-----------------|
 /// | [`schedule`](EventQueue::schedule) | O(1) within the wheel horizon or in time order beyond it; O(log n) for out-of-order far or past events |
 /// | [`pop`](EventQueue::pop) / [`pop_due`](EventQueue::pop_due) | O(1) amortised, except O(log n) for heap entries |
-/// | [`cancel`](EventQueue::cancel)    | O(1)            |
-/// | [`peek_time`](EventQueue::peek_time) / [`peek`](EventQueue::peek) | O(1) amortised |
+/// | [`cancel`](EventQueue::cancel)    | O(events due that cycle) in the wheel; O(log n) plus a shift in the far FIFO; O(n) in the heap |
+/// | [`peek_time`](EventQueue::peek_time) / [`peek`](EventQueue::peek) | O(1), exact, `&self` |
 /// | [`len`](EventQueue::len) / [`is_empty`](EventQueue::is_empty) | O(1), exact |
 ///
-/// Cancelled events are removed lazily when they reach the head. Seq
-/// bookkeeping lives in a fixed-size recency ring (newest
-/// [`RING_WINDOW`] seqs) plus spill sets bounded by the number of *live*
-/// entries, so long-running simulations that cancel (or cancel-after-
-/// pop) heavily never accumulate garbage — and the hot schedule/pop
-/// path performs no hashing at all.
+/// A cancel removes its event at once, so nothing cancelled is ever
+/// queued and a cancel of a popped or cancelled token finds nothing.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Near-future events: slot `at & (WHEEL_SLOTS - 1)` holds a FIFO as
@@ -117,20 +98,8 @@ pub struct EventQueue<E> {
     /// future, or scheduled in the past). Wheel, `far` and `overflow` are
     /// merged by `(time, seq)` at pop time.
     overflow: BinaryHeap<Reverse<Entry<E>>>,
-    /// Lifecycle state of the newest seqs: seq `s` in
-    /// `[ring_base, next_seq)` lives at `s & (RING_WINDOW - 1)`. A flat
-    /// masked array, not a deque — state lookups on the pop path are one
-    /// AND plus one indexed load.
-    ring: Box<[u8; RING_WINDOW]>,
-    ring_base: u64,
-    /// Live seqs that aged out of the ring (still queued).
-    old_live: FxHashSet<u64>,
-    /// Cancelled-but-still-queued seqs that aged out of the ring.
-    old_cancelled: FxHashSet<u64>,
-    /// Exact number of live (scheduled, not popped/cancelled) events.
+    /// Exact number of queued events.
     live: usize,
-    /// Cancelled events still physically queued, awaiting lazy removal.
-    cancelled_queued: usize,
     next_seq: u64,
     /// Timestamp of the most recently popped event; pops are monotone,
     /// which is what anchors the wheel window.
@@ -215,15 +184,16 @@ impl<E> EventQueue<E> {
             summary: 0,
             far: VecDeque::new(),
             overflow: BinaryHeap::new(),
-            ring: Box::new([RETIRED; RING_WINDOW]),
-            ring_base: 0,
-            old_live: FxHashSet::default(),
-            old_cancelled: FxHashSet::default(),
             live: 0,
-            cancelled_queued: 0,
             next_seq: 0,
             last_popped: Cycles::ZERO,
         }
+    }
+
+    /// Whether `at` lies in the wheel window `[cursor, cursor + WHEEL_SLOTS)`.
+    #[inline]
+    fn in_wheel(&self, at: Cycles) -> bool {
+        at >= self.last_popped && at.0 - self.last_popped.0 < WHEEL_SLOTS as u64
     }
 
     /// Takes a node from the freelist (or grows the slab) and fills it.
@@ -326,32 +296,14 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: Cycles, event: E) -> EventToken {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if at >= self.last_popped && at.0 - self.last_popped.0 < WHEEL_SLOTS as u64 {
+        if self.in_wheel(at) {
             let slot = at.0 as usize & (WHEEL_SLOTS - 1);
             self.slot_push_back(slot, at, seq, event);
         } else {
             self.push_beyond_wheel(Entry { at, seq, event });
         }
-        if seq - self.ring_base == RING_WINDOW as u64 {
-            // The oldest ring slot ages out (it is the one `seq` is about
-            // to reuse); a seq still in play spills to the hash sets
-            // (rare: an event that outlived RING_WINDOW later schedules,
-            // or a cancel buried deep in the queue).
-            let aged = self.ring_base;
-            self.ring_base += 1;
-            match self.ring[ring_slot!(aged)] {
-                LIVE => {
-                    self.old_live.insert(aged);
-                }
-                CANCELLED => {
-                    self.old_cancelled.insert(aged);
-                }
-                _ => {}
-            }
-        }
-        self.ring[ring_slot!(seq)] = LIVE;
         self.live += 1;
-        EventToken(seq)
+        EventToken { at, seq }
     }
 
     /// Queues a newly scheduled event outside the wheel horizon: in the
@@ -369,101 +321,133 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Cancels a previously scheduled event. O(1).
+    /// Cancels a previously scheduled event, removing it from wherever it
+    /// is queued: unlinked from its wheel slot's chain, binary-searched
+    /// out of the far FIFO, or filtered out of the heap.
     ///
-    /// Returns `true` if the token had not already fired or been
-    /// cancelled. Cancelling an already-popped (or already-cancelled)
-    /// token is an exact no-op returning `false`: the seq's lifecycle
-    /// state is consulted, so a dead seq never re-enters the lazy-removal
-    /// bookkeeping (which would otherwise leak memory over long runs).
+    /// Returns `true` if the event was still queued. Cancelling a popped,
+    /// held (see [`EventQueue::pop_keyed`]) or already-cancelled token
+    /// finds nothing and returns `false`.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let seq = token.0;
-        if seq >= self.next_seq {
-            return false; // never issued by this queue
-        }
-        let was_live = if seq >= self.ring_base {
-            let slot = &mut self.ring[ring_slot!(seq)];
-            let live = *slot == LIVE;
-            if live {
-                *slot = CANCELLED;
-            }
-            live
-        } else if self.old_live.remove(&seq) {
-            self.old_cancelled.insert(seq);
-            true
-        } else {
-            false
-        };
-        if was_live {
+        let EventToken { at, seq } = token;
+        let removed =
+            self.wheel_unlink(at, seq) || self.far_remove(at, seq) || self.heap_remove(at, seq);
+        if removed {
             self.live -= 1;
-            self.cancelled_queued += 1;
         }
-        was_live
+        removed
     }
 
-    /// Time of the earliest pending event, if any. O(1) amortised (a
-    /// cancelled prefix is dropped first).
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<Cycles> {
-        self.live_min_src().map(|(_, at, _)| at)
+    /// Unlinks `(at, seq)` from its wheel slot's chain, if it is there,
+    /// fixing the slot's head, tail, cached head key and occupancy bits.
+    fn wheel_unlink(&mut self, at: Cycles, seq: u64) -> bool {
+        let slot = at.0 as usize & (WHEEL_SLOTS - 1);
+        let f = self.slots[slot];
+        // A slot holds events of one time, and the wheel only times in
+        // its window: a head of another time means the event is elsewhere.
+        if f.head == NIL || f.at != at || seq < f.seq {
+            return false;
+        }
+        if seq == f.seq {
+            self.slot_pop_front(slot);
+            return true;
+        }
+        let p = self.chain_pred(slot, seq);
+        let i = self.slab[p as usize].next;
+        if i == NIL || self.slab[i as usize].seq != seq {
+            return false;
+        }
+        let n = &mut self.slab[i as usize];
+        let next = n.next;
+        n.event = None;
+        n.next = self.free_head;
+        self.free_head = i;
+        self.slab[p as usize].next = next;
+        if next == NIL {
+            self.slots[slot].tail = p;
+        }
+        true
     }
 
-    /// The earliest pending deadline — [`EventQueue::peek_time`] under the
-    /// name burst executors use. A simulator executing work inline (without
-    /// re-entering the queue per step) must never advance past this time:
-    /// anything at or before it (a device callback, a timer, a cross-core
-    /// `SlotFree`) has to observe machine state first. The empty-queue
-    /// fast path is two loads, so callers can afford to consult it per
-    /// step.
+    /// The last node of `slot`'s seq-ascending chain whose seq is below
+    /// `seq`; the chain's head must be below it.
+    fn chain_pred(&self, slot: usize, seq: u64) -> u32 {
+        let mut p = self.slots[slot].head;
+        loop {
+            let nxt = self.slab[p as usize].next;
+            if nxt == NIL || self.slab[nxt as usize].seq >= seq {
+                return p;
+            }
+            p = nxt;
+        }
+    }
+
+    /// Removes `(at, seq)` from the far FIFO, if it is there.
+    fn far_remove(&mut self, at: Cycles, seq: u64) -> bool {
+        let i = self.far.binary_search_by(|e| (e.at, e.seq).cmp(&(at, seq)));
+        i.map(|i| self.far.remove(i)).is_ok()
+    }
+
+    /// Removes `(at, seq)` from the overflow heap, if it is there.
+    fn heap_remove(&mut self, at: Cycles, seq: u64) -> bool {
+        let n = self.overflow.len();
+        self.overflow
+            .retain(|Reverse(e)| (e.at, e.seq) != (at, seq));
+        self.overflow.len() != n
+    }
+
+    /// Time of the earliest pending event, if any. O(1).
+    ///
+    /// A simulator executing work inline (without re-entering the queue
+    /// per step) must never advance past this time: anything at or before
+    /// it (a device callback, a timer, a cross-core `SlotFree`) has to
+    /// observe machine state first. The empty-queue fast path is one
+    /// load, so callers can afford to consult it per step.
     #[must_use]
     #[inline]
-    pub fn next_deadline(&mut self) -> Option<Cycles> {
-        if self.live == 0 && self.cancelled_queued == 0 {
-            return None;
-        }
-        self.peek_time()
+    pub fn peek_time(&self) -> Option<Cycles> {
+        self.min_src().map(|(_, at, _)| at)
     }
 
     /// Monotone count of schedules ever issued. A caller that cached
-    /// [`EventQueue::next_deadline`] may keep using the cached value while
-    /// this mark is unchanged *and* no cancels happen: schedules are the
-    /// only operation that can move the deadline **earlier**. (Cancels can
-    /// move it later, which makes a cached value conservative, never
-    /// unsafe.)
+    /// [`EventQueue::peek_time`] may keep using the cached value while
+    /// this mark is unchanged: besides a schedule, only a
+    /// [`restore`](EventQueue::restore) of what the caller itself lifted
+    /// can move the head **earlier**. Pops and cancels can only move it
+    /// later, which leaves a cached value conservative, never unsafe.
     #[must_use]
     #[inline]
     pub fn schedule_mark(&self) -> u64 {
         self.next_seq
     }
 
-    /// The earliest pending `(time, event)` without removing it. O(1)
-    /// amortised. Does not allocate.
+    /// The earliest pending `(time, event)` without removing it. O(1).
+    /// Does not allocate.
     #[must_use]
-    pub fn peek(&mut self) -> Option<(Cycles, &E)> {
-        // `live_min_src` ends the query borrow of `self` before the
-        // chosen entry is re-borrowed for the return value.
-        match self.live_min_src()? {
+    pub fn peek(&self) -> Option<(Cycles, &E)> {
+        Some(match self.min_src()? {
             (Src::Wheel(slot), ..) => {
                 let head = self.slots[slot & (WHEEL_SLOTS - 1)].head;
                 let n = &self.slab[head as usize];
-                Some((n.at, n.event.as_ref().expect("live node has an event")))
+                (n.at, n.event.as_ref().expect("live node has an event"))
             }
             (Src::Far, ..) => {
                 let e = self.far.front().expect("checked");
-                Some((e.at, &e.event))
+                (e.at, &e.event)
             }
             (Src::Overflow, ..) => {
                 let Reverse(e) = self.overflow.peek().expect("checked");
-                Some((e.at, &e.event))
+                (e.at, &e.event)
             }
-        }
+        })
     }
 
     /// Pops the earliest pending event. O(1) amortised for wheel and far
     /// FIFO events, O(log n) for overflow heap events.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let (src, ..) = self.live_min_src()?;
-        Some(self.take(src))
+        let (src, ..) = self.min_src()?;
+        let e = self.take(src);
+        Some((e.at, e.event))
     }
 
     /// Pops the earliest pending event together with its token, so the
@@ -473,12 +457,9 @@ impl<E> EventQueue<E> {
     /// of the deadline computation without perturbing the queue's
     /// `(time, seq)` order when it is put back.
     pub fn pop_keyed(&mut self) -> Option<(Cycles, EventToken, E)> {
-        let (src, ..) = self.live_min_src()?;
-        let e = self.remove_head(src);
-        self.retire(e.seq);
-        self.live -= 1;
-        self.last_popped = self.last_popped.max(e.at);
-        Some((e.at, EventToken(e.seq), e.event))
+        let (src, ..) = self.min_src()?;
+        let Entry { at, seq, event } = self.take(src);
+        Some((at, EventToken { at, seq }, event))
     }
 
     /// Re-inserts an event previously removed with
@@ -488,10 +469,10 @@ impl<E> EventQueue<E> {
     /// order ahead of anything scheduled since. The caller must pass the
     /// exact values returned by `pop_keyed` and restore each key at most
     /// once.
-    pub fn restore(&mut self, at: Cycles, token: EventToken, event: E) {
-        let seq = token.0;
+    pub fn restore(&mut self, token: EventToken, event: E) {
+        let EventToken { at, seq } = token;
         debug_assert!(seq < self.next_seq, "restore of a foreign token");
-        if at >= self.last_popped && at.0 - self.last_popped.0 < WHEEL_SLOTS as u64 {
+        if self.in_wheel(at) {
             let slot = at.0 as usize & (WHEEL_SLOTS - 1);
             // Slot FIFOs are kept in seq order; the restored entry is
             // older than anything scheduled after it was popped, so it
@@ -514,14 +495,7 @@ impl<E> EventQueue<E> {
                     seq,
                 };
             } else {
-                let mut p = f.head;
-                loop {
-                    let nxt = self.slab[p as usize].next;
-                    if nxt == NIL || self.slab[nxt as usize].seq > seq {
-                        break;
-                    }
-                    p = nxt;
-                }
+                let p = self.chain_pred(slot, seq);
                 let nxt = self.slab[p as usize].next;
                 self.slab[idx as usize].next = nxt;
                 self.slab[p as usize].next = idx;
@@ -535,45 +509,31 @@ impl<E> EventQueue<E> {
             // entry is never beyond the horizon: it is in the past.
             self.overflow.push(Reverse(Entry { at, seq, event }));
         }
-        if seq >= self.ring_base {
-            self.ring[ring_slot!(seq)] = LIVE;
-        } else {
-            self.old_live.insert(seq);
-        }
         self.live += 1;
     }
 
     /// Pops the earliest event only if it is due at or before `now`.
     /// Same cost as [`EventQueue::pop`].
     pub fn pop_due(&mut self, now: Cycles) -> Option<(Cycles, E)> {
-        let (src, at, ..) = self.live_min_src()?;
+        let (src, at, ..) = self.min_src()?;
         if at > now {
             return None;
         }
-        Some(self.take(src))
+        let e = self.take(src);
+        Some((e.at, e.event))
     }
 
-    /// Number of live (scheduled, not yet popped or cancelled) events.
-    /// Exact and O(1): the live count is maintained eagerly even though
-    /// removal of cancelled entries is lazy.
+    /// Number of pending (scheduled, not yet popped or cancelled) events.
+    /// Exact and O(1).
     #[must_use]
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Returns `true` when no live events remain. Exact and O(1).
+    /// Returns `true` when no events are pending. Exact and O(1).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Cancelled events still physically queued, awaiting lazy removal.
-    /// Bounded by the number of cancels whose event has not yet reached
-    /// the queue head — exposed so tests can assert the queue never
-    /// leaks.
-    #[must_use]
-    pub fn cancelled_backlog(&self) -> usize {
-        self.cancelled_queued
     }
 
     /// Locates the minimum `(time, seq)` entry across wheel, far FIFO and
@@ -581,7 +541,7 @@ impl<E> EventQueue<E> {
     /// not have to re-find the front.
     #[inline]
     fn min_src(&self) -> Option<(Src, Cycles, u64)> {
-        if self.live == 0 && self.cancelled_queued == 0 {
+        if self.live == 0 {
             return None;
         }
         if self.overflow.is_empty() && self.far.is_empty() {
@@ -639,61 +599,17 @@ impl<E> EventQueue<E> {
         Some((w << 6) + self.occupied[w].trailing_zeros() as usize)
     }
 
-    /// Removes and returns the head entry (which the caller has located
-    /// via `min_src` and ensured is live).
-    fn take(&mut self, src: Src) -> (Cycles, E) {
-        let e = self.remove_head(src);
-        self.retire(e.seq);
-        self.live -= 1;
-        self.last_popped = self.last_popped.max(e.at);
-        (e.at, e.event)
-    }
-
-    fn remove_head(&mut self, src: Src) -> Entry<E> {
-        match src {
+    /// Removes and returns the head entry, which the caller has located
+    /// via `min_src`, and advances the cursor to its time.
+    fn take(&mut self, src: Src) -> Entry<E> {
+        let e = match src {
             Src::Wheel(slot) => self.slot_pop_front(slot & (WHEEL_SLOTS - 1)),
             Src::Far => self.far.pop_front().expect("checked"),
             Src::Overflow => self.overflow.pop().expect("checked").0,
-        }
-    }
-
-    /// Marks a live seq leaving the queue as fully dead.
-    #[inline]
-    fn retire(&mut self, seq: u64) {
-        if seq >= self.ring_base {
-            self.ring[ring_slot!(seq)] = RETIRED;
-        } else {
-            self.old_live.remove(&seq);
-        }
-    }
-
-    /// Locates the live minimum entry, removing any cancelled entries
-    /// sitting ahead of it. One `min_src` scan per physical head
-    /// examined: a separate drop-then-find pass would pay **two** scans
-    /// per pop whenever a cancel is pending anywhere in the queue (the
-    /// steady state of cancel-heavy simulations).
-    fn live_min_src(&mut self) -> Option<(Src, Cycles, u64)> {
-        loop {
-            let (src, at, seq) = self.min_src()?;
-            if self.cancelled_queued != 0 {
-                let head_cancelled = if seq >= self.ring_base {
-                    self.ring[ring_slot!(seq)] == CANCELLED
-                } else {
-                    self.old_cancelled.contains(&seq)
-                };
-                if head_cancelled {
-                    self.remove_head(src);
-                    if seq >= self.ring_base {
-                        self.ring[ring_slot!(seq)] = RETIRED;
-                    } else {
-                        self.old_cancelled.remove(&seq);
-                    }
-                    self.cancelled_queued -= 1;
-                    continue;
-                }
-            }
-            return Some((src, at, seq));
-        }
+        };
+        self.live -= 1;
+        self.last_popped = self.last_popped.max(e.at);
+        e
     }
 }
 
@@ -787,9 +703,8 @@ mod tests {
 
     #[test]
     fn cancel_after_pop_reports_false_and_leaks_nothing() {
-        // Regression: cancelling an already-popped token used to insert
-        // its dead seq into the lazy-removal set forever (unbounded
-        // growth over long runs) and wrongly return `true`.
+        // Cancelling an already-popped token finds nothing to remove and
+        // must report `false`.
         let mut q = EventQueue::new();
         let mut popped_tokens = Vec::new();
         for i in 0..1000 {
@@ -801,16 +716,13 @@ mod tests {
         for t in popped_tokens {
             assert!(!q.cancel(t), "cancelling a fired token must be false");
         }
-        assert_eq!(q.cancelled_backlog(), 0, "dead seqs must not accumulate");
         assert_eq!(q.len(), 0);
         // A token cancelled while live, whose event then reaches the
         // queue head, is also fully drained.
         let t = q.schedule(Cycles(1), 0);
         q.schedule(Cycles(2), 1);
         assert!(q.cancel(t));
-        assert_eq!(q.cancelled_backlog(), 1);
         assert_eq!(q.pop(), Some((Cycles(2), 1)));
-        assert_eq!(q.cancelled_backlog(), 0);
         assert!(!q.cancel(t), "second cancel of the same token is false");
     }
 
@@ -823,7 +735,6 @@ mod tests {
         other.schedule(Cycles(1), ());
         let foreign = other.schedule(Cycles(2), ());
         assert!(!q.cancel(foreign));
-        assert_eq!(q.cancelled_backlog(), 0);
     }
 
     #[test]
@@ -847,40 +758,31 @@ mod tests {
     }
 
     #[test]
-    fn ring_age_out_keeps_old_tokens_working() {
-        // Events that survive more than RING_WINDOW later schedules spill
-        // out of the recency ring into the hash sets; cancellation and
-        // popping must still behave identically for them.
+    fn long_lived_tokens_stay_cancellable_across_churn() {
+        // Events that outlive thousands of later schedules and pops
+        // (device arrivals scheduled before the run) must cancel and pop
+        // exactly like fresh ones.
         let mut q = EventQueue::new();
         let old_live = q.schedule(Cycles(1_000_000), "old-live");
         let old_cancel = q.schedule(Cycles(2_000_000), "old-cancelled");
         assert!(q.cancel(old_cancel));
-        for i in 0..(RING_WINDOW as u64 * 3) {
+        for i in 0..(WHEEL_SLOTS as u64 * 3) {
             let t = q.schedule(Cycles(i), "churn");
             assert_eq!(q.pop(), Some((Cycles(i), "churn")));
-            assert!(!q.cancel(t), "popped token must stay dead after age-out");
+            assert!(!q.cancel(t), "popped token must stay dead");
         }
-        // Both original events are now far behind the ring window.
         assert_eq!(q.len(), 1);
-        assert_eq!(q.cancelled_backlog(), 1);
-        assert!(
-            !q.cancel(old_cancel),
-            "second cancel stays false when spilled"
-        );
-        assert!(
-            q.cancel(old_live),
-            "spilled live event is still cancellable"
-        );
+        assert!(!q.cancel(old_cancel), "second cancel stays false");
+        assert!(q.cancel(old_live), "long-lived event is still cancellable");
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.cancelled_backlog(), 0, "lazy removal drains spilled seqs");
     }
 
     #[test]
-    fn ring_age_out_pops_old_live_event() {
+    fn long_lived_event_pops_after_churn() {
         let mut q = EventQueue::new();
         let survivor = q.schedule(Cycles(u64::MAX), "survivor");
-        for i in 0..(RING_WINDOW as u64 * 2) {
+        for i in 0..(WHEEL_SLOTS as u64 * 2) {
             q.schedule(Cycles(i), "churn");
             q.pop().unwrap();
         }
@@ -888,7 +790,7 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycles(u64::MAX), "survivor")));
         assert!(
             !q.cancel(survivor),
-            "cancel after pop is false for spilled seq"
+            "cancel after pop is false for a long-lived event"
         );
         assert_eq!(q.len(), 0);
     }
@@ -935,24 +837,24 @@ mod tests {
     #[test]
     fn next_deadline_tracks_min_and_mark_counts_schedules() {
         let mut q = EventQueue::new();
-        assert_eq!(q.next_deadline(), None);
+        assert_eq!(q.peek_time(), None);
         let m0 = q.schedule_mark();
         q.schedule(Cycles(50), "far");
         assert_eq!(q.schedule_mark(), m0 + 1);
-        assert_eq!(q.next_deadline(), Some(Cycles(50)));
+        assert_eq!(q.peek_time(), Some(Cycles(50)));
         // A later schedule can only pull the deadline earlier.
         q.schedule(Cycles(10), "near");
         assert_eq!(q.schedule_mark(), m0 + 2);
-        assert_eq!(q.next_deadline(), Some(Cycles(10)));
+        assert_eq!(q.peek_time(), Some(Cycles(10)));
         // Popping does not disturb the mark (it only counts schedules).
         assert_eq!(q.pop(), Some((Cycles(10), "near")));
         assert_eq!(q.schedule_mark(), m0 + 2);
-        assert_eq!(q.next_deadline(), Some(Cycles(50)));
+        assert_eq!(q.peek_time(), Some(Cycles(50)));
         // Cancelling the last event drains the deadline too.
         let t = q.schedule(Cycles(60), "dead");
         q.cancel(t);
         assert_eq!(q.pop(), Some((Cycles(50), "far")));
-        assert_eq!(q.next_deadline(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -966,7 +868,7 @@ mod tests {
         let (at, tok, ev) = q.pop_keyed().unwrap();
         assert_eq!((at, ev), (Cycles(10), "a"));
         q.schedule(Cycles(10), "d");
-        q.restore(at, tok, ev);
+        q.restore(tok, ev);
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((Cycles(10), "a")));
         assert_eq!(q.pop(), Some((Cycles(10), "b")));
@@ -976,10 +878,10 @@ mod tests {
         // A restore below the advanced cursor lands in overflow and still
         // pops first (and its token stays cancellable across the cycle).
         q.schedule(Cycles(100), "far");
-        let (at, tok, ev) = q.pop_keyed().unwrap();
+        let (_, tok, ev) = q.pop_keyed().unwrap();
         q.schedule(Cycles(150), "advance");
         assert_eq!(q.pop(), Some((Cycles(150), "advance")));
-        q.restore(at, tok, ev);
+        q.restore(tok, ev);
         assert_eq!(q.peek_time(), Some(Cycles(100)));
         assert!(q.cancel(tok), "restored event is live again");
         assert_eq!(q.peek_time(), None);
@@ -1046,6 +948,100 @@ mod tests {
         assert_eq!(q.peek(), Some((Cycles(4), &"live")));
         assert_eq!(q.len(), 1, "peek must not remove live events");
         assert_eq!(q.pop(), Some((Cycles(4), "live")));
+    }
+
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(Cycles, E)> {
+        core::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn cancel_unlinks_wheel_slot_head_middle_and_tail() {
+        for victim in 0..3 {
+            let mut q = EventQueue::new();
+            let toks: Vec<_> = (0..3).map(|i| q.schedule(Cycles(5), i)).collect();
+            q.schedule(Cycles(6), 9);
+            assert!(q.cancel(toks[victim]));
+            assert!(!q.cancel(toks[victim]));
+            assert_eq!(q.len(), 3);
+            let mut want: Vec<_> = (0..3)
+                .filter(|&i| i != victim)
+                .map(|i| (Cycles(5), i))
+                .collect();
+            want.push((Cycles(6), 9));
+            assert_eq!(drain(&mut q), want, "victim {victim}");
+        }
+    }
+
+    #[test]
+    fn cancelled_tail_is_not_the_append_point() {
+        // A stale `tail` would link the new event behind the freed node,
+        // where no walk from the head finds it.
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(5), "a");
+        q.schedule(Cycles(5), "b");
+        let c = q.schedule(Cycles(5), "c");
+        assert!(q.cancel(c));
+        q.schedule(Cycles(5), "d");
+        assert_eq!(q.len(), 3);
+        assert_eq!(
+            drain(&mut q),
+            [(Cycles(5), "a"), (Cycles(5), "b"), (Cycles(5), "d")]
+        );
+    }
+
+    #[test]
+    fn cancelling_a_slots_only_event_clears_its_bits() {
+        let mut q = EventQueue::new();
+        let t = q.schedule(Cycles(700), "only");
+        assert_eq!(q.summary.count_ones(), 1);
+        assert!(q.cancel(t));
+        assert_eq!((q.summary, q.occupied), (0, [0; WHEEL_WORDS]));
+        assert!(q.is_empty());
+        assert_eq!(q.peek(), None);
+        // The slot is reusable for the next lap's cycle.
+        q.schedule(Cycles(700), "next");
+        assert_eq!(q.pop(), Some((Cycles(700), "next")));
+    }
+
+    #[test]
+    fn cancel_removes_from_the_far_fifo() {
+        let mut q = EventQueue::new();
+        let w = WHEEL_SLOTS as u64;
+        let toks: Vec<_> = (0..5).map(|i| q.schedule(Cycles((2 + i) * w), i)).collect();
+        assert_eq!(q.far.len(), 5);
+        assert!(q.cancel(toks[0]));
+        assert!(q.cancel(toks[2]));
+        assert!(q.cancel(toks[4]));
+        assert!(!q.cancel(toks[2]));
+        assert_eq!((q.far.len(), q.len()), (2, 2));
+        assert_eq!(drain(&mut q), [(Cycles(3 * w), 1), (Cycles(5 * w), 3)]);
+    }
+
+    #[test]
+    fn cancel_removes_from_the_overflow_heap() {
+        let mut q = EventQueue::new();
+        let w = WHEEL_SLOTS as u64;
+        q.schedule(Cycles(100), "cursor");
+        assert_eq!(q.pop(), Some((Cycles(100), "cursor")));
+        // In the past, and far but behind the FIFO's tail: both heap.
+        let past = q.schedule(Cycles(1), "past");
+        q.schedule(Cycles(2), "past-kept");
+        q.schedule(Cycles(9 * w), "far");
+        let out_of_order = q.schedule(Cycles(5 * w), "out-of-order");
+        q.schedule(Cycles(4 * w), "out-of-order-kept");
+        assert_eq!((q.far.len(), q.overflow.len()), (1, 4));
+        assert!(q.cancel(past));
+        assert!(q.cancel(out_of_order));
+        assert!(!q.cancel(out_of_order));
+        assert_eq!((q.overflow.len(), q.len()), (2, 3));
+        assert_eq!(
+            drain(&mut q),
+            [
+                (Cycles(2), "past-kept"),
+                (Cycles(4 * w), "out-of-order-kept"),
+                (Cycles(9 * w), "far"),
+            ]
+        );
     }
 }
 

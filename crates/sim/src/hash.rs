@@ -2,14 +2,14 @@
 //!
 //! `std`'s default `HashMap` hasher (SipHash-1-3 with per-instance random
 //! keys) is designed to resist hash-flooding from untrusted input. The
-//! simulator's hot-path maps are keyed by small trusted integers — event
-//! sequence numbers, cache-line addresses, hcall numbers, ptids — where
-//! SipHash is pure overhead and the random seed adds nothing (map
-//! *iteration order* still must never leak into simulated behaviour; see
-//! the determinism notes on each use site). This module provides the
-//! classic Firefox/rustc "Fx" multiply-xor hash: one rotate, one xor and
-//! one multiply per 8-byte chunk, fully deterministic across runs and
-//! platforms of the same pointer width.
+//! simulator's hot-path maps are keyed by small trusted integers and
+//! names — cache-line addresses, pages, hcall numbers, ptids, counter
+//! names — where SipHash is pure overhead and the random seed adds
+//! nothing (map *iteration order* still must never leak into simulated
+//! behaviour; see the determinism notes on each use site). This module
+//! provides the classic Firefox/rustc "Fx" multiply-xor hash: one rotate,
+//! one xor and one multiply per 8-byte chunk, fully deterministic across
+//! runs and platforms of the same pointer width.
 //!
 //! # Examples
 //!
@@ -22,13 +22,10 @@
 //! ```
 
 use core::hash::{BuildHasherDefault, Hasher};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// `HashMap` with the Fx hasher. `Default` gives an empty map.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` with the Fx hasher. `Default` gives an empty set.
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// Creates an empty [`FxHashMap`] with space for `cap` elements.
 #[must_use]
@@ -129,18 +126,15 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_round_trip() {
+    fn map_round_trip() {
         let mut m: FxHashMap<u64, u64> = fx_map_with_capacity(16);
         for i in 0..1000u64 {
             m.insert(i, i * 3);
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m.get(&999), Some(&2997));
-        let mut s: FxHashSet<u32> = FxHashSet::default();
-        assert!(s.insert(5));
-        assert!(!s.insert(5));
-        assert!(s.remove(&5));
-        assert!(!s.remove(&5));
+        assert_eq!(m.remove(&5), Some(15));
+        assert_eq!(m.remove(&5), None);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   device models account into.
 //! * [`error`] — the structured [`error::SimError`] fault/recovery paths
 //!   propagate instead of panicking.
-//! * [`hash`] — a deterministic FxHash-style hasher ([`hash::FxHashMap`],
-//!   [`hash::FxHashSet`]) replacing SipHash on hot-path maps keyed by
-//!   trusted small integers.
+//! * [`hash`] — a deterministic FxHash-style hasher ([`hash::FxHashMap`])
+//!   replacing SipHash on hot-path maps keyed by trusted small integers
+//!   and names.
 //! * [`par`] — a dependency-free scoped-thread work pool
 //!   ([`par::par_map`], [`par::for_each_ordered`]) whose results are
 //!   collected in input order, so parallel runs are bit-identical to

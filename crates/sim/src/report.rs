@@ -142,7 +142,7 @@ impl Table {
     #[must_use]
     pub fn to_csv(&self) -> String {
         fn esc(cell: &str) -> String {
-            if cell.contains([',', '"', '\n']) {
+            if cell.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", cell.replace('"', "\"\""))
             } else {
                 cell.to_owned()
@@ -308,6 +308,19 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"has,comma\""));
         assert!(csv.contains("\"has\"\"quote\""));
+    }
+
+    #[test]
+    fn csv_quotes_carriage_returns() {
+        // RFC 4180: a field holding CR (alone or in CRLF) must be quoted,
+        // or a reader splits the record there.
+        let mut t = Table::new("x", &["a", "b"]);
+        t.row(&["cr\rhere", "crlf\r\nhere"]);
+        t.row(&["plain", "lf\nhere"]);
+        assert_eq!(
+            t.to_csv(),
+            "a,b\n\"cr\rhere\",\"crlf\r\nhere\"\nplain,\"lf\nhere\"\n"
+        );
     }
 
     #[test]

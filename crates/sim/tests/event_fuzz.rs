@@ -142,7 +142,7 @@ impl Harness {
     fn restore(&mut self, i: usize) {
         let r = &self.recs[i];
         assert_eq!(r.site, Where::Held, "{}: restore of a non-held", self.label);
-        self.q.restore(r.at, r.token, r.val);
+        self.q.restore(r.token, r.val);
         self.set_site(i, Where::Live);
     }
 
@@ -163,19 +163,11 @@ impl Harness {
     }
 
     /// Checks the queue's exact length and deadline against the model.
-    fn check(&mut self) {
+    fn check(&self) {
         let label = &self.label;
         assert_eq!(self.q.len(), self.live.len(), "{label}: len");
         let want_deadline = self.min_live().map(|i| self.recs[i].at);
         assert_eq!(self.q.peek_time(), want_deadline, "{label}: peek_time");
-        if let Some(t) = self.q.next_deadline() {
-            // next_deadline may report a stale (cancelled) earlier time —
-            // it is a cheap lower bound — but never a later one.
-            assert!(
-                want_deadline.is_none_or(|w| t <= w),
-                "{label}: next_deadline above true min"
-            );
-        }
     }
 
     /// Drains what is left in the queue and checks full order agreement.
@@ -250,8 +242,8 @@ fn event_queue_matches_reference_model_across_wheel_horizon() {
 
 #[test]
 fn event_queue_matches_reference_model_long_run() {
-    // One long run so the wheel window wraps many times and the recency
-    // ring (4096 entries) spills into its old_live/old_cancelled sets.
+    // One long run so the wheel window wraps many times and tokens
+    // outlive thousands of later schedules before they are cancelled.
     fuzz_once(0xfeed, 40_000);
 }
 

@@ -8,7 +8,11 @@
 #            of its own that links the crates/* APIs) must build
 #            offline, and its suite, multicore and io_serving workloads
 #            must exit 0 in one-second runs: a non-zero exit is a
-#            pinned-digest mismatch or a failed operation
+#            pinned-digest mismatch or a failed operation; a traced
+#            one-second hot_loops run also checks the pinned spin/store/
+#            ring digests and runs the per-layer probes (the event-queue
+#            probe is the queue's only cancel caller outside the tests
+#            and crates/bench); its trace lands in the ignored .bench_out/
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
 #            reports (timing and absolute-path lines stripped)
@@ -62,15 +66,19 @@ cargo test -q --workspace
 step "cargo clippy -D warnings"
 cargo clippy --workspace -- -D warnings
 
-step "perfbench (offline build; suite, multicore, io_serving for 1 s each)"
+step "perfbench (offline build; suite, multicore, io_serving, traced hot_loops for 1 s each)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
-for w in suite multicore io_serving; do
+perfbench() {
     if ! cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$w" --seconds 1 | tail -1; then
-        echo "FAIL: perfbench --workload $w exited non-zero" >&2
+        "$@" --seconds 1 | tail -1; then
+        echo "FAIL: perfbench $* exited non-zero" >&2
         exit 1
     fi
+}
+for w in suite multicore io_serving; do
+    perfbench --workload "$w"
 done
+perfbench --workload hot_loops --trace 1
 echo "perfbench: builds offline, every workload's digests match"
 
 step "deterministic replay (f16 twice, same seed)"
