@@ -976,23 +976,28 @@ impl Machine {
     }
 
     /// DMA write from a device: copies bytes, triggers the monitor
-    /// filter, and (per config) warms or invalidates the cached lines.
-    pub fn dma_write(&mut self, addr: u64, bytes: &[u8]) {
+    /// filter, and (per config) deposits the lines in L3 or invalidates
+    /// them. A write that does not fit in memory — its end included,
+    /// even when the sum overflows — is dropped without effect and
+    /// counted in `dma.rejected`; the return value says whether the
+    /// write landed.
+    pub fn dma_write(&mut self, addr: u64, bytes: &[u8]) -> bool {
+        if !in_mem(addr, bytes.len() as u64, self.cfg.mem_bytes) {
+            self.counters.inc("dma.rejected");
+            return false;
+        }
         let a = addr as usize;
-        assert!(a + bytes.len() <= self.mem.len(), "DMA outside memory");
         self.mem[a..a + bytes.len()].copy_from_slice(bytes);
         for line in switchless_mem::addr::lines_covering(PAddr(addr), bytes.len() as u64) {
             if self.cfg.dma_warms_l3 {
-                // DDIO-style: the device deposits lines in L3; private
-                // caches lose stale copies.
-                self.hier.invalidate_line(line);
-                self.hier.warm_l3_only(line);
+                self.hier.dma_deposit(line);
             } else {
                 self.hier.invalidate_line(line);
             }
         }
         self.counters.bump(self.hot.dma_bytes, bytes.len() as u64);
         self.after_store(addr, bytes.len() as u64, true);
+        true
     }
 
     /// Schedules a host callback at absolute time `at` (device models).

@@ -110,6 +110,27 @@ fn dirty_tracking_shrinks_vector_transfer_back_down() {
 }
 
 #[test]
+fn out_of_range_dma_is_a_counted_no_op() {
+    let mut m = small();
+    let mem = MachineConfig::small().mem_bytes;
+    let last = mem - 8;
+    assert!(m.dma_write(last, &7u64.to_le_bytes()), "the last word fits");
+    let before = m.counters().get("dma.bytes");
+    for (addr, len) in [
+        (mem - 4, 8),       // straddles the end
+        (mem, 1),           // starts at the end
+        (0x7fff_0000, 512), // far outside
+        (u64::MAX - 3, 8),  // address + length overflows
+        (u64::MAX, 1),
+    ] {
+        assert!(!m.dma_write(addr, &vec![0xab; len]), "{addr:#x}+{len}");
+    }
+    assert_eq!(m.counters().get("dma.rejected"), 5);
+    assert_eq!(m.counters().get("dma.bytes"), before, "nothing landed");
+    assert_eq!(m.peek_u64(last), 7, "memory untouched");
+}
+
+#[test]
 fn dma_ddio_deposits_into_l3() {
     // With dma_warms_l3 (default), a thread reading freshly DMA'd data
     // hits L3, not DRAM.

@@ -111,12 +111,13 @@ impl Ssd {
     /// [`FaultKind::SsdLatencySpike`] adds a drawn pause (GC/error
     /// recovery) to the device latency. [`FaultKind::SsdReadError`] fails
     /// a read on the media: no data DMA, and the completion's sequence
-    /// word carries [`CQ_STATUS_ERROR`]. [`FaultKind::SsdTornCompletion`]
-    /// tears the completion entry: cookie and tail bump land on time but
-    /// the sequence word lands late, so a consumer woken by the tail
-    /// briefly reads a stale sequence word — which is why drivers
-    /// validate it and re-read. The tail bump is monotone so delayed
-    /// completions never rewind it.
+    /// word carries [`CQ_STATUS_ERROR`]; so does a read whose buffer lies
+    /// outside memory, whose data DMA the machine drops.
+    /// [`FaultKind::SsdTornCompletion`] tears the completion entry:
+    /// cookie and tail bump land on time but the sequence word lands
+    /// late, so a consumer woken by the tail briefly reads a stale
+    /// sequence word — which is why drivers validate it and re-read. The
+    /// tail bump is monotone so delayed completions never rewind it.
     pub fn submit(&self, m: &mut Machine, at: Cycles, seq: u64, op: SsdOp, cookie: u64) {
         let dev = *self;
         // Ring conservation: every submission must complete (even a media
@@ -138,20 +139,20 @@ impl Ssd {
             None
         };
         m.at(at + latency, move |mach| {
-            if let SsdOp::Read { buf_addr, len } = op {
-                if read_error {
+            let failed = match op {
+                SsdOp::Read { .. } if read_error => {
                     mach.counters_mut().inc("ssd.read_errors");
-                } else {
+                    true
+                }
+                SsdOp::Read { buf_addr, len } => {
                     // Synthetic data: a repeating pattern derived from seq.
                     let data: Vec<u8> = (0..len).map(|i| ((seq + i) & 0xff) as u8).collect();
-                    mach.dma_write(buf_addr, &data);
+                    // A buffer outside memory drops the DMA: the read fails.
+                    !mach.dma_write(buf_addr, &data)
                 }
-            }
-            let status_seq = if read_error {
-                seq | CQ_STATUS_ERROR
-            } else {
-                seq
+                SsdOp::Write => false,
             };
+            let status_seq = if failed { seq | CQ_STATUS_ERROR } else { seq };
             match torn_delay {
                 None => {
                     let mut entry = [0u8; CQ_ENTRY_BYTES as usize];
@@ -489,6 +490,50 @@ mod queue_tests {
         assert_eq!(q.ssd.tail(&m), 1);
         assert_eq!(m.thread_reg(tid, 6), 1, "driver saw the DMA'd data");
         assert_eq!(m.counters().get("ssd.completions"), 1);
+    }
+
+    #[test]
+    fn guest_read_into_a_buffer_outside_memory_fails_the_read() {
+        // A guest names a buffer past the end of memory: the machine
+        // drops the data DMA and the read completes with an error.
+        let mut m = Machine::new(MachineConfig::small());
+        let q = SsdQueue::attach(&mut m, SsdConfig::default(), 16);
+        let prog = assemble(&format!(
+            r#"
+            entry:
+                movi r3, {sq}
+                movi r1, {e0}       ; (512 << 8) | read
+                st r1, r3, 0
+                movi r1, {buf}
+                st r1, r3, 8
+                movi r2, 1
+                st r2, {bell}       ; submission doorbell
+            wait:
+                monitor {cq}
+                ld r4, {cq}
+                beq r4, r2, done
+                mwait
+                jmp wait
+            done:
+                movi r5, {entry}
+                ld r6, r5, 8        ; completion sequence word
+                halt
+            "#,
+            sq = q.sq_addr(0),
+            e0 = (512u64 << 8) | 1,
+            buf = 0x7fff_0000u64,
+            bell = q.doorbell,
+            cq = q.ssd.cq_tail,
+            entry = q.ssd.cq_addr(0),
+        ))
+        .unwrap();
+        let tid = m.load_program(0, &prog).unwrap();
+        m.start_thread(tid);
+        assert!(m.run_until_state(tid, ThreadState::Halted, Cycles(200_000)));
+        assert_eq!(m.thread_reg(tid, 6), CQ_STATUS_ERROR, "seq 0, error bit");
+        assert_eq!(m.counters().get("dma.rejected"), 1);
+        assert_eq!(m.counters().get("ssd.completions"), 1);
+        assert_eq!(m.counters().get("ssd.read_errors"), 0, "not a media error");
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! partitions that are over target, so a small partition keeps its lines
 //! resident no matter how hard other partitions thrash.
 
-use switchless_sim::hash::FxHashMap;
-
 use crate::addr::{PAddr, LINE_BYTES};
 
 /// Identifies a cache partition. Partition 0 is the default/unmanaged pool.
@@ -63,24 +61,6 @@ impl CacheGeom {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    part: PartitionId,
-    /// Global LRU stamp; larger is more recent.
-    stamp: u64,
-}
-
-const INVALID_WAY: Way = Way {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    part: PartitionId(0),
-    stamp: 0,
-};
-
 /// Result of a fill: a dirty line was evicted and must be written back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Writeback {
@@ -88,19 +68,55 @@ pub struct Writeback {
     pub line: PAddr,
 }
 
+/// One partition's quota and occupancy.
+#[derive(Clone, Copy, Debug)]
+struct Part {
+    id: PartitionId,
+    /// Target in lines; 0 means unmanaged (declared targets are at
+    /// least one line).
+    target: u64,
+    /// Current occupancy in lines.
+    occupancy: u64,
+}
+
+impl Part {
+    fn new(id: PartitionId) -> Part {
+        Part {
+            id,
+            target: 0,
+            occupancy: 0,
+        }
+    }
+}
+
 /// A set-associative cache with optional partition occupancy targets.
+///
+/// Way `i` lives in three parallel arrays in which all-zero is an
+/// invalid way, so a new cache is zeroed memory: `keys[i]` is the line
+/// number plus one (0 = invalid), `stamps[i]` its global LRU stamp
+/// (larger is more recent), and `meta[i]` its partition slot shifted
+/// left by one with the dirty bit in bit 0. Partition slots index
+/// `parts` and are handed out on first use; slot 0 is
+/// [`PartitionId::DEFAULT`]. The fields of an invalid way other than
+/// its key are stale and never read.
 #[derive(Clone, Debug)]
 pub struct Cache {
     geom: CacheGeom,
     sets: u64,
-    ways: Vec<Way>,
+    keys: Vec<u64>,
+    stamps: Vec<u64>,
+    meta: Vec<u32>,
     tick: u64,
-    /// Per-partition target in lines. Absent partitions are unmanaged.
-    targets: FxHashMap<PartitionId, u64>,
-    /// Per-partition current occupancy in lines.
-    occupancy: FxHashMap<PartitionId, u64>,
+    parts: Vec<Part>,
+    /// Whether any partition has a target.
+    managed: bool,
     hits: u64,
     misses: u64,
+}
+
+/// The `keys` entry of the line holding `addr`.
+fn key_of(addr: PAddr) -> u64 {
+    addr.0 / LINE_BYTES + 1
 }
 
 impl Cache {
@@ -108,13 +124,16 @@ impl Cache {
     #[must_use]
     pub fn new(geom: CacheGeom) -> Cache {
         let sets = geom.sets();
+        let n = (sets * u64::from(geom.ways)) as usize;
         Cache {
             geom,
             sets,
-            ways: vec![INVALID_WAY; (sets * u64::from(geom.ways)) as usize],
+            keys: vec![0; n],
+            stamps: vec![0; n],
+            meta: vec![0; n],
             tick: 0,
-            targets: FxHashMap::default(),
-            occupancy: FxHashMap::default(),
+            parts: vec![Part::new(PartitionId::DEFAULT)],
+            managed: false,
             hits: 0,
             misses: 0,
         }
@@ -126,19 +145,34 @@ impl Cache {
         self.geom
     }
 
+    /// `part`'s slot in `parts`, if it has one.
+    fn find_slot(&self, part: PartitionId) -> Option<usize> {
+        self.parts.iter().position(|p| p.id == part)
+    }
+
+    /// `part`'s slot in `parts`, handing out the next one on first use.
+    fn slot(&mut self, part: PartitionId) -> usize {
+        self.find_slot(part).unwrap_or_else(|| {
+            self.parts.push(Part::new(part));
+            self.parts.len() - 1
+        })
+    }
+
     /// Declares a partition with a target fraction of the cache.
     ///
     /// Fractions over all partitions may exceed 1.0; targets are soft
     /// quotas used only for victim selection, exactly as in Vantage.
     pub fn set_partition_target(&mut self, part: PartitionId, fraction: f64) {
         let lines = (self.geom.lines() as f64 * fraction.clamp(0.0, 1.0)) as u64;
-        self.targets.insert(part, lines.max(1));
+        let slot = self.slot(part);
+        self.parts[slot].target = lines.max(1);
+        self.managed = true;
     }
 
     /// Current occupancy of a partition, in lines.
     #[must_use]
     pub fn occupancy(&self, part: PartitionId) -> u64 {
-        self.occupancy.get(&part).copied().unwrap_or(0)
+        self.find_slot(part).map_or(0, |s| self.parts[s].occupancy)
     }
 
     /// Total (hits, misses) since construction.
@@ -151,6 +185,18 @@ impl Cache {
         let set = (addr.0 / LINE_BYTES) & (self.sets - 1);
         let base = (set * u64::from(self.geom.ways)) as usize;
         base..base + self.geom.ways as usize
+    }
+
+    /// The way holding `addr`'s line, if resident.
+    #[inline]
+    fn find(&self, addr: PAddr) -> Option<usize> {
+        let range = self.set_range(addr);
+        let key = key_of(addr);
+        let start = range.start;
+        self.keys[range]
+            .iter()
+            .position(|&k| k == key)
+            .map(|i| start + i)
     }
 
     /// Looks up a line; updates LRU and dirty state on hit.
@@ -170,18 +216,12 @@ impl Cache {
     /// [`Cache::miss`] once the access goes ahead.
     #[inline]
     pub(crate) fn hit(&mut self, addr: PAddr, write: bool) -> bool {
-        let tag = addr.0 / LINE_BYTES;
-        let range = self.set_range(addr);
-        let stamp = self.tick + 1;
-        let Some(w) = self.ways[range]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        else {
+        let Some(i) = self.find(addr) else {
             return false;
         };
-        w.stamp = stamp;
-        w.dirty |= write;
-        self.tick = stamp;
+        self.tick += 1;
+        self.stamps[i] = self.tick;
+        self.meta[i] |= u32::from(write);
         self.hits += 1;
         true
     }
@@ -213,15 +253,9 @@ impl Cache {
             return false;
         }
         for &(addr, last, write) in lines {
-            let tag = addr.0 / LINE_BYTES;
-            let range = self.set_range(addr);
-            for w in &mut self.ways[range] {
-                if w.valid && w.tag == tag {
-                    w.stamp = self.tick + last;
-                    w.dirty |= write;
-                    break;
-                }
-            }
+            let i = self.find(addr).expect("checked resident");
+            self.stamps[i] = self.tick + last;
+            self.meta[i] |= u32::from(write);
         }
         self.tick += n;
         self.hits += n;
@@ -231,9 +265,7 @@ impl Cache {
     /// Checks residency without perturbing LRU or statistics.
     #[must_use]
     pub fn contains(&self, addr: PAddr) -> bool {
-        let tag = addr.0 / LINE_BYTES;
-        let range = self.set_range(addr);
-        self.ways[range].iter().any(|w| w.valid && w.tag == tag)
+        self.find(addr).is_some()
     }
 
     /// Inserts a line for `part`, evicting a victim if the set is full.
@@ -246,102 +278,118 @@ impl Cache {
     /// Returns a [`Writeback`] if the victim was dirty.
     pub fn fill(&mut self, addr: PAddr, part: PartitionId, write: bool) -> Option<Writeback> {
         self.tick += 1;
-        let tag = addr.0 / LINE_BYTES;
-        let range = self.set_range(addr);
+        let (own, free) = self.scan(addr);
         // Already present (e.g. raced fill): just refresh.
-        for w in &mut self.ways[range.clone()] {
-            if w.valid && w.tag == tag {
-                w.stamp = self.tick;
-                w.dirty |= write;
-                return None;
-            }
+        if let Some(i) = own {
+            self.stamps[i] = self.tick;
+            self.meta[i] |= u32::from(write);
+            return None;
         }
+        let victim = free.unwrap_or_else(|| self.victim(addr));
+        self.install(victim, addr, part, write)
+    }
 
-        // Pass 1: invalid way.
-        let mut victim: Option<usize> = None;
-        for i in range.clone() {
-            if !self.ways[i].valid {
-                victim = Some(i);
-                break;
+    /// Device deposit of a whole line (DDIO-style DMA): exactly
+    /// [`Cache::invalidate`] then [`Cache::fill`] into the default
+    /// partition, dirty, in one scan of the set. The line lands in the
+    /// earlier of its own way and the first invalid way, or else evicts
+    /// a victim as a fill does; the returned [`Writeback`] is that
+    /// victim's. The old copy is overwritten, so it is never written
+    /// back.
+    pub fn deposit(&mut self, addr: PAddr) -> Option<Writeback> {
+        self.tick += 1;
+        let (own, free) = self.scan(addr);
+        if let Some(i) = own {
+            self.evict(i);
+        }
+        let way = free.or(own).unwrap_or_else(|| self.victim(addr));
+        self.install(way, addr, PartitionId::DEFAULT, true)
+    }
+
+    /// One scan of `addr`'s set: the way holding its line, and the first
+    /// invalid way before it (before the set's end if it is absent).
+    fn scan(&self, addr: PAddr) -> (Option<usize>, Option<usize>) {
+        let key = key_of(addr);
+        let mut free = None;
+        for i in self.set_range(addr) {
+            match self.keys[i] {
+                k if k == key => return (Some(i), free),
+                0 if free.is_none() => free = Some(i),
+                _ => {}
             }
         }
-        // Pass 2: LRU among over-target partitions.
-        if victim.is_none() {
-            let mut best: Option<(u64, usize)> = None;
-            for i in range.clone() {
-                let w = &self.ways[i];
-                let over = match self.targets.get(&w.part) {
-                    Some(&t) => self.occupancy(w.part) > t,
-                    // Unmanaged partitions are always considered over
-                    // target so managed partitions win conflicts.
-                    None => true,
-                };
-                if over && best.is_none_or(|(s, _)| w.stamp < s) {
-                    best = Some((w.stamp, i));
+        (None, free)
+    }
+
+    /// The way to evict from `addr`'s full set: the LRU way among lines
+    /// of over-target partitions (unmanaged ones always count as over,
+    /// so managed partitions win conflicts), else the LRU way. Ties go
+    /// to the lowest way. With no target declared every partition is
+    /// unmanaged, so only the LRU way is tracked.
+    fn victim(&self, addr: PAddr) -> usize {
+        let range = self.set_range(addr);
+        let stamps = &self.stamps[range.clone()];
+        let meta = &self.meta[range.clone()];
+        let mut lru = 0;
+        let mut over_lru: Option<usize> = None;
+        for (i, &stamp) in stamps.iter().enumerate() {
+            if stamp < stamps[lru] {
+                lru = i;
+            }
+            if self.managed {
+                // A valid way's partition holds at least that line, so
+                // an unmanaged one (target 0) is always over.
+                let p = &self.parts[(meta[i] >> 1) as usize];
+                if p.occupancy > p.target && over_lru.is_none_or(|o| stamp < stamps[o]) {
+                    over_lru = Some(i);
                 }
             }
-            victim = best.map(|(_, i)| i);
         }
-        // Pass 3: global LRU.
-        let victim = victim.unwrap_or_else(|| {
-            let mut best = range.start;
-            for i in range.clone() {
-                if self.ways[i].stamp < self.ways[best].stamp {
-                    best = i;
-                }
-            }
-            best
-        });
+        range.start + over_lru.unwrap_or(lru)
+    }
 
-        let old = self.ways[victim];
-        let mut wb = None;
-        if old.valid {
-            if let Some(o) = self.occupancy.get_mut(&old.part) {
-                *o = o.saturating_sub(1);
-            }
-            if old.dirty {
-                wb = Some(Writeback {
-                    line: PAddr(old.tag * LINE_BYTES),
-                });
-            }
-        }
-        self.ways[victim] = Way {
-            tag,
-            valid: true,
-            dirty: write,
-            part,
-            stamp: self.tick,
-        };
-        *self.occupancy.entry(part).or_insert(0) += 1;
+    /// Puts `addr`'s line for `part` in way `i`, evicting whatever valid
+    /// line was there.
+    fn install(
+        &mut self,
+        i: usize,
+        addr: PAddr,
+        part: PartitionId,
+        write: bool,
+    ) -> Option<Writeback> {
+        let wb = self.evict(i);
+        let slot = self.slot(part);
+        self.parts[slot].occupancy += 1;
+        self.keys[i] = key_of(addr);
+        self.stamps[i] = self.tick;
+        self.meta[i] =
+            (u32::try_from(slot).expect("partition count fits u32") << 1) | u32::from(write);
         wb
+    }
+
+    /// Invalidates way `i` if it is valid; returns a writeback if its
+    /// line was dirty.
+    fn evict(&mut self, i: usize) -> Option<Writeback> {
+        if self.keys[i] == 0 {
+            return None;
+        }
+        let line = PAddr((self.keys[i] - 1) * LINE_BYTES);
+        self.keys[i] = 0;
+        self.parts[(self.meta[i] >> 1) as usize].occupancy -= 1;
+        (self.meta[i] & 1 != 0).then_some(Writeback { line })
     }
 
     /// Invalidates a line if present; returns a writeback if it was dirty.
     pub fn invalidate(&mut self, addr: PAddr) -> Option<Writeback> {
-        let tag = addr.0 / LINE_BYTES;
-        let range = self.set_range(addr);
-        for i in range {
-            let w = self.ways[i];
-            if w.valid && w.tag == tag {
-                self.ways[i].valid = false;
-                if let Some(o) = self.occupancy.get_mut(&w.part) {
-                    *o = o.saturating_sub(1);
-                }
-                return w.dirty.then_some(Writeback {
-                    line: PAddr(tag * LINE_BYTES),
-                });
-            }
-        }
-        None
+        self.evict(self.find(addr)?)
     }
 
     /// Invalidates everything (e.g. simulated machine reset).
     pub fn flush_all(&mut self) {
-        for w in &mut self.ways {
-            w.valid = false;
-            w.dirty = false;
+        self.keys.fill(0);
+        for p in &mut self.parts {
+            p.occupancy = 0;
         }
-        self.occupancy.clear();
     }
 }
 
@@ -451,7 +499,7 @@ mod tests {
         let mut c = tiny();
         let p = PartitionId(1);
         // Target of 1 line; insert 3 lines into different sets for p.
-        c.targets.insert(p, 1);
+        c.set_partition_target(p, 1.0 / 8.0);
         c.fill(addr(0, 0), p, false);
         c.fill(addr(1, 0), p, false);
         c.fill(addr(2, 0), p, false);

@@ -323,12 +323,6 @@ impl Hierarchy {
         cc.l1.fill(addr, part, false);
     }
 
-    /// Installs a line in the shared L3 only — models DDIO-style DMA
-    /// deposit by a device.
-    pub fn warm_l3_only(&mut self, addr: PAddr) {
-        self.l3.fill(addr, PartitionId::DEFAULT, true);
-    }
-
     /// Declares a partition quota at the shared L3 (the level §4 pins).
     pub fn set_l3_partition(&mut self, part: PartitionId, fraction: f64) {
         self.l3.set_partition_target(part, fraction);
@@ -337,11 +331,25 @@ impl Hierarchy {
     /// Invalidates a line everywhere — models a DMA write from a device
     /// that is not cache-coherent with a stale copy, or explicit flush.
     pub fn invalidate_line(&mut self, addr: PAddr) {
+        self.invalidate_private(addr);
+        self.l3.invalidate(addr);
+    }
+
+    /// A device deposits a line in the shared L3 — DDIO-style DMA: the
+    /// private levels lose their stale copies and the L3 holds the line
+    /// dirty in the default partition ([`Cache::deposit`]). Like any
+    /// invalidation, it writes nothing back.
+    pub fn dma_deposit(&mut self, addr: PAddr) {
+        self.invalidate_private(addr);
+        self.l3.deposit(addr);
+    }
+
+    /// Drops the line from every core's L1 and L2.
+    fn invalidate_private(&mut self, addr: PAddr) {
         for c in &mut self.cores {
             c.l1.invalidate(addr);
             c.l2.invalidate(addr);
         }
-        self.l3.invalidate(addr);
     }
 
     /// Per-level (hits, misses) aggregated over cores: `(l1, l2, l3)`.

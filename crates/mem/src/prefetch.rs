@@ -7,6 +7,8 @@
 //! thread touches while running; when the thread is woken, the recorded
 //! set is replayed into the waking core's caches.
 
+use std::collections::hash_map::Entry;
+
 use switchless_sim::hash::FxHashMap;
 
 use crate::addr::PAddr;
@@ -19,12 +21,130 @@ use crate::monitor::WatchId;
 /// [`WakePrefetcher::absorb`] at commit.
 #[derive(Clone, Debug)]
 pub struct Capture {
-    /// Fx-hashed: only keyed lookups; replay order comes from the
-    /// per-thread line vector, never from map iteration.
-    sets: FxHashMap<WatchId, Vec<PAddr>>,
+    /// Fx-hashed: only keyed lookups; replay order comes from each
+    /// thread's recency list, never from map iteration.
+    sets: FxHashMap<WatchId, Lines>,
     /// Max distinct lines remembered per thread.
     capacity: usize,
     enabled: bool,
+}
+
+/// No slot: the end of a recency list.
+const NIL: u32 = u32::MAX;
+
+/// A captured line and its neighbours in recency order.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    line: PAddr,
+    /// The next older slot, or [`NIL`].
+    older: u32,
+    /// The next newer slot, or [`NIL`].
+    newer: u32,
+}
+
+/// One thread's captured lines: at most `capacity` slots linked from
+/// oldest to newest, and a map from line to slot, so a record is O(1).
+/// Slots are never freed; once all are in use the oldest is reused.
+#[derive(Clone, Debug)]
+struct Lines {
+    slots: Vec<Slot>,
+    slot_of: FxHashMap<PAddr, u32>,
+    oldest: u32,
+    newest: u32,
+}
+
+impl Default for Lines {
+    fn default() -> Lines {
+        Lines {
+            slots: Vec::new(),
+            slot_of: FxHashMap::default(),
+            oldest: NIL,
+            newest: NIL,
+        }
+    }
+}
+
+impl Lines {
+    /// Makes `line` the newest, evicting the oldest line if `capacity`
+    /// distinct lines are already held.
+    fn record(&mut self, line: PAddr, capacity: usize) {
+        // The slot a new line takes: a fresh one, or the oldest's.
+        let fresh = if self.slots.len() < capacity {
+            u32::try_from(self.slots.len()).expect("capacity fits u32")
+        } else {
+            self.oldest
+        };
+        let s = match self.slot_of.entry(line) {
+            Entry::Occupied(e) => {
+                let s = *e.get();
+                self.unlink(s);
+                s
+            }
+            Entry::Vacant(e) => {
+                e.insert(fresh);
+                if fresh as usize == self.slots.len() {
+                    self.slots.push(Slot {
+                        line,
+                        older: NIL,
+                        newer: NIL,
+                    });
+                } else {
+                    self.unlink(fresh);
+                    let old = std::mem::replace(&mut self.slots[fresh as usize].line, line);
+                    self.slot_of.remove(&old);
+                }
+                fresh
+            }
+        };
+        let slot = &mut self.slots[s as usize];
+        slot.older = self.newest;
+        slot.newer = NIL;
+        match self.newest {
+            NIL => self.oldest = s,
+            n => self.slots[n as usize].newer = s,
+        }
+        self.newest = s;
+    }
+
+    /// Takes slot `s` out of the recency list.
+    fn unlink(&mut self, s: u32) {
+        let Slot { older, newer, .. } = self.slots[s as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+    }
+
+    /// Whether the newest lines are `lines`, in this order. Recording
+    /// distinct lines that already are then changes nothing.
+    fn ends_with(&self, lines: &[PAddr]) -> bool {
+        let mut s = self.newest;
+        lines
+            .iter()
+            .rev()
+            .all(|&line| match self.slots.get(s as usize) {
+                Some(slot) if slot.line == line => {
+                    s = slot.older;
+                    true
+                }
+                _ => false,
+            })
+    }
+
+    /// The lines, oldest first.
+    fn oldest_first(&self) -> impl Iterator<Item = PAddr> + '_ {
+        let mut s = self.oldest;
+        std::iter::from_fn(move || {
+            // `NIL` indexes past every slot: the walk ends there.
+            let slot = self.slots.get(s as usize)?;
+            s = slot.newer;
+            Some(slot.line)
+        })
+    }
 }
 
 impl Capture {
@@ -46,13 +166,12 @@ impl Capture {
             return;
         }
         let set = self.sets.entry(thread).or_default();
+        // A loop re-running the same lines leaves the list as it is.
+        if set.ends_with(lines) {
+            return;
+        }
         for &line in lines {
-            if let Some(pos) = set.iter().position(|&l| l == line) {
-                set.remove(pos);
-            } else if set.len() >= self.capacity {
-                set.remove(0);
-            }
-            set.push(line);
+            set.record(line, self.capacity);
         }
     }
 }
@@ -61,6 +180,8 @@ impl Capture {
 #[derive(Clone, Debug)]
 pub struct WakePrefetcher {
     capture: Capture,
+    /// The last [`WakePrefetcher::wake_set`], oldest first.
+    wake_lines: Vec<PAddr>,
     replays: u64,
     lines_replayed: u64,
 }
@@ -80,6 +201,7 @@ impl WakePrefetcher {
                 capacity,
                 enabled: true,
             },
+            wake_lines: Vec::new(),
             replays: 0,
             lines_replayed: 0,
         }
@@ -109,14 +231,14 @@ impl WakePrefetcher {
         if !self.capture.enabled {
             return &[];
         }
-        match self.capture.sets.get(&thread) {
-            Some(lines) => {
-                self.replays += 1;
-                self.lines_replayed += lines.len() as u64;
-                lines
-            }
-            None => &[],
-        }
+        let Some(lines) = self.capture.sets.get(&thread) else {
+            return &[];
+        };
+        self.wake_lines.clear();
+        self.wake_lines.extend(lines.oldest_first());
+        self.replays += 1;
+        self.lines_replayed += self.wake_lines.len() as u64;
+        &self.wake_lines
     }
 
     /// Forgets a thread's set (thread destroyed / reassigned).
@@ -133,7 +255,7 @@ impl WakePrefetcher {
     /// Number of distinct lines currently captured for `thread`.
     #[must_use]
     pub fn captured_len(&self, thread: WatchId) -> usize {
-        self.capture.sets.get(&thread).map_or(0, Vec::len)
+        self.capture.sets.get(&thread).map_or(0, |l| l.slots.len())
     }
 
     /// Clones the capture state for `threads` into a [`Capture`] an

@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 
-use switchless_sim::event::EventQueue;
 use switchless_sim::stats::Histogram;
 use switchless_sim::time::Cycles;
 
@@ -88,9 +87,13 @@ struct Job {
     woken: bool,
 }
 
-enum Ev {
-    Arrival(usize),
-    Done { server: usize, job: usize },
+/// A dispatched slice: it ends at `end` on `server`. `seq` numbers
+/// dispatches in order, breaking ties between equal `end`s.
+struct Slice {
+    end: Cycles,
+    seq: u64,
+    server: usize,
+    job: usize,
 }
 
 /// The simulator (stateless; see [`QueueSim::run`]).
@@ -101,6 +104,13 @@ impl QueueSim {
     /// jobs arriving before `warmup` are simulated but excluded from the
     /// sojourn histogram.
     ///
+    /// Events are handled in time order. At equal times, arrivals come
+    /// first, in job-index order, then slice ends in dispatch order.
+    /// This is the order a general event queue gives when every arrival
+    /// is scheduled up front and each slice end at its dispatch. So a
+    /// stably sorted arrival list merged with the at most `servers`
+    /// slices in flight needs no event queue.
+    ///
     /// # Panics
     ///
     /// Panics if `servers == 0` or a quantum of zero is configured.
@@ -110,7 +120,6 @@ impl QueueSim {
         if let Discipline::Rr { quantum } = cfg.discipline {
             assert!(quantum > Cycles::ZERO, "quantum must be positive");
         }
-        let mut q: EventQueue<Ev> = EventQueue::new();
         let mut state: Vec<Job> = jobs
             .iter()
             .map(|&(arrival, service)| Job {
@@ -119,10 +128,13 @@ impl QueueSim {
                 woken: false,
             })
             .collect();
-        for (i, j) in state.iter().enumerate() {
-            q.schedule(j.arrival, Ev::Arrival(i));
-        }
+        // Stable: equal arrival times keep job-index order.
+        let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
+        arrivals.sort_by_key(|&i| state[i].arrival);
+        let mut arrivals = arrivals.into_iter().peekable();
 
+        let mut in_flight: Vec<Slice> = Vec::with_capacity(cfg.servers);
+        let mut dispatched = 0u64;
         let mut ready: VecDeque<usize> = VecDeque::new();
         let mut free: Vec<usize> = (0..cfg.servers).rev().collect();
         let mut result = QueueResult {
@@ -132,12 +144,37 @@ impl QueueSim {
             busy_cycles: 0,
         };
 
-        let dispatch = |now: Cycles,
-                        ready: &mut VecDeque<usize>,
-                        free: &mut Vec<usize>,
-                        state: &mut Vec<Job>,
-                        q: &mut EventQueue<Ev>,
-                        busy: &mut u64| {
+        loop {
+            // The earliest slice end; `(end, seq)` is unique.
+            let next_end = in_flight
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| (s.end, s.seq))
+                .map(|(i, s)| (i, s.end));
+            let arrival = arrivals
+                .peek()
+                .map(|&i| state[i].arrival)
+                .filter(|&at| next_end.is_none_or(|(_, end)| at <= end));
+            let now = if let Some(at) = arrival {
+                ready.push_back(arrivals.next().expect("peeked"));
+                at
+            } else if let Some((i, end)) = next_end {
+                let Slice { server, job, .. } = in_flight.swap_remove(i);
+                free.push(server);
+                let j = &state[job];
+                if j.remaining == Cycles::ZERO {
+                    result.completed += 1;
+                    result.makespan = result.makespan.max(end);
+                    if j.arrival >= warmup {
+                        result.sojourn.record((end - j.arrival).0);
+                    }
+                } else {
+                    ready.push_back(job);
+                }
+                end
+            } else {
+                break;
+            };
             while let (Some(&job), true) = (ready.front(), !free.is_empty()) {
                 ready.pop_front();
                 let server = free.pop().expect("checked non-empty");
@@ -153,37 +190,15 @@ impl QueueSim {
                 };
                 j.remaining -= segment;
                 let total = cost + segment;
-                *busy += total.0;
-                q.schedule(now + total, Ev::Done { server, job });
+                result.busy_cycles += total.0;
+                in_flight.push(Slice {
+                    end: now + total,
+                    seq: dispatched,
+                    server,
+                    job,
+                });
+                dispatched += 1;
             }
-        };
-
-        while let Some((now, ev)) = q.pop() {
-            match ev {
-                Ev::Arrival(job) => {
-                    ready.push_back(job);
-                }
-                Ev::Done { server, job } => {
-                    free.push(server);
-                    if state[job].remaining == Cycles::ZERO {
-                        result.completed += 1;
-                        result.makespan = result.makespan.max(now);
-                        if state[job].arrival >= warmup {
-                            result.sojourn.record((now - state[job].arrival).0);
-                        }
-                    } else {
-                        ready.push_back(job);
-                    }
-                }
-            }
-            dispatch(
-                now,
-                &mut ready,
-                &mut free,
-                &mut state,
-                &mut q,
-                &mut result.busy_cycles,
-            );
         }
         result
     }

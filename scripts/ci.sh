@@ -3,7 +3,8 @@
 #
 #   build    release build of the whole workspace
 #   test     the ~610 unit/integration/property tests
-#   clippy   workspace lints, warnings are errors
+#   clippy   workspace lints on every target (tests and benches
+#            included), warnings are errors
 #   perfbench  the repository benchmark (perfbench/, a Cargo workspace
 #            of its own that links the crates/* APIs) must build
 #            offline, and its suite, multicore and io_serving workloads
@@ -63,8 +64,8 @@ cargo fmt --all -- --check
 step "cargo test"
 cargo test -q --workspace
 
-step "cargo clippy -D warnings"
-cargo clippy --workspace -- -D warnings
+step "cargo clippy --all-targets -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 step "perfbench (offline build; suite, multicore, io_serving, traced hot_loops for 1 s each)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
