@@ -29,13 +29,13 @@
 //!   events in creation order, merged locally by `(time, key)` exactly as
 //!   the global queue would order them (staged keys precede fresh keys,
 //!   matching queue seq assignment).
-//! * Cross-record effects — wake-latency samples, `last_wake`, `now`
-//!   evolution, and queue seqs for surviving events — are reconstructed
-//!   by [`switchless_sim::shard::merge_epoch`], a k-way merge on virtual
-//!   sequence numbers that provably equals the serial pop order. The two
-//!   cross-core ties the vseq model cannot order faithfully (equal-time
-//!   survivors and equal-time wake records from different cores) are
-//!   detected at commit and turned into a bail.
+//! * Across cores, time is the only order: the commit refuses an epoch
+//!   in which two cores have surviving events due the same cycle or wake
+//!   samples the same cycle. Everything the commit consumes then depends
+//!   on times alone — `now` is the max of the workers' final cursors,
+//!   `last_wake` is the latest wake sample, the wake histogram is a
+//!   multiset, and survivors of different cores never share a due time,
+//!   so they enter the real queue core by core in local creation order.
 //! * The serial engine's burst splits (foreign-event horizon checks,
 //!   `MAX_BURST`, stale deadline hints) are observably invisible — same
 //!   instructions at the same start cycles, identical cost accounting,
@@ -70,7 +70,6 @@ use switchless_mem::monitor::{MonitorFilter, WatchId};
 use switchless_mem::prefetch::Capture;
 use switchless_mem::tlb::Tlb;
 use switchless_sim::par::par_map_owned;
-use switchless_sim::shard::{merge_epoch, EpochRecord, PopKey};
 use switchless_sim::time::Cycles;
 
 use crate::exception::ExceptionKind;
@@ -93,7 +92,7 @@ pub(crate) enum EpochOutcome {
     /// restored and `[head, B)` must replay serially to make progress.
     Bailed(Cycles),
     /// The window itself ran clean but a commit-time cross-core time tie
-    /// (equal-time survivors or wake samples) made the merge unsound.
+    /// (equal-time survivors or wake samples) left the order unknown.
     /// The window's *interior* was conflict-free, so the driver retries
     /// with a smaller window first — a different horizon shifts the
     /// burst-end survivor times and usually breaks the tie — and only
@@ -162,11 +161,14 @@ struct WorkerInput {
 /// A successful worker's output, spliced back verbatim at commit.
 struct WorkerOk {
     core: usize,
-    /// Every pop, in local order, for the commit-time merge.
-    records: Vec<PopRecord>,
-    /// Fresh events still pending at epoch end:
-    /// `(local creation index, due, slot)`.
-    survivors: Vec<(u64, Cycles, u32)>,
+    /// The worker's final `now` (burst cursor included).
+    local_now: Cycles,
+    /// `(pop time, ptid, sample)` for every dispatch that consumed a
+    /// `wake_at` stamp, in local order.
+    wakes: Vec<(Cycles, u32, u64)>,
+    /// Fresh events still pending at epoch end, in creation (key) order:
+    /// `(due, key, slot)`.
+    survivors: Vec<(Cycles, u64, u32)>,
     cs: CoreState,
     threads: Vec<(u32, Thread)>,
     caches: CoreCaches,
@@ -179,31 +181,6 @@ struct WorkerOk {
     /// Store instructions that consulted the monitor filter (all were
     /// quiet — a waking store bails), folded into the filter at commit.
     quiet_stores: u64,
-}
-
-/// One event pop, as fed to [`merge_epoch`].
-#[derive(Clone, Copy, Debug)]
-struct PopRecord {
-    time: Cycles,
-    key: PopKey,
-    creates: u64,
-    /// Local `now` after handling the pop (burst cursor included);
-    /// the committed machine `now` is the max over all records.
-    now_after: Cycles,
-    /// `(ptid, sample)` when this dispatch consumed a `wake_at` stamp.
-    wake: Option<(u32, u64)>,
-}
-
-impl EpochRecord for PopRecord {
-    fn time(&self) -> Cycles {
-        self.time
-    }
-    fn key(&self) -> PopKey {
-        self.key
-    }
-    fn creates(&self) -> u64 {
-        self.creates
-    }
 }
 
 /// A worker's private event queue: `(due, key, slot)` min-heap. Keys
@@ -321,7 +298,7 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
         quiet_stores: 0,
         probe: None,
     };
-    let mut records = Vec::new();
+    let mut wakes = Vec::new();
     while let Some((ts, key, slot)) = w.q.pop_below(sh.b) {
         if key >= sh.staged_total && ts >= fresh_b {
             // The core's window ends here: the event survives to the
@@ -332,23 +309,13 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
         if ts > w.local_now {
             w.local_now = ts;
         }
-        let created_before = w.created;
         dispatch(&mut w, core, slot as usize, horizon, None)?;
-        let pop_key = if key < sh.staged_total {
-            PopKey::Staged(key)
-        } else {
-            PopKey::Fresh(key - sh.staged_total)
-        };
-        records.push(PopRecord {
-            time: ts,
-            key: pop_key,
-            creates: w.created - created_before,
-            now_after: w.local_now,
-            wake: w.wake.take(),
-        });
+        if let Some((p, sample)) = w.wake.take() {
+            wakes.push((ts, p, sample));
+        }
     }
-    let mut survivors: Vec<(u64, Cycles, u32)> = Vec::new();
-    for (at, key, slot) in w.q.drain_all() {
+    let mut survivors = w.q.drain_all();
+    for &(at, key, _) in &survivors {
         if key < sh.staged_total {
             // A staged event past a held-back fresh horizon: consuming
             // it would reorder this core's stream, and a staged event
@@ -357,13 +324,13 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
             return Err(Bail);
         }
         debug_assert!(at >= fresh_b, "events below the fresh horizon are drained");
-        survivors.push((key - sh.staged_total, at, slot));
     }
-    // Creation order, so commit-side vseq lookup walks monotonically.
-    survivors.sort_unstable_by_key(|&(local, _, _)| local);
+    // Creation order is this core's serial seq order for the survivors.
+    survivors.sort_unstable_by_key(|&(_, key, _)| key);
     Ok(WorkerOk {
         core,
-        records,
+        local_now: w.local_now,
+        wakes,
         survivors,
         cs: w.cs,
         threads: w.threads,
@@ -684,7 +651,7 @@ impl Machine {
                 }
             };
 
-        // Group by core; staging index is the event's virtual seq.
+        // Group by core; staging index orders a core's staged events.
         let mut per_core: BTreeMap<u32, Vec<(Cycles, u64, u32)>> = BTreeMap::new();
         for (i, &(at, _, ev)) in staged.iter().enumerate() {
             let Ev::SlotFree { core, slot } = ev else {
@@ -770,11 +737,13 @@ impl Machine {
             }
         }
 
-        // Cross-core ties the vseq model cannot break faithfully: two
-        // surviving events due the same cycle (their queue-seq order
-        // decides a future pop) or two wake samples the same cycle
-        // (their order decides `last_wake`). Within one core the local
-        // order is serial-faithful; across cores, bail.
+        // Cross-core ties, the only cross-core orders that time does not
+        // fix: two surviving events due the same cycle (their queue-seq
+        // order decides a future pop) or two wake samples the same cycle
+        // (their order decides `last_wake`). Their serial order depends
+        // on where serial bursts split, which workers cannot know, so the
+        // epoch is refused. With them gone, time orders every cross-core
+        // effect and the commit below needs no global pop order.
         let cross_core_time_tie = |times: &mut Vec<(Cycles, usize)>| {
             times.sort_unstable();
             times
@@ -784,17 +753,12 @@ impl Machine {
         let mut surv_times: Vec<(Cycles, usize)> = oks
             .iter()
             .enumerate()
-            .flat_map(|(pos, ok)| ok.survivors.iter().map(move |&(_, at, _)| (at, pos)))
+            .flat_map(|(pos, ok)| ok.survivors.iter().map(move |&(at, _, _)| (at, pos)))
             .collect();
         let mut wake_times: Vec<(Cycles, usize)> = oks
             .iter()
             .enumerate()
-            .flat_map(|(pos, ok)| {
-                ok.records
-                    .iter()
-                    .filter(|r| r.wake.is_some())
-                    .map(move |r| (r.time, pos))
-            })
+            .flat_map(|(pos, ok)| ok.wakes.iter().map(move |&(at, _, _)| (at, pos)))
             .collect();
         if cross_core_time_tie(&mut surv_times) || cross_core_time_tie(&mut wake_times) {
             restore_staged(self, staged);
@@ -805,32 +769,28 @@ impl Machine {
         // ---- Commit (all-or-nothing; no bail past this point) ----
         self.shard_stats.committed += 1;
 
-        // Reconstruct the global pop order for cross-record effects.
-        let streams: Vec<Vec<PopRecord>> = oks
-            .iter_mut()
-            .map(|o| std::mem::take(&mut o.records))
-            .collect();
-        let (merged, fresh_seq) = merge_epoch(staged_total, streams);
-        let mut now_max = self.now;
-        for (_, r) in &merged {
-            now_max = now_max.max(r.now_after);
-            if let Some((p, sample)) = r.wake {
-                self.wake_latency.record(sample);
-                self.last_wake = Some((Ptid(p), sample));
-            }
+        // The histogram is a multiset. The latest sample is unique
+        // across cores (ties were refused); `max_by_key` keeps the last
+        // of equal times, i.e. its core's last at that time.
+        let wakes = oks.iter().flat_map(|ok| ok.wakes.iter());
+        for &(_, _, sample) in wakes.clone() {
+            self.wake_latency.record(sample);
         }
+        if let Some(&(_, p, sample)) = wakes.max_by_key(|&&(at, _, _)| at) {
+            self.last_wake = Some((Ptid(p), sample));
+        }
+        let mut now_max = oks
+            .iter()
+            .map(|ok| ok.local_now)
+            .fold(self.now, Cycles::max);
 
-        // Surviving events enter the real queue in global vseq order, so
-        // their relative seqs equal the serial engine's.
-        let mut to_schedule: Vec<(u64, Cycles, u32, u32)> = Vec::new();
-        for (pos, ok) in oks.iter().enumerate() {
-            for &(local, at, slot) in &ok.survivors {
-                to_schedule.push((fresh_seq[pos][local as usize], at, ok.core as u32, slot));
+        // Survivors of different cores never share a due time, so only
+        // each core's local creation order reaches the queue's seqs.
+        for ok in &oks {
+            let core = ok.core as u32;
+            for &(at, _, slot) in &ok.survivors {
+                self.events.schedule(at, Ev::SlotFree { core, slot });
             }
-        }
-        to_schedule.sort_unstable_by_key(|&(vseq, _, _, _)| vseq);
-        for (_, at, core, slot) in to_schedule {
-            self.events.schedule(at, Ev::SlotFree { core, slot });
         }
 
         // Serial-clock invariant: the serial engine's `now` never passes

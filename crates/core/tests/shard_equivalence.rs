@@ -371,3 +371,116 @@ fn reference_engine_runs_no_epochs() {
     // And produces work: the fingerprint is non-trivial.
     assert!(fingerprint(&m, &tids, &spans).contains("ctr "));
 }
+
+/// Per core: two compute threads keep both SMT slots busy, and a third
+/// thread parks in `mwait` on its own word. One host callback at
+/// `wake_at` wakes the parked thread on every core; with no free slot,
+/// each is first dispatched at its core's next `SlotFree` — a different
+/// cycle on each core, inside the epoch that follows the callback. After
+/// the wake every thread only computes, so no later wake overwrites the
+/// epoch's wake effects.
+fn build_late_wakers(
+    engine: Engine,
+    jobs: usize,
+    wake_at: Cycles,
+) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
+    let mut cfg = MachineConfig::small();
+    cfg.cores = 2;
+    let mut m = Machine::new(cfg);
+    m.set_engine(engine);
+    m.set_machine_jobs(jobs);
+    let mut tids = Vec::new();
+    let mut spans = Vec::new();
+    let mut words = Vec::new();
+    for c in 0..2u64 {
+        let buf = m.alloc(2048);
+        m.set_core_domain(c as usize, buf, 2048);
+        spans.push((buf, 2048));
+        for k in 0..2u64 {
+            let prog = assemble(&format!(
+                r#"
+                .base {base:#x}
+                entry:
+                    movi r3, {slot}
+                    movi r2, 0
+                loop:
+                    addi r2, r2, 1
+                    st r2, r3, 0
+                    work {wk}
+                    jmp loop
+                "#,
+                base = 0x50000 + c * 0xc000 + k * 0x4000,
+                slot = buf + k * 512,
+                wk = 5 + 4 * c + 3 * k,
+            ))
+            .expect("busy program");
+            let tid = m.load_program(c as usize, &prog).expect("load");
+            m.start_thread(tid);
+            tids.push(tid);
+        }
+        let word = m.alloc(64);
+        words.push(word);
+        spans.push((word, 64));
+        // One cache line of code: the wake path stays L1-resident.
+        let prog = assemble(&format!(
+            r#"
+            .base {base:#x}
+            entry:
+                movi r3, {word}
+                monitor r3
+                mwait
+            spin:
+                addi r5, r5, 1
+                work {wk}
+                jmp spin
+            "#,
+            base = 0x50000 + c * 0xc000 + 0x8000,
+            wk = 13 + 6 * c,
+        ))
+        .expect("sleeper program");
+        let tid = m.load_program(c as usize, &prog).expect("load");
+        m.start_thread(tid);
+        tids.push(tid);
+    }
+    m.at(wake_at, move |mach| {
+        for &w in &words {
+            mach.poke_u64(w, 1);
+        }
+    });
+    (m, tids, spans)
+}
+
+/// A committed epoch's wake effects: every sample reaches the histogram
+/// and the latest one, from whichever core dispatched its woken thread
+/// last, becomes `last_wake`.
+#[test]
+fn sharded_matches_serial_on_wakes_inside_an_epoch() {
+    let (wake_at, t) = (Cycles(40_000), 60_000);
+    let (mut serial, tids_s, spans) = build_late_wakers(Engine::Reference, 1, wake_at);
+    serial.run_until(Cycles(t));
+    let want = fingerprint(&serial, &tids_s, &spans);
+    let want_last = serial.last_wake_latency().expect("the sleepers woke");
+    let h = serial.wake_latency();
+    let want_hist = (h.count(), h.mean(), h.min(), h.max());
+    for jobs in [1, 4] {
+        let (mut par, tids_p, spans_p) = build_late_wakers(Engine::Fast, jobs, wake_at);
+        par.run_until(Cycles(t));
+        assert_eq!(
+            par.last_wake_latency(),
+            Some(want_last),
+            "machine-jobs {jobs}"
+        );
+        let h = par.wake_latency();
+        assert_eq!(
+            (h.count(), h.mean(), h.min(), h.max()),
+            want_hist,
+            "machine-jobs {jobs}"
+        );
+        assert_eq!(
+            want,
+            fingerprint(&par, &tids_p, &spans_p),
+            "machine-jobs {jobs}"
+        );
+        assert!(par.shard_stats().committed > 0, "{:?}", par.shard_stats());
+    }
+}

@@ -492,13 +492,13 @@ pub fn soak(
 ///
 /// Returns a structured [`SimError`] — never panics — for a malformed or
 /// corrupted artifact ([`SimError::Parse`] names the offending line and
-/// field, [`SimError::FaultPlan`] the invalid burst), an invariant
-/// violation, or — when the artifact records a digest — a digest
-/// mismatch.
+/// field, [`SimError::FaultPlan`] the invalid burst), or a
+/// [`SimError::Verdict`] for an invariant violation or — when the
+/// artifact records a digest — a digest mismatch.
 pub fn replay_text(text: &str) -> Result<String, SimError> {
     let plan = ChaosPlan::parse(text)?;
     let out = run_plan(&plan)?;
-    let fail = |detail: String| SimError::Machine {
+    let fail = |detail: String| SimError::Verdict {
         context: "chaos replay",
         detail,
     };
@@ -703,6 +703,7 @@ mod tests {
         // A corrupted digest must be rejected.
         stamped.digest = Some(out.digest ^ 1);
         let err = replay_text(&stamped.to_text()).unwrap_err();
+        assert!(matches!(err, SimError::Verdict { .. }), "{err}");
         assert!(err.to_string().contains("digest mismatch"), "{err}");
     }
 

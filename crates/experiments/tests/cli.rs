@@ -1,13 +1,17 @@
 //! Exit statuses of the `experiments` binary on bad input: a malformed
 //! environment variable is a usage error (exit 2, never a panic), and a
 //! CSV tree that cannot be written fails the run (exit 1) instead of
-//! passing with a message on stderr, and a chaos replay artifact whose
+//! passing with a message on stderr, a chaos replay artifact whose
 //! duration is out of range is refused (exit 1) instead of running
-//! forever.
+//! forever, and a replay whose digest does not match fails (exit 1) with
+//! a message that names the verdict.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
+
+use switchless_sim::chaos::{ChaosConfig, ChaosPlan};
+use switchless_sim::time::Cycles;
 
 fn experiments(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
@@ -84,4 +88,21 @@ fn replay_of_an_unbounded_duration_exits_1_promptly() {
     let o = child.wait_with_output().expect("collect the output");
     assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
     assert!(stderr(&o).contains("duration"), "{}", stderr(&o));
+}
+
+#[test]
+fn replay_digest_mismatch_exits_1_naming_the_verdict() {
+    let mut plan = ChaosPlan::generate(7, &ChaosConfig::new(Cycles(600_000)));
+    plan.digest = Some(0);
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-digest-mismatch-plan.txt");
+    std::fs::write(&path, plan.to_text()).expect("write the plan");
+    let o = experiments(&["--replay", path.to_str().expect("utf-8 path")], &[]);
+    assert_eq!(o.status.code(), Some(1), "stderr: {}", stderr(&o));
+    let err = stderr(&o);
+    assert!(
+        err.contains("replay failed: chaos replay verdict: digest mismatch: run "),
+        "{err}"
+    );
+    assert!(err.contains("artifact 0000000000000000"), "{err}");
+    assert!(!err.contains("machine setup"), "{err}");
 }

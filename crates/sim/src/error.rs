@@ -33,6 +33,14 @@ pub enum SimError {
         /// The machine's diagnostic.
         detail: String,
     },
+    /// A run completed but failed its check (an invariant violation, a
+    /// replay digest that does not match its artifact, …).
+    Verdict {
+        /// Which run was judged ("chaos replay", …).
+        context: &'static str,
+        /// What the check found.
+        detail: String,
+    },
     /// A component was configured inconsistently.
     Config {
         /// Which component rejected its configuration.
@@ -58,6 +66,9 @@ impl core::fmt::Display for SimError {
             }
             SimError::Machine { context, detail } => {
                 write!(f, "machine setup for {context}: {detail}")
+            }
+            SimError::Verdict { context, detail } => {
+                write!(f, "{context} verdict: {detail}")
             }
             SimError::Config { context, detail } => {
                 write!(f, "invalid {context} configuration: {detail}")

@@ -72,7 +72,6 @@ pub mod invariant;
 pub mod par;
 pub mod report;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;

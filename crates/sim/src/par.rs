@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
 /// Environment variable consulted by [`resolve_jobs`] when no explicit
 /// worker count is requested.
@@ -163,8 +163,10 @@ where
 /// Like [`par_map`], but each worker takes **ownership** of its item —
 /// for per-item state that is `Send` but not `Sync`, or that `f` must
 /// consume (e.g. a shard worker consuming its per-core staging state).
-/// Results are returned in input order; with `jobs <= 1` (or fewer than
-/// two items) everything runs inline with no threads spawned.
+/// Each item waits in its own slot until the worker that claims its
+/// index takes it. Results are returned in input order; with `jobs <= 1`
+/// (or fewer than two items) everything runs inline with no threads
+/// spawned.
 ///
 /// # Panics
 ///
@@ -175,49 +177,10 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n = items.len();
-    if jobs <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    let slots: Vec<std::sync::Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|t| std::sync::Mutex::new(Some(t)))
-        .collect();
-    let workers = jobs.min(n);
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, slots, f) = (&cursor, &slots, &f);
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("item slot poisoned")
-                    .take()
-                    .expect("item claimed twice");
-                if tx.send((i, f(i, item))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-        for _ in 0..n {
-            let (i, r) = rx
-                .recv()
-                .expect("worker thread died before finishing its items");
-            pending.insert(i, r);
-        }
-        pending.into_values().collect()
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    par_map(jobs, &slots, |i, slot| {
+        let item = slot.lock().expect("item slot poisoned").take();
+        f(i, item.expect("each item is claimed once"))
     })
 }
 

@@ -2,7 +2,7 @@
 # Tier-1 gate: everything here runs fully offline.
 #
 #   build    release build of the whole workspace
-#   test     the ~610 unit/integration/property tests
+#   test     the ~630 unit/integration/property tests
 #   clippy   workspace lints on every target (tests and benches
 #            included), warnings are errors
 #   perfbench  the repository benchmark (perfbench/, a Cargo workspace
@@ -13,7 +13,12 @@
 #            one-second hot_loops run also checks the pinned spin/store/
 #            ring digests and runs the per-layer probes (the event-queue
 #            probe is the queue's only cancel caller outside the tests
-#            and crates/bench); its trace lands in the ignored .bench_out/
+#            and crates/bench); traces land in the ignored .bench_out/.
+#            The multicore run is traced too, and its epoch engine's
+#            exact work counts are pinned: epoch attempts, commits,
+#            bails and ties, and instructions executed. They do not
+#            depend on --seconds; a change that moves one updates the
+#            pin below and says why
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
 #            reports (timing and absolute-path lines stripped)
@@ -67,7 +72,7 @@ cargo test -q --workspace
 step "cargo clippy --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "perfbench (offline build; suite, multicore, io_serving, traced hot_loops for 1 s each)"
+step "perfbench (offline build; suite, traced multicore with pinned work counts, io_serving, traced hot_loops for 1 s each)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 perfbench() {
     if ! cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
@@ -76,9 +81,32 @@ perfbench() {
         exit 1
     fi
 }
-for w in suite multicore io_serving; do
-    perfbench --workload "$w"
-done
+perfbench --workload suite
+mc="$(perfbench --workload multicore --trace 1)"
+printf '%s\n' "$mc"
+python3 - "$mc" <<'EOF'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+pins = {
+    "core.shard.attempts": 1107,
+    "core.shard.committed": 870,
+    "core.shard.bailed": 120,
+    "core.shard.ties": 117,
+    "core.inst.executed": 19_697_368,
+}
+bad = []
+for k, want in pins.items():
+    got = metrics.get(k, {}).get("value")
+    if got != want:
+        bad.append(f"{k}: {got} != pinned {want}")
+if bad:
+    print("FAIL: multicore epoch-engine work counts moved", file=sys.stderr)
+    for line in bad:
+        print("  " + line, file=sys.stderr)
+    sys.exit(1)
+print("multicore: epoch attempts/commits/bails/ties and instructions match the pins")
+EOF
+perfbench --workload io_serving
 perfbench --workload hot_loops --trace 1
 echo "perfbench: builds offline, every workload's digests match"
 
