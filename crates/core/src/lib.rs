@@ -46,6 +46,7 @@ pub mod store;
 pub mod tdt;
 pub mod tid;
 
-pub use machine::{Engine, Machine, MachineConfig, ShardStats, ThreadId};
+pub use machine::{Engine, Machine, MachineConfig, ThreadId};
 pub use perm::{Perms, TdtEntry};
+pub use shard::ShardStats;
 pub use tid::{Ptid, ThreadState, Vtid};

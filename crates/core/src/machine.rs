@@ -63,6 +63,7 @@ use crate::exception::{Descriptor, ExceptionKind};
 use crate::perm::{Perms, TdtEntry};
 use crate::sblock::{self, Superblock, SB_DEAD, SB_FORMED, SB_HOT};
 use crate::sched::{HwScheduler, SchedPolicy};
+use crate::shard::EpochEngine;
 use crate::store::{StateStore, StoreConfig, Tier};
 use crate::tdt::TdtCache;
 use crate::tid::{Ptid, ThreadState, Vtid};
@@ -132,9 +133,6 @@ pub struct MachineConfig {
     pub trap: TrapMode,
     /// Clock frequency (for ns conversion in reports).
     pub freq: Freq,
-    /// DMA writes install lines in L3 (DDIO-style) rather than
-    /// invalidating them.
-    pub dma_warms_l3: bool,
 }
 
 impl MachineConfig {
@@ -153,7 +151,6 @@ impl MachineConfig {
             monitor: MonitorKind::Cam { capacity: 1024 },
             trap: TrapMode::Descriptor,
             freq: Freq::GHZ3,
-            dma_warms_l3: true,
         }
     }
 
@@ -210,7 +207,7 @@ impl From<MachineError> for SimError {
 /// `Clone` + `pub(crate)` fields: the epoch engine (`shard`) snapshots
 /// per-core thread state, runs workers on the clones, and commits them
 /// back wholesale on success.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub(crate) struct Thread {
     pub(crate) arch: ArchState,
     pub(crate) state: ThreadState,
@@ -297,11 +294,14 @@ impl Thread {
     }
 }
 
-#[derive(Clone)]
+/// One core's private pipeline-side state. An epoch worker runs on a
+/// clone of it inside a `shard::Shard`.
+#[derive(Clone, Debug)]
 pub(crate) struct CoreState {
     pub(crate) sched: HwScheduler,
     pub(crate) store: StateStore,
     pub(crate) tdt: TdtCache,
+    pub(crate) tlb: Tlb,
     pub(crate) idle_slot: Vec<bool>,
     pub(crate) next_unused: usize,
 }
@@ -484,7 +484,6 @@ pub struct Machine {
     pub(crate) threads: Vec<Thread>,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) hier: Hierarchy,
-    pub(crate) tlbs: Vec<Tlb>,
     pub(crate) filter: Box<dyn MonitorFilter>,
     pub(crate) prefetcher: WakePrefetcher,
     pub(crate) events: EventQueue<Ev>,
@@ -542,19 +541,8 @@ pub struct Machine {
     /// Named per-device conservation ledgers ([`Machine::ledger`]).
     /// A `Vec` keeps iteration in attach order (determinism).
     device_ledgers: Vec<(&'static str, Ledger)>,
-    /// Host threads for the epoch engine's per-core workers; 1 runs
-    /// them inline. Never selects an engine.
-    pub(crate) machine_jobs: usize,
-    /// Host-declared per-core private data windows `(base, len)` for the
-    /// epoch engine ([`Machine::set_core_domain`]). A worker may execute
-    /// loads/stores that land fully inside its own core's window; loads
-    /// fully outside *every* window read the frozen epoch-start image.
-    pub(crate) core_domains: Vec<Option<(u64, u64)>>,
-    /// Adaptive epoch length for the sharded engine (host-side knob;
-    /// never observable in simulated state).
-    pub(crate) epoch_len: Cycles,
-    /// Host-side statistics for the sharded engine.
-    pub(crate) shard_stats: ShardStats,
+    /// The epoch engine's host-side settings and statistics.
+    pub(crate) epochs: EpochEngine,
     /// Host execution engine ([`Machine::set_engine`]).
     engine: Engine,
     /// Sorted MMIO hook addresses, maintained by [`Machine::register_mmio`].
@@ -563,29 +551,6 @@ pub struct Machine {
     pub(crate) mmio_addrs: Vec<u64>,
     /// Memory-superblock probe scratch.
     probe: Option<Box<Probe>>,
-}
-
-/// Host-side statistics for the core-sharded epoch engine. These live
-/// outside [`Counters`] deliberately: they describe how the simulation
-/// was *executed* (epochs attempted, bailed, committed), not what the
-/// simulated machine did, so they must not leak into results files or
-/// chaos digests that are compared across engines and `--machine-jobs`
-/// settings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Epochs whose speculative execution was committed.
-    pub committed: u64,
-    /// Epochs discarded because a worker hit a non-core-local effect.
-    pub bailed: u64,
-    /// Epochs discarded at commit time over a cross-core time tie
-    /// (equal-time survivors or wake samples); retried, not replayed.
-    pub ties: u64,
-    /// Epochs skipped because fewer than two cores had work staged.
-    pub too_few: u64,
-    /// Instructions executed inside committed epochs (parallel work).
-    pub insts_parallel: u64,
-    /// Events replayed serially (outside committed epochs).
-    pub serial_events: u64,
 }
 
 impl Machine {
@@ -619,12 +584,12 @@ impl Machine {
                     sched: HwScheduler::new(cfg.sched),
                     store: StateStore::new(cfg.store),
                     tdt: TdtCache::new(64),
+                    tlb: Tlb::new(cfg.tlb),
                     idle_slot: vec![true; cfg.smt_slots],
                     next_unused: 0,
                 })
                 .collect(),
             hier: Hierarchy::new(cfg.cores, cfg.hierarchy),
-            tlbs: (0..cfg.cores).map(|_| Tlb::new(cfg.tlb)).collect(),
             filter,
             prefetcher: WakePrefetcher::new(64),
             events: EventQueue::new(),
@@ -656,10 +621,7 @@ impl Machine {
             invariant_report: InvariantReport::new(),
             exc_ledger: Ledger::default(),
             device_ledgers: Vec::new(),
-            machine_jobs: 1,
-            core_domains: vec![None; cfg.cores],
-            epoch_len: Cycles(64),
-            shard_stats: ShardStats::default(),
+            epochs: EpochEngine::new(cfg.cores),
             engine: Engine::process_default(),
             mmio_addrs: Vec::new(),
             probe: None,
@@ -700,57 +662,12 @@ impl Machine {
         &mut self.counters
     }
 
-    /// Sets how many host threads run the epoch engine's per-core
-    /// workers (see `shard.rs`); `0` or `1` runs them inline on the
-    /// calling thread. It never selects an engine ([`Machine::set_engine`]
-    /// does), and the simulated outcome is bit-identical for every value,
-    /// so this is purely a wall-clock knob.
-    pub fn set_machine_jobs(&mut self, jobs: usize) {
-        self.machine_jobs = jobs.max(1);
-    }
-
-    /// Host threads the epoch engine's workers may use.
-    #[must_use]
-    pub fn machine_jobs(&self) -> usize {
-        self.machine_jobs
-    }
-
     /// Selects the host execution engine. Defaults to [`Engine::ENV`]
     /// (`reference` or `fast`; [`Engine::Fast`] when unset). The
     /// simulated outcome is bit-identical for both, so this is purely a
     /// wall-clock switch.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
-    }
-
-    /// Declares `[base, base + len)` as `core`'s private data window for
-    /// the epoch engine. Epoch workers may retire stores that land fully
-    /// inside their own core's window; anything else bails the epoch and
-    /// is replayed serially. Windows must be pairwise disjoint and inside
-    /// physical memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a bad core, an out-of-range window, or overlap with
-    /// another core's window.
-    pub fn set_core_domain(&mut self, core: usize, base: u64, len: u64) {
-        assert!(core < self.cfg.cores, "core {core} out of range");
-        let end = base.checked_add(len).expect("domain wraps");
-        assert!(end <= self.cfg.mem_bytes, "domain outside memory");
-        for (c, d) in self.core_domains.iter().enumerate() {
-            if let Some((b, l)) = *d {
-                if c != core {
-                    assert!(base >= b + l || b >= end, "domain overlaps core {c}");
-                }
-            }
-        }
-        self.core_domains[core] = Some((base, len));
-    }
-
-    /// Host-side statistics for the core-sharded epoch engine.
-    #[must_use]
-    pub fn shard_stats(&self) -> ShardStats {
-        self.shard_stats
     }
 
     /// Wake-to-first-dispatch latency histogram (cycles).
@@ -976,11 +893,10 @@ impl Machine {
     }
 
     /// DMA write from a device: copies bytes, triggers the monitor
-    /// filter, and (per config) deposits the lines in L3 or invalidates
-    /// them. A write that does not fit in memory — its end included,
-    /// even when the sum overflows — is dropped without effect and
-    /// counted in `dma.rejected`; the return value says whether the
-    /// write landed.
+    /// filter, and deposits the lines in L3 (DDIO-style). A write that
+    /// does not fit in memory — its end included, even when the sum
+    /// overflows — is dropped without effect and counted in
+    /// `dma.rejected`; the return value says whether the write landed.
     pub fn dma_write(&mut self, addr: u64, bytes: &[u8]) -> bool {
         if !in_mem(addr, bytes.len() as u64, self.cfg.mem_bytes) {
             self.counters.inc("dma.rejected");
@@ -989,11 +905,7 @@ impl Machine {
         let a = addr as usize;
         self.mem[a..a + bytes.len()].copy_from_slice(bytes);
         for line in switchless_mem::addr::lines_covering(PAddr(addr), bytes.len() as u64) {
-            if self.cfg.dma_warms_l3 {
-                self.hier.dma_deposit(line);
-            } else {
-                self.hier.invalidate_line(line);
-            }
+            self.hier.dma_deposit(line);
         }
         self.counters.bump(self.hot.dma_bytes, bytes.len() as u64);
         self.after_store(addr, bytes.len() as u64, true);
@@ -2014,7 +1926,6 @@ pub(crate) trait ExecCtx {
         kind: AccessKind,
         part: PartitionId,
     ) -> Result<AccessResult, Self::Bail>;
-    fn tlb(&mut self, core: usize) -> &mut Tlb;
     /// `core`'s private cache levels.
     fn caches(&mut self, core: usize) -> &mut CoreCaches;
     /// The wake prefetcher's working-set capture.
@@ -2482,7 +2393,7 @@ fn exec_superblock<X: ExecCtx>(
         // the address, regardless of width.
         let (page, line) = (addr / PAGE_BYTES, PAddr(addr).line());
         ok = in_mem(addr, len, mem_bytes)
-            && x.tlb(core).contains(0, page)
+            && x.core_mut(core).tlb.contains(0, page)
             && x.caches(core).l1_contains(line);
         if !ok {
             break;
@@ -2549,7 +2460,7 @@ fn exec_superblock<X: ExecCtx>(
         return false;
     }
     debug_assert!(data_idx == mem_ops, "every instruction executed");
-    let tlb_ok = x.tlb(core).access_run(0, &p.pages, mem_ops);
+    let tlb_ok = x.core_mut(core).tlb.access_run(0, &p.pages, mem_ops);
     debug_assert!(tlb_ok, "probe checked TLB residency for every page");
     x.capture()
         .record_run(WatchId(u64::from(ptid.0)), &p.plines);
@@ -2575,7 +2486,7 @@ fn data_access<X: ExecCtx>(
     addr: u64,
     kind: AccessKind,
 ) -> Result<Cycles, X::Bail> {
-    let tlb_cost = x.tlb(core).access(0, addr / PAGE_BYTES);
+    let tlb_cost = x.core_mut(core).tlb.access(0, addr / PAGE_BYTES);
     let part = x.th(h).partition;
     let res = x.cache_access(core, PAddr(addr), kind, part)?;
     x.capture()
@@ -2822,9 +2733,6 @@ impl ExecCtx for Machine {
         part: PartitionId,
     ) -> Result<AccessResult, Infallible> {
         Ok(self.hier.access(self.now, core, addr, kind, part))
-    }
-    fn tlb(&mut self, core: usize) -> &mut Tlb {
-        &mut self.tlbs[core]
     }
     fn caches(&mut self, core: usize) -> &mut CoreCaches {
         self.hier.core_mut(core)

@@ -10,15 +10,16 @@
 //! [`Machine::run_until`] on [`Engine::Fast`] executes *epochs* on every
 //! multi-core machine whose invariant checker is off: the host stages
 //! every event strictly below a cross-core event horizon `B`, hands each
-//! core's staged events to a worker running against **clones** of that
-//! core's private state (scheduler, state store, L1/L2, TLB,
-//! prefetch capture, threads enrolled there, and its registered memory
-//! domain), and commits all of it back at an epoch barrier.
+//! core's staged events to a worker running against a [`Shard`] — a
+//! **clone** of that core's private state (its [`CoreState`] with the
+//! TLB, L1/L2, prefetch capture, the threads enrolled there, and its
+//! registered memory domain) — and commits every shard back at an epoch
+//! barrier.
 //!
 //! The engine is speculative in implementation but conservative in
 //! effect: a worker that would touch anything outside its shard — another
 //! core's memory domain, the monitor filter, an hcall, an exception, the
-//! shared L3, an MMIO doorbell — abandons the epoch (`Bail`), the clones
+//! shared L3, an MMIO doorbell — abandons the epoch (`Bail`), the shards
 //! are dropped, the staged events are restored under their original
 //! `(time, seq)` keys, and the window replays on the serial engine. A
 //! committed epoch is **bit-identical** to the serial engine by
@@ -68,7 +69,6 @@ use switchless_mem::cache::PartitionId;
 use switchless_mem::hierarchy::{AccessKind, AccessResult, CoreCaches};
 use switchless_mem::monitor::{MonitorFilter, WatchId};
 use switchless_mem::prefetch::Capture;
-use switchless_mem::tlb::Tlb;
 use switchless_sim::par::par_map_owned;
 use switchless_sim::time::Cycles;
 
@@ -83,6 +83,56 @@ use crate::tid::Ptid;
 const MAX_EPOCH: u64 = 1 << 20;
 /// Epochs halve down to this length while bailing.
 const MIN_EPOCH: u64 = 64;
+
+/// Host-side statistics for the core-sharded epoch engine. These live
+/// outside [`Counters`](switchless_sim::stats::Counters) deliberately:
+/// they describe how the simulation was *executed* (epochs attempted,
+/// bailed, committed), not what the simulated machine did, so they must
+/// not leak into results files or chaos digests that are compared across
+/// engines and `--machine-jobs` settings.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Epochs whose speculative execution was committed.
+    pub committed: u64,
+    /// Epochs discarded because a worker hit a non-core-local effect.
+    pub bailed: u64,
+    /// Epochs discarded at commit time over a cross-core time tie
+    /// (equal-time survivors or wake samples); retried, not replayed.
+    pub ties: u64,
+    /// Epochs skipped because fewer than two cores had work staged.
+    pub too_few: u64,
+    /// Instructions executed inside committed epochs (parallel work).
+    pub insts_parallel: u64,
+    /// Events replayed serially (outside committed epochs).
+    pub serial_events: u64,
+}
+
+/// The epoch engine's host-side state on a [`Machine`]: settings and
+/// statistics only, never observable in simulated state.
+pub(crate) struct EpochEngine {
+    /// Host threads for the per-core workers; 1 runs them inline.
+    /// Never selects an engine.
+    jobs: usize,
+    /// Host-declared per-core private data windows `(base, len)`
+    /// ([`Machine::set_core_domain`]). A worker may execute loads/stores
+    /// that land fully inside its own core's window; loads fully outside
+    /// *every* window read the frozen epoch-start image.
+    domains: Vec<Option<(u64, u64)>>,
+    /// Adaptive epoch length.
+    len: Cycles,
+    stats: ShardStats,
+}
+
+impl EpochEngine {
+    pub(crate) fn new(cores: usize) -> EpochEngine {
+        EpochEngine {
+            jobs: 1,
+            domains: vec![None; cores],
+            len: Cycles(MIN_EPOCH),
+            stats: ShardStats::default(),
+        }
+    }
+}
 
 /// What became of one attempted epoch.
 pub(crate) enum EpochOutcome {
@@ -143,24 +193,32 @@ struct Shared<'a> {
     gap: u64,
 }
 
-/// One core's slice of machine state, cloned for the epoch.
-struct WorkerInput {
+/// One core's epoch state, moved as one value: [`Machine::shard_out`]
+/// clones it out of the machine, a worker runs the serial interpreter
+/// against it, and [`Machine::shard_in`] commits it back.
+pub(crate) struct Shard {
     core: usize,
-    /// `(due, staging index, slot)` for this core's staged `SlotFree`s.
-    staged: Vec<(Cycles, u64, u32)>,
+    /// Scheduler, state store, TDT cache, TLB and slots.
     cs: CoreState,
     /// Threads enrolled on this core, sorted by ptid.
     threads: Vec<(u32, Thread)>,
+    /// The private levels; an access that needs the shared L3 bails.
     caches: CoreCaches,
-    tlb: Tlb,
+    /// The enrolled threads' prefetch capture.
     capture: Capture,
-    /// `(base, bytes)` scratch copy of this core's memory domain.
+    /// `(base, bytes)` copy of this core's memory domain.
     domain: Option<(u64, Vec<u8>)>,
+    /// Counter deltas, bumped at commit.
+    dispatches: u64,
+    insts: u64,
+    activate: [u64; 4],
+    /// Store instructions that consulted the monitor filter (all were
+    /// quiet — a waking store bails), folded into the filter at commit.
+    quiet_stores: u64,
 }
 
-/// A successful worker's output, spliced back verbatim at commit.
+/// A successful worker's output.
 struct WorkerOk {
-    core: usize,
     /// The worker's final `now` (burst cursor included).
     local_now: Cycles,
     /// `(pop time, ptid, sample)` for every dispatch that consumed a
@@ -169,18 +227,7 @@ struct WorkerOk {
     /// Fresh events still pending at epoch end, in creation (key) order:
     /// `(due, key, slot)`.
     survivors: Vec<(Cycles, u64, u32)>,
-    cs: CoreState,
-    threads: Vec<(u32, Thread)>,
-    caches: CoreCaches,
-    tlb: Tlb,
-    capture: Capture,
-    domain: Option<(u64, Vec<u8>)>,
-    d_dispatches: u64,
-    d_insts: u64,
-    d_activate: [u64; 4],
-    /// Store instructions that consulted the monitor filter (all were
-    /// quiet — a waking store bails), folded into the filter at commit.
-    quiet_stores: u64,
+    shard: Shard,
 }
 
 /// A worker's private event queue: `(due, key, slot)` min-heap. Keys
@@ -231,16 +278,11 @@ fn find(threads: &[(u32, Thread)], p: Ptid) -> usize {
 }
 
 /// One epoch worker: the serial machine's interpreter (`dispatch` in
-/// `machine.rs`) run against a single core's cloned state, through this
-/// context.
+/// `machine.rs`) run against one [`Shard`], through this context. Its
+/// other fields are scratch.
 struct Worker<'a> {
     sh: &'a Shared<'a>,
-    cs: CoreState,
-    threads: Vec<(u32, Thread)>,
-    caches: CoreCaches,
-    tlb: Tlb,
-    capture: Capture,
-    domain: Option<(u64, Vec<u8>)>,
+    s: Shard,
     q: LocalQueue,
     /// Sibling-slot events lifted mid-burst (restored at burst exit).
     stash: Vec<(Cycles, u64, u32)>,
@@ -252,24 +294,25 @@ struct Worker<'a> {
     last_code: usize,
     /// The wake sample the current dispatch consumed, if any.
     wake: Option<(u32, u64)>,
-    d_dispatches: u64,
-    d_insts: u64,
-    d_activate: [u64; 4],
-    quiet_stores: u64,
     probe: Option<Box<Probe>>,
 }
 
-fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
+/// Runs `s`'s core over its `staged` events `(due, staging index, slot)`.
+fn run_worker(
+    sh: &Shared<'_>,
+    staged: Vec<(Cycles, u64, u32)>,
+    s: Shard,
+) -> Result<WorkerOk, Bail> {
     let mut q = LocalQueue::default();
-    for &(at, idx, slot) in &input.staged {
+    for (at, idx, slot) in staged {
         q.push(at, idx, slot);
     }
     // This core's fresh-event horizon (see `Shared::gap`). Staged
     // events still consume up to `B`: they are real pre-epoch events
     // and skipping one while running a later one would reorder the
     // core's serial stream.
-    let fresh_b =
-        Cycles(sh.b.0.saturating_sub(sh.gap * input.core as u64)).max(sh.now0 + Cycles(1));
+    let core = s.core;
+    let fresh_b = Cycles(sh.b.0.saturating_sub(sh.gap * core as u64)).max(sh.now0 + Cycles(1));
     // Bursts stop at the run deadline and before the fresh horizon: no
     // instruction may *start* at or after it (its pop would belong to
     // the next window). The serial engine may split bursts at other
@@ -277,25 +320,15 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
     // observably invisible, so the placement may differ — which is also
     // why the per-core stagger of this bound is free.
     let horizon = sh.t.min(Cycles(fresh_b.0 - 1));
-    let core = input.core;
     let mut w = Worker {
         sh,
-        cs: input.cs,
-        threads: input.threads,
-        caches: input.caches,
-        tlb: input.tlb,
-        capture: input.capture,
-        domain: input.domain,
+        s,
         q,
         stash: Vec::new(),
         local_now: sh.now0,
         created: 0,
         last_code: 0,
         wake: None,
-        d_dispatches: 0,
-        d_insts: 0,
-        d_activate: [0; 4],
-        quiet_stores: 0,
         probe: None,
     };
     let mut wakes = Vec::new();
@@ -328,20 +361,10 @@ fn run_worker(sh: &Shared<'_>, input: WorkerInput) -> Result<WorkerOk, Bail> {
     // Creation order is this core's serial seq order for the survivors.
     survivors.sort_unstable_by_key(|&(_, key, _)| key);
     Ok(WorkerOk {
-        core,
         local_now: w.local_now,
         wakes,
         survivors,
-        cs: w.cs,
-        threads: w.threads,
-        caches: w.caches,
-        tlb: w.tlb,
-        capture: w.capture,
-        domain: w.domain,
-        d_dispatches: w.d_dispatches,
-        d_insts: w.d_insts,
-        d_activate: w.d_activate,
-        quiet_stores: w.quiet_stores,
+        shard: w.s,
     })
 }
 
@@ -353,7 +376,7 @@ impl Worker<'_> {
     #[inline(always)]
     fn locate(&self, addr: u64, len: u64) -> Result<Option<usize>, Bail> {
         let end = addr + len;
-        if let Some((base, bytes)) = &self.domain {
+        if let Some((base, bytes)) = &self.s.domain {
             if addr >= *base && end <= base + bytes.len() as u64 {
                 return Ok(Some((addr - base) as usize));
             }
@@ -393,20 +416,20 @@ impl ExecCtx for Worker<'_> {
         true
     }
     fn core_mut(&mut self, _: usize) -> &mut CoreState {
-        &mut self.cs
+        &mut self.s.cs
     }
     fn th_index(&self, ptid: Ptid) -> usize {
-        find(&self.threads, ptid)
+        find(&self.s.threads, ptid)
     }
     fn th(&self, h: usize) -> &Thread {
-        &self.threads[h].1
+        &self.s.threads[h].1
     }
     fn th_mut(&mut self, h: usize) -> &mut Thread {
-        &mut self.threads[h].1
+        &mut self.s.threads[h].1
     }
     fn pick(&mut self, _: usize, now: Cycles) -> Result<Ptid, Option<Cycles>> {
-        let threads = &self.threads;
-        pick_free(&mut self.cs.sched, now, |p| {
+        let threads = &self.s.threads;
+        pick_free(&mut self.s.cs.sched, now, |p| {
             threads[find(threads, p)].1.busy_until
         })
     }
@@ -441,13 +464,13 @@ impl ExecCtx for Worker<'_> {
     }
 
     fn note_dispatches(&mut self, n: u64) {
-        self.d_dispatches += n;
+        self.s.dispatches += n;
     }
     fn note_insts(&mut self, n: u64) {
-        self.d_insts += n;
+        self.s.insts += n;
     }
     fn note_activation(&mut self, from: usize) {
-        self.d_activate[from] += 1;
+        self.s.activate[from] += 1;
     }
     fn note_wake(&mut self, ptid: Ptid, sample: u64) {
         self.wake = Some((ptid.0, sample));
@@ -455,7 +478,7 @@ impl ExecCtx for Worker<'_> {
     /// Quiet stores' only filter effect (`stores_checked`) is batched to
     /// commit.
     fn note_quiet_stores(&mut self, n: u64) {
-        self.quiet_stores += n;
+        self.s.quiet_stores += n;
     }
     /// Hcalls bail, so no charge ever accrues.
     fn take_charge(&mut self) -> Cycles {
@@ -482,7 +505,7 @@ impl ExecCtx for Worker<'_> {
     #[inline(always)]
     fn load(&self, addr: u64, len: u64) -> Result<u64, Bail> {
         Ok(match self.locate(addr, len)? {
-            Some(off) => read_le(&self.domain.as_ref().expect("own domain").1[off..], len),
+            Some(off) => read_le(&self.s.domain.as_ref().expect("own domain").1[off..], len),
             None => read_le(&self.sh.mem[addr as usize..], len),
         })
     }
@@ -490,7 +513,7 @@ impl ExecCtx for Worker<'_> {
     #[inline(always)]
     fn write(&mut self, addr: u64, len: u64, v: u64) -> Result<u64, Bail> {
         let off = self.locate(addr, len)?.ok_or(Bail)?;
-        let bytes = &mut self.domain.as_mut().expect("own domain").1[off..];
+        let bytes = &mut self.s.domain.as_mut().expect("own domain").1[off..];
         let old = read_le(bytes, len);
         write_le(bytes, len, v);
         Ok(old)
@@ -501,7 +524,7 @@ impl ExecCtx for Worker<'_> {
         if !store_is_quiet(self, addr, len) {
             return Err(Bail);
         }
-        self.quiet_stores += 1;
+        self.s.quiet_stores += 1;
         Ok(())
     }
     fn filter(&self) -> &dyn MonitorFilter {
@@ -520,16 +543,13 @@ impl ExecCtx for Worker<'_> {
         kind: AccessKind,
         part: PartitionId,
     ) -> Result<AccessResult, Bail> {
-        self.caches.try_access(addr, kind, part).ok_or(Bail)
-    }
-    fn tlb(&mut self, _: usize) -> &mut Tlb {
-        &mut self.tlb
+        self.s.caches.try_access(addr, kind, part).ok_or(Bail)
     }
     fn caches(&mut self, _: usize) -> &mut CoreCaches {
-        &mut self.caches
+        &mut self.s.caches
     }
     fn capture(&mut self) -> &mut Capture {
-        &mut self.capture
+        &mut self.s.capture
     }
 
     fn raise(&mut self, _: Ptid, _: ExceptionKind, _: u64) -> Result<(), Bail> {
@@ -548,6 +568,121 @@ impl ExecCtx for Worker<'_> {
 }
 
 impl Machine {
+    /// Sets how many host threads run the epoch engine's per-core
+    /// workers; `0` or `1` runs them inline on the calling thread. It
+    /// never selects an engine ([`Machine::set_engine`] does), and the
+    /// simulated outcome is bit-identical for every value, so this is
+    /// purely a wall-clock knob.
+    pub fn set_machine_jobs(&mut self, jobs: usize) {
+        self.epochs.jobs = jobs.max(1);
+    }
+
+    /// Host threads the epoch engine's workers may use.
+    #[must_use]
+    pub fn machine_jobs(&self) -> usize {
+        self.epochs.jobs
+    }
+
+    /// Declares `[base, base + len)` as `core`'s private data window for
+    /// the epoch engine. Epoch workers may retire stores that land fully
+    /// inside their own core's window; anything else bails the epoch and
+    /// is replayed serially. Windows must be pairwise disjoint and inside
+    /// physical memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a bad core, an out-of-range window, or overlap with
+    /// another core's window.
+    pub fn set_core_domain(&mut self, core: usize, base: u64, len: u64) {
+        assert!(core < self.cfg.cores, "core {core} out of range");
+        let end = base.checked_add(len).expect("domain wraps");
+        assert!(end <= self.cfg.mem_bytes, "domain outside memory");
+        for (c, d) in self.epochs.domains.iter().enumerate() {
+            if let Some((b, l)) = *d {
+                if c != core {
+                    assert!(base >= b + l || b >= end, "domain overlaps core {c}");
+                }
+            }
+        }
+        self.epochs.domains[core] = Some((base, len));
+    }
+
+    /// Host-side statistics for the core-sharded epoch engine.
+    #[must_use]
+    pub fn shard_stats(&self) -> ShardStats {
+        self.epochs.stats
+    }
+
+    /// Clones `core`'s epoch state out of the machine.
+    pub(crate) fn shard_out(&self, core: usize) -> Shard {
+        let mut tids: Vec<u32> = self.cores[core]
+            .sched
+            .iter_enrolled()
+            .map(|p| p.0)
+            .collect();
+        tids.sort_unstable();
+        let capture = self
+            .prefetcher
+            .core_view(tids.iter().map(|&i| WatchId(u64::from(i))));
+        let domain = self.epochs.domains[core].map(|(base, len)| {
+            (
+                base,
+                self.mem[base as usize..(base + len) as usize].to_vec(),
+            )
+        });
+        Shard {
+            core,
+            cs: self.cores[core].clone(),
+            threads: tids
+                .into_iter()
+                .map(|i| (i, self.threads[i as usize].clone()))
+                .collect(),
+            caches: self.hier.core_view(core),
+            capture,
+            domain,
+            dispatches: 0,
+            insts: 0,
+            activate: [0; 4],
+            quiet_stores: 0,
+        }
+    }
+
+    /// Commits a shard: its state replaces the core's, and its counter
+    /// deltas are bumped.
+    pub(crate) fn shard_in(&mut self, s: Shard) {
+        let Shard {
+            core,
+            cs,
+            threads,
+            caches,
+            capture,
+            domain,
+            dispatches,
+            insts,
+            activate,
+            quiet_stores,
+        } = s;
+        self.cores[core] = cs;
+        for (p, th) in threads {
+            self.threads[p as usize] = th;
+        }
+        self.hier.commit_core_view(core, caches);
+        self.prefetcher.absorb(capture);
+        if let Some((base, bytes)) = domain {
+            let lo = base as usize;
+            self.mem[lo..lo + bytes.len()].copy_from_slice(&bytes);
+        }
+        self.counters.bump(self.hot.sched_dispatches, dispatches);
+        self.counters.bump(self.hot.inst_executed, insts);
+        for (i, &n) in activate.iter().enumerate() {
+            self.counters.bump(self.hot.activate[i], n);
+        }
+        if quiet_stores > 0 {
+            self.filter.note_quiet_stores(quiet_stores);
+        }
+        self.epochs.stats.insts_parallel += insts;
+    }
+
     /// The sharded run loop: epochs where the event stream allows them,
     /// serial replay (via [`Machine::step`]) where it does not.
     pub(crate) fn run_until_sharded(&mut self, t: Cycles) {
@@ -566,17 +701,17 @@ impl Machine {
             if head >= serial_floor {
                 match self.try_epoch(t) {
                     EpochOutcome::Committed => {
-                        self.epoch_len = Cycles((self.epoch_len.0 * 2).min(MAX_EPOCH));
+                        self.epochs.len = Cycles((self.epochs.len.0 * 2).min(MAX_EPOCH));
                         tie_streak = 0;
                         continue;
                     }
                     EpochOutcome::Bailed(b) => {
-                        self.epoch_len = Cycles((self.epoch_len.0 / 2).max(MIN_EPOCH));
+                        self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
                         tie_streak = 0;
                         serial_floor = b.max(Cycles(head.0 + 1));
                     }
                     EpochOutcome::Tie(b) => {
-                        self.epoch_len = Cycles((self.epoch_len.0 / 2).max(MIN_EPOCH));
+                        self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
                         tie_streak += 1;
                         if tie_streak < 3 {
                             // The interior was clean; a shorter window
@@ -602,7 +737,7 @@ impl Machine {
                     .is_some_and(|h| h < serial_floor && h <= t)
             {
                 self.step(bound, t, None);
-                self.shard_stats.serial_events += 1;
+                self.epochs.stats.serial_events += 1;
             }
         }
         if self.halted.is_none() && self.now < t {
@@ -617,7 +752,7 @@ impl Machine {
         // The dispatch horizon is `t`, so events can exist at `t + 1`
         // (burst-end SlotFrees); the window never reaches past them.
         let cap = if t.0 == u64::MAX { t } else { Cycles(t.0 + 1) };
-        let mut b = (head + self.epoch_len).min(cap);
+        let mut b = (head + self.epochs.len).min(cap);
 
         // Stage every SlotFree strictly below B. A callback event
         // truncates the window to its due time: callbacks run arbitrary
@@ -661,44 +796,17 @@ impl Machine {
         }
         if per_core.len() < 2 {
             restore_staged(self, staged);
-            self.shard_stats.too_few += 1;
+            self.epochs.stats.too_few += 1;
             return EpochOutcome::TooFew(b);
         }
 
         let staged_total = staged.len() as u64;
-        let inputs: Vec<WorkerInput> = per_core
+        let inputs: Vec<_> = per_core
             .into_iter()
-            .map(|(core, evs)| {
-                let c = core as usize;
-                let mut tids: Vec<u32> = self.cores[c].sched.iter_enrolled().map(|p| p.0).collect();
-                tids.sort_unstable();
-                let threads: Vec<(u32, Thread)> = tids
-                    .iter()
-                    .map(|&i| (i, self.threads[i as usize].clone()))
-                    .collect();
-                let capture = self
-                    .prefetcher
-                    .core_view(tids.iter().map(|&i| WatchId(u64::from(i))));
-                let domain = self.core_domains[c].map(|(base, len)| {
-                    (
-                        base,
-                        self.mem[base as usize..(base + len) as usize].to_vec(),
-                    )
-                });
-                WorkerInput {
-                    core: c,
-                    staged: evs,
-                    cs: self.cores[c].clone(),
-                    threads,
-                    caches: self.hier.core_view(c),
-                    tlb: self.tlbs[c].clone(),
-                    capture,
-                    domain,
-                }
-            })
+            .map(|(core, evs)| (evs, self.shard_out(core as usize)))
             .collect();
 
-        let jobs = self.machine_jobs.min(inputs.len());
+        let jobs = self.epochs.jobs.min(inputs.len());
         let results = {
             let sh = Shared {
                 cfg: self.cfg,
@@ -714,7 +822,7 @@ impl Machine {
                 // Maintained sorted by `register_mmio`; no per-epoch
                 // rebuild.
                 mmio_addrs: &self.mmio_addrs,
-                domains: &self.core_domains,
+                domains: &self.epochs.domains,
                 // Wide enough to clear any common instruction cost (so
                 // the per-core continuation bands stay disjoint), small
                 // against the window (so the held-back tail is noise);
@@ -722,7 +830,7 @@ impl Machine {
                 // still caught at commit and retried.
                 gap: ((b.0 - head.0) / (2 * self.cfg.cores.max(1) as u64)).min(64),
             };
-            par_map_owned(jobs, inputs, |_, input| run_worker(&sh, input))
+            par_map_owned(jobs, inputs, |_, (staged, s)| run_worker(&sh, staged, s))
         };
 
         let mut oks: Vec<WorkerOk> = Vec::with_capacity(results.len());
@@ -731,7 +839,7 @@ impl Machine {
                 Ok(ok) => oks.push(ok),
                 Err(Bail) => {
                     restore_staged(self, staged);
-                    self.shard_stats.bailed += 1;
+                    self.epochs.stats.bailed += 1;
                     return EpochOutcome::Bailed(b);
                 }
             }
@@ -762,12 +870,12 @@ impl Machine {
             .collect();
         if cross_core_time_tie(&mut surv_times) || cross_core_time_tie(&mut wake_times) {
             restore_staged(self, staged);
-            self.shard_stats.ties += 1;
+            self.epochs.stats.ties += 1;
             return EpochOutcome::Tie(b);
         }
 
         // ---- Commit (all-or-nothing; no bail past this point) ----
-        self.shard_stats.committed += 1;
+        self.epochs.stats.committed += 1;
 
         // The histogram is a multiset. The latest sample is unique
         // across cores (ties were refused); `max_by_key` keeps the last
@@ -787,7 +895,7 @@ impl Machine {
         // Survivors of different cores never share a due time, so only
         // each core's local creation order reaches the queue's seqs.
         for ok in &oks {
-            let core = ok.core as u32;
+            let core = ok.shard.core as u32;
             for &(at, _, slot) in &ok.survivors {
                 self.events.schedule(at, Ev::SlotFree { core, slot });
             }
@@ -806,44 +914,8 @@ impl Machine {
         }
         self.now = now_max;
 
-        // Splice each core's state back and batch the counter deltas.
-        let mut quiet = 0u64;
         for ok in oks {
-            let WorkerOk {
-                core,
-                threads,
-                cs,
-                caches,
-                tlb,
-                capture,
-                domain,
-                d_dispatches,
-                d_insts,
-                d_activate,
-                quiet_stores,
-                ..
-            } = ok;
-            for (p, th) in threads {
-                self.threads[p as usize] = th;
-            }
-            self.cores[core] = cs;
-            self.hier.commit_core_view(core, caches);
-            self.tlbs[core] = tlb;
-            self.prefetcher.absorb(capture);
-            if let Some((base, bytes)) = domain {
-                let lo = base as usize;
-                self.mem[lo..lo + bytes.len()].copy_from_slice(&bytes);
-            }
-            self.counters.bump(self.hot.sched_dispatches, d_dispatches);
-            self.counters.bump(self.hot.inst_executed, d_insts);
-            for (i, &n) in d_activate.iter().enumerate() {
-                self.counters.bump(self.hot.activate[i], n);
-            }
-            quiet += quiet_stores;
-            self.shard_stats.insts_parallel += d_insts;
-        }
-        if quiet > 0 {
-            self.filter.note_quiet_stores(quiet);
+            self.shard_in(ok.shard);
         }
         EpochOutcome::Committed
     }
@@ -851,7 +923,109 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
+    use switchless_isa::asm::assemble;
+
     use super::*;
+    use crate::machine::Engine;
+
+    /// A 4-core machine whose cores loop over their own memory domains,
+    /// run to mid-flight on the default engine.
+    fn domain_machine() -> Machine {
+        let mut cfg = MachineConfig::small();
+        cfg.cores = 4;
+        let mut m = Machine::new(cfg);
+        m.set_engine(Engine::Fast);
+        for c in 0..4u64 {
+            let buf = m.alloc(4096);
+            let prog = assemble(&format!(
+                r#"
+                .base {base:#x}
+                entry:
+                    movi r3, {buf}
+                    movi r4, {end}
+                pass:
+                    ld r2, r3, 0
+                    addi r2, r2, {inc}
+                    st r2, r3, 0
+                    work {wk}
+                    addi r3, r3, {stride}
+                    blt r3, r4, pass
+                    movi r3, {buf}
+                    jmp pass
+                "#,
+                base = 0x10000 + c * 0x4000,
+                end = buf + 4096,
+                inc = c + 1,
+                wk = 7 + 6 * c,
+                stride = 8 * (c + 1),
+            ))
+            .expect("domain program");
+            let tid = m.load_program(c as usize, &prog).expect("load");
+            m.set_core_domain(c as usize, buf, 4096);
+            m.start_thread(tid);
+        }
+        m.run_until(Cycles(40_000));
+        m
+    }
+
+    /// Everything a shard round trip could disturb: the machine's
+    /// `Debug` line, every counter, the cache and epoch statistics, and
+    /// per core its state (TLB included), private caches, enrolled
+    /// threads with their prefetch capture, and domain bytes.
+    fn state(m: &Machine) -> String {
+        let mut pf = m.prefetcher.clone();
+        let mut s = format!(
+            "{m:?}\n{:?} {:?} {:?}\n",
+            m.hier.level_stats(),
+            m.hier.writebacks(),
+            m.shard_stats()
+        );
+        for (name, v) in m.counters.iter() {
+            let _ = writeln!(s, "{name}={v}");
+        }
+        for c in 0..m.cfg.cores {
+            let cs = &m.cores[c];
+            let _ = writeln!(s, "core {c}: {cs:?}\n{:?}", m.hier.core_view(c));
+            for p in cs.sched.iter_enrolled() {
+                let lines = pf.wake_set(WatchId(u64::from(p.0)));
+                let _ = writeln!(s, "{p:?}: {:?} {lines:?}", m.threads[p.0 as usize]);
+            }
+            let (base, len) = m.epochs.domains[c].expect("every core has a domain");
+            let _ = writeln!(s, "{:?}", &m.mem[base as usize..(base + len) as usize]);
+        }
+        s
+    }
+
+    #[test]
+    fn shard_out_then_shard_in_round_trips() {
+        let mut m = domain_machine();
+        assert!(m.shard_stats().committed > 0, "{:?}", m.shard_stats());
+        assert!((0..4)
+            .flat_map(|c| m.cores[c].sched.iter_enrolled())
+            .all(|p| m.prefetcher.captured_len(WatchId(u64::from(p.0))) > 0));
+        let before = state(&m);
+        let shards: Vec<Shard> = (0..4).map(|c| m.shard_out(c)).collect();
+        // Scrub what the shards hold, so only `shard_in` can restore it.
+        let fresh = Machine::new(m.cfg);
+        for s in &shards {
+            m.cores[s.core] = fresh.cores[s.core].clone();
+            m.hier
+                .commit_core_view(s.core, fresh.hier.core_view(s.core));
+            for &(p, _) in &s.threads {
+                m.threads[p as usize] = fresh.threads[p as usize].clone();
+                m.prefetcher.forget(WatchId(u64::from(p)));
+            }
+            let (base, bytes) = s.domain.as_ref().expect("own domain");
+            m.mem[*base as usize..*base as usize + bytes.len()].fill(0);
+        }
+        assert_ne!(state(&m), before, "the scrub reached the machine");
+        for s in shards {
+            m.shard_in(s);
+        }
+        assert_eq!(state(&m), before);
+    }
 
     #[test]
     fn local_queue_orders_by_time_then_key() {

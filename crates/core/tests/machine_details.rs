@@ -132,12 +132,11 @@ fn out_of_range_dma_is_a_counted_no_op() {
 
 #[test]
 fn dma_ddio_deposits_into_l3() {
-    // With dma_warms_l3 (default), a thread reading freshly DMA'd data
-    // hits L3, not DRAM.
-    let run = |ddio: bool| -> u64 {
-        let mut cfg = MachineConfig::small();
-        cfg.dma_warms_l3 = ddio;
-        let mut m = Machine::new(cfg);
+    // DMA deposits its lines in L3 (DDIO): a thread reading a freshly
+    // DMA'd buffer hits L3, where one reading a never-touched buffer
+    // goes to DRAM.
+    let run = |dma: bool| -> u64 {
+        let mut m = Machine::new(MachineConfig::small());
         let buf = m.alloc(4096);
         let prog = assemble(&format!(
             r#"
@@ -155,16 +154,18 @@ fn dma_ddio_deposits_into_l3() {
         ))
         .unwrap();
         let tid = m.load_program(0, &prog).unwrap();
-        m.dma_write(buf, &[0xee; 4096]);
+        if dma {
+            assert!(m.dma_write(buf, &[0xee; 4096]));
+        }
         m.start_thread(tid);
         assert!(m.run_until_state(tid, ThreadState::Halted, Cycles(1_000_000)));
         m.billed_cycles(tid).0
     };
-    let with_ddio = run(true);
-    let without = run(false);
+    let dma = run(true);
+    let untouched = run(false);
     assert!(
-        with_ddio * 2 < without,
-        "DDIO reads ({with_ddio}) should be far cheaper than DRAM reads ({without})"
+        dma * 2 < untouched,
+        "DDIO reads ({dma}) should be far cheaper than DRAM reads ({untouched})"
     );
 }
 

@@ -6,46 +6,27 @@
 //! per-thread watchdog raises an exception *descriptor* at the deadline
 //! and the supervisor hardware thread restarts it after a fixed backoff
 //! — no IRQ, no scheduler, no context switch. The legacy comparator
-//! (modeled from [`LegacyCosts`], same seed, same loss rate) can only
+//! (modeled from [`LegacyCosts`](switchless_legacy::costs::LegacyCosts), same seed, same loss rate) can only
 //! notice the overrun at its next software timer tick, then pays the
 //! full interrupt + scheduler wakeup path.
 //!
 //! Reported per loss rate: p50/p99 of deadline-overrun → thread-running
 //! latency, and goodput (completed RPCs/s) under the same fault storm.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use switchless_core::machine::{Machine, MachineConfig};
-use switchless_dev::fabric::Fabric;
 use switchless_kern::ioengine::RetryPolicy;
 use switchless_kern::nointr::Supervisor;
-use switchless_legacy::costs::LegacyCosts;
 use switchless_sim::fault::{FaultKind, FaultPlan};
 use switchless_sim::report::{counters_table, fnum, Table};
-use switchless_sim::rng::Rng;
 use switchless_sim::stats::{Counters, Histogram};
 use switchless_sim::time::Cycles;
 
-use crate::common::FREQ;
+use crate::rpc_fleet::{self, krps, pcts, run_legacy, BACKOFF};
 
 /// Concurrent client threads.
 const CLIENTS: usize = 8;
-/// Remote service time per RPC (1 us).
-const REMOTE: u64 = 3_000;
-/// Per-thread response deadline (10 us): the watchdog timeout, and the
-/// legacy request timeout armed for the same RPC.
-const DEADLINE: u64 = 30_000;
-/// Supervisor restart backoff (fixed).
-const BACKOFF: u64 = 3_000;
-/// Legacy software-timer tick (100 us): timeout detection granularity.
-const TICK: u64 = 300_000;
 /// Base seed for fault plans and the legacy comparator.
 const SEED: u64 = 16;
-
-const HCALL_ISSUE: u16 = 130;
-const HCALL_DONE: u16 = 131;
 
 struct SwOutcome {
     issued: u64,
@@ -76,74 +57,7 @@ fn run_switchless(plan: Option<FaultPlan>, duration: Cycles) -> SwOutcome {
         0x40000,
     )
     .expect("supervisor installs");
-    let fabric = Fabric::default();
-
-    struct Clients {
-        resp: Vec<u64>,
-        by_ptid: HashMap<u32, usize>,
-        issued: u64,
-        goodput: u64,
-    }
-    let st = Rc::new(RefCell::new(Clients {
-        resp: Vec::new(),
-        by_ptid: HashMap::new(),
-        issued: 0,
-        goodput: 0,
-    }));
-
-    for c in 0..CLIENTS {
-        let resp = m.alloc(64);
-        let prog = switchless_isa::asm::assemble(&format!(
-            r#"
-            .base {base:#x}
-            ; Issue an RPC, park on the response word, report completion.
-            ; A lost response leaves the client in mwait: the watchdog
-            ; descriptor + supervisor restart re-enter at `entry`, which
-            ; simply issues the next RPC.
-            entry:
-                movi r1, 0
-            loop:
-                hcall {issue}
-            wait:
-                monitor {resp}
-                ld r2, {resp}
-                bne r2, r1, got
-                mwait
-                jmp wait
-            got:
-                hcall {done}
-                jmp loop
-            "#,
-            base = 0x50000 + (c as u64) * 0x1000,
-            issue = HCALL_ISSUE,
-            resp = resp,
-            done = HCALL_DONE,
-        ))
-        .expect("client template is valid");
-        let tid = m.load_program(0, &prog).expect("client loads");
-        sup.supervise(&mut m, tid);
-        m.set_thread_watchdog(tid, Some(Cycles(DEADLINE)));
-        let mut s = st.borrow_mut();
-        s.resp.push(resp);
-        s.by_ptid.insert(tid.ptid.0, c);
-        drop(s);
-        m.start_thread(tid);
-    }
-
-    let st2 = Rc::clone(&st);
-    m.register_hcall(HCALL_ISSUE, move |mach, tid| {
-        let mut s = st2.borrow_mut();
-        let c = s.by_ptid[&tid.ptid.0];
-        let resp = s.resp[c];
-        s.issued += 1;
-        mach.poke_u64(resp, 0);
-        let now = mach.now();
-        fabric.rpc(mach, now, Cycles(REMOTE), resp, 1);
-    });
-    let st2 = Rc::clone(&st);
-    m.register_hcall(HCALL_DONE, move |_mach, _tid| {
-        st2.borrow_mut().goodput += 1;
-    });
+    let st = rpc_fleet::install(&mut m, &sup, CLIENTS);
 
     m.run_for(duration);
     let s = st.borrow();
@@ -153,59 +67,6 @@ fn run_switchless(plan: Option<FaultPlan>, duration: Cycles) -> SwOutcome {
         faults: m.counters().get("fault.fabric.loss"),
         recovery: sup.recovery_latency(),
         counters: m.counters().clone(),
-    }
-}
-
-struct LegacyOutcome {
-    goodput: u64,
-    faults: u64,
-    recovery: Histogram,
-}
-
-/// The legacy comparator, modeled from [`LegacyCosts`] with a forked
-/// stream of the same seed: completions arrive by interrupt; a lost one
-/// is only noticed at the next software timer tick, then pays the full
-/// IRQ + scheduler wakeup path before the client reissues.
-fn run_legacy(rate: f64, seed: u64, duration: Cycles) -> LegacyOutcome {
-    let costs = LegacyCosts::default();
-    let wake = costs.blocked_wakeup_path(false).0;
-    let rtt = Fabric::default().rtt().0;
-    let mut rng = Rng::seed_from(seed).fork(99);
-    let mut recovery = Histogram::new();
-    let mut goodput = 0u64;
-    let mut faults = 0u64;
-    for _ in 0..CLIENTS {
-        let mut t = 0u64;
-        while t < duration.0 {
-            if rate > 0.0 && rng.chance(rate) {
-                faults += 1;
-                // Deadline passes unseen; the next tick lands uniformly
-                // within the tick period, then the wakeup path runs.
-                let gap = rng.next_range(0, TICK - 1);
-                recovery.record(gap + wake);
-                t += DEADLINE + gap + wake;
-            } else {
-                goodput += 1;
-                t += rtt + REMOTE + wake + 2 * costs.syscall_mode_switch.0;
-            }
-        }
-    }
-    LegacyOutcome {
-        goodput,
-        faults,
-        recovery,
-    }
-}
-
-fn krps(completed: u64, duration: Cycles) -> f64 {
-    completed as f64 / (duration.0 as f64 / FREQ.hz()) / 1e3
-}
-
-fn pcts(h: &Histogram) -> (String, String) {
-    if h.count() == 0 {
-        ("-".to_owned(), "-".to_owned())
-    } else {
-        (h.p50().to_string(), h.p99().to_string())
     }
 }
 
@@ -244,7 +105,7 @@ pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     for &rate in rates {
         let plan = FaultPlan::new(SEED).with_rate(FaultKind::FabricLoss, rate);
         let sw = run_switchless(Some(plan), duration);
-        let lg = run_legacy(rate, SEED, duration);
+        let lg = run_legacy(CLIENTS, SEED, duration, |_| rate);
         let (sp50, sp99) = pcts(&sw.recovery);
         let (lp50, lp99) = pcts(&lg.recovery);
         t_rec.row_owned(vec![
@@ -264,7 +125,6 @@ pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
             fnum(lgg),
             fnum(swg / lgg),
         ]);
-        let _ = lg.faults;
         storm_counters = Some(sw.counters);
     }
     t_rec.caption(
@@ -330,8 +190,8 @@ mod tests {
     fn switchless_recovery_beats_legacy_under_storm() {
         let plan = FaultPlan::new(SEED).with_rate(FaultKind::FabricLoss, 1e-2);
         let sw = run_switchless(Some(plan), TEST_DURATION);
-        let lg = run_legacy(1e-2, SEED, TEST_DURATION);
-        assert!(sw.faults > 0 && lg.faults > 0);
+        let lg = run_legacy(CLIENTS, SEED, TEST_DURATION, |_| 1e-2);
+        assert!(sw.faults > 0 && lg.recovery.count() > 0);
         assert_eq!(
             sw.recovery.count(),
             sw.faults,

@@ -17,51 +17,33 @@
 //! A violating plan (none in a healthy tree) is auto-shrunk with
 //! [`shrink`] to a minimal reproducer before being reported.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use switchless_core::machine::{Engine, Machine, MachineConfig};
-use switchless_dev::fabric::Fabric;
 use switchless_dev::msix::MsixBridge;
 use switchless_dev::nic::{Nic, NicConfig};
 use switchless_dev::ssd::{Ssd, SsdConfig, SsdOp};
 use switchless_kern::ioengine::RetryPolicy;
 use switchless_kern::nointr::Supervisor;
-use switchless_legacy::costs::LegacyCosts;
 use switchless_sim::chaos::{shrink, ChaosConfig, ChaosPlan, Digest};
 use switchless_sim::error::SimError;
 use switchless_sim::fault::FaultKind;
 use switchless_sim::report::{counters_table, fnum, Table};
-use switchless_sim::rng::Rng;
 use switchless_sim::stats::{Counters, Histogram};
 use switchless_sim::time::Cycles;
 
-use crate::common::FREQ;
+use crate::rpc_fleet::{self, krps, pcts, run_legacy, BACKOFF};
 
 /// Concurrent RPC client threads.
 const CLIENTS: usize = 6;
-/// Remote service time per RPC (1 us).
-const REMOTE: u64 = 3_000;
-/// Per-thread response deadline: the watchdog timeout.
-const DEADLINE: u64 = 30_000;
-/// Supervisor restart backoff (fixed).
-const BACKOFF: u64 = 3_000;
 /// Retry budget before quarantine — deliberately small so storms
 /// exercise the quarantine→pardon fallback path.
 const RETRIES: u32 = 3;
 /// Cool-down before a quarantined ward is pardoned.
 const PARDON: u64 = 90_000;
-/// Legacy software-timer tick: timeout detection granularity.
-const TICK: u64 = 300_000;
 /// Background traffic periods (mutually coprime so the pumps drift
 /// through every phase relationship with the storm windows).
 const NIC_PERIOD: u64 = 4_001;
 const SSD_PERIOD: u64 = 9_001;
 const MSIX_PERIOD: u64 = 13_001;
-
-const HCALL_ISSUE: u16 = 130;
-const HCALL_DONE: u16 = 131;
 
 /// Everything one storm run produces.
 #[derive(Debug)]
@@ -161,24 +143,17 @@ fn parker_src(base: u64, watch: u64) -> String {
 /// An invalid plan (degenerate window, out-of-range rate/device — e.g.
 /// from a corrupted replay artifact or a hand-built plan) is a
 /// structured [`SimError`], never a panic.
-fn run_storm(
-    plan: &ChaosPlan,
-    sabotage: bool,
-    engine: Engine,
-    machine_jobs: usize,
-) -> Result<StormOutcome, SimError> {
+fn run_storm(plan: &ChaosPlan, sabotage: bool, engine: Engine) -> Result<StormOutcome, SimError> {
     let fault_plan = plan.to_fault_plan()?;
     let duration = plan.duration;
     let mut cfg = MachineConfig::small();
     cfg.ptids_per_core = CLIENTS + 8;
     let mut m = Machine::new(cfg);
     m.enable_invariants(true);
-    // The invariant checker wants eyes on every event boundary, so the
-    // machine runs the serial loop on either engine and at any
-    // `machine_jobs`; only superblocks differ between engines, and
-    // `digests_do_not_depend_on_machine_jobs` pins the digests.
+    // A one-core machine never runs epochs, so only superblocks differ
+    // between engines; `digests_match_the_reference_engine` pins the
+    // digests.
     m.set_engine(engine);
-    m.set_machine_jobs(machine_jobs);
     if sabotage {
         m.register_invariant("fixture.fabric_never_loses", |m| {
             let n = m.counters().get("fault.fabric.loss");
@@ -199,7 +174,6 @@ fn run_storm(
     )
     .expect("supervisor installs");
     sup.pardon_after(Some(Cycles(PARDON)));
-    let fabric = Fabric::default();
 
     // Background device traffic: NIC RX, SSD commands, MSI-X raises.
     let nic = Nic::try_attach(&mut m, NicConfig::default()).expect("nic attaches");
@@ -221,67 +195,8 @@ fn run_storm(
     pump_ssd(&mut m, ssd, ssd_buf, 0, Cycles(SSD_PERIOD), duration);
     pump_msix(&mut m, bridge, Cycles(MSIX_PERIOD), duration);
 
-    // RPC clients under watchdogs, exactly the f16 topology.
-    struct Clients {
-        resp: Vec<u64>,
-        by_ptid: HashMap<u32, usize>,
-        issued: u64,
-        goodput: u64,
-    }
-    let st = Rc::new(RefCell::new(Clients {
-        resp: Vec::new(),
-        by_ptid: HashMap::new(),
-        issued: 0,
-        goodput: 0,
-    }));
-    for c in 0..CLIENTS {
-        let resp = m.alloc(64);
-        let prog = switchless_isa::asm::assemble(&format!(
-            r#"
-            .base {base:#x}
-            entry:
-                movi r1, 0
-            loop:
-                hcall {issue}
-            wait:
-                monitor {resp}
-                ld r2, {resp}
-                bne r2, r1, got
-                mwait
-                jmp wait
-            got:
-                hcall {done}
-                jmp loop
-            "#,
-            base = 0x50000 + (c as u64) * 0x1000,
-            issue = HCALL_ISSUE,
-            resp = resp,
-            done = HCALL_DONE,
-        ))
-        .expect("client template is valid");
-        let tid = m.load_program(0, &prog).expect("client loads");
-        sup.supervise(&mut m, tid);
-        m.set_thread_watchdog(tid, Some(Cycles(DEADLINE)));
-        let mut s = st.borrow_mut();
-        s.resp.push(resp);
-        s.by_ptid.insert(tid.ptid.0, c);
-        drop(s);
-        m.start_thread(tid);
-    }
-    let st2 = Rc::clone(&st);
-    m.register_hcall(HCALL_ISSUE, move |mach, tid| {
-        let mut s = st2.borrow_mut();
-        let c = s.by_ptid[&tid.ptid.0];
-        let resp = s.resp[c];
-        s.issued += 1;
-        mach.poke_u64(resp, 0);
-        let now = mach.now();
-        fabric.rpc(mach, now, Cycles(REMOTE), resp, 1);
-    });
-    let st2 = Rc::clone(&st);
-    m.register_hcall(HCALL_DONE, move |_mach, _tid| {
-        st2.borrow_mut().goodput += 1;
-    });
+    // RPC clients under watchdogs: the f16 fleet.
+    let st = rpc_fleet::install(&mut m, &sup, CLIENTS);
 
     m.run_for(duration);
     m.check_invariants(); // force a final check of the end state
@@ -347,21 +262,7 @@ fn run_storm(
 /// Returns a structured [`SimError`] for a plan that fails
 /// [`ChaosPlan::to_fault_plan`] validation.
 pub fn run_plan(plan: &ChaosPlan) -> Result<StormOutcome, SimError> {
-    run_storm(plan, false, Engine::process_default(), 1)
-}
-
-/// [`run_plan`] with an explicit epoch-worker thread budget
-/// (`--machine-jobs`). Digests are identical for every value: storms run
-/// with the invariant checker enabled, which pins the serial loop.
-///
-/// # Errors
-///
-/// Same contract as [`run_plan`].
-pub fn run_plan_with_machine_jobs(
-    plan: &ChaosPlan,
-    machine_jobs: usize,
-) -> Result<StormOutcome, SimError> {
-    run_storm(plan, false, Engine::process_default(), machine_jobs)
+    run_storm(plan, false, Engine::process_default())
 }
 
 /// The strongest active fabric-loss rate at time `t` under `plan`.
@@ -371,39 +272,6 @@ fn loss_rate_at(plan: &ChaosPlan, t: u64) -> f64 {
         .filter(|b| b.kind == FaultKind::FabricLoss && b.from.0 <= t && t < b.to.0)
         .map(|b| b.rate)
         .fold(0.0, f64::max)
-}
-
-struct LegacyOutcome {
-    goodput: u64,
-    recovery: Histogram,
-}
-
-/// Legacy comparator under the same storm schedule: completions arrive
-/// by interrupt; a response lost inside a storm window is only noticed
-/// at the next software timer tick, then pays the IRQ + scheduler wakeup
-/// path (modeled from [`LegacyCosts`], seeded from the plan).
-fn run_legacy(plan: &ChaosPlan) -> LegacyOutcome {
-    let costs = LegacyCosts::default();
-    let wake = costs.blocked_wakeup_path(false).0;
-    let rtt = Fabric::default().rtt().0;
-    let mut rng = Rng::seed_from(plan.seed).fork(99);
-    let mut recovery = Histogram::new();
-    let mut goodput = 0u64;
-    for _ in 0..CLIENTS {
-        let mut t = 0u64;
-        while t < plan.duration.0 {
-            let rate = loss_rate_at(plan, t);
-            if rate > 0.0 && rng.chance(rate) {
-                let gap = rng.next_range(0, TICK - 1);
-                recovery.record(gap + wake);
-                t = t.saturating_add(DEADLINE + gap + wake);
-            } else {
-                goodput += 1;
-                t = t.saturating_add(rtt + REMOTE + wake + 2 * costs.syscall_mode_switch.0);
-            }
-        }
-    }
-    LegacyOutcome { goodput, recovery }
 }
 
 /// Verifies the `--replay` contract for one plan: serialize with the
@@ -531,18 +399,6 @@ pub fn replay_text(text: &str) -> Result<String, SimError> {
     ))
 }
 
-fn krps(completed: u64, duration: Cycles) -> f64 {
-    completed as f64 / (duration.0 as f64 / FREQ.hz()) / 1e3
-}
-
-fn pcts(h: &Histogram) -> (String, String) {
-    if h.count() == 0 {
-        ("-".to_owned(), "-".to_owned())
-    } else {
-        (h.p50().to_string(), h.p99().to_string())
-    }
-}
-
 /// Runs F17.
 pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     let quick = ctx.quick;
@@ -574,9 +430,10 @@ pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     for i in 0..seeds {
         let seed = 1700 + i;
         let plan = ChaosPlan::generate(seed, &cfg);
-        let sw = run_plan_with_machine_jobs(&plan, ctx.machine_jobs)
-            .expect("generated chaos plans always validate");
-        let lg = run_legacy(&plan);
+        let sw = run_plan(&plan).expect("generated chaos plans always validate");
+        let lg = run_legacy(CLIENTS, plan.seed, plan.duration, |t| {
+            loss_rate_at(&plan, t)
+        });
         let (p50, p99) = pcts(&sw.recovery);
         let (lp50, _) = pcts(&lg.recovery);
         let swg = krps(sw.goodput, duration);
@@ -665,20 +522,17 @@ mod tests {
     }
 
     #[test]
-    fn digests_do_not_depend_on_machine_jobs() {
+    fn digests_match_the_reference_engine() {
         let plan = ChaosPlan::generate(23, &test_cfg());
-        let reference = run_storm(&plan, false, Engine::Reference, 1)
-            .expect("plan runs on the reference engine");
-        for jobs in [1, 4] {
-            let fast =
-                run_storm(&plan, false, Engine::Fast, jobs).expect("plan runs on the fast engine");
-            assert_eq!(
-                reference.digest, fast.digest,
-                "chaos digests must match the reference engine (fast, --machine-jobs {jobs})"
-            );
-            assert_eq!(reference.violations, fast.violations);
-            assert_eq!(reference.goodput, fast.goodput);
-        }
+        let reference =
+            run_storm(&plan, false, Engine::Reference).expect("plan runs on the reference engine");
+        let fast = run_storm(&plan, false, Engine::Fast).expect("plan runs on the fast engine");
+        assert_eq!(
+            reference.digest, fast.digest,
+            "chaos digests must match the reference engine"
+        );
+        assert_eq!(reference.violations, fast.violations);
+        assert_eq!(reference.goodput, fast.goodput);
     }
 
     #[test]
@@ -819,7 +673,7 @@ mod tests {
             digest: None,
         };
         let fails = |p: &ChaosPlan| {
-            run_storm(p, true, Engine::process_default(), 1).is_ok_and(|o| o.violations > 0)
+            run_storm(p, true, Engine::process_default()).is_ok_and(|o| o.violations > 0)
         };
         assert!(fails(&plan), "fixture trips on the full storm");
         let healthy = run_plan(&plan).expect("plan validates");
@@ -863,7 +717,9 @@ mod tests {
     fn switchless_recovery_beats_legacy_under_storms() {
         let plan = ChaosPlan::generate(1701, &ChaosConfig::new(Cycles(4_000_000)));
         let sw = run_plan(&plan).expect("generated plan validates");
-        let lg = run_legacy(&plan);
+        let lg = run_legacy(CLIENTS, plan.seed, plan.duration, |t| {
+            loss_rate_at(&plan, t)
+        });
         if sw.recovery.count() == 0 || lg.recovery.count() == 0 {
             return; // this seed's storm never hit the fabric
         }

@@ -35,8 +35,9 @@
 //! bit-identically to the serial loop or is discarded and replayed
 //! serially, so simulated results — and therefore the CSV tree — are
 //! bit-identical for either engine and every `--machine-jobs` value;
-//! only wall-clock time changes. Machines that run with the invariant
-//! checker enabled (F17) take the serial loop on either engine.
+//! only wall-clock time changes. F15 is the only experiment that reads
+//! `--machine-jobs`: F17 runs one-core machines with the invariant
+//! checker enabled, which take the serial loop on either engine.
 
 use std::path::PathBuf;
 
@@ -61,6 +62,7 @@ pub mod f14_security;
 pub mod f15_multicore;
 pub mod f16_fault_recovery;
 pub mod f17_chaos_soak;
+mod rpc_fleet;
 pub mod t1_tdt;
 pub mod t2_capacity;
 
@@ -74,8 +76,8 @@ pub struct RunCtx {
     pub jobs: usize,
     /// Worker-thread budget for the core-sharded machine engine (one
     /// worker per simulated core, see [`switchless_core::shard`]).
-    /// Results are bit-identical for any value; 1 means the serial
-    /// engine.
+    /// Results are bit-identical for any value; 1 runs the workers
+    /// inline. Only F15 reads it.
     pub machine_jobs: usize,
 }
 

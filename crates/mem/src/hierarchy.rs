@@ -328,28 +328,16 @@ impl Hierarchy {
         self.l3.set_partition_target(part, fraction);
     }
 
-    /// Invalidates a line everywhere — models a DMA write from a device
-    /// that is not cache-coherent with a stale copy, or explicit flush.
-    pub fn invalidate_line(&mut self, addr: PAddr) {
-        self.invalidate_private(addr);
-        self.l3.invalidate(addr);
-    }
-
     /// A device deposits a line in the shared L3 — DDIO-style DMA: the
     /// private levels lose their stale copies and the L3 holds the line
     /// dirty in the default partition ([`Cache::deposit`]). Like any
     /// invalidation, it writes nothing back.
     pub fn dma_deposit(&mut self, addr: PAddr) {
-        self.invalidate_private(addr);
-        self.l3.deposit(addr);
-    }
-
-    /// Drops the line from every core's L1 and L2.
-    fn invalidate_private(&mut self, addr: PAddr) {
         for c in &mut self.cores {
             c.l1.invalidate(addr);
             c.l2.invalidate(addr);
         }
+        self.l3.deposit(addr);
     }
 
     /// Per-level (hits, misses) aggregated over cores: `(l1, l2, l3)`.
@@ -420,16 +408,6 @@ mod tests {
         m.warm(0, a, PartitionId::DEFAULT);
         let r = m.access(Cycles(0), 0, a, AccessKind::Read, PartitionId::DEFAULT);
         assert_eq!(r.level, HitLevel::L1);
-    }
-
-    #[test]
-    fn invalidate_line_forces_refetch() {
-        let mut m = h();
-        let a = PAddr(0x3000);
-        m.access(Cycles(0), 0, a, AccessKind::Read, PartitionId::DEFAULT);
-        m.invalidate_line(a);
-        let r = m.access(Cycles(10), 0, a, AccessKind::Read, PartitionId::DEFAULT);
-        assert_eq!(r.level, HitLevel::Dram);
     }
 
     #[test]

@@ -40,9 +40,9 @@
 #   results  the default full run must reproduce the committed
 #            results/ CSVs byte for byte, so a quick-mode or stale
 #            table cannot be committed
-#   mjobs    epoch-worker check: f15 and f17, the only experiments that
-#            read --machine-jobs, must write bit-identical trees and
-#            logs at --machine-jobs 1 and --machine-jobs 4
+#   mjobs    epoch-worker check: f15, the only experiment that reads
+#            --machine-jobs, must write bit-identical trees and logs at
+#            --machine-jobs 1 and --machine-jobs 4
 #   bench    host-throughput smoke + regression gate: switchless-bench
 #            --quick must emit well-formed switchless-bench/v1 JSON, and
 #            no bench may drop more than 20% below the newest committed
@@ -191,24 +191,24 @@ if ! diff -r -x full_run.txt results "$ff"; then
 fi
 echo "committed results/: reproduced byte for byte"
 
-step "epoch-worker threads (f15 f17, --machine-jobs 1 vs --machine-jobs 4)"
+step "epoch-worker threads (f15, --machine-jobs 1 vs --machine-jobs 4)"
 mj1=target/ci-results-mj1
 mj4=target/ci-results-mj4
 rm -rf "$mj1" "$mj4"
-mlog1="$(cargo run -q --release -p switchless-experiments -- f15 f17 --machine-jobs 1 --out "$mj1")"
-mlog4="$(cargo run -q --release -p switchless-experiments -- f15 f17 --machine-jobs 4 --out "$mj4")"
+mlog1="$(cargo run -q --release -p switchless-experiments -- f15 --machine-jobs 1 --out "$mj1")"
+mlog4="$(cargo run -q --release -p switchless-experiments -- f15 --machine-jobs 4 --out "$mj4")"
 if ! diff -r "$mj1" "$mj4"; then
-    echo "FAIL: f15/f17 trees differ between --machine-jobs 1 and --machine-jobs 4" >&2
+    echo "FAIL: f15 trees differ between --machine-jobs 1 and --machine-jobs 4" >&2
     exit 1
 fi
 m1="$(printf '%s\n' "$mlog1" | strip_volatile | sed "s|$mj1|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
 m4="$(printf '%s\n' "$mlog4" | strip_volatile | sed "s|$mj4|RESULTS|g" | sed 's/--machine-jobs [0-9]*/--machine-jobs N/g')"
 if [ "$m1" != "$m4" ]; then
-    echo "FAIL: f15/f17 logs differ between --machine-jobs 1 and --machine-jobs 4" >&2
+    echo "FAIL: f15 logs differ between --machine-jobs 1 and --machine-jobs 4" >&2
     diff <(printf '%s\n' "$m1") <(printf '%s\n' "$m4") >&2 || true
     exit 1
 fi
-echo "epoch-worker threads: identical f15/f17 trees and logs"
+echo "epoch-worker threads: identical f15 trees and logs"
 
 step "bench smoke (switchless-bench --quick)"
 bj=target/bench-smoke.json
