@@ -248,6 +248,10 @@ pub(crate) struct Thread {
     /// When the thread was last disabled by an exception (recovery-latency
     /// measurement); cleared on wake.
     pub(crate) disabled_at: Option<Cycles>,
+    /// Index into the machine's sorted code ranges of the range that
+    /// served this thread's last fetch. Only a hint: a lookup checks the
+    /// range before trusting it.
+    pub(crate) code_hint: usize,
 }
 
 impl Thread {
@@ -270,6 +274,7 @@ impl Thread {
             quarantined: false,
             restart_pc: None,
             disabled_at: None,
+            code_hint: 0,
         }
     }
 
@@ -503,14 +508,12 @@ pub struct Machine {
     pub(crate) halted: Option<String>,
     /// Host allocator: grows down from the top of memory.
     alloc_top: u64,
-    loaded: Vec<(u64, u64)>,
-    /// Decoded-instruction cache, one entry per loaded image.
+    /// Decoded-instruction cache, one entry per loaded image, sorted by
+    /// `(base, end)`; images never overlap.
     pub(crate) code: Vec<CodeRange>,
     /// Cheap store-time reject bounds: min base / max end over `code`.
     pub(crate) code_lo: u64,
     pub(crate) code_hi: u64,
-    /// Index into `code` of the range that served the last fetch.
-    last_code: usize,
     /// Reusable buffers for `after_store` (taken/restored around the
     /// loop bodies so reentrant stores fall back to a fresh `Vec`).
     scratch_wakes: Vec<WakeEvent>,
@@ -602,11 +605,9 @@ impl Machine {
             trace: TraceRing::new(4096),
             halted: None,
             alloc_top: cfg.mem_bytes,
-            loaded: Vec::new(),
             code: Vec::new(),
             code_lo: u64::MAX,
             code_hi: 0,
-            last_code: 0,
             scratch_wakes: Vec::new(),
             scratch_mmio: Vec::new(),
             syscall_vector: 0,
@@ -743,9 +744,9 @@ impl Machine {
             .expect("simulated memory exhausted");
         self.alloc_top = top & !63;
         assert!(
-            self.loaded
+            self.code
                 .iter()
-                .all(|&(b, e)| self.alloc_top >= e || b >= self.alloc_top),
+                .all(|r| self.alloc_top >= r.end || r.base >= self.alloc_top),
             "allocator collided with a loaded image"
         );
         self.alloc_top
@@ -812,19 +813,20 @@ impl Machine {
         if end > self.cfg.mem_bytes || end > self.alloc_top {
             return Err(MachineError::BadAddress(end));
         }
-        if self.loaded.iter().any(|&(b, e)| base < e && b < end) {
+        // Sorted by `(base, end)`, disjoint ranges also have sorted ends
+        // (an empty image cannot sit strictly inside another), so only
+        // the two neighbours of the insertion point can overlap it.
+        let at = self.code.partition_point(|r| (r.base, r.end) < (base, end));
+        let overlaps = |r: &CodeRange| base < r.end && r.base < end;
+        if self.code[..at].last().is_some_and(overlaps) || self.code.get(at).is_some_and(overlaps) {
             return Err(MachineError::ImageOverlap);
         }
         for (i, &w) in prog.words.iter().enumerate() {
             let at = (base + (i as u64) * 8) as usize;
             self.mem[at..at + 8].copy_from_slice(&w.to_le_bytes());
         }
-        self.loaded.push((base, end));
-        self.code.push(CodeRange::new(
-            base,
-            end,
-            prog.words.iter().map(|&w| Inst::decode(w).ok()).collect(),
-        ));
+        let insts = prog.words.iter().map(|&w| Inst::decode(w).ok()).collect();
+        self.code.insert(at, CodeRange::new(base, end, insts));
         self.code_lo = self.code_lo.min(base);
         self.code_hi = self.code_hi.max(end);
         Ok(())
@@ -1895,9 +1897,8 @@ pub(crate) trait ExecCtx {
     /// Takes the charge hcall handlers added to the current instruction.
     fn take_charge(&mut self) -> Cycles;
 
+    /// Every loaded image's decoded range, sorted by `(base, end)`.
     fn code(&self) -> &[CodeRange];
-    /// Index into `code` of the range that served the last lookup.
-    fn code_hint(&mut self) -> &mut usize;
     /// `(min base, max end)` over `code`.
     fn code_hull(&self) -> (u64, u64);
     /// A superblock-table miss at `code[ri]` slot `slot` after `heat`
@@ -2112,7 +2113,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
                 let pc = x.th(h).arch.pc;
                 let via_jump = pc != seq_pc;
                 seq_pc = pc.wrapping_add(8);
-                if let Some((ri, bi)) = if via_jump { sb_lookup(x, pc) } else { None } {
+                if let Some((ri, bi)) = if via_jump { sb_lookup(x, h, pc) } else { None } {
                     let (bcost, last_cost, len) = {
                         // Dynamic block cost: base costs plus one L1 hit
                         // per data access. The block only executes when
@@ -2244,15 +2245,23 @@ fn lift_siblings<X: ExecCtx>(
     true
 }
 
-/// `(code range, word slot)` of an aligned `pc` inside a loaded image.
+/// `(code range, word slot)` of an aligned `pc` inside a loaded image,
+/// for thread `h`. The thread's hint serves the common case (it keeps
+/// running in its own image); a miss binary-searches the sorted ranges.
 #[inline]
-fn code_slot<X: ExecCtx>(x: &mut X, pc: u64) -> Option<(usize, usize)> {
-    let hint = *x.code_hint();
-    let ri = match x.code().get(hint) {
+fn code_slot<X: ExecCtx>(x: &mut X, h: usize, pc: u64) -> Option<(usize, usize)> {
+    let hint = x.th(h).code_hint;
+    let code = x.code();
+    let ri = match code.get(hint) {
         Some(r) if r.base <= pc && pc < r.end => hint,
         _ => {
-            let ri = x.code().iter().position(|r| r.base <= pc && pc < r.end)?;
-            *x.code_hint() = ri;
+            // The last range based at or below `pc` is the only one
+            // that can hold it.
+            let ri = code.partition_point(|r| r.base <= pc).checked_sub(1)?;
+            if pc >= code[ri].end {
+                return None;
+            }
+            x.th_mut(h).code_hint = ri;
             ri
         }
     };
@@ -2264,8 +2273,8 @@ fn code_slot<X: ExecCtx>(x: &mut X, pc: u64) -> Option<(usize, usize)> {
 /// fetch-and-decode path" (unaligned pc, pc outside every image, or a
 /// non-decoding word).
 #[inline]
-fn cached_inst<X: ExecCtx>(x: &mut X, pc: u64) -> Option<Inst> {
-    let (ri, slot) = code_slot(x, pc)?;
+fn cached_inst<X: ExecCtx>(x: &mut X, h: usize, pc: u64) -> Option<Inst> {
+    let (ri, slot) = code_slot(x, h, pc)?;
     x.code()[ri].insts[slot]
 }
 
@@ -2275,8 +2284,8 @@ fn cached_inst<X: ExecCtx>(x: &mut X, pc: u64) -> Option<Inst> {
 /// heat — no static configuration (cf. "Switchless Calls Made
 /// Configless").
 #[inline]
-fn sb_lookup<X: ExecCtx>(x: &mut X, pc: u64) -> Option<(usize, usize)> {
-    let (ri, slot) = code_slot(x, pc)?;
+fn sb_lookup<X: ExecCtx>(x: &mut X, h: usize, pc: u64) -> Option<(usize, usize)> {
+    let (ri, slot) = code_slot(x, h, pc)?;
     let bi = match x.code()[ri].sb[slot] {
         SB_DEAD => return None,
         s if s >= SB_FORMED => s & !SB_FORMED,
@@ -2514,7 +2523,7 @@ fn exec_inst<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, h: usize) -> Result
     // Decoded-instruction cache: loaded images are pre-decoded, so the
     // steady state skips both the byte fetch and `Inst::decode`. Other
     // pcs fall back to fetch-and-decode, preserving the fault payload.
-    let inst = match cached_inst(x, pc) {
+    let inst = match cached_inst(x, h, pc) {
         Some(i) => i,
         None => {
             let word = x.load(pc, 8)?;
@@ -2675,9 +2684,6 @@ impl ExecCtx for Machine {
 
     fn code(&self) -> &[CodeRange] {
         &self.code
-    }
-    fn code_hint(&mut self) -> &mut usize {
-        &mut self.last_code
     }
     fn code_hull(&self) -> (u64, u64) {
         (self.code_lo, self.code_hi)
@@ -2954,7 +2960,7 @@ impl core::fmt::Debug for Machine {
 
 #[cfg(test)]
 mod tests {
-    use super::{Engine, Machine, MachineConfig};
+    use super::{Engine, Machine, MachineConfig, MachineError};
     use std::cell::RefCell;
     use std::rc::Rc;
     use switchless_sim::time::Cycles;
@@ -3024,6 +3030,46 @@ mod tests {
         assert_eq!(got.len(), 1001, "every tick ran exactly once");
         assert!(got.iter().all(|&(t, left)| t == u64::from(1000 - left) * 7));
         assert_eq!(m.callbacks.len(), 1, "one slot, reused by every tick");
+    }
+
+    /// A `len`-word image at `base`.
+    fn image(base: u64, len: usize) -> switchless_isa::Program {
+        switchless_isa::assemble(&format!(".base {base:#x}\nentry:\n{}", "nop\n".repeat(len)))
+            .expect("image assembles")
+    }
+
+    #[test]
+    fn image_overlap_is_refused_below_and_above_loaded_images() {
+        let mut m = Machine::new(MachineConfig::small());
+        m.load_image(&image(0x30000, 4)).unwrap();
+        // Loaded second, below the first.
+        m.load_image(&image(0x10000, 4)).unwrap();
+        for (base, len) in [
+            (0x10008, 1),      // inside the lower image
+            (0x0fff8, 2),      // straddles the lower image's start
+            (0x10018, 2),      // straddles its end
+            (0x2fff8, 2),      // straddles the upper image's start
+            (0x0f000, 0x4000), // covers both
+        ] {
+            assert_eq!(
+                m.load_image(&image(base, len)),
+                Err(MachineError::ImageOverlap),
+                "{base:#x}+{len}"
+            );
+        }
+        // Touching either image is no overlap.
+        m.load_image(&image(0x10020, 1)).unwrap();
+        m.load_image(&image(0x2fff8, 1)).unwrap();
+        let ranges: Vec<(u64, u64)> = m.code.iter().map(|r| (r.base, r.end)).collect();
+        assert_eq!(
+            ranges,
+            [
+                (0x10000, 0x10020),
+                (0x10020, 0x10028),
+                (0x2fff8, 0x30000),
+                (0x30000, 0x30020)
+            ]
+        );
     }
 
     #[test]

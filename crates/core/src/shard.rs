@@ -289,9 +289,6 @@ struct Worker<'a> {
     local_now: Cycles,
     /// Fresh events created so far (the next fresh key suffix).
     created: u64,
-    /// Decoded-code range hint (worker-local; ranges never overlap, so
-    /// hint hits and scans agree).
-    last_code: usize,
     /// The wake sample the current dispatch consumed, if any.
     wake: Option<(u32, u64)>,
     probe: Option<Box<Probe>>,
@@ -327,7 +324,6 @@ fn run_worker(
         stash: Vec::new(),
         local_now: sh.now0,
         created: 0,
-        last_code: 0,
         wake: None,
         probe: None,
     };
@@ -487,9 +483,6 @@ impl ExecCtx for Worker<'_> {
 
     fn code(&self) -> &[CodeRange] {
         self.sh.code
-    }
-    fn code_hint(&mut self) -> &mut usize {
-        &mut self.last_code
     }
     fn code_hull(&self) -> (u64, u64) {
         (self.sh.code_lo, self.sh.code_hi)

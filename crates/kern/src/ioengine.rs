@@ -27,7 +27,6 @@ use switchless_core::machine::{Machine, ThreadId};
 use switchless_dev::nic::Nic;
 use switchless_isa::asm::assemble;
 use switchless_sim::error::SimError;
-use switchless_sim::hash::FxHashMap;
 use switchless_sim::stats::Histogram;
 use switchless_sim::time::Cycles;
 
@@ -121,9 +120,12 @@ struct FaultHandling {
 struct EngineState {
     nic: Nic,
     nic_tail: u64,
+    /// Packets dispatched so far: the next packet's sequence number.
     seen: u64,
-    /// Packet metadata registered by the harness, by sequence number.
-    meta: FxHashMap<u64, (Cycles, Cycles)>,
+    /// Packet metadata `(seq, arrival, service)` registered by the
+    /// harness, sorted by seq, one entry per seq, none below `seen`: so
+    /// the head is the only entry the next dispatch can want.
+    meta: VecDeque<(u64, Cycles, Cycles)>,
     /// Packets waiting for a free worker.
     backlog: VecDeque<Packet>,
     /// Per-worker assignment queues (at most one deep in practice).
@@ -142,6 +144,43 @@ struct EngineState {
 }
 
 impl EngineState {
+    /// Records a packet's metadata; see [`IoEngine::note_packet`].
+    fn note(&mut self, seq: u64, arrival: Cycles, service: Cycles) {
+        if seq < self.seen {
+            return;
+        }
+        // Notes usually arrive in seq order and append.
+        let i = match self.meta.back() {
+            Some(&(last, ..)) if last >= seq => self.meta.partition_point(|e| e.0 < seq),
+            _ => self.meta.len(),
+        };
+        if self.meta.get(i).is_some_and(|e| e.0 == seq) {
+            self.meta[i] = (seq, arrival, service);
+        } else {
+            self.meta.insert(i, (seq, arrival, service));
+        }
+    }
+
+    /// The next packet to dispatch, with its noted metadata or, unnoted,
+    /// arrival `now` and a 1000-cycle service.
+    fn next_packet(&mut self, now: Cycles) -> Packet {
+        let seq = self.seen;
+        self.seen += 1;
+        let (arrival, service) = match self.meta.front() {
+            Some(&(q, arrival, service)) if q == seq => {
+                self.meta.pop_front();
+                (arrival, service)
+            }
+            _ => (now, Cycles(1000)),
+        };
+        Packet {
+            seq,
+            arrival,
+            service,
+            attempt: 0,
+        }
+    }
+
     /// Assigns a packet to a specific worker: queue + mailbox bump.
     fn assign_to(&mut self, m: &mut Machine, worker: usize, pkt: Packet) {
         self.assigned[worker].push_back(pkt);
@@ -266,7 +305,7 @@ impl IoEngine {
             nic: *nic,
             nic_tail: nic.rx_tail,
             seen: 0,
-            meta: FxHashMap::default(),
+            meta: VecDeque::new(),
             backlog: VecDeque::new(),
             assigned: vec![VecDeque::new(); n_workers],
             mailboxes,
@@ -284,19 +323,7 @@ impl IoEngine {
             let tail = mach.peek_u64(s.nic_tail);
             let mut charged = Cycles::ZERO;
             while s.seen < tail {
-                let seq = s.seen;
-                s.seen += 1;
-                let (arrival, service) = s
-                    .meta
-                    .get(&seq)
-                    .copied()
-                    .unwrap_or((mach.now(), Cycles(1000)));
-                let pkt = Packet {
-                    seq,
-                    arrival,
-                    service,
-                    attempt: 0,
-                };
+                let pkt = s.next_packet(mach.now());
                 charged += s.dispatch_cost;
                 if let Some(w) = s.idle.pop() {
                     s.assign_to(mach, w, pkt);
@@ -309,15 +336,21 @@ impl IoEngine {
 
         // Worker request service.
         let st = Rc::clone(&state);
-        // Worker index by thread, built once: the handler runs per request.
-        let worker_of: FxHashMap<ThreadId, usize> =
-            workers.iter().enumerate().map(|(w, &t)| (t, w)).collect();
+        // Worker index by ptid (every worker lives on `core`), built
+        // once: the handler runs per request.
+        let mut worker_of = Vec::new();
+        for (w, t) in workers.iter().enumerate() {
+            let p = t.ptid.0 as usize;
+            worker_of.resize(worker_of.len().max(p + 1), None);
+            worker_of[p] = Some(w);
+        }
         m.register_hcall(HCALL_WORK, move |mach, tid| {
             let mut s = st.borrow_mut();
             // A foreign thread issuing this hcall (misloaded image,
             // chaos-restarted stranger) is counted and ignored, never a
             // machine-killing panic.
-            let Some(&w) = worker_of.get(&tid) else {
+            let w = worker_of.get(tid.ptid.0 as usize).copied().flatten();
+            let Some(w) = w.filter(|_| tid.core == core) else {
                 mach.counters_mut().inc("engine.foreign_hcall");
                 return;
             };
@@ -392,9 +425,11 @@ impl IoEngine {
     }
 
     /// Registers a packet's arrival time (tail-bump time) and service
-    /// cost; call before (or when) scheduling the NIC RX.
+    /// cost; call before (or when) scheduling the NIC RX. A later note
+    /// for the same seq replaces the earlier one; a note for a packet
+    /// already dispatched is ignored (that packet used the default).
     pub fn note_packet(&self, seq: u64, arrival: Cycles, service: Cycles) {
-        self.state.borrow_mut().meta.insert(seq, (arrival, service));
+        self.state.borrow_mut().note(seq, arrival, service);
     }
 
     /// Completed-request latency histogram (arrival → service done).
@@ -624,6 +659,90 @@ mod tests {
         assert_eq!(m.counters().get("engine.rx.corrupt"), 1);
         assert_eq!(m.counters().get("fault.nic.corrupt"), 1);
         assert_eq!(m.counters().get("engine.rx.lost"), 0);
+    }
+
+    /// The seq-ordered metadata queue against the map it replaced: every
+    /// dispatched packet gets `map.get(seq)` or the default, under seeded
+    /// mixes of in-order, out-of-order, duplicate, already-dispatched and
+    /// never-noted seqs interleaved with dispatches.
+    #[test]
+    fn packet_metadata_matches_a_map() {
+        use std::collections::HashMap;
+        use switchless_sim::rng::Rng;
+        for seed in 0..20 {
+            let (_m, _nic, eng) = setup(1);
+            let mut s = eng.state.borrow_mut();
+            let mut model: HashMap<u64, (Cycles, Cycles)> = HashMap::new();
+            let mut rng = Rng::seed_from(seed);
+            let mut next_in_order = 0u64;
+            for step in 0..3_000u64 {
+                let r = rng.next_u64();
+                let meta = (Cycles(step), Cycles(r >> 48));
+                let seq = match r % 8 {
+                    0 | 1 => {
+                        next_in_order += 1;
+                        next_in_order - 1
+                    }
+                    2 => s.seen + r % 64,
+                    3 => model.keys().copied().max().unwrap_or(0),
+                    4 => (r >> 8) % (s.seen + 1),
+                    _ => {
+                        let now = Cycles(1_000_000 + step);
+                        for _ in 0..r % 4 {
+                            let seq = s.seen;
+                            let want = model.get(&seq).copied().unwrap_or((now, Cycles(1000)));
+                            let pkt = s.next_packet(now);
+                            assert_eq!(pkt.seq, seq);
+                            assert_eq!((pkt.arrival, pkt.service), want, "seed {seed} seq {seq}");
+                        }
+                        next_in_order = next_in_order.max(s.seen);
+                        continue;
+                    }
+                };
+                s.note(seq, meta.0, meta.1);
+                model.insert(seq, meta);
+                let outstanding = model.keys().filter(|&&q| q >= s.seen).count();
+                assert_eq!(
+                    s.meta.len(),
+                    outstanding,
+                    "seed {seed}: one entry per outstanding seq"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_note_for_the_last_seq_holds_one_entry() {
+        let (_m, _nic, eng) = setup(1);
+        eng.note_packet(u64::MAX, Cycles(5), Cycles(7));
+        eng.note_packet(u64::MAX, Cycles(6), Cycles(8));
+        let mut s = eng.state.borrow_mut();
+        assert_eq!(s.meta.len(), 1);
+        let pkt = s.next_packet(Cycles(9));
+        assert_eq!((pkt.arrival, pkt.service), (Cycles(9), Cycles(1000)));
+    }
+
+    #[test]
+    fn foreign_work_hcalls_are_counted_not_served() {
+        let mut m = Machine::new(MachineConfig::small());
+        let stranger = |base: u64| {
+            assemble(&format!(
+                ".base {base:#x}\nentry:\n hcall {HCALL_WORK}\n halt"
+            ))
+            .expect("stranger assembles")
+        };
+        // One thread below the workers' ptids, one above.
+        let below = m.load_program(0, &stranger(0x20000)).unwrap();
+        let nic = Nic::attach(&mut m, NicConfig::default());
+        let eng = IoEngine::install(&mut m, 0, &nic, 2, 0x40000).unwrap();
+        let above = m.load_program(0, &stranger(0x30000)).unwrap();
+        assert!(below.ptid < eng.workers[0].ptid && eng.workers[1].ptid < above.ptid);
+        m.start_thread(below);
+        m.start_thread(above);
+        m.run_for(Cycles(20_000));
+        assert_eq!(m.counters().get("engine.foreign_hcall"), 2);
+        assert_eq!(m.thread_state(above), ThreadState::Halted);
+        assert_eq!(eng.completed(), 0);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 #            exact work counts are pinned: epoch attempts, commits,
 #            bails and ties, and instructions executed. They do not
 #            depend on --seconds; a change that moves one updates the
-#            pin below and says why
+#            pin below and says why. The io_serving run is traced as
+#            well, and its simulated counts are pinned the same way:
+#            instructions, thread and monitor wakes, false wakes, L1
+#            hits, L1/L2/L3 misses and the ioengine latency p50/p99
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
 #            reports (timing and absolute-path lines stripped)
@@ -81,32 +84,49 @@ perfbench() {
         exit 1
     fi
 }
-perfbench --workload suite
-mc="$(perfbench --workload multicore --trace 1)"
-printf '%s\n' "$mc"
-python3 - "$mc" <<'EOF'
+# check_pins WORKLOAD METRIC=VALUE...: runs WORKLOAD traced; each named
+# metric must equal its pin.
+check_pins() {
+    local w="$1" line
+    shift
+    line="$(perfbench --workload "$w" --trace 1)"
+    printf '%s\n' "$line"
+    python3 - "$w" "$line" "$@" <<'EOF'
 import json, sys
-metrics = json.loads(sys.argv[1])["metrics"]
-pins = {
-    "core.shard.attempts": 1107,
-    "core.shard.committed": 870,
-    "core.shard.bailed": 120,
-    "core.shard.ties": 117,
-    "core.inst.executed": 19_697_368,
-}
+workload, line, *pins = sys.argv[1:]
+metrics = json.loads(line)["metrics"]
 bad = []
-for k, want in pins.items():
+for pin in pins:
+    k, want = pin.split("=")
     got = metrics.get(k, {}).get("value")
-    if got != want:
+    if got != int(want):
         bad.append(f"{k}: {got} != pinned {want}")
 if bad:
-    print("FAIL: multicore epoch-engine work counts moved", file=sys.stderr)
+    print(f"FAIL: {workload} pinned counts moved", file=sys.stderr)
     for line in bad:
         print("  " + line, file=sys.stderr)
     sys.exit(1)
-print("multicore: epoch attempts/commits/bails/ties and instructions match the pins")
+print(f"{workload}: all {len(pins)} counts match the pins")
 EOF
-perfbench --workload io_serving
+}
+perfbench --workload suite
+check_pins multicore \
+    core.shard.attempts=1107 \
+    core.shard.committed=870 \
+    core.shard.bailed=120 \
+    core.shard.ties=117 \
+    core.inst.executed=19697368
+check_pins io_serving \
+    core.inst.executed=6297117 \
+    core.thread.wakes=408632 \
+    core.monitor.wakes=693223 \
+    core.monitor.false_wakes=0 \
+    mem.l1.hits=7157735 \
+    mem.l1.misses=275690 \
+    mem.l2.misses=215725 \
+    mem.l3.misses=148 \
+    kern.ioengine.latency.p50_cycles=5664 \
+    kern.ioengine.latency.p99_cycles=17536
 perfbench --workload hot_loops --trace 1
 echo "perfbench: builds offline, every workload's digests match"
 
