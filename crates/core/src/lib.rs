@@ -46,7 +46,6 @@ pub mod store;
 pub mod tdt;
 pub mod tid;
 
-pub use machine::{Engine, Machine, MachineConfig, ThreadId};
+pub use machine::{Engine, EngineStats, Machine, MachineConfig, ThreadId, TraceRecord, Transition};
 pub use perm::{Perms, TdtEntry};
-pub use shard::ShardStats;
 pub use tid::{Ptid, ThreadState, Vtid};

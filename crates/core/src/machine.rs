@@ -382,6 +382,116 @@ impl Engine {
     }
 }
 
+/// Host-side statistics of how the engines ran a simulation
+/// ([`Machine::engine_stats`]). They live outside
+/// [`Counters`](switchless_sim::stats::Counters) deliberately: they
+/// describe how the simulation was *executed*, not what the simulated
+/// machine did, so they never reach results files or chaos digests that
+/// are compared across engines and `--machine-jobs` settings. Each
+/// count is exact and deterministic for a given engine, and identical
+/// at every `machine_jobs` value.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Dispatches that ran at least one instruction; each burst's first
+    /// instruction is counted here, not in a tier below.
+    pub bursts: u64,
+    /// Further instructions a burst single-stepped.
+    pub step_insts: u64,
+    /// Instructions retired inside register-only superblocks.
+    pub reg_block_insts: u64,
+    /// Instructions retired inside superblocks with memory instructions.
+    pub mem_block_insts: u64,
+    /// Superblocks formed.
+    pub blocks_formed: u64,
+    /// Superblock entries whose probe failed, so the burst single-stepped.
+    pub block_bails: u64,
+    /// Runs of the fetch-and-decode slow path (a pc with no cached
+    /// decode).
+    pub decode_misses: u64,
+    /// Epochs whose speculative execution was committed.
+    pub committed: u64,
+    /// Epochs discarded because a worker hit a non-core-local effect.
+    pub bailed: u64,
+    /// Epochs discarded at commit time over a cross-core time tie
+    /// (equal-time survivors or wake samples); retried, not replayed.
+    pub ties: u64,
+    /// Epochs skipped because fewer than two cores had work staged.
+    pub too_few: u64,
+    /// Instructions executed inside committed epochs (parallel work).
+    pub insts_parallel: u64,
+    /// Events replayed serially (outside committed epochs).
+    pub serial_events: u64,
+}
+
+impl EngineStats {
+    /// Instructions retired over every tier; equals the `inst.executed`
+    /// counter.
+    #[must_use]
+    pub fn insts(&self) -> u64 {
+        self.bursts + self.step_insts + self.reg_block_insts + self.mem_block_insts
+    }
+
+    /// Counts one burst (see [`ExecCtx::note_burst`]).
+    pub(crate) fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64) {
+        self.bursts += 1;
+        self.step_insts += steps;
+        self.reg_block_insts += reg_block;
+        self.mem_block_insts += mem_block;
+    }
+
+    /// Adds an epoch worker's deltas (the fields dispatch counts).
+    pub(crate) fn absorb(&mut self, d: &EngineStats) {
+        self.bursts += d.bursts;
+        self.step_insts += d.step_insts;
+        self.reg_block_insts += d.reg_block_insts;
+        self.mem_block_insts += d.mem_block_insts;
+        self.block_bails += d.block_bails;
+        self.decode_misses += d.decode_misses;
+    }
+}
+
+/// A thread-state transition, as [`Machine::trace`] records it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Transition {
+    /// Became runnable and joined its core's scheduler.
+    Wake,
+    /// Left the scheduler into this state.
+    Block(ThreadState),
+    /// Raised this exception.
+    Fault(ExceptionKind),
+    /// Raised this exception while its descriptor slot was still busy;
+    /// the descriptor was dropped.
+    FaultDropped(ExceptionKind),
+    /// Quarantined by a supervisor.
+    Quarantine,
+    /// Restarted by a supervisor.
+    Restart,
+    /// Moved from one core to another.
+    Migrate {
+        /// The old home core.
+        from: u32,
+        /// The new home core.
+        to: u32,
+    },
+}
+
+/// One trace record: `ptid` made `transition` at cycle `at`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceRecord {
+    /// Simulated time of the transition.
+    pub at: Cycles,
+    /// The thread that made it.
+    pub ptid: Ptid,
+    /// What happened.
+    pub transition: Transition,
+}
+
+impl core::fmt::Display for TraceRecord {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "[{:>10}] {} {:?}", self.at.0, self.ptid, self.transition)
+    }
+}
+
 type HostCall = Box<dyn FnMut(&mut Machine, ThreadId)>;
 type MmioHook = Box<dyn FnMut(&mut Machine, u64)>;
 type HostEvent = Box<dyn FnOnce(&mut Machine)>;
@@ -504,7 +614,7 @@ pub struct Machine {
     pub(crate) mmio_hooks: FxHashMap<u64, MmioHook>,
     pub(crate) counters: Counters,
     pub(crate) hot: HotCounters,
-    trace: TraceRing,
+    trace: TraceRing<TraceRecord>,
     pub(crate) halted: Option<String>,
     /// Host allocator: grows down from the top of memory.
     alloc_top: u64,
@@ -544,8 +654,10 @@ pub struct Machine {
     /// Named per-device conservation ledgers ([`Machine::ledger`]).
     /// A `Vec` keeps iteration in attach order (determinism).
     device_ledgers: Vec<(&'static str, Ledger)>,
-    /// The epoch engine's host-side settings and statistics.
+    /// The epoch engine's host-side settings.
     pub(crate) epochs: EpochEngine,
+    /// How the engines ran this machine ([`Machine::engine_stats`]).
+    pub(crate) stats: EngineStats,
     /// Host execution engine ([`Machine::set_engine`]).
     engine: Engine,
     /// Sorted MMIO hook addresses, maintained by [`Machine::register_mmio`].
@@ -623,6 +735,7 @@ impl Machine {
             exc_ledger: Ledger::default(),
             device_ledgers: Vec::new(),
             epochs: EpochEngine::new(cfg.cores),
+            stats: EngineStats::default(),
             engine: Engine::process_default(),
             mmio_addrs: Vec::new(),
             probe: None,
@@ -671,6 +784,12 @@ impl Machine {
         self.engine = engine;
     }
 
+    /// Host-side statistics of how the engines ran this machine.
+    #[must_use]
+    pub fn engine_stats(&self) -> EngineStats {
+        self.stats
+    }
+
     /// Wake-to-first-dispatch latency histogram (cycles).
     #[must_use]
     pub fn wake_latency(&self) -> &Histogram {
@@ -708,15 +827,25 @@ impl Machine {
         })
     }
 
-    /// The trace ring (enable for debugging/determinism tests).
-    pub fn trace_mut(&mut self) -> &mut TraceRing {
+    /// The thread-transition trace ring (enable for debugging and
+    /// determinism tests).
+    pub fn trace_mut(&mut self) -> &mut TraceRing<TraceRecord> {
         &mut self.trace
     }
 
     /// Read-only trace access.
     #[must_use]
-    pub fn trace(&self) -> &TraceRing {
+    pub fn trace(&self) -> &TraceRing<TraceRecord> {
         &self.trace
+    }
+
+    /// Records `ptid`'s `transition` now, if tracing is on.
+    fn trace_transition(&mut self, ptid: Ptid, transition: Transition) {
+        self.trace.record(TraceRecord {
+            at: self.now,
+            ptid,
+            transition,
+        });
     }
 
     /// Per-core activation statistics `(rf, l2, l3, dram)`.
@@ -1086,9 +1215,8 @@ impl Machine {
 
     /// Asks whether fault `kind` fires for one device operation *now*.
     ///
-    /// A firing bumps the kind's `fault.*` counter and leaves a trace
-    /// record; the device expresses the failure through its normal
-    /// completion protocol.
+    /// A firing bumps the kind's `fault.*` counter; the device expresses
+    /// the failure through its normal completion protocol.
     pub fn fault_draw(&mut self, kind: FaultKind) -> bool {
         let now = self.now;
         let Some(plan) = self.fault_plan.as_mut() else {
@@ -1098,7 +1226,6 @@ impl Machine {
             return false;
         }
         self.counters.inc(kind.counter_name());
-        self.trace.record_with(now, "inject", || format!("{kind}"));
         true
     }
 
@@ -1283,8 +1410,7 @@ impl Machine {
         }
         self.thread_mut(tid.ptid).quarantined = true;
         self.counters.inc("thread.quarantines");
-        self.trace
-            .record_with(self.now, "quarantine", || format!("{}", tid.ptid));
+        self.trace_transition(tid.ptid, Transition::Quarantine);
     }
 
     /// Whether a thread is quarantined.
@@ -1308,8 +1434,7 @@ impl Machine {
             t.arch.pc = pc;
         }
         self.counters.inc("thread.restarts");
-        self.trace
-            .record_with(self.now, "restart", || format!("{}", tid.ptid));
+        self.trace_transition(tid.ptid, Transition::Restart);
         self.enable_thread(tid.ptid);
         true
     }
@@ -1349,7 +1474,7 @@ impl Machine {
         let now = self.now;
         let link = self.cfg.store.link_bytes_per_cycle.max(1);
         let l3_base = self.cfg.store.l3_base.0;
-        let (runnable, prio, cost) = {
+        let (runnable, prio) = {
             let t = self.thread_mut(ptid);
             t.home = new_core;
             t.activated = false;
@@ -1358,12 +1483,11 @@ impl Machine {
             let bytes = t.state_bytes();
             let xfer = Cycles(2 * (l3_base + bytes.div_ceil(link)));
             t.busy_until = t.busy_until.max(now + xfer);
-            (t.state == ThreadState::Runnable, t.arch.prio, xfer)
+            (t.state == ThreadState::Runnable, t.arch.prio)
         };
         self.counters.inc("thread.migrations");
-        self.trace.record_with(self.now, "migrate", || {
-            format!("{ptid} core{old} -> core{new_core} ({cost})")
-        });
+        let (from, to) = (old as u32, new_core as u32);
+        self.trace_transition(ptid, Transition::Migrate { from, to });
         if runnable {
             self.cores[new_core].sched.enqueue(ptid, prio);
             self.kick_core(new_core);
@@ -1531,8 +1655,7 @@ impl Machine {
                 }
             }
         }
-        self.trace
-            .record_with(self.now, "wake", || format!("{ptid} runnable"));
+        self.trace_transition(ptid, Transition::Wake);
         self.cores[core].sched.enqueue(ptid, prio);
         self.kick_core(core);
     }
@@ -1551,8 +1674,7 @@ impl Machine {
             self.filter.disarm_all(WatchId(u64::from(ptid.0)));
         }
         self.cores[core].sched.dequeue(ptid);
-        self.trace
-            .record_with(self.now, "block", || format!("{ptid} -> {into}"));
+        self.trace_transition(ptid, Transition::Block(into));
     }
 
     /// Re-kicks idle slots on a core after a wakeup.
@@ -1590,9 +1712,7 @@ impl Machine {
         };
         self.disable_thread(ptid, ThreadState::Disabled);
         self.thread_mut(ptid).disabled_at = Some(self.now);
-        self.trace.record_with(self.now, "fault", || {
-            format!("{ptid} {kind} info={info:#x}")
-        });
+        self.trace_transition(ptid, Transition::Fault(kind));
         if edp == 0 || !in_mem(edp, crate::exception::DESCRIPTOR_BYTES, self.cfg.mem_bytes) {
             self.exc_ledger.dropped += 1;
             self.halted = Some(format!(
@@ -1607,9 +1727,7 @@ impl Machine {
             // leave the slot intact for its handler.
             self.exc_ledger.dropped += 1;
             self.counters.inc("exception.descriptor_overflow");
-            self.trace.record_with(self.now, "fault", || {
-                format!("{ptid} {kind} descriptor dropped (slot busy)")
-            });
+            self.trace_transition(ptid, Transition::FaultDropped(kind));
             return;
         }
         self.exc_ledger.completed += 1;
@@ -1889,8 +2007,11 @@ pub(crate) trait ExecCtx {
     /// Restores every lifted event under its original key.
     fn restore_lifted(&mut self);
 
-    fn note_dispatches(&mut self, n: u64);
-    fn note_insts(&mut self, n: u64);
+    /// One burst's instructions (each one dispatch): its first, then
+    /// `steps` single-stepped and `reg_block`/`mem_block` retired in
+    /// superblocks.
+    fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64);
+    fn stats(&mut self) -> &mut EngineStats;
     fn note_activation(&mut self, from: usize);
     fn note_wake(&mut self, ptid: Ptid, sample: u64);
     fn note_quiet_stores(&mut self, n: u64);
@@ -2033,7 +2154,6 @@ pub(crate) fn dispatch<X: ExecCtx>(
             return Ok(());
         }
     };
-    x.note_dispatches(1);
     let h = x.th_index(ptid);
 
     // Activation cost: pipeline refill (plus state transfer when the
@@ -2083,7 +2203,10 @@ pub(crate) fn dispatch<X: ExecCtx>(
     // recomputed when something scheduled (schedules are the only way
     // the deadline can move earlier).
     let mut burst_cost = Cycles::ZERO;
-    let mut extra: u64 = 0; // instructions beyond the first
+    // Instructions beyond the first, and those of them retired in
+    // register-only and memory blocks.
+    let mut extra: u64 = 0;
+    let (mut reg_block, mut mem_block) = (0u64, 0u64);
 
     // Superblock entry gate (the heat hoist): a region entry is only
     // ever *reached* by a jump — straight-line continuation lands on
@@ -2114,7 +2237,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
                 let via_jump = pc != seq_pc;
                 seq_pc = pc.wrapping_add(8);
                 if let Some((ri, bi)) = if via_jump { sb_lookup(x, h, pc) } else { None } {
-                    let (bcost, last_cost, len) = {
+                    let (bcost, last_cost, len, has_mem) = {
                         // Dynamic block cost: base costs plus one L1 hit
                         // per data access. The block only executes when
                         // every fetch/data line is L1-resident and every
@@ -2126,6 +2249,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
                             b.cost + Cycles(b.mem_ops() * l1.0),
                             b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
                             b.insts.len() as u64,
+                            b.mem_ops() > 0,
                         )
                     };
                     // Dispatch time of the block's final instruction: the
@@ -2147,6 +2271,11 @@ pub(crate) fn dispatch<X: ExecCtx>(
                         done += bcost;
                         burst_cost += bcost;
                         extra += len;
+                        if has_mem {
+                            mem_block += len;
+                        } else {
+                            reg_block += len;
+                        }
                         seq_pc = u64::MAX;
                         continue;
                     }
@@ -2177,11 +2306,10 @@ pub(crate) fn dispatch<X: ExecCtx>(
         x.core_mut(core)
             .sched
             .account_burst(ptid, burst_cost, extra);
-        x.note_dispatches(extra);
     }
     let t = x.th_mut(h);
     t.busy_until = t.busy_until.max(done);
-    x.note_insts(1 + extra);
+    x.note_burst(extra - reg_block - mem_block, reg_block, mem_block);
     x.schedule_slot(done, core, slot);
     Ok(())
 }
@@ -2466,6 +2594,7 @@ fn exec_superblock<X: ExecCtx>(
             let _ = x.write(addr, len, old);
         }
         *x.probe() = Some(p);
+        x.stats().block_bails += 1;
         return false;
     }
     debug_assert!(data_idx == mem_ops, "every instruction executed");
@@ -2526,6 +2655,7 @@ fn exec_inst<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, h: usize) -> Result
     let inst = match cached_inst(x, h, pc) {
         Some(i) => i,
         None => {
+            x.stats().decode_misses += 1;
             let word = x.load(pc, 8)?;
             match Inst::decode(word) {
                 Ok(i) => i,
@@ -2662,11 +2792,14 @@ impl ExecCtx for Machine {
         }
     }
 
-    fn note_dispatches(&mut self, n: u64) {
-        self.counters.bump(self.hot.sched_dispatches, n);
+    fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64) {
+        let insts = 1 + steps + reg_block + mem_block;
+        self.counters.bump(self.hot.sched_dispatches, insts);
+        self.counters.bump(self.hot.inst_executed, insts);
+        self.stats.note_burst(steps, reg_block, mem_block);
     }
-    fn note_insts(&mut self, n: u64) {
-        self.counters.bump(self.hot.inst_executed, n);
+    fn stats(&mut self) -> &mut EngineStats {
+        &mut self.stats
     }
     fn note_activation(&mut self, from: usize) {
         self.counters.bump(self.hot.activate[from], 1);
@@ -2703,6 +2836,7 @@ impl ExecCtx for Machine {
         };
         let bi = r.alloc_block(b);
         r.sb[slot] = SB_FORMED | bi;
+        self.stats.blocks_formed += 1;
         Some(bi)
     }
     fn probe(&mut self) -> &mut Option<Box<Probe>> {

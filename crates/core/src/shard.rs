@@ -74,8 +74,8 @@ use switchless_sim::time::Cycles;
 
 use crate::exception::ExceptionKind;
 use crate::machine::{
-    dispatch, pick_free, read_le, store_is_quiet, write_le, CodeRange, CoreState, Ev, ExecCtx,
-    Machine, MachineConfig, Probe, Thread,
+    dispatch, pick_free, read_le, store_is_quiet, write_le, CodeRange, CoreState, EngineStats, Ev,
+    ExecCtx, Machine, MachineConfig, Probe, Thread,
 };
 use crate::tid::Ptid;
 
@@ -84,31 +84,9 @@ const MAX_EPOCH: u64 = 1 << 20;
 /// Epochs halve down to this length while bailing.
 const MIN_EPOCH: u64 = 64;
 
-/// Host-side statistics for the core-sharded epoch engine. These live
-/// outside [`Counters`](switchless_sim::stats::Counters) deliberately:
-/// they describe how the simulation was *executed* (epochs attempted,
-/// bailed, committed), not what the simulated machine did, so they must
-/// not leak into results files or chaos digests that are compared across
-/// engines and `--machine-jobs` settings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Epochs whose speculative execution was committed.
-    pub committed: u64,
-    /// Epochs discarded because a worker hit a non-core-local effect.
-    pub bailed: u64,
-    /// Epochs discarded at commit time over a cross-core time tie
-    /// (equal-time survivors or wake samples); retried, not replayed.
-    pub ties: u64,
-    /// Epochs skipped because fewer than two cores had work staged.
-    pub too_few: u64,
-    /// Instructions executed inside committed epochs (parallel work).
-    pub insts_parallel: u64,
-    /// Events replayed serially (outside committed epochs).
-    pub serial_events: u64,
-}
-
-/// The epoch engine's host-side state on a [`Machine`]: settings and
-/// statistics only, never observable in simulated state.
+/// The epoch engine's host-side settings on a [`Machine`], never
+/// observable in simulated state (its statistics are in
+/// [`EngineStats`]).
 pub(crate) struct EpochEngine {
     /// Host threads for the per-core workers; 1 runs them inline.
     /// Never selects an engine.
@@ -120,7 +98,6 @@ pub(crate) struct EpochEngine {
     domains: Vec<Option<(u64, u64)>>,
     /// Adaptive epoch length.
     len: Cycles,
-    stats: ShardStats,
 }
 
 impl EpochEngine {
@@ -129,7 +106,6 @@ impl EpochEngine {
             jobs: 1,
             domains: vec![None; cores],
             len: Cycles(MIN_EPOCH),
-            stats: ShardStats::default(),
         }
     }
 }
@@ -208,9 +184,8 @@ pub(crate) struct Shard {
     capture: Capture,
     /// `(base, bytes)` copy of this core's memory domain.
     domain: Option<(u64, Vec<u8>)>,
-    /// Counter deltas, bumped at commit.
-    dispatches: u64,
-    insts: u64,
+    /// Counter and [`EngineStats`] deltas, added at commit.
+    stats: EngineStats,
     activate: [u64; 4],
     /// Store instructions that consulted the monitor filter (all were
     /// quiet — a waking store bails), folded into the filter at commit.
@@ -459,11 +434,11 @@ impl ExecCtx for Worker<'_> {
         }
     }
 
-    fn note_dispatches(&mut self, n: u64) {
-        self.s.dispatches += n;
+    fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64) {
+        self.s.stats.note_burst(steps, reg_block, mem_block);
     }
-    fn note_insts(&mut self, n: u64) {
-        self.s.insts += n;
+    fn stats(&mut self) -> &mut EngineStats {
+        &mut self.s.stats
     }
     fn note_activation(&mut self, from: usize) {
         self.s.activate[from] += 1;
@@ -600,10 +575,10 @@ impl Machine {
         self.epochs.domains[core] = Some((base, len));
     }
 
-    /// Host-side statistics for the core-sharded epoch engine.
+    /// The same as [`Machine::engine_stats`].
     #[must_use]
-    pub fn shard_stats(&self) -> ShardStats {
-        self.epochs.stats
+    pub fn shard_stats(&self) -> EngineStats {
+        self.stats
     }
 
     /// Clones `core`'s epoch state out of the machine.
@@ -633,8 +608,7 @@ impl Machine {
             caches: self.hier.core_view(core),
             capture,
             domain,
-            dispatches: 0,
-            insts: 0,
+            stats: EngineStats::default(),
             activate: [0; 4],
             quiet_stores: 0,
         }
@@ -650,8 +624,7 @@ impl Machine {
             caches,
             capture,
             domain,
-            dispatches,
-            insts,
+            stats,
             activate,
             quiet_stores,
         } = s;
@@ -665,7 +638,9 @@ impl Machine {
             let lo = base as usize;
             self.mem[lo..lo + bytes.len()].copy_from_slice(&bytes);
         }
-        self.counters.bump(self.hot.sched_dispatches, dispatches);
+        // Every instruction is one dispatch.
+        let insts = stats.insts();
+        self.counters.bump(self.hot.sched_dispatches, insts);
         self.counters.bump(self.hot.inst_executed, insts);
         for (i, &n) in activate.iter().enumerate() {
             self.counters.bump(self.hot.activate[i], n);
@@ -673,7 +648,8 @@ impl Machine {
         if quiet_stores > 0 {
             self.filter.note_quiet_stores(quiet_stores);
         }
-        self.epochs.stats.insts_parallel += insts;
+        self.stats.absorb(&stats);
+        self.stats.insts_parallel += insts;
     }
 
     /// The sharded run loop: epochs where the event stream allows them,
@@ -730,7 +706,7 @@ impl Machine {
                     .is_some_and(|h| h < serial_floor && h <= t)
             {
                 self.step(bound, t, None);
-                self.epochs.stats.serial_events += 1;
+                self.stats.serial_events += 1;
             }
         }
         if self.halted.is_none() && self.now < t {
@@ -789,7 +765,7 @@ impl Machine {
         }
         if per_core.len() < 2 {
             restore_staged(self, staged);
-            self.epochs.stats.too_few += 1;
+            self.stats.too_few += 1;
             return EpochOutcome::TooFew(b);
         }
 
@@ -832,7 +808,7 @@ impl Machine {
                 Ok(ok) => oks.push(ok),
                 Err(Bail) => {
                     restore_staged(self, staged);
-                    self.epochs.stats.bailed += 1;
+                    self.stats.bailed += 1;
                     return EpochOutcome::Bailed(b);
                 }
             }
@@ -863,12 +839,12 @@ impl Machine {
             .collect();
         if cross_core_time_tie(&mut surv_times) || cross_core_time_tie(&mut wake_times) {
             restore_staged(self, staged);
-            self.epochs.stats.ties += 1;
+            self.stats.ties += 1;
             return EpochOutcome::Tie(b);
         }
 
         // ---- Commit (all-or-nothing; no bail past this point) ----
-        self.epochs.stats.committed += 1;
+        self.stats.committed += 1;
 
         // The histogram is a multiset. The latest sample is unique
         // across cores (ties were refused); `max_by_key` keeps the last
@@ -1018,6 +994,31 @@ mod tests {
             m.shard_in(s);
         }
         assert_eq!(state(&m), before);
+    }
+
+    /// The epoch engine's pinned work on the domain machine (see
+    /// `tests/engine_stats.rs` for the single-core pins).
+    #[test]
+    fn domain_machine_engine_stats_are_pinned() {
+        let m = domain_machine();
+        let got = m.engine_stats();
+        assert_eq!(got.insts(), m.counters.get("inst.executed"), "{got:?}");
+        let want = EngineStats {
+            bursts: 3392,
+            step_insts: 3253,
+            reg_block_insts: 0,
+            mem_block_insts: 15_064,
+            blocks_formed: 8,
+            block_bails: 50,
+            decode_misses: 0,
+            committed: 83,
+            bailed: 111,
+            ties: 6,
+            too_few: 26,
+            insts_parallel: 15_115,
+            serial_events: 6324,
+        };
+        assert_eq!(got, want);
     }
 
     #[test]

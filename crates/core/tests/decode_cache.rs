@@ -400,15 +400,23 @@ fn assert_overlaps_refused(m: &mut Machine) {
     }
 }
 
+/// Only the gap thread leaves the loaded images, so only its two words
+/// (the poked `movi` and the bad word) take the fetch-and-decode path:
+/// any other miss is a lookup that failed to find a loaded range.
+const DECODE_MISSES: u64 = 2;
+
 fn lookup_matches_reference(cores: usize, jobs: &[usize]) {
     let mut reference = lookup_run(cores, Engine::Reference, 1);
     let want = check_lookup(&reference);
+    let st = reference.m.engine_stats();
+    assert_eq!(st.decode_misses, DECODE_MISSES, "reference: {st:?}");
     assert_overlaps_refused(&mut reference.m);
     for &j in jobs {
         let mut fast = lookup_run(cores, Engine::Fast, j);
         assert_eq!(check_lookup(&fast), want, "{cores} cores, machine-jobs {j}");
+        let st = fast.m.engine_stats();
+        assert_eq!(st.decode_misses, DECODE_MISSES, "machine-jobs {j}: {st:?}");
         // Epoch workers must run part of it, through their own lookups.
-        let st = fast.m.shard_stats();
         assert!(cores == 1 || st.insts_parallel > 0, "{st:?}");
         assert_overlaps_refused(&mut fast.m);
     }

@@ -1,7 +1,7 @@
 //! Machine-model details: timing knobs, cache/TLB interaction, DMA
 //! semantics, and accounting edge cases.
 
-use switchless_core::machine::{Machine, MachineConfig, MonitorKind};
+use switchless_core::machine::{Machine, MachineConfig, MonitorKind, Transition};
 use switchless_core::tid::ThreadState;
 use switchless_isa::asm::assemble;
 use switchless_sim::time::Cycles;
@@ -300,12 +300,21 @@ fn trace_ring_records_wake_and_block_events() {
     let tid = m.load_program(0, &prog).unwrap();
     m.start_thread(tid);
     m.run_for(Cycles(10_000));
+    let parked = m.now();
     m.poke_u64(mb, 1);
     m.run_for(Cycles(10_000));
-    let dump = m.trace().dump();
-    assert!(dump.contains("wake"), "{dump}");
-    assert!(dump.contains("block"), "{dump}");
-    assert!(dump.contains("waiting"), "{dump}");
+    let trace = m.trace().snapshot();
+    assert!(trace.iter().all(|r| r.ptid == tid.ptid), "{trace:?}");
+    let transitions: Vec<Transition> = trace.iter().map(|r| r.transition).collect();
+    let parks = Transition::Block(ThreadState::Waiting);
+    assert_eq!(
+        transitions,
+        [Transition::Wake, parks, Transition::Wake, parks],
+        "{}",
+        m.trace().dump()
+    );
+    assert!(trace[1].at < parked && trace[2].at >= parked, "{trace:?}");
+    assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
 }
 
 #[test]

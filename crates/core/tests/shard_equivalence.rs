@@ -343,30 +343,50 @@ fn sharded_matches_serial_with_scheduler_rotation() {
 
 /// One host job runs the epoch workers inline, and the per-core
 /// lookahead is where the gain comes from: on the F15c shape nearly every
-/// instruction retires inside a committed epoch.
+/// instruction retires inside a committed epoch. Host threads change
+/// nothing the engine did: its statistics are identical at every
+/// `machine_jobs`, and its tiers add up to the executed instructions.
 #[test]
 fn machine_jobs_one_commits_epochs() {
-    let (mut m, _, _) = build_compute(4, Engine::Fast, 1);
-    m.run_until(Cycles(300_000));
-    let st = m.shard_stats();
-    let insts = m.counters().get("inst.executed");
+    let run = |jobs: usize| {
+        let (mut m, _, _) = build_compute(4, Engine::Fast, jobs);
+        m.run_until(Cycles(300_000));
+        (m.engine_stats(), m.counters().get("inst.executed"))
+    };
+    let (st, insts) = run(1);
+    assert_eq!(st.insts(), insts, "{st:?}");
     assert!(st.committed > 0, "{st:?}");
     assert!(
         st.insts_parallel as f64 / insts as f64 > 0.9,
         "only {} of {insts} instructions retired in committed epochs: {st:?}",
         st.insts_parallel
     );
+    for jobs in [2, 4] {
+        assert_eq!(run(jobs).0, st, "machine-jobs {jobs}");
+    }
 }
 
-/// The reference engine never stages an epoch, whatever `machine_jobs`.
+/// The reference engine never stages an epoch, whatever `machine_jobs`,
+/// and never forms or runs a superblock.
 #[test]
 fn reference_engine_runs_no_epochs() {
     let (mut m, tids, spans) = build_compute(4, Engine::Reference, 4);
     m.run_until(Cycles(50_000));
-    let st = m.shard_stats();
+    let st = m.engine_stats();
+    assert_eq!(st.insts(), m.counters().get("inst.executed"), "{st:?}");
     assert_eq!(
-        (st.committed, st.bailed, st.too_few, st.serial_events),
-        (0, 0, 0, 0)
+        (st.reg_block_insts, st.mem_block_insts, st.blocks_formed),
+        (0, 0, 0)
+    );
+    assert_eq!(
+        (
+            st.committed,
+            st.bailed,
+            st.ties,
+            st.too_few,
+            st.serial_events
+        ),
+        (0, 0, 0, 0, 0)
     );
     // And produces work: the fingerprint is non-trivial.
     assert!(fingerprint(&m, &tids, &spans).contains("ctr "));

@@ -208,10 +208,26 @@ fn multicore_domain_programs_digest_identically_on_epoch_workers() {
             let ((l1h, l1m), (l2h, l2m), (l3h, l3m)) = m.cache_stats();
             let (wb1, wb2, wb3) = m.cache_writebacks();
             d.extend([l1h, l1m, l2h, l2m, l3h, l3m, wb1, wb2, wb3]);
-            (d, m.shard_stats())
+            let stats = m.engine_stats();
+            assert_eq!(
+                stats.insts(),
+                m.counters().get("inst.executed"),
+                "seed {seed}"
+            );
+            (d, stats)
         };
-        let (reference, _) = run_one(Engine::Reference, 1);
-        for jobs in [1, 2] {
+        let (reference, ref_stats) = run_one(Engine::Reference, 1);
+        assert_eq!(
+            (
+                ref_stats.reg_block_insts + ref_stats.mem_block_insts,
+                ref_stats.blocks_formed
+            ),
+            (0, 0),
+            "seed {seed}: {ref_stats:?}"
+        );
+        assert_eq!(ref_stats.committed + ref_stats.bailed + ref_stats.ties, 0);
+        let mut first = None;
+        for jobs in [1, 2, 4] {
             let (fast, stats) = run_one(Engine::Fast, jobs);
             assert_eq!(
                 fast, reference,
@@ -220,6 +236,11 @@ fn multicore_domain_programs_digest_identically_on_epoch_workers() {
             assert!(
                 stats.committed > 0,
                 "seed {seed}: no epoch committed: {stats:?}"
+            );
+            assert_eq!(
+                *first.get_or_insert(stats),
+                stats,
+                "seed {seed}: machine_jobs {jobs}"
             );
         }
     }

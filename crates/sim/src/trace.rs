@@ -1,56 +1,35 @@
 //! Bounded in-memory event tracing.
 //!
-//! A [`TraceRing`] records `(cycle, category, message)` triples into a fixed
-//! ring buffer. Tracing is off by default; tests enable it to assert on
-//! ordering (e.g. "the handler thread started before the second packet
-//! arrived") and determinism (equal seeds produce equal traces).
+//! A [`TraceRing`] records typed, `Copy` records into a fixed ring
+//! buffer. Tracing is off by default and then costs one branch per
+//! record site and no memory; tests enable it to assert on ordering
+//! (e.g. "the handler thread started before the second packet arrived")
+//! and determinism (equal seeds produce equal traces).
 
 use core::fmt;
 
-use crate::time::Cycles;
-
-/// One trace record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Simulated time at which the event was recorded.
-    pub at: Cycles,
-    /// Short category tag, e.g. `"sched"`, `"irq"`, `"mwait"`.
-    pub category: &'static str,
-    /// Human-readable detail.
-    pub message: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>10}] {:<8} {}",
-            self.at.0, self.category, self.message
-        )
-    }
-}
-
-/// A bounded ring of trace events.
+/// A bounded ring of trace records.
 #[derive(Clone, Debug)]
-pub struct TraceRing {
-    events: Vec<TraceEvent>,
+pub struct TraceRing<T> {
+    events: Vec<T>,
     capacity: usize,
     head: usize,
     enabled: bool,
     dropped: u64,
 }
 
-impl TraceRing {
-    /// Creates a disabled ring that can hold `capacity` events.
+impl<T: Copy> TraceRing<T> {
+    /// Creates a disabled ring that can hold `capacity` records. Nothing
+    /// is allocated until it is enabled.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> TraceRing {
+    pub fn new(capacity: usize) -> TraceRing<T> {
         assert!(capacity > 0, "trace ring capacity must be positive");
         TraceRing {
-            events: Vec::with_capacity(capacity),
+            events: Vec::new(),
             capacity,
             head: 0,
             enabled: false,
@@ -58,8 +37,11 @@ impl TraceRing {
         }
     }
 
-    /// Enables or disables recording.
+    /// Enables or disables recording; enabling reserves the whole ring.
     pub fn set_enabled(&mut self, on: bool) {
+        if on {
+            self.events.reserve_exact(self.capacity - self.events.len());
+        }
         self.enabled = on;
     }
 
@@ -69,23 +51,15 @@ impl TraceRing {
         self.enabled
     }
 
-    /// Records an event if tracing is enabled.
+    /// Records `ev` if tracing is enabled.
     ///
-    /// When the ring is full the oldest event is overwritten and the
+    /// When the ring is full the oldest record is overwritten and the
     /// `dropped` count incremented.
-    ///
-    /// The message is built before the enabled check; on paths that
-    /// record per wake or per block, prefer [`TraceRing::record_with`]
-    /// so the allocation only happens when tracing is on.
-    pub fn record(&mut self, at: Cycles, category: &'static str, message: String) {
+    #[inline]
+    pub fn record(&mut self, ev: T) {
         if !self.enabled {
             return;
         }
-        let ev = TraceEvent {
-            at,
-            category,
-            message,
-        };
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else {
@@ -95,45 +69,31 @@ impl TraceRing {
         }
     }
 
-    /// Records an event if tracing is enabled, building the message
-    /// lazily: `message()` runs only when the ring will actually store
-    /// it. Use this on hot paths — with tracing disabled (the default)
-    /// the call is a single branch, no formatting, no allocation.
-    pub fn record_with(
-        &mut self,
-        at: Cycles,
-        category: &'static str,
-        message: impl FnOnce() -> String,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.record(at, category, message());
-    }
-
-    /// Returns events oldest-first.
+    /// Returns records oldest-first.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    pub fn snapshot(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.events.len());
         out.extend_from_slice(&self.events[self.head..]);
         out.extend_from_slice(&self.events[..self.head]);
         out
     }
 
-    /// Number of events overwritten because the ring was full.
+    /// Number of records overwritten because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Clears all recorded events (keeps the enabled flag).
+    /// Clears every record (keeps the enabled flag).
     pub fn clear(&mut self) {
         self.events.clear();
         self.head = 0;
         self.dropped = 0;
     }
+}
 
-    /// Renders the trace as one line per event, oldest first.
+impl<T: Copy + fmt::Display> TraceRing<T> {
+    /// Renders the trace as one line per record, oldest first.
     #[must_use]
     pub fn dump(&self) -> String {
         self.snapshot()
@@ -151,8 +111,9 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let mut t = TraceRing::new(4);
-        t.record(Cycles(1), "x", "hi".into());
+        t.record(1u64);
         assert!(t.snapshot().is_empty());
+        assert_eq!(t.events.capacity(), 0, "a disabled ring allocates nothing");
     }
 
     #[test]
@@ -160,12 +121,9 @@ mod tests {
         let mut t = TraceRing::new(8);
         t.set_enabled(true);
         for i in 0..5u64 {
-            t.record(Cycles(i), "c", format!("e{i}"));
+            t.record(i);
         }
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 5);
-        assert_eq!(snap[0].message, "e0");
-        assert_eq!(snap[4].message, "e4");
+        assert_eq!(t.snapshot(), [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -173,12 +131,9 @@ mod tests {
         let mut t = TraceRing::new(3);
         t.set_enabled(true);
         for i in 0..5u64 {
-            t.record(Cycles(i), "c", format!("e{i}"));
+            t.record(i);
         }
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].message, "e2");
-        assert_eq!(snap[2].message, "e4");
+        assert_eq!(t.snapshot(), [2, 3, 4]);
         assert_eq!(t.dropped(), 2);
     }
 
@@ -186,7 +141,7 @@ mod tests {
     fn clear_resets() {
         let mut t = TraceRing::new(2);
         t.set_enabled(true);
-        t.record(Cycles(1), "c", "a".into());
+        t.record(1u64);
         t.clear();
         assert!(t.snapshot().is_empty());
         assert_eq!(t.dropped(), 0);
@@ -197,10 +152,8 @@ mod tests {
     fn dump_format() {
         let mut t = TraceRing::new(2);
         t.set_enabled(true);
-        t.record(Cycles(42), "irq", "delivered".into());
-        let d = t.dump();
-        assert!(d.contains("42"));
-        assert!(d.contains("irq"));
-        assert!(d.contains("delivered"));
+        t.record(42u64);
+        t.record(7u64);
+        assert_eq!(t.dump(), "42\n7");
     }
 }
