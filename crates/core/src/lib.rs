@@ -46,6 +46,8 @@ pub mod store;
 pub mod tdt;
 pub mod tid;
 
-pub use machine::{Engine, EngineStats, Machine, MachineConfig, ThreadId, TraceRecord, Transition};
+pub use machine::{
+    DeviceId, Engine, EngineStats, Machine, MachineConfig, ThreadId, TraceRecord, Transition,
+};
 pub use perm::{Perms, TdtEntry};
 pub use tid::{Ptid, ThreadState, Vtid};

@@ -316,8 +316,30 @@ pub(crate) enum Ev {
     // u32 fields keep the event (and thus every queue entry) small:
     // events are copied through the scheduler's wheel on every simulated
     // instruction.
-    SlotFree { core: u32, slot: u32 },
-    Call(u64),
+    SlotFree {
+        core: u32,
+        slot: u32,
+    },
+    /// Host code: registered device `id`'s handler runs with `arg`.
+    /// Device [`DeviceId::CALLBACKS`] is the [`Machine::at`] closure
+    /// slab, whose `arg` is a slab key.
+    Device {
+        id: u32,
+        arg: u64,
+    },
+}
+
+// Every queued event is copied through the wheel; keep it two words.
+const _: () = assert!(core::mem::size_of::<Ev>() == 16);
+
+/// A device handler registered with [`Machine::register_device`]; an
+/// event queued by [`Machine::at_device`] names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct DeviceId(u32);
+
+impl DeviceId {
+    /// The device behind every [`Machine::at`] callback.
+    const CALLBACKS: DeviceId = DeviceId(0);
 }
 
 /// Upper bound on instructions executed inline per dispatch (the burst
@@ -495,6 +517,7 @@ impl core::fmt::Display for TraceRecord {
 type HostCall = Box<dyn FnMut(&mut Machine, ThreadId)>;
 type MmioHook = Box<dyn FnMut(&mut Machine, u64)>;
 type HostEvent = Box<dyn FnOnce(&mut Machine)>;
+type DeviceHandler = Box<dyn FnMut(&mut Machine, u64)>;
 /// A registered machine-wide invariant: returns `Some(detail)` when the
 /// invariant is violated. Runs at event-queue boundaries when checking is
 /// enabled; must not mutate anything (it sees `&Machine`).
@@ -603,11 +626,15 @@ pub struct Machine {
     pub(crate) prefetcher: WakePrefetcher,
     pub(crate) events: EventQueue<Ev>,
     /// Host callbacks scheduled with [`Machine::at`], indexed by the
-    /// key their `Ev::Call` carries; `None` once run. Keys are reused
-    /// through `free_cbs`, so the slab is as large as the most callbacks
-    /// ever pending at once.
+    /// `arg` their [`DeviceId::CALLBACKS`] event carries; `None` once
+    /// run. Keys are reused through `free_cbs`, so the slab is as large
+    /// as the most callbacks ever pending at once.
     callbacks: Vec<Option<HostEvent>>,
     free_cbs: Vec<u64>,
+    /// Registered device handlers, indexed by [`DeviceId`]. Slot 0 is
+    /// the callback slab above and stays `None`; a handler is also
+    /// `None` while it runs.
+    devices: Vec<Option<DeviceHandler>>,
     hcalls: FxHashMap<u16, HostCall>,
     /// Device doorbells: store hooks keyed by exact 8-byte-aligned
     /// address; fired after the monitor filter on any covering store.
@@ -710,6 +737,7 @@ impl Machine {
             events: EventQueue::new(),
             callbacks: Vec::new(),
             free_cbs: Vec::new(),
+            devices: vec![None],
             hcalls: FxHashMap::default(),
             mmio_hooks: FxHashMap::default(),
             counters,
@@ -1056,16 +1084,44 @@ impl Machine {
             self.callbacks.push(Some(cb));
             self.callbacks.len() as u64 - 1
         };
-        self.events.schedule(at, Ev::Call(key));
+        self.at_device(at, DeviceId::CALLBACKS, key);
     }
 
-    /// Runs the callback behind an `Ev::Call(key)` and frees its slot.
-    fn run_callback(&mut self, key: u64) {
-        let cb = self.callbacks[key as usize]
+    /// Registers a device handler that [`Machine::at_device`] events
+    /// run with their `arg`. A device keeps its pending state itself and
+    /// queues only `(id, arg)`, so an event costs the queue 16 bytes and
+    /// no allocation, where [`Machine::at`] boxes a closure per event.
+    pub fn register_device(
+        &mut self,
+        handler: impl FnMut(&mut Machine, u64) + 'static,
+    ) -> DeviceId {
+        let id = u32::try_from(self.devices.len()).expect("device ids fit in u32");
+        self.devices.push(Some(Box::new(handler)));
+        DeviceId(id)
+    }
+
+    /// Schedules device `id`'s handler to run with `arg` at absolute
+    /// time `at`. It runs under the same `(time, schedule order)` key a
+    /// [`Machine::at`] callback scheduled at this point would.
+    pub fn at_device(&mut self, at: Cycles, id: DeviceId, arg: u64) {
+        self.events.schedule(at, Ev::Device { id: id.0, arg });
+    }
+
+    /// Runs the host code behind an `Ev::Device`: the callback in slab
+    /// slot `arg` (freeing the slot) or a registered handler.
+    fn run_device(&mut self, id: u32, arg: u64) {
+        if id == DeviceId::CALLBACKS.0 {
+            let cb = self.callbacks[arg as usize]
+                .take()
+                .expect("a queued call holds its callback");
+            self.free_cbs.push(arg);
+            return cb(self);
+        }
+        let mut h = self.devices[id as usize]
             .take()
-            .expect("a queued call holds its callback");
-        self.free_cbs.push(key);
-        cb(self);
+            .expect("a device handler does not run inside itself");
+        h(self, arg);
+        self.devices[id as usize] = Some(h);
     }
 
     /// Registers a device doorbell: `hook` runs after any store that
@@ -1566,7 +1622,7 @@ impl Machine {
             Ev::SlotFree { core, slot } => {
                 let Ok(()) = dispatch(self, core as usize, slot as usize, horizon, watch);
             }
-            Ev::Call(key) => self.run_callback(key),
+            Ev::Device { id, arg } => self.run_device(id, arg),
         }
         true
     }
@@ -3144,6 +3200,27 @@ mod tests {
         assert_eq!(m.callbacks.len(), 7);
         assert_eq!(m.free_cbs.len(), 7);
         assert!(m.callbacks.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn device_events_and_callbacks_share_one_schedule_order() {
+        let mut m = Machine::new(MachineConfig::small());
+        let log: Log = Rc::default();
+        let l = Rc::clone(&log);
+        let dev = m.register_device(move |m, arg| {
+            l.borrow_mut().push((m.now().0, 100 + arg as u32));
+        });
+        log_at(&mut m, Cycles(20), &log, 1);
+        m.at_device(Cycles(20), dev, 2);
+        m.at_device(Cycles(10), dev, 3);
+        log_at(&mut m, Cycles(20), &log, 4);
+        m.at_device(Cycles(20), dev, 5);
+        m.run_for(Cycles(100));
+        assert_eq!(
+            *log.borrow(),
+            [(10, 103), (20, 1), (20, 102), (20, 4), (20, 105)]
+        );
+        assert_eq!(m.devices.len(), 2, "the callback slab is device 0");
     }
 
     #[test]

@@ -723,11 +723,11 @@ impl Machine {
         let cap = if t.0 == u64::MAX { t } else { Cycles(t.0 + 1) };
         let mut b = (head + self.epochs.len).min(cap);
 
-        // Stage every SlotFree strictly below B. A callback event
-        // truncates the window to its due time: callbacks run arbitrary
-        // host code and must execute on the real machine, and same-time
-        // staged events are pushed back (a callback may interleave with
-        // them in seq order).
+        // Stage every SlotFree strictly below B. A device event (a
+        // registered handler or an `at` callback) truncates the window
+        // to its due time: it runs arbitrary host code and must execute
+        // on the real machine, and same-time staged events are pushed
+        // back (it may interleave with them in seq order).
         let mut staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)> = Vec::new();
         while let Some(ht) = self.events.peek_time() {
             if ht >= b {
@@ -736,7 +736,7 @@ impl Machine {
             let Some((at, tok, ev)) = self.events.pop_keyed() else {
                 break;
             };
-            if matches!(ev, Ev::Call(_)) {
+            if matches!(ev, Ev::Device { .. }) {
                 self.events.restore(tok, ev);
                 while staged.last().is_some_and(|&(t2, _, _)| t2 == at) {
                     let (_, tok2, ev2) = staged.pop().expect("non-empty");
@@ -759,7 +759,7 @@ impl Machine {
         let mut per_core: BTreeMap<u32, Vec<(Cycles, u64, u32)>> = BTreeMap::new();
         for (i, &(at, _, ev)) in staged.iter().enumerate() {
             let Ev::SlotFree { core, slot } = ev else {
-                unreachable!("calls truncate the window");
+                unreachable!("device events truncate the window");
             };
             per_core.entry(core).or_default().push((at, i as u64, slot));
         }

@@ -20,7 +20,9 @@
 //!   experiments: remote RPCs complete by DMA after a round-trip latency.
 //!
 //! All devices drive the machine exclusively through its public host API
-//! ([`switchless_core::Machine::at`] and
+//! (scheduled host code — a registered handler queued with
+//! [`switchless_core::Machine::at_device`], as the NIC RX path and the
+//! timer use, or a [`switchless_core::Machine::at`] closure — and
 //! [`switchless_core::Machine::dma_write`]), exactly as external agents
 //! should: the only effect a device has on a CPU is a memory write.
 

@@ -6,7 +6,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use switchless_core::machine::Machine;
+use switchless_core::machine::{DeviceId, Machine};
 use switchless_sim::time::Cycles;
 
 /// Handle to a running periodic timer. Dropping the handle does **not**
@@ -23,6 +23,9 @@ impl ApicTimer {
     /// Starts a periodic timer that increments `counter_addr` every
     /// `period`, beginning at `first_tick`, for at most `max_ticks` ticks
     /// (a bound so simulations always drain).
+    ///
+    /// The timer is a registered device: each tick's event carries its
+    /// due time, and the handler queues the next one.
     pub fn start_periodic(
         m: &mut Machine,
         counter_addr: u64,
@@ -37,7 +40,32 @@ impl ApicTimer {
             ticks: Rc::new(Cell::new(0)),
         };
         let t = timer.clone();
-        schedule_tick(m, first_tick, period, max_ticks, t);
+        // The handler reschedules itself, so it learns its id once
+        // registered.
+        let me = Rc::new(Cell::new(None::<DeviceId>));
+        let id_cell = Rc::clone(&me);
+        let mut remaining = max_ticks;
+        let id = m.register_device(move |mach, at| {
+            if !t.running.get() {
+                return;
+            }
+            let v = mach.peek_u64(t.counter_addr).wrapping_add(1);
+            // The APIC's write is an external memory write: it goes through
+            // the same DMA path as device writes, waking any monitor.
+            mach.dma_write(t.counter_addr, &v.to_le_bytes());
+            t.ticks.set(t.ticks.get() + 1);
+            mach.counters_mut().inc("timer.ticks");
+            remaining -= 1;
+            if remaining > 0 && t.running.get() {
+                let next = Cycles(at) + period;
+                let id = id_cell.get().expect("registered before the first tick");
+                mach.at_device(next, id, next.0);
+            }
+        });
+        me.set(Some(id));
+        if max_ticks > 0 {
+            m.at_device(first_tick, id, first_tick.0);
+        }
         timer
     }
 
@@ -51,25 +79,6 @@ impl ApicTimer {
     pub fn ticks(&self) -> u64 {
         self.ticks.get()
     }
-}
-
-fn schedule_tick(m: &mut Machine, at: Cycles, period: Cycles, remaining: u64, t: ApicTimer) {
-    if remaining == 0 || !t.running.get() {
-        return;
-    }
-    m.at(at, move |mach| {
-        if !t.running.get() {
-            return;
-        }
-        let v = mach.peek_u64(t.counter_addr).wrapping_add(1);
-        // The APIC's write is an external memory write: it goes through
-        // the same DMA path as device writes, waking any monitor.
-        mach.dma_write(t.counter_addr, &v.to_le_bytes());
-        t.ticks.set(t.ticks.get() + 1);
-        mach.counters_mut().inc("timer.ticks");
-        let next = at + period;
-        schedule_tick(mach, next, period, remaining - 1, t);
-    });
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{DeviceId, Machine, MachineConfig};
 use switchless_isa::asm::assemble;
 use switchless_mem::cache::PartitionId;
 use switchless_sim::report::{fnum, Table};
@@ -50,37 +50,41 @@ fn scan_program(base: u64, buf: u64, ws: u64, pass_word: u64) -> String {
 }
 
 /// Recurring DMA stream: every `period`, deposit `lines` cache lines at
-/// an advancing cursor (wrapping over `span` bytes).
-#[allow(clippy::too_many_arguments)]
+/// an advancing cursor (wrapping over `span` bytes), `events` times from
+/// `first`. A registered device: each event carries its due time and the
+/// handler queues the next, so a tick boxes nothing and reuses one
+/// buffer.
 fn stream(
     m: &mut Machine,
-    at: Cycles,
-    cursor: Rc<Cell<u64>>,
+    first: Cycles,
     base: u64,
     span: u64,
     lines: u64,
     period: Cycles,
-    remaining: u64,
+    events: u64,
 ) {
-    if remaining == 0 {
+    if events == 0 {
         return;
     }
-    m.at(at, move |mach| {
-        let c = cursor.get();
-        let buf = vec![0xaau8; (lines * 64) as usize];
-        mach.dma_write(base + (c % span), &buf);
-        cursor.set(c + lines * 64);
-        stream(
-            mach,
-            at + period,
-            cursor.clone(),
-            base,
-            span,
-            lines,
-            period,
-            remaining - 1,
-        );
+    let buf = vec![0xaau8; (lines * 64) as usize];
+    let mut cursor = 0u64;
+    let mut remaining = events;
+    // The handler reschedules itself, so it learns its id once
+    // registered.
+    let me = Rc::new(Cell::new(None::<DeviceId>));
+    let id_cell = Rc::clone(&me);
+    let id = m.register_device(move |mach, at| {
+        mach.dma_write(base + (cursor % span), &buf);
+        cursor += lines * 64;
+        remaining -= 1;
+        if remaining > 0 {
+            let next = Cycles(at) + period;
+            let id = id_cell.get().expect("registered before the first event");
+            mach.at_device(next, id, next.0);
+        }
     });
+    me.set(Some(id));
+    m.at_device(first, id, first.0);
 }
 
 struct Outcome {
@@ -111,7 +115,6 @@ fn measure(rate_lines_per_kcy: u64, partition: bool, window: u64) -> Outcome {
         stream(
             &mut m,
             Cycles(0),
-            Rc::new(Cell::new(0)),
             base,
             span - rate_lines_per_kcy * 64,
             rate_lines_per_kcy,

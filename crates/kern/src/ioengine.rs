@@ -302,7 +302,7 @@ impl IoEngine {
         m.start_thread(dispatcher);
 
         let state = Rc::new(RefCell::new(EngineState {
-            nic: *nic,
+            nic: nic.clone(),
             nic_tail: nic.rx_tail,
             seen: 0,
             meta: VecDeque::new(),

@@ -23,17 +23,22 @@
 //! the queue in time order. Such an event, due no earlier than the far
 //! FIFO's last entry, is appended to that FIFO, which is therefore sorted
 //! by `(time, seq)` by construction. Only far events that arrive out of
-//! order, and events scheduled in the past, go to a binary heap. The pop side merges wheel,
-//! FIFO and heap by `(time, seq)`, so which structure holds an event
-//! never changes the order it pops in. The choice follows the observed
-//! schedule order alone; there is no setting.
+//! order, and events scheduled in the past, go to a binary heap. The
+//! choice follows the observed schedule order alone; there is no setting.
 //!
 //! The wheel is exact, not approximate: every wheel entry's time lies in
 //! `[cursor, cursor + WHEEL_SLOTS)` where `cursor` is the last popped
 //! time (pops are monotone), so a slot never holds two distinct times
 //! and slot order equals time order starting from the cursor's slot.
-//! Far FIFO entries are never earlier than the cursor either; only the
-//! heap holds events in the past.
+//! Far FIFO entries always lie beyond that window: when a pop moves the
+//! cursor, the far entries its new window covers move to their wheel
+//! slots before anything else can be scheduled. That keeps each slot's
+//! FIFO in schedule order — a far entry due at `T` was scheduled before
+//! any wheel entry at `T` could be, because the window only moves
+//! forward — and it means the far FIFO's head is the minimum only when
+//! the wheel is empty. So the pop side merges by `(time, seq)` only
+//! while the heap holds events, and which structure holds an event never
+//! changes the order it pops in.
 
 use core::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -92,7 +97,8 @@ pub struct EventQueue<E> {
     /// Bit `w` set when `occupied[w]` is non-zero.
     summary: u64,
     /// Far-future events scheduled at or after the previous far event's
-    /// time, so sorted by `(time, seq)` as appended.
+    /// time, so sorted by `(time, seq)` as appended. All lie beyond the
+    /// wheel window; `take` moves them into the wheel as it reaches them.
     far: VecDeque<Entry<E>>,
     /// Every other event outside the wheel horizon (out-of-order far
     /// future, or scheduled in the past). Wheel, `far` and `overflow` are
@@ -544,20 +550,23 @@ impl<E> EventQueue<E> {
         if self.live == 0 {
             return None;
         }
-        if self.overflow.is_empty() && self.far.is_empty() {
-            // The steady state of short-horizon simulations: skip the
-            // merge entirely.
-            let slot = self.next_occupied_slot()?;
-            let f = &self.slots[slot & (WHEEL_SLOTS - 1)];
-            return Some((Src::Wheel(slot), f.at, f.seq));
+        if self.overflow.is_empty() {
+            // The steady state: every wheel entry precedes every far one
+            // (the far FIFO lies beyond the window), so no merge.
+            return match self.next_occupied_slot() {
+                Some(slot) => {
+                    let f = &self.slots[slot & (WHEEL_SLOTS - 1)];
+                    Some((Src::Wheel(slot), f.at, f.seq))
+                }
+                None => self.far.front().map(|e| (Src::Far, e.at, e.seq)),
+            };
         }
         self.merge_min()
     }
 
-    /// `min_src` with far or overflow events pending: the earliest of the
+    /// `min_src` with overflow events pending: the earliest of the
     /// wheel's first occupied slot, the far FIFO's head and the heap's.
-    /// Out of line so the wheel-only path of `min_src` stays small (about
-    /// 1% faster on dense wheel churn, 1.5% slower on a far trace).
+    /// Out of line so the common path of `min_src` stays small.
     #[inline(never)]
     fn merge_min(&self) -> Option<(Src, Cycles, u64)> {
         let mut best = self.next_occupied_slot().map(|slot| {
@@ -600,7 +609,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the head entry, which the caller has located
-    /// via `min_src`, and advances the cursor to its time.
+    /// via `min_src`, and advances the cursor to its time, moving the
+    /// far entries the new window covers into their wheel slots.
     fn take(&mut self, src: Src) -> Entry<E> {
         let e = match src {
             Src::Wheel(slot) => self.slot_pop_front(slot & (WHEEL_SLOTS - 1)),
@@ -608,8 +618,27 @@ impl<E> EventQueue<E> {
             Src::Overflow => self.overflow.pop().expect("checked").0,
         };
         self.live -= 1;
-        self.last_popped = self.last_popped.max(e.at);
+        if e.at > self.last_popped {
+            self.last_popped = e.at;
+            if self.far.front().is_some_and(|f| self.in_wheel(f.at)) {
+                self.migrate_far();
+            }
+        }
         e
+    }
+
+    /// Appends every far entry inside the wheel window to its slot. The
+    /// window has just moved, so no wheel entry shares those times yet
+    /// and each slot's FIFO stays seq-ascending.
+    #[inline(never)]
+    fn migrate_far(&mut self) {
+        while let Some(f) = self.far.front() {
+            if !self.in_wheel(f.at) {
+                break;
+            }
+            let Entry { at, seq, event } = self.far.pop_front().expect("checked");
+            self.slot_push_back(at.0 as usize & (WHEEL_SLOTS - 1), at, seq, event);
+        }
     }
 }
 
@@ -917,6 +946,36 @@ mod tests {
         q.schedule(Cycles(1), 6);
         assert_eq!((q.far.len(), q.overflow.len()), (0, 1));
         assert_eq!(q.pop(), Some((Cycles(1), 6)));
+    }
+
+    #[test]
+    fn far_entries_move_into_the_wheel_as_the_window_reaches_them() {
+        let mut q = EventQueue::new();
+        let w = WHEEL_SLOTS as u64;
+        for (at, name) in [(w + 5, "d"), (2 * w, "a"), (2 * w, "b"), (4 * w, "c")] {
+            q.schedule(Cycles(at), name);
+        }
+        q.schedule(Cycles(10), "near");
+        assert_eq!(q.far.len(), 4);
+        // The window now reaches w + 9: "d" moves, the rest wait.
+        assert_eq!(q.pop(), Some((Cycles(10), "near")));
+        assert_eq!(q.far.len(), 3);
+        // A same-cycle event scheduled after the move queues behind it.
+        q.schedule(Cycles(w + 5), "d-tie");
+        assert_eq!(q.pop(), Some((Cycles(w + 5), "d")));
+        assert_eq!(q.far.len(), 1, "a and b moved with the window");
+        assert_eq!(q.pop(), Some((Cycles(w + 5), "d-tie")));
+        q.schedule(Cycles(2 * w), "a-tie");
+        assert_eq!(
+            drain(&mut q),
+            [
+                (Cycles(2 * w), "a"),
+                (Cycles(2 * w), "b"),
+                (Cycles(2 * w), "a-tie"),
+                (Cycles(4 * w), "c"),
+            ]
+        );
+        assert_eq!((q.far.len(), q.overflow.len(), q.summary), (0, 0, 0));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! Besides uniformly random times, the scenarios build the schedules the
 //! simulator really produces beyond the horizon: a pre-scheduled arrival
 //! trace in time order (the far FIFO), several sorted streams scheduled
-//! one after another (far FIFO and heap at once), and schedules in the
-//! past.
+//! one after another (far FIFO and heap at once), schedules in the
+//! past, and same-cycle ties between far entries the advancing window
+//! moved into the wheel and entries scheduled there afterwards.
 
 use std::collections::BTreeSet;
 
@@ -372,5 +373,67 @@ fn far_trace_scheduled_while_running_matches_reference_model() {
             h.check();
         }
         serve(&mut h, &mut rng, &far);
+    }
+}
+
+#[test]
+fn migrated_far_entries_tie_with_wheel_entries() {
+    // Far arrivals on a coarse grid, up to three per cycle, move into
+    // the wheel as the clock reaches their window. Follow-ups scheduled
+    // onto the same grid cycles tie with them and must pop after them;
+    // cancels and stage-and-restore hit entries that already moved.
+    const GRID: u64 = 256;
+    for seed in 0..8 {
+        let mut rng = Rng::seed_from(0x71e5_0000 + seed);
+        let mut h = Harness::new(format!("ties seed {seed}"));
+        let mut far = Vec::new();
+        for k in 1..300u64 {
+            for _ in 0..=rng.next_below(3) {
+                far.push(h.schedule(Cycles(2 * HORIZON + k * GRID)));
+            }
+        }
+        let mut step = 0u64;
+        loop {
+            step += 1;
+            h.label = format!("ties seed {seed} step {step}");
+            match rng.next_below(10) {
+                // A tie: a grid cycle ahead of the clock, inside the
+                // window or just past it.
+                0 | 1 => {
+                    let k = h.now.0 / GRID + 1 + rng.next_below(HORIZON / GRID);
+                    h.schedule(Cycles(k * GRID));
+                }
+                // Cancel a far arrival the window already covers.
+                2 => {
+                    let now = h.now;
+                    let moved: Vec<usize> = far
+                        .iter()
+                        .copied()
+                        .filter(|&i| {
+                            let at = h.recs[i].at;
+                            at >= now && at.0 - now.0 < HORIZON
+                        })
+                        .collect();
+                    if !moved.is_empty() {
+                        h.cancel(moved[rng.next_below(moved.len() as u64) as usize]);
+                    }
+                }
+                // Stage the head, schedule a same-cycle tie behind it,
+                // put it back.
+                3 => {
+                    let Some(i) = h.pop_keyed() else { break };
+                    let at = h.recs[i].at;
+                    h.schedule(at);
+                    h.restore(i);
+                }
+                _ => {
+                    if h.pop_due(Cycles(u64::MAX)).is_none() {
+                        break;
+                    }
+                }
+            }
+            h.check();
+        }
+        h.drain();
     }
 }

@@ -24,7 +24,9 @@
 #            pin below and says why. The io_serving run is traced as
 #            well, and its simulated counts are pinned the same way:
 #            instructions, thread and monitor wakes, false wakes, L1
-#            hits, L1/L2/L3 misses and the ioengine latency p50/p99
+#            hits, L1/L2/L3 misses and the ioengine latency p50/p99.
+#            io_serving also runs at --seed 2, which must exit 0 with its
+#            digests matched: the NIC data path on a second arrival trace
 #   replay   deterministic-replay check: two same-seed runs of the
 #            fault-injected f16 experiment must render byte-identical
 #            reports (timing and absolute-path lines stripped)
@@ -66,7 +68,7 @@ cargo test -q --workspace
 step "cargo clippy --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "perfbench (offline build; suite, traced multicore with pinned work counts, io_serving, traced hot_loops for 1 s each)"
+step "perfbench (offline build; suite, traced multicore and io_serving with pinned counts, io_serving seed 2, traced hot_loops for 1 s each)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 perfbench() {
     if ! cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
@@ -118,6 +120,7 @@ check_pins io_serving \
     mem.l3.misses=148 \
     kern.ioengine.latency.p50_cycles=5664 \
     kern.ioengine.latency.p99_cycles=17536
+perfbench --workload io_serving --seed 2
 perfbench --workload hot_loops --trace 1
 echo "perfbench: builds offline, every workload's digests match"
 
