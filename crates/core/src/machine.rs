@@ -405,13 +405,12 @@ impl Engine {
 }
 
 /// Host-side statistics of how the engines ran a simulation
-/// ([`Machine::engine_stats`]). They live outside
-/// [`Counters`](switchless_sim::stats::Counters) deliberately: they
-/// describe how the simulation was *executed*, not what the simulated
-/// machine did, so they never reach results files or chaos digests that
-/// are compared across engines and `--machine-jobs` settings. Each
-/// count is exact and deterministic for a given engine, and identical
-/// at every `machine_jobs` value.
+/// ([`Machine::engine_stats`]). They live outside [`Counters`]
+/// deliberately: they describe how the simulation was *executed*, not
+/// what the simulated machine did, so they never reach results files or
+/// chaos digests that are compared across engines and `--machine-jobs`
+/// settings. Each count is exact and deterministic for a given engine,
+/// and identical at every `machine_jobs` value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Dispatches that ran at least one instruction; each burst's first
@@ -434,8 +433,8 @@ pub struct EngineStats {
     pub committed: u64,
     /// Epochs discarded because a worker hit a non-core-local effect.
     pub bailed: u64,
-    /// Epochs discarded at commit time over a cross-core time tie
-    /// (equal-time survivors or wake samples); retried, not replayed.
+    /// Epochs discarded at commit time because two cores' surviving
+    /// events fell due the same cycle; the window replays serially.
     pub ties: u64,
     /// Epochs skipped because fewer than two cores had work staged.
     pub too_few: u64,
@@ -664,8 +663,6 @@ pub struct Machine {
     burst_stash: Vec<(EventToken, Ev)>,
     /// Wake-to-first-dispatch latency histogram (cycles).
     pub(crate) wake_latency: Histogram,
-    /// Most recent wake-latency sample, with the woken thread.
-    pub(crate) last_wake: Option<(Ptid, u64)>,
     /// Installed fault-injection plan; `None` costs one branch per query.
     fault_plan: Option<FaultPlan>,
     /// Whether the invariant checker runs at event-queue boundaries.
@@ -688,8 +685,9 @@ pub struct Machine {
     /// Host execution engine ([`Machine::set_engine`]).
     engine: Engine,
     /// Sorted MMIO hook addresses, maintained by [`Machine::register_mmio`].
-    /// The superblock store probe binary-searches this instead of
-    /// scanning the hook map, and the shard engine borrows it per epoch.
+    /// `after_store` and the superblock store probe binary-search this
+    /// instead of scanning the hook map, and the shard engine borrows it
+    /// per epoch.
     pub(crate) mmio_addrs: Vec<u64>,
     /// Memory-superblock probe scratch.
     probe: Option<Box<Probe>>,
@@ -755,7 +753,6 @@ impl Machine {
             pending_charge: Cycles::ZERO,
             burst_stash: Vec::new(),
             wake_latency: Histogram::new(),
-            last_wake: None,
             fault_plan: None,
             invariants_on: false,
             invariant_checks: Vec::new(),
@@ -827,7 +824,6 @@ impl Machine {
     /// Clears the wake-latency histogram (end of warmup).
     pub fn reset_wake_latency(&mut self) {
         self.wake_latency.reset();
-        self.last_wake = None;
     }
 
     /// Per-thread wake-latency accounting: `(samples, total cycles, max)`.
@@ -839,20 +835,6 @@ impl Machine {
     /// Clears one thread's wake-latency accounting.
     pub fn reset_thread_wake_stats(&mut self, tid: ThreadId) {
         self.thread_mut(tid.ptid).wake_stats = (0, 0, 0);
-    }
-
-    /// The most recent wake-latency sample: `(thread, cycles)`.
-    #[must_use]
-    pub fn last_wake_latency(&self) -> Option<(ThreadId, u64)> {
-        self.last_wake.map(|(p, c)| {
-            (
-                ThreadId {
-                    core: self.core_of(p),
-                    ptid: p,
-                },
-                c,
-            )
-        })
     }
 
     /// The thread-transition trace ring (enable for debugging and
@@ -1128,9 +1110,13 @@ impl Machine {
     /// covers `addr` (CPU, host, or DMA), receiving the stored word.
     /// This is how MMIO-triggered devices (NIC TX doorbells, SSD
     /// submission doorbells) react immediately to driver writes.
+    /// Registering an address again replaces its hook.
     pub fn register_mmio(&mut self, addr: u64, hook: impl FnMut(&mut Machine, u64) + 'static) {
-        if self.mmio_hooks.insert(addr, Box::new(hook)).is_none() {
-            let i = self.mmio_addrs.partition_point(|&a| a < addr);
+        self.mmio_hooks.insert(addr, Box::new(hook));
+        // Not the map's `insert` result: a hook is out of the map while
+        // it runs, and one that re-registers its own address must not
+        // list the address twice.
+        if let Err(i) = self.mmio_addrs.binary_search(&addr) {
             self.mmio_addrs.insert(i, addr);
         }
     }
@@ -1841,24 +1827,21 @@ impl Machine {
         if external {
             self.counters.bump(self.hot.store_external, 1);
         }
-        // Device doorbells: fire hooks whose address the store covered.
-        if !self.mmio_hooks.is_empty() {
+        // Device doorbells: fire, in address order, the hooks whose
+        // address the store covered. The covered addresses are copied out
+        // first, so a hook registered by a hook first fires on the next
+        // store; a hook is out of the map while it runs, so a store it
+        // makes to its own doorbell does not fire it again.
+        if !self.mmio_addrs.is_empty() {
             let end = addr.saturating_add(len.max(1));
+            let lo = self
+                .mmio_addrs
+                .partition_point(|&a| a < addr.saturating_sub(7));
+            let hi = lo + self.mmio_addrs[lo..].partition_point(|&a| a < end);
             let mut hit = core::mem::take(&mut self.scratch_mmio);
             hit.clear();
-            hit.extend(
-                self.mmio_hooks
-                    .keys()
-                    .copied()
-                    .filter(|&a| a >= addr.saturating_sub(7) && a < end),
-            );
-            // Map iteration order is arbitrary; fire in address order so
-            // multi-hook stores behave identically run to run.
-            hit.sort_unstable();
-            let mut i = 0;
-            while i < hit.len() {
-                let a = hit[i];
-                i += 1;
+            hit.extend_from_slice(&self.mmio_addrs[lo..hi]);
+            for &a in &hit {
                 if let Some(mut h) = self.mmio_hooks.remove(&a) {
                     let value = self.peek_u64(a);
                     h(self, value);
@@ -2069,7 +2052,7 @@ pub(crate) trait ExecCtx {
     fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64);
     fn stats(&mut self) -> &mut EngineStats;
     fn note_activation(&mut self, from: usize);
-    fn note_wake(&mut self, ptid: Ptid, sample: u64);
+    fn note_wake(&mut self, sample: u64);
     fn note_quiet_stores(&mut self, n: u64);
     /// Takes the charge hcall handlers added to the current instruction.
     fn take_charge(&mut self) -> Cycles;
@@ -2238,7 +2221,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
     // holds exactly the activation portion at this point).
     if let Some(wake) = x.th_mut(h).wake_at.take() {
         let sample = (now - wake + cost).0;
-        x.note_wake(ptid, sample);
+        x.note_wake(sample);
         let ws = &mut x.th_mut(h).wake_stats;
         ws.0 += 1;
         ws.1 += sample;
@@ -2860,9 +2843,8 @@ impl ExecCtx for Machine {
     fn note_activation(&mut self, from: usize) {
         self.counters.bump(self.hot.activate[from], 1);
     }
-    fn note_wake(&mut self, ptid: Ptid, sample: u64) {
+    fn note_wake(&mut self, sample: u64) {
         self.wake_latency.record(sample);
-        self.last_wake = Some((ptid, sample));
     }
     fn note_quiet_stores(&mut self, n: u64) {
         self.filter.note_quiet_stores(n);

@@ -3,15 +3,15 @@
 //!
 //! Workers run the serial machine's own interpreter — `dispatch`, the
 //! burst loop, superblocks and `exec_inst` in `machine.rs` — through
-//! the worker's [`ExecCtx`] impl below, which confines every effect to
+//! the worker's `ExecCtx` impl below, which confines every effect to
 //! one core's cloned state and bails on anything else. This module holds
 //! no instruction semantics of its own.
 //!
 //! [`Machine::run_until`] on [`Engine::Fast`] executes *epochs* on every
 //! multi-core machine whose invariant checker is off: the host stages
 //! every event strictly below a cross-core event horizon `B`, hands each
-//! core's staged events to a worker running against a [`Shard`] — a
-//! **clone** of that core's private state (its [`CoreState`] with the
+//! core's staged events to a worker running against a `Shard` — a
+//! **clone** of that core's private state (its `CoreState` with the
 //! TLB, L1/L2, prefetch capture, the threads enrolled there, and its
 //! registered memory domain) — and commits every shard back at an epoch
 //! barrier.
@@ -30,13 +30,15 @@
 //!   events in creation order, merged locally by `(time, key)` exactly as
 //!   the global queue would order them (staged keys precede fresh keys,
 //!   matching queue seq assignment).
-//! * Across cores, time is the only order: the commit refuses an epoch
-//!   in which two cores have surviving events due the same cycle or wake
-//!   samples the same cycle. Everything the commit consumes then depends
-//!   on times alone — `now` is the max of the workers' final cursors,
-//!   `last_wake` is the latest wake sample, the wake histogram is a
-//!   multiset, and survivors of different cores never share a due time,
-//!   so they enter the real queue core by core in local creation order.
+//! * Across cores, time is the only order. The one cross-core tie the
+//!   simulation can read is two cores' surviving events due the same
+//!   cycle (their queue-seq order decides a future pop); the commit
+//!   refuses that epoch and the window replays serially, as after a
+//!   bail. Everything else the commit consumes depends on times alone or
+//!   on no order at all: `now` is the max of the workers' final cursors,
+//!   the wake samples are a multiset recorded into a histogram, and
+//!   survivors of different cores never share a due time, so they enter
+//!   the real queue core by core in local creation order.
 //! * The serial engine's burst splits (foreign-event horizon checks,
 //!   `MAX_BURST`, stale deadline hints) are observably invisible — same
 //!   instructions at the same start cycles, identical cost accounting,
@@ -110,25 +112,6 @@ impl EpochEngine {
     }
 }
 
-/// What became of one attempted epoch.
-pub(crate) enum EpochOutcome {
-    /// The whole window `[head, B)` ran in parallel and was committed.
-    Committed,
-    /// A worker left its shard mid-window; the staged events were
-    /// restored and `[head, B)` must replay serially to make progress.
-    Bailed(Cycles),
-    /// The window itself ran clean but a commit-time cross-core time tie
-    /// (equal-time survivors or wake samples) left the order unknown.
-    /// The window's *interior* was conflict-free, so the driver retries
-    /// with a smaller window first — a different horizon shifts the
-    /// burst-end survivor times and usually breaks the tie — and only
-    /// falls back to serial replay of `[head, B)` on a tie streak
-    /// (phase-locked cores tie at every horizon).
-    Tie(Cycles),
-    /// Fewer than two cores had events below `B`; nothing ran.
-    TooFew(Cycles),
-}
-
 /// A worker abandoning the epoch. Carries nothing: the clones are
 /// dropped wholesale and the real machine was never touched.
 struct Bail;
@@ -190,15 +173,15 @@ pub(crate) struct Shard {
     /// Store instructions that consulted the monitor filter (all were
     /// quiet — a waking store bails), folded into the filter at commit.
     quiet_stores: u64,
+    /// Wake-latency samples of the dispatches that consumed a `wake_at`
+    /// stamp, recorded into the histogram at commit.
+    wakes: Vec<u64>,
 }
 
 /// A successful worker's output.
 struct WorkerOk {
     /// The worker's final `now` (burst cursor included).
     local_now: Cycles,
-    /// `(pop time, ptid, sample)` for every dispatch that consumed a
-    /// `wake_at` stamp, in local order.
-    wakes: Vec<(Cycles, u32, u64)>,
     /// Fresh events still pending at epoch end, in creation (key) order:
     /// `(due, key, slot)`.
     survivors: Vec<(Cycles, u64, u32)>,
@@ -264,8 +247,6 @@ struct Worker<'a> {
     local_now: Cycles,
     /// Fresh events created so far (the next fresh key suffix).
     created: u64,
-    /// The wake sample the current dispatch consumed, if any.
-    wake: Option<(u32, u64)>,
     probe: Option<Box<Probe>>,
 }
 
@@ -299,10 +280,8 @@ fn run_worker(
         stash: Vec::new(),
         local_now: sh.now0,
         created: 0,
-        wake: None,
         probe: None,
     };
-    let mut wakes = Vec::new();
     while let Some((ts, key, slot)) = w.q.pop_below(sh.b) {
         if key >= sh.staged_total && ts >= fresh_b {
             // The core's window ends here: the event survives to the
@@ -314,9 +293,6 @@ fn run_worker(
             w.local_now = ts;
         }
         dispatch(&mut w, core, slot as usize, horizon, None)?;
-        if let Some((p, sample)) = w.wake.take() {
-            wakes.push((ts, p, sample));
-        }
     }
     let mut survivors = w.q.drain_all();
     for &(at, key, _) in &survivors {
@@ -333,7 +309,6 @@ fn run_worker(
     survivors.sort_unstable_by_key(|&(_, key, _)| key);
     Ok(WorkerOk {
         local_now: w.local_now,
-        wakes,
         survivors,
         shard: w.s,
     })
@@ -443,8 +418,8 @@ impl ExecCtx for Worker<'_> {
     fn note_activation(&mut self, from: usize) {
         self.s.activate[from] += 1;
     }
-    fn note_wake(&mut self, ptid: Ptid, sample: u64) {
-        self.wake = Some((ptid.0, sample));
+    fn note_wake(&mut self, sample: u64) {
+        self.s.wakes.push(sample);
     }
     /// Quiet stores' only filter effect (`stores_checked`) is batched to
     /// commit.
@@ -611,11 +586,12 @@ impl Machine {
             stats: EngineStats::default(),
             activate: [0; 4],
             quiet_stores: 0,
+            wakes: Vec::new(),
         }
     }
 
-    /// Commits a shard: its state replaces the core's, and its counter
-    /// deltas are bumped.
+    /// Commits a shard: its state replaces the core's, its counter
+    /// deltas are bumped and its wake samples recorded.
     pub(crate) fn shard_in(&mut self, s: Shard) {
         let Shard {
             core,
@@ -627,6 +603,7 @@ impl Machine {
             stats,
             activate,
             quiet_stores,
+            wakes,
         } = s;
         self.cores[core] = cs;
         for (p, th) in threads {
@@ -648,6 +625,9 @@ impl Machine {
         if quiet_stores > 0 {
             self.filter.note_quiet_stores(quiet_stores);
         }
+        for sample in wakes {
+            self.wake_latency.record(sample);
+        }
         self.stats.absorb(&stats);
         self.stats.insts_parallel += insts;
     }
@@ -655,11 +635,10 @@ impl Machine {
     /// The sharded run loop: epochs where the event stream allows them,
     /// serial replay (via [`Machine::step`]) where it does not.
     pub(crate) fn run_until_sharded(&mut self, t: Cycles) {
-        // Events strictly below the floor replay serially (a bailed or
-        // too-thin window is settled the reference way before retrying).
+        // Events strictly below the floor replay serially (a bailed,
+        // tied or too-thin window is settled the reference way before
+        // the next attempt).
         let mut serial_floor = Cycles::ZERO;
-        // Consecutive commit-time tie retries from the same head.
-        let mut tie_streak = 0u32;
         while self.halted.is_none() {
             let Some(head) = self.events.peek_time() else {
                 break;
@@ -668,35 +647,10 @@ impl Machine {
                 break;
             }
             if head >= serial_floor {
-                match self.try_epoch(t) {
-                    EpochOutcome::Committed => {
-                        self.epochs.len = Cycles((self.epochs.len.0 * 2).min(MAX_EPOCH));
-                        tie_streak = 0;
-                        continue;
-                    }
-                    EpochOutcome::Bailed(b) => {
-                        self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
-                        tie_streak = 0;
-                        serial_floor = b.max(Cycles(head.0 + 1));
-                    }
-                    EpochOutcome::Tie(b) => {
-                        self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
-                        tie_streak += 1;
-                        if tie_streak < 3 {
-                            // The interior was clean; a shorter window
-                            // moves the survivor times — retry in place.
-                            continue;
-                        }
-                        // Phase-locked cores tie at every horizon: make
-                        // progress the reference way.
-                        tie_streak = 0;
-                        serial_floor = b.max(Cycles(head.0 + 1));
-                    }
-                    EpochOutcome::TooFew(b) => {
-                        tie_streak = 0;
-                        serial_floor = b.max(Cycles(head.0 + 1));
-                    }
-                }
+                let Some(b) = self.try_epoch(t) else {
+                    continue;
+                };
+                serial_floor = b.max(Cycles(head.0 + 1));
             }
             let bound = t.min(Cycles(serial_floor.0 - 1));
             while self.halted.is_none()
@@ -714,9 +668,12 @@ impl Machine {
         }
     }
 
-    /// Attempts one parallel epoch over the window `[head, B)`.
-    #[allow(clippy::too_many_lines)]
-    fn try_epoch(&mut self, t: Cycles) -> EpochOutcome {
+    /// Attempts one parallel epoch over the window `[head, B)`: `None`
+    /// when it committed, or `Some(B)` when `[head, B)` must replay
+    /// serially (a worker bailed, two cores' survivors tied, or fewer
+    /// than two cores had work). The epoch length doubles on a commit,
+    /// halves on a bail or tie, and stays put when too few cores ran.
+    fn try_epoch(&mut self, t: Cycles) -> Option<Cycles> {
         let head = self.events.peek_time().expect("caller checked the head");
         // The dispatch horizon is `t`, so events can exist at `t + 1`
         // (burst-end SlotFrees); the window never reaches past them.
@@ -766,7 +723,7 @@ impl Machine {
         if per_core.len() < 2 {
             restore_staged(self, staged);
             self.stats.too_few += 1;
-            return EpochOutcome::TooFew(b);
+            return Some(b);
         }
 
         let staged_total = staged.len() as u64;
@@ -796,66 +753,45 @@ impl Machine {
                 // the per-core continuation bands stay disjoint), small
                 // against the window (so the held-back tail is noise);
                 // a tie from an unusually expensive instruction is
-                // still caught at commit and retried.
+                // still caught at commit and replayed.
                 gap: ((b.0 - head.0) / (2 * self.cfg.cores.max(1) as u64)).min(64),
             };
             par_map_owned(jobs, inputs, |_, (staged, s)| run_worker(&sh, staged, s))
         };
 
-        let mut oks: Vec<WorkerOk> = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(ok) => oks.push(ok),
-                Err(Bail) => {
-                    restore_staged(self, staged);
-                    self.stats.bailed += 1;
-                    return EpochOutcome::Bailed(b);
-                }
-            }
-        }
-
-        // Cross-core ties, the only cross-core orders that time does not
-        // fix: two surviving events due the same cycle (their queue-seq
-        // order decides a future pop) or two wake samples the same cycle
-        // (their order decides `last_wake`). Their serial order depends
-        // on where serial bursts split, which workers cannot know, so the
-        // epoch is refused. With them gone, time orders every cross-core
-        // effect and the commit below needs no global pop order.
-        let cross_core_time_tie = |times: &mut Vec<(Cycles, usize)>| {
-            times.sort_unstable();
-            times
-                .windows(2)
-                .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+        let oks: Result<Vec<WorkerOk>, Bail> = results.into_iter().collect();
+        let Ok(oks) = oks else {
+            restore_staged(self, staged);
+            self.stats.bailed += 1;
+            self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
+            return Some(b);
         };
+
+        // The one cross-core tie the simulation reads: two cores'
+        // surviving events due the same cycle, whose queue-seq order
+        // decides a future pop. That order depends on where serial bursts
+        // split, which workers cannot know, so the epoch is refused and
+        // replays serially. With it gone, time orders every cross-core
+        // effect and the commit below needs no global pop order.
         let mut surv_times: Vec<(Cycles, usize)> = oks
             .iter()
             .enumerate()
             .flat_map(|(pos, ok)| ok.survivors.iter().map(move |&(at, _, _)| (at, pos)))
             .collect();
-        let mut wake_times: Vec<(Cycles, usize)> = oks
-            .iter()
-            .enumerate()
-            .flat_map(|(pos, ok)| ok.wakes.iter().map(move |&(at, _, _)| (at, pos)))
-            .collect();
-        if cross_core_time_tie(&mut surv_times) || cross_core_time_tie(&mut wake_times) {
+        surv_times.sort_unstable();
+        if surv_times
+            .windows(2)
+            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+        {
             restore_staged(self, staged);
             self.stats.ties += 1;
-            return EpochOutcome::Tie(b);
+            self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
+            return Some(b);
         }
 
         // ---- Commit (all-or-nothing; no bail past this point) ----
         self.stats.committed += 1;
-
-        // The histogram is a multiset. The latest sample is unique
-        // across cores (ties were refused); `max_by_key` keeps the last
-        // of equal times, i.e. its core's last at that time.
-        let wakes = oks.iter().flat_map(|ok| ok.wakes.iter());
-        for &(_, _, sample) in wakes.clone() {
-            self.wake_latency.record(sample);
-        }
-        if let Some(&(_, p, sample)) = wakes.max_by_key(|&&(at, _, _)| at) {
-            self.last_wake = Some((Ptid(p), sample));
-        }
+        self.epochs.len = Cycles((self.epochs.len.0 * 2).min(MAX_EPOCH));
         let mut now_max = oks
             .iter()
             .map(|ok| ok.local_now)
@@ -886,7 +822,7 @@ impl Machine {
         for ok in oks {
             self.shard_in(ok.shard);
         }
-        EpochOutcome::Committed
+        None
     }
 }
 
@@ -1013,7 +949,7 @@ mod tests {
             decode_misses: 0,
             committed: 83,
             bailed: 111,
-            ties: 6,
+            ties: 2,
             too_few: 26,
             insts_parallel: 15_115,
             serial_events: 6324,

@@ -1,6 +1,9 @@
 //! End-to-end machine tests: real assembled programs executed by the
 //! event-driven machine model.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use switchless_core::exception::{Descriptor, ExceptionKind};
 use switchless_core::machine::{Engine, Machine, MachineConfig, ThreadId, TrapMode};
 use switchless_core::perm::{Perms, TdtEntry};
@@ -972,4 +975,157 @@ fn thread_table_at_the_top_of_memory_faults_bad_memory() {
         assert_eq!(m.peek_u64(0x8000), ExceptionKind::BadMemory.code());
         assert_eq!(m.peek_u64(0x8000 + 24), 4, "info: the vtid");
     });
+}
+
+/// Doorbell firings as `(doorbell, stored word)`, shared with the hooks.
+type Rings = Rc<RefCell<Vec<(u64, u64)>>>;
+
+/// Registers a hook at `addr` that logs each firing into `rings`.
+fn log_doorbell(m: &mut Machine, addr: u64, rings: &Rings) {
+    let rings = Rc::clone(rings);
+    m.register_mmio(addr, move |_, v| rings.borrow_mut().push((addr, v)));
+}
+
+#[test]
+fn store_covering_two_doorbells_fires_both_in_address_order() {
+    let mut m = small();
+    let d = m.alloc(64);
+    let rings = Rings::default();
+    // Registered high address first: firing order is address order.
+    log_doorbell(&mut m, d + 8, &rings);
+    log_doorbell(&mut m, d, &rings);
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&1u64.to_le_bytes());
+    bytes[8..].copy_from_slice(&2u64.to_le_bytes());
+    assert!(m.dma_write(d, &bytes));
+    assert_eq!(*rings.borrow(), vec![(d, 1), (d + 8, 2)]);
+    // An 8-byte store straddling the two words covers both.
+    rings.borrow_mut().clear();
+    m.poke_u64(d + 4, 0);
+    assert_eq!(*rings.borrow(), vec![(d, 1), (d + 8, 0)]);
+    // One that ends where a doorbell starts covers none.
+    rings.borrow_mut().clear();
+    m.poke_u64(d - 8, 7);
+    assert!(rings.borrow().is_empty());
+}
+
+#[test]
+fn doorbell_store_from_its_own_hook_does_not_refire() {
+    let mut m = small();
+    let d = m.alloc(64);
+    let fired = Rc::new(RefCell::new(0u32));
+    let f = Rc::clone(&fired);
+    m.register_mmio(d, move |mach, v| {
+        *f.borrow_mut() += 1;
+        mach.poke_u64(d, v + 100);
+    });
+    m.poke_u64(d, 1);
+    assert_eq!(*fired.borrow(), 1);
+    assert_eq!(m.peek_u64(d), 101);
+    m.poke_u64(d, 2);
+    assert_eq!(*fired.borrow(), 2, "the hook is back in place");
+}
+
+#[test]
+fn doorbell_registered_during_a_store_fires_from_the_next_store() {
+    let mut m = small();
+    let d = m.alloc(64);
+    let rings = Rings::default();
+    let r = Rc::clone(&rings);
+    let armed = Rc::new(RefCell::new(false));
+    m.register_mmio(d, move |mach, v| {
+        r.borrow_mut().push((d, v));
+        if !armed.replace(true) {
+            log_doorbell(mach, d + 8, &r);
+        }
+    });
+    // The first store covers both words, but `d + 8` has no hook yet.
+    assert!(m.dma_write(d, &[1; 16]));
+    let w = u64::from_le_bytes([1; 8]);
+    assert_eq!(*rings.borrow(), vec![(d, w)]);
+    rings.borrow_mut().clear();
+    assert!(m.dma_write(d, &[2; 16]));
+    let w = u64::from_le_bytes([2; 8]);
+    assert_eq!(*rings.borrow(), vec![(d, w), (d + 8, w)]);
+}
+
+#[test]
+fn registering_a_doorbell_again_replaces_its_hook() {
+    let mut m = small();
+    let d = m.alloc(64);
+    let rings = Rings::default();
+    m.register_mmio(d, |_, _| panic!("replaced before any store"));
+    log_doorbell(&mut m, d, &rings);
+    m.poke_u64(d, 1);
+    assert_eq!(*rings.borrow(), vec![(d, 1)]);
+    // A hook that replaces itself while it runs: the replacement fires
+    // from the next store on, once per store.
+    let r = Rc::clone(&rings);
+    m.register_mmio(d, move |mach, _| log_doorbell(mach, d, &r));
+    rings.borrow_mut().clear();
+    m.poke_u64(d, 2);
+    assert!(rings.borrow().is_empty());
+    m.poke_u64(d, 3);
+    m.poke_u64(d, 4);
+    assert_eq!(*rings.borrow(), vec![(d, 3), (d, 4)]);
+}
+
+/// A hot store loop whose 8-byte stores walk byte by byte across a
+/// doorbell word: once its memory superblock forms, each store that
+/// overlaps the word — starting from 7 bytes below the doorbell to 7
+/// bytes above it — makes the block's store check refuse the pass, and
+/// single-stepping rings the bell. Both engines must ring it at the
+/// same cycles with the same words, and end with the same counters.
+#[test]
+fn superblock_stores_around_a_doorbell_ring_it_like_the_reference() {
+    let run = |engine: Engine| {
+        let mut m = small();
+        m.set_engine(engine);
+        let buf = m.alloc(4096);
+        let d = buf + 2048;
+        let rings = Rc::new(RefCell::new(Vec::new()));
+        let r = Rc::clone(&rings);
+        m.register_mmio(d, move |mach, v| r.borrow_mut().push((mach.now(), v)));
+        let p = assemble(&format!(
+            r#"
+            .base 0x10000
+            entry:
+                movi r2, 0
+                movi r4, {end}
+            pass:
+                movi r3, {lo}
+            loop:
+                addi r2, r2, 1
+                st r2, r3, 0
+                addi r3, r3, 1
+                blt r3, r4, loop
+                addi r7, r7, 1
+                jmp pass
+            "#,
+            lo = d - 64,
+            end = d + 16,
+        ))
+        .unwrap();
+        let tid = m.load_program(0, &p).unwrap();
+        m.start_thread(tid);
+        run(&mut m, 200_000);
+        let counters: Vec<(String, u64)> = m
+            .counters()
+            .iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
+        let rings = rings.borrow().clone();
+        let passes = m.thread_reg(tid, 7);
+        (rings, counters, m.now(), m.engine_stats(), passes)
+    };
+    let (want_rings, want_ctrs, want_now, _, passes) = run(Engine::Reference);
+    let (rings, ctrs, now, st, _) = run(Engine::Fast);
+    assert!(st.mem_block_insts > 0 && st.block_bails > 0, "{st:?}");
+    // Fifteen stores a pass overlap the word: at `d - 7 ..= d + 7`.
+    assert!(passes >= 4, "{passes}");
+    let n = want_rings.len() as u64;
+    assert!((15 * passes..=15 * passes + 15).contains(&n), "{n} rings");
+    assert_eq!(rings, want_rings);
+    assert_eq!(ctrs, want_ctrs);
+    assert_eq!(now, want_now);
 }

@@ -46,7 +46,6 @@ fn fingerprint(m: &Machine, tids: &[ThreadId], spans: &[(u64, u64)]) -> String {
         m.cache_writebacks()
     );
     let _ = writeln!(s, "hist={:?}", m.wake_latency());
-    let _ = writeln!(s, "last_wake={:?}", m.last_wake_latency());
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &(base, len) in spans {
         let mut a = base;
@@ -162,8 +161,8 @@ fn sharded_is_deterministic_across_runs() {
 }
 
 /// Monitor/mwait wake traffic driven by host callbacks: callbacks
-/// truncate every epoch window, wakes produce cross-record effects
-/// (histogram samples, `last_wake`), and threads repeatedly park —
+/// truncate every epoch window, wakes produce histogram samples, and
+/// threads repeatedly park —
 /// the engine must interleave serial replay with epochs and still match.
 fn build_wakers(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
     let mut cfg = MachineConfig::small();
@@ -470,26 +469,18 @@ fn build_late_wakers(
     (m, tids, spans)
 }
 
-/// A committed epoch's wake effects: every sample reaches the histogram
-/// and the latest one, from whichever core dispatched its woken thread
-/// last, becomes `last_wake`.
+/// A committed epoch's wake effects: every sample reaches the histogram.
 #[test]
 fn sharded_matches_serial_on_wakes_inside_an_epoch() {
     let (wake_at, t) = (Cycles(40_000), 60_000);
     let (mut serial, tids_s, spans) = build_late_wakers(Engine::Reference, 1, wake_at);
     serial.run_until(Cycles(t));
     let want = fingerprint(&serial, &tids_s, &spans);
-    let want_last = serial.last_wake_latency().expect("the sleepers woke");
     let h = serial.wake_latency();
     let want_hist = (h.count(), h.mean(), h.min(), h.max());
     for jobs in [1, 4] {
         let (mut par, tids_p, spans_p) = build_late_wakers(Engine::Fast, jobs, wake_at);
         par.run_until(Cycles(t));
-        assert_eq!(
-            par.last_wake_latency(),
-            Some(want_last),
-            "machine-jobs {jobs}"
-        );
         let h = par.wake_latency();
         assert_eq!(
             (h.count(), h.mean(), h.min(), h.max()),
@@ -502,5 +493,121 @@ fn sharded_matches_serial_on_wakes_inside_an_epoch() {
             "machine-jobs {jobs}"
         );
         assert!(par.shard_stats().committed > 0, "{:?}", par.shard_stats());
+    }
+}
+
+/// Per core: one compute thread (its work differs per core, so the
+/// cores' event streams do not phase-lock) and one thread parked in
+/// `mwait` on its own word, with the same code on both cores. One host
+/// callback at `wake_at` wakes both sleepers; each core's idle slot is
+/// kicked at that cycle, so the two woken threads are first dispatched
+/// on the same cycle, inside the epoch that follows the callback.
+fn build_twin_wakers(
+    engine: Engine,
+    jobs: usize,
+    wake_at: Cycles,
+) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
+    let mut cfg = MachineConfig::small();
+    cfg.cores = 2;
+    let mut m = Machine::new(cfg);
+    m.set_engine(engine);
+    m.set_machine_jobs(jobs);
+    let mut tids = Vec::new();
+    let mut spans = Vec::new();
+    let mut words = Vec::new();
+    // Core 1 starts 52 cycles later. Same-cycle starts would make every
+    // thread's first activation end on the same cycle on both cores (a
+    // survivor tie); this offset lines the compute loops up so that both
+    // sleepers are first dispatched at `wake_at + 1` (other offsets
+    // spread the two dispatches over the next 15 cycles).
+    let start = |m: &mut Machine, tid: ThreadId| {
+        if tid.core == 0 {
+            m.start_thread(tid);
+        } else {
+            m.at(Cycles(52), move |mach| mach.start_thread(tid));
+        }
+    };
+    for c in 0..2u64 {
+        let buf = m.alloc(512);
+        m.set_core_domain(c as usize, buf, 512);
+        spans.push((buf, 512));
+        let prog = assemble(&format!(
+            r#"
+            .base {base:#x}
+            entry:
+                movi r3, {buf}
+                movi r2, 0
+            loop:
+                addi r2, r2, 1
+                st r2, r3, 0
+                work {wk}
+                jmp loop
+            "#,
+            base = 0x60000 + c * 0x8000,
+            wk = 9 + 7 * c,
+        ))
+        .expect("busy program");
+        let tid = m.load_program(c as usize, &prog).expect("load");
+        start(&mut m, tid);
+        tids.push(tid);
+        let word = m.alloc(64);
+        words.push(word);
+        spans.push((word, 64));
+        let prog = assemble(&format!(
+            r#"
+            .base {base:#x}
+            entry:
+                movi r3, {word}
+                monitor r3
+                mwait
+            spin:
+                addi r5, r5, 1
+                work 13
+                jmp spin
+            "#,
+            base = 0x60000 + c * 0x8000 + 0x4000,
+        ))
+        .expect("sleeper program");
+        let tid = m.load_program(c as usize, &prog).expect("load");
+        start(&mut m, tid);
+        tids.push(tid);
+    }
+    m.at(wake_at, move |mach| {
+        for &w in &words {
+            mach.poke_u64(w, 1);
+        }
+    });
+    (m, tids, spans)
+}
+
+/// Two cores' wake samples on the same cycle are a multiset for the
+/// histogram, so the epoch that holds them commits instead of counting
+/// as a tie, and the histogram still matches the serial engine's.
+#[test]
+fn same_cycle_wakes_on_two_cores_commit() {
+    let (wake_at, t) = (Cycles(30_000), 40_000);
+    let (mut serial, tids_s, spans) = build_twin_wakers(Engine::Reference, 1, wake_at);
+    serial.run_until(Cycles(t));
+    let want = fingerprint(&serial, &tids_s, &spans);
+    // Each sleeper's start, then the callback's wake, with equal latency.
+    let sleepers = [tids_s[1], tids_s[3]];
+    let stats = sleepers.map(|tid| serial.thread_wake_stats(tid));
+    assert_eq!(stats[0].0, 2, "{stats:?}");
+    assert_eq!(stats[0], stats[1]);
+    for jobs in JOBS {
+        let (mut par, tids_p, spans_p) = build_twin_wakers(Engine::Fast, jobs, wake_at);
+        par.run_until(Cycles(t));
+        assert_eq!(
+            format!("{:?}", par.wake_latency()),
+            format!("{:?}", serial.wake_latency()),
+            "machine-jobs {jobs}"
+        );
+        assert_eq!(
+            want,
+            fingerprint(&par, &tids_p, &spans_p),
+            "machine-jobs {jobs}"
+        );
+        let st = par.engine_stats();
+        assert!(st.ties == 0 && st.committed > 0, "{st:?}");
     }
 }

@@ -18,7 +18,7 @@
 //! word — finds the next non-empty slot with two `trailing_zeros`, however
 //! sparse the wheel is.
 //!
-//! Events outside the wheel horizon (more than [`WHEEL_SLOTS`] cycles
+//! Events outside the wheel horizon (more than `WHEEL_SLOTS` cycles
 //! ahead) are usually a pre-scheduled trace — device arrivals handed to
 //! the queue in time order. Such an event, due no earlier than the far
 //! FIFO's last entry, is appended to that FIFO, which is therefore sorted

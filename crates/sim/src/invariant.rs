@@ -40,7 +40,7 @@ const KEEP: usize = 32;
 
 /// A bounded accumulator of invariant violations.
 ///
-/// Keeps the first [`KEEP`] violations verbatim (a broken invariant tends
+/// Keeps the first `KEEP` violations verbatim (a broken invariant tends
 /// to fire on every subsequent check, and the *first* occurrence is the
 /// diagnostic one) plus an exact total count and the number of checks run.
 #[derive(Clone, Debug, Default)]

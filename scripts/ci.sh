@@ -36,6 +36,8 @@
 #            from its chaos-plan/v1 artifact, and a second soak run in
 #            a fresh process must print identical digests
 #   fmt      cargo fmt --check: the tree is rustfmt-clean
+#   doc      rustdoc over the workspace with warnings as errors: no
+#            broken or private intra-doc links in the public docs
 #   jobs     parallel-determinism check: the full --quick suite at
 #            --jobs 1 and --jobs 4 must write bit-identical results/
 #            trees (the harness's core invariant)
@@ -67,6 +69,9 @@ cargo test -q --workspace
 
 step "cargo clippy --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step "perfbench (offline build; suite, traced multicore and io_serving with pinned counts, io_serving seed 2, traced hot_loops for 1 s each)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
@@ -104,10 +109,10 @@ EOF
 }
 perfbench --workload suite
 check_pins multicore \
-    core.shard.attempts=1107 \
+    core.shard.attempts=1029 \
     core.shard.committed=870 \
     core.shard.bailed=120 \
-    core.shard.ties=117 \
+    core.shard.ties=39 \
     core.inst.executed=19697368
 check_pins io_serving \
     core.inst.executed=6297117 \
