@@ -516,7 +516,7 @@ impl core::fmt::Display for TraceRecord {
 type HostCall = Box<dyn FnMut(&mut Machine, ThreadId)>;
 type MmioHook = Box<dyn FnMut(&mut Machine, u64)>;
 type HostEvent = Box<dyn FnOnce(&mut Machine)>;
-type DeviceHandler = Box<dyn FnMut(&mut Machine, u64)>;
+type DeviceHandler = Box<dyn FnMut(&mut Machine, DeviceId, u64)>;
 /// A registered machine-wide invariant: returns `Some(detail)` when the
 /// invariant is violated. Runs at event-queue boundaries when checking is
 /// enabled; must not mutate anything (it sees `&Machine`).
@@ -1070,12 +1070,14 @@ impl Machine {
     }
 
     /// Registers a device handler that [`Machine::at_device`] events
-    /// run with their `arg`. A device keeps its pending state itself and
-    /// queues only `(id, arg)`, so an event costs the queue 16 bytes and
-    /// no allocation, where [`Machine::at`] boxes a closure per event.
+    /// run with the handler's own id and their `arg`. A device keeps its
+    /// pending state itself and queues only `(id, arg)`, so an event
+    /// costs the queue 16 bytes and no allocation, where [`Machine::at`]
+    /// boxes a closure per event. A handler reschedules itself with the
+    /// id it is passed.
     pub fn register_device(
         &mut self,
-        handler: impl FnMut(&mut Machine, u64) + 'static,
+        handler: impl FnMut(&mut Machine, DeviceId, u64) + 'static,
     ) -> DeviceId {
         let id = u32::try_from(self.devices.len()).expect("device ids fit in u32");
         self.devices.push(Some(Box::new(handler)));
@@ -1102,7 +1104,7 @@ impl Machine {
         let mut h = self.devices[id as usize]
             .take()
             .expect("a device handler does not run inside itself");
-        h(self, arg);
+        h(self, DeviceId(id), arg);
         self.devices[id as usize] = Some(h);
     }
 
@@ -1221,12 +1223,6 @@ impl Machine {
     #[must_use]
     pub fn cache_writebacks(&self) -> (u64, u64, u64) {
         self.hier.writebacks()
-    }
-
-    /// L3 lines currently owned by a partition.
-    #[must_use]
-    pub fn l3_occupancy(&self, part: switchless_mem::cache::PartitionId) -> u64 {
-        self.hier.l3_occupancy(part)
     }
 
     /// Host-level `start`: makes the thread runnable.
@@ -1541,15 +1537,10 @@ impl Machine {
     }
 
     /// Writes a TDT entry into simulated memory (host convenience; the
-    /// hardware TDT cache is *not* invalidated — run `invtid` or use
-    /// [`Machine::invalidate_tdt`]).
+    /// hardware TDT cache is *not* invalidated: a cached entry stays
+    /// stale until the guest runs `invtid`).
     pub fn write_tdt_entry(&mut self, tdt_base: u64, vtid: Vtid, entry: TdtEntry) {
         self.poke_u64(tdt_base + u64::from(vtid.0) * 8, entry.encode());
-    }
-
-    /// Host-level `invtid` for a core's TDT cache.
-    pub fn invalidate_tdt(&mut self, core: usize, tdt_base: u64, vtid: Vtid) {
-        self.cores[core].tdt.invalidate(tdt_base, vtid);
     }
 
     // -----------------------------------------------------------------
@@ -3189,7 +3180,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::small());
         let log: Log = Rc::default();
         let l = Rc::clone(&log);
-        let dev = m.register_device(move |m, arg| {
+        let dev = m.register_device(move |m, _, arg| {
             l.borrow_mut().push((m.now().0, 100 + arg as u32));
         });
         log_at(&mut m, Cycles(20), &log, 1);

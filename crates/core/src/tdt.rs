@@ -82,11 +82,6 @@ impl TdtCache {
         self.entries.remove(&(tdtr, vtid.0));
     }
 
-    /// Drops everything (machine reset).
-    pub fn flush(&mut self) {
-        self.entries.clear();
-    }
-
     /// Lifetime (hits, misses, invalidations).
     #[must_use]
     pub fn stats(&self) -> (u64, u64, u64) {

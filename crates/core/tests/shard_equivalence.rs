@@ -611,3 +611,97 @@ fn same_cycle_wakes_on_two_cores_commit() {
         assert!(st.ties == 0 && st.committed > 0, "{st:?}");
     }
 }
+
+/// Two cores count through their own domains, then both store their id
+/// to one shared word on the same cycle `T`. Core 1 reaches `T` through
+/// one long `work`, core 0 through short ones, so the serial engine
+/// queues core 1's event at `T` first and core 1's store lands first:
+/// the word ends up holding core 0's id. Run in steps to `T - 60` and
+/// `T - 1`, the last window before `T` is short enough that both cores'
+/// events at `T` survive it, a survivor tie; committing that window
+/// would queue them core by core and flip the two stores.
+fn build_store_race(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
+    let mut cfg = MachineConfig::small();
+    cfg.cores = 2;
+    let mut m = Machine::new(cfg);
+    m.set_engine(engine);
+    m.set_machine_jobs(jobs);
+    let mut tids = Vec::new();
+    let shared = m.alloc(64);
+    let mut spans = vec![(shared, 64)];
+    for c in 0..2u64 {
+        let buf = m.alloc(512);
+        m.set_core_domain(c as usize, buf, 512);
+        spans.push((buf, 512));
+        // Both tails end at `STORE_RACE_AT`; only the last instruction
+        // before it differs in length.
+        let tail = if c == 0 {
+            "work 839\n work 3\n work 3\n work 3"
+        } else {
+            "work 40"
+        };
+        let prog = assemble(&format!(
+            r#"
+            .base {base:#x}
+            entry:
+                movi r3, {buf}
+                movi r7, {shared}
+                movi r6, 0
+                movi r8, 200
+            loop:
+                ld r2, r3, 0
+                addi r2, r2, 1
+                st r2, r3, 0
+                work {wk}
+                addi r6, r6, 1
+                blt r6, r8, loop
+                movi r9, {id}
+                {tail}
+                st r9, r7, 0
+            spin:
+                addi r2, r2, 1
+                st r2, r3, 8
+                work 5
+                jmp spin
+            "#,
+            base = 0x70000 + c * 0x8000,
+            wk = 9 + 4 * c,
+            id = c + 1,
+        ))
+        .expect("store-race program");
+        let tid = m.load_program(c as usize, &prog).expect("load");
+        m.start_thread(tid);
+        tids.push(tid);
+    }
+    (m, tids, spans)
+}
+
+/// The cycle both cores of [`build_store_race`] store the shared word.
+const STORE_RACE_AT: u64 = 6_260;
+
+/// A survivor tie whose pop order the simulation reads: the tied window
+/// replays serially, so the two same-cycle stores land in the serial
+/// engine's order.
+#[test]
+fn survivor_tie_over_same_cycle_shared_stores_matches_serial() {
+    let cuts = [STORE_RACE_AT - 60, STORE_RACE_AT - 1, 20_000];
+    let (mut serial, tids_s, spans) = build_store_race(Engine::Reference, 1);
+    for c in cuts {
+        serial.run_until(Cycles(c));
+    }
+    assert_eq!(serial.peek_u64(spans[0].0), 1, "core 0's store lands last");
+    let want = fingerprint(&serial, &tids_s, &spans);
+    for jobs in JOBS {
+        let (mut par, tids_p, spans_p) = build_store_race(Engine::Fast, jobs);
+        for c in cuts {
+            par.run_until(Cycles(c));
+        }
+        assert_eq!(
+            want,
+            fingerprint(&par, &tids_p, &spans_p),
+            "machine-jobs {jobs}"
+        );
+        let st = par.engine_stats();
+        assert!(st.ties > 0 && st.committed > 0, "{st:?}");
+    }
+}

@@ -275,7 +275,7 @@ impl Nic {
         // no borrow while the machine runs: a hook that schedules more
         // packets from inside a delivery is fine.
         let mut payload = Vec::new();
-        let device = m.register_device(move |mach, rec| {
+        let device = m.register_device(move |mach, _, rec| {
             let seq = store.borrow_mut().take(rec as u32, &mut payload);
             ring.deliver(mach, seq, &payload);
         });
@@ -444,8 +444,8 @@ mod tests {
         // scheduled at cycle 1 and sails through.
         m.install_fault_plan(
             FaultPlan::new(3)
-                .with_rate(FaultKind::NicStall, 1.0)
-                .with_window(FaultKind::NicStall, Cycles(0), Cycles(1))
+                .try_with_burst(FaultKind::NicStall, 1.0, Cycles(0), Cycles(1))
+                .expect("a one-cycle burst is valid")
                 .with_delay(FaultKind::NicStall, Cycles(10_000), Cycles(10_000)),
         );
         let nic = Nic::attach(&mut m, NicConfig::default());

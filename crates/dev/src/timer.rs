@@ -6,7 +6,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use switchless_core::machine::{DeviceId, Machine};
+use switchless_core::machine::Machine;
 use switchless_sim::time::Cycles;
 
 /// Handle to a running periodic timer. Dropping the handle does **not**
@@ -40,12 +40,8 @@ impl ApicTimer {
             ticks: Rc::new(Cell::new(0)),
         };
         let t = timer.clone();
-        // The handler reschedules itself, so it learns its id once
-        // registered.
-        let me = Rc::new(Cell::new(None::<DeviceId>));
-        let id_cell = Rc::clone(&me);
         let mut remaining = max_ticks;
-        let id = m.register_device(move |mach, at| {
+        let id = m.register_device(move |mach, me, at| {
             if !t.running.get() {
                 return;
             }
@@ -58,11 +54,9 @@ impl ApicTimer {
             remaining -= 1;
             if remaining > 0 && t.running.get() {
                 let next = Cycles(at) + period;
-                let id = id_cell.get().expect("registered before the first tick");
-                mach.at_device(next, id, next.0);
+                mach.at_device(next, me, next.0);
             }
         });
-        me.set(Some(id));
         if max_ticks > 0 {
             m.at_device(first_tick, id, first_tick.0);
         }

@@ -13,10 +13,7 @@
 //! time also reported). Without the partition, flooding evicts the set
 //! to DRAM; with it, the set stays at L3 latency.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
-use switchless_core::machine::{DeviceId, Machine, MachineConfig};
+use switchless_core::machine::{Machine, MachineConfig};
 use switchless_isa::asm::assemble;
 use switchless_mem::cache::PartitionId;
 use switchless_sim::report::{fnum, Table};
@@ -69,21 +66,15 @@ fn stream(
     let buf = vec![0xaau8; (lines * 64) as usize];
     let mut cursor = 0u64;
     let mut remaining = events;
-    // The handler reschedules itself, so it learns its id once
-    // registered.
-    let me = Rc::new(Cell::new(None::<DeviceId>));
-    let id_cell = Rc::clone(&me);
-    let id = m.register_device(move |mach, at| {
+    let id = m.register_device(move |mach, me, at| {
         mach.dma_write(base + (cursor % span), &buf);
         cursor += lines * 64;
         remaining -= 1;
         if remaining > 0 {
             let next = Cycles(at) + period;
-            let id = id_cell.get().expect("registered before the first event");
-            mach.at_device(next, id, next.0);
+            mach.at_device(next, me, next.0);
         }
     });
-    me.set(Some(id));
     m.at_device(first, id, first.0);
 }
 

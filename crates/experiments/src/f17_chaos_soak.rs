@@ -140,7 +140,7 @@ fn parker_src(base: u64, watch: u64) -> String {
 ///
 /// # Errors
 ///
-/// An invalid plan (degenerate window, out-of-range rate/device — e.g.
+/// An invalid plan (degenerate window, out-of-range rate — e.g.
 /// from a corrupted replay artifact or a hand-built plan) is a
 /// structured [`SimError`], never a panic.
 fn run_storm(plan: &ChaosPlan, sabotage: bool, engine: Engine) -> Result<StormOutcome, SimError> {
@@ -508,7 +508,6 @@ mod tests {
         let plan = ChaosPlan {
             seed: 3,
             duration: TEST_DURATION,
-            devices: 1,
             bursts: Vec::new(),
             digest: None,
         };
@@ -559,6 +558,16 @@ mod tests {
         let err = replay_text(&stamped.to_text()).unwrap_err();
         assert!(matches!(err, SimError::Verdict { .. }), "{err}");
         assert!(err.to_string().contains("digest mismatch"), "{err}");
+    }
+
+    #[test]
+    fn committed_artifact_replays_to_its_recorded_digest() {
+        let text = include_str!("../../sim/tests/data/chaos-plan-v1-seed19.txt");
+        let msg = replay_text(text).expect("the committed artifact replays");
+        assert!(
+            msg.contains("digest=a10298e057b2b0fc digest=match"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -633,10 +642,8 @@ mod tests {
         let plan = ChaosPlan {
             seed: 1,
             duration: TEST_DURATION,
-            devices: 1,
             bursts: vec![ChaosBurst {
                 kind: FaultKind::NicDrop,
-                device: 0,
                 rate: 0.5,
                 from: Cycles(100),
                 to: Cycles(100), // degenerate window
@@ -653,7 +660,6 @@ mod tests {
         // first fabric loss, so only the FabricLoss burst matters.
         let burst = |kind, rate, from: u64, to: u64| ChaosBurst {
             kind,
-            device: 0,
             rate,
             from: Cycles(from),
             to: Cycles(to),
@@ -661,7 +667,6 @@ mod tests {
         let plan = ChaosPlan {
             seed: 99,
             duration: TEST_DURATION,
-            devices: 1,
             bursts: vec![
                 burst(FaultKind::NicDrop, 0.5, 0, 600_000),
                 burst(FaultKind::NicStall, 0.2, 300_000, 600_000),
@@ -696,10 +701,8 @@ mod tests {
         let plan = ChaosPlan {
             seed: 5,
             duration: Cycles(3_000_000),
-            devices: 1,
             bursts: vec![ChaosBurst {
                 kind: FaultKind::FabricLoss,
-                device: 0,
                 rate: 0.9,
                 from: Cycles(0),
                 to: Cycles(2_500_000),

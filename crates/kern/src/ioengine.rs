@@ -591,8 +591,8 @@ mod tests {
         // is eaten on the wire.
         m.install_fault_plan(
             FaultPlan::new(5)
-                .with_rate(FaultKind::NicDrop, 1.0)
-                .with_window(FaultKind::NicDrop, t0, t0 + Cycles(1)),
+                .try_with_burst(FaultKind::NicDrop, 1.0, t0, t0 + Cycles(1))
+                .expect("a one-cycle burst is valid"),
         );
         eng.note_packet(0, t0 + Cycles(300), Cycles(2_000));
         nic.schedule_rx(&mut m, t0, 0, &[1; 32]);
@@ -617,8 +617,8 @@ mod tests {
         let t0 = m.now();
         m.install_fault_plan(
             FaultPlan::new(6)
-                .with_rate(FaultKind::NicStall, 1.0)
-                .with_window(FaultKind::NicStall, t0, t0 + Cycles(1))
+                .try_with_burst(FaultKind::NicStall, 1.0, t0, t0 + Cycles(1))
+                .expect("a one-cycle burst is valid")
                 .with_delay(FaultKind::NicStall, Cycles(20_000), Cycles(20_000)),
         );
         eng.note_packet(0, t0 + Cycles(300), Cycles(2_000));
@@ -643,8 +643,8 @@ mod tests {
         let t0 = m.now();
         m.install_fault_plan(
             FaultPlan::new(7)
-                .with_rate(FaultKind::NicCorrupt, 1.0)
-                .with_window(FaultKind::NicCorrupt, t0, t0 + Cycles(1)),
+                .try_with_burst(FaultKind::NicCorrupt, 1.0, t0, t0 + Cycles(1))
+                .expect("a one-cycle burst is valid"),
         );
         let mut payload = [0x5au8; 32];
         checksum_seal(&mut payload);

@@ -351,12 +351,6 @@ impl Hierarchy {
         };
         (agg(|c| &c.l1), agg(|c| &c.l2), self.l3.hit_miss())
     }
-
-    /// L3 occupancy of a partition, in lines.
-    #[must_use]
-    pub fn l3_occupancy(&self, part: PartitionId) -> u64 {
-        self.l3.occupancy(part)
-    }
 }
 
 #[cfg(test)]

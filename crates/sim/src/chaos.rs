@@ -16,6 +16,8 @@
 //! * [`ChaosPlan::to_text`] / [`ChaosPlan::parse`] round-trip the plan
 //!   through the `chaos-plan/v1` artifact format (rates serialized as
 //!   f64 bit patterns, so replay is exact, never a decimal approximation).
+//!   A plan has no device axis; the format's `devices 1` line and `0`
+//!   device column are fixed, and the parser refuses any other value.
 //! * [`shrink`] reduces a failing plan to a minimal reproducer with a
 //!   caller-supplied oracle — delta-debugging over the burst set, then
 //!   bisection of each surviving window.
@@ -41,14 +43,12 @@ pub const MAX_DURATION: Cycles = Cycles(1_000_000_000);
 /// bursts, and a hard stop against pathological oracles.
 const SHRINK_BUDGET: u32 = 512;
 
-/// One windowed storm burst: `kind` fires on `device` at `rate` while the
-/// clock is in `[from, to)`.
+/// One windowed storm burst: `kind` fires at `rate` while the clock is in
+/// `[from, to)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChaosBurst {
     /// The fault kind this burst drives.
     pub kind: FaultKind,
-    /// Device instance the burst targets.
-    pub device: u8,
     /// Per-operation fault probability inside the window.
     pub rate: f64,
     /// Window start (inclusive).
@@ -67,20 +67,17 @@ pub struct ChaosConfig {
     /// Upper bound on per-operation fault rates; intensities are drawn
     /// log-uniformly from three decades below this.
     pub max_rate: f64,
-    /// Device instances per class (burst device ids are drawn below this).
-    pub devices: u8,
 }
 
 impl ChaosConfig {
     /// A storm config for a soak of the given duration: 6 episodes,
-    /// rates up to 10%, single device instances.
+    /// rates up to 10%.
     #[must_use]
     pub fn new(duration: Cycles) -> ChaosConfig {
         ChaosConfig {
             duration,
             episodes: 6,
             max_rate: 0.1,
-            devices: 1,
         }
     }
 }
@@ -93,9 +90,7 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// Soak duration the plan was built for.
     pub duration: Cycles,
-    /// Device instances per class.
-    pub devices: u8,
-    /// The composed storm, sorted canonically (kind, device, window).
+    /// The composed storm, sorted canonically (kind, window).
     pub bursts: Vec<ChaosBurst>,
     /// Outcome digest recorded by a previous run, if any; replay compares
     /// against this to prove bit-identical re-execution.
@@ -131,7 +126,9 @@ impl ChaosPlan {
             let rate = cfg.max_rate * 10f64.powf(-3.0 * rng.next_f64());
             let sweep = rng.chance(0.3) && (to - from) >= 3;
             for kind in pool.into_iter().take(kinds_n) {
-                let device = rng.next_below(u64::from(cfg.devices.max(1))) as u8;
+                // This draw once picked a device id (always 0); it stays
+                // so every seed still generates the same storm.
+                rng.next_u64();
                 if sweep {
                     // Ramp: third the window at rate/4, rate/2, rate.
                     let step = (to - from) / 3;
@@ -144,7 +141,6 @@ impl ChaosPlan {
                         };
                         bursts.push(ChaosBurst {
                             kind,
-                            device,
                             rate: *r,
                             from: Cycles(f),
                             to: Cycles(t),
@@ -153,7 +149,6 @@ impl ChaosPlan {
                 } else {
                     bursts.push(ChaosBurst {
                         kind,
-                        device,
                         rate,
                         from: Cycles(from),
                         to: Cycles(to),
@@ -164,7 +159,6 @@ impl ChaosPlan {
         let mut plan = ChaosPlan {
             seed,
             duration: cfg.duration,
-            devices: cfg.devices.max(1),
             bursts,
             digest: None,
         };
@@ -172,29 +166,23 @@ impl ChaosPlan {
         plan
     }
 
-    /// Sorts bursts canonically and clips same-(kind, device) overlaps so
-    /// the plan always passes [`FaultPlan`] validation.
+    /// Sorts bursts canonically and clips same-kind overlaps so the plan
+    /// always passes [`FaultPlan`] validation.
     fn canonicalise(&mut self) {
-        self.bursts.sort_by(|a, b| {
-            (a.kind.index(), a.device, a.from.0, a.to.0).cmp(&(
-                b.kind.index(),
-                b.device,
-                b.from.0,
-                b.to.0,
-            ))
-        });
+        self.bursts
+            .sort_by_key(|b| (b.kind.index(), b.from.0, b.to.0));
         let mut out: Vec<ChaosBurst> = Vec::with_capacity(self.bursts.len());
-        let mut cursor: Option<(usize, u8, u64)> = None;
+        let mut cursor: Option<(usize, u64)> = None;
         for mut b in self.bursts.drain(..) {
-            if let Some((k, d, end)) = cursor {
-                if k == b.kind.index() && d == b.device {
+            if let Some((k, end)) = cursor {
+                if k == b.kind.index() {
                     b.from = Cycles(b.from.0.max(end));
                 }
             }
             if b.from >= b.to {
                 continue; // fully shadowed by an earlier burst
             }
-            cursor = Some((b.kind.index(), b.device, b.to.0));
+            cursor = Some((b.kind.index(), b.to.0));
             out.push(b);
         }
         self.bursts = out;
@@ -202,9 +190,9 @@ impl ChaosPlan {
 
     /// Builds the executable [`FaultPlan`] for this schedule.
     pub fn to_fault_plan(&self) -> Result<FaultPlan, FaultPlanError> {
-        let mut plan = FaultPlan::new(self.seed).with_devices(self.devices);
+        let mut plan = FaultPlan::new(self.seed);
         for b in &self.bursts {
-            plan = plan.try_with_burst(b.kind, b.device, b.rate, b.from, b.to)?;
+            plan = plan.try_with_burst(b.kind, b.rate, b.from, b.to)?;
         }
         Ok(plan)
     }
@@ -214,7 +202,8 @@ impl ChaosPlan {
     /// Rates are serialized as hexadecimal f64 bit patterns (with an
     /// approximate decimal in a trailing comment) so a parsed plan is
     /// *bit-identical* to the one that was written, never a rounding
-    /// neighbour.
+    /// neighbour. The format's `devices 1` line and `0` device column
+    /// are fixed: a plan has one instance of each device.
     #[must_use]
     pub fn to_text(&self) -> String {
         use core::fmt::Write as _;
@@ -222,13 +211,12 @@ impl ChaosPlan {
         s.push_str("chaos-plan/v1\n");
         let _ = writeln!(s, "seed {}", self.seed);
         let _ = writeln!(s, "duration {}", self.duration.0);
-        let _ = writeln!(s, "devices {}", self.devices);
+        s.push_str("devices 1\n");
         for b in &self.bursts {
             let _ = writeln!(
                 s,
-                "burst {} {} {} {} {:016x} # rate≈{:.2e}",
+                "burst {} 0 {} {} {:016x} # rate≈{:.2e}",
                 b.kind,
-                b.device,
                 b.from.0,
                 b.to.0,
                 b.rate.to_bits(),
@@ -245,9 +233,10 @@ impl ChaosPlan {
     ///
     /// # Errors
     ///
-    /// [`SimError::Parse`] for a malformed line or a duration above
-    /// [`MAX_DURATION`]; [`SimError::FaultPlan`] for bursts that do not
-    /// form a valid [`FaultPlan`].
+    /// [`SimError::Parse`] for a malformed line, a duration above
+    /// [`MAX_DURATION`], or a device count other than 1 or device id
+    /// other than 0; [`SimError::FaultPlan`] for bursts that do not form a
+    /// valid [`FaultPlan`].
     pub fn parse(text: &str) -> Result<ChaosPlan, SimError> {
         let bad = |line: usize, detail: String| SimError::Parse { line, detail };
         let mut lines = text.lines().enumerate();
@@ -266,7 +255,6 @@ impl ChaosPlan {
         let mut plan = ChaosPlan {
             seed: 0,
             duration: Cycles(0),
-            devices: 1,
             bursts: Vec::new(),
             digest: None,
         };
@@ -305,7 +293,10 @@ impl ChaosPlan {
                     }
                 }
                 "devices" => {
-                    plan.devices = take_u64(&mut f, n, "device count", 10)?.clamp(1, 255) as u8;
+                    let count = take_u64(&mut f, n, "device count", 10)?;
+                    if count != 1 {
+                        return Err(bad(n, format!("device count {count} is not 1")));
+                    }
                 }
                 "digest" => plan.digest = Some(take_u64(&mut f, n, "digest", 16)?),
                 "burst" => {
@@ -316,13 +307,15 @@ impl ChaosPlan {
                         .into_iter()
                         .find(|k| k.to_string() == name)
                         .ok_or_else(|| bad(n, format!("unknown fault kind `{name}`")))?;
-                    let device = take_u64(&mut f, n, "device", 10)?.min(255) as u8;
+                    let device = take_u64(&mut f, n, "device", 10)?;
+                    if device != 0 {
+                        return Err(bad(n, format!("device {device} is not 0")));
+                    }
                     let from = Cycles(take_u64(&mut f, n, "window start", 10)?);
                     let to = Cycles(take_u64(&mut f, n, "window end", 10)?);
                     let rate = f64::from_bits(take_u64(&mut f, n, "rate bits", 16)?);
                     plan.bursts.push(ChaosBurst {
                         kind,
-                        device,
                         rate,
                         from,
                         to,
@@ -331,7 +324,7 @@ impl ChaosPlan {
                 other => return Err(bad(n, format!("unknown directive `{other}`"))),
             }
         }
-        // Surface invalid windows/rates/devices now, structurally, rather
+        // Surface invalid windows and rates now, structurally, rather
         // than as a panic at run time.
         plan.to_fault_plan().map_err(SimError::FaultPlan)?;
         Ok(plan)
@@ -598,10 +591,8 @@ mod tests {
         let mut plan = ChaosPlan {
             seed: 3,
             duration: Cycles(1000),
-            devices: 1,
             bursts: vec![ChaosBurst {
                 kind: FaultKind::SsdReadError,
-                device: 0,
                 rate: 1.0,
                 from: Cycles(0),
                 to: Cycles(1000),

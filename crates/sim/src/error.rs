@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn fault_plan_errors_convert() {
         let err = FaultPlan::new(1)
-            .try_with_burst(FaultKind::NicDrop, 0, 0.5, Cycles(10), Cycles(10))
+            .try_with_burst(FaultKind::NicDrop, 0.5, Cycles(10), Cycles(10))
             .unwrap_err();
         let sim: SimError = err.into();
         assert!(matches!(sim, SimError::FaultPlan(_)));

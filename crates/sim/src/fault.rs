@@ -3,9 +3,10 @@
 //! The paper's §3 claim is not just that switchless I/O is fast, but that
 //! fault *containment and recovery* work without context switches. To
 //! measure that, device models must be able to fail — on demand, and
-//! reproducibly. A [`FaultPlan`] schedules faults by component, kind, rate
-//! and cycle window, drawing from per-component [`Rng`] streams forked from
-//! one seed so that:
+//! reproducibly. A [`FaultPlan`] gives each fault kind a base rate and an
+//! extra-delay range, and layers windowed bursts over the base rates (a
+//! burst is the only way to confine a rate to a stretch of cycles). It
+//! draws from per-component [`Rng`] streams forked from one seed so that:
 //!
 //! * two runs with the same seed inject the byte-identical fault sequence;
 //! * adding draws for one component never perturbs another component's
@@ -178,11 +179,11 @@ impl core::fmt::Display for FaultKind {
     }
 }
 
-/// A structured reason a [`FaultPlan`] configuration was rejected.
+/// A structured reason a [`FaultPlan`] burst was rejected.
 ///
-/// Returned by the `try_*` builders so callers (the chaos generator, the
-/// replay parser) can refuse a bad plan at construction time instead of
-/// panicking — or worse, silently misbehaving — mid-soak.
+/// Returned by [`FaultPlan::try_with_burst`] so callers (the chaos
+/// generator, the replay parser) can refuse a bad plan at construction
+/// time instead of panicking — or worse, silently misbehaving — mid-soak.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultPlanError {
     /// A window with `from >= to` can never fire; almost certainly a bug
@@ -195,13 +196,11 @@ pub enum FaultPlanError {
         /// Window end (exclusive).
         to: Cycles,
     },
-    /// Two bursts for the same kind and device overlap in time, which
-    /// would make the effective rate ambiguous.
+    /// Two bursts for the same kind overlap in time, which would make the
+    /// effective rate ambiguous.
     OverlappingWindows {
         /// The kind with conflicting bursts.
         kind: FaultKind,
-        /// The device both bursts target.
-        device: u8,
         /// The previously accepted window.
         first: (Cycles, Cycles),
         /// The rejected window.
@@ -214,22 +213,6 @@ pub enum FaultPlanError {
         /// The offending value.
         rate: f64,
     },
-    /// A delay range with `lo > hi`.
-    DelayInverted {
-        /// The kind with the bad delay range.
-        kind: FaultKind,
-        /// Lower bound.
-        lo: Cycles,
-        /// Upper bound.
-        hi: Cycles,
-    },
-    /// A burst targets a device id at or beyond the plan's device count.
-    DeviceOutOfRange {
-        /// The offending device id.
-        device: u8,
-        /// The plan's configured device count.
-        count: u8,
-    },
 }
 
 impl core::fmt::Display for FaultPlanError {
@@ -240,22 +223,15 @@ impl core::fmt::Display for FaultPlanError {
             }
             FaultPlanError::OverlappingWindows {
                 kind,
-                device,
                 first,
                 second,
             } => write!(
                 f,
-                "{kind} on device {device}: burst [{}, {}) overlaps [{}, {})",
+                "{kind}: burst [{}, {}) overlaps [{}, {})",
                 second.0 .0, second.1 .0, first.0 .0, first.1 .0
             ),
             FaultPlanError::RateOutOfRange { kind, rate } => {
                 write!(f, "{kind}: rate {rate} is not in [0, 1]")
-            }
-            FaultPlanError::DelayInverted { kind, lo, hi } => {
-                write!(f, "{kind}: delay range {}..{} is inverted", lo.0, hi.0)
-            }
-            FaultPlanError::DeviceOutOfRange { device, count } => {
-                write!(f, "device id {device} out of range (plan has {count})")
             }
         }
     }
@@ -263,11 +239,10 @@ impl core::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// A validated, windowed rate override for one kind on one device.
+/// A validated, windowed rate override for one kind.
 #[derive(Clone, Copy, Debug)]
 struct Burst {
     kind: FaultKind,
-    device: u8,
     rate: f64,
     from: Cycles,
     to: Cycles,
@@ -278,9 +253,6 @@ struct Burst {
 struct KindSetting {
     /// Probability a single eligible operation faults, in `[0, 1]`.
     rate: f64,
-    /// Faults fire only in `[from, to)` simulated cycles.
-    from: Cycles,
-    to: Cycles,
     /// Extra-delay range for delay-shaped kinds.
     delay: (Cycles, Cycles),
 }
@@ -292,15 +264,11 @@ struct KindSetting {
 /// query it through the machine so counters and tracing stay centralised.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    seed: u64,
     /// One decorrelated stream per component, forked from the seed.
     streams: [Rng; FaultComponent::COUNT],
     settings: [KindSetting; FaultKind::ALL.len()],
-    /// How many instances of each device class the machine exposes;
-    /// bursts must target a device id below this.
-    devices: u8,
     /// Validated windowed overrides, sorted by nothing in particular —
-    /// at most one burst per (kind, device) covers any instant.
+    /// at most one burst per kind covers any instant.
     bursts: Vec<Burst>,
 }
 
@@ -312,15 +280,11 @@ impl FaultPlan {
         let streams = [root.fork(1), root.fork(2), root.fork(3), root.fork(4)];
         let settings = FaultKind::ALL.map(|k| KindSetting {
             rate: 0.0,
-            from: Cycles(0),
-            to: Cycles(u64::MAX),
             delay: k.default_delay(),
         });
         FaultPlan {
-            seed,
             streams,
             settings,
-            devices: 1,
             bursts: Vec::new(),
         }
     }
@@ -332,100 +296,38 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the same per-operation fault probability for every kind.
-    #[must_use]
-    pub fn with_all_rates(mut self, rate: f64) -> FaultPlan {
-        for s in &mut self.settings {
-            s.rate = rate.clamp(0.0, 1.0);
-        }
-        self
-    }
-
-    /// Restricts one kind to the cycle window `[from, to)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty window; use [`FaultPlan::try_with_window`] to
-    /// handle the error structurally.
-    #[must_use]
-    pub fn with_window(self, kind: FaultKind, from: Cycles, to: Cycles) -> FaultPlan {
-        self.try_with_window(kind, from, to)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Restricts one kind to the cycle window `[from, to)`, rejecting
-    /// empty windows with a structured error.
-    pub fn try_with_window(
-        mut self,
-        kind: FaultKind,
-        from: Cycles,
-        to: Cycles,
-    ) -> Result<FaultPlan, FaultPlanError> {
-        if from >= to {
-            return Err(FaultPlanError::EmptyWindow { kind, from, to });
-        }
-        let s = &mut self.settings[kind.index()];
-        s.from = from;
-        s.to = to;
-        Ok(self)
-    }
-
     /// Overrides the extra-delay range for a delay-shaped kind.
     ///
     /// # Panics
     ///
-    /// Panics on an inverted range; use [`FaultPlan::try_with_delay`] to
-    /// handle the error structurally.
+    /// Panics on an inverted range (`lo > hi`), naming the kind.
     #[must_use]
-    pub fn with_delay(self, kind: FaultKind, lo: Cycles, hi: Cycles) -> FaultPlan {
-        self.try_with_delay(kind, lo, hi)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Overrides the extra-delay range for a delay-shaped kind, rejecting
-    /// an inverted range with a structured error.
-    pub fn try_with_delay(
-        mut self,
-        kind: FaultKind,
-        lo: Cycles,
-        hi: Cycles,
-    ) -> Result<FaultPlan, FaultPlanError> {
-        if lo > hi {
-            return Err(FaultPlanError::DelayInverted { kind, lo, hi });
-        }
+    pub fn with_delay(mut self, kind: FaultKind, lo: Cycles, hi: Cycles) -> FaultPlan {
+        assert!(
+            lo <= hi,
+            "{kind}: delay range {}..{} is inverted",
+            lo.0,
+            hi.0
+        );
         self.settings[kind.index()].delay = (lo, hi);
-        Ok(self)
-    }
-
-    /// Declares how many instances of each device class the machine
-    /// exposes (default 1). Burst device ids are validated against this.
-    #[must_use]
-    pub fn with_devices(mut self, count: u8) -> FaultPlan {
-        self.devices = count.max(1);
         self
     }
 
-    /// Adds a validated, windowed rate override for `kind` on `device`.
+    /// Adds a validated, windowed rate override for `kind`.
     ///
     /// While `now` is inside `[from, to)` the burst's rate replaces the
     /// kind's base rate — so a plan can layer storms (and calm stretches)
-    /// over a background rate. Bursts for the *same* kind and device must
-    /// not overlap; bursts for different kinds may, which is how composed
-    /// storms are expressed.
+    /// over a background rate, or, at a base rate of zero, confine a kind
+    /// to one window. Bursts for the *same* kind must not overlap; bursts
+    /// for different kinds may, which is how composed storms are
+    /// expressed.
     pub fn try_with_burst(
         mut self,
         kind: FaultKind,
-        device: u8,
         rate: f64,
         from: Cycles,
         to: Cycles,
     ) -> Result<FaultPlan, FaultPlanError> {
-        if device >= self.devices {
-            return Err(FaultPlanError::DeviceOutOfRange {
-                device,
-                count: self.devices,
-            });
-        }
         if !(0.0..=1.0).contains(&rate) {
             return Err(FaultPlanError::RateOutOfRange { kind, rate });
         }
@@ -435,18 +337,16 @@ impl FaultPlan {
         if let Some(prev) = self
             .bursts
             .iter()
-            .find(|b| b.kind == kind && b.device == device && from < b.to && b.from < to)
+            .find(|b| b.kind == kind && from < b.to && b.from < to)
         {
             return Err(FaultPlanError::OverlappingWindows {
                 kind,
-                device,
                 first: (prev.from, prev.to),
                 second: (from, to),
             });
         }
         self.bursts.push(Burst {
             kind,
-            device,
             rate,
             from,
             to,
@@ -454,54 +354,28 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// The seed this plan was built from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Configured rate for a kind.
-    #[must_use]
-    pub fn rate(&self, kind: FaultKind) -> f64 {
-        self.settings[kind.index()].rate
-    }
-
-    /// Decides whether `kind` fires for one operation at time `now`.
+    /// Decides whether `kind` fires for one operation at time `now`,
+    /// honouring any burst covering that instant.
     ///
     /// Randomness is consumed **only** when the kind's effective rate is
-    /// positive at `now`, so disabled kinds (and windows) leave every
+    /// positive at `now`, so disabled kinds (and calm bursts) leave every
     /// stream untouched — determinism of the active kinds is unaffected
-    /// by how often inactive ones are queried. Draws for device 0; see
-    /// [`FaultPlan::draw_on`] for multi-instance machines.
+    /// by how often inactive ones are queried.
     pub fn draw(&mut self, now: Cycles, kind: FaultKind) -> bool {
-        self.draw_on(0, now, kind)
-    }
-
-    /// Decides whether `kind` fires on `device` for one operation at
-    /// `now`, honouring any burst override covering that instant.
-    pub fn draw_on(&mut self, device: u8, now: Cycles, kind: FaultKind) -> bool {
-        let rate = self.effective_rate(device, now, kind);
+        let rate = self.effective_rate(now, kind);
         if rate <= 0.0 {
             return false;
         }
         self.streams[kind.component().index()].chance(rate)
     }
 
-    /// The rate in force for `(kind, device)` at `now`: the covering
-    /// burst's rate if one exists, else the base setting inside its
-    /// window, else zero.
-    fn effective_rate(&self, device: u8, now: Cycles, kind: FaultKind) -> f64 {
-        for b in &self.bursts {
-            if b.kind == kind && b.device == device && now >= b.from && now < b.to {
-                return b.rate;
-            }
-        }
-        let s = &self.settings[kind.index()];
-        if now < s.from || now >= s.to {
-            0.0
-        } else {
-            s.rate
-        }
+    /// The rate in force for `kind` at `now`: the covering burst's rate
+    /// if one exists, else the base rate.
+    fn effective_rate(&self, now: Cycles, kind: FaultKind) -> f64 {
+        self.bursts
+            .iter()
+            .find(|b| b.kind == kind && now >= b.from && now < b.to)
+            .map_or(self.settings[kind.index()].rate, |b| b.rate)
     }
 
     /// Draws the extra delay for a delay-shaped kind that just fired.
@@ -555,9 +429,11 @@ mod tests {
 
     #[test]
     fn window_gates_firing() {
+        // A burst over a zero base rate is how a kind is confined to a
+        // window.
         let mut p = FaultPlan::new(3)
-            .with_rate(FaultKind::FabricLoss, 1.0)
-            .with_window(FaultKind::FabricLoss, Cycles(100), Cycles(200));
+            .try_with_burst(FaultKind::FabricLoss, 1.0, Cycles(100), Cycles(200))
+            .unwrap();
         assert!(!p.draw(Cycles(99), FaultKind::FabricLoss));
         assert!(p.draw(Cycles(100), FaultKind::FabricLoss));
         assert!(p.draw(Cycles(199), FaultKind::FabricLoss));
@@ -620,7 +496,7 @@ mod tests {
     #[test]
     fn empty_windows_are_rejected() {
         let err = FaultPlan::new(1)
-            .try_with_window(FaultKind::NicDrop, Cycles(50), Cycles(50))
+            .try_with_burst(FaultKind::NicDrop, 0.5, Cycles(50), Cycles(50))
             .unwrap_err();
         assert_eq!(
             err,
@@ -631,7 +507,7 @@ mod tests {
             }
         );
         let err = FaultPlan::new(1)
-            .try_with_burst(FaultKind::SsdReadError, 0, 0.1, Cycles(9), Cycles(3))
+            .try_with_burst(FaultKind::SsdReadError, 0.1, Cycles(9), Cycles(3))
             .unwrap_err();
         assert!(matches!(err, FaultPlanError::EmptyWindow { .. }));
     }
@@ -639,9 +515,9 @@ mod tests {
     #[test]
     fn overlapping_bursts_same_kind_are_rejected() {
         let err = FaultPlan::new(1)
-            .try_with_burst(FaultKind::FabricLoss, 0, 0.2, Cycles(100), Cycles(200))
+            .try_with_burst(FaultKind::FabricLoss, 0.2, Cycles(100), Cycles(200))
             .unwrap()
-            .try_with_burst(FaultKind::FabricLoss, 0, 0.4, Cycles(150), Cycles(300))
+            .try_with_burst(FaultKind::FabricLoss, 0.4, Cycles(150), Cycles(300))
             .unwrap_err();
         assert!(
             matches!(err, FaultPlanError::OverlappingWindows { kind, .. }
@@ -650,33 +526,15 @@ mod tests {
         );
         // Adjacent ([100,200) then [200,300)) is fine.
         FaultPlan::new(1)
-            .try_with_burst(FaultKind::FabricLoss, 0, 0.2, Cycles(100), Cycles(200))
+            .try_with_burst(FaultKind::FabricLoss, 0.2, Cycles(100), Cycles(200))
             .unwrap()
-            .try_with_burst(FaultKind::FabricLoss, 0, 0.4, Cycles(200), Cycles(300))
+            .try_with_burst(FaultKind::FabricLoss, 0.4, Cycles(200), Cycles(300))
             .unwrap();
         // Same window on a *different* kind overlaps freely (composed storm).
         FaultPlan::new(1)
-            .try_with_burst(FaultKind::FabricLoss, 0, 0.2, Cycles(100), Cycles(200))
+            .try_with_burst(FaultKind::FabricLoss, 0.2, Cycles(100), Cycles(200))
             .unwrap()
-            .try_with_burst(FaultKind::NicDrop, 0, 0.2, Cycles(100), Cycles(200))
-            .unwrap();
-    }
-
-    #[test]
-    fn burst_device_ids_are_validated() {
-        let err = FaultPlan::new(1)
-            .try_with_burst(FaultKind::NicDrop, 2, 0.1, Cycles(0), Cycles(10))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FaultPlanError::DeviceOutOfRange {
-                device: 2,
-                count: 1
-            }
-        );
-        FaultPlan::new(1)
-            .with_devices(3)
-            .try_with_burst(FaultKind::NicDrop, 2, 0.1, Cycles(0), Cycles(10))
+            .try_with_burst(FaultKind::NicDrop, 0.2, Cycles(100), Cycles(200))
             .unwrap();
     }
 
@@ -684,7 +542,7 @@ mod tests {
     fn burst_rates_are_validated() {
         for bad in [-0.1, 1.5, f64::NAN] {
             let err = FaultPlan::new(1)
-                .try_with_burst(FaultKind::NicDrop, 0, bad, Cycles(0), Cycles(10))
+                .try_with_burst(FaultKind::NicDrop, bad, Cycles(0), Cycles(10))
                 .unwrap_err();
             assert!(
                 matches!(err, FaultPlanError::RateOutOfRange { .. }),
@@ -695,24 +553,21 @@ mod tests {
 
     #[test]
     fn inverted_delay_is_structured() {
-        let err = FaultPlan::new(1)
-            .try_with_delay(FaultKind::NicStall, Cycles(20), Cycles(10))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FaultPlanError::DelayInverted {
-                kind: FaultKind::NicStall,
-                lo: Cycles(20),
-                hi: Cycles(10)
-            }
-        );
+        let payload = std::panic::catch_unwind(|| {
+            FaultPlan::new(1).with_delay(FaultKind::NicStall, Cycles(20), Cycles(10))
+        })
+        .unwrap_err();
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("panic message is formatted");
+        assert_eq!(msg, "nic.stall: delay range 20..10 is inverted");
     }
 
     #[test]
     fn burst_overrides_base_rate_inside_window_only() {
         let mut p = FaultPlan::new(4)
             .with_rate(FaultKind::FabricLoss, 1.0)
-            .try_with_burst(FaultKind::FabricLoss, 0, 0.0, Cycles(100), Cycles(200))
+            .try_with_burst(FaultKind::FabricLoss, 0.0, Cycles(100), Cycles(200))
             .unwrap();
         // Base rate 1.0 outside the burst, calm (0.0) inside it.
         assert!(p.draw(Cycles(99), FaultKind::FabricLoss));
@@ -724,14 +579,14 @@ mod tests {
     #[test]
     fn burstless_plan_draws_are_bit_identical_to_legacy_path() {
         // A plan with no bursts must consume the exact same randomness as
-        // before bursts existed: draw() == draw_on(0).
-        let mut a = FaultPlan::new(77).with_rate(FaultKind::SsdReadError, 0.3);
-        let mut b = FaultPlan::new(77).with_rate(FaultKind::SsdReadError, 0.3);
+        // before bursts existed: one `chance(rate)` on the component's
+        // stream, forked from the seed in component order, per draw.
+        let mut p = FaultPlan::new(77).with_rate(FaultKind::SsdReadError, 0.3);
+        let mut root = Rng::seed_from(77);
+        let _nic = root.fork(1);
+        let mut ssd = root.fork(2);
         for i in 0..5_000 {
-            assert_eq!(
-                a.draw(Cycles(i), FaultKind::SsdReadError),
-                b.draw_on(0, Cycles(i), FaultKind::SsdReadError)
-            );
+            assert_eq!(p.draw(Cycles(i), FaultKind::SsdReadError), ssd.chance(0.3));
         }
     }
 
@@ -742,7 +597,7 @@ mod tests {
         let mut plain = FaultPlan::new(8).with_rate(FaultKind::NicDrop, 0.5);
         let mut calmed = FaultPlan::new(8)
             .with_rate(FaultKind::NicDrop, 0.5)
-            .try_with_burst(FaultKind::NicDrop, 0, 0.0, Cycles(10), Cycles(20))
+            .try_with_burst(FaultKind::NicDrop, 0.0, Cycles(10), Cycles(20))
             .unwrap();
         let a: Vec<bool> = (0..10)
             .map(|i| plain.draw(Cycles(i), FaultKind::NicDrop))
@@ -767,10 +622,9 @@ mod tests {
     }
 
     #[test]
-    fn all_rates_builder_covers_every_kind() {
-        let mut p = FaultPlan::new(1).with_all_rates(1.0);
+    fn every_kind_fires_at_rate_one() {
         for k in FaultKind::ALL {
-            assert!((p.rate(k) - 1.0).abs() < f64::EPSILON);
+            let mut p = FaultPlan::new(1).with_rate(k, 1.0);
             assert!(p.draw(Cycles(0), k), "{k} should fire at rate 1");
         }
     }

@@ -11,8 +11,8 @@
 //!   generator ([`rng::Rng`]) so that every simulation is reproducible from
 //!   a seed, independent of external crates.
 //! * [`fault`] — seeded, deterministic fault-injection plans
-//!   ([`fault::FaultPlan`]) that schedule device faults by component, kind,
-//!   rate and cycle window, validated at construction
+//!   ([`fault::FaultPlan`]) that schedule device faults by component, kind
+//!   and rate, with windowed bursts validated at construction
 //!   ([`fault::FaultPlanError`]).
 //! * [`chaos`] — seeded composed fault storms ([`chaos::ChaosPlan`]):
 //!   generation, the `chaos-plan/v1` replay-artifact format, and an

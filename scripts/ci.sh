@@ -35,6 +35,10 @@
 #            violation-free, every plan must replay bit-identically
 #            from its chaos-plan/v1 artifact, and a second soak run in
 #            a fresh process must print identical digests
+#   artifact --replay of the committed chaos-plan/v1 artifact
+#            (crates/sim/tests/data/) must exit 0 with its recorded
+#            digest matched: the replay format and every draw behind it
+#            still reproduce a plan written by an earlier build
 #   fmt      cargo fmt --check: the tree is rustfmt-clean
 #   doc      rustdoc over the workspace with warnings as errors: no
 #            broken or private intra-doc links in the public docs
@@ -154,6 +158,13 @@ if [ "$s1" != "$s2" ]; then
     exit 1
 fi
 echo "chaos soak: violation-free, digests stable across processes"
+
+step "committed chaos-plan/v1 artifact (--replay must match its digest)"
+if ! cargo run -q --release -p switchless-experiments -- \
+    --replay crates/sim/tests/data/chaos-plan-v1-seed19.txt; then
+    echo "FAIL: the committed chaos-plan/v1 artifact no longer replays" >&2
+    exit 1
+fi
 
 step "parallel determinism (full --quick suite, --jobs 1 vs --jobs 4)"
 j1=target/ci-results-j1
