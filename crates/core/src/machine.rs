@@ -42,7 +42,7 @@ use std::convert::Infallible;
 use switchless_isa::arch::{ArchState, Mode, RegSel};
 use switchless_isa::asm::Program;
 use switchless_isa::inst::{Inst, Reg};
-use switchless_mem::addr::{PAddr, PAGE_BYTES};
+use switchless_mem::addr::{PAddr, LINE_BYTES, PAGE_BYTES};
 use switchless_mem::cache::PartitionId;
 use switchless_mem::hierarchy::{
     AccessKind, AccessResult, CoreCaches, Hierarchy, HierarchyConfig, HitLevel,
@@ -424,7 +424,13 @@ pub struct EngineStats {
     pub mem_block_insts: u64,
     /// Superblocks formed.
     pub blocks_formed: u64,
-    /// Superblock entries whose probe failed, so the burst single-stepped.
+    /// Superblock entries that committed at least one iteration; a
+    /// looping block runs many iterations per entry, so
+    /// `(reg_block_insts + mem_block_insts) / block_runs` is the mean
+    /// instructions retired per entry.
+    pub block_runs: u64,
+    /// Superblock iterations whose probe failed, so the burst
+    /// single-stepped from that iteration's entry.
     pub block_bails: u64,
     /// Runs of the fetch-and-decode slow path (a pc with no cached
     /// decode).
@@ -466,6 +472,7 @@ impl EngineStats {
         self.step_insts += d.step_insts;
         self.reg_block_insts += d.reg_block_insts;
         self.mem_block_insts += d.mem_block_insts;
+        self.block_runs += d.block_runs;
         self.block_bails += d.block_bails;
         self.decode_misses += d.decode_misses;
     }
@@ -1223,6 +1230,19 @@ impl Machine {
     #[must_use]
     pub fn cache_writebacks(&self) -> (u64, u64, u64) {
         self.hier.writebacks()
+    }
+
+    /// The `Debug` rendering of the whole cache hierarchy (every line's
+    /// tag, LRU stamp and dirty bit, every level's statistics) and of
+    /// each core's TLB. Host engines leave it byte-identical to
+    /// [`Engine::Reference`]; differential tests compare it.
+    #[must_use]
+    pub fn cache_state(&self) -> String {
+        let mut s = format!("{:?}", self.hier);
+        for cs in &self.cores {
+            s += &format!("\n{:?}", cs.tlb);
+        }
+        s
     }
 
     /// Host-level `start`: makes the thread runnable.
@@ -2097,19 +2117,80 @@ pub(crate) trait ExecCtx {
     ) -> Result<Option<u64>, Self::Bail>;
 }
 
-/// Reusable scratch for the superblock probe: the merged
-/// fetch+data L1 line stream (line, last-access position, written), the
-/// data-page stream (page, last data-access index), the dedup-keep-last
-/// data lines for the prefetcher, the store undo log (addr, old value,
-/// width), and the distinct store ranges already vetted by
-/// [`store_is_quiet`].
+/// Reusable scratch for the superblock probe: the merged fetch+data L1
+/// line stream (line, last-access position, written), which opens with
+/// the block's fetch lines in `Superblock::lines` order holding only
+/// their data positions until the commit adds the fetches; the data-page
+/// stream (page, last data-access index); the dedup-keep-last data lines
+/// for the prefetcher; the store undo log (addr, old value, width); and
+/// the current iteration's data accesses, one entry per run of
+/// consecutive accesses to one line (line, last position, last
+/// data-access index, any written), merged into the streams only once
+/// the iteration completes. `li` and `pi` index the last merged line and
+/// page entry; any value is safe, since a use first checks the entry.
 #[derive(Default)]
 pub(crate) struct Probe {
     lines: Vec<(PAddr, u64, bool)>,
     pages: Vec<(u64, u64)>,
     plines: Vec<PAddr>,
     undo: Vec<(u64, u64, u64)>,
-    stores: Vec<(u64, u64)>,
+    stage: Vec<(PAddr, u64, u64, bool)>,
+    li: usize,
+    pi: usize,
+}
+
+impl Probe {
+    /// Stages a data access: the run it continues, or a new one.
+    #[inline(always)]
+    fn stage(&mut self, line: PAddr, pos: u64, di: u64, write: bool) {
+        match self.stage.last_mut() {
+            Some(e) if e.0 == line => {
+                (e.1, e.2) = (pos, di);
+                e.3 |= write;
+            }
+            _ => self.stage.push((line, pos, di, write)),
+        }
+    }
+
+    /// Merges the staged iteration into the streams. A run on the same
+    /// line or page as the previous one updates its entry in O(1).
+    fn merge_stage(&mut self) {
+        let Probe {
+            lines,
+            pages,
+            plines,
+            stage,
+            li,
+            pi,
+            ..
+        } = self;
+        for &(line, pos, di, write) in stage.iter() {
+            let page = line.0 / PAGE_BYTES;
+            if lines.get(*li).is_none_or(|e| e.0 != line) {
+                *li = lines.iter().position(|e| e.0 == line).unwrap_or_else(|| {
+                    lines.push((line, 0, false));
+                    lines.len() - 1
+                });
+            }
+            // Positions only grow along the walk.
+            let e = &mut lines[*li];
+            e.1 = pos;
+            e.2 |= write;
+            if pages.get(*pi).is_none_or(|e| e.0 != page) {
+                *pi = pages.iter().position(|e| e.0 == page).unwrap_or_else(|| {
+                    pages.push((page, 0));
+                    pages.len() - 1
+                });
+            }
+            pages[*pi].1 = di;
+            if plines.last() != Some(&line) {
+                if let Some(at) = plines.iter().position(|&l| l == line) {
+                    plines.remove(at);
+                }
+                plines.push(line);
+            }
+        }
+    }
 }
 
 /// Whether `[addr, addr + len)` lies inside `mem_bytes` of memory.
@@ -2254,20 +2335,21 @@ pub(crate) fn dispatch<X: ExecCtx>(
                 break;
             }
             // Superblock fast path (DESIGN.md §10): a formed region
-            // executes as one unit when its whole span provably stays
-            // inside this burst's window. Block instructions cannot
-            // schedule events, change any thread state, or incur a
-            // pending charge, so the per-instruction mark/watch/
-            // eligibility re-checks are constant across the block: the
-            // check at the loop head covers every interior cursor
-            // (`busy_until <= done` stays true as `done` only grows).
-            // Any failed precondition single-steps — never a burst exit.
+            // executes as one unit — a looping one for as many whole
+            // iterations as provably stay inside this burst's window.
+            // Block instructions cannot schedule events, change any
+            // thread state, or incur a pending charge, so the
+            // per-instruction mark/watch/eligibility re-checks are
+            // constant across every iteration: the check at the loop
+            // head covers every interior cursor (`busy_until <= done`
+            // stays true as `done` only grows). Any failed precondition
+            // single-steps — never a burst exit.
             if x.superblocks() {
                 let pc = x.th(h).arch.pc;
                 let via_jump = pc != seq_pc;
                 seq_pc = pc.wrapping_add(8);
                 if let Some((ri, bi)) = if via_jump { sb_lookup(x, h, pc) } else { None } {
-                    let (bcost, last_cost, len, has_mem) = {
+                    let (bcost, last_cost, len, has_mem, loops) = {
                         // Dynamic block cost: base costs plus one L1 hit
                         // per data access. The block only executes when
                         // every fetch/data line is L1-resident and every
@@ -2276,36 +2358,58 @@ pub(crate) fn dispatch<X: ExecCtx>(
                         let b = &x.code()[ri].blocks[bi];
                         let l1 = x.cfg().hierarchy.lat_l1;
                         (
-                            b.cost + Cycles(b.mem_ops() * l1.0),
-                            b.last_cost + if b.last_is_mem { l1 } else { Cycles::ZERO },
+                            b.cost.0 + b.mem_ops() * l1.0,
+                            b.last_cost.0 + if b.last_is_mem { l1.0 } else { 0 },
                             b.insts.len() as u64,
                             b.mem_ops() > 0,
+                            b.loops,
                         )
                     };
-                    // Dispatch time of the block's final instruction: the
-                    // burst window must reach it, and the sibling-lift
-                    // gate runs through it, exactly as single-stepping
-                    // would at every interior cursor (over-lifting on a
-                    // failed attempt is harmless: lifted events are
-                    // restored under their original keys). `extra` may
-                    // overshoot `MAX_BURST` by at most one block — burst
-                    // length is observably invisible.
-                    let d_last = done + bcost - last_cost;
-                    if d_last <= horizon
-                        && lift_siblings(x, core, slot, &mut qmin, d_last)
-                        && exec_superblock(x, core, ptid, h, ri, bi)
-                    {
+                    // Iterations that fit (a block that does not loop
+                    // has one). Each must start below `MAX_BURST`, as a
+                    // block entry would, so `extra` overshoots it by at
+                    // most one iteration — burst length is observably
+                    // invisible. The last one's final dispatch cursor,
+                    // `done + n·bcost − last_cost`, must be inside the
+                    // horizon, and the sibling-lift gate runs through it,
+                    // exactly as single-stepping would at every interior
+                    // cursor (over-lifting on a failed attempt is
+                    // harmless: lifted events are restored under their
+                    // original keys). A blocking event at `t` admits the
+                    // iterations whose last cursor is before it.
+                    let last_at = move |n: u64| done + Cycles(n * bcost - last_cost);
+                    let mut n = if loops {
+                        (MAX_BURST - extra).div_ceil(len)
+                    } else {
+                        1
+                    };
+                    n = n.min((horizon - done).0.saturating_add(last_cost) / bcost);
+                    if n > 0 && !lift_siblings(x, core, slot, &mut qmin, last_at(n)) {
+                        let t = qmin.expect("a failed lift stops at a due event");
+                        n = ((t - done).0 - 1 + last_cost) / bcost;
+                    }
+                    let (iters, bailed) = if n > 0 {
+                        exec_superblock(x, core, ptid, h, ri, bi, n)
+                    } else {
+                        (0, true)
+                    };
+                    if iters > 0 {
+                        let run = Cycles(iters * bcost);
                         // Single-stepping leaves `now` at the last
                         // dispatch cursor, not at the completion time.
-                        x.set_now(d_last);
-                        done += bcost;
-                        burst_cost += bcost;
-                        extra += len;
+                        x.set_now(last_at(iters));
+                        done += run;
+                        burst_cost += run;
+                        extra += iters * len;
                         if has_mem {
-                            mem_block += len;
+                            mem_block += iters * len;
                         } else {
-                            reg_block += len;
+                            reg_block += iters * len;
                         }
+                    }
+                    // A bail in a later iteration leaves the thread at the
+                    // entry of the iteration that failed: single-step it.
+                    if !bailed {
                         seq_pc = u64::MAX;
                         continue;
                     }
@@ -2491,15 +2595,21 @@ pub(crate) fn store_is_quiet<X: ExecCtx>(x: &X, addr: u64, len: u64) -> bool {
     !(hits_code || x.filter().would_wake(PAddr(addr), len) || mmio.get(i).is_some_and(|&a| a < end))
 }
 
-/// Executes a formed superblock as one unit (DESIGN.md §10). The walk
-/// interprets the block on a scratch register file — each ALU/branch
-/// stretch in one [`sblock::exec_regs`] pass over the block's slice —
-/// applies stores under an undo log (so later loads in the block see
-/// them), and *stages* the block's exact dynamic footprint in the
-/// [`Probe`]. Any effect the batch cannot reproduce fails the probe —
-/// reverse-replaying the undo log, mutating nothing — and the caller
-/// single-steps, which raises/charges/invalidates/wakes (or bails)
-/// exactly as always:
+/// Executes up to `max` iterations of a formed superblock as one unit
+/// (DESIGN.md §10); a block that does not loop is called with `max` 1.
+/// Returns the iterations committed and whether the walk stopped at one
+/// it could not batch (the caller then single-steps from that
+/// iteration's entry, where the thread is left).
+///
+/// The walk interprets the block on a scratch register file — each
+/// ALU/branch stretch in one [`sblock::exec_regs`] pass over the block's
+/// slice — applies stores under an undo log (so later loads see them),
+/// and *stages* each iteration's exact dynamic footprint, merging it into
+/// the [`Probe`] once the iteration completes. Iterations run while the
+/// branch returns to the entry. Any effect the batch cannot reproduce
+/// fails the iteration — reverse-replaying its part of the undo log and
+/// restoring the registers it started with — and the iterations before
+/// it commit:
 ///
 /// - an out-of-range address (single-step raises the precise fault);
 /// - a non-resident L1 line (fetch or data) or TLB page (single-step
@@ -2510,12 +2620,21 @@ pub(crate) fn store_is_quiet<X: ExecCtx>(x: &X, addr: u64, len: u64) -> bool {
 /// - a load or store the context cannot serve (a worker's access
 ///   outside its own memory domain).
 ///
-/// On success the commit applies one batched, provably per-access-equal
-/// update per structure: `access_run_mixed` for the L1, `access_run`
-/// for the TLB, `record_run` for the prefetcher, and one quiet-store
-/// count for the filter (a no-wake `on_store` has no other effect). A
-/// block without memory instructions leaves the data streams empty, and
-/// empty TLB and prefetcher runs are no-ops.
+/// Nothing fills or evicts during a walk, so an access to the line or
+/// page the previous access found resident skips the residency check,
+/// and a store inside a line that passed `store_is_quiet(line, 64)` is
+/// quiet without another check: code overlap, `would_wake` and the MMIO
+/// window all shrink with the range.
+///
+/// The commit applies one batched, provably per-access-equal update per
+/// structure over all `N` iterations: `access_run_mixed` for the L1 over
+/// `N·(insts + mem_ops)` positions, with each fetch line last touched at
+/// its static position plus `(N−1)·(insts + mem_ops)` unless a data
+/// access came later; `access_run` for the TLB over `N·mem_ops`;
+/// `record_run` for the prefetcher; and one quiet-store count for the
+/// filter (a no-wake `on_store` has no other effect). A block without
+/// memory instructions leaves the data streams empty, and empty TLB and
+/// prefetcher runs are no-ops.
 fn exec_superblock<X: ExecCtx>(
     x: &mut X,
     core: usize,
@@ -2523,124 +2642,142 @@ fn exec_superblock<X: ExecCtx>(
     h: usize,
     ri: usize,
     bi: usize,
-) -> bool {
+    max: u64,
+) -> (u64, bool) {
     let mut p = x.probe().take().unwrap_or_default();
     let b = &x.code()[ri].blocks[bi];
     let (n_insts, mem_ops, touched) = (b.insts.len(), b.mem_ops(), b.touched);
+    // Merged-stream positions per iteration.
+    let span = n_insts as u64 + mem_ops;
     p.lines.clear();
-    p.lines
-        .extend(b.lines.iter().map(|&(l, at)| (l, at, false)));
+    p.lines.extend(b.lines.iter().map(|&(l, _)| (l, 0, false)));
     p.pages.clear();
     p.plines.clear();
-    p.stores.clear();
     p.undo.clear();
+    // The fetch lines are static: check them once, before the walk.
+    let mut bailed = !p
+        .lines
+        .iter()
+        .all(|&(l, _, _)| x.caches(core).l1_contains(l));
 
     let mem_bytes = x.cfg().mem_bytes;
-    let (mut gprs, mut pc) = (x.th(h).arch.gprs, x.th(h).arch.pc);
-    let mut ok = true;
-    let mut pos = 0u64; // position in the merged fetch+data stream
-    let mut data_idx = 0u64; // 1-based index in the data-access stream
-    let mut n_stores = 0u64;
-    let mut k = 0;
-    loop {
-        // The ALU/branch stretch before the next memory instruction (or
-        // the block's end), one fetch access each.
-        let b = &x.code()[ri].blocks[bi];
-        let end = b.mem_at.get(data_idx as usize).map_or(n_insts, |&m| m);
-        pc = sblock::exec_regs(&b.insts[k..end], &mut gprs, pc);
-        pos += (end - k) as u64;
-        if end == n_insts {
-            break;
-        }
-        let i = b.insts[end];
-        k = end + 1;
-        pos += 1; // the memory instruction's fetch
-        let (addr, len, op) = mem_op(i, &gprs).expect("a block holds ALU/branch and local memory");
-        // The serial path accesses exactly the line and page containing
-        // the address, regardless of width.
-        let (page, line) = (addr / PAGE_BYTES, PAddr(addr).line());
-        ok = in_mem(addr, len, mem_bytes)
-            && x.core_mut(core).tlb.contains(0, page)
-            && x.caches(core).l1_contains(line);
-        if !ok {
-            break;
-        }
-        pos += 1;
-        data_idx += 1;
-        let write = matches!(op, MemOp::Store(_));
-        match p.lines.iter_mut().find(|e| e.0 == line) {
-            Some(e) => {
-                // A fetch access of this line may come later in the
-                // merged stream than this data access.
-                e.1 = e.1.max(pos);
-                e.2 |= write;
+    let entry = x.th(h).arch.pc;
+    let (mut gprs, mut pc) = (x.th(h).arch.gprs, entry);
+    let mut iters = 0u64;
+    // Memos: the last line and page found resident, and the last line
+    // found wholly quiet.
+    let (mut l1_memo, mut tlb_memo, mut quiet_memo) = (PAddr(u64::MAX), u64::MAX, PAddr(u64::MAX));
+    while !bailed && iters < max {
+        let (saved, undo_mark) = (gprs, p.undo.len());
+        p.stage.clear();
+        let mut pos = iters * span; // position in the merged fetch+data stream
+        let (mut k, mut m) = (0, 0);
+        loop {
+            // The ALU/branch stretch before the next memory instruction
+            // (or the block's end), one fetch access each.
+            let b = &x.code()[ri].blocks[bi];
+            let end = b.mem_at.get(m).map_or(n_insts, |&e| e);
+            pc = sblock::exec_regs(&b.insts[k..end], &mut gprs, pc);
+            pos += (end - k) as u64;
+            if end == n_insts {
+                break;
             }
-            None => p.lines.push((line, pos, write)),
-        }
-        match p.pages.iter_mut().find(|e| e.0 == page) {
-            Some(e) => e.1 = data_idx,
-            None => p.pages.push((page, data_idx)),
-        }
-        if let Some(at) = p.plines.iter().position(|&l| l == line) {
-            p.plines.remove(at);
-        }
-        p.plines.push(line);
-        match op {
-            MemOp::Load(d) => match x.load(addr, len) {
-                Ok(v) => gprs[d.0 as usize & 0xf] = v,
-                Err(_) => ok = false,
-            },
-            MemOp::Store(v) => {
-                // Vetted once per distinct range: a block cannot load
-                // images, arm monitors, or register hooks mid-flight.
-                if !p.stores.contains(&(addr, len)) {
-                    ok = store_is_quiet(x, addr, len);
-                    p.stores.push((addr, len));
-                }
-                if ok {
-                    match x.write(addr, len, v) {
-                        Ok(old) => p.undo.push((addr, old, len)),
-                        Err(_) => ok = false,
+            let i = b.insts[end];
+            (k, m) = (end + 1, m + 1);
+            pos += 2; // the memory instruction's fetch, then its data access
+            let (addr, len, op) =
+                mem_op(i, &gprs).expect("a block holds ALU/branch and local memory");
+            // The serial path accesses exactly the line and page containing
+            // the address, regardless of width.
+            let (page, line) = (addr / PAGE_BYTES, PAddr(addr).line());
+            bailed = !in_mem(addr, len, mem_bytes)
+                || (page != tlb_memo && !x.core_mut(core).tlb.contains(0, page))
+                || (line != l1_memo && !x.caches(core).l1_contains(line));
+            if bailed {
+                break;
+            }
+            (tlb_memo, l1_memo) = (page, line);
+            let write = match op {
+                MemOp::Load(d) => match x.load(addr, len) {
+                    Ok(v) => {
+                        gprs[d.0 as usize & 0xf] = v;
+                        false
                     }
-                    n_stores += 1;
+                    Err(_) => {
+                        bailed = true;
+                        break;
+                    }
+                },
+                MemOp::Store(v) => {
+                    // A store inside a line found wholly quiet is quiet.
+                    let in_line = (addr & (LINE_BYTES - 1)) + len <= LINE_BYTES;
+                    let quiet = if in_line
+                        && (line == quiet_memo || store_is_quiet(x, line.0, LINE_BYTES))
+                    {
+                        quiet_memo = line;
+                        true
+                    } else {
+                        store_is_quiet(x, addr, len)
+                    };
+                    match quiet.then(|| x.write(addr, len, v)) {
+                        Some(Ok(old)) => p.undo.push((addr, old, len)),
+                        _ => {
+                            bailed = true;
+                            break;
+                        }
+                    }
+                    true
                 }
-            }
+            };
+            p.stage(line, pos, iters * mem_ops + m as u64, write);
+            pc += 8;
         }
-        if !ok {
+        if bailed {
+            for &(addr, old, len) in p.undo[undo_mark..].iter().rev() {
+                let _ = x.write(addr, len, old);
+            }
+            p.undo.truncate(undo_mark);
+            (gprs, pc) = (saved, entry);
             break;
         }
-        pc += 8;
+        p.merge_stage();
+        iters += 1;
+        if pc != entry {
+            break;
+        }
     }
 
-    // The commit's only fallible step is the L1 batch: the walk verified
-    // every *data* line, but the static fetch lines are checked (without
-    // mutation) inside `access_run_mixed` itself.
-    if !ok
-        || !x
-            .caches(core)
-            .l1_access_run_mixed(&p.lines, n_insts as u64 + mem_ops)
-    {
-        for &(addr, old, len) in p.undo.iter().rev() {
-            let _ = x.write(addr, len, old);
-        }
-        *x.probe() = Some(p);
+    if bailed {
         x.stats().block_bails += 1;
-        return false;
     }
-    debug_assert!(data_idx == mem_ops, "every instruction executed");
-    let tlb_ok = x.core_mut(core).tlb.access_run(0, &p.pages, mem_ops);
+    if iters == 0 {
+        *x.probe() = Some(p);
+        return (0, bailed);
+    }
+    let shift = (iters - 1) * span;
+    for (e, &(_, at)) in p.lines.iter_mut().zip(&x.code()[ri].blocks[bi].lines) {
+        e.1 = e.1.max(at + shift);
+    }
+    let l1_ok = x.caches(core).l1_access_run_mixed(&p.lines, iters * span);
+    debug_assert!(l1_ok, "probe checked L1 residency for every line");
+    let tlb_ok = x
+        .core_mut(core)
+        .tlb
+        .access_run(0, &p.pages, iters * mem_ops);
     debug_assert!(tlb_ok, "probe checked TLB residency for every page");
     x.capture()
         .record_run(WatchId(u64::from(ptid.0)), &p.plines);
-    if n_stores > 0 {
-        x.note_quiet_stores(n_stores);
+    // Every committed store left one undo entry.
+    if !p.undo.is_empty() {
+        x.note_quiet_stores(p.undo.len() as u64);
     }
+    x.stats().block_runs += 1;
     *x.probe() = Some(p);
     let t = x.th_mut(h);
     t.arch.gprs = gprs;
     t.arch.pc = pc;
     t.touched |= touched;
-    true
+    (iters, bailed)
 }
 
 /// A data access by `ptid` on `core` to an in-memory address: TLB,

@@ -15,11 +15,15 @@
 //! pays one table read and nothing else. Regions end at the first
 //! instruction that could raise, trap, or otherwise schedule/observe
 //! anything ([`Inst::is_inert`] is the whitelist, extended by
-//! local-effect loads/stores — [`Inst::is_local_mem`] — when
-//! memory-inclusive formation is enabled); an unconditional jump back
-//! to the region's own entry — the shape of every spin/compute loop —
-//! is unrolled up to [`SB_MAX_LEN`] instructions, since its interior
-//! control flow is statically known.
+//! local-effect loads/stores — [`Inst::is_local_mem`]). An
+//! unconditional jump back to the region's own entry — the shape of
+//! every spin/compute loop — is unrolled up to [`SB_MAX_LEN`]
+//! instructions, since its interior control flow is statically known.
+//! A conditional branch back to the entry (`blt`/`bge`/`beq`/`bne`, the
+//! shape of every counted loop) cannot be unrolled, because its
+//! direction is data-dependent. Both shapes mark the block `loops`: the
+//! executor runs as many whole iterations of it per entry as the burst
+//! window admits, stopping early when the branch falls through.
 //!
 //! [inert]: Inst::is_inert
 
@@ -89,6 +93,10 @@ pub(crate) struct Superblock {
     /// executing engine can splice dynamically-resolved data lines into
     /// the same numbering.
     pub(crate) lines: Vec<(PAddr, u64)>,
+    /// Whether the final instruction always or conditionally jumps back
+    /// to the entry, so an exit at the entry pc starts another iteration
+    /// of the same block.
+    pub(crate) loops: bool,
     /// Cleared when a code mutation kills the block; the `blocks` slot
     /// is recycled through `CodeRange::sb_free`.
     pub(crate) live: bool,
@@ -136,10 +144,20 @@ pub(crate) fn form(base: u64, insts: &[Option<Inst>], slot: usize) -> Option<Sup
     if len_slots == 0 {
         return None;
     }
+    let loops = matches!(
+        terminal,
+        Some(
+            Inst::Jmp { addr }
+                | Inst::Beq { addr, .. }
+                | Inst::Bne { addr, .. }
+                | Inst::Blt { addr, .. }
+                | Inst::Bge { addr, .. }
+        ) if addr == entry_pc
+    );
     // Unroll an unconditional self-loop: with the jump target equal to
     // the entry pc, the whole unrolled sequence executes
     // unconditionally, so it is still a single straight-line unit.
-    if matches!(terminal, Some(Inst::Jmp { addr }) if addr == entry_pc) {
+    if matches!(terminal, Some(Inst::Jmp { .. })) && loops {
         let copies = SB_MAX_LEN / len_slots;
         let body = seq.clone();
         for _ in 1..copies {
@@ -199,6 +217,7 @@ pub(crate) fn form(base: u64, insts: &[Option<Inst>], slot: usize) -> Option<Sup
         mem_at,
         last_is_mem,
         lines,
+        loops,
         live: true,
     })
 }
@@ -325,6 +344,7 @@ mod tests {
         assert_eq!(b.len_slots, 4);
         assert_eq!(b.insts.len(), 256, "unrolled to SB_MAX_LEN / 4 copies");
         assert_eq!(b.cost, Cycles(256));
+        assert!(b.loops);
         // All four instructions live on one 64-byte line; its last
         // access is the final unrolled instruction.
         assert_eq!(b.lines.as_slice(), &[(PAddr(0x1000), 256)]);
@@ -347,6 +367,7 @@ mod tests {
         );
         let b = form(base, &insts, 0).expect("jmp-closed region forms");
         assert_eq!(b.insts.len(), 4);
+        assert!(!b.loops, "the jump leaves the region");
         let mut gprs = [0u64; 16];
         let exit = exec_regs(&b.insts, &mut gprs, base);
         assert_eq!(exit, base + 32);
@@ -363,7 +384,8 @@ mod tests {
              halt\n",
         );
         let b = form(base, &insts, 0).expect("branch-closed region forms");
-        assert_eq!(b.insts.len(), 4);
+        assert_eq!(b.insts.len(), 4, "a conditional back-edge is not unrolled");
+        assert!(b.loops, "the branch targets the entry");
         let mut gprs = [0u64; 16];
         // r1 becomes 1 != r4 (0): branch taken, back to entry.
         assert_eq!(exec_regs(&b.insts, &mut gprs, base), base);

@@ -945,6 +945,7 @@ mod tests {
             reg_block_insts: 0,
             mem_block_insts: 15_064,
             blocks_formed: 8,
+            block_runs: 322,
             block_bails: 50,
             decode_misses: 0,
             committed: 83,

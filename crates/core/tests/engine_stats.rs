@@ -1,12 +1,13 @@
 //! Pinned host-engine work: each machine below runs a fixed number of
 //! cycles and must report exactly these [`EngineStats`] — instructions
-//! per engine tier, bursts, superblocks formed and bailed, decode-cache
-//! misses. Host noise cannot move these counts, so they are the gate
-//! for the engines whose only job is speed: halving `MAX_BURST`,
-//! turning superblocks off, or forming register-only blocks changes
-//! them while leaving every simulated result unchanged. A change that
-//! moves a pin updates it here and says why. The 4-core epoch machine's
-//! pin is in `shard.rs`'s unit tests, next to that machine.
+//! per engine tier, bursts, superblocks formed, entered and bailed,
+//! decode-cache misses. Host noise cannot move these counts, so they
+//! are the gate for the engines whose only job is speed: halving
+//! `MAX_BURST`, turning superblocks off, or forming register-only blocks
+//! changes them while leaving every simulated result unchanged. A
+//! change that moves a pin updates it here and says why. The 4-core
+//! epoch machine's pin is in `shard.rs`'s unit tests, next to that
+//! machine.
 
 use switchless_core::machine::{Engine, EngineStats, Machine, MachineConfig, MonitorKind};
 use switchless_isa::asm::assemble;
@@ -61,6 +62,7 @@ fn spin_stats_are_pinned() {
             step_insts: 699,
             reg_block_insts: 198_656,
             blocks_formed: 1,
+            block_runs: 194,
             ..EngineStats::default()
         },
     );
@@ -81,6 +83,7 @@ fn one_slot_burst_stats_are_pinned() {
             step_insts: 699,
             reg_block_insts: 198_656,
             blocks_formed: 1,
+            block_runs: 194,
             ..EngineStats::default()
         },
     );
@@ -146,6 +149,7 @@ fn cam_store_loop_stats_are_pinned() {
             step_insts: 193,
             mem_block_insts: 53_805,
             blocks_formed: 1,
+            block_runs: 43,
             ..EngineStats::default()
         },
     );
@@ -162,6 +166,7 @@ fn hash_store_loop_stats_are_pinned() {
             step_insts: 193,
             mem_block_insts: 53_805,
             blocks_formed: 1,
+            block_runs: 43,
             ..EngineStats::default()
         },
     );
@@ -187,6 +192,7 @@ fn store_run_stats_are_pinned() {
             step_insts: 183,
             mem_block_insts: 47_044,
             blocks_formed: 2,
+            block_runs: 77,
             ..EngineStats::default()
         },
     );
@@ -219,6 +225,43 @@ fn ring_drain_stats_are_pinned() {
             step_insts: 418,
             mem_block_insts: 98_871,
             blocks_formed: 2,
+            block_runs: 177,
+            ..EngineStats::default()
+        },
+    );
+}
+
+/// The F15c loop body on one core: load, add, store back and work over a
+/// 4 KiB buffer, closed by a `blt` back-edge, so its 7-instruction block
+/// runs many iterations per entry. The cold first pass bails an
+/// iteration at each new line, and entries stop where a burst would.
+#[test]
+fn f15c_loop_stats_are_pinned() {
+    let mut m = one_thread(
+        ".base 0x10000\n\
+         entry: movi r3, 0x20000\n\
+         movi r4, 0x21000\n\
+         loop:  ld r2, r3, 0\n\
+         addi r2, r2, 1\n\
+         st r2, r3, 0\n\
+         work 7\n\
+         addi r3, r3, 8\n\
+         addi r6, r6, 1\n\
+         blt r3, r4, loop\n\
+         addi r7, r7, 1\n\
+         movi r3, 0x20000\n\
+         jmp loop\n",
+    );
+    assert_pinned(
+        &mut m,
+        200_000,
+        EngineStats {
+            bursts: 60,
+            step_insts: 690,
+            mem_block_insts: 60_871,
+            blocks_formed: 2,
+            block_runs: 180,
+            block_bails: 62,
             ..EngineStats::default()
         },
     );

@@ -5,10 +5,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use switchless_core::exception::{Descriptor, ExceptionKind};
-use switchless_core::machine::{Engine, Machine, MachineConfig, ThreadId, TrapMode};
+use switchless_core::machine::{Engine, EngineStats, Machine, MachineConfig, ThreadId, TrapMode};
 use switchless_core::perm::{Perms, TdtEntry};
 use switchless_core::tid::{ThreadState, Vtid};
-use switchless_isa::asm::assemble;
+use switchless_isa::asm::{assemble, Program};
+use switchless_sim::rng::Rng;
 use switchless_sim::time::Cycles;
 
 fn small() -> Machine {
@@ -1128,4 +1129,289 @@ fn superblock_stores_around_a_doorbell_ring_it_like_the_reference() {
     assert_eq!(rings, want_rings);
     assert_eq!(ctrs, want_ctrs);
     assert_eq!(now, want_now);
+}
+
+// ---------------------------------------------------------------------
+// Looping superblocks against the reference engine
+// ---------------------------------------------------------------------
+
+/// The loop closes of the differential scenarios: each keeps iterating
+/// while `r3` (advanced by the stride) is below the loop's end.
+const LOOP_BRANCHES: [&str; 3] = ["blt", "bge", "bne"];
+
+/// A one-core machine with small caches (so `Machine::cache_state`
+/// stays short) and the default TLB.
+fn loop_machine(engine: Engine) -> Machine {
+    let mut cfg = MachineConfig::small();
+    cfg.hierarchy.l1.size_bytes = 4096;
+    cfg.hierarchy.l2.size_bytes = 16 * 1024;
+    cfg.hierarchy.l3.size_bytes = 64 * 1024;
+    let mut m = Machine::new(cfg);
+    m.set_engine(engine);
+    m
+}
+
+/// The F15c loop body at `base` over `[lo, hi)`: load, add `inc`, store
+/// back, work, advance by `stride`, count iterations in `r6`, and close
+/// with `branch` back to the body; each fall-through counts a pass in
+/// `r7` and restarts at `lo`.
+fn loop_program(base: u64, lo: u64, hi: u64, stride: u64, inc: u64, branch: &str) -> Program {
+    let close = match branch {
+        "blt" => "blt r3, r4, body",
+        "bge" => "bge r4, r3, body",
+        "bne" => "bne r3, r4, body",
+        _ => unreachable!("a loop branch"),
+    };
+    // `bge r4, r3` continues while r3 <= r4: the last start is hi - stride.
+    let end = if branch == "bge" { hi - stride } else { hi };
+    assemble(&format!(
+        r#"
+        .base {base:#x}
+        entry:
+            movi r3, {lo}
+            movi r4, {end}
+        body:
+            ld r2, r3, 0
+            addi r2, r2, {inc}
+            st r2, r3, 0
+            work 3
+            addi r3, r3, {stride}
+            addi r6, r6, 1
+            {close}
+            addi r7, r7, 1
+            jmp entry
+        "#
+    ))
+    .unwrap()
+}
+
+/// Everything a differential loop scenario compares: `now`, every
+/// counter, each thread's state, pc and registers, the words of `span`,
+/// and the cache hierarchy and TLB `Debug` bytes.
+fn loop_state(m: &Machine, tids: &[ThreadId], (base, len): (u64, u64)) -> String {
+    let mut s = format!("now={:?} halted={:?}\n", m.now(), m.halted_reason());
+    for (name, v) in m.counters().iter() {
+        s += &format!("{name}={v}\n");
+    }
+    for &t in tids {
+        let regs: Vec<u64> = (0..16).map(|r| m.thread_reg(t, r)).collect();
+        s += &format!(
+            "{:?} pc={:#x} {regs:?}\n",
+            m.thread_state(t),
+            m.thread_pc(t)
+        );
+    }
+    let words: Vec<u64> = (base..base + len)
+        .step_by(8)
+        .map(|a| m.peek_u64(a))
+        .collect();
+    s += &format!("mem={words:?}\n{}", m.cache_state());
+    s
+}
+
+/// Runs `build`'s machine on both engines through the same `run_until`
+/// cut points — one call to `end`, then two seeded random schedules —
+/// and requires identical [`loop_state`]s at every cut. Returns the fast
+/// engine's stats over all three runs.
+fn assert_loops_like_reference(
+    name: &str,
+    end: u64,
+    build: impl Fn(&mut Machine) -> (Vec<ThreadId>, (u64, u64)),
+) -> EngineStats {
+    let mut rng = Rng::seed_from(end);
+    let mut schedules = vec![vec![end]];
+    for _ in 0..2 {
+        let mut cuts: Vec<u64> = (0..6).map(|_| 1 + rng.next_below(end)).collect();
+        cuts.push(end);
+        cuts.sort_unstable();
+        schedules.push(cuts);
+    }
+    let mut stats = EngineStats::default();
+    for cuts in &schedules {
+        let states = [Engine::Reference, Engine::Fast].map(|engine| {
+            let mut m = loop_machine(engine);
+            let (tids, span) = build(&mut m);
+            let states: Vec<String> = cuts
+                .iter()
+                .map(|&c| {
+                    m.run_until(Cycles(c));
+                    loop_state(&m, &tids, span)
+                })
+                .collect();
+            if engine == Engine::Fast {
+                let s = m.engine_stats();
+                stats.mem_block_insts += s.mem_block_insts;
+                stats.block_runs += s.block_runs;
+                stats.block_bails += s.block_bails;
+            }
+            states
+        });
+        for (i, (want, got)) in states[0].iter().zip(&states[1]).enumerate() {
+            let line = want.lines().zip(got.lines()).position(|(a, b)| a != b);
+            assert!(
+                want == got,
+                "{name}: cuts {cuts:?}: state at cut {i} diverged from the reference \
+                 at line {line:?}:\n{want}\n---\n{got}"
+            );
+        }
+    }
+    stats
+}
+
+/// Asserts that blocks ran several iterations per entry and that some
+/// iteration bailed.
+fn assert_iterated_and_bailed(name: &str, st: EngineStats) {
+    assert!(
+        st.block_runs > 0 && st.mem_block_insts > 7 * 2 * st.block_runs,
+        "{name}: {st:?}"
+    );
+    assert!(st.block_bails > 0, "{name}: {st:?}");
+}
+
+/// A store hits an armed monitor line mid-pass: a waiter on the same
+/// core watches a word 27 iterations into the pass and counts its wakes.
+#[test]
+fn loop_block_store_to_an_armed_monitor_line_wakes_like_the_reference() {
+    for branch in LOOP_BRANCHES {
+        let st = assert_loops_like_reference(branch, 60_000, |m| {
+            let lo = 0x20000;
+            let t = m
+                .load_program(0, &loop_program(0x10000, lo, lo + 1024, 8, 1, branch))
+                .unwrap();
+            let waiter = assemble(
+                ".base 0x30000\n\
+                 entry: monitor r1\n\
+                 mwait\n\
+                 addi r5, r5, 1\n\
+                 jmp entry\n",
+            )
+            .unwrap();
+            let w = m.load_program(0, &waiter).unwrap();
+            m.set_thread_reg(w, 1, lo + 27 * 8);
+            m.start_thread(w);
+            m.start_thread(t);
+            (vec![t, w], (lo, 1024))
+        });
+        assert_iterated_and_bailed(branch, st);
+    }
+}
+
+/// The stride walks from a data area up into the loop's own code,
+/// storing each word back unchanged: the first store into the image
+/// must bail that iteration and kill the block, as single-stepping
+/// invalidates the code it covers.
+#[test]
+fn loop_block_store_into_its_own_code_kills_it_like_the_reference() {
+    for branch in LOOP_BRANCHES {
+        let st = assert_loops_like_reference(branch, 60_000, |m| {
+            let base = 0x10000;
+            let lo = base - 512;
+            let t = m
+                .load_program(0, &loop_program(base, lo, base + 72, 8, 0, branch))
+                .unwrap();
+            m.start_thread(t);
+            (vec![t], (lo, 1024))
+        });
+        assert_iterated_and_bailed(branch, st);
+    }
+}
+
+/// A doorbell word 4 bytes below a line boundary: the stores of two
+/// lines overlap it, one in each line, so a line-wide quiet check fails
+/// for both lines and the exact check must still pass the other stores.
+/// The hook adds the cycle it rings at to a word the loop does not touch.
+#[test]
+fn loop_block_store_near_a_doorbell_rings_it_like_the_reference() {
+    for branch in LOOP_BRANCHES {
+        let st = assert_loops_like_reference(branch, 60_000, |m| {
+            let lo = 0x20000;
+            let log = lo + 2048;
+            m.register_mmio(lo + 3 * 64 + 60, move |m, _| {
+                let at = m.peek_u64(log) + m.now().0;
+                m.poke_u64(log, at);
+            });
+            let t = m
+                .load_program(0, &loop_program(0x10000, lo, lo + 1024, 8, 1, branch))
+                .unwrap();
+            m.start_thread(t);
+            (vec![t], (lo, 4096))
+        });
+        assert_iterated_and_bailed(branch, st);
+    }
+}
+
+/// A 24 KiB pass with a four-entry TLB: every eighth iteration reaches a
+/// line the 4 KiB L1 no longer holds, and every 512th a page the TLB
+/// does not, so iterations bail on misses mid-entry.
+#[test]
+fn loop_block_reaching_cold_lines_and_pages_matches_the_reference() {
+    for branch in LOOP_BRANCHES {
+        let st = assert_loops_like_reference(branch, 80_000, |m| {
+            let lo = 0x20000;
+            let t = m
+                .load_program(0, &loop_program(0x10000, lo, lo + 24 * 1024, 8, 1, branch))
+                .unwrap();
+            m.start_thread(t);
+            (vec![t], (lo, 24 * 1024))
+        });
+        assert_iterated_and_bailed(branch, st);
+    }
+}
+
+/// A device that rewrites a loop word at irregular intervals: its
+/// events fall due mid-iteration, so the iteration budget must stop
+/// each block entry before them.
+#[test]
+fn loop_block_with_device_events_due_mid_iteration_matches_the_reference() {
+    for branch in LOOP_BRANCHES {
+        let st = assert_loops_like_reference(branch, 60_000, |m| {
+            let lo = 0x20000;
+            let dev = m.register_device(move |m, id, arg| {
+                m.poke_u64(lo + 8 * (arg % 128), arg);
+                let next = m.now() + Cycles(37 + (arg * 13) % 50);
+                m.at_device(next, id, arg + 1);
+            });
+            m.at_device(Cycles(500), dev, 0);
+            let t = m
+                .load_program(0, &loop_program(0x10000, lo, lo + 1024, 8, 1, branch))
+                .unwrap();
+            m.start_thread(t);
+            (vec![t], (lo, 1024))
+        });
+        assert!(
+            st.mem_block_insts > 7 * 2 * st.block_runs,
+            "{branch}: {st:?}"
+        );
+    }
+}
+
+/// Two threads share the core's two slots until one halts; from then on
+/// the halted thread's slot keeps a pending `SlotFree` that each burst
+/// of the loop lifts.
+#[test]
+fn loop_block_lifting_a_sibling_slot_event_matches_the_reference() {
+    for branch in LOOP_BRANCHES {
+        let st = assert_loops_like_reference(branch, 60_000, |m| {
+            let lo = 0x20000;
+            let t = m
+                .load_program(0, &loop_program(0x10000, lo, lo + 1024, 8, 1, branch))
+                .unwrap();
+            let short = assemble(
+                ".base 0x30000\n\
+                 entry: movi r1, 300\n\
+                 spin: addi r1, r1, -1\n\
+                 bne r1, r0, spin\n\
+                 halt\n",
+            )
+            .unwrap();
+            let s = m.load_program(0, &short).unwrap();
+            m.start_thread(t);
+            m.start_thread(s);
+            (vec![t, s], (lo, 1024))
+        });
+        assert!(
+            st.mem_block_insts > 7 * 2 * st.block_runs,
+            "{branch}: {st:?}"
+        );
+    }
 }

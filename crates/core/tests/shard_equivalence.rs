@@ -16,7 +16,8 @@ use switchless_sim::time::Cycles;
 /// Folds every observable surface of a machine into one string: thread
 /// architectural state, billed cycles, wake statistics, all nonzero
 /// counters, cache/TLB-visible statistics, the wake-latency histogram
-/// (bucket-exact), and an FNV fold of the memory spans of interest.
+/// (bucket-exact), the full cache and TLB state, and an FNV fold of the
+/// memory spans of interest.
 /// Two machines with equal fingerprints are observably identical.
 fn fingerprint(m: &Machine, tids: &[ThreadId], spans: &[(u64, u64)]) -> String {
     let mut s = String::new();
@@ -46,6 +47,8 @@ fn fingerprint(m: &Machine, tids: &[ThreadId], spans: &[(u64, u64)]) -> String {
         m.cache_writebacks()
     );
     let _ = writeln!(s, "hist={:?}", m.wake_latency());
+    // Every cache line's tag, LRU stamp and dirty bit, and every TLB.
+    let _ = writeln!(s, "{}", m.cache_state());
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &(base, len) in spans {
         let mut a = base;
@@ -138,6 +141,11 @@ fn sharded_matches_serial_on_domain_compute() {
         assert!(
             st.committed > 0 && st.insts_parallel > 1_000,
             "expected real parallel epochs, got {st:?}"
+        );
+        // The 7-instruction `blt` body runs several iterations per entry.
+        assert!(
+            st.mem_block_insts > 2 * 7 * st.block_runs,
+            "expected looping blocks, got {st:?}"
         );
     }
 }
