@@ -56,7 +56,7 @@ use switchless_sim::fault::{FaultKind, FaultPlan};
 use switchless_sim::hash::FxHashMap;
 use switchless_sim::invariant::{InvariantReport, Ledger};
 use switchless_sim::stats::{CounterId, Counters, Histogram};
-use switchless_sim::time::{Cycles, Freq};
+use switchless_sim::time::Cycles;
 use switchless_sim::trace::TraceRing;
 
 use crate::exception::{Descriptor, ExceptionKind};
@@ -131,8 +131,6 @@ pub struct MachineConfig {
     pub monitor: MonitorKind,
     /// System-call / VM-exit delivery mode.
     pub trap: TrapMode,
-    /// Clock frequency (for ns conversion in reports).
-    pub freq: Freq,
 }
 
 impl MachineConfig {
@@ -150,7 +148,6 @@ impl MachineConfig {
             sched: SchedPolicy::RoundRobin,
             monitor: MonitorKind::Cam { capacity: 1024 },
             trap: TrapMode::Descriptor,
-            freq: Freq::GHZ3,
         }
     }
 
@@ -1572,9 +1569,12 @@ impl Machine {
     /// On [`Engine::Fast`], a multi-core machine with the invariant
     /// checker off (it wants to observe every event boundary) runs the
     /// core-sharded epoch engine in `shard.rs`, at every
-    /// [`Machine::set_machine_jobs`] value; it is bit-identical to the
-    /// serial loop by construction. Single-core machines, checked runs
-    /// and [`Engine::Reference`] take the serial loop.
+    /// [`Machine::set_machine_jobs`] value. It is meant to be
+    /// bit-identical to the serial loop, but it has one known divergence
+    /// that depends on where successive `run_until` calls cut the run
+    /// (see the `shard.rs` module doc and ROADMAP item 1). Single-core
+    /// machines, checked runs and [`Engine::Reference`] take the serial
+    /// loop.
     pub fn run_until(&mut self, t: Cycles) {
         if self.engine == Engine::Fast && self.cfg.cores > 1 && !self.invariants_on {
             self.run_until_sharded(t);

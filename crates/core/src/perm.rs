@@ -37,12 +37,6 @@ impl Perms {
     pub fn allows(self, other: Perms) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// Union of two masks.
-    #[must_use]
-    pub fn union(self, other: Perms) -> Perms {
-        Perms(self.0 | other.0)
-    }
 }
 
 impl fmt::Display for Perms {
@@ -72,13 +66,6 @@ pub struct TdtEntry {
 }
 
 impl TdtEntry {
-    /// An invalid entry (what vtid lookups of unmapped slots return).
-    pub const INVALID: TdtEntry = TdtEntry {
-        ptid: Ptid(0),
-        perms: Perms::NONE,
-        valid: false,
-    };
-
     /// Creates a valid entry.
     #[must_use]
     pub fn new(ptid: Ptid, perms: Perms) -> TdtEntry {
@@ -148,13 +135,6 @@ impl SecretKeyAuth {
         let ok = self.keys.get(&target.0).is_some_and(|&k| k == presented);
         (ok, 5)
     }
-
-    /// Whether key possession is all-or-nothing (it is — the design has
-    /// no per-operation bits, unlike [`Perms`]).
-    #[must_use]
-    pub fn all_or_nothing() -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -175,13 +155,8 @@ mod tests {
     }
 
     #[test]
-    fn secret_key_has_no_granularity() {
-        assert!(SecretKeyAuth::all_or_nothing());
-    }
-
-    #[test]
     fn allows_is_subset_check() {
-        let p = Perms::START.union(Perms::STOP);
+        let p = Perms(Perms::START.0 | Perms::STOP.0);
         assert!(p.allows(Perms::START));
         assert!(p.allows(Perms::STOP));
         assert!(!p.allows(Perms::MOD_SOME));
@@ -222,8 +197,10 @@ mod tests {
 
     #[test]
     fn invalid_entry_is_all_zero() {
-        assert_eq!(TdtEntry::INVALID.encode() >> 63, 0);
-        assert!(!TdtEntry::decode(0).valid);
+        let zero = TdtEntry::decode(0);
+        assert!(!zero.valid);
+        assert_eq!((zero.ptid, zero.perms), (Ptid(0), Perms::NONE));
+        assert_eq!(zero.encode(), 0);
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl HwScheduler {
         }
     }
 
-    /// Whether any thread is enqueued.
-    #[must_use]
-    pub fn has_runnable(&self) -> bool {
-        self.enrolled_len != 0
-    }
-
     /// Whether `ptid` is currently enqueued (invariant checking: enrolment
     /// must match the thread's `Runnable` state exactly).
     #[must_use]
@@ -129,12 +123,6 @@ impl HwScheduler {
         self.enrolled
             .get(ptid.0 as usize)
             .is_some_and(Option::is_some)
-    }
-
-    /// Number of enqueued threads.
-    #[must_use]
-    pub fn runnable_len(&self) -> usize {
-        self.enrolled_len
     }
 
     /// Picks the next thread to dispatch, skipping threads for which
@@ -286,9 +274,9 @@ mod tests {
         let mut s = HwScheduler::new(SchedPolicy::RoundRobin);
         s.enqueue(Ptid(1), 0);
         s.enqueue(Ptid(1), 0);
-        assert_eq!(s.runnable_len(), 1);
+        assert_eq!(s.sole_runnable(), Some(Ptid(1)));
         s.dequeue(Ptid(1));
-        assert!(!s.has_runnable());
+        assert!(!s.is_enrolled(Ptid(1)));
         assert_eq!(s.pick(|_| false), None);
     }
 
@@ -296,13 +284,15 @@ mod tests {
     fn dequeue_missing_is_noop() {
         let mut s = HwScheduler::new(SchedPolicy::RoundRobin);
         s.dequeue(Ptid(9));
-        assert!(!s.has_runnable());
+        assert_eq!(s.pick(|_| false), None);
+        s.enqueue(Ptid(1), 0);
+        assert_eq!(s.sole_runnable(), Some(Ptid(1)), "the count did not move");
     }
 
     #[test]
     fn rr_max_wait_is_bounded() {
         // Property the paper relies on: with RR every runnable thread is
-        // served within runnable_len picks.
+        // served within as many picks as there are enqueued threads.
         let mut s = HwScheduler::new(SchedPolicy::RoundRobin);
         for i in 0..10 {
             s.enqueue(Ptid(i), 0);

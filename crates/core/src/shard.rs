@@ -21,9 +21,10 @@
 //! core's memory domain, the monitor filter, an hcall, an exception, the
 //! shared L3, an MMIO doorbell — abandons the epoch (`Bail`), the shards
 //! are dropped, the staged events are restored under their original
-//! `(time, seq)` keys, and the window replays on the serial engine. A
-//! committed epoch is **bit-identical** to the serial engine by
-//! construction:
+//! `(time, seq)` keys, and the window replays on the serial engine. The
+//! commit is meant to leave the machine bit-identical to the serial
+//! engine, by the argument below; it has one known hole, described after
+//! it:
 //!
 //! * Workers replay the serial order *restricted to their core*: staged
 //!   events in staging order (= relative seq order) and worker-created
@@ -44,6 +45,21 @@
 //!   instructions at the same start cycles, identical cost accounting,
 //!   identical store-tier stamps up to relative order — so workers may
 //!   place splits differently (at `B`) without divergence.
+//!
+//! **The known divergence (ROADMAP item 1).** The second point assumes a
+//! committed epoch has no cross-core effects. The queue's same-cycle
+//! order is one. With the staggered fresh horizons (`Shared::gap`), core
+//! 0 can commit a survivor due at cycle `T` that it created after the
+//! time of an event core 1 held back. When core 1 later pops that event
+//! and creates its own event at `T`, the real queue orders it after core
+//! 0's survivor; the serial engine, which ran core 1's earlier pop first,
+//! orders it before. The survivor-tie refusal cannot see this, because
+//! core 1's event does not exist at commit. `build_store_race` in
+//! `tests/shard_equivalence.rs`, run as `run_until(6259)` then
+//! `run_until(20_000)`, ends with a different fingerprint on
+//! [`Engine::Fast`] than on [`Engine::Reference`] at `machine_jobs` 1, 2
+//! and 4. The committed `results/` trees and the test fixtures' cut
+//! schedules do not hit it.
 //!
 //! The gain comes from per-core lookahead, not host threads: a worker's
 //! burst loop sees only its own core's local queue, so it runs long
@@ -145,10 +161,20 @@ struct Shared<'a> {
     /// continuation events land in disjoint per-core time bands instead
     /// of piling up just past a common `B` — which is what made
     /// commit-time survivor ties near-certain for compute cores with
-    /// dense instruction boundaries. Purely a window-placement choice:
-    /// a held-back event is a survivor exactly as if `B` were lower for
-    /// that core, which per-core horizons permit because a committed
-    /// epoch contains no cross-core effects at all.
+    /// dense instruction boundaries. A held-back event is a survivor
+    /// exactly as if `B` were lower for that core, but that is not
+    /// free: the queue's same-cycle order is a cross-core effect, and a
+    /// held-back event can create an event due the same cycle as
+    /// another core's committed survivor, which the real queue then
+    /// orders after it where the serial engine orders it first (the
+    /// known divergence in the module doc, ROADMAP item 1).
+    ///
+    /// The stagger cannot simply go under today's tie rule. With `gap`
+    /// forced to 0, perfbench `multicore --trace 1` made 3,664 epoch
+    /// attempts, 1,666 commits, 126 bails and 1,872 ties (against
+    /// 1,029 / 870 / 120 / 39 with it); the parallel share of
+    /// instructions fell from 0.9995 to 0.44 and `core.run.ns_per_inst`
+    /// rose from about 11 to about 140 (2-vCPU x86-64 Linux host).
     gap: u64,
 }
 

@@ -47,12 +47,6 @@ pub enum ThreadState {
 }
 
 impl ThreadState {
-    /// Whether the scheduler may pick this thread.
-    #[must_use]
-    pub fn is_runnable(self) -> bool {
-        self == ThreadState::Runnable
-    }
-
     /// Whether `rpull`/`rpush` may access this thread's registers.
     ///
     /// §3.1 specifies register access to *disabled* ptids; `Waiting` and
@@ -83,14 +77,6 @@ mod tests {
     #[test]
     fn default_state_is_disabled() {
         assert_eq!(ThreadState::default(), ThreadState::Disabled);
-    }
-
-    #[test]
-    fn runnable_classification() {
-        assert!(ThreadState::Runnable.is_runnable());
-        assert!(!ThreadState::Waiting.is_runnable());
-        assert!(!ThreadState::Disabled.is_runnable());
-        assert!(!ThreadState::Halted.is_runnable());
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::fmt::Write as _;
 use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_core::ThreadId;
 use switchless_isa::asm::assemble;
+use switchless_sim::rng::Rng;
 use switchless_sim::time::Cycles;
 
 /// Folds every observable surface of a machine into one string: thread
@@ -711,5 +712,75 @@ fn survivor_tie_over_same_cycle_shared_stores_matches_serial() {
         );
         let st = par.engine_stats();
         assert!(st.ties > 0 && st.committed > 0, "{st:?}");
+    }
+}
+
+/// A machine builder from this file, with its engine and job count bound.
+type Build = fn() -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>);
+
+/// Seeded cut schedules for a run to `t`: 1–6 distinct cut points in
+/// `[1, t)`, sorted, then `t` itself.
+fn cut_schedules(t: u64, seeds: u64) -> Vec<Vec<u64>> {
+    (0..seeds)
+        .map(|seed| {
+            let mut rng = Rng::seed_from(seed);
+            let n = 1 + rng.next_below(6);
+            let mut cuts: Vec<u64> = (0..n).map(|_| 1 + rng.next_below(t - 1)).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts.push(t);
+            cuts
+        })
+        .collect()
+}
+
+/// Chunking invariance: running a machine to `t` in one `run_until`
+/// leaves it exactly as running it through any sequence of earlier cut
+/// points does.
+///
+/// Multi-core `Engine::Fast` is left out by name: it breaks this property
+/// on the cut schedule `[6259, 20_000]` of [`build_store_race`], through
+/// the epoch engine's staggered fresh horizons (ROADMAP item 1; the
+/// `shard.rs` module doc describes the divergence). Seeded schedules that
+/// happen to pass on it must not stand in for that known failure.
+#[test]
+fn run_until_is_invariant_under_cut_points() {
+    let fixtures: [(&str, Build, u64); 4] = [
+        (
+            "4-core compute, reference",
+            || build_compute(4, Engine::Reference, 1),
+            100_000,
+        ),
+        (
+            "wakers, reference",
+            || build_wakers(Engine::Reference, 1),
+            100_000,
+        ),
+        (
+            "store race, reference",
+            || build_store_race(Engine::Reference, 1),
+            20_000,
+        ),
+        (
+            "1-core compute, fast",
+            || build_compute(1, Engine::Fast, 1),
+            100_000,
+        ),
+    ];
+    for (name, build, t) in fixtures {
+        let (mut whole, tids, spans) = build();
+        whole.run_until(Cycles(t));
+        let want = fingerprint(&whole, &tids, &spans);
+        for cuts in cut_schedules(t, 8) {
+            let (mut m, tids, spans) = build();
+            for &c in &cuts {
+                m.run_until(Cycles(c));
+            }
+            assert_eq!(
+                want,
+                fingerprint(&m, &tids, &spans),
+                "{name}, cuts {cuts:?}"
+            );
+        }
     }
 }

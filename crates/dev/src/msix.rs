@@ -30,11 +30,6 @@ impl MsixBridge {
         self.table.insert(vector, addr);
     }
 
-    /// Removes a route; returns whether it existed.
-    pub fn unroute(&mut self, vector: u32) -> bool {
-        self.table.remove(&vector).is_some()
-    }
-
     /// Raises a legacy interrupt: translated to an increment of the
     /// routed word (waking any monitoring thread). Unrouted vectors are
     /// counted and dropped — exactly what masked interrupts do.
@@ -108,8 +103,6 @@ mod tests {
         assert!(bridge.is_empty());
         bridge.route(1, 0x100);
         assert!(!bridge.is_empty());
-        assert!(bridge.unroute(1));
-        assert!(!bridge.unroute(1));
     }
 
     #[test]

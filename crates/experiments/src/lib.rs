@@ -14,8 +14,8 @@
 //! Each experiment prints its table(s) and writes CSV files under
 //! `results/` (or `--out DIR`).
 //!
-//! **Parallelism and determinism.** `--jobs N` (or `SWITCHLESS_JOBS`;
-//! default: host parallelism) runs independent experiments — and the load
+//! **Parallelism and determinism.** `--jobs N` (default: host
+//! parallelism) runs independent experiments — and the load
 //! sweeps inside them — on a scoped worker pool. Output is captured per
 //! experiment and flushed in registry order, and per-point RNG seeds are
 //! derived from point *indices* (`switchless_sim::rng::mix_seed`), never
@@ -31,11 +31,12 @@
 //! (`switchless_core::shard`); `reference` is the plain serial loop the
 //! fast engine is diffed against. `--machine-jobs N` sets how many host
 //! threads run the epoch engine's per-core workers (default 1: inline).
-//! The epoch engine is conservative: every epoch either commits
-//! bit-identically to the serial loop or is discarded and replayed
-//! serially, so simulated results — and therefore the CSV tree — are
-//! bit-identical for either engine and every `--machine-jobs` value;
-//! only wall-clock time changes. F15 is the only experiment that reads
+//! An epoch that touches anything outside its core is discarded and
+//! replayed serially, and the CSV tree is bit-identical for either
+//! engine and every `--machine-jobs` value (CI diffs all of them); only
+//! wall-clock time changes. The epoch engine has one known divergence
+//! from the serial loop, which no experiment hits (see
+//! `switchless_core::shard`). F15 is the only experiment that reads
 //! `--machine-jobs`: F17 runs one-core machines with the invariant
 //! checker enabled, which take the serial loop on either engine.
 
@@ -204,7 +205,7 @@ pub fn results_dir() -> PathBuf {
 pub struct Cli {
     /// Shrink sample counts for a fast smoke run.
     pub quick: bool,
-    /// Explicit `--jobs N`; `None` defers to `SWITCHLESS_JOBS`/host.
+    /// Explicit `--jobs N`; `None` means host parallelism.
     pub jobs: Option<usize>,
     /// Explicit `--machine-jobs N`: host threads for the epoch engine's
     /// per-core workers; `None` means 1 (workers run inline). It never
@@ -293,17 +294,14 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-/// Validates the environment variables the harness reads: the raw
-/// `SWITCHLESS_JOBS` and `SWITCHLESS_ENGINE` values (`None` when unset).
-/// Malformed values are errors, never a silent default.
+/// Validates the one environment variable the harness reads: the raw
+/// `SWITCHLESS_ENGINE` value (`None` when unset). A malformed value is an
+/// error, never a silent default.
 ///
 /// # Errors
 ///
-/// Returns the offending variable's parse error.
-pub fn check_env(jobs: Option<&str>, engine: Option<&str>) -> Result<(), String> {
-    if let Some(raw) = jobs {
-        par::parse_jobs_env(raw)?;
-    }
+/// Returns the variable's parse error.
+pub fn check_env(engine: Option<&str>) -> Result<(), String> {
     if let Some(raw) = engine {
         Engine::parse(raw)?;
     }
@@ -331,8 +329,7 @@ pub fn run_cli() {
             std::process::exit(2);
         }
     };
-    let env = |name| std::env::var(name).ok();
-    if let Err(msg) = check_env(env(par::JOBS_ENV).as_deref(), env(Engine::ENV).as_deref()) {
+    if let Err(msg) = check_env(std::env::var(Engine::ENV).ok().as_deref()) {
         eprintln!("{msg}");
         std::process::exit(2);
     }
@@ -501,16 +498,14 @@ mod tests {
 
     #[test]
     fn check_env_accepts_unset_and_valid_values() {
-        assert_eq!(check_env(None, None), Ok(()));
-        assert_eq!(check_env(Some("4"), Some("fast")), Ok(()));
-        assert_eq!(check_env(Some("0"), Some("reference")), Ok(()));
+        assert_eq!(check_env(None), Ok(()));
+        assert_eq!(check_env(Some("fast")), Ok(()));
+        assert_eq!(check_env(Some("reference")), Ok(()));
     }
 
     #[test]
     fn check_env_rejects_malformed_values() {
-        let err = check_env(Some("4x"), None).unwrap_err();
-        assert!(err.contains(par::JOBS_ENV) && err.contains("4x"), "{err}");
-        let err = check_env(None, Some("maybe")).unwrap_err();
+        let err = check_env(Some("maybe")).unwrap_err();
         assert!(err.contains(Engine::ENV) && err.contains("maybe"), "{err}");
     }
 

@@ -63,24 +63,6 @@ fn csr_name(c: crate::arch::CtrlReg) -> &'static str {
     }
 }
 
-/// Disassembles a whole image, one line per word; undecodable words render
-/// as `.word` data.
-#[must_use]
-pub fn disassemble_image(base: u64, words: &[u64]) -> String {
-    words
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| {
-            let addr = base + (i as u64) * 8;
-            match Inst::decode(w) {
-                Ok(inst) => format!("{addr:#8x}: {}", disassemble(inst)),
-                Err(_) => format!("{addr:#8x}: .word {w:#x}"),
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,13 +96,5 @@ mod tests {
                 .unwrap_or_else(|e| panic!("reassembling '{text}': {e}"));
             assert_eq!(re.words[0], w, "word {i}: '{text}'");
         }
-    }
-
-    #[test]
-    fn image_disassembly_marks_data() {
-        let p = assemble("x: .word 0\nentry: halt\n").unwrap();
-        let text = disassemble_image(p.base, &p.words);
-        assert!(text.contains(".word 0x0"));
-        assert!(text.contains("halt"));
     }
 }

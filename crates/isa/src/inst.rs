@@ -732,13 +732,6 @@ impl Inst {
         matches!(self, Inst::CsrW { .. })
     }
 
-    /// Whether this instruction can write memory (consults the monitor
-    /// filter).
-    #[must_use]
-    pub fn is_store(&self) -> bool {
-        matches!(self, Inst::St { .. } | Inst::StA { .. } | Inst::StB { .. })
-    }
-
     /// Whether this instruction is *inert*: it reads and writes only its
     /// own thread's registers. No memory access, no exception possible
     /// (which excludes `Div` — divide-by-zero — and every trap), no
@@ -1059,22 +1052,5 @@ mod tests {
         );
         assert_eq!(Inst::Work { cycles: 500 }.base_cost(), 500);
         assert_eq!(Inst::Work { cycles: 0 }.base_cost(), 1);
-    }
-
-    #[test]
-    fn store_classification() {
-        assert!(Inst::St {
-            s: Reg(0),
-            a: Reg(0),
-            off: 0
-        }
-        .is_store());
-        assert!(Inst::StA { s: Reg(0), addr: 0 }.is_store());
-        assert!(!Inst::Ld {
-            d: Reg(0),
-            a: Reg(0),
-            off: 0
-        }
-        .is_store());
     }
 }

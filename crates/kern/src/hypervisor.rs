@@ -37,8 +37,6 @@ pub struct Hypervisor {
     pub hv: ThreadId,
     /// The kernel I/O thread (supervisor).
     pub kernel: ThreadId,
-    /// Guest exit-descriptor area (hv monitors word 0).
-    pub guest_edp: u64,
     /// Exits-handled counter word.
     pub exits_word: u64,
     /// Kernel-chained I/O counter word.
@@ -184,16 +182,9 @@ pub fn install(m: &mut Machine, core: usize, cfg: HvConfig) -> Result<Hypervisor
         guest,
         hv,
         kernel,
-        guest_edp,
         exits_word,
         io_word,
     })
-}
-
-/// Exits handled by the hypervisor so far.
-#[must_use]
-pub fn exits_handled(m: &Machine, h: &Hypervisor) -> u64 {
-    m.peek_u64(h.exits_word)
 }
 
 #[cfg(test)]
@@ -220,7 +211,7 @@ mod tests {
         assert_eq!(m.thread_mode(h.hv), Mode::User, "hypervisor is untrusted");
         m.run_for(Cycles(2_000_000));
         assert_eq!(m.thread_state(h.guest), ThreadState::Halted);
-        assert_eq!(exits_handled(&m, &h), 10);
+        assert_eq!(m.peek_u64(h.exits_word), 10);
         assert_eq!(m.counters().get("exception.vm_exit"), 10);
         // No same-thread VM-exit round trips happened anywhere.
         assert_eq!(m.counters().get("vmexit.same_thread"), 0);
@@ -241,7 +232,7 @@ mod tests {
         .unwrap();
         m.run_for(Cycles(3_000_000));
         assert_eq!(m.thread_state(h.guest), ThreadState::Halted);
-        assert_eq!(exits_handled(&m, &h), 5);
+        assert_eq!(m.peek_u64(h.exits_word), 5);
         assert_eq!(m.peek_u64(h.io_word), 5, "kernel served each I/O exit");
     }
 

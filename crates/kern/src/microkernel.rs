@@ -21,9 +21,6 @@ use switchless_isa::asm::assemble;
 #[cfg(test)]
 use switchless_sim::time::Cycles;
 
-/// Default hcall for service work (the harness charges per-op costs).
-pub const HCALL_SERVICE_WORK: u16 = 120;
-
 /// One installed microkernel service.
 #[derive(Clone, Copy, Debug)]
 pub struct Service {

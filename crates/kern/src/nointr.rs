@@ -101,14 +101,6 @@ impl EventHandlerSet {
         Ok(EventHandlerSet { handlers })
     }
 
-    /// Fires event `idx` once (host-side event source: increments the
-    /// event word through the DMA path).
-    pub fn fire(&self, m: &mut Machine, idx: usize) {
-        let h = self.handlers[idx];
-        let v = m.peek_u64(h.event_word).wrapping_add(1);
-        m.dma_write(h.event_word, &v.to_le_bytes());
-    }
-
     /// Events handled so far by handler `idx`.
     #[must_use]
     pub fn handled(&self, m: &Machine, idx: usize) -> u64 {
@@ -337,14 +329,6 @@ impl Supervisor {
     pub fn restarts(&self) -> u64 {
         self.state.borrow().restarts
     }
-
-    /// Clears measurement state (end of warmup). Retry bookkeeping is
-    /// kept — backoff schedules survive a measurement reset.
-    pub fn reset_measurements(&self) {
-        let mut s = self.state.borrow_mut();
-        s.recovery.reset();
-        s.restarts = 0;
-    }
 }
 
 #[cfg(test)]
@@ -352,6 +336,14 @@ mod tests {
     use super::*;
     use switchless_core::machine::MachineConfig;
     use switchless_dev::timer::ApicTimer;
+
+    /// Fires event `idx` once, as a device would: increments its event
+    /// word through the DMA path.
+    fn fire(set: &EventHandlerSet, m: &mut Machine, idx: usize) {
+        let word = set.handlers[idx].event_word;
+        let v = m.peek_u64(word).wrapping_add(1);
+        m.dma_write(word, &v.to_le_bytes());
+    }
 
     #[test]
     fn handler_wakes_per_event_and_reparks() {
@@ -364,7 +356,7 @@ mod tests {
             "handler parks without polling"
         );
         for _ in 0..3 {
-            set.fire(&mut m, 0);
+            fire(&set, &mut m, 0);
             m.run_for(Cycles(10_000));
         }
         assert_eq!(set.handled(&m, 0), 3);
@@ -379,7 +371,7 @@ mod tests {
         let set = EventHandlerSet::install(&mut m, 0, &[("nic", 2_000, 7)], 0x40000).unwrap();
         m.run_for(Cycles(5_000));
         for _ in 0..5 {
-            set.fire(&mut m, 0); // all at once
+            fire(&set, &mut m, 0); // all at once
         }
         m.run_for(Cycles(100_000));
         assert_eq!(set.handled(&m, 0), 5, "no lost events");
@@ -396,7 +388,7 @@ mod tests {
         )
         .unwrap();
         m.run_for(Cycles(5_000));
-        set.fire(&mut m, 1);
+        fire(&set, &mut m, 1);
         m.run_for(Cycles(20_000));
         assert_eq!(set.handled(&m, 0), 0);
         assert_eq!(set.handled(&m, 1), 1);

@@ -67,13 +67,6 @@ impl LegacyCosts {
         let ipi = if cross_core { self.ipi } else { Cycles::ZERO };
         self.irq_entry + self.sched_wakeup + ipi + self.ctx_switch_direct + self.irq_exit
     }
-
-    /// Round-trip cost of one synchronous system call, excluding the
-    /// kernel work itself.
-    #[must_use]
-    pub fn syscall_round(&self) -> Cycles {
-        self.syscall_mode_switch
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +88,7 @@ mod tests {
     #[test]
     fn syscall_is_hundreds_of_cycles() {
         let c = LegacyCosts::default();
-        assert!((100..1000).contains(&c.syscall_round().0));
+        assert!((100..1000).contains(&c.syscall_mode_switch.0));
     }
 
     #[test]

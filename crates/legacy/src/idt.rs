@@ -3,7 +3,7 @@
 //! This is the machinery §2 "No More Interrupts" deletes: the kernel
 //! registers handlers in the IDT; a device interrupt vectors the current
 //! execution into IRQ context (entry cost), runs the handler, and exits
-//! (EOI + restore). The model tracks vector registration, masks, delivery
+//! (EOI + restore). The model tracks vector registration and delivery
 //! counts, and produces the handler-start latency for each delivery.
 
 use std::collections::HashMap;
@@ -12,15 +12,6 @@ use switchless_sim::stats::Histogram;
 use switchless_sim::time::Cycles;
 
 use crate::costs::LegacyCosts;
-
-/// One registered interrupt handler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IdtEntry {
-    /// Cycles of handler work charged per delivery (top half).
-    pub handler_cost: Cycles,
-    /// Whether the vector is currently masked.
-    pub masked: bool,
-}
 
 /// Outcome of one delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +26,9 @@ pub struct Delivery {
 #[derive(Clone, Debug)]
 pub struct Idt {
     costs: LegacyCosts,
-    vectors: HashMap<u32, IdtEntry>,
+    /// Registered vectors and the handler work (top half) each
+    /// delivery charges.
+    vectors: HashMap<u32, Cycles>,
     /// IRQ context is non-reentrant: deliveries queue behind this time.
     busy_until: Cycles,
     delivered: u64,
@@ -60,36 +53,20 @@ impl Idt {
 
     /// Registers a handler for `vector`.
     pub fn register(&mut self, vector: u32, handler_cost: Cycles) {
-        self.vectors.insert(
-            vector,
-            IdtEntry {
-                handler_cost,
-                masked: false,
-            },
-        );
-    }
-
-    /// Masks or unmasks a vector.
-    pub fn set_masked(&mut self, vector: u32, masked: bool) {
-        if let Some(e) = self.vectors.get_mut(&vector) {
-            e.masked = masked;
-        }
+        self.vectors.insert(vector, handler_cost);
     }
 
     /// Raises `vector` at time `now`. Returns the delivery timing, or
-    /// `None` if the vector is unregistered/masked (dropped/pended).
+    /// `None` if the vector is unregistered (dropped).
     pub fn raise(&mut self, now: Cycles, vector: u32) -> Option<Delivery> {
-        let entry = match self.vectors.get(&vector) {
-            Some(e) if !e.masked => *e,
-            _ => {
-                self.dropped += 1;
-                return None;
-            }
+        let Some(&handler_cost) = self.vectors.get(&vector) else {
+            self.dropped += 1;
+            return None;
         };
         // Non-reentrant IRQ context: wait for any in-flight handler.
         let begin = now.max(self.busy_until);
         let handler_start = begin + self.costs.irq_entry;
-        let done = handler_start + entry.handler_cost + self.costs.irq_exit;
+        let done = handler_start + handler_cost + self.costs.irq_exit;
         self.busy_until = done;
         self.delivered += 1;
         self.latency.record((handler_start - now).0);
@@ -134,16 +111,6 @@ mod tests {
         let mut i = idt();
         assert!(i.raise(Cycles(0), 99).is_none());
         assert_eq!(i.stats(), (0, 1));
-    }
-
-    #[test]
-    fn masked_vector_dropped() {
-        let mut i = idt();
-        i.register(32, Cycles(100));
-        i.set_masked(32, true);
-        assert!(i.raise(Cycles(0), 32).is_none());
-        i.set_masked(32, false);
-        assert!(i.raise(Cycles(0), 32).is_some());
     }
 
     #[test]

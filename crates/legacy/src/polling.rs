@@ -46,14 +46,6 @@ impl PollingPlane {
             dispatch_overhead: Cycles::ZERO,
         }
     }
-
-    /// Cycles burned by spinning over a window in which the cores were
-    /// busy `busy_cycles` in total: everything not spent on work is
-    /// wasted spin.
-    #[must_use]
-    pub fn wasted_cycles(&self, window: Cycles, busy_cycles: u64) -> u64 {
-        (window.0 * self.polling_cores as u64).saturating_sub(busy_cycles)
-    }
 }
 
 #[cfg(test)]
@@ -77,8 +69,9 @@ mod tests {
         // 5% load on 2 cores.
         let jobs = make_jobs(&mut rng, &ServiceDist::Fixed(3000), 2, 0.05, 2_000);
         let r = QueueSim::run(&p.to_queue_config(), &jobs, Cycles::ZERO);
-        let wasted = p.wasted_cycles(r.makespan, r.busy_cycles);
+        // Everything the cores did not spend on work is wasted spin.
         let total = r.makespan.0 * 2;
+        let wasted = total.saturating_sub(r.busy_cycles);
         assert!(
             wasted as f64 / total as f64 > 0.9,
             "only {:.0}% wasted",

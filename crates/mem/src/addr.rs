@@ -26,18 +26,6 @@ impl PAddr {
         PAddr(self.0 & !(LINE_BYTES - 1))
     }
 
-    /// The 4 KiB page number containing this byte.
-    #[must_use]
-    pub fn page_number(self) -> u64 {
-        self.0 / PAGE_BYTES
-    }
-
-    /// Byte offset within the cache line.
-    #[must_use]
-    pub fn line_offset(self) -> u64 {
-        self.0 & (LINE_BYTES - 1)
-    }
-
     /// Checked addition of a byte offset.
     #[must_use]
     pub fn checked_add(self, off: u64) -> Option<PAddr> {
@@ -89,14 +77,6 @@ mod tests {
         assert_eq!(PAddr(0).line(), PAddr(0));
         assert_eq!(PAddr(63).line(), PAddr(0));
         assert_eq!(PAddr(64).line(), PAddr(64));
-        assert_eq!(PAddr(130).line_offset(), 2);
-    }
-
-    #[test]
-    fn page_numbers() {
-        assert_eq!(PAddr(0).page_number(), 0);
-        assert_eq!(PAddr(4095).page_number(), 0);
-        assert_eq!(PAddr(4096).page_number(), 1);
     }
 
     #[test]

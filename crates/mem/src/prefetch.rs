@@ -26,7 +26,6 @@ pub struct Capture {
     sets: FxHashMap<WatchId, Lines>,
     /// Max distinct lines remembered per thread.
     capacity: usize,
-    enabled: bool,
 }
 
 /// No slot: the end of a recency list.
@@ -162,7 +161,7 @@ impl Capture {
     /// run therefore lands in exactly the state the full per-access run
     /// would.
     pub fn record_run(&mut self, thread: WatchId, lines: &[PAddr]) {
-        if !self.enabled || lines.is_empty() {
+        if lines.is_empty() {
             return;
         }
         let set = self.sets.entry(thread).or_default();
@@ -199,23 +198,11 @@ impl WakePrefetcher {
             capture: Capture {
                 sets: FxHashMap::default(),
                 capacity,
-                enabled: true,
             },
             wake_lines: Vec::new(),
             replays: 0,
             lines_replayed: 0,
         }
-    }
-
-    /// Enables or disables capture+replay (the F13 ablation switch).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.capture.enabled = on;
-    }
-
-    /// Whether the prefetcher is active.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.capture.enabled
     }
 
     /// The capture state running threads record into.
@@ -224,13 +211,10 @@ impl WakePrefetcher {
     }
 
     /// Returns the lines to warm for a thread being woken (oldest first),
-    /// empty when disabled or unknown. Borrows rather than allocating —
-    /// wakes are frequent under I/O-heavy workloads.
+    /// empty when unknown. Borrows rather than allocating — wakes are
+    /// frequent under I/O-heavy workloads.
     #[must_use]
     pub fn wake_set(&mut self, thread: WatchId) -> &[PAddr] {
-        if !self.capture.enabled {
-            return &[];
-        }
         let Some(lines) = self.capture.sets.get(&thread) else {
             return &[];
         };
@@ -338,16 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_records_nothing() {
-        let mut p = WakePrefetcher::new(4);
-        p.set_enabled(false);
-        let t = WatchId(1);
-        p.capture_mut().record_access(t, PAddr(0));
-        assert!(p.wake_set(t).is_empty());
-        assert_eq!(p.stats(), (0, 0));
-    }
-
-    #[test]
     fn worker_view_round_trip_equals_direct_recording() {
         // Two threads on the worker's core, one elsewhere; capacity 3 so
         // the worker's stream evicts mid-run.
@@ -362,26 +336,23 @@ mod tests {
             (b, 0x80),
             (b, 0x2000),
         ];
-        for enabled in [true, false] {
-            let mut direct = WakePrefetcher::new(3);
-            direct.set_enabled(enabled);
-            for t in [a, other] {
-                direct.capture_mut().record_access(t, PAddr(0x1000));
-            }
-            let mut viewed = direct.clone();
-            let mut view = viewed.core_view([a, b]);
-            for &(t, addr) in stream {
-                direct.capture_mut().record_access(t, PAddr(addr));
-                view.record_access(t, PAddr(addr));
-            }
-            viewed.absorb(view);
-            for t in [a, b, other] {
-                assert_eq!(direct.captured_len(t), viewed.captured_len(t));
-                assert_eq!(direct.wake_set(t).to_vec(), viewed.wake_set(t).to_vec());
-            }
-            assert_eq!(direct.stats(), viewed.stats());
-            assert_eq!(direct.captured_len(a), if enabled { 3 } else { 0 });
+        let mut direct = WakePrefetcher::new(3);
+        for t in [a, other] {
+            direct.capture_mut().record_access(t, PAddr(0x1000));
         }
+        let mut viewed = direct.clone();
+        let mut view = viewed.core_view([a, b]);
+        for &(t, addr) in stream {
+            direct.capture_mut().record_access(t, PAddr(addr));
+            view.record_access(t, PAddr(addr));
+        }
+        viewed.absorb(view);
+        for t in [a, b, other] {
+            assert_eq!(direct.captured_len(t), viewed.captured_len(t));
+            assert_eq!(direct.wake_set(t).to_vec(), viewed.wake_set(t).to_vec());
+        }
+        assert_eq!(direct.stats(), viewed.stats());
+        assert_eq!(direct.captured_len(a), 3);
     }
 
     #[test]

@@ -116,32 +116,10 @@ impl Tlb {
         true
     }
 
-    /// Flushes all entries for one address space (e.g. on teardown).
-    pub fn flush_asid(&mut self, asid: u16) {
-        self.entries.retain(|&(a, _), _| a != asid);
-    }
-
-    /// Flushes everything.
-    pub fn flush_all(&mut self) {
-        self.entries.clear();
-    }
-
     /// Lifetime (hits, misses).
     #[must_use]
     pub fn hit_miss(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// Number of currently resident entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the TLB holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -226,24 +204,5 @@ mod tests {
         let mut t = small();
         t.access(1, 7);
         assert_eq!(t.access(2, 7), Cycles(100), "distinct asid must miss");
-    }
-
-    #[test]
-    fn flush_asid_only_hits_that_asid() {
-        let mut t = small();
-        t.access(1, 7);
-        t.access(2, 8);
-        t.flush_asid(1);
-        assert_eq!(t.access(1, 7), Cycles(100));
-        assert_eq!(t.access(2, 8), Cycles::ZERO);
-    }
-
-    #[test]
-    fn flush_all_clears() {
-        let mut t = small();
-        t.access(0, 1);
-        t.flush_all();
-        assert!(t.is_empty());
-        assert_eq!(t.access(0, 1), Cycles(100));
     }
 }

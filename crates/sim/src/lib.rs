@@ -30,8 +30,8 @@
 //!   ([`par::par_map`], [`par::for_each_ordered`]) whose results are
 //!   collected in input order, so parallel runs are bit-identical to
 //!   serial ones.
-//! * [`stats`] — streaming summaries, log-bucketed latency histograms with
-//!   percentile queries, and named counter registries.
+//! * [`stats`] — log-bucketed latency histograms with percentile queries
+//!   and named counter registries.
 //! * [`report`] — plain-text/CSV table rendering used by the experiment
 //!   harness to regenerate the paper's tables and figures.
 //! * [`trace`] — a bounded in-memory trace ring for debugging simulations.
@@ -82,5 +82,5 @@ pub use event::EventQueue;
 pub use fault::{FaultComponent, FaultKind, FaultPlan, FaultPlanError};
 pub use invariant::{InvariantReport, Violation};
 pub use rng::Rng;
-pub use stats::{Counters, Histogram, Summary};
+pub use stats::{Counters, Histogram};
 pub use time::{Cycles, Freq};

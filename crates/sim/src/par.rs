@@ -10,57 +10,18 @@
 //! > worker count, including 1.
 //!
 //! Worker count resolution (see [`resolve_jobs`]): an explicit request
-//! (e.g. a `--jobs N` flag) wins, then the `SWITCHLESS_JOBS` environment
-//! variable, then [`std::thread::available_parallelism`].
+//! (e.g. a `--jobs N` flag) wins, then
+//! [`std::thread::available_parallelism`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
-/// Environment variable consulted by [`resolve_jobs`] when no explicit
-/// worker count is requested.
-pub const JOBS_ENV: &str = "SWITCHLESS_JOBS";
-
-/// Parses a `SWITCHLESS_JOBS` value: `Ok(Some(n))` for a positive count,
-/// `Ok(None)` for "auto" (empty/whitespace or an explicit `0`, deferring
-/// to the host's available parallelism), `Err` for anything else.
-///
-/// Malformed values are errors, never silently ignored: a typo like
-/// `SWITCHLESS_JOBS=4x` in CI would otherwise fall back to host
-/// parallelism and quietly change what a determinism diff covers.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming the variable and the rejected
-/// value.
-pub fn parse_jobs_env(raw: &str) -> Result<Option<usize>, String> {
-    let v = raw.trim();
-    if v.is_empty() {
-        return Ok(None);
-    }
-    match v.parse::<usize>() {
-        Ok(0) => Ok(None), // explicit "auto"
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "{JOBS_ENV} must be a worker count (0 means auto), got {v:?}"
-        )),
-    }
-}
-
 /// Resolves a worker count: `requested` (a CLI `--jobs N`) wins, then the
-/// `SWITCHLESS_JOBS` environment variable (`0` or empty means "auto"),
-/// then the host's available parallelism. The result is always at least 1.
-///
-/// # Panics
-///
-/// Panics on a malformed `SWITCHLESS_JOBS` value (see [`parse_jobs_env`]).
+/// host's available parallelism. The result is always at least 1.
 #[must_use]
 pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    let from_env = || match std::env::var(JOBS_ENV) {
-        Ok(raw) => parse_jobs_env(&raw).unwrap_or_else(|msg| panic!("{msg}")),
-        Err(_) => None,
-    };
-    let n = requested.or_else(from_env).unwrap_or_else(|| {
+    let n = requested.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
     n.max(1)
@@ -218,24 +179,6 @@ mod tests {
         assert_eq!(resolve_jobs(Some(3)), 3);
         assert_eq!(resolve_jobs(Some(0)), 1);
         assert!(resolve_jobs(None) >= 1);
-    }
-
-    #[test]
-    fn parse_jobs_env_accepts_counts_and_auto() {
-        assert_eq!(parse_jobs_env("4"), Ok(Some(4)));
-        assert_eq!(parse_jobs_env(" 16 "), Ok(Some(16)));
-        assert_eq!(parse_jobs_env("0"), Ok(None), "0 means auto");
-        assert_eq!(parse_jobs_env(""), Ok(None));
-        assert_eq!(parse_jobs_env("   "), Ok(None));
-    }
-
-    #[test]
-    fn parse_jobs_env_rejects_malformed_values() {
-        for bad in ["4x", "x4", "-1", "1.5", "four", "0x4"] {
-            let err = parse_jobs_env(bad).unwrap_err();
-            assert!(err.contains(JOBS_ENV), "{err}");
-            assert!(err.contains(bad), "{err}");
-        }
     }
 
     #[test]

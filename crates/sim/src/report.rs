@@ -191,25 +191,13 @@ impl Table {
             .collect::<Vec<_>>()
             .join("_")
     }
-
-    /// Writes the CSV form to `dir/<slug>.csv`, creating the directory.
-    ///
-    /// Returns the written path. Note this overwrites whatever is at that
-    /// path; when emitting many tables in one run, prefer [`CsvSink`],
-    /// which detects slug collisions between distinct titles.
-    pub fn write_csv(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.csv", self.slug()));
-        std::fs::write(&path, self.to_csv())?;
-        Ok(path)
-    }
 }
 
 /// Writes a run's tables into one directory, uniquifying slug collisions.
 ///
 /// Two titles differing only in punctuation (`"F9: x!"` vs `"F9; x?"`)
-/// map to the same [`Table::slug`]; writing both through
-/// [`Table::write_csv`] would silently clobber the first. A sink tracks
+/// map to the same [`Table::slug`]; writing both to `<slug>.csv` would
+/// silently clobber the first. A sink tracks
 /// every file name it has produced and gives later colliders a `_2`,
 /// `_3`, ... suffix, so each table in a run lands in its own file.
 ///
@@ -321,17 +309,6 @@ mod tests {
             t.to_csv(),
             "a,b\n\"cr\rhere\",\"crlf\r\nhere\"\nplain,\"lf\nhere\"\n"
         );
-    }
-
-    #[test]
-    fn write_csv_creates_file() {
-        let dir = std::env::temp_dir().join("switchless_report_test");
-        let mut t = Table::new("F9: Priority vs RR!", &["n", "lat"]);
-        t.row(&["1", "2"]);
-        let path = t.write_csv(&dir).unwrap();
-        assert!(path.ends_with("f9_priority_vs_rr.csv"));
-        let content = std::fs::read_to_string(path).unwrap();
-        assert_eq!(content, "n,lat\n1,2\n");
     }
 
     #[test]

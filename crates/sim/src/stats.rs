@@ -1,4 +1,4 @@
-//! Streaming statistics: summaries, latency histograms, counters.
+//! Streaming statistics: latency histograms and named counters.
 //!
 //! The experiment harness reports percentiles (p50/p90/p99/p99.9) of
 //! latency distributions, as the papers cited by our target (`[46]` Shinjuku,
@@ -9,123 +9,6 @@
 use core::fmt;
 
 use crate::hash::FxHashMap;
-
-/// Welford streaming mean/variance plus min/max.
-///
-/// # Examples
-///
-/// ```
-/// use switchless_sim::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 4);
-/// assert!((s.mean() - 2.5).abs() < 1e-12);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub fn new() -> Summary {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of observations (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Log-bucketed histogram of non-negative integer values (e.g. cycles).
 ///
@@ -267,19 +150,6 @@ impl Histogram {
         self.quantile(0.999)
     }
 
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.total += other.total;
-        if other.count > 0 {
-            self.max = self.max.max(other.max);
-            self.min = self.min.min(other.min);
-        }
-    }
-
     /// Clears all recorded samples (e.g. at the end of a warmup window).
     pub fn reset(&mut self) {
         self.buckets.iter_mut().for_each(|b| *b = 0);
@@ -407,48 +277,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_combined() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 37 % 91) as f64).collect();
-        let mut whole = Summary::new();
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.record(x);
-            if i < 40 {
-                left.record(x);
-            } else {
-                right.record(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
     fn histogram_small_values_exact() {
         let mut h = Histogram::new();
         for v in 0..SUBS as u64 {
@@ -482,27 +310,6 @@ mod tests {
         }
         assert!((h.mean() - 25.0).abs() < 1e-12);
         assert_eq!(h.count(), 4);
-    }
-
-    #[test]
-    fn histogram_merge_matches_union() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut u = Histogram::new();
-        for v in 0..1000u64 {
-            let x = v * v % 7919;
-            if v % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            u.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), u.count());
-        assert_eq!(a.p50(), u.p50());
-        assert_eq!(a.p99(), u.p99());
-        assert_eq!(a.max(), u.max());
     }
 
     #[test]

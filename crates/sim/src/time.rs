@@ -145,15 +145,6 @@ impl Freq {
     /// A 3 GHz clock, the paper's reference frequency.
     pub const GHZ3: Freq = Freq { khz: 3_000_000 };
 
-    /// A 2 GHz clock.
-    pub const GHZ2: Freq = Freq { khz: 2_000_000 };
-
-    /// Creates a frequency from megahertz.
-    #[must_use]
-    pub const fn from_mhz(mhz: u64) -> Freq {
-        Freq { khz: mhz * 1000 }
-    }
-
     /// Converts a duration in cycles to nanoseconds (floating point).
     ///
     /// # Examples
@@ -168,18 +159,6 @@ impl Freq {
     #[must_use]
     pub fn cycles_to_ns(self, c: Cycles) -> f64 {
         c.0 as f64 * 1e6 / self.khz as f64
-    }
-
-    /// Converts nanoseconds to a (rounded) cycle count.
-    #[must_use]
-    pub fn ns_to_cycles(self, ns: f64) -> Cycles {
-        Cycles((ns * self.khz as f64 / 1e6).round() as u64)
-    }
-
-    /// Converts microseconds to a (rounded) cycle count.
-    #[must_use]
-    pub fn us_to_cycles(self, us: f64) -> Cycles {
-        self.ns_to_cycles(us * 1e3)
     }
 
     /// Cycles per second, as a float (for throughput computations).
@@ -246,17 +225,8 @@ mod tests {
     }
 
     #[test]
-    fn freq_roundtrip() {
-        let f = Freq::GHZ3;
-        let c = f.ns_to_cycles(100.0);
-        assert_eq!(c, Cycles(300));
-        assert!((f.cycles_to_ns(c) - 100.0).abs() < 1e-9);
-        assert_eq!(f.us_to_cycles(1.0), Cycles(3000));
-    }
-
-    #[test]
     fn freq_display() {
         assert_eq!(Freq::GHZ3.to_string(), "3GHz");
-        assert_eq!(Freq::from_mhz(2500).to_string(), "2500MHz");
+        assert_eq!(Freq { khz: 2_500_000 }.to_string(), "2500MHz");
     }
 }

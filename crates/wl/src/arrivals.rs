@@ -29,11 +29,6 @@ pub fn poisson_arrivals(rng: &mut Rng, start: Cycles, mean_gap: f64, n: usize) -
     out
 }
 
-/// Generates `n` uniformly paced arrivals with the given gap.
-pub fn uniform_arrivals(start: Cycles, gap: Cycles, n: usize) -> Vec<Cycles> {
-    (0..n as u64).map(|i| start + gap * i).collect()
-}
-
 /// Converts a target utilization into a mean inter-arrival gap, given
 /// mean service time and server count: `gap = service / (servers * rho)`.
 #[must_use]
@@ -68,71 +63,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_spacing_exact() {
-        let ts = uniform_arrivals(Cycles(100), Cycles(50), 4);
-        assert_eq!(ts, vec![Cycles(100), Cycles(150), Cycles(200), Cycles(250)]);
-    }
-
-    #[test]
     fn utilization_gap_math() {
         // service 3000cy, 2 servers, rho 0.5 -> gap 3000.
         assert!((gap_for_utilization(3000.0, 2, 0.5) - 3000.0).abs() < 1e-9);
         // rho 1.0 on 1 server -> gap == service.
         assert!((gap_for_utilization(3000.0, 1, 1.0) - 3000.0).abs() < 1e-9);
-    }
-}
-
-/// A closed-loop client population model: `clients` clients each issue a
-/// request, wait for its completion, think for `think` cycles, and
-/// repeat. Returns the resulting arrival times given a fixed per-request
-/// sojourn estimate — useful for sizing closed-loop experiments without
-/// running the full feedback loop.
-///
-/// For exact closed-loop behaviour, drive the machine directly (see the
-/// distributed-runtime tests); this helper exists for back-of-envelope
-/// workload sizing and is exact when sojourn time is constant.
-pub fn closed_loop_arrivals(
-    clients: usize,
-    think: Cycles,
-    sojourn: Cycles,
-    rounds: usize,
-) -> Vec<Cycles> {
-    let mut out = Vec::with_capacity(clients * rounds);
-    for c in 0..clients as u64 {
-        // Stagger client starts across one think time.
-        let start = Cycles(think.0 * c / (clients as u64).max(1));
-        for r in 0..rounds as u64 {
-            out.push(start + (think + sojourn) * r);
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-#[cfg(test)]
-mod closed_loop_tests {
-    use super::*;
-
-    #[test]
-    fn closed_loop_rate_is_bounded_by_population() {
-        // Little's law sanity: N clients, cycle time think+sojourn, so
-        // throughput = N / (think + sojourn).
-        let ts = closed_loop_arrivals(4, Cycles(1_000), Cycles(500), 100);
-        assert_eq!(ts.len(), 400);
-        let span = (ts.last().unwrap().0 - ts[0].0).max(1);
-        let rate = ts.len() as f64 / span as f64;
-        let expect = 4.0 / 1500.0;
-        assert!(
-            (rate - expect).abs() / expect < 0.05,
-            "rate {rate} vs {expect}"
-        );
-    }
-
-    #[test]
-    fn closed_loop_is_sorted_and_staggered() {
-        let ts = closed_loop_arrivals(3, Cycles(300), Cycles(0), 2);
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(ts[0], Cycles(0));
-        assert!(ts.contains(&Cycles(100)), "staggered starts");
     }
 }

@@ -6,7 +6,7 @@
 //!   regimes where the paper's processor-sharing claim (§4, citing
 //!   Shinjuku `[46]` and RackSched `[80]`) separates the designs.
 //! * [`arrivals`] — open-loop Poisson arrival processes (the standard
-//!   load model for µs-scale service studies) plus uniform pacing.
+//!   load model for µs-scale service studies).
 //! * [`queue`] — a discipline-parameterized multi-server queueing
 //!   simulator: FCFS, preemptive round-robin with arbitrary quantum and
 //!   per-dispatch overhead, which degenerates to processor sharing for a
@@ -14,8 +14,8 @@
 //!   it with per-design cost parameters (legacy interrupt+scheduler path,
 //!   polling dataplane, hardware-thread wakeup) that are calibrated
 //!   against the machine model.
-//! * [`sweep`] — load-sweep bookkeeping: offered load → arrival rate,
-//!   warmup trimming, and result rows.
+//! * [`sweep`] — one load-sweep point: offered load → job trace, warmup
+//!   trimming, and the measured row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,15 @@
-//! Load-sweep bookkeeping shared by the experiment harness.
+//! Load-sweep points shared by the experiment harness: [`make_jobs`]
+//! draws one point's job trace and [`run_point`] measures it.
 //!
-//! Per-point seeding: each sweep point gets its own RNG seeded by
-//! [`mix_seed`]`(seed, point_index)`, a SplitMix64 derivation that fully
-//! decorrelates points. (An earlier scheme, `seed ^ (rho * 1e6) as u64`,
-//! only perturbed a few low bits, correlating — and for some rho grids
-//! colliding — the streams of nearby points.) Because the seed depends on
-//! the point *index*, not on which worker ran it, [`sweep_par`] returns
-//! bit-identical results for any worker count.
+//! Per-point seeding: callers seed each point's RNG with
+//! `switchless_sim::rng::mix_seed(seed, point_index)`, a SplitMix64
+//! derivation that fully decorrelates points. (An earlier scheme,
+//! `seed ^ (rho * 1e6) as u64`, only perturbed a few low bits,
+//! correlating — and for some rho grids colliding — the streams of nearby
+//! points.) Because the seed depends on the point *index*, not on which
+//! worker ran it, a parallel sweep is bit-identical for any worker count.
 
-use switchless_sim::par::par_map;
-use switchless_sim::rng::{mix_seed, Rng};
+use switchless_sim::rng::Rng;
 use switchless_sim::time::Cycles;
 
 use crate::arrivals::{gap_for_utilization, poisson_arrivals};
@@ -70,45 +70,11 @@ pub fn run_point(
     }
 }
 
-/// Convenience: full serial sweep over utilizations.
-///
-/// Equivalent to [`sweep_par`] with one worker; the two are bit-identical
-/// for the same inputs.
-pub fn sweep(
-    seed: u64,
-    cfg: &QueueConfig,
-    dist: &ServiceDist,
-    rhos: &[f64],
-    jobs_per_point: usize,
-) -> Vec<SweepPoint> {
-    sweep_par(seed, cfg, dist, rhos, jobs_per_point, 1)
-}
-
-/// Full sweep over utilizations, sharding points across up to `workers`
-/// threads.
-///
-/// Each point's RNG is seeded by `mix_seed(seed, point_index)`, so the
-/// result vector (in `rhos` order) is bit-identical for any `workers`,
-/// and duplicate rhos at different indices get decorrelated streams.
-pub fn sweep_par(
-    seed: u64,
-    cfg: &QueueConfig,
-    dist: &ServiceDist,
-    rhos: &[f64],
-    jobs_per_point: usize,
-    workers: usize,
-) -> Vec<SweepPoint> {
-    par_map(workers, rhos, |i, &rho| {
-        let mut rng = Rng::seed_from(mix_seed(seed, i as u64));
-        let jobs = make_jobs(&mut rng, dist, cfg.servers, rho, jobs_per_point);
-        run_point(cfg, &jobs, 0.1, rho)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::queue::Discipline;
+    use switchless_sim::rng::mix_seed;
 
     fn cfg() -> QueueConfig {
         QueueConfig {
@@ -119,11 +85,24 @@ mod tests {
         }
     }
 
+    /// Measures each rho as F7 does: point `i` draws its trace from
+    /// `mix_seed(seed, i)` and trims the first 10% as warmup.
+    fn sweep(seed: u64, dist: &ServiceDist, rhos: &[f64], n: usize) -> Vec<SweepPoint> {
+        let cfg = cfg();
+        rhos.iter()
+            .enumerate()
+            .map(|(i, &rho)| {
+                let mut rng = Rng::seed_from(mix_seed(seed, i as u64));
+                let jobs = make_jobs(&mut rng, dist, cfg.servers, rho, n);
+                run_point(&cfg, &jobs, 0.1, rho)
+            })
+            .collect()
+    }
+
     #[test]
     fn latency_grows_with_load() {
         let pts = sweep(
             1,
-            &cfg(),
             &ServiceDist::Exponential { mean: 1000 },
             &[0.3, 0.9],
             20_000,
@@ -139,7 +118,7 @@ mod tests {
 
     #[test]
     fn achieved_utilization_tracks_offered() {
-        let pts = sweep(2, &cfg(), &ServiceDist::Fixed(1000), &[0.5], 50_000);
+        let pts = sweep(2, &ServiceDist::Fixed(1000), &[0.5], 50_000);
         assert!(
             (pts[0].achieved_util - 0.5).abs() < 0.05,
             "{}",
@@ -158,7 +137,7 @@ mod tests {
         let streams: Vec<Vec<Cycles>> = [0u64, 1, 2]
             .iter()
             .map(|&i| {
-                let mut rng = Rng::seed_from(switchless_sim::rng::mix_seed(seed, i));
+                let mut rng = Rng::seed_from(mix_seed(seed, i));
                 make_jobs(&mut rng, &dist, 2, 0.5, 64)
                     .into_iter()
                     .map(|(a, _)| a)
@@ -172,7 +151,7 @@ mod tests {
         }
         // End-to-end: a sweep over the same rho twice measures two
         // independent replications, not one replayed one.
-        let pts = sweep(seed, &cfg(), &dist, &[0.5, 0.5], 5_000);
+        let pts = sweep(seed, &dist, &[0.5, 0.5], 5_000);
         assert_ne!(
             (pts[0].mean, pts[0].p99),
             (pts[1].mean, pts[1].p99),
@@ -181,28 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_par_matches_serial_bit_for_bit() {
-        let dist = ServiceDist::Exponential { mean: 1000 };
-        let rhos = [0.2, 0.4, 0.6, 0.8, 0.9];
-        let serial = sweep(9, &cfg(), &dist, &rhos, 5_000);
-        for workers in [2, 4, 16] {
-            let par = sweep_par(9, &cfg(), &dist, &rhos, 5_000, workers);
-            assert_eq!(serial.len(), par.len());
-            for (s, p) in serial.iter().zip(&par) {
-                assert_eq!(s.rho.to_bits(), p.rho.to_bits());
-                assert_eq!(s.throughput.to_bits(), p.throughput.to_bits());
-                assert_eq!(s.p50, p.p50);
-                assert_eq!(s.p99, p.p99);
-                assert_eq!(s.mean.to_bits(), p.mean.to_bits());
-                assert_eq!(s.achieved_util.to_bits(), p.achieved_util.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn throughput_matches_offered_rate_below_saturation() {
         let dist = ServiceDist::Fixed(1000);
-        let pts = sweep(3, &cfg(), &dist, &[0.6], 50_000);
+        let pts = sweep(3, &dist, &[0.6], 50_000);
         // Offered rate = servers * rho / mean = 2*0.6/1000.
         let offered = 2.0 * 0.6 / 1000.0;
         let err = (pts[0].throughput - offered).abs() / offered;

@@ -58,6 +58,8 @@
 #            --machine-jobs, must write bit-identical trees and logs at
 #            --machine-jobs 1, 2 and 4 (loop blocks run inside the
 #            workers)
+#   loc      informational, not a gate: scripts/loc.sh prints the
+#            non-test lines per crate under crates/*/src
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -243,5 +245,8 @@ for j in 2 4; do
     fi
 done
 echo "epoch-worker threads: identical f15 trees and logs"
+
+step "non-test lines per crate (informational)"
+scripts/loc.sh
 
 printf '\nCI green.\n'
