@@ -1114,8 +1114,8 @@ impl Machine {
 
     /// Registers a device doorbell: `hook` runs after any store that
     /// covers `addr` (CPU, host, or DMA), receiving the stored word.
-    /// This is how MMIO-triggered devices (NIC TX doorbells, SSD
-    /// submission doorbells) react immediately to driver writes.
+    /// This is how an MMIO-triggered device reacts immediately to a
+    /// driver write.
     /// Registering an address again replaces its hook.
     pub fn register_mmio(&mut self, addr: u64, hook: impl FnMut(&mut Machine, u64) + 'static) {
         self.mmio_hooks.insert(addr, Box::new(hook));

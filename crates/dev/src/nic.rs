@@ -767,182 +767,3 @@ mod tests {
         assert_ne!(nic.desc_addr(1), nic.desc_addr(2));
     }
 }
-
-/// Bytes per TX descriptor slot: `[payload_addr: u64][len|seq: u64]`.
-pub const TX_DESC_BYTES: u64 = 16;
-
-/// The transmit half of the NIC: the driver writes descriptors into the
-/// TX ring and stores the new tail to the **doorbell** (an MMIO write —
-/// the device reacts immediately); after the wire latency the device
-/// bumps the TX-completion word, which a driver thread can `mwait` on.
-#[derive(Clone, Copy, Debug)]
-pub struct NicTx {
-    /// Number of TX descriptor slots (power of two).
-    pub tx_slots: u64,
-    /// Base of the TX descriptor ring (driver writes descriptors here).
-    pub ring_base: u64,
-    /// Doorbell word: the driver stores the new ring tail here.
-    pub doorbell: u64,
-    /// Completion counter word: packets fully transmitted (mwait here).
-    pub tx_done: u64,
-    /// Wire + serialization latency per packet.
-    pub tx_latency: Cycles,
-}
-
-impl NicTx {
-    /// Allocates the TX ring and registers the doorbell MMIO hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tx_slots` is not a power of two; [`NicTx::try_attach`]
-    /// is the non-panicking variant.
-    pub fn attach(m: &mut Machine, tx_slots: u64, tx_latency: Cycles) -> NicTx {
-        NicTx::try_attach(m, tx_slots, tx_latency).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Validating [`NicTx::attach`] with a structured error.
-    pub fn try_attach(
-        m: &mut Machine,
-        tx_slots: u64,
-        tx_latency: Cycles,
-    ) -> Result<NicTx, SimError> {
-        if !tx_slots.is_power_of_two() {
-            return Err(SimError::Config {
-                context: "nic tx",
-                detail: format!("tx_slots {tx_slots} must be a nonzero power of two"),
-            });
-        }
-        let ring_base = m.alloc(tx_slots * TX_DESC_BYTES);
-        let doorbell = m.alloc(64);
-        let tx_done = m.alloc(64);
-        let tx = NicTx {
-            tx_slots,
-            ring_base,
-            doorbell,
-            tx_done,
-            tx_latency,
-        };
-        // The device state: how far it has consumed the ring.
-        let consumed = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        m.register_mmio(doorbell, move |mach, tail| {
-            let mut seq = consumed.get();
-            while seq < tail {
-                // Consume one descriptor; completion lands after the
-                // wire latency, in ring order.
-                let gap = seq - consumed.get();
-                let done_at = mach.now() + tx.tx_latency * (gap + 1);
-                let done_word = tx.tx_done;
-                let this = seq + 1;
-                let led = mach.ledger("nic.tx");
-                led.posted += 1;
-                led.in_flight += 1;
-                mach.at(done_at, move |inner| {
-                    inner.dma_write(done_word, &this.to_le_bytes());
-                    inner.counters_mut().inc("nic.tx.packets");
-                    let led = inner.ledger("nic.tx");
-                    led.in_flight -= 1;
-                    led.completed += 1;
-                });
-                seq += 1;
-            }
-            consumed.set(seq);
-        });
-        Ok(tx)
-    }
-
-    /// Address of TX descriptor slot `seq`.
-    #[must_use]
-    pub fn desc_addr(&self, seq: u64) -> u64 {
-        self.ring_base + (seq & (self.tx_slots - 1)) * TX_DESC_BYTES
-    }
-
-    /// Completed-transmission count (host-side).
-    #[must_use]
-    pub fn done(&self, m: &Machine) -> u64 {
-        m.peek_u64(self.tx_done)
-    }
-}
-
-#[cfg(test)]
-mod tx_tests {
-    use super::*;
-    use switchless_core::machine::MachineConfig;
-    use switchless_core::tid::ThreadState;
-    use switchless_isa::asm::assemble;
-
-    #[test]
-    fn doorbell_store_transmits_and_completes() {
-        let mut m = Machine::new(MachineConfig::small());
-        let tx = NicTx::attach(&mut m, 16, Cycles(1_000));
-        // Host-side driver: publish 3 descriptors, ring the doorbell.
-        for seq in 0..3u64 {
-            m.poke_u64(tx.desc_addr(seq), 0xbeef);
-        }
-        m.poke_u64(tx.doorbell, 3);
-        m.run_for(Cycles(500));
-        assert_eq!(tx.done(&m), 0, "wire latency not yet elapsed");
-        m.run_for(Cycles(5_000));
-        assert_eq!(tx.done(&m), 3);
-        assert_eq!(m.counters().get("nic.tx.packets"), 3);
-    }
-
-    #[test]
-    fn driver_thread_sends_and_blocks_for_completion() {
-        // The full §2 send path in assembly: write descriptor, ring the
-        // doorbell (an ordinary store), mwait on the completion word.
-        let mut m = Machine::new(MachineConfig::small());
-        let tx = NicTx::attach(&mut m, 16, Cycles(2_000));
-        let prog = assemble(&format!(
-            r#"
-            entry:
-                movi r3, {desc}
-                movi r1, 0xab
-                st r1, r3, 0        ; descriptor: payload addr
-                st r1, r3, 8        ; descriptor: len|seq
-                movi r2, 1
-                st r2, {bell}       ; doorbell: tail = 1 (device reacts)
-            wait:
-                monitor {done}
-                ld r4, {done}
-                beq r4, r2, sent
-                mwait
-                jmp wait
-            sent:
-                halt
-            "#,
-            desc = tx.desc_addr(0),
-            bell = tx.doorbell,
-            done = tx.tx_done,
-        ))
-        .unwrap();
-        let tid = m.load_program(0, &prog).unwrap();
-        m.start_thread(tid);
-        // After issuing the send the driver parks rather than spinning.
-        assert!(m.run_until_state(tid, ThreadState::Waiting, Cycles(100_000)));
-        assert_eq!(tx.done(&m), 0, "parked before the wire latency elapsed");
-        assert!(m.run_until_state(tid, ThreadState::Halted, Cycles(100_000)));
-        assert_eq!(tx.done(&m), 1);
-        // Billed cycles are setup costs (cold caches), not busy-waiting:
-        // well under send setup + wire latency.
-        assert!(
-            m.billed_cycles(tid).0 < 2_000,
-            "driver burned {} cycles",
-            m.billed_cycles(tid).0
-        );
-    }
-
-    #[test]
-    fn completions_arrive_in_ring_order() {
-        let mut m = Machine::new(MachineConfig::small());
-        let tx = NicTx::attach(&mut m, 8, Cycles(500));
-        m.poke_u64(tx.doorbell, 2);
-        m.run_for(Cycles(600));
-        assert_eq!(tx.done(&m), 1, "first completion after one latency");
-        m.run_for(Cycles(500));
-        assert_eq!(tx.done(&m), 2);
-        // A later doorbell continues the sequence.
-        m.poke_u64(tx.doorbell, 3);
-        m.run_for(Cycles(1_000));
-        assert_eq!(tx.done(&m), 3);
-    }
-}

@@ -349,202 +349,3 @@ mod tests {
         assert_eq!(m.thread_reg(tid, 1), 1);
     }
 }
-
-/// Bytes per submission-queue entry: `[op|len: u64][buf_addr: u64]`.
-pub const SQ_ENTRY_BYTES: u64 = 16;
-
-/// A driver-facing NVMe-style submission queue: the driver writes
-/// entries into the SQ ring and stores the new tail to the doorbell;
-/// the device consumes entries immediately (MMIO) and completes each
-/// after its latency via the paired [`Ssd`]'s completion queue.
-///
-/// Entry encoding: word 0 = `(len << 8) | op` with op 1 = read,
-/// 2 = write; word 1 = destination buffer for reads.
-#[derive(Clone, Copy, Debug)]
-pub struct SsdQueue {
-    /// The completion side.
-    pub ssd: Ssd,
-    /// Submission-ring slots (power of two).
-    pub sq_slots: u64,
-    /// Base of the submission ring.
-    pub sq_base: u64,
-    /// Submission doorbell word (driver stores the new tail here).
-    pub doorbell: u64,
-}
-
-impl SsdQueue {
-    /// Allocates the submission ring and registers the doorbell hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config or `sq_slots` is invalid;
-    /// [`SsdQueue::try_attach`] is the non-panicking variant.
-    pub fn attach(m: &mut Machine, config: SsdConfig, sq_slots: u64) -> SsdQueue {
-        SsdQueue::try_attach(m, config, sq_slots).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Validating [`SsdQueue::attach`] with a structured error.
-    pub fn try_attach(
-        m: &mut Machine,
-        config: SsdConfig,
-        sq_slots: u64,
-    ) -> Result<SsdQueue, SimError> {
-        if !sq_slots.is_power_of_two() {
-            return Err(SimError::Config {
-                context: "ssd queue",
-                detail: format!("sq_slots {sq_slots} must be a nonzero power of two"),
-            });
-        }
-        let ssd = Ssd::try_attach(m, config)?;
-        let sq_base = m.alloc(sq_slots * SQ_ENTRY_BYTES);
-        let doorbell = m.alloc(64);
-        let q = SsdQueue {
-            ssd,
-            sq_slots,
-            sq_base,
-            doorbell,
-        };
-        let consumed = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        m.register_mmio(doorbell, move |mach, tail| {
-            let mut seq = consumed.get();
-            while seq < tail {
-                let e0 = mach.peek_u64(q.sq_addr(seq));
-                let buf = mach.peek_u64(q.sq_addr(seq) + 8);
-                let op = match e0 & 0xff {
-                    1 => SsdOp::Read {
-                        buf_addr: buf,
-                        len: (e0 >> 8).min(1 << 20),
-                    },
-                    _ => SsdOp::Write,
-                };
-                let now = mach.now();
-                q.ssd.submit(mach, now, seq, op, seq);
-                seq += 1;
-            }
-            consumed.set(seq);
-        });
-        Ok(q)
-    }
-
-    /// Address of submission entry `seq`.
-    #[must_use]
-    pub fn sq_addr(&self, seq: u64) -> u64 {
-        self.sq_base + (seq & (self.sq_slots - 1)) * SQ_ENTRY_BYTES
-    }
-}
-
-#[cfg(test)]
-mod queue_tests {
-    use super::*;
-    use switchless_core::machine::MachineConfig;
-    use switchless_core::tid::ThreadState;
-    use switchless_isa::asm::assemble;
-
-    #[test]
-    fn driver_thread_submits_read_and_blocks() {
-        // The §2 storage path entirely in assembly: build the SQ entry,
-        // ring the doorbell, mwait on the CQ tail, read the DMA'd data.
-        let mut m = Machine::new(MachineConfig::small());
-        let q = SsdQueue::attach(
-            &mut m,
-            SsdConfig {
-                read_latency: Cycles(9_000), // 3 µs NVM-class read
-                ..SsdConfig::default()
-            },
-            16,
-        );
-        let buf = m.alloc(4096);
-        let prog = assemble(&format!(
-            r#"
-            entry:
-                movi r3, {sq}
-                movi r1, {e0}       ; (512 << 8) | read
-                st r1, r3, 0
-                movi r1, {buf}
-                st r1, r3, 8
-                movi r2, 1
-                st r2, {bell}       ; submission doorbell
-            wait:
-                monitor {cq}
-                ld r4, {cq}
-                beq r4, r2, done
-                mwait
-                jmp wait
-            done:
-                movi r5, {buf}
-                ldb r6, r5, 1       ; second byte of the DMA pattern (= 1)
-                halt
-            "#,
-            sq = q.sq_addr(0),
-            e0 = (512u64 << 8) | 1,
-            buf = buf,
-            bell = q.doorbell,
-            cq = q.ssd.cq_tail,
-        ))
-        .unwrap();
-        let tid = m.load_program(0, &prog).unwrap();
-        m.start_thread(tid);
-        assert!(m.run_until_state(tid, ThreadState::Waiting, Cycles(100_000)));
-        assert_eq!(q.ssd.tail(&m), 0, "parked during the device latency");
-        assert!(m.run_until_state(tid, ThreadState::Halted, Cycles(200_000)));
-        assert_eq!(q.ssd.tail(&m), 1);
-        assert_eq!(m.thread_reg(tid, 6), 1, "driver saw the DMA'd data");
-        assert_eq!(m.counters().get("ssd.completions"), 1);
-    }
-
-    #[test]
-    fn guest_read_into_a_buffer_outside_memory_fails_the_read() {
-        // A guest names a buffer past the end of memory: the machine
-        // drops the data DMA and the read completes with an error.
-        let mut m = Machine::new(MachineConfig::small());
-        let q = SsdQueue::attach(&mut m, SsdConfig::default(), 16);
-        let prog = assemble(&format!(
-            r#"
-            entry:
-                movi r3, {sq}
-                movi r1, {e0}       ; (512 << 8) | read
-                st r1, r3, 0
-                movi r1, {buf}
-                st r1, r3, 8
-                movi r2, 1
-                st r2, {bell}       ; submission doorbell
-            wait:
-                monitor {cq}
-                ld r4, {cq}
-                beq r4, r2, done
-                mwait
-                jmp wait
-            done:
-                movi r5, {entry}
-                ld r6, r5, 8        ; completion sequence word
-                halt
-            "#,
-            sq = q.sq_addr(0),
-            e0 = (512u64 << 8) | 1,
-            buf = 0x7fff_0000u64,
-            bell = q.doorbell,
-            cq = q.ssd.cq_tail,
-            entry = q.ssd.cq_addr(0),
-        ))
-        .unwrap();
-        let tid = m.load_program(0, &prog).unwrap();
-        m.start_thread(tid);
-        assert!(m.run_until_state(tid, ThreadState::Halted, Cycles(200_000)));
-        assert_eq!(m.thread_reg(tid, 6), CQ_STATUS_ERROR, "seq 0, error bit");
-        assert_eq!(m.counters().get("dma.rejected"), 1);
-        assert_eq!(m.counters().get("ssd.completions"), 1);
-        assert_eq!(m.counters().get("ssd.read_errors"), 0, "not a media error");
-    }
-
-    #[test]
-    fn batched_submissions_all_complete() {
-        let mut m = Machine::new(MachineConfig::small());
-        let q = SsdQueue::attach(&mut m, SsdConfig::default(), 16);
-        for seq in 0..5u64 {
-            m.poke_u64(q.sq_addr(seq), 2); // writes
-        }
-        m.poke_u64(q.doorbell, 5);
-        m.run_for(Cycles(200_000));
-        assert_eq!(q.ssd.tail(&m), 5);
-    }
-}

@@ -65,8 +65,36 @@ pub enum CtrlReg {
 }
 
 impl CtrlReg {
-    /// All control registers, in `RegSel` numbering order.
+    /// All control registers, in code order.
     pub const ALL: [CtrlReg; 4] = [CtrlReg::Edp, CtrlReg::Tdtr, CtrlReg::Mode, CtrlReg::Prio];
+
+    /// Assembler names, in code order.
+    const NAMES: [&'static str; 4] = ["edp", "tdtr", "mode", "prio"];
+
+    /// The register's code: its index in [`CtrlReg::ALL`]. `csrr`/`csrw`
+    /// carry it in `imm44`; a [`RegSel`] numbers it from 17.
+    pub(crate) fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The register with code `code`, if any.
+    pub(crate) fn from_code(code: u64) -> Option<CtrlReg> {
+        usize::try_from(code)
+            .ok()
+            .and_then(|i| CtrlReg::ALL.get(i).copied())
+    }
+
+    /// The register's assembler name.
+    pub(crate) fn name(self) -> &'static str {
+        CtrlReg::NAMES[self as usize]
+    }
+
+    /// The register named `name`, ignoring ASCII case.
+    pub(crate) fn from_name(name: &str) -> Option<CtrlReg> {
+        CtrlReg::ALL
+            .into_iter()
+            .find(|c| name.eq_ignore_ascii_case(c.name()))
+    }
 }
 
 /// Selector for `rpull`/`rpush` remote-register operands: a GPR, the
@@ -90,10 +118,7 @@ impl RegSel {
         match self {
             RegSel::Gpr(n) => n,
             RegSel::Pc => 16,
-            RegSel::Ctrl(CtrlReg::Edp) => 17,
-            RegSel::Ctrl(CtrlReg::Tdtr) => 18,
-            RegSel::Ctrl(CtrlReg::Mode) => 19,
-            RegSel::Ctrl(CtrlReg::Prio) => 20,
+            RegSel::Ctrl(c) => 17 + c.code(),
         }
     }
 
@@ -103,11 +128,7 @@ impl RegSel {
         match v {
             0..=15 => Some(RegSel::Gpr(v)),
             16 => Some(RegSel::Pc),
-            17 => Some(RegSel::Ctrl(CtrlReg::Edp)),
-            18 => Some(RegSel::Ctrl(CtrlReg::Tdtr)),
-            19 => Some(RegSel::Ctrl(CtrlReg::Mode)),
-            20 => Some(RegSel::Ctrl(CtrlReg::Prio)),
-            _ => None,
+            _ => CtrlReg::from_code(u64::from(v - 17)).map(RegSel::Ctrl),
         }
     }
 
@@ -128,10 +149,7 @@ impl fmt::Display for RegSel {
         match self {
             RegSel::Gpr(n) => write!(f, "r{n}"),
             RegSel::Pc => write!(f, "pc"),
-            RegSel::Ctrl(CtrlReg::Edp) => write!(f, "edp"),
-            RegSel::Ctrl(CtrlReg::Tdtr) => write!(f, "tdtr"),
-            RegSel::Ctrl(CtrlReg::Mode) => write!(f, "mode"),
-            RegSel::Ctrl(CtrlReg::Prio) => write!(f, "prio"),
+            RegSel::Ctrl(c) => f.write_str(c.name()),
         }
     }
 }

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 
 use crate::arch::{CtrlReg, RegSel};
-use crate::inst::{Inst, Reg, IMM44_MAX};
+use crate::inst::{opcode_bits, Field, Inst, Reg, Spec, IMM44_MAX, TABLE};
 
 /// A fully assembled, loadable program image.
 #[derive(Clone, Debug)]
@@ -302,6 +302,19 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
     })
 }
 
+/// Pseudo-instructions: each names the instruction it assembles to and
+/// the operands it supplies ahead of the written ones.
+const ALIASES: [(&str, &str, &[&str]); 3] = [
+    ("call", "jal", &["r14"]),
+    ("ret", "jr", &["r14"]),
+    ("li", "movi", &[]),
+];
+
+fn parse_reg(tok: &str) -> Option<Reg> {
+    let n: u8 = tok.strip_prefix(['r', 'R'])?.parse().ok()?;
+    (n < 16).then_some(Reg(n))
+}
+
 struct Ctx<'a> {
     symbols: &'a HashMap<String, u64>,
     line: usize,
@@ -309,39 +322,7 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     fn reg(&self, tok: &str) -> Result<Reg, AsmError> {
-        let t = tok.to_ascii_lowercase();
-        if let Some(n) = t.strip_prefix('r') {
-            if let Ok(i) = n.parse::<u8>() {
-                if i < 16 {
-                    return Ok(Reg(i));
-                }
-            }
-        }
-        Err(err(self.line, format!("expected register, got '{tok}'")))
-    }
-
-    fn regsel(&self, tok: &str) -> Result<RegSel, AsmError> {
-        match tok.to_ascii_lowercase().as_str() {
-            "pc" => Ok(RegSel::Pc),
-            "edp" => Ok(RegSel::Ctrl(CtrlReg::Edp)),
-            "tdtr" => Ok(RegSel::Ctrl(CtrlReg::Tdtr)),
-            "mode" => Ok(RegSel::Ctrl(CtrlReg::Mode)),
-            "prio" => Ok(RegSel::Ctrl(CtrlReg::Prio)),
-            _ => self.reg(tok).map(|r| RegSel::Gpr(r.0)),
-        }
-    }
-
-    fn csr(&self, tok: &str) -> Result<CtrlReg, AsmError> {
-        match tok.to_ascii_lowercase().as_str() {
-            "edp" => Ok(CtrlReg::Edp),
-            "tdtr" => Ok(CtrlReg::Tdtr),
-            "mode" => Ok(CtrlReg::Mode),
-            "prio" => Ok(CtrlReg::Prio),
-            _ => Err(err(
-                self.line,
-                format!("expected control register, got '{tok}'"),
-            )),
-        }
+        parse_reg(tok).ok_or_else(|| err(self.line, format!("expected register, got '{tok}'")))
     }
 
     /// A signed immediate or symbol value.
@@ -358,286 +339,82 @@ impl Ctx<'_> {
         ))
     }
 
-    /// An absolute 44-bit address (number or symbol).
-    fn addr(&self, tok: &str) -> Result<u64, AsmError> {
-        let v = self.imm(tok)?;
-        if v < 0 || v as u64 > IMM44_MAX {
-            return Err(err(
-                self.line,
-                format!("address '{tok}' out of 44-bit range"),
-            ));
+    /// The raw value of operand `tok` for `field`, range-checked.
+    fn operand(&self, field: Field, tok: &str) -> Result<u64, AsmError> {
+        let ranged = |lo: i64, hi: i64, what: &str| {
+            let v = self.imm(tok)?;
+            if (lo..=hi).contains(&v) {
+                Ok(v as u64)
+            } else {
+                Err(err(self.line, format!("{what} '{tok}' out of range")))
+            }
+        };
+        match field {
+            Field::Rd | Field::Rs1 | Field::Rs2 => Ok(u64::from(self.reg(tok)?.0)),
+            Field::Simm => ranged(-(1 << 43), (1 << 43) - 1, "signed 44-bit immediate"),
+            Field::Addr => ranged(0, IMM44_MAX as i64, "44-bit address"),
+            Field::U16 => ranged(0, 0xffff, "u16 immediate"),
+            Field::U32 => ranged(0, 0xffff_ffff, "u32 immediate"),
+            Field::Csr => match CtrlReg::from_name(tok) {
+                Some(c) => Ok(u64::from(c.code())),
+                None => Err(err(
+                    self.line,
+                    format!("expected control register, got '{tok}'"),
+                )),
+            },
+            Field::Sel => {
+                let sel = if tok.eq_ignore_ascii_case("pc") {
+                    RegSel::Pc
+                } else if let Some(c) = CtrlReg::from_name(tok) {
+                    RegSel::Ctrl(c)
+                } else {
+                    RegSel::Gpr(self.reg(tok)?.0)
+                };
+                Ok(u64::from(sel.encode()))
+            }
         }
-        Ok(v as u64)
-    }
-
-    fn simm44(&self, tok: &str) -> Result<i64, AsmError> {
-        let v = self.imm(tok)?;
-        let lim = 1i64 << 43;
-        if v < -lim || v >= lim {
-            return Err(err(
-                self.line,
-                format!("immediate '{tok}' out of signed 44-bit range"),
-            ));
-        }
-        Ok(v)
-    }
-
-    fn u16imm(&self, tok: &str) -> Result<u16, AsmError> {
-        let v = self.imm(tok)?;
-        u16::try_from(v).map_err(|_| err(self.line, format!("immediate '{tok}' out of u16 range")))
-    }
-
-    fn is_reg(&self, tok: &str) -> bool {
-        self.reg(tok).is_ok()
     }
 }
 
-fn expect_n(line: usize, ops: &[String], n: usize, usage: &str) -> Result<(), AsmError> {
-    if ops.len() == n {
-        Ok(())
-    } else {
-        Err(err(line, format!("expected {n} operand(s): {usage}")))
-    }
-}
-
-fn encode_item(mnemonic: &str, ops: &[String], ctx: &Ctx<'_>) -> Result<Inst, AsmError> {
-    let line = ctx.line;
-    let three_reg = |f: fn(Reg, Reg, Reg) -> Inst| -> Result<Inst, AsmError> {
-        expect_n(line, ops, 3, "d, a, b")?;
-        Ok(f(ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.reg(&ops[2])?))
+/// Assembles one instruction line to its word. Of the mnemonic's table
+/// rows, it takes the one whose operand count matches and whose register
+/// operands are exactly the register tokens; failing that, the last row
+/// with the right count reports what is wrong.
+fn encode_item(mnemonic: &str, ops: &[String], ctx: &Ctx<'_>) -> Result<u64, AsmError> {
+    let (name, fixed) = ALIASES
+        .iter()
+        .find(|a| a.0 == mnemonic)
+        .map_or((mnemonic, &[][..]), |a| (a.1, a.2));
+    let toks: Vec<&str> = fixed
+        .iter()
+        .copied()
+        .chain(ops.iter().map(String::as_str))
+        .collect();
+    let rows = || TABLE.iter().filter(|s| s.mnemonic == name);
+    let fits = || rows().filter(|s| s.operands.len() == toks.len());
+    let regs_match = |s: &&Spec| {
+        s.operands
+            .iter()
+            .zip(&toks)
+            .all(|(o, t)| o.1.is_reg() == parse_reg(t).is_some())
     };
-    let branch = |f: fn(Reg, Reg, u64) -> Inst| -> Result<Inst, AsmError> {
-        expect_n(line, ops, 3, "a, b, target")?;
-        Ok(f(ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.addr(&ops[2])?))
+    let Some(spec) = fits().find(regs_match).or_else(|| fits().next_back()) else {
+        if rows().next().is_none() {
+            return Err(err(ctx.line, format!("unknown mnemonic '{mnemonic}'")));
+        }
+        let forms: Vec<String> = rows()
+            .map(|s| {
+                let names: Vec<&str> = s.operands[fixed.len()..].iter().map(|o| o.0).collect();
+                format!("{} operand(s): {}", names.len(), names.join(", "))
+            })
+            .collect();
+        return Err(err(ctx.line, format!("expected {}", forms.join("  or  "))));
     };
-    match mnemonic {
-        "add" => three_reg(|d, a, b| Inst::Add { d, a, b }),
-        "sub" => three_reg(|d, a, b| Inst::Sub { d, a, b }),
-        "and" => three_reg(|d, a, b| Inst::And { d, a, b }),
-        "or" => three_reg(|d, a, b| Inst::Or { d, a, b }),
-        "xor" => three_reg(|d, a, b| Inst::Xor { d, a, b }),
-        "shl" => three_reg(|d, a, b| Inst::Shl { d, a, b }),
-        "shr" => three_reg(|d, a, b| Inst::Shr { d, a, b }),
-        "mul" => three_reg(|d, a, b| Inst::Mul { d, a, b }),
-        "div" => three_reg(|d, a, b| Inst::Div { d, a, b }),
-        "addi" => {
-            expect_n(line, ops, 3, "d, a, imm")?;
-            Ok(Inst::Addi {
-                d: ctx.reg(&ops[0])?,
-                a: ctx.reg(&ops[1])?,
-                imm: ctx.simm44(&ops[2])?,
-            })
-        }
-        "movi" => {
-            expect_n(line, ops, 2, "d, imm")?;
-            Ok(Inst::Movi {
-                d: ctx.reg(&ops[0])?,
-                imm: ctx.simm44(&ops[1])?,
-            })
-        }
-        "mov" => {
-            expect_n(line, ops, 2, "d, a")?;
-            Ok(Inst::Mov {
-                d: ctx.reg(&ops[0])?,
-                a: ctx.reg(&ops[1])?,
-            })
-        }
-        "ld" => match ops.len() {
-            2 => Ok(Inst::LdA {
-                d: ctx.reg(&ops[0])?,
-                addr: ctx.addr(&ops[1])?,
-            }),
-            3 => Ok(Inst::Ld {
-                d: ctx.reg(&ops[0])?,
-                a: ctx.reg(&ops[1])?,
-                off: ctx.simm44(&ops[2])?,
-            }),
-            _ => Err(err(line, "usage: ld d, symbol  or  ld d, base, off")),
-        },
-        "ldb" => {
-            expect_n(line, ops, 3, "d, base, off")?;
-            Ok(Inst::LdB {
-                d: ctx.reg(&ops[0])?,
-                a: ctx.reg(&ops[1])?,
-                off: ctx.simm44(&ops[2])?,
-            })
-        }
-        "stb" => {
-            expect_n(line, ops, 3, "s, base, off")?;
-            Ok(Inst::StB {
-                s: ctx.reg(&ops[0])?,
-                a: ctx.reg(&ops[1])?,
-                off: ctx.simm44(&ops[2])?,
-            })
-        }
-        "st" => match ops.len() {
-            2 => Ok(Inst::StA {
-                s: ctx.reg(&ops[0])?,
-                addr: ctx.addr(&ops[1])?,
-            }),
-            3 => Ok(Inst::St {
-                s: ctx.reg(&ops[0])?,
-                a: ctx.reg(&ops[1])?,
-                off: ctx.simm44(&ops[2])?,
-            }),
-            _ => Err(err(line, "usage: st s, symbol  or  st s, base, off")),
-        },
-        "jmp" => {
-            expect_n(line, ops, 1, "target")?;
-            Ok(Inst::Jmp {
-                addr: ctx.addr(&ops[0])?,
-            })
-        }
-        "jr" => {
-            expect_n(line, ops, 1, "a")?;
-            Ok(Inst::Jr {
-                a: ctx.reg(&ops[0])?,
-            })
-        }
-        // Pseudo-instructions.
-        "call" => {
-            expect_n(line, ops, 1, "target")?;
-            Ok(Inst::Jal {
-                d: Reg(14),
-                addr: ctx.addr(&ops[0])?,
-            })
-        }
-        "ret" => {
-            expect_n(line, ops, 0, "")?;
-            Ok(Inst::Jr { a: Reg(14) })
-        }
-        "li" => {
-            expect_n(line, ops, 2, "d, imm")?;
-            Ok(Inst::Movi {
-                d: ctx.reg(&ops[0])?,
-                imm: ctx.simm44(&ops[1])?,
-            })
-        }
-        "jal" => {
-            expect_n(line, ops, 2, "link, target")?;
-            Ok(Inst::Jal {
-                d: ctx.reg(&ops[0])?,
-                addr: ctx.addr(&ops[1])?,
-            })
-        }
-        "beq" => branch(|a, b, addr| Inst::Beq { a, b, addr }),
-        "bne" => branch(|a, b, addr| Inst::Bne { a, b, addr }),
-        "blt" => branch(|a, b, addr| Inst::Blt { a, b, addr }),
-        "bge" => branch(|a, b, addr| Inst::Bge { a, b, addr }),
-        "halt" => {
-            expect_n(line, ops, 0, "")?;
-            Ok(Inst::Halt)
-        }
-        "nop" => {
-            expect_n(line, ops, 0, "")?;
-            Ok(Inst::Nop)
-        }
-        "work" => {
-            expect_n(line, ops, 1, "cycles")?;
-            let v = ctx.imm(&ops[0])?;
-            let cycles = u32::try_from(v).map_err(|_| err(line, "work cycles out of u32 range"))?;
-            Ok(Inst::Work { cycles })
-        }
-        "syscall" => {
-            expect_n(line, ops, 1, "num")?;
-            Ok(Inst::Syscall {
-                num: ctx.u16imm(&ops[0])?,
-            })
-        }
-        "vmcall" => {
-            expect_n(line, ops, 1, "num")?;
-            Ok(Inst::VmCall {
-                num: ctx.u16imm(&ops[0])?,
-            })
-        }
-        "hcall" => {
-            expect_n(line, ops, 1, "num")?;
-            Ok(Inst::HCall {
-                num: ctx.u16imm(&ops[0])?,
-            })
-        }
-        "monitor" => {
-            expect_n(line, ops, 1, "reg-or-symbol")?;
-            if ctx.is_reg(&ops[0]) {
-                Ok(Inst::Monitor {
-                    a: ctx.reg(&ops[0])?,
-                })
-            } else {
-                Ok(Inst::MonitorA {
-                    addr: ctx.addr(&ops[0])?,
-                })
-            }
-        }
-        "mwait" => {
-            expect_n(line, ops, 0, "")?;
-            Ok(Inst::MWait)
-        }
-        "start" => {
-            expect_n(line, ops, 1, "reg-or-vtid")?;
-            if ctx.is_reg(&ops[0]) {
-                Ok(Inst::Start {
-                    vt: ctx.reg(&ops[0])?,
-                })
-            } else {
-                Ok(Inst::StartI {
-                    vtid: ctx.u16imm(&ops[0])?,
-                })
-            }
-        }
-        "stop" => {
-            expect_n(line, ops, 1, "reg-or-vtid")?;
-            if ctx.is_reg(&ops[0]) {
-                Ok(Inst::Stop {
-                    vt: ctx.reg(&ops[0])?,
-                })
-            } else {
-                Ok(Inst::StopI {
-                    vtid: ctx.u16imm(&ops[0])?,
-                })
-            }
-        }
-        "rpull" => {
-            expect_n(line, ops, 3, "vt, local, remote")?;
-            Ok(Inst::RPull {
-                vt: ctx.reg(&ops[0])?,
-                local: ctx.reg(&ops[1])?,
-                remote: ctx.regsel(&ops[2])?,
-            })
-        }
-        "rpush" => {
-            expect_n(line, ops, 3, "vt, remote, local")?;
-            Ok(Inst::RPush {
-                vt: ctx.reg(&ops[0])?,
-                remote: ctx.regsel(&ops[1])?,
-                local: ctx.reg(&ops[2])?,
-            })
-        }
-        "invtid" => {
-            expect_n(line, ops, 1, "vt")?;
-            Ok(Inst::InvTid {
-                vt: ctx.reg(&ops[0])?,
-            })
-        }
-        "csrr" => {
-            expect_n(line, ops, 2, "d, csr")?;
-            Ok(Inst::CsrR {
-                d: ctx.reg(&ops[0])?,
-                csr: ctx.csr(&ops[1])?,
-            })
-        }
-        "csrw" => {
-            expect_n(line, ops, 2, "csr, a")?;
-            Ok(Inst::CsrW {
-                csr: ctx.csr(&ops[0])?,
-                a: ctx.reg(&ops[1])?,
-            })
-        }
-        "fence" => {
-            expect_n(line, ops, 0, "")?;
-            Ok(Inst::Fence)
-        }
-        other => Err(err(line, format!("unknown mnemonic '{other}'"))),
+    let mut word = opcode_bits(spec.opcode);
+    for (&(_, field), tok) in spec.operands.iter().zip(&toks) {
+        word |= field.put(ctx.operand(field, tok)?);
     }
+    Ok(word)
 }
 
 /// Assembles source text into a [`Program`].
@@ -678,8 +455,7 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
                     symbols: &parsed.symbols,
                     line: *line,
                 };
-                let inst = encode_item(mnemonic, operands, &ctx)?;
-                words.push(inst.encode());
+                words.push(encode_item(mnemonic, operands, &ctx)?);
             }
         }
     }

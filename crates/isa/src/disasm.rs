@@ -1,65 +1,36 @@
 //! Disassembler: the inverse of the assembler, for debugging and tests.
 
-use crate::inst::Inst;
+use crate::arch::{CtrlReg, RegSel};
+use crate::inst::{Field, Inst, Spec};
 
-/// Renders one instruction in assembler syntax.
+/// Renders one instruction in assembler syntax: its table row's
+/// mnemonic, then each operand read back from the encoded word.
 #[must_use]
 pub fn disassemble(inst: Inst) -> String {
-    use Inst::*;
-    match inst {
-        Add { d, a, b } => format!("add {d}, {a}, {b}"),
-        Sub { d, a, b } => format!("sub {d}, {a}, {b}"),
-        And { d, a, b } => format!("and {d}, {a}, {b}"),
-        Or { d, a, b } => format!("or {d}, {a}, {b}"),
-        Xor { d, a, b } => format!("xor {d}, {a}, {b}"),
-        Shl { d, a, b } => format!("shl {d}, {a}, {b}"),
-        Shr { d, a, b } => format!("shr {d}, {a}, {b}"),
-        Mul { d, a, b } => format!("mul {d}, {a}, {b}"),
-        Div { d, a, b } => format!("div {d}, {a}, {b}"),
-        Addi { d, a, imm } => format!("addi {d}, {a}, {imm}"),
-        Movi { d, imm } => format!("movi {d}, {imm}"),
-        Mov { d, a } => format!("mov {d}, {a}"),
-        Ld { d, a, off } => format!("ld {d}, {a}, {off}"),
-        St { s, a, off } => format!("st {s}, {a}, {off}"),
-        LdB { d, a, off } => format!("ldb {d}, {a}, {off}"),
-        StB { s, a, off } => format!("stb {s}, {a}, {off}"),
-        LdA { d, addr } => format!("ld {d}, {addr:#x}"),
-        StA { s, addr } => format!("st {s}, {addr:#x}"),
-        Jmp { addr } => format!("jmp {addr:#x}"),
-        Jr { a } => format!("jr {a}"),
-        Jal { d, addr } => format!("jal {d}, {addr:#x}"),
-        Beq { a, b, addr } => format!("beq {a}, {b}, {addr:#x}"),
-        Bne { a, b, addr } => format!("bne {a}, {b}, {addr:#x}"),
-        Blt { a, b, addr } => format!("blt {a}, {b}, {addr:#x}"),
-        Bge { a, b, addr } => format!("bge {a}, {b}, {addr:#x}"),
-        Halt => "halt".to_owned(),
-        Nop => "nop".to_owned(),
-        Work { cycles } => format!("work {cycles}"),
-        Syscall { num } => format!("syscall {num}"),
-        VmCall { num } => format!("vmcall {num}"),
-        HCall { num } => format!("hcall {num}"),
-        Monitor { a } => format!("monitor {a}"),
-        MonitorA { addr } => format!("monitor {addr:#x}"),
-        MWait => "mwait".to_owned(),
-        Start { vt } => format!("start {vt}"),
-        Stop { vt } => format!("stop {vt}"),
-        StartI { vtid } => format!("start {vtid}"),
-        StopI { vtid } => format!("stop {vtid}"),
-        RPull { vt, local, remote } => format!("rpull {vt}, {local}, {remote}"),
-        RPush { vt, remote, local } => format!("rpush {vt}, {remote}, {local}"),
-        InvTid { vt } => format!("invtid {vt}"),
-        CsrR { d, csr } => format!("csrr {d}, {}", csr_name(csr)),
-        CsrW { csr, a } => format!("csrw {}, {a}", csr_name(csr)),
-        Fence => "fence".to_owned(),
-    }
-}
-
-fn csr_name(c: crate::arch::CtrlReg) -> &'static str {
-    match c {
-        crate::arch::CtrlReg::Edp => "edp",
-        crate::arch::CtrlReg::Tdtr => "tdtr",
-        crate::arch::CtrlReg::Mode => "mode",
-        crate::arch::CtrlReg::Prio => "prio",
+    let word = inst.encode();
+    let spec = Spec::of(word).expect("every instruction has a table row");
+    let operands: Vec<String> = spec
+        .operands
+        .iter()
+        .map(|&(_, field)| {
+            let v = field.get(word);
+            match field {
+                Field::Rd | Field::Rs1 | Field::Rs2 => format!("r{v}"),
+                Field::Simm => (v as i64).to_string(),
+                Field::Addr => format!("{v:#x}"),
+                Field::U16 | Field::U32 => v.to_string(),
+                Field::Csr => CtrlReg::from_code(v).expect("valid CSR").name().to_owned(),
+                // An out-of-range `RegSel::Gpr` has no selector code.
+                Field::Sel => RegSel::decode(v as u8)
+                    .unwrap_or(RegSel::Gpr(v as u8))
+                    .to_string(),
+            }
+        })
+        .collect();
+    if operands.is_empty() {
+        spec.mnemonic.to_owned()
+    } else {
+        format!("{} {}", spec.mnemonic, operands.join(", "))
     }
 }
 

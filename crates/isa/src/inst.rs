@@ -1,4 +1,5 @@
-//! Instruction definitions, binary encoding, and base cost model.
+//! Instruction definitions, the instruction table, binary encoding, and
+//! base cost model.
 //!
 //! Instructions are fixed-width 64-bit words:
 //!
@@ -14,6 +15,12 @@
 //! or count. `rpull`/`rpush` carry their [`RegSel`] remote-register
 //! selector in the low bits of `imm44` because selectors (0–20) do not
 //! fit a 4-bit register field.
+//!
+//! Each instruction is one row of the `instructions!` table below: its
+//! opcode byte, mnemonic, [`Inst`] variant and operands in assembler
+//! source order, each naming the field it fills. [`Inst::encode`],
+//! [`Inst::decode`], the assembler's instruction parsing and the
+//! disassembler are all derived from that table.
 
 use core::fmt;
 
@@ -22,13 +29,6 @@ use crate::arch::{CtrlReg, RegSel};
 /// A general-purpose register index, 0–15.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
-
-impl Reg {
-    fn check(self) -> Reg {
-        debug_assert!(self.0 < 16, "register index out of range");
-        Reg(self.0 & 0xf)
-    }
-}
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -390,319 +390,231 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Opcode bytes. Grouped by function; gaps left for extensions.
-mod op {
-    pub const ADD: u8 = 0x01;
-    pub const SUB: u8 = 0x02;
-    pub const AND: u8 = 0x03;
-    pub const OR: u8 = 0x04;
-    pub const XOR: u8 = 0x05;
-    pub const SHL: u8 = 0x06;
-    pub const SHR: u8 = 0x07;
-    pub const MUL: u8 = 0x08;
-    pub const DIV: u8 = 0x09;
-    pub const ADDI: u8 = 0x0a;
-    pub const MOVI: u8 = 0x0b;
-    pub const MOV: u8 = 0x0c;
-
-    pub const LD: u8 = 0x10;
-    pub const ST: u8 = 0x11;
-    pub const LDA: u8 = 0x12;
-    pub const STA: u8 = 0x13;
-    pub const LDB: u8 = 0x14;
-    pub const STB: u8 = 0x15;
-
-    pub const JMP: u8 = 0x20;
-    pub const JR: u8 = 0x21;
-    pub const JAL: u8 = 0x22;
-    pub const BEQ: u8 = 0x23;
-    pub const BNE: u8 = 0x24;
-    pub const BLT: u8 = 0x25;
-    pub const BGE: u8 = 0x26;
-    pub const HALT: u8 = 0x27;
-    pub const NOP: u8 = 0x28;
-    pub const WORK: u8 = 0x29;
-
-    pub const SYSCALL: u8 = 0x30;
-    pub const VMCALL: u8 = 0x31;
-    pub const HCALL: u8 = 0x32;
-
-    pub const MONITOR: u8 = 0x40;
-    pub const MONITORA: u8 = 0x41;
-    pub const MWAIT: u8 = 0x42;
-    pub const START: u8 = 0x43;
-    pub const STOP: u8 = 0x44;
-    pub const STARTI: u8 = 0x45;
-    pub const STOPI: u8 = 0x46;
-    pub const RPULL: u8 = 0x47;
-    pub const RPUSH: u8 = 0x48;
-    pub const INVTID: u8 = 0x49;
-    pub const CSRR: u8 = 0x4a;
-    pub const CSRW: u8 = 0x4b;
-    pub const FENCE: u8 = 0x4c;
+/// Where an operand lives in the instruction word, and how its bits
+/// read: one of the three register fields, or `imm44` read as a signed
+/// value, an address, a u16, a u32, a control-register code or a
+/// [`RegSel`] code.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Field {
+    /// `rd`, bits 55–52.
+    Rd,
+    /// `rs1`, bits 51–48.
+    Rs1,
+    /// `rs2`, bits 47–44.
+    Rs2,
+    /// `imm44` sign-extended.
+    Simm,
+    /// `imm44` zero-extended (absolute addresses).
+    Addr,
+    /// The low 16 bits of `imm44`.
+    U16,
+    /// The low 32 bits of `imm44`.
+    U32,
+    /// All of `imm44`: a [`CtrlReg`] code.
+    Csr,
+    /// The low 8 bits of `imm44`: a [`RegSel`] code.
+    Sel,
 }
 
-fn csr_code(c: CtrlReg) -> u64 {
-    match c {
-        CtrlReg::Edp => 0,
-        CtrlReg::Tdtr => 1,
-        CtrlReg::Mode => 2,
-        CtrlReg::Prio => 3,
+impl Field {
+    /// Whether the operand is a general-purpose register.
+    pub(crate) fn is_reg(self) -> bool {
+        matches!(self, Field::Rd | Field::Rs1 | Field::Rs2)
     }
-}
 
-fn csr_from(code: u64) -> Option<CtrlReg> {
-    match code {
-        0 => Some(CtrlReg::Edp),
-        1 => Some(CtrlReg::Tdtr),
-        2 => Some(CtrlReg::Mode),
-        3 => Some(CtrlReg::Prio),
-        _ => None,
-    }
-}
-
-fn pack(opc: u8, rd: u8, rs1: u8, rs2: u8, imm: u64) -> u64 {
-    debug_assert!(imm <= IMM44_MAX);
-    (u64::from(opc) << 56)
-        | (u64::from(rd & 0xf) << 52)
-        | (u64::from(rs1 & 0xf) << 48)
-        | (u64::from(rs2 & 0xf) << 44)
-        | (imm & IMM44_MAX)
-}
-
-fn imm_signed(word: u64) -> i64 {
-    // Sign-extend 44 bits.
-    ((word & IMM44_MAX) as i64) << 20 >> 20
-}
-
-fn imm_unsigned(word: u64) -> u64 {
-    word & IMM44_MAX
-}
-
-fn to_imm44(v: i64) -> u64 {
-    (v as u64) & IMM44_MAX
-}
-
-impl Inst {
-    /// Encodes to a 64-bit instruction word.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions) if an immediate exceeds 44 bits; the
-    /// assembler range-checks before encoding.
-    #[must_use]
-    pub fn encode(self) -> u64 {
-        use Inst::*;
+    /// The operand's raw value in `word` (sign-extended for `Simm`).
+    pub(crate) fn get(self, word: u64) -> u64 {
+        let imm = word & IMM44_MAX;
         match self {
-            Add { d, a, b } => pack(op::ADD, d.check().0, a.check().0, b.check().0, 0),
-            Sub { d, a, b } => pack(op::SUB, d.0, a.0, b.0, 0),
-            And { d, a, b } => pack(op::AND, d.0, a.0, b.0, 0),
-            Or { d, a, b } => pack(op::OR, d.0, a.0, b.0, 0),
-            Xor { d, a, b } => pack(op::XOR, d.0, a.0, b.0, 0),
-            Shl { d, a, b } => pack(op::SHL, d.0, a.0, b.0, 0),
-            Shr { d, a, b } => pack(op::SHR, d.0, a.0, b.0, 0),
-            Mul { d, a, b } => pack(op::MUL, d.0, a.0, b.0, 0),
-            Div { d, a, b } => pack(op::DIV, d.0, a.0, b.0, 0),
-            Addi { d, a, imm } => pack(op::ADDI, d.0, a.0, 0, to_imm44(imm)),
-            Movi { d, imm } => pack(op::MOVI, d.0, 0, 0, to_imm44(imm)),
-            Mov { d, a } => pack(op::MOV, d.0, a.0, 0, 0),
-            Ld { d, a, off } => pack(op::LD, d.0, a.0, 0, to_imm44(off)),
-            St { s, a, off } => pack(op::ST, s.0, a.0, 0, to_imm44(off)),
-            LdA { d, addr } => pack(op::LDA, d.0, 0, 0, addr),
-            StA { s, addr } => pack(op::STA, s.0, 0, 0, addr),
-            LdB { d, a, off } => pack(op::LDB, d.0, a.0, 0, to_imm44(off)),
-            StB { s, a, off } => pack(op::STB, s.0, a.0, 0, to_imm44(off)),
-            Jmp { addr } => pack(op::JMP, 0, 0, 0, addr),
-            Jr { a } => pack(op::JR, 0, a.0, 0, 0),
-            Jal { d, addr } => pack(op::JAL, d.0, 0, 0, addr),
-            Beq { a, b, addr } => pack(op::BEQ, 0, a.0, b.0, addr),
-            Bne { a, b, addr } => pack(op::BNE, 0, a.0, b.0, addr),
-            Blt { a, b, addr } => pack(op::BLT, 0, a.0, b.0, addr),
-            Bge { a, b, addr } => pack(op::BGE, 0, a.0, b.0, addr),
-            Halt => pack(op::HALT, 0, 0, 0, 0),
-            Nop => pack(op::NOP, 0, 0, 0, 0),
-            Work { cycles } => pack(op::WORK, 0, 0, 0, u64::from(cycles)),
-            Syscall { num } => pack(op::SYSCALL, 0, 0, 0, u64::from(num)),
-            VmCall { num } => pack(op::VMCALL, 0, 0, 0, u64::from(num)),
-            HCall { num } => pack(op::HCALL, 0, 0, 0, u64::from(num)),
-            Monitor { a } => pack(op::MONITOR, 0, a.0, 0, 0),
-            MonitorA { addr } => pack(op::MONITORA, 0, 0, 0, addr),
-            MWait => pack(op::MWAIT, 0, 0, 0, 0),
-            Start { vt } => pack(op::START, 0, vt.0, 0, 0),
-            Stop { vt } => pack(op::STOP, 0, vt.0, 0, 0),
-            StartI { vtid } => pack(op::STARTI, 0, 0, 0, u64::from(vtid)),
-            StopI { vtid } => pack(op::STOPI, 0, 0, 0, u64::from(vtid)),
-            RPull { vt, local, remote } => {
-                pack(op::RPULL, local.0, vt.0, 0, u64::from(remote.encode()))
-            }
-            RPush { vt, remote, local } => {
-                pack(op::RPUSH, local.0, vt.0, 0, u64::from(remote.encode()))
-            }
-            InvTid { vt } => pack(op::INVTID, 0, vt.0, 0, 0),
-            CsrR { d, csr } => pack(op::CSRR, d.0, 0, 0, csr_code(csr)),
-            CsrW { csr, a } => pack(op::CSRW, 0, a.0, 0, csr_code(csr)),
-            Fence => pack(op::FENCE, 0, 0, 0, 0),
+            Field::Rd => (word >> 52) & 0xf,
+            Field::Rs1 => (word >> 48) & 0xf,
+            Field::Rs2 => (word >> 44) & 0xf,
+            Field::Simm => (((imm as i64) << 20) >> 20) as u64,
+            Field::Addr | Field::Csr => imm,
+            Field::U16 => imm & 0xffff,
+            Field::U32 => imm & 0xffff_ffff,
+            Field::Sel => imm & 0xff,
         }
     }
 
-    /// Decodes a 64-bit instruction word.
-    pub fn decode(word: u64) -> Result<Inst, DecodeError> {
-        let opc = (word >> 56) as u8;
-        let rd = Reg(((word >> 52) & 0xf) as u8);
-        let rs1 = Reg(((word >> 48) & 0xf) as u8);
-        let rs2 = Reg(((word >> 44) & 0xf) as u8);
-        let si = imm_signed(word);
-        let ui = imm_unsigned(word);
-        use Inst::*;
-        Ok(match opc {
-            op::ADD => Add {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::SUB => Sub {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::AND => And {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::OR => Or {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::XOR => Xor {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::SHL => Shl {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::SHR => Shr {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::MUL => Mul {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::DIV => Div {
-                d: rd,
-                a: rs1,
-                b: rs2,
-            },
-            op::ADDI => Addi {
-                d: rd,
-                a: rs1,
-                imm: si,
-            },
-            op::MOVI => Movi { d: rd, imm: si },
-            op::MOV => Mov { d: rd, a: rs1 },
-            op::LD => Ld {
-                d: rd,
-                a: rs1,
-                off: si,
-            },
-            op::ST => St {
-                s: rd,
-                a: rs1,
-                off: si,
-            },
-            op::LDA => LdA { d: rd, addr: ui },
-            op::STA => StA { s: rd, addr: ui },
-            op::LDB => LdB {
-                d: rd,
-                a: rs1,
-                off: si,
-            },
-            op::STB => StB {
-                s: rd,
-                a: rs1,
-                off: si,
-            },
-            op::JMP => Jmp { addr: ui },
-            op::JR => Jr { a: rs1 },
-            op::JAL => Jal { d: rd, addr: ui },
-            op::BEQ => Beq {
-                a: rs1,
-                b: rs2,
-                addr: ui,
-            },
-            op::BNE => Bne {
-                a: rs1,
-                b: rs2,
-                addr: ui,
-            },
-            op::BLT => Blt {
-                a: rs1,
-                b: rs2,
-                addr: ui,
-            },
-            op::BGE => Bge {
-                a: rs1,
-                b: rs2,
-                addr: ui,
-            },
-            op::HALT => Halt,
-            op::NOP => Nop,
-            op::WORK => Work {
-                cycles: (ui & 0xffff_ffff) as u32,
-            },
-            op::SYSCALL => Syscall {
-                num: (ui & 0xffff) as u16,
-            },
-            op::VMCALL => VmCall {
-                num: (ui & 0xffff) as u16,
-            },
-            op::HCALL => HCall {
-                num: (ui & 0xffff) as u16,
-            },
-            op::MONITOR => Monitor { a: rs1 },
-            op::MONITORA => MonitorA { addr: ui },
-            op::MWAIT => MWait,
-            op::START => Start { vt: rs1 },
-            op::STOP => Stop { vt: rs1 },
-            op::STARTI => StartI {
-                vtid: (ui & 0xffff) as u16,
-            },
-            op::STOPI => StopI {
-                vtid: (ui & 0xffff) as u16,
-            },
-            op::RPULL => RPull {
-                vt: rs1,
-                local: rd,
-                remote: RegSel::decode((ui & 0xff) as u8)
-                    .ok_or(DecodeError::BadOperand((ui & 0xff) as u8))?,
-            },
-            op::RPUSH => RPush {
-                vt: rs1,
-                remote: RegSel::decode((ui & 0xff) as u8)
-                    .ok_or(DecodeError::BadOperand((ui & 0xff) as u8))?,
-                local: rd,
-            },
-            op::INVTID => InvTid { vt: rs1 },
-            op::CSRR => CsrR {
-                d: rd,
-                csr: csr_from(ui).ok_or(DecodeError::BadOperand(ui as u8))?,
-            },
-            op::CSRW => CsrW {
-                csr: csr_from(ui).ok_or(DecodeError::BadOperand(ui as u8))?,
-                a: rs1,
-            },
-            op::FENCE => Fence,
-            other => return Err(DecodeError::BadOpcode(other)),
-        })
+    /// The word bits that hold raw value `v` in this field.
+    pub(crate) fn put(self, v: u64) -> u64 {
+        debug_assert!(!self.is_reg() || v < 16, "register index out of range");
+        match self {
+            Field::Rd => (v & 0xf) << 52,
+            Field::Rs1 => (v & 0xf) << 48,
+            Field::Rs2 => (v & 0xf) << 44,
+            Field::Simm => v & IMM44_MAX,
+            _ => {
+                debug_assert!(v <= IMM44_MAX, "immediate exceeds 44 bits");
+                v
+            }
+        }
     }
+}
 
+/// An operand's Rust type, converted to and from its field's raw value.
+trait Operand: Sized {
+    fn raw(self) -> u64;
+    fn from_raw(raw: u64) -> Result<Self, DecodeError>;
+}
+
+macro_rules! plain_operand {
+    ($($t:ty),*) => {$(
+        impl Operand for $t {
+            fn raw(self) -> u64 {
+                self as u64
+            }
+            fn from_raw(raw: u64) -> Result<$t, DecodeError> {
+                Ok(raw as $t)
+            }
+        }
+    )*};
+}
+plain_operand!(i64, u64, u16, u32);
+
+impl Operand for Reg {
+    fn raw(self) -> u64 {
+        u64::from(self.0)
+    }
+    fn from_raw(raw: u64) -> Result<Reg, DecodeError> {
+        Ok(Reg(raw as u8))
+    }
+}
+
+impl Operand for CtrlReg {
+    fn raw(self) -> u64 {
+        u64::from(self.code())
+    }
+    fn from_raw(raw: u64) -> Result<CtrlReg, DecodeError> {
+        CtrlReg::from_code(raw).ok_or(DecodeError::BadOperand(raw as u8))
+    }
+}
+
+impl Operand for RegSel {
+    fn raw(self) -> u64 {
+        u64::from(self.encode())
+    }
+    fn from_raw(raw: u64) -> Result<RegSel, DecodeError> {
+        RegSel::decode(raw as u8).ok_or(DecodeError::BadOperand(raw as u8))
+    }
+}
+
+/// One row of the instruction table.
+pub(crate) struct Spec {
+    pub(crate) opcode: u8,
+    pub(crate) mnemonic: &'static str,
+    /// Operands in assembler source order: field name and encoding.
+    pub(crate) operands: &'static [(&'static str, Field)],
+}
+
+impl Spec {
+    /// The row of `word`'s opcode, if it has one.
+    pub(crate) fn of(word: u64) -> Option<&'static Spec> {
+        TABLE.iter().find(|s| s.opcode == (word >> 56) as u8)
+    }
+}
+
+/// The word bits that hold `opcode`.
+pub(crate) fn opcode_bits(opcode: u8) -> u64 {
+    u64::from(opcode) << 56
+}
+
+/// Defines [`TABLE`], [`Inst::encode`] and [`Inst::decode`] from one
+/// row per instruction: opcode byte, mnemonic, variant, and operands in
+/// source order, each with the [`Field`] it fills.
+macro_rules! instructions {
+    ($($opcode:literal $mnemonic:literal $variant:ident { $($f:ident: $field:ident),* })*) => {
+        /// Every instruction, in opcode order. The assembler and the
+        /// disassembler read it; a mnemonic with two forms has two rows.
+        pub(crate) const TABLE: &[Spec] = &[$(Spec {
+            opcode: $opcode,
+            mnemonic: $mnemonic,
+            operands: &[$((stringify!($f), Field::$field)),*],
+        }),*];
+
+        impl Inst {
+            /// Encodes to a 64-bit instruction word.
+            ///
+            /// # Panics
+            ///
+            /// Panics (debug assertions) if an unsigned immediate exceeds
+            /// 44 bits; the assembler range-checks before encoding.
+            #[must_use]
+            pub fn encode(self) -> u64 {
+                match self {
+                    $(Inst::$variant { $($f),* } => {
+                        opcode_bits($opcode) $(| Field::$field.put($f.raw()))*
+                    })*
+                }
+            }
+
+            /// Decodes a 64-bit instruction word.
+            pub fn decode(word: u64) -> Result<Inst, DecodeError> {
+                Ok(match (word >> 56) as u8 {
+                    $($opcode => Inst::$variant {
+                        $($f: Operand::from_raw(Field::$field.get(word))?),*
+                    },)*
+                    other => return Err(DecodeError::BadOpcode(other)),
+                })
+            }
+        }
+    };
+}
+
+// Grouped by function; gaps left for extensions.
+instructions! {
+    0x01 "add"     Add      { d: Rd, a: Rs1, b: Rs2 }
+    0x02 "sub"     Sub      { d: Rd, a: Rs1, b: Rs2 }
+    0x03 "and"     And      { d: Rd, a: Rs1, b: Rs2 }
+    0x04 "or"      Or       { d: Rd, a: Rs1, b: Rs2 }
+    0x05 "xor"     Xor      { d: Rd, a: Rs1, b: Rs2 }
+    0x06 "shl"     Shl      { d: Rd, a: Rs1, b: Rs2 }
+    0x07 "shr"     Shr      { d: Rd, a: Rs1, b: Rs2 }
+    0x08 "mul"     Mul      { d: Rd, a: Rs1, b: Rs2 }
+    0x09 "div"     Div      { d: Rd, a: Rs1, b: Rs2 }
+    0x0a "addi"    Addi     { d: Rd, a: Rs1, imm: Simm }
+    0x0b "movi"    Movi     { d: Rd, imm: Simm }
+    0x0c "mov"     Mov      { d: Rd, a: Rs1 }
+
+    0x10 "ld"      Ld       { d: Rd, a: Rs1, off: Simm }
+    0x11 "st"      St       { s: Rd, a: Rs1, off: Simm }
+    0x12 "ld"      LdA      { d: Rd, addr: Addr }
+    0x13 "st"      StA      { s: Rd, addr: Addr }
+    0x14 "ldb"     LdB      { d: Rd, a: Rs1, off: Simm }
+    0x15 "stb"     StB      { s: Rd, a: Rs1, off: Simm }
+
+    0x20 "jmp"     Jmp      { addr: Addr }
+    0x21 "jr"      Jr       { a: Rs1 }
+    0x22 "jal"     Jal      { d: Rd, addr: Addr }
+    0x23 "beq"     Beq      { a: Rs1, b: Rs2, addr: Addr }
+    0x24 "bne"     Bne      { a: Rs1, b: Rs2, addr: Addr }
+    0x25 "blt"     Blt      { a: Rs1, b: Rs2, addr: Addr }
+    0x26 "bge"     Bge      { a: Rs1, b: Rs2, addr: Addr }
+    0x27 "halt"    Halt     {}
+    0x28 "nop"     Nop      {}
+    0x29 "work"    Work     { cycles: U32 }
+
+    0x30 "syscall" Syscall  { num: U16 }
+    0x31 "vmcall"  VmCall   { num: U16 }
+    0x32 "hcall"   HCall    { num: U16 }
+
+    0x40 "monitor" Monitor  { a: Rs1 }
+    0x41 "monitor" MonitorA { addr: Addr }
+    0x42 "mwait"   MWait    {}
+    0x43 "start"   Start    { vt: Rs1 }
+    0x44 "stop"    Stop     { vt: Rs1 }
+    0x45 "start"   StartI   { vtid: U16 }
+    0x46 "stop"    StopI    { vtid: U16 }
+    0x47 "rpull"   RPull    { vt: Rs1, local: Rd, remote: Sel }
+    0x48 "rpush"   RPush    { vt: Rs1, remote: Sel, local: Rd }
+    0x49 "invtid"  InvTid   { vt: Rs1 }
+    0x4a "csrr"    CsrR     { d: Rd, csr: Csr }
+    0x4b "csrw"    CsrW     { csr: Csr, a: Rs1 }
+    0x4c "fence"   Fence    {}
+}
+
+impl Inst {
     /// Base pipeline cost in cycles, before memory latency is added.
     ///
     /// Memory instructions add the hierarchy latency; `mwait` adds the

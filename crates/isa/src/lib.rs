@@ -21,12 +21,19 @@
 //!
 //! * [`arch`] — architectural state ([`arch::ArchState`]) with
 //!   byte-accurate size accounting (the §4 storage arithmetic), plus the
-//!   paper's x86-64 reference constants (272 B / 784 B).
-//! * [`inst`] — the [`inst::Inst`] enum, binary encode/decode, per-opcode
-//!   base costs, and privilege classification.
+//!   paper's x86-64 reference constants (272 B / 784 B). The control
+//!   registers' names and codes are defined once here, on
+//!   [`arch::CtrlReg`].
+//! * [`inst`] — the [`inst::Inst`] enum and the instruction table where
+//!   every instruction is defined: one row per opcode byte, with its
+//!   mnemonic and operand fields. Binary encode/decode are derived from
+//!   the table; per-opcode base costs and privilege classification sit
+//!   beside it.
 //! * [`asm`] — a two-pass assembler with labels, `.word`/`.zero`/`.equ`
 //!   directives and symbol tables, producing a loadable [`asm::Program`].
-//! * [`disasm`] — the inverse of the assembler, for debugging and tests.
+//!   It parses instructions from the table; only the `call`/`ret`/`li`
+//!   aliases are its own.
+//! * [`disasm`] — the inverse of the assembler, read off the same table.
 //!
 //! # Examples
 //!

@@ -19,8 +19,6 @@ use switchless_sim::time::Cycles;
 
 /// Default hcall for RPC issue.
 pub const HCALL_RPC: u16 = 130;
-/// Default hcall for fan-out RPC issue.
-pub const HCALL_FANOUT: u16 = 131;
 
 /// The installed thread-per-request runtime.
 pub struct DistRt {
@@ -202,242 +200,5 @@ mod tests {
             // 5 iters * (100 issue + 2000 local + loop overhead+act).
             assert!(billed < 40_000, "thread billed {billed} cycles");
         }
-    }
-}
-
-/// Configuration for [`FanoutRt::install`].
-#[derive(Clone, Copy, Debug)]
-pub struct FanoutConfig {
-    /// Number of request threads.
-    pub threads: usize,
-    /// Fan-out rounds per thread.
-    pub iters: u32,
-    /// Sub-requests per round (each to a different remote).
-    pub fanout: usize,
-    /// Local aggregation work per completed round.
-    pub local_work: u32,
-    /// Base remote service time; leg `i` takes `base * (1 + i % 3)` so
-    /// rounds always have a slowest straggler.
-    pub remote_service: Cycles,
-    /// Fabric latency model.
-    pub fabric: Fabric,
-}
-
-/// Fan-out/fan-in requests: each round issues `fanout` sub-RPCs and a
-/// single hardware thread **blocks on all of them at once** — §3.1's
-/// "a hardware thread can monitor multiple memory locations", the
-/// pattern scatter-gather services (search, KV multiget) need.
-pub struct FanoutRt {
-    /// Request threads.
-    pub threads: Vec<ThreadId>,
-    /// Per-thread arrays of response words (one per fan-out leg).
-    pub resp_words: Vec<Vec<u64>>,
-    issued: Rc<RefCell<u64>>,
-}
-
-impl FanoutRt {
-    /// Installs the fan-out runtime on `core`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fanout` is 0 or greater than 8 (the generated wait loop
-    /// uses a register per comparison and must stay readable).
-    pub fn install(
-        m: &mut Machine,
-        core: usize,
-        cfg: FanoutConfig,
-        image_base: u64,
-    ) -> Result<FanoutRt, MachineError> {
-        assert!((1..=8).contains(&cfg.fanout), "fanout must be 1..=8");
-        assert!(cfg.threads > 0, "need at least one request thread");
-        let mut threads = Vec::with_capacity(cfg.threads);
-        let mut resp_words = Vec::with_capacity(cfg.threads);
-        for t in 0..cfg.threads {
-            let legs: Vec<u64> = (0..cfg.fanout).map(|_| m.alloc(64)).collect();
-            // Arm-check-wait over ALL legs: arm every monitor, then
-            // compare every response word against the round sequence;
-            // only if all match proceed. A straggler landing mid-check
-            // trips the armed trigger and mwait falls through.
-            let arms: String = legs.iter().map(|r| format!("    monitor {r}\n")).collect();
-            let checks: String = legs
-                .iter()
-                .map(|r| format!("    ld r2, {r}\n    bne r2, r1, park\n"))
-                .collect();
-            let prog = assemble(&format!(
-                r#"
-                .base {base:#x}
-                entry:
-                    movi r1, 0
-                    movi r6, {iters}
-                    movi r7, 0
-                loop:
-                    addi r1, r1, 1
-                    hcall {fanout}
-                wait:
-                {arms}
-                {checks}
-                    jmp got
-                park:
-                    mwait
-                    jmp wait
-                got:
-                    work {lwork}
-                    addi r7, r7, 1
-                    bne r7, r6, loop
-                    halt
-                "#,
-                base = image_base + (t as u64) * 0x1000,
-                iters = cfg.iters,
-                fanout = HCALL_FANOUT,
-                arms = arms,
-                checks = checks,
-                lwork = cfg.local_work,
-            ))
-            .expect("fanout template is valid");
-            let tid = m.load_program_user(core, &prog)?;
-            threads.push(tid);
-            resp_words.push(legs);
-        }
-
-        let issued = Rc::new(RefCell::new(0u64));
-        let st = Rc::clone(&issued);
-        let thread_ids = threads.clone();
-        let legs_copy = resp_words.clone();
-        m.register_hcall(HCALL_FANOUT, move |mach, tid| {
-            // Foreign callers are ignored, as for `HCALL_RPC`.
-            let Some(idx) = thread_ids.iter().position(|&t| t == tid) else {
-                mach.counters_mut().inc("distrt.foreign_hcall");
-                return;
-            };
-            let seq = mach.thread_reg(tid, 1);
-            let now = mach.now();
-            for (i, &resp) in legs_copy[idx].iter().enumerate() {
-                // Deterministic straggler pattern: leg service varies 1-3x.
-                let svc = Cycles(cfg.remote_service.0 * (1 + (i as u64 + seq) % 3));
-                cfg.fabric.rpc(mach, now, svc, resp, seq);
-                *st.borrow_mut() += 1;
-            }
-            mach.charge(Cycles(100 * legs_copy[idx].len() as u64));
-        });
-
-        for &t in &threads {
-            m.start_thread(t);
-        }
-        Ok(FanoutRt {
-            threads,
-            resp_words,
-            issued,
-        })
-    }
-
-    /// Sub-RPCs issued so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        *self.issued.borrow()
-    }
-
-    /// Runs until all request threads halt (or `limit`); returns the
-    /// elapsed cycles, or `None` on timeout.
-    pub fn run_to_completion(&self, m: &mut Machine, limit: Cycles) -> Option<Cycles> {
-        let t0 = m.now();
-        for &t in &self.threads {
-            if !m.run_until_state(t, switchless_core::tid::ThreadState::Halted, limit) {
-                return None;
-            }
-        }
-        Some(m.now() - t0)
-    }
-}
-
-#[cfg(test)]
-mod fanout_tests {
-    use super::*;
-    use switchless_core::machine::MachineConfig;
-
-    fn cfg(threads: usize, iters: u32, fanout: usize) -> FanoutConfig {
-        FanoutConfig {
-            threads,
-            iters,
-            fanout,
-            local_work: 1_000,
-            remote_service: Cycles(3_000),
-            fabric: Fabric {
-                one_way: Cycles(6_000),
-            },
-        }
-    }
-
-    #[test]
-    fn fanout_round_bounded_by_slowest_leg_not_sum() {
-        let mut m = Machine::new(MachineConfig::small());
-        let rt = FanoutRt::install(&mut m, 0, cfg(1, 8, 4), 0x40000).unwrap();
-        let elapsed = rt
-            .run_to_completion(&mut m, Cycles(100_000_000))
-            .expect("completes");
-        assert_eq!(rt.issued(), 32, "8 rounds x 4 legs");
-        // Slowest leg = 3x base = 9k + rtt 12k = 21k; serial sum would be
-        // ~4 x (12k + ~6k) = 72k per round. Assert well under serial.
-        let per_round = elapsed.0 / 8;
-        assert!(
-            per_round < 40_000,
-            "per round {per_round} (not overlapped?)"
-        );
-        assert!(
-            per_round >= 21_000,
-            "per round {per_round} (faster than physics)"
-        );
-    }
-
-    #[test]
-    fn fanout_waits_for_every_leg() {
-        // With one leg artificially the slowest, the round must not
-        // complete before it: issued counts match and threads halt only
-        // after all legs of all rounds.
-        let mut m = Machine::new(MachineConfig::small());
-        let rt = FanoutRt::install(&mut m, 0, cfg(2, 3, 3), 0x40000).unwrap();
-        rt.run_to_completion(&mut m, Cycles(100_000_000)).unwrap();
-        assert_eq!(rt.issued(), 2 * 3 * 3);
-        for legs in &rt.resp_words {
-            for &r in legs {
-                assert_eq!(m.peek_u64(r), 3, "every leg saw the final round seq");
-            }
-        }
-    }
-
-    #[test]
-    fn foreign_hcalls_are_counted_not_fatal() {
-        let mut m = Machine::new(MachineConfig::small());
-        let c = cfg(1, 2, 2);
-        let rpc_cfg = DistRtConfig {
-            threads: 1,
-            iters: 2,
-            local_work: c.local_work,
-            remote_service: c.remote_service,
-            fabric: c.fabric,
-        };
-        let rpc = DistRt::install(&mut m, 0, rpc_cfg, 0x40000).unwrap();
-        let fan = FanoutRt::install(&mut m, 0, c, 0x50000).unwrap();
-        let stray = assemble(&format!(
-            ".base 0x60000\nentry: hcall {HCALL_RPC}\nhcall {HCALL_FANOUT}\nhalt\n"
-        ))
-        .unwrap();
-        let t = m.load_program_user(0, &stray).unwrap();
-        m.start_thread(t);
-        assert!(rpc.run_to_completion(&mut m, Cycles(100_000_000)).is_some());
-        assert!(fan.run_to_completion(&mut m, Cycles(100_000_000)).is_some());
-        assert_eq!(m.counters().get("distrt.foreign_hcall"), 2);
-        assert_eq!((rpc.issued(), fan.issued()), (2, 4));
-    }
-
-    #[test]
-    fn fanout_one_leg_equals_plain_rpc_shape() {
-        let mut m = Machine::new(MachineConfig::small());
-        let rt = FanoutRt::install(&mut m, 0, cfg(1, 5, 1), 0x40000).unwrap();
-        let elapsed = rt
-            .run_to_completion(&mut m, Cycles(100_000_000))
-            .expect("completes");
-        // leg service alternates 1x..3x of 3k; rtt 12k: per round 15k-21k.
-        let per_round = elapsed.0 / 5;
-        assert!((14_000..30_000).contains(&per_round), "{per_round}");
     }
 }

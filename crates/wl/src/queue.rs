@@ -59,28 +59,6 @@ pub struct QueueResult {
     pub busy_cycles: u64,
 }
 
-impl QueueResult {
-    /// Observed throughput in jobs per cycle.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        if self.makespan == Cycles::ZERO {
-            0.0
-        } else {
-            self.completed as f64 / self.makespan.0 as f64
-        }
-    }
-
-    /// Mean server utilization over the makespan.
-    #[must_use]
-    pub fn utilization(&self, servers: usize) -> f64 {
-        if self.makespan == Cycles::ZERO {
-            0.0
-        } else {
-            self.busy_cycles as f64 / (self.makespan.0 as f64 * servers as f64)
-        }
-    }
-}
-
 struct Job {
     arrival: Cycles,
     remaining: Cycles,
@@ -243,7 +221,8 @@ mod tests {
         let r = QueueSim::run(&fcfs(2), &jobs, Cycles::ZERO);
         assert_eq!(r.sojourn.max(), 100);
         assert_eq!(r.makespan, Cycles(100));
-        assert!((r.utilization(2) - 1.0).abs() < 1e-9);
+        // Both servers busy for the whole makespan.
+        assert_eq!(r.busy_cycles, 200);
     }
 
     #[test]

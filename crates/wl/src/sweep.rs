@@ -14,23 +14,17 @@ use switchless_sim::time::Cycles;
 
 use crate::arrivals::{gap_for_utilization, poisson_arrivals};
 use crate::dist::ServiceDist;
-use crate::queue::{QueueConfig, QueueResult, QueueSim};
+use crate::queue::{QueueConfig, QueueSim};
 
 /// One measured point of a load sweep.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Offered utilization (fraction of aggregate capacity).
     pub rho: f64,
-    /// Achieved throughput, jobs/cycle.
-    pub throughput: f64,
     /// Median sojourn (cycles).
     pub p50: u64,
     /// 99th-percentile sojourn (cycles).
     pub p99: u64,
-    /// Mean sojourn (cycles).
-    pub mean: f64,
-    /// Mean server utilization actually achieved.
-    pub achieved_util: f64,
 }
 
 /// Generates one job trace: Poisson arrivals at utilization `rho` for a
@@ -57,23 +51,24 @@ pub fn run_point(
     warmup_frac: f64,
     rho: f64,
 ) -> SweepPoint {
-    let cut = ((jobs.len() as f64) * warmup_frac) as usize;
-    let warmup = jobs.get(cut).map_or(Cycles::ZERO, |j| j.0);
-    let r: QueueResult = QueueSim::run(cfg, jobs, warmup);
+    let r = QueueSim::run(cfg, jobs, warmup_at(jobs, warmup_frac));
     SweepPoint {
         rho,
-        throughput: r.throughput(),
         p50: r.sojourn.p50(),
         p99: r.sojourn.p99(),
-        mean: r.sojourn.mean(),
-        achieved_util: r.utilization(cfg.servers),
     }
+}
+
+/// The arrival time that ends the first `warmup_frac` of `jobs`.
+fn warmup_at(jobs: &[(Cycles, Cycles)], warmup_frac: f64) -> Cycles {
+    let cut = ((jobs.len() as f64) * warmup_frac) as usize;
+    jobs.get(cut).map_or(Cycles::ZERO, |j| j.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::Discipline;
+    use crate::queue::{Discipline, QueueResult};
     use switchless_sim::rng::mix_seed;
 
     fn cfg() -> QueueConfig {
@@ -85,45 +80,47 @@ mod tests {
         }
     }
 
-    /// Measures each rho as F7 does: point `i` draws its trace from
-    /// `mix_seed(seed, i)` and trims the first 10% as warmup.
-    fn sweep(seed: u64, dist: &ServiceDist, rhos: &[f64], n: usize) -> Vec<SweepPoint> {
-        let cfg = cfg();
+    /// Each rho's job trace as F7 draws it: point `i` from
+    /// `mix_seed(seed, i)`.
+    fn traces(seed: u64, dist: &ServiceDist, rhos: &[f64], n: usize) -> Vec<Vec<(Cycles, Cycles)>> {
         rhos.iter()
             .enumerate()
             .map(|(i, &rho)| {
                 let mut rng = Rng::seed_from(mix_seed(seed, i as u64));
-                let jobs = make_jobs(&mut rng, dist, cfg.servers, rho, n);
-                run_point(&cfg, &jobs, 0.1, rho)
+                make_jobs(&mut rng, dist, cfg().servers, rho, n)
             })
             .collect()
     }
 
+    /// The queue run behind [`run_point`] for one trace, with F7's 10%
+    /// warmup.
+    fn queue_run(jobs: &[(Cycles, Cycles)]) -> QueueResult {
+        QueueSim::run(&cfg(), jobs, warmup_at(jobs, 0.1))
+    }
+
     #[test]
     fn latency_grows_with_load() {
-        let pts = sweep(
-            1,
-            &ServiceDist::Exponential { mean: 1000 },
-            &[0.3, 0.9],
-            20_000,
-        );
+        let rhos = [0.3, 0.9];
+        let pts: Vec<SweepPoint> =
+            traces(1, &ServiceDist::Exponential { mean: 1000 }, &rhos, 20_000)
+                .iter()
+                .zip(rhos)
+                .map(|(jobs, rho)| run_point(&cfg(), jobs, 0.1, rho))
+                .collect();
         assert!(
             pts[1].p99 > pts[0].p99 * 2,
             "{} vs {}",
             pts[1].p99,
             pts[0].p99
         );
-        assert!(pts[1].mean > pts[0].mean);
+        assert!(pts[1].p50 > pts[0].p50);
     }
 
     #[test]
     fn achieved_utilization_tracks_offered() {
-        let pts = sweep(2, &ServiceDist::Fixed(1000), &[0.5], 50_000);
-        assert!(
-            (pts[0].achieved_util - 0.5).abs() < 0.05,
-            "{}",
-            pts[0].achieved_util
-        );
+        let r = queue_run(&traces(2, &ServiceDist::Fixed(1000), &[0.5], 50_000)[0]);
+        let util = r.busy_cycles as f64 / (r.makespan.0 as f64 * 2.0);
+        assert!((util - 0.5).abs() < 0.05, "{util}");
     }
 
     #[test]
@@ -151,25 +148,24 @@ mod tests {
         }
         // End-to-end: a sweep over the same rho twice measures two
         // independent replications, not one replayed one.
-        let pts = sweep(seed, &dist, &[0.5, 0.5], 5_000);
+        let runs: Vec<QueueResult> = traces(seed, &dist, &[0.5, 0.5], 5_000)
+            .iter()
+            .map(|jobs| queue_run(jobs))
+            .collect();
         assert_ne!(
-            (pts[0].mean, pts[0].p99),
-            (pts[1].mean, pts[1].p99),
+            (runs[0].makespan, runs[0].busy_cycles),
+            (runs[1].makespan, runs[1].busy_cycles),
             "duplicate rhos replayed the same stream"
         );
     }
 
     #[test]
     fn throughput_matches_offered_rate_below_saturation() {
-        let dist = ServiceDist::Fixed(1000);
-        let pts = sweep(3, &dist, &[0.6], 50_000);
+        let r = queue_run(&traces(3, &ServiceDist::Fixed(1000), &[0.6], 50_000)[0]);
+        let throughput = r.completed as f64 / r.makespan.0 as f64;
         // Offered rate = servers * rho / mean = 2*0.6/1000.
         let offered = 2.0 * 0.6 / 1000.0;
-        let err = (pts[0].throughput - offered).abs() / offered;
-        assert!(
-            err < 0.05,
-            "throughput {} vs offered {offered}",
-            pts[0].throughput
-        );
+        let err = (throughput - offered).abs() / offered;
+        assert!(err < 0.05, "throughput {throughput} vs offered {offered}");
     }
 }

@@ -42,6 +42,9 @@
 #   fmt      cargo fmt --check: the tree is rustfmt-clean
 #   doc      rustdoc over the workspace with warnings as errors: no
 #            broken or private intra-doc links in the public docs
+#   examples every program in examples/ runs in release mode and must
+#            exit 0; each assembles its guest programs at run time, so an
+#            assembler regression fails here even where no test looks
 #   jobs     parallel-determinism check: the full --quick suite at
 #            --jobs 1 and --jobs 4 must write bit-identical results/
 #            trees (the harness's core invariant)
@@ -79,6 +82,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+step "examples (each runs in release mode and must exit 0)"
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    if ! cargo run -q --release --example "$name" >/dev/null; then
+        echo "FAIL: example $name exited non-zero" >&2
+        exit 1
+    fi
+done
+echo "examples: every one exits 0"
 
 step "perfbench (offline build; suite, traced multicore and io_serving with pinned counts, io_serving seed 2, traced hot_loops for 1 s each)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Non-test source lines per crate under crates/*/src, and their total.
 #
-# A file counts up to its unit-test module: the first `#[cfg(test)]`
-# line directly followed by a `mod` line. A `#[cfg(test)]` that guards
-# anything else (an import, say) does not end the count. Blank and
-# comment lines count like code.
+# Every line counts except unit-test modules: a `#[cfg(test)]` line
+# directly followed by a `mod … {` line, through that module's closing
+# brace (the first later line that is `}` at the `mod` line's indent,
+# which rustfmt guarantees). A `#[cfg(test)]` that guards anything else
+# (an import, say) counts like code, and so does anything after a test
+# module. Blank and comment lines count like code.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
@@ -12,12 +14,17 @@ cd "$(dirname "$0")/.."
 
 count_file() {
     awk '
-        cut { next }
-        pending && /^[[:space:]]*(pub[[:space:]]+)?mod[[:space:]]/ { cut = 1; next }
+        shut != "" { if ($0 == shut) shut = ""; next }
+        pending && /^[[:space:]]*(pub[[:space:]]+)?mod[[:space:]].*\{[[:space:]]*$/ {
+            match($0, /^[[:space:]]*/)
+            shut = substr($0, 1, RLENGTH) "}"
+            pending = 0
+            next
+        }
         pending { n++; pending = 0 }
         /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { pending = 1; next }
         { n++ }
-        END { if (pending && !cut) n++; print n + 0 }
+        END { print n + pending }
     ' "$1"
 }
 
