@@ -2064,7 +2064,6 @@ pub(crate) trait ExecCtx {
     fn stats(&mut self) -> &mut EngineStats;
     fn note_activation(&mut self, from: usize);
     fn note_wake(&mut self, sample: u64);
-    fn note_quiet_stores(&mut self, n: u64);
     /// Takes the charge hcall handlers added to the current instruction.
     fn take_charge(&mut self) -> Cycles;
 
@@ -2122,8 +2121,8 @@ pub(crate) trait ExecCtx {
 /// the block's fetch lines in `Superblock::lines` order holding only
 /// their data positions until the commit adds the fetches; the data-page
 /// stream (page, last data-access index); the dedup-keep-last data lines
-/// for the prefetcher; the store undo log (addr, old value, width); and
-/// the current iteration's data accesses, one entry per run of
+/// for the prefetcher; and the current iteration's store undo log (addr,
+/// old value, width) and data accesses, one entry per run of
 /// consecutive accesses to one line (line, last position, last
 /// data-access index, any written), merged into the streams only once
 /// the iteration completes. `li` and `pi` index the last merged line and
@@ -2607,7 +2606,7 @@ pub(crate) fn store_is_quiet<X: ExecCtx>(x: &X, addr: u64, len: u64) -> bool {
 /// and *stages* each iteration's exact dynamic footprint, merging it into
 /// the [`Probe`] once the iteration completes. Iterations run while the
 /// branch returns to the entry. Any effect the batch cannot reproduce
-/// fails the iteration — reverse-replaying its part of the undo log and
+/// fails the iteration — reverse-replaying its undo log and
 /// restoring the registers it started with — and the iterations before
 /// it commit:
 ///
@@ -2631,8 +2630,8 @@ pub(crate) fn store_is_quiet<X: ExecCtx>(x: &X, addr: u64, len: u64) -> bool {
 /// `N·(insts + mem_ops)` positions, with each fetch line last touched at
 /// its static position plus `(N−1)·(insts + mem_ops)` unless a data
 /// access came later; `access_run` for the TLB over `N·mem_ops`;
-/// `record_run` for the prefetcher; and one quiet-store count for the
-/// filter (a no-wake `on_store` has no other effect). A block without
+/// and `record_run` for the prefetcher. A quiet store needs no filter
+/// update: a no-wake `on_store` has no effect. A block without
 /// memory instructions leaves the data streams empty, and empty TLB and
 /// prefetcher runs are no-ops.
 fn exec_superblock<X: ExecCtx>(
@@ -2653,7 +2652,6 @@ fn exec_superblock<X: ExecCtx>(
     p.lines.extend(b.lines.iter().map(|&(l, _)| (l, 0, false)));
     p.pages.clear();
     p.plines.clear();
-    p.undo.clear();
     // The fetch lines are static: check them once, before the walk.
     let mut bailed = !p
         .lines
@@ -2668,7 +2666,8 @@ fn exec_superblock<X: ExecCtx>(
     // found wholly quiet.
     let (mut l1_memo, mut tlb_memo, mut quiet_memo) = (PAddr(u64::MAX), u64::MAX, PAddr(u64::MAX));
     while !bailed && iters < max {
-        let (saved, undo_mark) = (gprs, p.undo.len());
+        let saved = gprs;
+        p.undo.clear();
         p.stage.clear();
         let mut pos = iters * span; // position in the merged fetch+data stream
         let (mut k, mut m) = (0, 0);
@@ -2691,7 +2690,7 @@ fn exec_superblock<X: ExecCtx>(
             // the address, regardless of width.
             let (page, line) = (addr / PAGE_BYTES, PAddr(addr).line());
             bailed = !in_mem(addr, len, mem_bytes)
-                || (page != tlb_memo && !x.core_mut(core).tlb.contains(0, page))
+                || (page != tlb_memo && !x.core_mut(core).tlb.contains(page))
                 || (line != l1_memo && !x.caches(core).l1_contains(line));
             if bailed {
                 break;
@@ -2733,10 +2732,9 @@ fn exec_superblock<X: ExecCtx>(
             pc += 8;
         }
         if bailed {
-            for &(addr, old, len) in p.undo[undo_mark..].iter().rev() {
+            for &(addr, old, len) in p.undo.iter().rev() {
                 let _ = x.write(addr, len, old);
             }
-            p.undo.truncate(undo_mark);
             (gprs, pc) = (saved, entry);
             break;
         }
@@ -2760,17 +2758,10 @@ fn exec_superblock<X: ExecCtx>(
     }
     let l1_ok = x.caches(core).l1_access_run_mixed(&p.lines, iters * span);
     debug_assert!(l1_ok, "probe checked L1 residency for every line");
-    let tlb_ok = x
-        .core_mut(core)
-        .tlb
-        .access_run(0, &p.pages, iters * mem_ops);
+    let tlb_ok = x.core_mut(core).tlb.access_run(&p.pages, iters * mem_ops);
     debug_assert!(tlb_ok, "probe checked TLB residency for every page");
     x.capture()
         .record_run(WatchId(u64::from(ptid.0)), &p.plines);
-    // Every committed store left one undo entry.
-    if !p.undo.is_empty() {
-        x.note_quiet_stores(p.undo.len() as u64);
-    }
     x.stats().block_runs += 1;
     *x.probe() = Some(p);
     let t = x.th_mut(h);
@@ -2791,7 +2782,7 @@ fn data_access<X: ExecCtx>(
     addr: u64,
     kind: AccessKind,
 ) -> Result<Cycles, X::Bail> {
-    let tlb_cost = x.core_mut(core).tlb.access(0, addr / PAGE_BYTES);
+    let tlb_cost = x.core_mut(core).tlb.access(addr / PAGE_BYTES);
     let part = x.th(h).partition;
     let res = x.cache_access(core, PAddr(addr), kind, part)?;
     x.capture()
@@ -2973,9 +2964,6 @@ impl ExecCtx for Machine {
     }
     fn note_wake(&mut self, sample: u64) {
         self.wake_latency.record(sample);
-    }
-    fn note_quiet_stores(&mut self, n: u64) {
-        self.filter.note_quiet_stores(n);
     }
     fn take_charge(&mut self) -> Cycles {
         std::mem::take(&mut self.pending_charge)

@@ -25,6 +25,12 @@
 //! executor runs as many whole iterations of it per entry as the burst
 //! window admits, stopping early when the branch falls through.
 //!
+//! The unroll stays although loop blocks iterate. Without it the
+//! `results/` bytes are the same, but perfbench `hot_loops` loses: spin
+//! costs about twice the ns per instruction, and store's 3-instruction
+//! `st; st; jmp` body falls under [`SB_MIN_LEN`] and single-steps, at
+//! about five times the cost (DESIGN.md §10 has the figures).
+//!
 //! [inert]: Inst::is_inert
 
 use switchless_isa::inst::Inst;

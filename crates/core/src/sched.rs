@@ -72,12 +72,6 @@ impl HwScheduler {
         }
     }
 
-    /// The active policy.
-    #[must_use]
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
     fn class_of(&self, prio: u8) -> u8 {
         match self.policy {
             SchedPolicy::RoundRobin => 0,

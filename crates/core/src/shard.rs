@@ -196,9 +196,6 @@ pub(crate) struct Shard {
     /// Counter and [`EngineStats`] deltas, added at commit.
     stats: EngineStats,
     activate: [u64; 4],
-    /// Store instructions that consulted the monitor filter (all were
-    /// quiet — a waking store bails), folded into the filter at commit.
-    quiet_stores: u64,
     /// Wake-latency samples of the dispatches that consumed a `wake_at`
     /// stamp, recorded into the histogram at commit.
     wakes: Vec<u64>,
@@ -447,11 +444,6 @@ impl ExecCtx for Worker<'_> {
     fn note_wake(&mut self, sample: u64) {
         self.s.wakes.push(sample);
     }
-    /// Quiet stores' only filter effect (`stores_checked`) is batched to
-    /// commit.
-    fn note_quiet_stores(&mut self, n: u64) {
-        self.s.quiet_stores += n;
-    }
     /// Hcalls bail, so no charge ever accrues.
     fn take_charge(&mut self) -> Cycles {
         Cycles::ZERO
@@ -490,11 +482,11 @@ impl ExecCtx for Worker<'_> {
     /// Only a quiet store commits: code invalidation, monitor wakes and
     /// MMIO doorbells are shared effects.
     fn store_effects(&mut self, addr: u64, len: u64) -> Result<(), Bail> {
-        if !store_is_quiet(self, addr, len) {
-            return Err(Bail);
+        if store_is_quiet(self, addr, len) {
+            Ok(())
+        } else {
+            Err(Bail)
         }
-        self.s.quiet_stores += 1;
-        Ok(())
     }
     fn filter(&self) -> &dyn MonitorFilter {
         self.sh.filter
@@ -544,12 +536,6 @@ impl Machine {
     /// purely a wall-clock knob.
     pub fn set_machine_jobs(&mut self, jobs: usize) {
         self.epochs.jobs = jobs.max(1);
-    }
-
-    /// Host threads the epoch engine's workers may use.
-    #[must_use]
-    pub fn machine_jobs(&self) -> usize {
-        self.epochs.jobs
     }
 
     /// Declares `[base, base + len)` as `core`'s private data window for
@@ -611,7 +597,6 @@ impl Machine {
             domain,
             stats: EngineStats::default(),
             activate: [0; 4],
-            quiet_stores: 0,
             wakes: Vec::new(),
         }
     }
@@ -628,7 +613,6 @@ impl Machine {
             domain,
             stats,
             activate,
-            quiet_stores,
             wakes,
         } = s;
         self.cores[core] = cs;
@@ -647,9 +631,6 @@ impl Machine {
         self.counters.bump(self.hot.inst_executed, insts);
         for (i, &n) in activate.iter().enumerate() {
             self.counters.bump(self.hot.activate[i], n);
-        }
-        if quiet_stores > 0 {
-            self.filter.note_quiet_stores(quiet_stores);
         }
         for sample in wakes {
             self.wake_latency.record(sample);

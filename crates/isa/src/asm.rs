@@ -61,21 +61,10 @@ impl Program {
         self.symbols.get(name).copied()
     }
 
-    /// All symbols, for debuggers.
-    pub fn symbols(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.symbols.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// First address past the image.
     #[must_use]
     pub fn end(&self) -> u64 {
         self.base + (self.words.len() as u64) * 8
-    }
-
-    /// Image size in bytes.
-    #[must_use]
-    pub fn size_bytes(&self) -> u64 {
-        (self.words.len() as u64) * 8
     }
 
     /// Decodes the instruction at an (8-byte aligned) address, if the

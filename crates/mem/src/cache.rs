@@ -139,12 +139,6 @@ impl Cache {
         }
     }
 
-    /// Geometry this cache was built with.
-    #[must_use]
-    pub fn geom(&self) -> CacheGeom {
-        self.geom
-    }
-
     /// `part`'s slot in `parts`, if it has one.
     fn find_slot(&self, part: PartitionId) -> Option<usize> {
         self.parts.iter().position(|p| p.id == part)

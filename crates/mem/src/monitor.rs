@@ -7,16 +7,21 @@
 //! possible: a filter consulted on every store, mapping the written range
 //! to the set of waiting hardware threads to wake.
 //!
-//! Two implementations let experiment F12 compare design points:
+//! Two designs let experiment F12 compare design points. Both hold the
+//! same watch index: each cache line maps to the watches touching it, in
+//! arm order, and each watcher to its lines, so a store costs the host
+//! O(watches on its lines) either way. They differ in how a store
+//! matches the index:
 //!
 //! * [`CamFilter`] — a fully-associative array (CAM). Exact byte-range
 //!   matching, constant lookup time, but bounded capacity: arming beyond
 //!   capacity fails, forcing software fallback.
 //! * [`HashFilter`] — banked hash table indexed by cache line. Effectively
-//!   unbounded, but line-granular: a store to an unwatched byte of a
-//!   watched line produces a *false wakeup* (the woken thread re-checks
-//!   its condition and re-waits, exactly like x86 `mwait` spurious
-//!   wakeups), and bucket collisions add lookup latency.
+//!   unbounded, but line-granular: every watch on a stored line wakes, so
+//!   a store to an unwatched byte of a watched line produces a *false
+//!   wakeup* (the woken thread re-checks its condition and re-waits,
+//!   exactly like x86 `mwait` spurious wakeups), and each watch in the
+//!   line's bucket adds lookup latency.
 
 use switchless_sim::hash::FxHashMap;
 use switchless_sim::time::Cycles;
@@ -73,7 +78,9 @@ pub trait MonitorFilter: Send + Sync {
     /// lookup cost the store incurs.
     fn on_store(&mut self, addr: PAddr, len: u64, out: &mut Vec<WakeEvent>) -> Cycles;
 
-    /// Number of armed (watcher, range) entries.
+    /// Number of armed entries: watches for the CAM, (line, watch) pairs
+    /// for the hashed filter, which files a watch under every line it
+    /// touches.
     fn armed_len(&self) -> usize;
 
     /// Whether `watcher` holds at least one armed watch.
@@ -84,19 +91,9 @@ pub trait MonitorFilter: Send + Sync {
     fn is_armed(&self, watcher: WatchId) -> bool;
 
     /// Whether a store to `[addr, addr + len)` would produce at least one
-    /// wakeup (exact or false), without performing it. Pure: no statistics
-    /// move, so epoch workers may consult it through a shared reference.
+    /// wakeup (exact or false), without performing it. Pure, so epoch
+    /// workers may consult it through a shared reference.
     fn would_wake(&self, addr: PAddr, len: u64) -> bool;
-
-    /// The cost [`MonitorFilter::on_store`] charges a store that wakes
-    /// nobody (`would_wake` false). Epoch workers charge this locally and
-    /// report the store count at commit via
-    /// [`MonitorFilter::note_quiet_stores`].
-    fn store_lookup_cost(&self) -> Cycles;
-
-    /// Accounts `count` stores that were checked off-thread and woke
-    /// nobody, so filter statistics match the serial engine's.
-    fn note_quiet_stores(&mut self, count: u64);
 }
 
 fn ranges_overlap(a_start: u64, a_len: u64, b_start: u64, b_len: u64) -> bool {
@@ -105,45 +102,130 @@ fn ranges_overlap(a_start: u64, a_len: u64, b_start: u64, b_len: u64) -> bool {
     a_start < b_end && b_start < a_end
 }
 
+/// Whether `[addr, addr + len)`, `len >= 1`, lies in one cache line.
+fn one_line(addr: PAddr, len: u64) -> bool {
+    PAddr(addr.0 + (len - 1)).line() == addr.line()
+}
+
+// ---------------------------------------------------------------------------
+// The shared watch index
+// ---------------------------------------------------------------------------
+
+/// One armed watch: `(id, watcher, addr, len)`. Ids grow in arm order.
+type Watch = (u64, WatchId, PAddr, u64);
+
+/// Line → watches and watcher → lines, with both designs' counts.
+#[derive(Clone, Debug, Default)]
+struct WatchIndex {
+    /// Line address → the watches touching that line, in arm order. A
+    /// bucket is removed when it empties.
+    by_line: FxHashMap<u64, Vec<Watch>>,
+    /// Watcher → the lines its watches touch (a line repeats when two of
+    /// its watches share it).
+    by_watcher: FxHashMap<WatchId, Vec<u64>>,
+    /// Armed watches.
+    watches: usize,
+    /// Armed (line, watch) pairs.
+    pairs: usize,
+    next_id: u64,
+}
+
+impl WatchIndex {
+    /// Arms `[addr, addr + len)` for `watcher` unless it holds that exact
+    /// range already: re-arming is idempotent (x86 `monitor` semantics),
+    /// so software loops that arm before every condition check do not
+    /// leak entries. Fails when `capacity` watches are armed.
+    fn arm(
+        &mut self,
+        watcher: WatchId,
+        addr: PAddr,
+        len: u64,
+        capacity: usize,
+    ) -> Result<(), MonitorError> {
+        let len = len.max(1);
+        // A watch sits in every bucket it touches, so its first line's
+        // bucket shows whether it is armed.
+        let armed = self.by_line.get(&addr.line().0).is_some_and(|b| {
+            b.iter()
+                .any(|&(_, w, a, l)| (w, a, l) == (watcher, addr, len))
+        });
+        if armed {
+            return Ok(());
+        }
+        if self.watches >= capacity {
+            return Err(MonitorError::CapacityExhausted);
+        }
+        let watch = (self.next_id, watcher, addr, len);
+        self.next_id += 1;
+        self.watches += 1;
+        let lines = self.by_watcher.entry(watcher).or_default();
+        for line in lines_covering(addr, len) {
+            self.by_line.entry(line.0).or_default().push(watch);
+            lines.push(line.0);
+            self.pairs += 1;
+        }
+        Ok(())
+    }
+
+    fn disarm_all(&mut self, watcher: WatchId) {
+        let Some(lines) = self.by_watcher.remove(&watcher) else {
+            return;
+        };
+        for line in lines {
+            // A repeated line's bucket is already clean, or gone.
+            let Some(bucket) = self.by_line.get_mut(&line) else {
+                continue;
+            };
+            bucket.retain(|&(_, w, a, _)| {
+                if w != watcher {
+                    return true;
+                }
+                self.pairs -= 1;
+                // Count each watch once: on its first line.
+                if a.line().0 == line {
+                    self.watches -= 1;
+                }
+                false
+            });
+            if bucket.is_empty() {
+                self.by_line.remove(&line);
+            }
+        }
+    }
+
+    /// Calls `f` on the bucket of each armed line `[addr, addr + len)`
+    /// touches, in address order, until it returns `true`; returns
+    /// whether one did.
+    #[inline]
+    fn any_line(&self, addr: PAddr, len: u64, mut f: impl FnMut(&[Watch]) -> bool) -> bool {
+        if one_line(addr, len) {
+            // Single-line stores, nearly all of them: one probe, no line
+            // iterator.
+            return self.by_line.get(&addr.line().0).is_some_and(|b| f(b));
+        }
+        lines_covering(addr, len).any(|line| self.by_line.get(&line.0).is_some_and(|b| f(b)))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // CAM design
 // ---------------------------------------------------------------------------
 
-/// Armed ranges covering more lines than this bypass the line index and
-/// live on a linearly-scanned overflow list (indexing a multi-megabyte
-/// watch line-by-line would cost more than it saves).
-const INDEX_MAX_LINES: u64 = 16;
-
-fn covers_too_many_lines(addr: PAddr, len: u64) -> bool {
-    let last = addr.0.saturating_add(len - 1);
-    (last >> 6) - (addr.0 >> 6) + 1 > INDEX_MAX_LINES
-}
+/// A CAM compares all entries in parallel: one cycle per store.
+const CAM_LOOKUP: Cycles = Cycles(1);
 
 /// Fully-associative monitor filter with exact matching.
 ///
-/// The *functional* lookup is line-indexed so the host cost of a store is
-/// O(armed-on-stored-lines), not O(all armed entries); the *modeled*
-/// cycle cost is still the constant-time CAM compare (`Cycles(1)`), as a
-/// real CAM compares all entries in parallel. Entry ids grow in arm
-/// order and candidate ids are emitted sorted, so wake order is exactly
-/// the insertion order the pre-index linear scan produced — simulated
-/// behaviour is bit-identical.
+/// The *functional* lookup is the line index, so the host cost of a store
+/// is O(armed-on-stored-lines), not O(all armed entries); the *modeled*
+/// cycle cost is the constant-time CAM compare. Wakes come in arm order,
+/// as a linear scan of the entries would produce them.
 #[derive(Clone, Debug)]
 pub struct CamFilter {
-    /// id -> armed range; ids are never reused.
-    entries: FxHashMap<u64, (WatchId, PAddr, u64)>,
-    /// line address -> ids of indexable entries touching that line.
-    by_line: FxHashMap<u64, Vec<u64>>,
-    /// ids of over-wide ranges, always scanned.
-    large: Vec<u64>,
-    /// watcher -> its entry ids (for O(own-entries) disarm).
-    by_watcher: FxHashMap<WatchId, Vec<u64>>,
-    next_id: u64,
+    index: WatchIndex,
     capacity: usize,
-    lookup_cost: Cycles,
-    stores_checked: u64,
-    /// Candidate-id scratch reused across stores (allocation-free path).
-    scratch: Vec<u64>,
+    /// `(id, watcher)` hits of the current store, reused across stores.
+    hits: Vec<(u64, WatchId)>,
 }
 
 impl CamFilter {
@@ -151,152 +233,63 @@ impl CamFilter {
     #[must_use]
     pub fn new(capacity: usize) -> CamFilter {
         CamFilter {
-            entries: FxHashMap::default(),
-            by_line: FxHashMap::default(),
-            large: Vec::new(),
-            by_watcher: FxHashMap::default(),
-            next_id: 0,
+            index: WatchIndex::default(),
             capacity,
-            // A CAM compares all entries in parallel: ~1 cycle.
-            lookup_cost: Cycles(1),
-            stores_checked: 0,
-            scratch: Vec::new(),
+            hits: Vec::new(),
         }
-    }
-
-    /// Number of stores that have consulted the filter.
-    #[must_use]
-    pub fn stores_checked(&self) -> u64 {
-        self.stores_checked
     }
 }
 
 impl MonitorFilter for CamFilter {
     fn arm(&mut self, watcher: WatchId, addr: PAddr, len: u64) -> Result<(), MonitorError> {
-        let len = len.max(1);
-        // Re-arming an identical range is idempotent (x86 `monitor`
-        // semantics): software loops that arm before every condition
-        // check must not leak filter entries.
-        if let Some(ids) = self.by_watcher.get(&watcher) {
-            if ids
-                .iter()
-                .any(|id| self.entries[id] == (watcher, addr, len))
-            {
-                return Ok(());
-            }
-        }
-        if self.entries.len() >= self.capacity {
-            return Err(MonitorError::CapacityExhausted);
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.entries.insert(id, (watcher, addr, len));
-        self.by_watcher.entry(watcher).or_default().push(id);
-        if covers_too_many_lines(addr, len) {
-            self.large.push(id);
-        } else {
-            for line in lines_covering(addr, len) {
-                self.by_line.entry(line.0).or_default().push(id);
-            }
-        }
-        Ok(())
+        self.index.arm(watcher, addr, len, self.capacity)
     }
 
     fn disarm_all(&mut self, watcher: WatchId) {
-        let Some(ids) = self.by_watcher.remove(&watcher) else {
-            return;
-        };
-        for id in ids {
-            let Some((_, addr, len)) = self.entries.remove(&id) else {
-                continue;
-            };
-            if covers_too_many_lines(addr, len) {
-                self.large.retain(|&x| x != id);
-            } else {
-                for line in lines_covering(addr, len) {
-                    if let Some(v) = self.by_line.get_mut(&line.0) {
-                        v.retain(|&x| x != id);
-                        if v.is_empty() {
-                            self.by_line.remove(&line.0);
-                        }
-                    }
-                }
-            }
-        }
+        self.index.disarm_all(watcher);
     }
 
     fn on_store(&mut self, addr: PAddr, len: u64, out: &mut Vec<WakeEvent>) -> Cycles {
-        self.stores_checked += 1;
         let len = len.max(1);
-        if self.entries.is_empty() {
-            return self.lookup_cost;
+        let hits = &mut self.hits;
+        hits.clear();
+        self.index.any_line(addr, len, |bucket| {
+            hits.extend(
+                bucket
+                    .iter()
+                    .filter(|&&(_, _, a, l)| ranges_overlap(addr.0, len, a.0, l))
+                    .map(|&(id, w, _, _)| (id, w)),
+            );
+            false
+        });
+        // A watch spanning several stored lines hits once per line;
+        // sorted ids restore arm order across lines.
+        if !one_line(addr, len) {
+            hits.sort_unstable();
+            hits.dedup();
         }
-        let mut cand = core::mem::take(&mut self.scratch);
-        cand.clear();
-        let first = addr.line();
-        if PAddr(addr.0 + (len - 1)).line() == first {
-            // Single-line store: one index probe, no line iterator.
-            if let Some(ids) = self.by_line.get(&first.0) {
-                cand.extend_from_slice(ids);
-            }
-        } else {
-            for line in lines_covering(addr, len) {
-                if let Some(ids) = self.by_line.get(&line.0) {
-                    cand.extend_from_slice(ids);
-                }
-            }
-        }
-        cand.extend_from_slice(&self.large);
-        // Any armed range overlapping the store shares a stored byte's
-        // line with it, so every overlap candidate is collected above;
-        // sorted ids reproduce arm order for the emitted wakes.
-        cand.sort_unstable();
-        cand.dedup();
-        for &id in &cand {
-            let (w, a, l) = self.entries[&id];
-            if ranges_overlap(addr.0, len, a.0, l) {
-                out.push(WakeEvent {
-                    watcher: w,
-                    exact: true,
-                });
-            }
-        }
-        self.scratch = cand;
-        self.lookup_cost
+        out.extend(hits.iter().map(|&(_, watcher)| WakeEvent {
+            watcher,
+            exact: true,
+        }));
+        CAM_LOOKUP
     }
 
     fn armed_len(&self) -> usize {
-        self.entries.len()
+        self.index.watches
     }
 
     fn is_armed(&self, watcher: WatchId) -> bool {
-        self.by_watcher
-            .get(&watcher)
-            .is_some_and(|ids| !ids.is_empty())
+        self.index.by_watcher.contains_key(&watcher)
     }
 
     fn would_wake(&self, addr: PAddr, len: u64) -> bool {
         let len = len.max(1);
-        if self.entries.is_empty() {
-            return false;
-        }
-        let hit = |id: &u64| {
-            let (_, a, l) = self.entries[id];
-            ranges_overlap(addr.0, len, a.0, l)
-        };
-        lines_covering(addr, len).any(|line| {
-            self.by_line
-                .get(&line.0)
-                .is_some_and(|ids| ids.iter().any(hit))
-        }) || self.large.iter().any(hit)
-    }
-
-    fn store_lookup_cost(&self) -> Cycles {
-        self.lookup_cost
-    }
-
-    fn note_quiet_stores(&mut self, count: u64) {
-        self.stores_checked += count;
+        self.index.any_line(addr, len, |bucket| {
+            bucket
+                .iter()
+                .any(|&(_, _, a, l)| ranges_overlap(addr.0, len, a.0, l))
+        })
     }
 }
 
@@ -304,163 +297,65 @@ impl MonitorFilter for CamFilter {
 // Hashed-bank design
 // ---------------------------------------------------------------------------
 
+/// The hashed filter's bucket probe; each watch scanned adds a cycle.
+const HASH_PROBE: Cycles = Cycles(2);
+
 /// Line-granular hashed monitor filter.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HashFilter {
-    /// line address -> armed entries on that line.
-    lines: FxHashMap<u64, Vec<(WatchId, PAddr, u64)>>,
-    /// watcher -> lines it has entries on, so `disarm_all` touches only
-    /// those buckets instead of sweeping the whole table (the sweep was
-    /// O(total armed lines) on every wake).
-    watcher_lines: FxHashMap<WatchId, Vec<u64>>,
-    base_cost: Cycles,
-    /// Additional cost per colliding entry scanned in the bucket.
-    per_entry_cost: Cycles,
-    armed: usize,
-    false_wakes: u64,
+    index: WatchIndex,
 }
 
 impl HashFilter {
     /// Creates an empty hashed filter.
     #[must_use]
     pub fn new() -> HashFilter {
-        HashFilter {
-            lines: FxHashMap::default(),
-            watcher_lines: FxHashMap::default(),
-            base_cost: Cycles(2),
-            per_entry_cost: Cycles(1),
-            armed: 0,
-            false_wakes: 0,
-        }
-    }
-
-    /// Number of line-granularity false wakeups produced so far.
-    #[must_use]
-    pub fn false_wakes(&self) -> u64 {
-        self.false_wakes
-    }
-
-    /// Scans one line's bucket for a store to `[addr, addr + len)`,
-    /// pushing deduplicated wakes; returns the number of entries scanned.
-    #[inline]
-    fn scan_line(
-        &mut self,
-        line: u64,
-        addr: PAddr,
-        len: u64,
-        before: usize,
-        out: &mut Vec<WakeEvent>,
-    ) -> u64 {
-        let Some(entries) = self.lines.get(&line) else {
-            return 0;
-        };
-        let mut false_wakes = 0u64;
-        for &(w, a, l) in entries {
-            let exact = ranges_overlap(addr.0, len, a.0, l);
-            if !exact {
-                false_wakes += 1;
-            }
-            // Line-granular hardware wakes on any write to the line;
-            // software re-checks the condition.
-            if !out[before..].iter().any(|e| e.watcher == w) {
-                out.push(WakeEvent { watcher: w, exact });
-            }
-        }
-        let scanned = entries.len() as u64;
-        self.false_wakes += false_wakes;
-        scanned
-    }
-}
-
-impl Default for HashFilter {
-    fn default() -> HashFilter {
-        HashFilter::new()
+        HashFilter::default()
     }
 }
 
 impl MonitorFilter for HashFilter {
     fn arm(&mut self, watcher: WatchId, addr: PAddr, len: u64) -> Result<(), MonitorError> {
-        let len = len.max(1);
-        for line in lines_covering(addr, len) {
-            let bucket = self.lines.entry(line.0).or_default();
-            // Idempotent re-arm (see CamFilter::arm).
-            if bucket.contains(&(watcher, addr, len)) {
-                continue;
-            }
-            bucket.push((watcher, addr, len));
-            self.armed += 1;
-            // `watcher_lines` may record a line twice when one watcher
-            // arms two ranges on it; disarm handles that (second visit
-            // finds nothing to remove).
-            self.watcher_lines.entry(watcher).or_default().push(line.0);
-        }
-        Ok(())
+        self.index.arm(watcher, addr, len, usize::MAX)
     }
 
     fn disarm_all(&mut self, watcher: WatchId) {
-        let Some(lines) = self.watcher_lines.remove(&watcher) else {
-            return;
-        };
-        let mut removed = 0usize;
-        for line in lines {
-            if let Some(v) = self.lines.get_mut(&line) {
-                let before = v.len();
-                v.retain(|(w, _, _)| *w != watcher);
-                removed += before - v.len();
-                if v.is_empty() {
-                    self.lines.remove(&line);
-                }
-            }
-        }
-        self.armed -= removed;
+        self.index.disarm_all(watcher);
     }
 
     fn on_store(&mut self, addr: PAddr, len: u64, out: &mut Vec<WakeEvent>) -> Cycles {
         let len = len.max(1);
         let before = out.len();
-        let first = addr.line();
-        // Single-line stores — the overwhelming majority on real store
-        // streams — skip the line-iterator machinery: one probe, one scan.
-        let scanned = if PAddr(addr.0 + (len - 1)).line() == first {
-            self.scan_line(first.0, addr, len, before, out)
-        } else {
-            let mut scanned = 0u64;
-            for line in lines_covering(addr, len) {
-                scanned += self.scan_line(line.0, addr, len, before, out);
+        let mut scanned = 0u64;
+        self.index.any_line(addr, len, |bucket| {
+            scanned += bucket.len() as u64;
+            for &(_, w, a, l) in bucket {
+                // Line-granular hardware wakes on any write to the line;
+                // software re-checks the condition.
+                if !out[before..].iter().any(|e| e.watcher == w) {
+                    let exact = ranges_overlap(addr.0, len, a.0, l);
+                    out.push(WakeEvent { watcher: w, exact });
+                }
             }
-            scanned
-        };
-        self.base_cost + Cycles(self.per_entry_cost.0 * scanned)
+            false
+        });
+        HASH_PROBE + Cycles(scanned)
     }
 
     fn armed_len(&self) -> usize {
-        self.armed
+        self.index.pairs
     }
 
     fn is_armed(&self, watcher: WatchId) -> bool {
-        self.watcher_lines
-            .get(&watcher)
-            .is_some_and(|lines| !lines.is_empty())
+        self.index.by_watcher.contains_key(&watcher)
     }
 
     fn would_wake(&self, addr: PAddr, len: u64) -> bool {
-        // Line-granular: any armed entry on a stored line wakes, even if
-        // the byte ranges are disjoint (a false wakeup is still a wakeup).
-        let len = len.max(1);
-        let first = addr.line();
-        if PAddr(addr.0 + (len - 1)).line() == first {
-            return self.lines.contains_key(&first.0);
-        }
-        lines_covering(addr, len).any(|line| self.lines.contains_key(&line.0))
+        // Any watch on a stored line wakes, even if the byte ranges are
+        // disjoint (a false wakeup is still a wakeup); buckets are never
+        // empty.
+        self.index.any_line(addr, len.max(1), |_| true)
     }
-
-    fn store_lookup_cost(&self) -> Cycles {
-        // Empty buckets are removed on disarm, so a store that wakes
-        // nobody scans zero entries and pays only the base probe.
-        self.base_cost
-    }
-
-    fn note_quiet_stores(&mut self, _count: u64) {}
 }
 
 #[cfg(test)]
@@ -544,7 +439,6 @@ mod tests {
         let w = wakes(&mut f, PAddr(0x110), 4);
         assert_eq!(w.len(), 1, "line-granular filter wakes");
         assert!(!w[0].exact, "but it is a false wakeup");
-        assert_eq!(f.false_wakes(), 1);
         let w = wakes(&mut f, PAddr(0x100), 4);
         assert!(w[0].exact);
     }
@@ -636,7 +530,7 @@ mod tests {
     #[test]
     fn cam_large_range_still_matches() {
         let mut f = CamFilter::new(8);
-        // 1 MiB watch: far past INDEX_MAX_LINES, takes the overflow path.
+        // 1 MiB watch: 16,384 lines, each indexed.
         f.arm(WatchId(1), PAddr(0x10_0000), 1 << 20).unwrap();
         assert_eq!(wakes(&mut f, PAddr(0x18_0000), 8).len(), 1);
         assert!(wakes(&mut f, PAddr(0x20_0000), 8).is_empty());
@@ -777,8 +671,7 @@ mod index_equivalence {
     }
 
     /// Address/len generator biased toward collisions: a small address
-    /// window, lens spanning sub-line to many-line, occasional huge
-    /// ranges to exercise the CAM overflow list.
+    /// window, lens spanning sub-line to many-line (up to 18 lines).
     fn pick_range(next: &mut impl FnMut() -> u64) -> (PAddr, u64) {
         let r = next();
         let addr = PAddr((r >> 8) % 4096);
@@ -788,8 +681,8 @@ mod index_equivalence {
             2 => 8,
             3 => 16,
             4 => 100,
-            5 => 0,                          // zero-len: treated as one byte
-            6 => 64 * (INDEX_MAX_LINES + 2), // forces the `large` path
+            5 => 0, // zero-len: treated as one byte
+            6 => 64 * 18,
             _ => 48,
         };
         (addr, len)
@@ -801,20 +694,33 @@ mod index_equivalence {
         for _round in 0..30 {
             let mut idx = CamFilter::new(24);
             let mut lin = RefCam::new(24);
+            // The reference holds a watcher's watch iff one of its arms
+            // succeeded since its last disarm.
+            let mut armed = [false; 6];
             for _op in 0..400 {
                 let r = next();
                 let watcher = WatchId(r % 6);
                 match r % 10 {
                     0..=3 => {
                         let (addr, len) = pick_range(&mut next);
-                        assert_eq!(idx.arm(watcher, addr, len), lin.arm(watcher, addr, len));
+                        let res = lin.arm(watcher, addr, len);
+                        assert_eq!(idx.arm(watcher, addr, len), res);
+                        armed[watcher.0 as usize] |= res.is_ok();
                     }
                     4 => {
                         idx.disarm_all(watcher);
                         lin.disarm_all(watcher);
+                        armed[watcher.0 as usize] = false;
                     }
                     _ => {
                         let (addr, len) = pick_range(&mut next);
+                        let mut probe = Vec::new();
+                        lin.on_store(addr, len, &mut probe);
+                        assert_eq!(
+                            idx.would_wake(addr, len),
+                            !probe.is_empty(),
+                            "would_wake diverged at store {addr:?}+{len}"
+                        );
                         let (mut a, mut b) = (Vec::new(), Vec::new());
                         let ca = idx.on_store(addr, len, &mut a);
                         let cb = lin.on_store(addr, len, &mut b);
@@ -823,6 +729,13 @@ mod index_equivalence {
                     }
                 }
                 assert_eq!(idx.armed_len(), lin.armed_len());
+                for (w, &held) in armed.iter().enumerate() {
+                    assert_eq!(
+                        idx.is_armed(WatchId(w as u64)),
+                        held,
+                        "is_armed({w}) diverged"
+                    );
+                }
             }
         }
     }
@@ -833,6 +746,8 @@ mod index_equivalence {
         for _round in 0..30 {
             let mut idx = HashFilter::new();
             let mut lin = RefHash::new();
+            // Every arm of the reference succeeds.
+            let mut armed = [false; 6];
             for _op in 0..400 {
                 let r = next();
                 let watcher = WatchId(r % 6);
@@ -841,13 +756,22 @@ mod index_equivalence {
                         let (addr, len) = pick_range(&mut next);
                         idx.arm(watcher, addr, len).unwrap();
                         lin.arm(watcher, addr, len);
+                        armed[watcher.0 as usize] = true;
                     }
                     4 => {
                         idx.disarm_all(watcher);
                         lin.disarm_all(watcher);
+                        armed[watcher.0 as usize] = false;
                     }
                     _ => {
                         let (addr, len) = pick_range(&mut next);
+                        let mut probe = Vec::new();
+                        lin.on_store(addr, len, &mut probe);
+                        assert_eq!(
+                            idx.would_wake(addr, len),
+                            !probe.is_empty(),
+                            "would_wake diverged at store {addr:?}+{len}"
+                        );
                         let (mut a, mut b) = (Vec::new(), Vec::new());
                         let ca = idx.on_store(addr, len, &mut a);
                         let cb = lin.on_store(addr, len, &mut b);
@@ -856,6 +780,13 @@ mod index_equivalence {
                     }
                 }
                 assert_eq!(idx.armed_len(), lin.armed_len());
+                for (w, &held) in armed.iter().enumerate() {
+                    assert_eq!(
+                        idx.is_armed(WatchId(w as u64)),
+                        held,
+                        "is_armed({w}) diverged"
+                    );
+                }
             }
         }
     }

@@ -32,16 +32,14 @@ impl Default for TlbConfig {
 ///
 /// Tracks page-number residency only; the simulator's address space is
 /// identity-mapped, so the TLB contributes *timing*, not translation.
-/// Entries are tagged with an address-space id so multiple processes can
-/// share a TLB without flushes (as with x86 PCIDs).
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    /// (asid, page-number) -> last-use stamp.
+    /// Page number -> last-use stamp.
     ///
     /// Fx-hashed: LRU eviction takes a `min_by_key` over unique stamps,
     /// so the victim never depends on map iteration order.
-    entries: FxHashMap<(u16, u64), u64>,
+    entries: FxHashMap<u64, u64>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -62,10 +60,9 @@ impl Tlb {
 
     /// Translates a page access; returns the added latency (zero on hit,
     /// the walk penalty on miss) and installs the entry.
-    pub fn access(&mut self, asid: u16, page_number: u64) -> Cycles {
+    pub fn access(&mut self, page_number: u64) -> Cycles {
         self.tick += 1;
-        let key = (asid, page_number);
-        if let Some(stamp) = self.entries.get_mut(&key) {
+        if let Some(stamp) = self.entries.get_mut(&page_number) {
             *stamp = self.tick;
             self.hits += 1;
             return Cycles::ZERO;
@@ -77,16 +74,16 @@ impl Tlb {
                 self.entries.remove(&victim);
             }
         }
-        self.entries.insert(key, self.tick);
+        self.entries.insert(page_number, self.tick);
         self.config.walk_penalty
     }
 
-    /// Whether `(asid, page_number)` is currently resident. Pure: no
+    /// Whether `page_number` is currently resident. Pure: no
     /// tick advance, no stamp refresh, no stats — the superblock probe
     /// uses this to decide residency *before* committing any state.
     #[must_use]
-    pub fn contains(&self, asid: u16, page_number: u64) -> bool {
-        self.entries.contains_key(&(asid, page_number))
+    pub fn contains(&self, page_number: u64) -> bool {
+        self.entries.contains_key(&page_number)
     }
 
     /// Batch equivalent of `n` consecutive all-hit [`Tlb::access`]
@@ -100,15 +97,12 @@ impl Tlb {
     /// run bumps `tick` and `hits` by one and leaves each page stamped
     /// with the tick of its last access, which is exactly
     /// `tick0 + last_index`.
-    pub fn access_run(&mut self, asid: u16, pages: &[(u64, u64)], n: u64) -> bool {
-        if !pages.iter().all(|&(p, _)| self.contains(asid, p)) {
+    pub fn access_run(&mut self, pages: &[(u64, u64)], n: u64) -> bool {
+        if !pages.iter().all(|&(p, _)| self.contains(p)) {
             return false;
         }
         for &(p, last) in pages {
-            let stamp = self
-                .entries
-                .get_mut(&(asid, p))
-                .expect("residency checked above");
+            let stamp = self.entries.get_mut(&p).expect("residency checked above");
             *stamp = self.tick + last;
         }
         self.tick += n;
@@ -137,8 +131,8 @@ mod tests {
     #[test]
     fn first_access_misses_second_hits() {
         let mut t = small();
-        assert_eq!(t.access(0, 5), Cycles(100));
-        assert_eq!(t.access(0, 5), Cycles::ZERO);
+        assert_eq!(t.access(5), Cycles(100));
+        assert_eq!(t.access(5), Cycles::ZERO);
         assert_eq!(t.hit_miss(), (1, 1));
     }
 
@@ -146,17 +140,13 @@ mod tests {
     fn capacity_evicts_lru() {
         let mut t = small();
         for p in 0..4 {
-            t.access(0, p);
+            t.access(p);
         }
         // Touch page 0 so page 1 is LRU.
-        t.access(0, 0);
-        t.access(0, 99); // evicts page 1
-        assert_eq!(t.access(0, 0), Cycles::ZERO);
-        assert_eq!(
-            t.access(0, 1),
-            Cycles(100),
-            "page 1 should have been evicted"
-        );
+        t.access(0);
+        t.access(99); // evicts page 1
+        assert_eq!(t.access(0), Cycles::ZERO);
+        assert_eq!(t.access(1), Cycles(100), "page 1 should have been evicted");
     }
 
     #[test]
@@ -166,43 +156,35 @@ mod tests {
         let mut a = small();
         let mut b = small();
         for t in [&mut a, &mut b] {
-            t.access(0, 1);
-            t.access(0, 2);
-            t.access(0, 3);
+            t.access(1);
+            t.access(2);
+            t.access(3);
         }
         // Run: pages 2, 1, 2, 2, 1 -> last access of 2 at index 4, of
         // 1 at index 5.
         for p in [2, 1, 2, 2, 1] {
-            assert_eq!(a.access(0, p), Cycles::ZERO);
+            assert_eq!(a.access(p), Cycles::ZERO);
         }
-        assert!(b.access_run(0, &[(2, 4), (1, 5)], 5));
+        assert!(b.access_run(&[(2, 4), (1, 5)], 5));
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn access_run_refuses_non_resident_page_untouched() {
         let mut t = small();
-        t.access(0, 1);
+        t.access(1);
         let before = format!("{t:?}");
-        assert!(!t.access_run(0, &[(1, 1), (9, 2)], 2));
+        assert!(!t.access_run(&[(1, 1), (9, 2)], 2));
         assert_eq!(format!("{t:?}"), before, "refusal must not mutate");
     }
 
     #[test]
     fn contains_is_pure() {
         let mut t = small();
-        t.access(0, 1);
+        t.access(1);
         let before = format!("{t:?}");
-        assert!(t.contains(0, 1));
-        assert!(!t.contains(0, 2));
-        assert!(!t.contains(1, 1));
+        assert!(t.contains(1));
+        assert!(!t.contains(2));
         assert_eq!(format!("{t:?}"), before);
-    }
-
-    #[test]
-    fn asids_do_not_collide() {
-        let mut t = small();
-        t.access(1, 7);
-        assert_eq!(t.access(2, 7), Cycles(100), "distinct asid must miss");
     }
 }

@@ -58,12 +58,6 @@ impl Table {
         self.caption = Some(text.to_owned());
     }
 
-    /// Table title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -8,9 +8,28 @@
 # (an import, say) counts like code, and so does anything after a test
 # module. Blank and comment lines count like code.
 #
-# Usage: scripts/loc.sh
+# Usage: scripts/loc.sh [REV]
+#
+# With no argument it counts the working tree. With a git revision it
+# counts that revision's crates/ tree, extracted with `git archive` into
+# a temporary directory that is removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ $# -gt 1 ]; then
+    echo "usage: scripts/loc.sh [REV]" >&2
+    exit 2
+fi
+if [ $# -eq 1 ]; then
+    tree="$(git rev-parse --verify --quiet "$1^{tree}")" || {
+        echo "loc.sh: not a git revision: $1" >&2
+        exit 2
+    }
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "$tmp"' EXIT
+    git archive "$tree" crates | tar -x -C "$tmp"
+    cd "$tmp"
+fi
 
 count_file() {
     awk '
