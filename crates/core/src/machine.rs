@@ -235,9 +235,9 @@ pub(crate) struct Thread {
     /// Per-thread watchdog: max cycles the thread may stay parked in one
     /// `mwait` before the hardware disables it with `WatchdogExpired`.
     pub(crate) watchdog: Option<Cycles>,
-    /// Bumped on every `mwait` park so a stale watchdog callback from an
+    /// Bumped on every `mwait` park so a stale watchdog event from an
     /// earlier park never fires on a later one.
-    pub(crate) park_epoch: u64,
+    pub(crate) park_epoch: u32,
     /// Quarantined threads refuse every wake until restarted.
     pub(crate) quarantined: bool,
     /// First `start` pc; `restart_thread` resets the thread here.
@@ -318,8 +318,8 @@ pub(crate) enum Ev {
         slot: u32,
     },
     /// Host code: registered device `id`'s handler runs with `arg`.
-    /// Device [`DeviceId::CALLBACKS`] is the [`Machine::at`] closure
-    /// slab, whose `arg` is a slab key.
+    /// Device [`DeviceId::WATCHDOG`] is the machine's own `mwait`
+    /// watchdog, whose `arg` packs `(ptid, park_epoch)`.
     Device {
         id: u32,
         arg: u64,
@@ -335,8 +335,8 @@ const _: () = assert!(core::mem::size_of::<Ev>() == 16);
 pub struct DeviceId(u32);
 
 impl DeviceId {
-    /// The device behind every [`Machine::at`] callback.
-    const CALLBACKS: DeviceId = DeviceId(0);
+    /// The machine's own device: a parked thread's watchdog deadline.
+    const WATCHDOG: DeviceId = DeviceId(0);
 }
 
 /// Upper bound on instructions executed inline per dispatch (the burst
@@ -519,7 +519,6 @@ impl core::fmt::Display for TraceRecord {
 
 type HostCall = Box<dyn FnMut(&mut Machine, ThreadId)>;
 type MmioHook = Box<dyn FnMut(&mut Machine, u64)>;
-type HostEvent = Box<dyn FnOnce(&mut Machine)>;
 type DeviceHandler = Box<dyn FnMut(&mut Machine, DeviceId, u64)>;
 /// A registered machine-wide invariant: returns `Some(detail)` when the
 /// invariant is violated. Runs at event-queue boundaries when checking is
@@ -628,15 +627,9 @@ pub struct Machine {
     pub(crate) filter: Box<dyn MonitorFilter>,
     pub(crate) prefetcher: WakePrefetcher,
     pub(crate) events: EventQueue<Ev>,
-    /// Host callbacks scheduled with [`Machine::at`], indexed by the
-    /// `arg` their [`DeviceId::CALLBACKS`] event carries; `None` once
-    /// run. Keys are reused through `free_cbs`, so the slab is as large
-    /// as the most callbacks ever pending at once.
-    callbacks: Vec<Option<HostEvent>>,
-    free_cbs: Vec<u64>,
     /// Registered device handlers, indexed by [`DeviceId`]. Slot 0 is
-    /// the callback slab above and stays `None`; a handler is also
-    /// `None` while it runs.
+    /// the watchdog, which the machine runs itself, and stays `None`; a
+    /// handler is also `None` while it runs.
     devices: Vec<Option<DeviceHandler>>,
     hcalls: FxHashMap<u16, HostCall>,
     /// Device doorbells: store hooks keyed by exact 8-byte-aligned
@@ -737,8 +730,6 @@ impl Machine {
             filter,
             prefetcher: WakePrefetcher::new(64),
             events: EventQueue::new(),
-            callbacks: Vec::new(),
-            free_cbs: Vec::new(),
             devices: vec![None],
             hcalls: FxHashMap::default(),
             mmio_hooks: FxHashMap::default(),
@@ -1057,27 +1048,11 @@ impl Machine {
         true
     }
 
-    /// Schedules a host callback at absolute time `at` (device models).
-    /// Callbacks due at the same cycle run in the order they were
-    /// scheduled. The boxed callback waits in a slab slot whose index the
-    /// queued event carries; the slot is freed for reuse when it runs.
-    pub fn at(&mut self, at: Cycles, f: impl FnOnce(&mut Machine) + 'static) {
-        let cb: HostEvent = Box::new(f);
-        let key = if let Some(key) = self.free_cbs.pop() {
-            self.callbacks[key as usize] = Some(cb);
-            key
-        } else {
-            self.callbacks.push(Some(cb));
-            self.callbacks.len() as u64 - 1
-        };
-        self.at_device(at, DeviceId::CALLBACKS, key);
-    }
-
     /// Registers a device handler that [`Machine::at_device`] events
-    /// run with the handler's own id and their `arg`. A device keeps its
-    /// pending state itself and queues only `(id, arg)`, so an event
-    /// costs the queue 16 bytes and no allocation, where [`Machine::at`]
-    /// boxes a closure per event. A handler reschedules itself with the
+    /// run with the handler's own id and their `arg`. This is the one way
+    /// host code is scheduled: a device keeps its pending state itself,
+    /// as data, and queues only `(id, arg)`, so an event costs the queue
+    /// 16 bytes and no allocation. A handler reschedules itself with the
     /// id it is passed.
     pub fn register_device(
         &mut self,
@@ -1089,27 +1064,36 @@ impl Machine {
     }
 
     /// Schedules device `id`'s handler to run with `arg` at absolute
-    /// time `at`. It runs under the same `(time, schedule order)` key a
-    /// [`Machine::at`] callback scheduled at this point would.
+    /// time `at`. Events due at the same cycle run in the order they
+    /// were scheduled.
     pub fn at_device(&mut self, at: Cycles, id: DeviceId, arg: u64) {
         self.events.schedule(at, Ev::Device { id: id.0, arg });
     }
 
-    /// Runs the host code behind an `Ev::Device`: the callback in slab
-    /// slot `arg` (freeing the slot) or a registered handler.
+    /// Runs the host code behind an `Ev::Device`: the watchdog or a
+    /// registered handler.
     fn run_device(&mut self, id: u32, arg: u64) {
-        if id == DeviceId::CALLBACKS.0 {
-            let cb = self.callbacks[arg as usize]
-                .take()
-                .expect("a queued call holds its callback");
-            self.free_cbs.push(arg);
-            return cb(self);
+        if id == DeviceId::WATCHDOG.0 {
+            return self.watchdog_expired(Ptid((arg >> 32) as u32), arg as u32);
         }
         let mut h = self.devices[id as usize]
             .take()
             .expect("a device handler does not run inside itself");
         h(self, DeviceId(id), arg);
         self.devices[id as usize] = Some(h);
+    }
+
+    /// The watchdog deadline of `ptid`'s park number `epoch` has come:
+    /// if that exact park is still waiting, the thread is wedged, and it
+    /// is disabled with a descriptor whose info word is the deadline
+    /// instead of sleeping forever. The epoch guard makes a deadline from
+    /// an earlier park harmless after a wake and re-park.
+    fn watchdog_expired(&mut self, ptid: Ptid, epoch: u32) {
+        let t = &self.threads[ptid.0 as usize];
+        if t.state == ThreadState::Waiting && t.park_epoch == epoch {
+            self.counters.inc("watchdog.fired");
+            self.raise_exception(ptid, ExceptionKind::WatchdogExpired, self.now.0);
+        }
     }
 
     /// Registers a device doorbell: `hook` runs after any store that
@@ -3148,19 +3132,8 @@ impl ExecCtx for Machine {
                 self.disable_thread(ptid, ThreadState::Waiting);
                 self.counters.bump(self.hot.mwait_blocked, 1);
                 if let Some(w) = watchdog {
-                    let at = self.now + w;
-                    // Watchdog: if this exact park outlives its deadline,
-                    // the thread is wedged — disable it with a descriptor
-                    // instead of letting it sleep forever. The epoch guard
-                    // makes a timer from an earlier park harmless after a
-                    // wake/re-park.
-                    self.at(at, move |mach| {
-                        let t = &mach.threads[ptid.0 as usize];
-                        if t.state == ThreadState::Waiting && t.park_epoch == epoch {
-                            mach.counters.inc("watchdog.fired");
-                            mach.raise_exception(ptid, ExceptionKind::WatchdogExpired, at.0);
-                        }
-                    });
+                    let arg = (u64::from(ptid.0) << 32) | u64::from(epoch);
+                    self.at_device(self.now + w, DeviceId::WATCHDOG, arg);
                 }
                 None
             }
@@ -3248,35 +3221,38 @@ impl core::fmt::Debug for Machine {
 
 #[cfg(test)]
 mod tests {
-    use super::{Engine, Machine, MachineConfig, MachineError};
+    use super::{DeviceId, Engine, Machine, MachineConfig, MachineError};
     use std::cell::RefCell;
     use std::rc::Rc;
     use switchless_sim::time::Cycles;
 
     type Log = Rc<RefCell<Vec<(u64, u32)>>>;
 
-    /// Schedules a callback that logs `(now, id)`.
-    fn log_at(m: &mut Machine, at: Cycles, log: &Log, id: u32) {
+    /// Registers a device that logs `(now, arg)`.
+    fn logger(m: &mut Machine, log: &Log) -> DeviceId {
         let log = Rc::clone(log);
-        m.at(at, move |m| log.borrow_mut().push((m.now().0, id)));
+        m.register_device(move |m, _, id| log.borrow_mut().push((m.now().0, id as u32)))
     }
 
     #[test]
     fn callbacks_run_once_in_time_then_schedule_order() {
         let mut m = Machine::new(MachineConfig::small());
         let log: Log = Rc::default();
-        for root in 0..3u32 {
-            let l = Rc::clone(&log);
-            m.at(Cycles(10), move |m| {
-                l.borrow_mut().push((m.now().0, root * 10));
-                // A same-time child lands behind every earlier-scheduled
-                // event at this cycle; a later one behind them all.
-                let now = m.now();
-                log_at(m, now + Cycles(5), &l, root * 10 + 2);
-                log_at(m, now, &l, root * 10 + 1);
-            });
+        let child = logger(&mut m, &log);
+        let l = Rc::clone(&log);
+        let root = m.register_device(move |m, _, root| {
+            let root = root as u32;
+            l.borrow_mut().push((m.now().0, root * 10));
+            // A same-time child lands behind every earlier-scheduled
+            // event at this cycle; a later one behind them all.
+            let now = m.now();
+            m.at_device(now + Cycles(5), child, u64::from(root * 10 + 2));
+            m.at_device(now, child, u64::from(root * 10 + 1));
+        });
+        for r in 0..3 {
+            m.at_device(Cycles(10), root, r);
         }
-        log_at(&mut m, Cycles(15), &log, 99);
+        m.at_device(Cycles(15), child, 99);
         m.run_for(Cycles(100));
         assert_eq!(
             *log.borrow(),
@@ -3293,52 +3269,43 @@ mod tests {
                 (15, 22),
             ]
         );
-        // Seven callbacks were pending at the peak (the six children and
-        // `99`); slots are reused, and every one is free again.
-        assert_eq!(m.callbacks.len(), 7);
-        assert_eq!(m.free_cbs.len(), 7);
-        assert!(m.callbacks.iter().all(Option::is_none));
     }
 
     #[test]
     fn device_events_and_callbacks_share_one_schedule_order() {
         let mut m = Machine::new(MachineConfig::small());
         let log: Log = Rc::default();
-        let l = Rc::clone(&log);
-        let dev = m.register_device(move |m, _, arg| {
-            l.borrow_mut().push((m.now().0, 100 + arg as u32));
-        });
-        log_at(&mut m, Cycles(20), &log, 1);
-        m.at_device(Cycles(20), dev, 2);
-        m.at_device(Cycles(10), dev, 3);
-        log_at(&mut m, Cycles(20), &log, 4);
-        m.at_device(Cycles(20), dev, 5);
+        let a = logger(&mut m, &log);
+        let b = logger(&mut m, &log);
+        m.at_device(Cycles(20), a, 1);
+        m.at_device(Cycles(20), b, 2);
+        m.at_device(Cycles(10), b, 3);
+        m.at_device(Cycles(20), a, 4);
+        m.at_device(Cycles(20), b, 5);
         m.run_for(Cycles(100));
-        assert_eq!(
-            *log.borrow(),
-            [(10, 103), (20, 1), (20, 102), (20, 4), (20, 105)]
-        );
-        assert_eq!(m.devices.len(), 2, "the callback slab is device 0");
+        assert_eq!(*log.borrow(), [(10, 3), (20, 1), (20, 2), (20, 4), (20, 5)]);
+        assert_eq!(m.devices.len(), 3, "device 0 is the watchdog");
     }
 
     #[test]
     fn a_self_rescheduling_callback_reuses_one_slot() {
-        fn tick(m: &mut Machine, left: u32, log: Log) {
-            log.borrow_mut().push((m.now().0, left));
-            if left > 0 {
-                let at = m.now() + Cycles(7);
-                m.at(at, move |m| tick(m, left - 1, log));
-            }
-        }
         let mut m = Machine::new(MachineConfig::small());
         let log: Log = Rc::default();
         let l = Rc::clone(&log);
-        m.at(Cycles(0), move |m| tick(m, 1000, l));
+        let tick = m.register_device(move |m, me, left| {
+            l.borrow_mut().push((m.now().0, left as u32));
+            if left > 0 {
+                let at = m.now() + Cycles(7);
+                m.at_device(at, me, left - 1);
+            }
+        });
+        m.at_device(Cycles(0), tick, 1000);
         m.run_for(Cycles(10_000));
         let got = log.borrow();
         assert_eq!(got.len(), 1001, "every tick ran exactly once");
         assert!(got.iter().all(|&(t, left)| t == u64::from(1000 - left) * 7));
-        assert_eq!(m.callbacks.len(), 1, "one slot, reused by every tick");
+        assert_eq!(m.devices.len(), 2, "one table slot, reused by every tick");
+        assert!(m.devices[1].is_some(), "the handler is back in its slot");
     }
 
     /// A `len`-word image at `base`.

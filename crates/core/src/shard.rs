@@ -9,7 +9,9 @@
 //!
 //! [`Machine::run_until`] on [`Engine::Fast`] executes *epochs* on every
 //! multi-core machine whose invariant checker is off: the host stages
-//! every event strictly below a cross-core event horizon `B`, hands each
+//! every slot event strictly below a cross-core event horizon `B` (a
+//! device event — host code, queued with [`Machine::at_device`], or an
+//! `mwait` watchdog deadline — ends the window at its due time), hands each
 //! core's staged events to a worker running against a `Shard` — a
 //! **clone** of that core's private state (its `CoreState` with the
 //! TLB, L1/L2, prefetch capture, the threads enrolled there, and its
@@ -688,10 +690,11 @@ impl Machine {
         let mut b = (head + self.epochs.len).min(cap);
 
         // Stage every SlotFree strictly below B. A device event (a
-        // registered handler or an `at` callback) truncates the window
-        // to its due time: it runs arbitrary host code and must execute
-        // on the real machine, and same-time staged events are pushed
-        // back (it may interleave with them in seq order).
+        // registered handler, or the machine's own watchdog) truncates
+        // the window to its due time: it runs host code against the
+        // whole machine and must execute on the real one, and same-time
+        // staged events are pushed back (it may interleave with them in
+        // seq order).
         let mut staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)> = Vec::new();
         while let Some(ht) = self.events.peek_time() {
             if ht >= b {

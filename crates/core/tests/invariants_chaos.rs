@@ -5,8 +5,8 @@
 //! * The invariant checker (§7) stays clean across healthy runs — park/wake
 //!   traffic, exception descriptors, overflow drops — and records registered
 //!   violations with name, time and detail when one trips.
-//! * A fault (any host callback) scheduled mid-burst bounds the burst via
-//!   `next_deadline`: the callback observes the exact cycle it was scheduled
+//! * A fault (any device event) scheduled mid-burst bounds the burst via
+//!   `next_deadline`: the handler observes the exact cycle it was scheduled
 //!   for and the exact architectural state a single-stepped machine would
 //!   show. Faults are never deferred to a burst boundary.
 //! * Watchdog edges: the deadline is exclusive-before/inclusive-at, and a
@@ -150,7 +150,7 @@ fn invariants_off_by_default() {
 
 // ---------------------------------------------------- burst/fault bounding
 
-/// A fault callback scheduled mid-burst must observe the machine at
+/// A fault event scheduled mid-burst must observe the machine at
 /// exactly its scheduled cycle, with exactly the architectural state a
 /// single-stepped machine shows — the burst engine's event-horizon gate
 /// (`next_deadline`) bounds the burst, never deferring the event.
@@ -166,19 +166,21 @@ fn fault_event_mid_burst_bounds_the_burst() {
         if dense_single_step {
             // Reference machine: an event due every cycle keeps the
             // event-horizon at 1, forcing the engine to single-step.
+            let nop = m.register_device(|_, _, _| {});
             for c in 1..=T {
-                m.at(Cycles(c), |_| {});
+                m.at_device(Cycles(c), nop, 0);
             }
         }
         let seen = Rc::new(RefCell::new((0u64, 0u64, 0u64)));
         let rec = Rc::clone(&seen);
-        m.at(Cycles(T), move |mach| {
+        let observer = m.register_device(move |mach, _, _| {
             *rec.borrow_mut() = (
                 mach.now().0,
                 mach.counters().get("inst.executed"),
                 mach.thread_reg(tid, 1),
             );
         });
+        m.at_device(Cycles(T), observer, 0);
         m.run_until(Cycles(T + 1_000));
         let got = *seen.borrow();
         got
@@ -187,7 +189,7 @@ fn fault_event_mid_burst_bounds_the_burst() {
     let stepped = observe(true);
     assert_eq!(
         burst.0, T,
-        "callback ran at its scheduled cycle, not a burst boundary"
+        "the event ran at its scheduled cycle, not a burst boundary"
     );
     assert_eq!(
         burst, stepped,
@@ -229,11 +231,17 @@ fn watchdog_fires_exactly_at_deadline_cycle() {
     );
     assert_eq!(m.counters().get("watchdog.fired"), 1);
     assert_eq!(m.peek_u64(edp), ExceptionKind::WatchdogExpired.code());
+    assert_eq!(
+        m.peek_u64(edp + 8),
+        u64::from(tid.ptid.0),
+        "the parked ptid"
+    );
+    assert_eq!(m.peek_u64(edp + 24), parked + W, "info word: the deadline");
     assert_eq!(m.thread_fault_time(tid), Some(Cycles(parked + W)));
 }
 
 /// A wake landing on the deadline cycle itself loses deterministically:
-/// the watchdog callback was scheduled first (at park time), so same-cycle
+/// the watchdog event was scheduled first (at park time), so same-cycle
 /// FIFO order fires it before the late wake, which then finds a disabled
 /// thread and is refused.
 #[test]
@@ -251,9 +259,8 @@ fn wake_on_deadline_cycle_loses_to_watchdog() {
     assert!(m.run_until_state(tid, ThreadState::Waiting, Cycles(100_000)));
     let deadline = m.now().0 + W;
     // Scheduled after the park, so it sorts after the watchdog at `deadline`.
-    m.at(Cycles(deadline), move |mach| {
-        mach.poke_u64(mb, 1);
-    });
+    let wake = m.register_device(move |mach, _, v| mach.poke_u64(mb, v));
+    m.at_device(Cycles(deadline), wake, 1);
     m.run_until(Cycles(deadline + 50_000));
     assert_eq!(m.counters().get("watchdog.fired"), 1);
     assert_eq!(
@@ -278,9 +285,8 @@ fn wake_one_cycle_before_deadline_saves_the_thread() {
     m.start_thread(tid);
     assert!(m.run_until_state(tid, ThreadState::Waiting, Cycles(100_000)));
     let deadline = m.now().0 + W;
-    m.at(Cycles(deadline - 1), move |mach| {
-        mach.poke_u64(mb, 1);
-    });
+    let wake = m.register_device(move |mach, _, v| mach.poke_u64(mb, v));
+    m.at_device(Cycles(deadline - 1), wake, 1);
     // Run just past the stale timer — but well short of the fresh deadline
     // armed by the re-park, which would (correctly) fire if left wedged.
     m.run_until(Cycles(deadline + W / 2));

@@ -709,10 +709,11 @@ fn dma_write_wakes_waiting_thread() {
     m.start_thread(tid);
     run(&mut m, 5_000);
     let ring = p.symbol("ring").unwrap();
-    // Device DMA at a future time via the host-event API.
-    m.at(Cycles(20_000), move |mach| {
-        mach.dma_write(ring, &77u64.to_le_bytes());
+    // Device DMA at a future time: a registered device's event.
+    let dev = m.register_device(move |mach, _, v| {
+        mach.dma_write(ring, &v.to_le_bytes());
     });
+    m.at_device(Cycles(20_000), dev, 77);
     run(&mut m, 100_000);
     assert_eq!(m.thread_state(tid), ThreadState::Halted);
     assert_eq!(m.thread_reg(tid, 1), 77);
@@ -806,10 +807,11 @@ fn deterministic_across_runs() {
         .unwrap();
         let tid = m.load_program(0, &p).unwrap();
         m.start_thread(tid);
-        m.at(Cycles(7_777), move |mach| {
+        let dev = m.register_device(|mach, _, v| {
             let a = 0x10000u64; // box1
-            mach.poke_u64(a, 10);
+            mach.poke_u64(a, v);
         });
+        m.at_device(Cycles(7_777), dev, 10);
         run(&mut m, 100_000);
         (
             m.now().0,

@@ -169,7 +169,7 @@ fn sharded_is_deterministic_across_runs() {
     );
 }
 
-/// Monitor/mwait wake traffic driven by host callbacks: callbacks
+/// Monitor/mwait wake traffic driven by device events: they
 /// truncate every epoch window, wakes produce histogram samples, and
 /// threads repeatedly park —
 /// the engine must interleave serial replay with epochs and still match.
@@ -205,12 +205,10 @@ fn build_wakers(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u6
         m.start_thread(tid);
         tids.push(tid);
         spans.push((word, 64));
+        let poke = m.register_device(move |mach, _, v| mach.poke_u64(word, v));
         for i in 0..40u64 {
             let at = Cycles(2_000 + i * 1_700 + (c as u64) * 531);
-            let v = i + 1;
-            m.at(at, move |mach| {
-                mach.poke_u64(word, v);
-            });
+            m.at_device(at, poke, i + 1);
         }
     }
     (m, tids, spans)
@@ -470,11 +468,12 @@ fn build_late_wakers(
         m.start_thread(tid);
         tids.push(tid);
     }
-    m.at(wake_at, move |mach| {
+    let wake = m.register_device(move |mach, _, _| {
         for &w in &words {
             mach.poke_u64(w, 1);
         }
     });
+    m.at_device(wake_at, wake, 0);
     (m, tids, spans)
 }
 
@@ -533,7 +532,8 @@ fn build_twin_wakers(
         if tid.core == 0 {
             m.start_thread(tid);
         } else {
-            m.at(Cycles(52), move |mach| mach.start_thread(tid));
+            let dev = m.register_device(move |mach, _, _| mach.start_thread(tid));
+            m.at_device(Cycles(52), dev, 0);
         }
     };
     for c in 0..2u64 {
@@ -581,11 +581,12 @@ fn build_twin_wakers(
         start(&mut m, tid);
         tids.push(tid);
     }
-    m.at(wake_at, move |mach| {
+    let wake = m.register_device(move |mach, _, _| {
         for &w in &words {
             mach.poke_u64(w, 1);
         }
     });
+    m.at_device(wake_at, wake, 0);
     (m, tids, spans)
 }
 

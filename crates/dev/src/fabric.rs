@@ -7,26 +7,78 @@
 //! exactly what the paper's argument needs — many blocking threads hiding
 //! inter-node latency — without simulating a second machine.
 
-use switchless_core::machine::Machine;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use switchless_core::machine::{DeviceId, Machine};
 use switchless_sim::fault::FaultKind;
 use switchless_sim::time::Cycles;
 
+use crate::slab::Slab;
+
 /// Fabric latency parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct Fabric {
+pub struct FabricConfig {
     /// One-way wire+switch latency. 2 µs at 3 GHz = 6000 cycles.
     pub one_way: Cycles,
 }
 
-impl Default for Fabric {
-    fn default() -> Fabric {
-        Fabric {
+impl Default for FabricConfig {
+    fn default() -> FabricConfig {
+        FabricConfig {
             one_way: Cycles(6_000),
         }
     }
 }
 
+impl FabricConfig {
+    /// Round-trip time excluding remote service.
+    #[must_use]
+    pub fn rtt(&self) -> Cycles {
+        self.one_way * 2
+    }
+}
+
+/// An RPC response in flight: the word it writes and where.
+#[derive(Clone, Copy, Debug)]
+struct Response {
+    addr: u64,
+    value: u64,
+}
+
+/// An attached fabric.
+///
+/// Clones share one device: the same registered response handler and
+/// the same responses in flight.
+#[derive(Clone, Debug)]
+pub struct Fabric {
+    config: FabricConfig,
+    /// The response handler, registered at attach.
+    device: DeviceId,
+    /// Responses issued and not yet landed.
+    pending: Rc<RefCell<Slab<Response>>>,
+}
+
 impl Fabric {
+    /// Registers the fabric's response handler on the machine.
+    pub fn attach(m: &mut Machine, config: FabricConfig) -> Fabric {
+        let pending: Rc<RefCell<Slab<Response>>> = Rc::default();
+        let store = Rc::clone(&pending);
+        let device = m.register_device(move |mach, _, key| {
+            let r = store.borrow_mut().take(key);
+            mach.dma_write(r.addr, &r.value.to_le_bytes());
+            mach.counters_mut().inc("fabric.rpc.completed");
+            let led = mach.ledger("fabric.rpc");
+            led.in_flight -= 1;
+            led.completed += 1;
+        });
+        Fabric {
+            config,
+            device,
+            pending,
+        }
+    }
+
     /// Issues an RPC at `at`: after `2 * one_way + remote_service`, the
     /// fabric DMA-writes `response_value` to `response_addr`.
     ///
@@ -53,23 +105,16 @@ impl Fabric {
             led.dropped += 1;
             return;
         }
-        let mut done = at + self.one_way + remote_service + self.one_way;
+        let one_way = self.config.one_way;
+        let mut done = at + one_way + remote_service + one_way;
         if m.fault_draw(FaultKind::FabricReorder) {
             done += m.fault_delay(FaultKind::FabricReorder);
         }
-        m.at(done, move |mach| {
-            mach.dma_write(response_addr, &response_value.to_le_bytes());
-            mach.counters_mut().inc("fabric.rpc.completed");
-            let led = mach.ledger("fabric.rpc");
-            led.in_flight -= 1;
-            led.completed += 1;
+        let key = self.pending.borrow_mut().insert(Response {
+            addr: response_addr,
+            value: response_value,
         });
-    }
-
-    /// Round-trip time excluding remote service.
-    #[must_use]
-    pub fn rtt(&self) -> Cycles {
-        self.one_way * 2
+        m.at_device(done, self.device, key);
     }
 }
 
@@ -84,9 +129,12 @@ mod tests {
     #[test]
     fn rpc_completes_after_rtt_plus_service() {
         let mut m = Machine::new(MachineConfig::small());
-        let f = Fabric {
-            one_way: Cycles(1000),
-        };
+        let f = Fabric::attach(
+            &mut m,
+            FabricConfig {
+                one_way: Cycles(1000),
+            },
+        );
         let resp = m.alloc(8);
         f.rpc(&mut m, Cycles(0), Cycles(500), resp, 42);
         m.run_for(Cycles(2_499));
@@ -100,7 +148,7 @@ mod tests {
     fn lost_response_never_arrives() {
         let mut m = Machine::new(MachineConfig::small());
         m.install_fault_plan(FaultPlan::new(7).with_rate(FaultKind::FabricLoss, 1.0));
-        let f = Fabric::default();
+        let f = Fabric::attach(&mut m, FabricConfig::default());
         let resp = m.alloc(8);
         f.rpc(&mut m, Cycles(0), Cycles(500), resp, 42);
         m.run_for(Cycles(1_000_000));
@@ -117,9 +165,12 @@ mod tests {
                 .with_rate(FaultKind::FabricReorder, 1.0)
                 .with_delay(FaultKind::FabricReorder, Cycles(20_000), Cycles(20_000)),
         );
-        let f = Fabric {
-            one_way: Cycles(1_000),
-        };
+        let f = Fabric::attach(
+            &mut m,
+            FabricConfig {
+                one_way: Cycles(1_000),
+            },
+        );
         let resp = m.alloc(8);
         f.rpc(&mut m, Cycles(0), Cycles(500), resp, 42);
         m.run_for(Cycles(10_000));
@@ -132,7 +183,7 @@ mod tests {
     #[test]
     fn blocking_thread_hides_latency_with_mwait() {
         let mut m = Machine::new(MachineConfig::small());
-        let f = Fabric::default();
+        let f = Fabric::attach(&mut m, FabricConfig::default());
         let resp = m.alloc(8);
         let prog = assemble(&format!(
             r#"

@@ -20,11 +20,14 @@
 //!   experiments: remote RPCs complete by DMA after a round-trip latency.
 //!
 //! All devices drive the machine exclusively through its public host API
-//! (scheduled host code — a registered handler queued with
-//! [`switchless_core::Machine::at_device`], as the NIC RX path and the
-//! timer use, or a [`switchless_core::Machine::at`] closure — and
-//! [`switchless_core::Machine::dma_write`]), exactly as external agents
-//! should: the only effect a device has on a CPU is a memory write.
+//! — scheduled host code, which is always a handler registered with
+//! [`switchless_core::Machine::register_device`] and queued with
+//! [`switchless_core::Machine::at_device`], and
+//! [`switchless_core::Machine::dma_write`] — exactly as external agents
+//! should: the only effect a device has on a CPU is a memory write. What
+//! a queued event will do waits as data: a NIC packet in the NIC's
+//! pending arena, an SSD completion or a fabric response as a record in
+//! a [`Slab`] whose key the event carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,10 +35,12 @@
 pub mod fabric;
 pub mod msix;
 pub mod nic;
+pub mod slab;
 pub mod ssd;
 pub mod timer;
 
-pub use fabric::Fabric;
+pub use fabric::{Fabric, FabricConfig};
 pub use nic::{Nic, NicConfig, RX_DESC_BYTES};
+pub use slab::Slab;
 pub use ssd::{Ssd, SsdConfig};
 pub use timer::ApicTimer;

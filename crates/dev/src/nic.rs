@@ -530,10 +530,10 @@ mod tests {
         assert!(led.balanced());
     }
 
-    /// The closure delivery [`Nic::schedule_rx`] replaced, kept as the
-    /// oracle the device path is diffed against: each packet boxes a
-    /// `Machine::at` callback that owns a copy of the NIC and its own
-    /// payload `Vec`.
+    /// The per-packet delivery [`Nic::schedule_rx`] replaced, kept as
+    /// the oracle the device path is diffed against: each packet
+    /// registers a one-shot device whose handler owns a copy of the ring
+    /// and its own payload `Vec`, outside the NIC's pending storage.
     fn schedule_rx_closure(nic: &Nic, m: &mut Machine, at: Cycles, seq: u64, payload: &[u8]) {
         let ring = nic.ring;
         let len = payload.len().min(ring.buf_bytes as usize);
@@ -556,7 +556,7 @@ mod tests {
         if m.fault_draw(FaultKind::NicStall) {
             deliver_at += m.fault_delay(FaultKind::NicStall);
         }
-        m.at(deliver_at, move |mach| {
+        let once = m.register_device(move |mach, _, _| {
             mach.dma_write(ring.buf_addr(seq), &payload);
             let mut desc = [0u8; RX_DESC_BYTES as usize];
             desc[..8].copy_from_slice(&ring.buf_addr(seq).to_le_bytes());
@@ -571,19 +571,22 @@ mod tests {
             led.in_flight -= 1;
             led.completed += 1;
         });
+        m.at_device(deliver_at, once, 0);
     }
 
     type Rx = fn(&Nic, &mut Machine, Cycles, u64, &[u8]);
 
-    /// F17's shape: a host callback schedules each packet and the next.
-    fn pump(m: &mut Machine, rx: Rx, nic: Nic, seq: u64, at: Cycles) {
-        if seq >= 560 {
-            return;
-        }
-        m.at(at, move |mach| {
+    /// F17's shape: a periodic device schedules each packet (its `arg`
+    /// is the seq, from 500 to 559) and then its own next event.
+    fn pump(m: &mut Machine, rx: Rx, nic: Nic, at: Cycles) {
+        let dev = m.register_device(move |mach, me, seq| {
+            let at = mach.now();
             rx(&nic, mach, at, seq, &[seq as u8; 20]);
-            pump(mach, rx, nic, seq + 1, at + Cycles(437));
+            if seq + 1 < 560 {
+                mach.at_device(at + Cycles(437), me, seq + 1);
+            }
         });
+        m.at_device(at, dev, 500);
     }
 
     /// Everything a run can observe: clock, counters, the `nic.rx`
@@ -646,14 +649,15 @@ mod tests {
         // Host observers due in the same cycle as each on-time delivery,
         // scheduled after it: they must see it landed.
         let seen: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
+        let (s, tail) = (Rc::clone(&seen), nic.rx_tail);
+        let observer = m.register_device(move |mach, _, _| {
+            s.borrow_mut().push((mach.now().0, mach.peek_u64(tail)));
+        });
         for seq in 0..300u64 {
             let at = Cycles(2_000 + seq * 151);
             let len = 1 + (seq as usize * 7) % 40;
             rx(&nic, &mut m, at, seq, &vec![seq as u8; len]);
-            let (s, tail) = (Rc::clone(&seen), nic.rx_tail);
-            m.at(at + nic.config.dma_latency, move |mach| {
-                s.borrow_mut().push((mach.now().0, mach.peek_u64(tail)));
-            });
+            m.at_device(at + nic.config.dma_latency, observer, 0);
         }
         // Re-entrancy: the tail write of a delivery schedules another
         // packet (a duplicate of the newest slot, so the tail does not
@@ -669,7 +673,7 @@ mod tests {
                 rx(&hook_nic, mach, now + Cycles(40), tail - 1, &[0x5a; 12]);
             }
         });
-        pump(&mut m, rx, nic.clone(), 500, Cycles(50_000));
+        pump(&mut m, rx, nic.clone(), Cycles(50_000));
         m.run_for(Cycles(120_000));
 
         let mut out = String::new();

@@ -22,21 +22,23 @@ struct Watch {
     peak_host_bytes: Cell<usize>,
 }
 
-/// Schedules packet `seq` at `at` and the next one a period later, from
-/// a host callback (as F17 does), sampling the pending storage each time.
-fn produce(m: &mut Machine, nic: Nic, seq: u64, at: Cycles, w: Rc<Watch>) {
-    if seq == PACKETS {
-        return;
-    }
-    m.at(at, move |mach| {
+/// Schedules packet `seq` (the event's `arg`) and the next one a period
+/// later, from a periodic device (as F17 does), sampling the pending
+/// storage each time.
+fn produce(m: &mut Machine, nic: Nic, w: Rc<Watch>) {
+    let dev = m.register_device(move |mach, me, seq| {
+        let at = mach.now();
         let len = 1 + (seq as usize * 13) % 200;
         nic.schedule_rx(mach, at, seq, &vec![seq as u8; len]);
         w.peak_in_flight
             .set(w.peak_in_flight.get().max(nic.rx_pending()));
         w.peak_host_bytes
             .set(w.peak_host_bytes.get().max(nic.rx_pending_host_bytes()));
-        produce(mach, nic, seq + 1, at + Cycles(PERIOD), w);
+        if seq + 1 < PACKETS {
+            mach.at_device(at + Cycles(PERIOD), me, seq + 1);
+        }
     });
+    m.at_device(Cycles(0), dev, 0);
 }
 
 #[test]
@@ -51,7 +53,7 @@ fn pending_storage_stays_bounded_by_packets_in_flight() {
     );
     let nic = Nic::attach(&mut m, NicConfig::default());
     let w = Rc::new(Watch::default());
-    produce(&mut m, nic.clone(), 0, Cycles(0), Rc::clone(&w));
+    produce(&mut m, nic.clone(), Rc::clone(&w));
     m.run_for(Cycles(PACKETS * PERIOD / 10));
     let early = w.peak_host_bytes.get();
     m.run_for(Cycles(PACKETS * PERIOD + 10_000));

@@ -1,7 +1,7 @@
 //! Cross-core completion routing under the core-sharded engine.
 //!
 //! Device completions (NIC DMA + tail bumps, MSI-X translated
-//! interrupts) are host callbacks: the sharded engine must truncate its
+//! interrupts) are device events: the sharded engine must truncate its
 //! epoch windows at each one, deliver it serially, route the resulting
 //! wake to whichever core the monitoring thread lives on, and still
 //! produce bit-identical machine state — while compute cores with
@@ -125,11 +125,11 @@ fn build(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<u64>) {
 
     // Completion traffic: 30 NIC packets and 30 MSI-X raises, staggered
     // so they interleave with (and truncate) the compute epochs.
+    let raise = m.register_device(move |mach, _, vector| bridge.raise(mach, vector as u32));
     for i in 0..30u64 {
         let payload = [i as u8 + 1; 24];
         nic.schedule_rx(&mut m, Cycles(3_000 + i * 2_100), i, &payload);
-        let b = bridge.clone();
-        m.at(Cycles(4_000 + i * 2_300), move |mach| b.raise(mach, 7));
+        m.at_device(Cycles(4_000 + i * 2_300), raise, 7);
     }
     (m, tids, words)
 }

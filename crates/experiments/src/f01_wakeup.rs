@@ -35,11 +35,12 @@ fn measure_hwt(n_events: usize, mean_gap: f64) -> Histogram {
     let start = m.now();
     let times = poisson_arrivals(&mut rng, start + Cycles(1000), mean_gap, n_events);
     let word = set.handlers[0].event_word;
-    for (i, at) in times.iter().enumerate() {
-        let v = (i + 1) as u64;
-        m.at(*at, move |mach| {
-            mach.dma_write(word, &v.to_le_bytes());
-        });
+    // The event source: each event DMA-writes its `arg` to the word.
+    let source = m.register_device(move |mach, _, v| {
+        mach.dma_write(word, &v.to_le_bytes());
+    });
+    for (i, &at) in times.iter().enumerate() {
+        m.at_device(at, source, (i + 1) as u64);
     }
     let horizon = times.last().copied().unwrap_or(start) + Cycles(1_000_000);
     m.run_until(horizon);

@@ -9,7 +9,7 @@
 //! per-RPC CPU cost is ~an order of magnitude higher.
 
 use switchless_core::machine::{Machine, MachineConfig};
-use switchless_dev::fabric::Fabric;
+use switchless_dev::fabric::FabricConfig;
 use switchless_kern::distrt::{DistRt, DistRtConfig};
 use switchless_legacy::costs::LegacyCosts;
 use switchless_sim::report::{fnum, Table};
@@ -39,7 +39,7 @@ fn measure(threads: usize) -> Outcome {
             iters: TOTAL_RPCS / threads as u32,
             local_work: LOCAL_WORK,
             remote_service: Cycles(REMOTE),
-            fabric: Fabric::default(), // 12 µs RTT
+            fabric: FabricConfig::default(), // 12 µs RTT
         },
         0x40000,
     )

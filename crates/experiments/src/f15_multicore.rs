@@ -22,7 +22,7 @@
 //!
 //! Every multi-core machine here runs on the process's engine
 //! (`SWITCHLESS_ENGINE`, fast by default), so F15a and F15b take the
-//! epoch engine too. F15a's host event callbacks land every few hundred
+//! epoch engine too. F15a's device events land every few hundred
 //! cycles and truncate most epoch windows to fewer than two busy cores
 //! (`TooFew`), which then replay serially: exactly the traffic shape the
 //! conservative engine declines to run ahead on.
@@ -56,12 +56,12 @@ fn measure_scaling(cores: usize, events_per_core: usize) -> (f64, u64) {
     let mut rng = Rng::seed_from(21);
     for set in &sets {
         let word = set.handlers[0].event_word;
+        let source = m.register_device(move |mach, _, v| {
+            mach.dma_write(word, &v.to_le_bytes());
+        });
         let times = poisson_arrivals(&mut rng, t0 + Cycles(1000), 4_000.0, events_per_core);
         for (i, &at) in times.iter().enumerate() {
-            let v = (i + 1) as u64;
-            m.at(at, move |mach| {
-                mach.dma_write(word, &v.to_le_bytes());
-            });
+            m.at_device(at, source, (i + 1) as u64);
         }
     }
     let total = (cores * events_per_core) as u64;

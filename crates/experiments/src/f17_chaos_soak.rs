@@ -23,7 +23,7 @@ use switchless_dev::nic::{Nic, NicConfig};
 use switchless_dev::ssd::{Ssd, SsdConfig, SsdOp};
 use switchless_kern::ioengine::RetryPolicy;
 use switchless_kern::nointr::Supervisor;
-use switchless_sim::chaos::{shrink, ChaosConfig, ChaosPlan, Digest};
+use switchless_sim::chaos::{shrink, ChaosPlan, Digest};
 use switchless_sim::error::SimError;
 use switchless_sim::fault::FaultKind;
 use switchless_sim::report::{counters_table, fnum, Table};
@@ -71,46 +71,27 @@ pub struct StormOutcome {
     pub counters: Counters,
 }
 
-/// Schedules NIC RX arrivals every [`NIC_PERIOD`] cycles until `until`.
-fn pump_nic(m: &mut Machine, nic: Nic, seq: u64, at: Cycles, until: Cycles) {
-    if at.0 >= until.0 {
+/// Registers a periodic device: every `period` cycles while before
+/// `until`, it runs `tick` with the tick's time and number (its event
+/// `arg`), then queues its own next tick.
+fn pump(
+    m: &mut Machine,
+    period: u64,
+    until: Cycles,
+    mut tick: impl FnMut(&mut Machine, Cycles, u64) + 'static,
+) {
+    if period >= until.0 {
         return;
     }
-    m.at(at, move |mach| {
-        let payload = [(seq & 0xff) as u8; 32];
-        nic.schedule_rx(mach, at, seq, &payload);
-        pump_nic(mach, nic, seq + 1, at + Cycles(NIC_PERIOD), until);
+    let dev = m.register_device(move |mach, me, n| {
+        let at = mach.now();
+        tick(mach, at, n);
+        let next = at + Cycles(period);
+        if next.0 < until.0 {
+            mach.at_device(next, me, n + 1);
+        }
     });
-}
-
-/// Submits alternating SSD reads and writes every [`SSD_PERIOD`] cycles.
-fn pump_ssd(m: &mut Machine, ssd: Ssd, buf: u64, seq: u64, at: Cycles, until: Cycles) {
-    if at.0 >= until.0 {
-        return;
-    }
-    m.at(at, move |mach| {
-        let op = if seq.is_multiple_of(2) {
-            SsdOp::Read {
-                buf_addr: buf,
-                len: 64,
-            }
-        } else {
-            SsdOp::Write
-        };
-        ssd.submit(mach, at, seq, op, seq);
-        pump_ssd(mach, ssd, buf, seq + 1, at + Cycles(SSD_PERIOD), until);
-    });
-}
-
-/// Raises a routed legacy interrupt every [`MSIX_PERIOD`] cycles.
-fn pump_msix(m: &mut Machine, bridge: MsixBridge, at: Cycles, until: Cycles) {
-    if at.0 >= until.0 {
-        return;
-    }
-    m.at(at, move |mach| {
-        bridge.raise(mach, 7);
-        pump_msix(mach, bridge, at + Cycles(MSIX_PERIOD), until);
-    });
+    m.at_device(Cycles(period), dev, 0);
 }
 
 /// A parker: sleeps on `watch`, counts fresh values in r3, re-parks.
@@ -191,9 +172,25 @@ fn run_storm(plan: &ChaosPlan, sabotage: bool, engine: Engine) -> Result<StormOu
         let tid = m.load_program(0, &prog).expect("parker loads");
         m.start_thread(tid);
     }
-    pump_nic(&mut m, nic, 0, Cycles(NIC_PERIOD), duration);
-    pump_ssd(&mut m, ssd, ssd_buf, 0, Cycles(SSD_PERIOD), duration);
-    pump_msix(&mut m, bridge, Cycles(MSIX_PERIOD), duration);
+    // NIC RX arrivals, alternating SSD reads and writes, and routed
+    // legacy interrupts, each on its own period until the storm ends.
+    pump(&mut m, NIC_PERIOD, duration, move |mach, at, seq| {
+        nic.schedule_rx(mach, at, seq, &[(seq & 0xff) as u8; 32]);
+    });
+    pump(&mut m, SSD_PERIOD, duration, move |mach, at, seq| {
+        let op = if seq.is_multiple_of(2) {
+            SsdOp::Read {
+                buf_addr: ssd_buf,
+                len: 64,
+            }
+        } else {
+            SsdOp::Write
+        };
+        ssd.submit(mach, at, seq, op, seq);
+    });
+    pump(&mut m, MSIX_PERIOD, duration, move |mach, _, _| {
+        bridge.raise(mach, 7);
+    });
 
     // RPC clients under watchdogs: the f16 fleet.
     let st = rpc_fleet::install(&mut m, &sup, CLIENTS);
@@ -318,11 +315,10 @@ pub fn soak(
     duration: Cycles,
     mut progress: impl FnMut(&str),
 ) -> Result<SoakSummary, String> {
-    let cfg = ChaosConfig::new(duration);
     let mut sum = SoakSummary::default();
     for i in 0..n {
         let seed = base_seed.wrapping_add(i);
-        let plan = ChaosPlan::generate(seed, &cfg);
+        let plan = ChaosPlan::generate(seed, duration);
         let out = run_plan(&plan).map_err(|e| format!("plan seed={seed}: {e}"))?;
         if out.violations > 0 {
             let (min, stats) = shrink(&plan, |p| run_plan(p).is_ok_and(|o| o.violations > 0));
@@ -404,7 +400,6 @@ pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     let quick = ctx.quick;
     let duration = Cycles(if quick { 4_000_000 } else { 12_000_000 });
     let seeds: u64 = if quick { 4 } else { 10 };
-    let cfg = ChaosConfig::new(duration);
 
     let mut t_soak = Table::new(
         "F17: chaos soak - goodput and recovery under composed fault storms",
@@ -429,7 +424,7 @@ pub fn run(ctx: &crate::RunCtx) -> Vec<Table> {
     let mut stormiest: Option<(u64, Counters)> = None;
     for i in 0..seeds {
         let seed = 1700 + i;
-        let plan = ChaosPlan::generate(seed, &cfg);
+        let plan = ChaosPlan::generate(seed, duration);
         let sw = run_plan(&plan).expect("generated chaos plans always validate");
         let lg = run_legacy(CLIENTS, plan.seed, plan.duration, |t| {
             loss_rate_at(&plan, t)
@@ -499,10 +494,6 @@ mod tests {
 
     const TEST_DURATION: Cycles = Cycles(600_000);
 
-    fn test_cfg() -> ChaosConfig {
-        ChaosConfig::new(TEST_DURATION)
-    }
-
     #[test]
     fn calm_plan_is_fault_free_and_deterministic() {
         let plan = ChaosPlan {
@@ -522,7 +513,7 @@ mod tests {
 
     #[test]
     fn digests_match_the_reference_engine() {
-        let plan = ChaosPlan::generate(23, &test_cfg());
+        let plan = ChaosPlan::generate(23, TEST_DURATION);
         let reference =
             run_storm(&plan, false, Engine::Reference).expect("plan runs on the reference engine");
         let fast = run_storm(&plan, false, Engine::Fast).expect("plan runs on the fast engine");
@@ -547,7 +538,7 @@ mod tests {
 
     #[test]
     fn replay_text_round_trips_with_digest() {
-        let plan = ChaosPlan::generate(7, &test_cfg());
+        let plan = ChaosPlan::generate(7, TEST_DURATION);
         let out = run_plan(&plan).expect("generated plan runs");
         let mut stamped = plan.clone();
         stamped.digest = Some(out.digest);
@@ -572,7 +563,7 @@ mod tests {
 
     #[test]
     fn replay_rejects_truncated_artifact_with_line_info() {
-        let mut plan = ChaosPlan::generate(11, &test_cfg());
+        let mut plan = ChaosPlan::generate(11, TEST_DURATION);
         plan.digest = Some(0xabcd);
         let text = plan.to_text();
         // Cut the artifact mid-way through its last burst line: keep
@@ -595,7 +586,7 @@ mod tests {
 
     #[test]
     fn replay_rejects_bit_flipped_rate_without_panicking() {
-        let plan = ChaosPlan::generate(13, &test_cfg());
+        let plan = ChaosPlan::generate(13, TEST_DURATION);
         let text = plan.to_text();
         // Flip the f64 sign bit of the first burst's rate: the artifact
         // still parses field-wise but now encodes a negative probability.
@@ -622,7 +613,7 @@ mod tests {
 
     #[test]
     fn replay_rejects_wrong_version_header() {
-        let plan = ChaosPlan::generate(17, &test_cfg());
+        let plan = ChaosPlan::generate(17, TEST_DURATION);
         let text = plan.to_text().replace("chaos-plan/v1", "chaos-plan/v2");
         let err = replay_text(&text).unwrap_err();
         match err {
@@ -718,7 +709,7 @@ mod tests {
 
     #[test]
     fn switchless_recovery_beats_legacy_under_storms() {
-        let plan = ChaosPlan::generate(1701, &ChaosConfig::new(Cycles(4_000_000)));
+        let plan = ChaosPlan::generate(1701, Cycles(4_000_000));
         let sw = run_plan(&plan).expect("generated plan validates");
         let lg = run_legacy(CLIENTS, plan.seed, plan.duration, |t| {
             loss_rate_at(&plan, t)

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use switchless_core::machine::Machine;
-use switchless_dev::fabric::Fabric;
+use switchless_dev::fabric::{Fabric, FabricConfig};
 use switchless_kern::nointr::Supervisor;
 use switchless_legacy::costs::LegacyCosts;
 use switchless_sim::rng::Rng;
@@ -47,7 +47,7 @@ pub(crate) struct Clients {
 /// Loads and starts `n` RPC clients on core 0, each supervised by `sup`
 /// under a [`DEADLINE`] watchdog, and registers the fleet's hcalls.
 pub(crate) fn install(m: &mut Machine, sup: &Supervisor, n: usize) -> Rc<RefCell<Clients>> {
-    let fabric = Fabric::default();
+    let fabric = Fabric::attach(m, FabricConfig::default());
     let st = Rc::new(RefCell::new(Clients {
         resp: Vec::new(),
         by_ptid: HashMap::new(),
@@ -127,7 +127,7 @@ pub(crate) fn run_legacy(
 ) -> LegacyOutcome {
     let costs = LegacyCosts::default();
     let wake = costs.blocked_wakeup_path(false).0;
-    let rtt = Fabric::default().rtt().0;
+    let rtt = FabricConfig::default().rtt().0;
     let mut rng = Rng::seed_from(seed).fork(99);
     let mut recovery = Histogram::new();
     let mut goodput = 0u64;

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use switchless_sim::chaos::{ChaosConfig, ChaosPlan};
+use switchless_sim::chaos::ChaosPlan;
 use switchless_sim::time::Cycles;
 
 fn experiments(args: &[&str], env: &[(&str, &str)]) -> Output {
@@ -92,7 +92,7 @@ fn replay_of_an_unbounded_duration_exits_1_promptly() {
 
 #[test]
 fn replay_digest_mismatch_exits_1_naming_the_verdict() {
-    let mut plan = ChaosPlan::generate(7, &ChaosConfig::new(Cycles(600_000)));
+    let mut plan = ChaosPlan::generate(7, Cycles(600_000));
     plan.digest = Some(0);
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-digest-mismatch-plan.txt");
     std::fs::write(&path, plan.to_text()).expect("write the plan");

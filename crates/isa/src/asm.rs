@@ -117,28 +117,32 @@ fn strip_comment(line: &str) -> &str {
     &line[..end]
 }
 
+/// One parsed source line that emits words; text fields are slices of
+/// the source.
 #[derive(Clone, Debug)]
-enum Item {
+enum Item<'a> {
     Inst {
         line: usize,
-        mnemonic: String,
-        operands: Vec<String>,
+        /// As written: matched against the table case-insensitively.
+        mnemonic: &'a str,
+        /// The comma-separated operands as written; empty for none.
+        operands: &'a str,
     },
     Word {
         line: usize,
-        value: String,
+        value: &'a str,
     },
     Zero {
         words: u64,
     },
     Ascii {
-        bytes: Vec<u8>,
+        bytes: &'a [u8],
     },
 }
 
-struct Parsed {
+struct Parsed<'a> {
     base: u64,
-    items: Vec<Item>,
+    items: Vec<Item<'a>>,
     symbols: HashMap<String, u64>,
 }
 
@@ -165,16 +169,16 @@ fn is_ident(tok: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
 }
 
-fn parse_source(src: &str) -> Result<Parsed, AsmError> {
+fn parse_source(src: &str) -> Result<Parsed<'_>, AsmError> {
     let mut base: Option<u64> = None;
     let mut items: Vec<Item> = Vec::new();
-    let mut labels: Vec<(String, u64, usize)> = Vec::new(); // (name, word-offset, line)
-    let mut equs: Vec<(String, i64, usize)> = Vec::new();
+    let mut labels: Vec<(&str, u64, usize)> = Vec::new(); // (name, word-offset, line)
+    let mut equs: Vec<(&str, i64, usize)> = Vec::new();
     let mut offset_words: u64 = 0;
 
     for (lineno, raw) in src.lines().enumerate() {
         let line_number = lineno + 1;
-        let mut text = strip_comment(raw).trim().to_owned();
+        let mut text = strip_comment(raw).trim();
         if text.is_empty() {
             continue;
         }
@@ -185,19 +189,19 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
             if !is_ident(head) {
                 return Err(err(line_number, format!("invalid label name '{head}'")));
             }
-            labels.push((head.to_owned(), offset_words, line_number));
-            text = rest[1..].trim().to_owned();
+            labels.push((head, offset_words, line_number));
+            text = rest[1..].trim();
         }
         if text.is_empty() {
             continue;
         }
         let (word, rest) = match text.find(char::is_whitespace) {
-            Some(i) => (text[..i].to_owned(), text[i..].trim().to_owned()),
-            None => (text.clone(), String::new()),
+            Some(i) => (&text[..i], text[i..].trim()),
+            None => (text, ""),
         };
-        match word.as_str() {
+        match word {
             ".base" => {
-                let v = parse_number(&rest)
+                let v = parse_number(rest)
                     .ok_or_else(|| err(line_number, format!("bad .base value '{rest}'")))?;
                 if offset_words != 0 {
                     return Err(err(line_number, ".base must precede code/data"));
@@ -217,7 +221,7 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
                 }
                 let v = parse_number(parts[1])
                     .ok_or_else(|| err(line_number, format!("bad .equ value '{}'", parts[1])))?;
-                equs.push((parts[0].to_owned(), v, line_number));
+                equs.push((parts[0], v, line_number));
             }
             ".word" => {
                 if rest.is_empty() {
@@ -230,17 +234,16 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
                 offset_words += 1;
             }
             ".ascii" => {
-                let text = rest.trim();
-                if text.len() < 2 || !text.starts_with('"') || !text.ends_with('"') {
+                if rest.len() < 2 || !rest.starts_with('"') || !rest.ends_with('"') {
                     return Err(err(line_number, r#"usage: .ascii "text""#));
                 }
-                let bytes = text.as_bytes()[1..text.len() - 1].to_vec();
+                let bytes = &rest.as_bytes()[1..rest.len() - 1];
                 let words = (bytes.len() as u64).div_ceil(8).max(1);
                 items.push(Item::Ascii { bytes });
                 offset_words += words;
             }
             ".zero" => {
-                let v = parse_number(&rest)
+                let v = parse_number(rest)
                     .filter(|&v| v >= 0)
                     .ok_or_else(|| err(line_number, format!("bad .zero size '{rest}'")))?;
                 let words = (v as u64).div_ceil(8).max(1);
@@ -251,18 +254,13 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
                 return Err(err(line_number, format!("unknown directive '{m}'")));
             }
             mnemonic => {
-                let operands: Vec<String> = if rest.is_empty() {
-                    Vec::new()
-                } else {
-                    rest.split(',').map(|s| s.trim().to_owned()).collect()
-                };
-                if operands.iter().any(String::is_empty) {
+                if operand_list(rest).any(str::is_empty) {
                     return Err(err(line_number, "empty operand"));
                 }
                 items.push(Item::Inst {
                     line: line_number,
-                    mnemonic: mnemonic.to_ascii_lowercase(),
-                    operands,
+                    mnemonic,
+                    operands: rest,
                 });
                 offset_words += 1;
             }
@@ -272,7 +270,7 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
     let base = base.unwrap_or(DEFAULT_BASE);
     let mut symbols: HashMap<String, u64> = HashMap::new();
     for (name, off, line) in labels {
-        if symbols.insert(name.clone(), base + off * 8).is_some() {
+        if symbols.insert(name.to_owned(), base + off * 8).is_some() {
             return Err(err(line, format!("duplicate label '{name}'")));
         }
     }
@@ -280,7 +278,7 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
         if v < 0 {
             return Err(err(line, format!(".equ '{name}' must be non-negative")));
         }
-        if symbols.insert(name.clone(), v as u64).is_some() {
+        if symbols.insert(name.to_owned(), v as u64).is_some() {
             return Err(err(line, format!("duplicate symbol '{name}'")));
         }
     }
@@ -289,6 +287,15 @@ fn parse_source(src: &str) -> Result<Parsed, AsmError> {
         items,
         symbols,
     })
+}
+
+/// The trimmed operands of a comma-separated list; none for an empty
+/// list.
+fn operand_list(ops: &str) -> impl Iterator<Item = &str> {
+    (!ops.is_empty())
+        .then(|| ops.split(',').map(str::trim))
+        .into_iter()
+        .flatten()
 }
 
 /// Pseudo-instructions: each names the instruction it assembles to and
@@ -369,17 +376,17 @@ impl Ctx<'_> {
 /// rows, it takes the one whose operand count matches and whose register
 /// operands are exactly the register tokens; failing that, the last row
 /// with the right count reports what is wrong.
-fn encode_item(mnemonic: &str, ops: &[String], ctx: &Ctx<'_>) -> Result<u64, AsmError> {
+fn encode_item(mnemonic: &str, ops: &str, ctx: &Ctx<'_>) -> Result<u64, AsmError> {
     let (name, fixed) = ALIASES
         .iter()
-        .find(|a| a.0 == mnemonic)
+        .find(|a| a.0.eq_ignore_ascii_case(mnemonic))
         .map_or((mnemonic, &[][..]), |a| (a.1, a.2));
-    let toks: Vec<&str> = fixed
-        .iter()
-        .copied()
-        .chain(ops.iter().map(String::as_str))
-        .collect();
-    let rows = || TABLE.iter().filter(|s| s.mnemonic == name);
+    let toks: Vec<&str> = fixed.iter().copied().chain(operand_list(ops)).collect();
+    let rows = || {
+        TABLE
+            .iter()
+            .filter(|s| s.mnemonic.eq_ignore_ascii_case(name))
+    };
     let fits = || rows().filter(|s| s.operands.len() == toks.len());
     let regs_match = |s: &&Spec| {
         s.operands
@@ -389,6 +396,7 @@ fn encode_item(mnemonic: &str, ops: &[String], ctx: &Ctx<'_>) -> Result<u64, Asm
     };
     let Some(spec) = fits().find(regs_match).or_else(|| fits().next_back()) else {
         if rows().next().is_none() {
+            let mnemonic = mnemonic.to_ascii_lowercase();
             return Err(err(ctx.line, format!("unknown mnemonic '{mnemonic}'")));
         }
         let forms: Vec<String> = rows()

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use switchless_core::machine::{Machine, MachineError, ThreadId};
-use switchless_dev::fabric::Fabric;
+use switchless_dev::fabric::{Fabric, FabricConfig};
 use switchless_isa::asm::assemble;
 use switchless_sim::time::Cycles;
 
@@ -41,7 +41,7 @@ pub struct DistRtConfig {
     /// Remote service time per RPC.
     pub remote_service: Cycles,
     /// Fabric latency model.
-    pub fabric: Fabric,
+    pub fabric: FabricConfig,
 }
 
 impl DistRt {
@@ -95,6 +95,7 @@ impl DistRt {
         let st = Rc::clone(&issued);
         let thread_ids = threads.clone();
         let resp_copy = resp_words.clone();
+        let fabric = Fabric::attach(m, cfg.fabric);
         m.register_hcall(HCALL_RPC, move |mach, tid| {
             // `hcall` is unprivileged: any other thread may issue it. It
             // is counted and ignored, never a machine-killing panic.
@@ -104,8 +105,7 @@ impl DistRt {
             };
             let seq = mach.thread_reg(tid, 1);
             let now = mach.now();
-            cfg.fabric
-                .rpc(mach, now, cfg.remote_service, resp_copy[idx], seq);
+            fabric.rpc(mach, now, cfg.remote_service, resp_copy[idx], seq);
             *st.borrow_mut() += 1;
             mach.charge(Cycles(100)); // serialize + send cost
         });
@@ -150,7 +150,7 @@ mod tests {
             iters,
             local_work: 2_000,
             remote_service: Cycles(3_000),
-            fabric: Fabric {
+            fabric: FabricConfig {
                 one_way: Cycles(6_000),
             },
         }

@@ -25,6 +25,7 @@ use std::rc::Rc;
 
 use switchless_core::machine::{Machine, ThreadId};
 use switchless_dev::nic::Nic;
+use switchless_dev::Slab;
 use switchless_isa::asm::assemble;
 use switchless_sim::error::SimError;
 use switchless_sim::stats::Histogram;
@@ -141,6 +142,9 @@ struct EngineState {
     /// Descriptor revalidation + payload checksumming, off by default
     /// (and then the engine behaves bit-identically to before).
     fault: Option<FaultHandling>,
+    /// Revalidation retries waiting out their backoff, as `(worker,
+    /// packet)`, keyed by the `arg` of their `retry` device event.
+    retries: Slab<(usize, Packet)>,
 }
 
 impl EngineState {
@@ -314,6 +318,7 @@ impl IoEngine {
             latency: Histogram::new(),
             completed: 0,
             fault: None,
+            retries: Slab::default(),
         }));
 
         // Dispatcher drain service.
@@ -334,8 +339,6 @@ impl IoEngine {
             mach.charge(charged);
         });
 
-        // Worker request service.
-        let st = Rc::clone(&state);
         // Worker index by ptid (every worker lives on `core`), built
         // once: the handler runs per request.
         let mut worker_of = Vec::new();
@@ -344,6 +347,16 @@ impl IoEngine {
             worker_of.resize(worker_of.len().max(p + 1), None);
             worker_of[p] = Some(w);
         }
+        // A retry reassigns its packet to the worker that kept waiting.
+        let st = Rc::clone(&state);
+        let retry = m.register_device(move |mach, _, key| {
+            let mut s = st.borrow_mut();
+            let (w, pkt) = s.retries.take(key);
+            s.assign_to(mach, w, pkt);
+        });
+
+        // Worker request service.
+        let st = Rc::clone(&state);
         m.register_hcall(HCALL_WORK, move |mach, tid| {
             let mut s = st.borrow_mut();
             // A foreign thread issuing this hcall (misloaded image,
@@ -369,15 +382,12 @@ impl IoEngine {
                         // stays reserved for the retry (it parks, and
                         // the reassignment's mailbox bump rewakes it).
                         mach.counters_mut().inc("engine.rx.retries");
-                        let retry = Packet {
+                        let again = Packet {
                             attempt: pkt.attempt + 1,
                             ..pkt
                         };
-                        let st2 = Rc::clone(&st);
-                        let at = mach.now() + d;
-                        mach.at(at, move |inner| {
-                            st2.borrow_mut().assign_to(inner, w, retry);
-                        });
+                        let key = s.retries.insert((w, again));
+                        mach.at_device(mach.now() + d, retry, key);
                         return;
                     }
                     mach.counters_mut().inc("engine.rx.lost");

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use switchless_core::machine::{Machine, ThreadId};
+use switchless_core::machine::{DeviceId, Machine, ThreadId};
 use switchless_core::tid::ThreadState;
 use switchless_isa::asm::assemble;
 use switchless_sim::error::SimError;
@@ -150,38 +150,27 @@ pub struct Supervisor {
     state: Rc<RefCell<SupState>>,
 }
 
+/// Low bit of a supervisor event's `arg`, above which sits the ward's
+/// ptid: a restart after the retry backoff ...
+const RESTART: u64 = 0;
+/// ... or a pardon after the quarantine cool-down.
+const PARDON: u64 = 1;
+
 /// Schedules a restart of `tid` after the policy backoff, or
-/// quarantines it when the retry budget is spent.
-fn schedule_restart(
-    s: &mut SupState,
-    mach: &mut Machine,
-    st: &Rc<RefCell<SupState>>,
-    tid: ThreadId,
-) {
+/// quarantines it when the retry budget is spent. Both restarts and
+/// pardons are events of the supervisor's device `me`.
+fn schedule_restart(s: &mut SupState, mach: &mut Machine, me: DeviceId, tid: ThreadId) {
     if s.pending.contains(&tid.ptid.0) || mach.is_quarantined(tid) {
         return;
     }
     let n = s.attempts.entry(tid.ptid.0).or_insert(0);
     let attempt = *n;
     *n += 1;
+    let ward = u64::from(tid.ptid.0) << 1;
     match s.policy.backoff(attempt) {
         Some(d) => {
             s.pending.insert(tid.ptid.0);
-            let st2 = Rc::clone(st);
-            let at = mach.now() + d;
-            mach.at(at, move |inner| {
-                let mut s = st2.borrow_mut();
-                s.pending.remove(&tid.ptid.0);
-                if let Some(fault_at) = inner.thread_fault_time(tid) {
-                    s.recovery.record((inner.now() - fault_at).0);
-                }
-                if inner.restart_thread(tid) {
-                    s.restarts += 1;
-                }
-                // The slot was busy while this restart was pending; a
-                // second casualty may have had its descriptor dropped.
-                sweep(&mut s, inner, &st2);
-            });
+            mach.at_device(mach.now() + d, me, ward | RESTART);
         }
         None => {
             mach.counters_mut().inc("supervisor.gave_up");
@@ -191,35 +180,55 @@ fn schedule_restart(
             // ward sits out the cool-down and then gets a fresh attempt
             // budget instead of staying dead for the machine's lifetime.
             if let Some(cool) = s.pardon_after {
-                let st2 = Rc::clone(st);
-                let at = mach.now() + cool;
-                mach.at(at, move |inner| {
-                    if !inner.is_quarantined(tid) {
-                        return; // something else already revived it
-                    }
-                    let mut s = st2.borrow_mut();
-                    s.attempts.insert(tid.ptid.0, 0);
-                    // Deliberately no recovery-latency sample: the
-                    // cool-down is a policy sentence, not recovery time.
-                    if inner.restart_thread(tid) {
-                        s.restarts += 1;
-                        inner.counters_mut().inc("supervisor.pardoned");
-                    }
-                });
+                mach.at_device(mach.now() + cool, me, ward | PARDON);
             }
         }
     }
 }
 
+/// Runs a restart or pardon event of the supervisor's device `me`.
+fn run_event(s: &mut SupState, mach: &mut Machine, me: DeviceId, arg: u64) {
+    let ptid = (arg >> 1) as u32;
+    let tid = s
+        .wards
+        .iter()
+        .copied()
+        .find(|t| t.ptid.0 == ptid)
+        .expect("only wards are scheduled");
+    if arg & 1 == PARDON {
+        if !mach.is_quarantined(tid) {
+            return; // something else already revived it
+        }
+        s.attempts.insert(ptid, 0);
+        // Deliberately no recovery-latency sample: the cool-down is a
+        // policy sentence, not recovery time.
+        if mach.restart_thread(tid) {
+            s.restarts += 1;
+            mach.counters_mut().inc("supervisor.pardoned");
+        }
+        return;
+    }
+    s.pending.remove(&ptid);
+    if let Some(fault_at) = mach.thread_fault_time(tid) {
+        s.recovery.record((mach.now() - fault_at).0);
+    }
+    if mach.restart_thread(tid) {
+        s.restarts += 1;
+    }
+    // The slot was busy while this restart was pending; a second
+    // casualty may have had its descriptor dropped.
+    sweep(s, mach, me);
+}
+
 /// Finds descriptor-less casualties: wards sitting disabled with a
 /// fault time but no scheduled restart (their descriptor hit
 /// backpressure and was dropped).
-fn sweep(s: &mut SupState, mach: &mut Machine, st: &Rc<RefCell<SupState>>) {
+fn sweep(s: &mut SupState, mach: &mut Machine, me: DeviceId) {
     let wards = s.wards.clone();
     for tid in wards {
         if mach.thread_state(tid) == ThreadState::Disabled && mach.thread_fault_time(tid).is_some()
         {
-            schedule_restart(s, mach, st, tid);
+            schedule_restart(s, mach, me, tid);
         }
     }
 }
@@ -279,6 +288,10 @@ impl Supervisor {
         }));
 
         let st = Rc::clone(&state);
+        let device = m.register_device(move |mach, me, arg| {
+            run_event(&mut st.borrow_mut(), mach, me, arg);
+        });
+        let st = Rc::clone(&state);
         m.register_hcall(HCALL_SUPERVISE, move |mach, _tid| {
             let mut s = st.borrow_mut();
             let kind = mach.peek_u64(s.edp);
@@ -292,10 +305,10 @@ impl Supervisor {
                     .copied()
                     .find(|t| u64::from(t.ptid.0) == ptid)
                 {
-                    schedule_restart(&mut s, mach, &st, tid);
+                    schedule_restart(&mut s, mach, device, tid);
                 }
             }
-            sweep(&mut s, mach, &st);
+            sweep(&mut s, mach, device);
         });
 
         Ok(Supervisor { tid, edp, state })

@@ -39,6 +39,14 @@ const CHAOS_STREAM: u64 = 0x4348_4153;
 /// headroom while refusing artifacts that would run (nearly) forever.
 pub const MAX_DURATION: Cycles = Cycles(1_000_000_000);
 
+/// Storm episodes [`ChaosPlan::generate`] composes (each contributes
+/// 1–3 kinds).
+const EPISODES: u32 = 6;
+
+/// Upper bound on generated per-operation fault rates; intensities are
+/// drawn log-uniformly from three decades below it.
+const MAX_RATE: f64 = 0.1;
+
 /// Oracle-call budget for [`shrink`]; generous for plans of tens of
 /// bursts, and a hard stop against pathological oracles.
 const SHRINK_BUDGET: u32 = 512;
@@ -57,31 +65,6 @@ pub struct ChaosBurst {
     pub to: Cycles,
 }
 
-/// Tunables for [`ChaosPlan::generate`].
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Soak duration; every burst window lives inside `[0, duration)`.
-    pub duration: Cycles,
-    /// Storm episodes to compose (each contributes 1–3 kinds).
-    pub episodes: u32,
-    /// Upper bound on per-operation fault rates; intensities are drawn
-    /// log-uniformly from three decades below this.
-    pub max_rate: f64,
-}
-
-impl ChaosConfig {
-    /// A storm config for a soak of the given duration: 6 episodes,
-    /// rates up to 10%.
-    #[must_use]
-    pub fn new(duration: Cycles) -> ChaosConfig {
-        ChaosConfig {
-            duration,
-            episodes: 6,
-            max_rate: 0.1,
-        }
-    }
-}
-
 /// A seeded, serializable, shrinkable storm schedule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosPlan {
@@ -98,19 +81,21 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// Generates a composed storm schedule deterministically from `seed`.
+    /// Generates a composed storm schedule deterministically from `seed`
+    /// for a soak of `duration`: every burst window lies inside
+    /// `[0, duration)`.
     ///
-    /// Each episode picks a window, 1–3 correlated kinds sharing it, and a
-    /// log-uniform intensity; ~30% of episodes become three-step ramping
-    /// intensity sweeps instead of flat bursts. Same-kind window
+    /// Each of six episodes picks a window, 1–3 correlated kinds sharing
+    /// it, and a log-uniform intensity of at most 10%; ~30% of episodes
+    /// become three-step ramping intensity sweeps instead of flat bursts. Same-kind window
     /// collisions are resolved by clipping the later burst, so the result
     /// always satisfies [`FaultPlan`] validation.
     #[must_use]
-    pub fn generate(seed: u64, cfg: &ChaosConfig) -> ChaosPlan {
+    pub fn generate(seed: u64, duration: Cycles) -> ChaosPlan {
         let mut rng = Rng::seed_from(mix_seed(seed, CHAOS_STREAM));
-        let dur = cfg.duration.0.max(64);
+        let dur = duration.0.max(64);
         let mut bursts: Vec<ChaosBurst> = Vec::new();
-        for _ in 0..cfg.episodes {
+        for _ in 0..EPISODES {
             let start = rng.next_below(dur - dur / 8);
             let len = (dur / 64).max(1) + rng.next_below((dur / 8).max(1));
             let from = start;
@@ -122,8 +107,8 @@ impl ChaosPlan {
             let kinds_n = 1 + rng.next_below(3) as usize;
             let mut pool: Vec<FaultKind> = FaultKind::ALL.to_vec();
             rng.shuffle(&mut pool);
-            // Log-uniform intensity across three decades below max_rate.
-            let rate = cfg.max_rate * 10f64.powf(-3.0 * rng.next_f64());
+            // Log-uniform intensity across three decades below MAX_RATE.
+            let rate = MAX_RATE * 10f64.powf(-3.0 * rng.next_f64());
             let sweep = rng.chance(0.3) && (to - from) >= 3;
             for kind in pool.into_iter().take(kinds_n) {
                 // This draw once picked a device id (always 0); it stays
@@ -158,7 +143,7 @@ impl ChaosPlan {
         }
         let mut plan = ChaosPlan {
             seed,
-            duration: cfg.duration,
+            duration,
             bursts,
             digest: None,
         };
@@ -482,15 +467,13 @@ impl Digest {
 mod tests {
     use super::*;
 
-    fn cfg() -> ChaosConfig {
-        ChaosConfig::new(Cycles(1_000_000))
-    }
+    const DURATION: Cycles = Cycles(1_000_000);
 
     #[test]
     fn generation_is_deterministic_and_valid() {
         for seed in 0..50u64 {
-            let a = ChaosPlan::generate(seed, &cfg());
-            let b = ChaosPlan::generate(seed, &cfg());
+            let a = ChaosPlan::generate(seed, DURATION);
+            let b = ChaosPlan::generate(seed, DURATION);
             assert_eq!(a, b, "seed {seed}");
             assert!(!a.bursts.is_empty(), "seed {seed} generated no storm");
             a.to_fault_plan()
@@ -503,15 +486,15 @@ mod tests {
 
     #[test]
     fn distinct_seeds_generate_distinct_storms() {
-        let a = ChaosPlan::generate(1, &cfg());
-        let b = ChaosPlan::generate(2, &cfg());
+        let a = ChaosPlan::generate(1, DURATION);
+        let b = ChaosPlan::generate(2, DURATION);
         assert_ne!(a.bursts, b.bursts);
     }
 
     #[test]
     fn text_round_trip_is_exact() {
         for seed in [0u64, 7, 42, 1 << 40] {
-            let mut plan = ChaosPlan::generate(seed, &cfg());
+            let mut plan = ChaosPlan::generate(seed, DURATION);
             plan.digest = Some(0xdead_beef_cafe_f00d);
             let parsed = ChaosPlan::parse(&plan.to_text()).unwrap();
             assert_eq!(plan, parsed, "seed {seed}");
@@ -568,7 +551,7 @@ mod tests {
         };
         // Find a generated plan that actually triggers the oracle.
         let plan = (0..2000u64)
-            .map(|s| ChaosPlan::generate(s, &cfg()))
+            .map(|s| ChaosPlan::generate(s, DURATION))
             .find(|p| needs(p))
             .expect("some seed composes the required storm");
         let (small, stats) = shrink(&plan, needs);

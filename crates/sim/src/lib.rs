@@ -76,7 +76,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use chaos::{ChaosConfig, ChaosPlan};
+pub use chaos::ChaosPlan;
 pub use error::SimError;
 pub use event::EventQueue;
 pub use fault::{FaultComponent, FaultKind, FaultPlan, FaultPlanError};

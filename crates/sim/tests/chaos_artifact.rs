@@ -6,7 +6,7 @@
 //! and the fixed `devices 1` line and `0` device column must refuse any
 //! other value with a line-numbered parse error.
 
-use switchless_sim::chaos::{ChaosConfig, ChaosPlan};
+use switchless_sim::chaos::ChaosPlan;
 use switchless_sim::error::SimError;
 use switchless_sim::time::Cycles;
 
@@ -18,7 +18,7 @@ fn committed_artifact_round_trips_byte_for_byte() {
     assert_eq!(plan.to_text(), ARTIFACT);
     assert_eq!(plan.digest, Some(0xa102_98e0_57b2_b0fc));
     // The artifact is exactly what the generator writes for its seed.
-    let mut generated = ChaosPlan::generate(19, &ChaosConfig::new(Cycles(1_500_000)));
+    let mut generated = ChaosPlan::generate(19, Cycles(1_500_000));
     generated.digest = plan.digest;
     assert_eq!(generated, plan);
 }

@@ -39,18 +39,19 @@ fn main() {
         Cycles(30_000),
         50,
     );
-    // Sporadic NIC and disk events.
-    for i in 0..20u64 {
-        let nic_word = set.handlers[1].event_word;
-        m.at(Cycles(40_000 + i * 61_000), move |mach| {
-            let v = mach.peek_u64(nic_word) + 1;
-            mach.dma_write(nic_word, &v.to_le_bytes());
+    // Sporadic NIC and disk events: two more periodic devices, which
+    // bump their handler's event word 20 times each.
+    for (handler, first, period) in [(1, 40_000, 61_000), (2, 55_000, 83_000)] {
+        let word = set.handlers[handler].event_word;
+        let device = m.register_device(move |mach, me, left| {
+            let v = mach.peek_u64(word) + 1;
+            mach.dma_write(word, &v.to_le_bytes());
+            if left > 1 {
+                let next = mach.now() + Cycles(period);
+                mach.at_device(next, me, left - 1);
+            }
         });
-        let disk_word = set.handlers[2].event_word;
-        m.at(Cycles(55_000 + i * 83_000), move |mach| {
-            let v = mach.peek_u64(disk_word) + 1;
-            mach.dma_write(disk_word, &v.to_le_bytes());
-        });
+        m.at_device(Cycles(first), device, 20);
     }
     m.run_for(Cycles(2_500_000));
 

@@ -44,7 +44,10 @@
 #            broken or private intra-doc links in the public docs
 #   examples every program in examples/ runs in release mode and must
 #            exit 0; each assembles its guest programs at run time, so an
-#            assembler regression fails here even where no test looks
+#            assembler regression fails here even where no test looks.
+#            Each also runs on the reference engine
+#            (SWITCHLESS_ENGINE=reference) and must print byte-identical
+#            stdout: the examples' engine-identity leg
 #   jobs     parallel-determinism check: the full --quick suite at
 #            --jobs 1 and --jobs 4 must write bit-identical results/
 #            trees (the harness's core invariant)
@@ -83,15 +86,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-step "examples (each runs in release mode and must exit 0)"
+step "examples (each runs in release mode, must exit 0 and print the same on the reference engine)"
 for ex in examples/*.rs; do
     name="$(basename "$ex" .rs)"
-    if ! cargo run -q --release --example "$name" >/dev/null; then
+    if ! fast="$(cargo run -q --release --example "$name")"; then
         echo "FAIL: example $name exited non-zero" >&2
         exit 1
     fi
+    if ! reference="$(SWITCHLESS_ENGINE=reference cargo run -q --release --example "$name")"; then
+        echo "FAIL: example $name exited non-zero on the reference engine" >&2
+        exit 1
+    fi
+    if [ "$fast" != "$reference" ]; then
+        echo "FAIL: example $name prints differently on the reference engine" >&2
+        diff <(printf '%s\n' "$reference") <(printf '%s\n' "$fast") >&2 || true
+        exit 1
+    fi
 done
-echo "examples: every one exits 0"
+echo "examples: every one exits 0 and matches the reference engine"
 
 step "perfbench (offline build; suite, traced multicore and io_serving with pinned counts, io_serving seed 2, traced hot_loops for 1 s each)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
