@@ -283,7 +283,12 @@ impl Thread {
         }
     }
 
-    pub(crate) fn dirty_bytes(&self) -> u64 {
+    /// Bytes an activation moves: the touched state under dirty
+    /// tracking, else the whole architectural state.
+    pub(crate) fn transfer_bytes(&self, dirty_tracking: bool) -> u64 {
+        if !dirty_tracking {
+            return self.state_bytes();
+        }
         // pc + mode word always move; plus 8 bytes per touched GPR.
         let gprs = u64::from((self.touched & 0xffff).count_ones());
         (16 + gprs * 8).min(self.state_bytes())
@@ -356,8 +361,8 @@ pub enum Engine {
     /// instruction, with no superblocks and no epochs.
     Reference,
     /// Superblocks (register and memory-inclusive) inside bursts, and,
-    /// on a multi-core machine with the invariant checker off, the
-    /// core-sharded epoch engine at every `machine_jobs` value.
+    /// on a multi-core machine, the core-sharded epoch engine at every
+    /// `machine_jobs` value.
     #[default]
     Fast,
 }
@@ -1282,7 +1287,9 @@ impl Machine {
     ///
     /// When on, every event-queue boundary in the run loops — i.e. every
     /// time the clock is about to advance, plus once when a run loop
-    /// drains — re-verifies the machine-wide invariants: event-queue time
+    /// drains; on the epoch engine, once per committed epoch, at its
+    /// first boundary (DESIGN.md §7) — re-verifies the machine-wide
+    /// invariants: event-queue time
     /// monotonicity, thread-state-machine legality (enrolment matches
     /// `Runnable` exactly, no armed monitors on disabled threads),
     /// no-lost-wakeup (a parked thread always holds a live filter watch),
@@ -1299,6 +1306,11 @@ impl Machine {
     /// string when the invariant is violated. Devices register their
     /// ledgers at attach time; registration costs nothing until checking
     /// is enabled.
+    ///
+    /// A check that reads state an epoch worker changes, such as the
+    /// `inst.executed` counter or a thread's registers, sees it only at
+    /// boundaries: on [`Engine::Fast`] a committed epoch's interior has
+    /// none, so a violation there fires at the next boundary.
     pub fn register_invariant(
         &mut self,
         name: &'static str,
@@ -1550,26 +1562,20 @@ impl Machine {
 
     /// Runs until simulated time `t` (or the machine halts).
     ///
-    /// On [`Engine::Fast`], a multi-core machine with the invariant
-    /// checker off (it wants to observe every event boundary) runs the
-    /// core-sharded epoch engine in `shard.rs`, at every
-    /// [`Machine::set_machine_jobs`] value. It is meant to be
+    /// On [`Engine::Fast`], a multi-core machine runs the core-sharded
+    /// epoch engine in `shard.rs`, at every [`Machine::set_machine_jobs`]
+    /// value, with the invariant checker on or off (a committed epoch is
+    /// checked once, at its first boundary). It is meant to be
     /// bit-identical to the serial loop, but it has one known divergence
     /// that depends on where successive `run_until` calls cut the run
     /// (see the `shard.rs` module doc and ROADMAP item 1). Single-core
-    /// machines, checked runs and [`Engine::Reference`] take the serial
-    /// loop.
+    /// machines and [`Engine::Reference`] take the serial loop.
     pub fn run_until(&mut self, t: Cycles) {
-        if self.engine == Engine::Fast && self.cfg.cores > 1 && !self.invariants_on {
+        if self.engine == Engine::Fast && self.cfg.cores > 1 {
             self.run_until_sharded(t);
         } else {
-            self.run_until_serial(t);
+            while self.halted.is_none() && self.step(t, t, None) {}
         }
-    }
-
-    /// The serial event loop (the reference engine).
-    pub(crate) fn run_until_serial(&mut self, t: Cycles) {
-        while self.halted.is_none() && self.step(t, t, None) {}
         if self.invariants_on {
             self.check_invariants();
         }
@@ -1669,12 +1675,7 @@ impl Machine {
         if self.cfg.store.prefetch_on_wake {
             let (bytes, prio2) = {
                 let t = &self.threads[ptid.0 as usize];
-                let bytes = if self.cfg.store.dirty_tracking {
-                    t.dirty_bytes()
-                } else {
-                    t.state_bytes()
-                };
-                (bytes, t.arch.prio)
+                (t.transfer_bytes(self.cfg.store.dirty_tracking), t.arch.prio)
             };
             let tier = self.cores[core].store.tier_of(ptid);
             if tier != Tier::Rf {
@@ -2256,11 +2257,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
     let tier = x.core_mut(core).store.tier_of(ptid);
     if !x.th(h).activated || tier != Tier::Rf {
         let t = x.th(h);
-        let bytes = if x.cfg().store.dirty_tracking {
-            t.dirty_bytes()
-        } else {
-            t.state_bytes()
-        };
+        let bytes = t.transfer_bytes(x.cfg().store.dirty_tracking);
         let prio = t.arch.prio;
         let (act, from) = x.core_mut(core).store.activate(ptid, prio, bytes);
         x.note_activation(from as usize);
@@ -2418,12 +2415,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
 
     // Batched bookkeeping: one account/bump per burst, totals exactly
     // equal to per-instruction accounting.
-    x.core_mut(core).sched.account(ptid, cost);
-    if extra > 0 {
-        x.core_mut(core)
-            .sched
-            .account_burst(ptid, burst_cost, extra);
-    }
+    x.core_mut(core).sched.account(ptid, cost + burst_cost);
     let t = x.th_mut(h);
     t.busy_until = t.busy_until.max(done);
     x.note_burst(extra - reg_block - mem_block, reg_block, mem_block);

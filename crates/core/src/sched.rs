@@ -55,7 +55,6 @@ pub struct HwScheduler {
     /// Cycles consumed per thread (billing), indexed by ptid. A plain
     /// vector because this is bumped on every dispatched instruction.
     usage: Vec<Cycles>,
-    dispatches: u64,
 }
 
 impl HwScheduler {
@@ -68,7 +67,6 @@ impl HwScheduler {
             enrolled: Vec::new(),
             enrolled_len: 0,
             usage: Vec::new(),
-            dispatches: 0,
         }
     }
 
@@ -132,7 +130,6 @@ impl HwScheduler {
                 let p = q.pop_front().expect("queue length checked");
                 q.push_back(p);
                 if !busy(p) {
-                    self.dispatches += 1;
                     return Some(p);
                 }
             }
@@ -154,16 +151,6 @@ impl HwScheduler {
             return None;
         }
         self.queues.iter().find_map(|q| q.front().copied())
-    }
-
-    /// Batched accounting for a burst executed inline after one `pick`:
-    /// charges `cycles` to `ptid` and counts `picks` further dispatches,
-    /// exactly as that many single-instruction pick/account round-trips
-    /// would have (with one enrolled thread, each pick is the identity
-    /// rotation).
-    pub fn account_burst(&mut self, ptid: Ptid, cycles: Cycles, picks: u64) {
-        self.dispatches += picks;
-        self.account(ptid, cycles);
     }
 
     /// Iterates every enqueued (runnable) thread, in no particular order.
@@ -209,12 +196,6 @@ impl HwScheduler {
             .get(ptid.0 as usize)
             .copied()
             .unwrap_or(Cycles::ZERO)
-    }
-
-    /// Total dispatches performed.
-    #[must_use]
-    pub fn dispatches(&self) -> u64 {
-        self.dispatches
     }
 }
 
@@ -312,25 +293,6 @@ mod tests {
         assert_eq!(s.sole_runnable(), Some(Ptid(4)));
         s.dequeue(Ptid(4));
         assert_eq!(s.sole_runnable(), None);
-    }
-
-    #[test]
-    fn account_burst_matches_per_inst_accounting() {
-        let mut a = HwScheduler::new(SchedPolicy::RoundRobin);
-        let mut b = HwScheduler::new(SchedPolicy::RoundRobin);
-        a.enqueue(Ptid(1), 0);
-        b.enqueue(Ptid(1), 0);
-        // Single-step: 4 pick/account round-trips of 3 cycles each.
-        for _ in 0..4 {
-            assert_eq!(a.pick(|_| false), Some(Ptid(1)));
-            a.account(Ptid(1), Cycles(3));
-        }
-        // Burst: one pick, then 3 inline instructions batched.
-        assert_eq!(b.pick(|_| false), Some(Ptid(1)));
-        b.account(Ptid(1), Cycles(3));
-        b.account_burst(Ptid(1), Cycles(9), 3);
-        assert_eq!(a.usage_of(Ptid(1)), b.usage_of(Ptid(1)));
-        assert_eq!(a.dispatches(), b.dispatches());
     }
 
     #[test]

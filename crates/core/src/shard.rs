@@ -8,7 +8,7 @@
 //! no instruction semantics of its own.
 //!
 //! [`Machine::run_until`] on [`Engine::Fast`] executes *epochs* on every
-//! multi-core machine whose invariant checker is off: the host stages
+//! multi-core machine, invariant checker on or off: the host stages
 //! every slot event strictly below a cross-core event horizon `B` (a
 //! device event — host code, queued with [`Machine::at_device`], or an
 //! `mwait` watchdog deadline — ends the window at its due time), hands each
@@ -641,8 +641,9 @@ impl Machine {
         self.stats.insts_parallel += insts;
     }
 
-    /// The sharded run loop: epochs where the event stream allows them,
-    /// serial replay (via [`Machine::step`]) where it does not.
+    /// The sharded body of [`Machine::run_until`]: epochs where the event
+    /// stream allows them, serial replay (via [`Machine::step`]) where it
+    /// does not.
     pub(crate) fn run_until_sharded(&mut self, t: Cycles) {
         // Events strictly below the floor replay serially (a bailed,
         // tied or too-thin window is settled the reference way before
@@ -671,9 +672,6 @@ impl Machine {
                 self.step(bound, t, None);
                 self.stats.serial_events += 1;
             }
-        }
-        if self.halted.is_none() && self.now < t {
-            self.now = t;
         }
     }
 
@@ -800,6 +798,14 @@ impl Machine {
         }
 
         // ---- Commit (all-or-nothing; no bail past this point) ----
+        // The serial loop checks invariants when it pops the window's
+        // first event, if the clock moves. Nothing the checker reads
+        // changes inside the epoch (see DESIGN.md §7), so its interior
+        // boundaries need no check: the next one is the first pop after
+        // the commit. A refused window's serial replay checks in `step`.
+        if self.invariants_on && head > self.now {
+            self.check_invariants();
+        }
         self.stats.committed += 1;
         self.epochs.len = Cycles((self.epochs.len.0 * 2).min(MAX_EPOCH));
         let mut now_max = oks

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use switchless_core::exception::ExceptionKind;
-use switchless_core::machine::{Machine, MachineConfig};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
 use switchless_core::tid::ThreadState;
 use switchless_isa::asm::assemble;
 use switchless_sim::time::Cycles;
@@ -134,7 +134,8 @@ fn registered_invariant_violation_is_recorded() {
 }
 
 /// Checking is off by default: the boundary hook must not run (the report
-/// records no checks), so default-path runs pay only a branch per event.
+/// records no checks) on the serial loop or the epoch engine, so
+/// default-path runs pay only a branch per event.
 #[test]
 fn invariants_off_by_default() {
     let mut m = small();
@@ -146,6 +147,22 @@ fn invariants_off_by_default() {
     m.run_for(Cycles(10_000));
     assert_eq!(m.invariant_report().checks(), 0);
     assert!(m.invariant_report().is_clean());
+
+    // Nor does a committed epoch run one.
+    let mut cfg = MachineConfig::small();
+    cfg.cores = 2;
+    let mut m = Machine::new(cfg);
+    m.set_engine(Engine::Fast);
+    for core in 0..2 {
+        let base = 0x10000 + 0x4000 * core as u64;
+        let tid = m
+            .load_program(core, &assemble(&spinner_src(base)).unwrap())
+            .unwrap();
+        m.start_thread(tid);
+    }
+    m.run_for(Cycles(10_000));
+    assert!(m.engine_stats().committed > 0, "{:?}", m.engine_stats());
+    assert_eq!(m.invariant_report().checks(), 0);
 }
 
 // ---------------------------------------------------- burst/fault bounding

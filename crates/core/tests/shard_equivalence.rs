@@ -785,3 +785,93 @@ fn run_until_is_invariant_under_cut_points() {
         }
     }
 }
+
+/// A fixture builder from this file, for any engine and job count.
+type BuildOn = fn(Engine, usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>);
+
+/// The cycle at which [`arm_tripwire`]'s device event trips its invariant.
+const TRIPWIRE_AT: u64 = 77_777;
+
+/// Registers `test.tripwire`, an invariant that breaks once a device
+/// event at [`TRIPWIRE_AT`] bumps its counter. The machine reads it only
+/// at invariant-check boundaries, so the first violation's cycle is the
+/// clock at the first check after the bump.
+fn arm_tripwire(m: &mut Machine) {
+    let bump = m.register_device(|mach, _, _| mach.counters_mut().inc("test.tripwire"));
+    m.at_device(Cycles(TRIPWIRE_AT), bump, 0);
+    m.register_invariant("test.tripwire", |mach| {
+        let n = mach.counters().get("test.tripwire");
+        (n > 0).then(|| format!("tripped {n} time(s)"))
+    });
+}
+
+/// The invariant checker no longer turns the epoch engine off: with
+/// checking on, each fixture runs the same epochs as with it off and
+/// ends bit-identical to the reference engine, and the only violation is
+/// a registered invariant that breaks mid-run, whose first report (name,
+/// cycle, detail) is the same on both engines. That holds only if a
+/// committed epoch is checked at its first boundary, as the serial loop
+/// checks it.
+fn assert_checked_epochs_match_serial(fixtures: &[(&str, BuildOn)]) {
+    let t = Cycles(80_000);
+    for &(name, build) in fixtures {
+        let run = |engine: Engine, jobs: usize, check: bool| {
+            let (mut m, tids, spans) = build(engine, jobs);
+            m.enable_invariants(check);
+            arm_tripwire(&mut m);
+            m.run_until(t);
+            let print = fingerprint(&m, &tids, &spans);
+            (m, print)
+        };
+        let only_tripwire = |m: &Machine, jobs: usize| {
+            let report = m.invariant_report();
+            assert!(
+                report
+                    .violations()
+                    .iter()
+                    .all(|v| v.invariant == "test.tripwire"),
+                "{name}, machine-jobs {jobs}: {:?}",
+                report.violations()
+            );
+            report.violations().first().cloned()
+        };
+        let (unchecked, _) = run(Engine::Fast, 1, false);
+        let epochs = unchecked.engine_stats();
+        let (reference, want) = run(Engine::Reference, 1, true);
+        let first = only_tripwire(&reference, 1);
+        assert!(first.is_some(), "{name}: the tripwire never tripped");
+        for jobs in JOBS {
+            let (m, got) = run(Engine::Fast, jobs, true);
+            assert_eq!(want, got, "{name}, machine-jobs {jobs}");
+            assert_eq!(m.engine_stats(), epochs, "{name}, machine-jobs {jobs}");
+            assert_eq!(
+                only_tripwire(&m, jobs),
+                first,
+                "{name}, machine-jobs {jobs}"
+            );
+        }
+    }
+}
+
+/// Fixtures that commit most of their instructions in epochs.
+#[test]
+fn invariant_checked_epochs_match_serial_on_compute() {
+    assert_checked_epochs_match_serial(&[
+        ("4-core compute", |e, j| build_compute(4, e, j)),
+        ("store race", build_store_race),
+    ]);
+}
+
+/// Fixtures whose device wakes cut epochs short.
+#[test]
+fn invariant_checked_epochs_match_serial_under_wakes() {
+    assert_checked_epochs_match_serial(&[
+        ("wakers", build_wakers),
+        ("late wakers", |e, j| {
+            build_late_wakers(e, j, Cycles(40_000))
+        }),
+        ("twin wakers", |e, j| {
+            build_twin_wakers(e, j, Cycles(30_000))
+        }),
+    ]);
+}

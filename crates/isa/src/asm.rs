@@ -146,17 +146,35 @@ struct Parsed<'a> {
     symbols: HashMap<String, u64>,
 }
 
+/// A decimal or `0x` hex number with an optional `-`. Underscores are
+/// separators anywhere, and the digits may carry one more sign, as
+/// [`i64::from_str_radix`] reads them.
 fn parse_number(tok: &str) -> Option<i64> {
-    let tok = tok.replace('_', "");
-    let (neg, rest) = match tok.strip_prefix('-') {
-        Some(r) => (true, r),
-        None => (false, tok.as_str()),
-    };
-    let v = if let Some(hex) = rest.strip_prefix("0x").or_else(|| rest.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).ok()?
+    let mut chars = tok.bytes().filter(|&b| b != b'_').peekable();
+    let neg = chars.next_if_eq(&b'-').is_some();
+    let mut ahead = chars.clone();
+    let radix = if ahead.next() == Some(b'0') && matches!(ahead.next(), Some(b'x' | b'X')) {
+        chars = ahead;
+        16
     } else {
-        rest.parse::<i64>().ok()?
+        10
     };
+    let minus = chars.next_if_eq(&b'-').is_some();
+    if !minus {
+        chars.next_if_eq(&b'+');
+    }
+    // Accumulating towards the sign reaches `i64::MIN` without overflow.
+    let mut v: Option<i64> = None;
+    for b in chars {
+        let d = i64::from(char::from(b).to_digit(radix)?);
+        let acc = v.unwrap_or(0).checked_mul(i64::from(radix))?;
+        v = Some(if minus {
+            acc.checked_sub(d)
+        } else {
+            acc.checked_add(d)
+        }?);
+    }
+    let v = v?;
     Some(if neg { -v } else { v })
 }
 
@@ -381,17 +399,27 @@ fn encode_item(mnemonic: &str, ops: &str, ctx: &Ctx<'_>) -> Result<u64, AsmError
         .iter()
         .find(|a| a.0.eq_ignore_ascii_case(mnemonic))
         .map_or((mnemonic, &[][..]), |a| (a.1, a.2));
-    let toks: Vec<&str> = fixed.iter().copied().chain(operand_list(ops)).collect();
+    // No row has more than three operands: tokens past the array are
+    // counted, not kept, so an over-long list still gets its error.
+    let mut toks = [""; 3];
+    let mut n = 0;
+    for tok in fixed.iter().copied().chain(operand_list(ops)) {
+        if let Some(slot) = toks.get_mut(n) {
+            *slot = tok;
+        }
+        n += 1;
+    }
+    let toks = &toks[..n.min(toks.len())];
     let rows = || {
         TABLE
             .iter()
             .filter(|s| s.mnemonic.eq_ignore_ascii_case(name))
     };
-    let fits = || rows().filter(|s| s.operands.len() == toks.len());
+    let fits = || rows().filter(|s| s.operands.len() == n);
     let regs_match = |s: &&Spec| {
         s.operands
             .iter()
-            .zip(&toks)
+            .zip(toks)
             .all(|(o, t)| o.1.is_reg() == parse_reg(t).is_some())
     };
     let Some(spec) = fits().find(regs_match).or_else(|| fits().next_back()) else {
@@ -408,7 +436,7 @@ fn encode_item(mnemonic: &str, ops: &str, ctx: &Ctx<'_>) -> Result<u64, AsmError
         return Err(err(ctx.line, format!("expected {}", forms.join("  or  "))));
     };
     let mut word = opcode_bits(spec.opcode);
-    for (&(_, field), tok) in spec.operands.iter().zip(&toks) {
+    for (&(_, field), tok) in spec.operands.iter().zip(toks) {
         word |= field.put(ctx.operand(field, tok)?);
     }
     Ok(word)
@@ -664,6 +692,70 @@ mod tests {
         assert_eq!(p.inst_at(p.base - 8), None);
         assert_eq!(p.inst_at(p.end()), None);
         assert_eq!(p.inst_at(p.base + 3), None);
+    }
+
+    /// `parse_number` as it was first written, copying the token to drop
+    /// its underscores: the oracle for the allocation-free version.
+    fn parse_number_by_copy(tok: &str) -> Option<i64> {
+        let tok = tok.replace('_', "");
+        let (neg, rest) = match tok.strip_prefix('-') {
+            Some(r) => (true, r),
+            None => (false, tok.as_str()),
+        };
+        let v = if let Some(hex) = rest.strip_prefix("0x").or_else(|| rest.strip_prefix("0X")) {
+            i64::from_str_radix(hex, 16).ok()?
+        } else {
+            rest.parse::<i64>().ok()?
+        };
+        Some(if neg { -v } else { v })
+    }
+
+    #[test]
+    fn parse_number_accepts_what_the_copying_version_did() {
+        // Signs, prefixes, separators, overflow edges and non-numbers.
+        let fixed = "+5 -5 --5 -+5 +-5 _ - + 1_000 _1_ 0x 0x_ 0x1f 0X1F -0x1f 0x-5 0x+5 -0x+5 \
+                     0x0x1 5x 0b1 r1 label é 1é 9223372036854775807 9223372036854775808 \
+                     -9223372036854775807 -9223372036854775808 0x7fff_ffff_ffff_ffff \
+                     0x8000000000000000 0x-8000000000000000 00000000000000000000000000042 -0x_0";
+        for tok in fixed.split_whitespace().chain([""]) {
+            assert_eq!(parse_number(tok), parse_number_by_copy(tok), "{tok:?}");
+        }
+        // Seeded random tokens: mostly sign, prefix and digit runs with
+        // separators, some arbitrary bytes from the same alphabet.
+        let alphabet = [
+            "0", "1", "7", "9", "a", "f", "F", "g", "x", "X", "_", "-", "+", " ", "é",
+        ];
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let mut tok = String::new();
+            if next(2) == 0 {
+                for _ in 0..next(24) {
+                    tok.push_str(alphabet[next(alphabet.len())]);
+                }
+            } else {
+                tok.push_str(["", "-", "+", "_-", "--", "-+"][next(6)]);
+                tok.push_str(["", "0x", "0X", "0_x", "x"][next(5)]);
+                let digits = if tok.contains(['x', 'X']) {
+                    "0123456789abcdefABCDEF"
+                } else {
+                    "0123456789"
+                };
+                for _ in 0..next(22) {
+                    if next(6) == 0 {
+                        tok.push('_');
+                    }
+                    let i = next(digits.len());
+                    tok.push_str(&digits[i..=i]);
+                }
+            }
+            assert_eq!(parse_number(&tok), parse_number_by_copy(&tok), "{tok:?}");
+        }
     }
 }
 

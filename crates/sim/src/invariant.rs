@@ -81,12 +81,19 @@ impl InvariantReport {
     }
 
     /// Total violations recorded (including ones beyond the kept window).
+    ///
+    /// Like [`InvariantReport::checks`], this depends on the host engine
+    /// (a broken invariant fires once per check); the first violation
+    /// does not.
     #[must_use]
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Number of checking passes run.
+    /// Number of checking passes run. The count depends on the host
+    /// engine: the core-sharded epoch engine checks once per committed
+    /// epoch where the serial loop checks at every clock advance inside
+    /// it. The first violation is the same on every engine.
     #[must_use]
     pub fn checks(&self) -> u64 {
         self.checks

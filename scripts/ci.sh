@@ -5,7 +5,12 @@
 #   test     every unit/integration/property/doc test in the workspace,
 #            including the pinned host-engine work counts
 #            (crates/core/tests/engine_stats.rs and shard.rs's
-#            domain-machine pin)
+#            domain-machine pin) and the engine differentials in
+#            crates/core/tests/shard_equivalence.rs, among them the
+#            invariant-checked epoch differential: five multi-core
+#            fixtures with the invariant checker on must match the
+#            reference engine, run the unchecked run's epochs, and
+#            report a mid-run tripwire at the same cycle
 #   clippy   workspace lints on every target (tests and benches
 #            included), warnings are errors
 #   perfbench  the repository benchmark (perfbench/, a Cargo workspace
