@@ -16,7 +16,7 @@
 //! instructions inline when the picked thread is provably the only
 //! possible pick and no pending event could observe state in between
 //! (DESIGN.md §8). Bursts never change the simulated timeline — they
-//! elide event-queue round-trips whose outcome is forced.
+//! elide run-loop round-trips whose outcome is forced.
 //!
 //! # The only hardware state changes
 //!
@@ -51,7 +51,7 @@ use switchless_mem::monitor::{CamFilter, HashFilter, MonitorFilter, WakeEvent, W
 use switchless_mem::prefetch::{Capture, WakePrefetcher};
 use switchless_mem::tlb::{Tlb, TlbConfig};
 use switchless_sim::error::SimError;
-use switchless_sim::event::{EventQueue, EventToken};
+use switchless_sim::event::EventQueue;
 use switchless_sim::fault::{FaultKind, FaultPlan};
 use switchless_sim::hash::FxHashMap;
 use switchless_sim::invariant::{InvariantReport, Ledger};
@@ -309,27 +309,55 @@ pub(crate) struct CoreState {
     pub(crate) store: StateStore,
     pub(crate) tdt: TdtCache,
     pub(crate) tlb: Tlb,
-    pub(crate) idle_slot: Vec<bool>,
+    /// Each SMT slot's next dispatch (DESIGN.md §8).
+    pub(crate) slots: Vec<Slot>,
     pub(crate) next_unused: usize,
 }
 
+/// One SMT slot's next dispatch. A slot has at most one: a wake arms
+/// only an idle slot, and each dispatch ends by arming its own slot at
+/// most once, so the next dispatch is a field, not a queued event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Ev {
-    // u32 fields keep the event (and thus every queue entry) small:
-    // events are copied through the scheduler's wheel on every simulated
-    // instruction.
-    SlotFree {
-        core: u32,
-        slot: u32,
-    },
-    /// Host code: registered device `id`'s handler runs with `arg`.
-    /// Device [`DeviceId::WATCHDOG`] is the machine's own `mwait`
-    /// watchdog, whose `arg` packs `(ptid, park_epoch)`.
-    Device {
-        id: u32,
-        arg: u64,
-    },
+pub(crate) enum Slot {
+    /// Nothing was runnable: parked until a wake's `kick_core`.
+    Idle,
+    /// Dispatches at `(time, seq)`. The seq comes from the device
+    /// queue's counter, so slots and device events share one order.
+    Due(Cycles, u64),
+    /// Dispatching now, or left behind by a halt: neither parked nor
+    /// due, so a wake raised by the slot's own instruction does not
+    /// arm it again.
+    Running,
 }
+
+impl Slot {
+    pub(crate) fn due(self) -> Option<(Cycles, u64)> {
+        match self {
+            Slot::Due(at, seq) => Some((at, seq)),
+            Slot::Idle | Slot::Running => None,
+        }
+    }
+}
+
+/// The earliest due slot over `cores` as `(time, seq, core, slot)`.
+pub(crate) fn next_slot(cores: &[CoreState]) -> Option<(Cycles, u64, usize, usize)> {
+    let mut best: Option<(Cycles, u64, usize, usize)> = None;
+    for (c, cs) in cores.iter().enumerate() {
+        for (s, slot) in cs.slots.iter().enumerate() {
+            if let Some((at, seq)) = slot.due() {
+                if best.is_none_or(|(bt, bs, ..)| (at, seq) < (bt, bs)) {
+                    best = Some((at, seq, c, s));
+                }
+            }
+        }
+    }
+    best
+}
+
+/// A queued device event: registered device `id`'s handler runs with
+/// `arg`. Device [`DeviceId::WATCHDOG`] is the machine's own `mwait`
+/// watchdog, whose `arg` packs `(ptid, park_epoch)`.
+type Ev = (DeviceId, u64);
 
 // Every queued event is copied through the wheel; keep it two words.
 const _: () = assert!(core::mem::size_of::<Ev>() == 16);
@@ -346,10 +374,10 @@ impl DeviceId {
 
 /// Upper bound on instructions executed inline per dispatch (the burst
 /// engine, DESIGN.md §8). Purely a host-side amortisation knob: every
-/// continuation is already gated on the event-queue deadline and the
+/// continuation is already gated on the pending-event deadline and the
 /// scheduler, so the cap never changes simulated behavior — it only
-/// bounds how much work one `SlotFree` event can do before re-entering
-/// the queue.
+/// bounds how much work one dispatch can do before returning to the
+/// run loop.
 const MAX_BURST: u64 = 1024;
 
 /// Which host execution engine runs the simulation (DESIGN.md §9, §10).
@@ -660,9 +688,6 @@ pub struct Machine {
     vm_vector: u64,
     /// Extra cost injected by hcall handlers for the current instruction.
     pending_charge: Cycles,
-    /// Sibling-slot events lifted out of the queue by an in-progress
-    /// burst (see `dispatch`); always drained back before it returns.
-    burst_stash: Vec<(EventToken, Ev)>,
     /// Wake-to-first-dispatch latency histogram (cycles).
     pub(crate) wake_latency: Histogram,
     /// Installed fault-injection plan; `None` costs one branch per query.
@@ -727,7 +752,7 @@ impl Machine {
                     store: StateStore::new(cfg.store),
                     tdt: TdtCache::new(64),
                     tlb: Tlb::new(cfg.tlb),
-                    idle_slot: vec![true; cfg.smt_slots],
+                    slots: vec![Slot::Idle; cfg.smt_slots],
                     next_unused: 0,
                 })
                 .collect(),
@@ -751,7 +776,6 @@ impl Machine {
             syscall_vector: 0,
             vm_vector: 0,
             pending_charge: Cycles::ZERO,
-            burst_stash: Vec::new(),
             wake_latency: Histogram::new(),
             fault_plan: None,
             invariants_on: false,
@@ -1072,20 +1096,20 @@ impl Machine {
     /// time `at`. Events due at the same cycle run in the order they
     /// were scheduled.
     pub fn at_device(&mut self, at: Cycles, id: DeviceId, arg: u64) {
-        self.events.schedule(at, Ev::Device { id: id.0, arg });
+        self.events.schedule(at, (id, arg));
     }
 
-    /// Runs the host code behind an `Ev::Device`: the watchdog or a
+    /// Runs the host code behind a device event: the watchdog or a
     /// registered handler.
-    fn run_device(&mut self, id: u32, arg: u64) {
-        if id == DeviceId::WATCHDOG.0 {
+    fn run_device(&mut self, id: DeviceId, arg: u64) {
+        if id == DeviceId::WATCHDOG {
             return self.watchdog_expired(Ptid((arg >> 32) as u32), arg as u32);
         }
-        let mut h = self.devices[id as usize]
+        let mut h = self.devices[id.0 as usize]
             .take()
             .expect("a device handler does not run inside itself");
-        h(self, DeviceId(id), arg);
-        self.devices[id as usize] = Some(h);
+        h(self, id, arg);
+        self.devices[id.0 as usize] = Some(h);
     }
 
     /// The watchdog deadline of `ptid`'s park number `epoch` has come:
@@ -1289,7 +1313,7 @@ impl Machine {
     /// time the clock is about to advance, plus once when a run loop
     /// drains; on the epoch engine, once per committed epoch, at its
     /// first boundary (DESIGN.md §7) — re-verifies the machine-wide
-    /// invariants: event-queue time
+    /// invariants: pending-event time
     /// monotonicity, thread-state-machine legality (enrolment matches
     /// `Runnable` exactly, no armed monitors on disabled threads),
     /// no-lost-wakeup (a parked thread always holds a live filter watch),
@@ -1349,10 +1373,10 @@ impl Machine {
     pub fn check_invariants(&mut self) {
         self.invariant_report.note_check();
         let now = self.now;
-        // Event-queue time monotonicity: nothing pending may be behind
-        // the clock — a past-due event still in the queue would execute
-        // at the wrong simulated time (or never).
-        if let Some(t) = self.events.peek_time() {
+        // Pending-event time monotonicity: nothing pending (a due slot
+        // or a queued device event) may be behind the clock — a past-due
+        // one would execute at the wrong simulated time (or never).
+        if let Some(t) = self.next_time() {
             if t < now {
                 self.invariant_report.record(
                     "queue.monotone",
@@ -1584,34 +1608,57 @@ impl Machine {
         }
     }
 
-    /// Pops and handles one event due at or before `pop_bound`,
-    /// dispatching with `horizon` and `watch` (see [`dispatch`]).
-    /// Returns whether an event was processed. The one event-step body
-    /// of every run loop, including the epoch engine's serial replay.
+    /// Handles the earliest pending event if it is due at or before
+    /// `pop_bound`: a slot's dispatch, with `horizon` and `watch` (see
+    /// [`dispatch`]), or a device event. Returns whether one was
+    /// handled. The one event-step body of every run loop, including the
+    /// epoch engine's serial replay.
     pub(crate) fn step(
         &mut self,
         pop_bound: Cycles,
         horizon: Cycles,
         watch: Option<(Ptid, ThreadState)>,
     ) -> bool {
-        // pop_due folds peek+pop into one heap traversal (hot loop).
-        let Some((ts, ev)) = self.events.pop_due(pop_bound) else {
+        let Some((ts, slot)) = self.next_pending().filter(|&(ts, _)| ts <= pop_bound) else {
             return false;
         };
+        if let Some((core, s)) = slot {
+            self.cores[core].slots[s] = Slot::Running;
+            self.clock_to(ts);
+            let Ok(()) = dispatch(self, core, s, horizon, watch);
+        } else {
+            let (_, (id, arg)) = self.events.pop().expect("the head was peeked");
+            self.clock_to(ts);
+            self.run_device(id, arg);
+        }
+        true
+    }
+
+    /// The earliest pending `(time, seq)` over every slot table and the
+    /// device queue's head: its time, and the slot `(core, slot)` when
+    /// a slot's dispatch is first (`None` for the device head).
+    pub(crate) fn next_pending(&self) -> Option<(Cycles, Option<(usize, usize)>)> {
+        let dev = self.events.peek_key();
+        match next_slot(&self.cores) {
+            Some((at, seq, c, s)) if dev.is_none_or(|d| (at, seq) < d) => Some((at, Some((c, s)))),
+            _ => dev.map(|(at, _)| (at, None)),
+        }
+    }
+
+    /// Time of the earliest pending slot dispatch or device event.
+    pub(crate) fn next_time(&self) -> Option<Cycles> {
+        self.next_pending().map(|(at, _)| at)
+    }
+
+    /// Moves the clock to the time of the event being handled.
+    fn clock_to(&mut self, ts: Cycles) {
         if ts > self.now {
-            // Event-queue boundary: all work at `now` has settled.
+            // Event boundary: all work at `now` has settled.
             if self.invariants_on {
                 self.check_invariants();
             }
             self.now = ts;
         }
-        match ev {
-            Ev::SlotFree { core, slot } => {
-                let Ok(()) = dispatch(self, core as usize, slot as usize, horizon, watch);
-            }
-            Ev::Device { id, arg } => self.run_device(id, arg),
-        }
-        true
     }
 
     /// Runs for `d` more cycles.
@@ -1715,18 +1762,12 @@ impl Machine {
         self.trace_transition(ptid, Transition::Block(into));
     }
 
-    /// Re-kicks idle slots on a core after a wakeup.
+    /// Re-arms a core's idle slots after a wakeup: each dispatches now.
     fn kick_core(&mut self, core: usize) {
         for slot in 0..self.cfg.smt_slots {
-            if self.cores[core].idle_slot[slot] {
-                self.cores[core].idle_slot[slot] = false;
-                self.events.schedule(
-                    self.now,
-                    Ev::SlotFree {
-                        core: core as u32,
-                        slot: slot as u32,
-                    },
-                );
+            if self.cores[core].slots[slot] == Slot::Idle {
+                let seq = self.events.issue_seq();
+                self.cores[core].slots[slot] = Slot::Due(self.now, seq);
             }
         }
     }
@@ -2032,15 +2073,14 @@ pub(crate) trait ExecCtx {
     /// thread is busy, the earliest time one frees up.
     fn pick(&mut self, core: usize, now: Cycles) -> Result<Ptid, Option<Cycles>>;
 
+    /// Arms `core`'s `slot` to dispatch at `at`, after everything
+    /// already pending at `at`.
     fn schedule_slot(&mut self, at: Cycles, core: usize, slot: usize);
-    /// Changes whenever an event is scheduled.
+    /// Changes whenever a slot is armed or an event is scheduled.
     fn schedule_mark(&self) -> u64;
-    fn next_deadline(&mut self) -> Option<Cycles>;
-    /// Lifts the head event into the burst stash when it is a sibling
-    /// slot's `SlotFree` on `core` (see [`lift_siblings`]).
-    fn lift_sibling(&mut self, core: usize, slot: usize) -> bool;
-    /// Restores every lifted event under its original key.
-    fn restore_lifted(&mut self);
+    /// Time of the earliest pending event that is not one of `core`'s
+    /// own slots: the burst gate (see [`dispatch`]).
+    fn next_deadline(&mut self, core: usize) -> Option<Cycles>;
 
     /// One burst's instructions (each one dispatch): its first, then
     /// `steps` single-stepped and `reg_block`/`mem_block` retired in
@@ -2217,10 +2257,10 @@ pub(crate) fn pick_free(
 /// Dispatches one pipeline slot: picks a thread, charges activation,
 /// and executes an instruction **burst** — up to [`MAX_BURST`]
 /// instructions inline, advancing a local cycle cursor, instead of one
-/// event-queue round-trip per instruction (see DESIGN.md §8).
+/// run-loop round-trip per instruction (see DESIGN.md §8).
 ///
 /// `horizon` is the last cycle an instruction may dispatch at (the run
-/// deadline, mirroring `pop_due`; a worker's fresh-event horizon).
+/// deadline, mirroring `step`'s `pop_bound`; a worker's fresh-event horizon).
 /// `watch` is `run_until_state`'s target; a burst bails the moment it
 /// is reached so the caller observes the same `now` a single-step run
 /// would.
@@ -2245,7 +2285,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
             return Ok(());
         }
         Err(None) => {
-            x.core_mut(core).idle_slot[slot] = true;
+            x.core_mut(core).slots[slot] = Slot::Idle;
             return Ok(());
         }
     };
@@ -2280,7 +2320,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
         ws.2 = ws.2.max(sample);
     }
 
-    // Execute the first instruction (the one this SlotFree paid for).
+    // Execute the first instruction (the one this dispatch paid for).
     cost = (cost + exec_charged(x, core, ptid, h)?).max(Cycles(1));
     let mut done = now + cost;
 
@@ -2290,9 +2330,14 @@ pub(crate) fn dispatch<X: ExecCtx>(
     // instruction's effects, so any cross-thread side effect (a wake
     // that enrols a second thread, a scheduled callback, an exception,
     // a halt) ends the burst exactly where single-stepping would have
-    // re-arbitrated differently. `next_deadline` is cached and only
-    // recomputed when something scheduled (schedules are the only way
-    // the deadline can move earlier).
+    // re-arbitrated differently. The gate is the earliest pending event
+    // on anything but this core's own slots: a sibling slot due inside
+    // the burst is inert, because `burst_eligible` keeps this thread the
+    // sole enrolled one and busy through every cursor, so the sibling's
+    // pick would find nothing free and only re-arm it at this burst's
+    // end. `next_deadline` is cached and only recomputed when something
+    // scheduled (schedules are the only way the deadline can move
+    // earlier).
     let mut burst_cost = Cycles::ZERO;
     // Instructions beyond the first, and those of them retired in
     // register-only and memory blocks.
@@ -2309,11 +2354,12 @@ pub(crate) fn dispatch<X: ExecCtx>(
     let mut seq_pc = u64::MAX;
     if watch.is_none_or(|(p, s)| x.th(x.th_index(p)).state != s) {
         let mut mark = x.schedule_mark();
-        let mut qmin = x.next_deadline();
-        while extra < MAX_BURST && done <= horizon && burst_eligible(x, core, ptid, h, done) {
-            if !lift_siblings(x, core, slot, &mut qmin, done) {
-                break;
-            }
+        let mut qmin = x.next_deadline(core);
+        while extra < MAX_BURST
+            && done <= horizon
+            && burst_eligible(x, core, ptid, h, done)
+            && qmin.is_none_or(|q| q > done)
+        {
             // Superblock fast path (DESIGN.md §10): a formed region
             // executes as one unit — a looping one for as many whole
             // iterations as provably stay inside this burst's window.
@@ -2351,12 +2397,10 @@ pub(crate) fn dispatch<X: ExecCtx>(
                     // most one iteration — burst length is observably
                     // invisible. The last one's final dispatch cursor,
                     // `done + n·bcost − last_cost`, must be inside the
-                    // horizon, and the sibling-lift gate runs through it,
-                    // exactly as single-stepping would at every interior
-                    // cursor (over-lifting on a failed attempt is
-                    // harmless: lifted events are restored under their
-                    // original keys). A blocking event at `t` admits the
-                    // iterations whose last cursor is before it.
+                    // horizon and before the deadline gate, exactly as
+                    // single-stepping checks at every interior cursor:
+                    // a gate at `q` admits the iterations whose last
+                    // cursor is before it.
                     let last_at = move |n: u64| done + Cycles(n * bcost - last_cost);
                     let mut n = if loops {
                         (MAX_BURST - extra).div_ceil(len)
@@ -2364,9 +2408,8 @@ pub(crate) fn dispatch<X: ExecCtx>(
                         1
                     };
                     n = n.min((horizon - done).0.saturating_add(last_cost) / bcost);
-                    if n > 0 && !lift_siblings(x, core, slot, &mut qmin, last_at(n)) {
-                        let t = qmin.expect("a failed lift stops at a due event");
-                        n = ((t - done).0 - 1 + last_cost) / bcost;
+                    if let Some(q) = qmin.filter(|&q| n > 0 && q <= last_at(n)) {
+                        n = ((q - done).0 - 1 + last_cost) / bcost;
                     }
                     let (iters, bailed) = if n > 0 {
                         exec_superblock(x, core, ptid, h, ri, bi, n)
@@ -2402,23 +2445,21 @@ pub(crate) fn dispatch<X: ExecCtx>(
             extra += 1;
             if x.schedule_mark() != mark {
                 mark = x.schedule_mark();
-                qmin = x.next_deadline();
+                qmin = x.next_deadline(core);
             }
             if watch.is_some_and(|(p, s)| x.th(x.th_index(p)).state == s) {
                 break;
             }
         }
     }
-    // Put lifted sibling events back under their original keys: the
-    // queue is now exactly what single-stepping would have pending.
-    x.restore_lifted();
-
     // Batched bookkeeping: one account/bump per burst, totals exactly
     // equal to per-instruction accounting.
     x.core_mut(core).sched.account(ptid, cost + burst_cost);
     let t = x.th_mut(h);
     t.busy_until = t.busy_until.max(done);
     x.note_burst(extra - reg_block - mem_block, reg_block, mem_block);
+    // A wake this burst raised on its own core armed only idle slots.
+    debug_assert_eq!(x.core_mut(core).slots[slot], Slot::Running);
     x.schedule_slot(done, core, slot);
     Ok(())
 }
@@ -2453,33 +2494,6 @@ fn burst_eligible<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, h: usize, done
         && !x.halted();
     let cs = x.core_mut(core);
     ready && cs.sched.sole_runnable() == Some(ptid) && cs.store.tier_of(ptid) == Tier::Rf
-}
-
-/// The burst's event-horizon gate through `until`: nothing due at or
-/// before it may be skipped, with one exception — a pending `SlotFree`
-/// for a *sibling* slot of this core. With this thread sole-runnable
-/// and busy through every burst cursor, single-stepping that event is
-/// provably inert (its pick loses to this slot and it merely
-/// reschedules itself), so it is lifted out and restored verbatim at
-/// burst exit, where the run loop pops it exactly where single-stepping
-/// would have. Returns false when anything else is due first.
-fn lift_siblings<X: ExecCtx>(
-    x: &mut X,
-    core: usize,
-    slot: usize,
-    qmin: &mut Option<Cycles>,
-    until: Cycles,
-) -> bool {
-    while let Some(t) = *qmin {
-        if t > until {
-            break;
-        }
-        if !x.lift_sibling(core, slot) {
-            return false;
-        }
-        *qmin = x.next_deadline();
-    }
-    true
 }
 
 /// `(code range, word slot)` of an aligned `pc` inside a loaded image,
@@ -2896,34 +2910,20 @@ impl ExecCtx for Machine {
     }
 
     fn schedule_slot(&mut self, at: Cycles, core: usize, slot: usize) {
-        let (core, slot) = (core as u32, slot as u32);
-        self.events.schedule(at, Ev::SlotFree { core, slot });
+        let seq = self.events.issue_seq();
+        self.cores[core].slots[slot] = Slot::Due(at, seq);
     }
     fn schedule_mark(&self) -> u64 {
         self.events.schedule_mark()
     }
-    fn next_deadline(&mut self) -> Option<Cycles> {
-        self.events.peek_time()
-    }
-    #[inline]
-    fn lift_sibling(&mut self, core: usize, slot: usize) -> bool {
-        let sibling = matches!(
-            self.events.peek(),
-            Some((_, &Ev::SlotFree { core: c, slot: s })) if c as usize == core && s as usize != slot
-        );
-        if sibling {
-            let (_, tok, ev) = self
-                .events
-                .pop_keyed()
-                .expect("peek/pop agree on the head event");
-            self.burst_stash.push((tok, ev));
-        }
-        sibling
-    }
-    fn restore_lifted(&mut self) {
-        while let Some((tok, ev)) = self.burst_stash.pop() {
-            self.events.restore(tok, ev);
-        }
+    /// The device queue's head or another core's due slot.
+    fn next_deadline(&mut self, core: usize) -> Option<Cycles> {
+        let others = self.cores.iter().enumerate().filter(|&(c, _)| c != core);
+        others
+            .flat_map(|(_, cs)| cs.slots.iter().filter_map(|s| s.due()))
+            .map(|(at, _)| at)
+            .chain(self.events.peek_time())
+            .min()
     }
 
     fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64) {

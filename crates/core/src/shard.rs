@@ -8,31 +8,30 @@
 //! no instruction semantics of its own.
 //!
 //! [`Machine::run_until`] on [`Engine::Fast`] executes *epochs* on every
-//! multi-core machine, invariant checker on or off: the host stages
-//! every slot event strictly below a cross-core event horizon `B` (a
-//! device event — host code, queued with [`Machine::at_device`], or an
-//! `mwait` watchdog deadline — ends the window at its due time), hands each
-//! core's staged events to a worker running against a `Shard` — a
-//! **clone** of that core's private state (its `CoreState` with the
-//! TLB, L1/L2, prefetch capture, the threads enrolled there, and its
-//! registered memory domain) — and commits every shard back at an epoch
-//! barrier.
+//! multi-core machine, invariant checker on or off. The window ends at a
+//! cross-core horizon `B` (a device event — host code, queued with
+//! [`Machine::at_device`], or an `mwait` watchdog deadline — ends it at
+//! its due time). Every core with a slot due strictly below `B` (a
+//! *staged* slot) is cloned into a `Shard` — that core's private state:
+//! its `CoreState` with the slot table and TLB, L1/L2, prefetch capture,
+//! the threads enrolled there, and its registered memory domain — and a
+//! worker runs the core's dispatches against it; every shard commits
+//! back at an epoch barrier. Nothing is taken out of the machine to
+//! stage a window, so nothing is put back when one is refused.
 //!
 //! The engine is speculative in implementation but conservative in
 //! effect: a worker that would touch anything outside its shard — another
 //! core's memory domain, the monitor filter, an hcall, an exception, the
 //! shared L3, an MMIO doorbell — abandons the epoch (`Bail`), the shards
-//! are dropped, the staged events are restored under their original
-//! `(time, seq)` keys, and the window replays on the serial engine. The
-//! commit is meant to leave the machine bit-identical to the serial
-//! engine, by the argument below; it has one known hole, described after
-//! it:
+//! are dropped, and the window replays on the serial engine. The commit
+//! is meant to leave the machine bit-identical to the serial engine, by
+//! the argument below; it has one known hole, described after it:
 //!
-//! * Workers replay the serial order *restricted to their core*: staged
-//!   events in staging order (= relative seq order) and worker-created
-//!   events in creation order, merged locally by `(time, key)` exactly as
-//!   the global queue would order them (staged keys precede fresh keys,
-//!   matching queue seq assignment).
+//! * Workers replay the serial order *restricted to their core*: a
+//!   worker takes its slots by `(time, key)`, where a staged slot's key
+//!   is its real seq and a slot the worker arms gets `mark0 + creation
+//!   index` (`Shared::mark0`), exactly as the serial engine would order
+//!   them (staged slots predate the epoch's, matching seq issue order).
 //! * Across cores, time is the only order. The one cross-core tie the
 //!   simulation can read is two cores' surviving events due the same
 //!   cycle (their queue-seq order decides a future pop); the commit
@@ -40,8 +39,8 @@
 //!   bail. Everything else the commit consumes depends on times alone or
 //!   on no order at all: `now` is the max of the workers' final cursors,
 //!   the wake samples are a multiset recorded into a histogram, and
-//!   survivors of different cores never share a due time, so they enter
-//!   the real queue core by core in local creation order.
+//!   survivors of different cores never share a due time, so they take
+//!   real seqs core by core in local creation order.
 //! * The serial engine's burst splits (foreign-event horizon checks,
 //!   `MAX_BURST`, stale deadline hints) are observably invisible — same
 //!   instructions at the same start cycles, identical cost accounting,
@@ -64,9 +63,9 @@
 //! schedules do not hit it.
 //!
 //! The gain comes from per-core lookahead, not host threads: a worker's
-//! burst loop sees only its own core's local queue, so it runs long
-//! bursts and superblocks where the serial loop stops at the next event
-//! on *any* core. [`Machine::set_machine_jobs`] only sets how many host
+//! burst loop sees only its own core's slots, so it runs long bursts and
+//! superblocks where the serial loop stops at the next event on *any*
+//! core. [`Machine::set_machine_jobs`] only sets how many host
 //! threads run the workers (1 runs them inline). Stores commit in
 //! parallel only inside a window declared with
 //! [`Machine::set_core_domain`]; without one they bail to serial replay.
@@ -80,9 +79,6 @@
 //! [`Engine::Fast`]: crate::machine::Engine::Fast
 //! [`Engine::Reference`]: crate::machine::Engine::Reference
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-
 use switchless_isa::inst::Inst;
 use switchless_mem::addr::PAddr;
 use switchless_mem::cache::PartitionId;
@@ -94,8 +90,8 @@ use switchless_sim::time::Cycles;
 
 use crate::exception::ExceptionKind;
 use crate::machine::{
-    dispatch, pick_free, read_le, store_is_quiet, write_le, CodeRange, CoreState, EngineStats, Ev,
-    ExecCtx, Machine, MachineConfig, Probe, Thread,
+    dispatch, next_slot, pick_free, read_le, store_is_quiet, write_le, CodeRange, CoreState,
+    EngineStats, ExecCtx, Machine, MachineConfig, Probe, Slot, Thread,
 };
 use crate::tid::Ptid;
 
@@ -139,13 +135,15 @@ struct Shared<'a> {
     cfg: MachineConfig,
     /// Machine `now` at epoch start (workers evolve a local copy).
     now0: Cycles,
-    /// Event horizon: workers handle events strictly below this.
+    /// Event horizon: workers dispatch slots due strictly below this.
     b: Cycles,
     /// Run deadline (`run_until`'s `t`): burst dispatch bound.
     t: Cycles,
-    /// Number of events staged out of the real queue (key namespace
-    /// split: local keys below this are staged, at/above are fresh).
-    staged_total: u64,
+    /// The machine's seq counter at epoch start. Every slot armed before
+    /// the epoch holds a real seq below it; a worker arms its fresh
+    /// slots with local keys `mark0 + creation index`, so keys order a
+    /// core's slots exactly as the real seqs would.
+    mark0: u64,
     /// Machine memory, frozen for the epoch. Reads that land fully
     /// outside every registered domain are served from here; writes
     /// outside the worker's own domain bail.
@@ -158,18 +156,18 @@ struct Shared<'a> {
     mmio_addrs: &'a [u64],
     /// Every core's registered domain, for the overlap check.
     domains: &'a [Option<(u64, u64)>],
-    /// Per-core fresh-event horizon stagger: core `c` stops consuming
-    /// its *epoch-created* events at `B - gap * c`, so burst-end
-    /// continuation events land in disjoint per-core time bands instead
-    /// of piling up just past a common `B` — which is what made
+    /// Per-core fresh-slot horizon stagger: core `c` stops consuming
+    /// the slots it *armed in the epoch* at `B - gap * c`, so burst-end
+    /// continuations land in disjoint per-core time bands instead of
+    /// piling up just past a common `B` — which is what made
     /// commit-time survivor ties near-certain for compute cores with
-    /// dense instruction boundaries. A held-back event is a survivor
+    /// dense instruction boundaries. A held-back slot is a survivor
     /// exactly as if `B` were lower for that core, but that is not
-    /// free: the queue's same-cycle order is a cross-core effect, and a
-    /// held-back event can create an event due the same cycle as
-    /// another core's committed survivor, which the real queue then
-    /// orders after it where the serial engine orders it first (the
-    /// known divergence in the module doc, ROADMAP item 1).
+    /// free: the same-cycle `(time, seq)` order is a cross-core effect,
+    /// and a held-back slot can arm one due the same cycle as another
+    /// core's committed survivor, which the real seqs then order after
+    /// it where the serial engine orders it first (the known divergence
+    /// in the module doc, ROADMAP item 1).
     ///
     /// The stagger cannot simply go under today's tie rule. With `gap`
     /// forced to 0, perfbench `multicore --trace 1` made 3,664 epoch
@@ -207,50 +205,10 @@ pub(crate) struct Shard {
 struct WorkerOk {
     /// The worker's final `now` (burst cursor included).
     local_now: Cycles,
-    /// Fresh events still pending at epoch end, in creation (key) order:
-    /// `(due, key, slot)`.
-    survivors: Vec<(Cycles, u64, u32)>,
+    /// Slots armed in the epoch and still due at its end, in creation
+    /// order: `(key, due, slot)`.
+    survivors: Vec<(u64, Cycles, usize)>,
     shard: Shard,
-}
-
-/// A worker's private event queue: `(due, key, slot)` min-heap. Keys
-/// order exactly like the global queue's seqs restricted to this core —
-/// staging indices first (staged events predate the epoch), then
-/// `staged_total + creation index` for fresh events.
-#[derive(Default)]
-struct LocalQueue {
-    heap: BinaryHeap<Reverse<(Cycles, u64, u32)>>,
-}
-
-impl LocalQueue {
-    fn push(&mut self, at: Cycles, key: u64, slot: u32) {
-        self.heap.push(Reverse((at, key, slot)));
-    }
-
-    /// Pops the earliest event strictly below `b`.
-    fn pop_below(&mut self, b: Cycles) -> Option<(Cycles, u64, u32)> {
-        let &Reverse((at, _, _)) = self.heap.peek()?;
-        if at >= b {
-            return None;
-        }
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    fn next_deadline(&self) -> Option<Cycles> {
-        self.heap.peek().map(|&Reverse((at, _, _))| at)
-    }
-
-    fn peek_slot(&self) -> Option<u32> {
-        self.heap.peek().map(|&Reverse((_, _, slot))| slot)
-    }
-
-    fn pop_head(&mut self) -> Option<(Cycles, u64, u32)> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    fn drain_all(self) -> Vec<(Cycles, u64, u32)> {
-        self.heap.into_iter().map(|Reverse(e)| e).collect()
-    }
 }
 
 /// Finds `p` in a sorted enrolled-thread table.
@@ -266,27 +224,16 @@ fn find(threads: &[(u32, Thread)], p: Ptid) -> usize {
 struct Worker<'a> {
     sh: &'a Shared<'a>,
     s: Shard,
-    q: LocalQueue,
-    /// Sibling-slot events lifted mid-burst (restored at burst exit).
-    stash: Vec<(Cycles, u64, u32)>,
     local_now: Cycles,
-    /// Fresh events created so far (the next fresh key suffix).
+    /// Slots armed so far in the epoch (the next fresh key suffix).
     created: u64,
     probe: Option<Box<Probe>>,
 }
 
-/// Runs `s`'s core over its `staged` events `(due, staging index, slot)`.
-fn run_worker(
-    sh: &Shared<'_>,
-    staged: Vec<(Cycles, u64, u32)>,
-    s: Shard,
-) -> Result<WorkerOk, Bail> {
-    let mut q = LocalQueue::default();
-    for (at, idx, slot) in staged {
-        q.push(at, idx, slot);
-    }
+/// Runs `s`'s core over its slots due strictly below `B`.
+fn run_worker(sh: &Shared<'_>, s: Shard) -> Result<WorkerOk, Bail> {
     // This core's fresh-event horizon (see `Shared::gap`). Staged
-    // events still consume up to `B`: they are real pre-epoch events
+    // slots still consume up to `B`: they are real pre-epoch events
     // and skipping one while running a later one would reorder the
     // core's serial stream.
     let core = s.core;
@@ -301,37 +248,39 @@ fn run_worker(
     let mut w = Worker {
         sh,
         s,
-        q,
-        stash: Vec::new(),
         local_now: sh.now0,
         created: 0,
         probe: None,
     };
-    while let Some((ts, key, slot)) = w.q.pop_below(sh.b) {
-        if key >= sh.staged_total && ts >= fresh_b {
-            // The core's window ends here: the event survives to the
-            // next epoch, exactly as if it were due at or past `B`.
-            w.q.push(ts, key, slot);
+    while let Some((ts, key, _, slot)) = next_slot(std::slice::from_ref(&w.s.cs)) {
+        if ts >= sh.b || (key >= sh.mark0 && ts >= fresh_b) {
+            // The core's window ends here: a fresh slot at or past its
+            // horizon survives to the next epoch, exactly as if it were
+            // due at or past `B`.
             break;
         }
+        w.s.cs.slots[slot] = Slot::Running;
         if ts > w.local_now {
             w.local_now = ts;
         }
-        dispatch(&mut w, core, slot as usize, horizon, None)?;
+        dispatch(&mut w, core, slot, horizon, None)?;
     }
-    let mut survivors = w.q.drain_all();
-    for &(at, key, _) in &survivors {
-        if key < sh.staged_total {
-            // A staged event past a held-back fresh horizon: consuming
-            // it would reorder this core's stream, and a staged event
-            // cannot survive an epoch (its `(time, seq)` identity was
-            // popped from the real queue). Settle the window serially.
+    let mut survivors = Vec::new();
+    for (slot, &st) in w.s.cs.slots.iter().enumerate() {
+        let Some((at, key)) = st.due() else { continue };
+        if key >= sh.mark0 {
+            debug_assert!(at >= fresh_b, "slots below the fresh horizon are drained");
+            survivors.push((key, at, slot));
+        } else if at < sh.b {
+            // A staged slot past a held-back fresh horizon: consuming
+            // it would reorder this core's stream, and leaving it would
+            // let a later fresh slot dispatch first. Settle the window
+            // serially.
             return Err(Bail);
         }
-        debug_assert!(at >= fresh_b, "events below the fresh horizon are drained");
     }
     // Creation order is this core's serial seq order for the survivors.
-    survivors.sort_unstable_by_key(|&(_, key, _)| key);
+    survivors.sort_unstable();
     Ok(WorkerOk {
         local_now: w.local_now,
         survivors,
@@ -405,33 +354,20 @@ impl ExecCtx for Worker<'_> {
         })
     }
 
-    /// Schedules a fresh own-core `SlotFree`; keys continue after the
-    /// staged namespace in creation order.
+    /// Arms a fresh slot; local keys continue after `mark0` in
+    /// creation order.
     fn schedule_slot(&mut self, at: Cycles, _: usize, slot: usize) {
-        let key = self.sh.staged_total + self.created;
+        let key = self.sh.mark0 + self.created;
         self.created += 1;
-        self.q.push(at, key, slot as u32);
+        self.s.cs.slots[slot] = Slot::Due(at, key);
     }
     fn schedule_mark(&self) -> u64 {
         self.created
     }
-    fn next_deadline(&mut self) -> Option<Cycles> {
-        self.q.next_deadline()
-    }
-    /// The local queue holds only own-core `SlotFree`s: any other slot's
-    /// is a sibling.
-    fn lift_sibling(&mut self, _: usize, slot: usize) -> bool {
-        if self.q.peek_slot() == Some(slot as u32) {
-            return false;
-        }
-        let lifted = self.q.pop_head().expect("peek/pop agree");
-        self.stash.push(lifted);
-        true
-    }
-    fn restore_lifted(&mut self) {
-        while let Some((at, key, s)) = self.stash.pop() {
-            self.q.push(at, key, s);
-        }
+    /// Nothing: a worker cannot wake, kick or run a device, so during
+    /// its burst every pending entry is a sibling slot of the same core.
+    fn next_deadline(&mut self, _: usize) -> Option<Cycles> {
+        None
     }
 
     fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64) {
@@ -650,7 +586,7 @@ impl Machine {
         // the next attempt).
         let mut serial_floor = Cycles::ZERO;
         while self.halted.is_none() {
-            let Some(head) = self.events.peek_time() else {
+            let Some(head) = self.next_time() else {
                 break;
             };
             if head > t {
@@ -664,10 +600,7 @@ impl Machine {
             }
             let bound = t.min(Cycles(serial_floor.0 - 1));
             while self.halted.is_none()
-                && self
-                    .events
-                    .peek_time()
-                    .is_some_and(|h| h < serial_floor && h <= t)
+                && self.next_time().is_some_and(|h| h < serial_floor && h <= t)
             {
                 self.step(bound, t, None);
                 self.stats.serial_events += 1;
@@ -681,64 +614,37 @@ impl Machine {
     /// than two cores had work). The epoch length doubles on a commit,
     /// halves on a bail or tie, and stays put when too few cores ran.
     fn try_epoch(&mut self, t: Cycles) -> Option<Cycles> {
-        let head = self.events.peek_time().expect("caller checked the head");
-        // The dispatch horizon is `t`, so events can exist at `t + 1`
-        // (burst-end SlotFrees); the window never reaches past them.
+        let head = self.next_time().expect("caller checked the head");
+        // The dispatch horizon is `t`, so slots can be due at `t + 1`
+        // (burst ends); the window never reaches past them. A device
+        // event (a registered handler, or the machine's own watchdog)
+        // truncates the window to its due time: it runs host code
+        // against the whole machine and must execute on the real one,
+        // and same-time slots may interleave with it in seq order.
         let cap = if t.0 == u64::MAX { t } else { Cycles(t.0 + 1) };
         let mut b = (head + self.epochs.len).min(cap);
-
-        // Stage every SlotFree strictly below B. A device event (a
-        // registered handler, or the machine's own watchdog) truncates
-        // the window to its due time: it runs host code against the
-        // whole machine and must execute on the real one, and same-time
-        // staged events are pushed back (it may interleave with them in
-        // seq order).
-        let mut staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)> = Vec::new();
-        while let Some(ht) = self.events.peek_time() {
-            if ht >= b {
-                break;
-            }
-            let Some((at, tok, ev)) = self.events.pop_keyed() else {
-                break;
-            };
-            if matches!(ev, Ev::Device { .. }) {
-                self.events.restore(tok, ev);
-                while staged.last().is_some_and(|&(t2, _, _)| t2 == at) {
-                    let (_, tok2, ev2) = staged.pop().expect("non-empty");
-                    self.events.restore(tok2, ev2);
-                }
-                b = at;
-                break;
-            }
-            staged.push((at, tok, ev));
+        if let Some(d) = self.events.peek_time() {
+            b = b.min(d);
         }
 
-        let restore_staged =
-            |m: &mut Machine, staged: Vec<(Cycles, switchless_sim::event::EventToken, Ev)>| {
-                for (_, tok, ev) in staged.into_iter().rev() {
-                    m.events.restore(tok, ev);
-                }
-            };
-
-        // Group by core; staging index orders a core's staged events.
-        let mut per_core: BTreeMap<u32, Vec<(Cycles, u64, u32)>> = BTreeMap::new();
-        for (i, &(at, _, ev)) in staged.iter().enumerate() {
-            let Ev::SlotFree { core, slot } = ev else {
-                unreachable!("device events truncate the window");
-            };
-            per_core.entry(core).or_default().push((at, i as u64, slot));
-        }
-        if per_core.len() < 2 {
-            restore_staged(self, staged);
+        // The staged slots are those due strictly below B; every slot
+        // armed so far holds a real seq below `mark0`. Nothing leaves
+        // the machine: each worker finds its staged slots in its clone
+        // of the core's slot table.
+        let mark0 = self.events.schedule_mark();
+        let staged = |cs: &CoreState| {
+            cs.slots
+                .iter()
+                .any(|s| s.due().is_some_and(|(at, _)| at < b))
+        };
+        let cores: Vec<usize> = (0..self.cfg.cores)
+            .filter(|&c| staged(&self.cores[c]))
+            .collect();
+        if cores.len() < 2 {
             self.stats.too_few += 1;
             return Some(b);
         }
-
-        let staged_total = staged.len() as u64;
-        let inputs: Vec<_> = per_core
-            .into_iter()
-            .map(|(core, evs)| (evs, self.shard_out(core as usize)))
-            .collect();
+        let inputs: Vec<Shard> = cores.into_iter().map(|c| self.shard_out(c)).collect();
 
         let jobs = self.epochs.jobs.min(inputs.len());
         let results = {
@@ -747,7 +653,7 @@ impl Machine {
                 now0: self.now,
                 b,
                 t,
-                staged_total,
+                mark0,
                 mem: &self.mem,
                 filter: self.filter.as_ref(),
                 code: &self.code,
@@ -764,34 +670,32 @@ impl Machine {
                 // still caught at commit and replayed.
                 gap: ((b.0 - head.0) / (2 * self.cfg.cores.max(1) as u64)).min(64),
             };
-            par_map_owned(jobs, inputs, |_, (staged, s)| run_worker(&sh, staged, s))
+            par_map_owned(jobs, inputs, |_, s| run_worker(&sh, s))
         };
 
         let oks: Result<Vec<WorkerOk>, Bail> = results.into_iter().collect();
-        let Ok(oks) = oks else {
-            restore_staged(self, staged);
+        let Ok(mut oks) = oks else {
             self.stats.bailed += 1;
             self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
             return Some(b);
         };
 
         // The one cross-core tie the simulation reads: two cores'
-        // surviving events due the same cycle, whose queue-seq order
-        // decides a future pop. That order depends on where serial bursts
+        // surviving slots due the same cycle, whose seq order decides a
+        // future dispatch. That order depends on where serial bursts
         // split, which workers cannot know, so the epoch is refused and
         // replays serially. With it gone, time orders every cross-core
         // effect and the commit below needs no global pop order.
         let mut surv_times: Vec<(Cycles, usize)> = oks
             .iter()
             .enumerate()
-            .flat_map(|(pos, ok)| ok.survivors.iter().map(move |&(at, _, _)| (at, pos)))
+            .flat_map(|(pos, ok)| ok.survivors.iter().map(move |&(_, at, _)| (at, pos)))
             .collect();
         surv_times.sort_unstable();
         if surv_times
             .windows(2)
             .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
         {
-            restore_staged(self, staged);
             self.stats.ties += 1;
             self.epochs.len = Cycles((self.epochs.len.0 / 2).max(MIN_EPOCH));
             return Some(b);
@@ -808,18 +712,22 @@ impl Machine {
         }
         self.stats.committed += 1;
         self.epochs.len = Cycles((self.epochs.len.0 * 2).min(MAX_EPOCH));
-        let mut now_max = oks
+        let now_max = oks
             .iter()
             .map(|ok| ok.local_now)
             .fold(self.now, Cycles::max);
 
         // Survivors of different cores never share a due time, so only
-        // each core's local creation order reaches the queue's seqs.
-        for ok in &oks {
-            let core = ok.shard.core as u32;
-            for &(at, _, slot) in &ok.survivors {
-                self.events.schedule(at, Ev::SlotFree { core, slot });
+        // each core's local creation order reaches the real seqs, which
+        // they take core by core.
+        for ok in &mut oks {
+            for &(_, at, slot) in &ok.survivors {
+                let seq = self.events.issue_seq();
+                ok.shard.cs.slots[slot] = Slot::Due(at, seq);
             }
+        }
+        for ok in oks {
+            self.shard_in(ok.shard);
         }
 
         // Serial-clock invariant: the serial engine's `now` never passes
@@ -830,14 +738,7 @@ impl Machine {
         // unclamped `now` would re-base that survivor's dispatch and
         // drift its thread's whole future. Clamp to the earliest pending
         // event; a no-op when every survivor is at or past `B`.
-        if let Some(h) = self.events.peek_time() {
-            now_max = now_max.min(h);
-        }
-        self.now = now_max;
-
-        for ok in oks {
-            self.shard_in(ok.shard);
-        }
+        self.now = self.next_time().map_or(now_max, |h| now_max.min(h));
         None
     }
 }
@@ -972,36 +873,5 @@ mod tests {
             serial_events: 6324,
         };
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn local_queue_orders_by_time_then_key() {
-        let mut q = LocalQueue::default();
-        q.push(Cycles(10), 2, 0);
-        q.push(Cycles(10), 1, 1);
-        q.push(Cycles(5), 7, 0);
-        assert_eq!(q.pop_below(Cycles(100)), Some((Cycles(5), 7, 0)));
-        assert_eq!(q.pop_below(Cycles(100)), Some((Cycles(10), 1, 1)));
-        assert_eq!(q.pop_below(Cycles(100)), Some((Cycles(10), 2, 0)));
-        assert_eq!(q.pop_below(Cycles(100)), None);
-    }
-
-    #[test]
-    fn local_queue_pop_below_is_strict() {
-        let mut q = LocalQueue::default();
-        q.push(Cycles(8), 0, 0);
-        assert_eq!(q.next_deadline(), Some(Cycles(8)));
-        assert_eq!(q.pop_below(Cycles(8)), None);
-        assert_eq!(q.pop_below(Cycles(9)), Some((Cycles(8), 0, 0)));
-    }
-
-    #[test]
-    fn local_queue_drain_returns_everything() {
-        let mut q = LocalQueue::default();
-        q.push(Cycles(3), 0, 0);
-        q.push(Cycles(1), 1, 1);
-        let mut all = q.drain_all();
-        all.sort_unstable();
-        assert_eq!(all, vec![(Cycles(1), 1, 1), (Cycles(3), 0, 0)]);
     }
 }

@@ -68,8 +68,8 @@ fn spin_stats_are_pinned() {
     );
 }
 
-/// One SMT slot, so no sibling `SlotFree` to lift: every burst runs to
-/// `MAX_BURST`, as on two slots.
+/// One SMT slot, so no sibling slot for the burst gate to skip: every
+/// burst runs to `MAX_BURST`, as on two slots.
 #[test]
 fn one_slot_burst_stats_are_pinned() {
     let mut cfg = MachineConfig::small();

@@ -1388,8 +1388,8 @@ fn loop_block_with_device_events_due_mid_iteration_matches_the_reference() {
 }
 
 /// Two threads share the core's two slots until one halts; from then on
-/// the halted thread's slot keeps a pending `SlotFree` that each burst
-/// of the loop lifts.
+/// the halted thread's slot keeps a pending retry that each burst of the
+/// loop runs past.
 #[test]
 fn loop_block_lifting_a_sibling_slot_event_matches_the_reference() {
     for branch in LOOP_BRANCHES {

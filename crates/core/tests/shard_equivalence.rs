@@ -171,8 +171,10 @@ fn sharded_is_deterministic_across_runs() {
 
 /// Monitor/mwait wake traffic driven by device events: they
 /// truncate every epoch window, wakes produce histogram samples, and
-/// threads repeatedly park —
-/// the engine must interleave serial replay with epochs and still match.
+/// threads repeatedly park. Each wake starts about 1,300 cycles of
+/// register-only work, so the two cores' busy spells overlap and the
+/// windows between pokes hold both cores' slots: the engine must
+/// interleave serial replay with committed epochs and still match.
 fn build_wakers(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
     let mut cfg = MachineConfig::small();
     cfg.cores = 2;
@@ -193,11 +195,16 @@ fn build_wakers(engine: Engine, jobs: usize) -> (Machine, Vec<ThreadId>, Vec<(u6
                 mwait
                 ld r2, r3, 0
                 addi r5, r5, 1
+                movi r8, {iters}
+            busy:
                 work {wk}
+                addi r8, r8, -1
+                bne r8, r0, busy
                 jmp loop
             "#,
             base = 0x20000 + (c as u64) * 0x4000,
             word = word,
+            iters = 60 - 20 * c,
             wk = 11 + 8 * c,
         ))
         .expect("waker program");
@@ -229,6 +236,8 @@ fn sharded_matches_serial_under_wake_traffic() {
             want, got,
             "wake-heavy workload diverged at machine-jobs {jobs}"
         );
+        let st = par.engine_stats();
+        assert!(st.committed > 0, "machine-jobs {jobs}: {st:?}");
     }
 }
 
@@ -401,7 +410,7 @@ fn reference_engine_runs_no_epochs() {
 /// Per core: two compute threads keep both SMT slots busy, and a third
 /// thread parks in `mwait` on its own word. One host callback at
 /// `wake_at` wakes the parked thread on every core; with no free slot,
-/// each is first dispatched at its core's next `SlotFree` — a different
+/// each is first dispatched at its core's next slot dispatch — a different
 /// cycle on each core, inside the epoch that follows the callback. After
 /// the wake every thread only computes, so no later wake overwrites the
 /// epoch's wake effects.
@@ -874,4 +883,130 @@ fn invariant_checked_epochs_match_serial_under_wakes() {
             build_twin_wakers(e, j, Cycles(30_000))
         }),
     ]);
+}
+
+/// Rounds of [`build_ties`] per core.
+const TIE_ROUNDS: u64 = 16;
+
+/// Same-cycle ties between a device event and a slot's next dispatch.
+/// On every core a thread parks on a word; round `k`'s `poke` device
+/// event writes that word, which wakes the thread and arms the core's
+/// idle slots for the same cycle, and schedules a `stamp` device event
+/// for that cycle too: before the wake on even rounds, after it on odd
+/// ones. `stamp` writes `k` to the word the woken thread reads first,
+/// and the thread logs what it read into its own domain. Events due the
+/// same cycle run in the order they were scheduled, so the log holds
+/// `k` for an even round (the stamp ran first) and `k - 1`, the previous
+/// stamp, for an odd one (the slot's dispatch ran first). After each
+/// read the thread works for about 2,700 cycles, and the cores' rounds
+/// are 1,300 cycles apart, so on two cores the spans between rounds hold
+/// both cores' slots and commit epochs. Each core's domain is its log.
+fn build_ties(
+    cores: usize,
+    engine: Engine,
+    jobs: usize,
+) -> (Machine, Vec<ThreadId>, Vec<(u64, u64)>) {
+    let mut cfg = MachineConfig::small();
+    cfg.cores = cores;
+    let mut m = Machine::new(cfg);
+    m.set_engine(engine);
+    m.set_machine_jobs(jobs);
+    let (mut tids, mut spans) = (Vec::new(), Vec::new());
+    for c in 0..cores {
+        let word = m.alloc(64);
+        let stamped = m.alloc(64);
+        let log = m.alloc(4096);
+        let prog = assemble(&format!(
+            r#"
+            .base {base:#x}
+            entry:
+                movi r3, {word}
+                movi r4, {stamped}
+                movi r6, {log}
+            loop:
+                monitor r3
+                mwait
+                ld r5, r4, 0
+                st r5, r6, 0
+                addi r6, r6, 8
+                movi r8, 120
+            busy:
+                work 20
+                addi r8, r8, -1
+                bne r8, r0, busy
+                jmp loop
+            "#,
+            base = 0x20000 + (c as u64) * 0x4000,
+        ))
+        .expect("tie program");
+        let tid = m.load_program(c, &prog).expect("load");
+        m.set_core_domain(c, log, 4096);
+        m.start_thread(tid);
+        tids.push(tid);
+        spans.push((log, 4096));
+        let stamp = m.register_device(move |mach, _, k| mach.poke_u64(stamped, k));
+        let poke = m.register_device(move |mach, _, k| {
+            let now = mach.now();
+            if k % 2 == 0 {
+                mach.at_device(now, stamp, k);
+                mach.poke_u64(word, k);
+            } else {
+                mach.poke_u64(word, k);
+                mach.at_device(now, stamp, k);
+            }
+        });
+        for k in 1..=TIE_ROUNDS {
+            m.at_device(Cycles(3_000 + k * 4_000 + c as u64 * 1_300), poke, k);
+        }
+    }
+    (m, tids, spans)
+}
+
+/// The `(time, seq)` merge of slot dispatches and device events: with a
+/// device event and a slot due the same cycle, whichever was scheduled
+/// first runs first, whether the device event went first or second, on
+/// one core and across committed epochs on two, on both engines.
+#[test]
+fn device_and_slot_ties_run_in_schedule_order() {
+    let t = Cycles(3_000 + (TIE_ROUNDS + 2) * 4_000);
+    let want_log: Vec<u64> = (1..=TIE_ROUNDS)
+        .map(|k| if k % 2 == 0 { k } else { k - 1 })
+        .collect();
+    let log_of = |m: &Machine, base: u64| -> Vec<u64> {
+        (0..TIE_ROUNDS).map(|i| m.peek_u64(base + 8 * i)).collect()
+    };
+    for cores in [1, 2] {
+        let (mut reference, tids, spans) = build_ties(cores, Engine::Reference, 1);
+        reference.run_until(t);
+        for &(log, _) in &spans {
+            assert_eq!(
+                log_of(&reference, log),
+                want_log,
+                "{cores} core(s), reference"
+            );
+        }
+        let want = fingerprint(&reference, &tids, &spans);
+        for jobs in JOBS {
+            let (mut fast, tids, spans) = build_ties(cores, Engine::Fast, jobs);
+            fast.run_until(t);
+            for &(log, _) in &spans {
+                assert_eq!(
+                    log_of(&fast, log),
+                    want_log,
+                    "{cores} core(s), machine-jobs {jobs}"
+                );
+            }
+            assert_eq!(
+                want,
+                fingerprint(&fast, &tids, &spans),
+                "{cores} core(s), machine-jobs {jobs}"
+            );
+            let st = fast.engine_stats();
+            assert_eq!(
+                st.committed > 0,
+                cores > 1,
+                "{cores} core(s), machine-jobs {jobs}: {st:?}"
+            );
+        }
+    }
 }

@@ -219,8 +219,10 @@ impl ChaosPlan {
     /// # Errors
     ///
     /// [`SimError::Parse`] for a malformed line, a duration above
-    /// [`MAX_DURATION`], or a device count other than 1 or device id
-    /// other than 0; [`SimError::FaultPlan`] for bursts that do not form a
+    /// [`MAX_DURATION`], a device count other than 1 or device id other
+    /// than 0, a missing `seed` or `duration`, a repeated `seed`,
+    /// `duration` or `digest`, or a burst window that ends past the
+    /// duration; [`SimError::FaultPlan`] for bursts that do not form a
     /// valid [`FaultPlan`].
     pub fn parse(text: &str) -> Result<ChaosPlan, SimError> {
         let bad = |line: usize, detail: String| SimError::Parse { line, detail };
@@ -237,11 +239,16 @@ impl ChaosPlan {
                 ))
             }
         }
-        let mut plan = ChaosPlan {
-            seed: 0,
-            duration: Cycles(0),
-            bursts: Vec::new(),
-            digest: None,
+        let (mut seed, mut duration, mut digest) = (None, None, None);
+        // Each burst with its line, for the window check once the
+        // duration is known.
+        let mut bursts: Vec<(ChaosBurst, usize)> = Vec::new();
+        let once = |seen: bool, line: usize, what: &str| {
+            if seen {
+                Err(bad(line, format!("repeated `{what}`")))
+            } else {
+                Ok(())
+            }
         };
         fn take_u64<'a, I>(f: &mut I, n: usize, what: &str, radix: u32) -> Result<u64, SimError>
         where
@@ -264,18 +271,23 @@ impl ChaosPlan {
             }
             let mut f = line.split_ascii_whitespace();
             match f.next().unwrap_or("") {
-                "seed" => plan.seed = take_u64(&mut f, n, "seed", 10)?,
+                "seed" => {
+                    once(seed.is_some(), n, "seed")?;
+                    seed = Some(take_u64(&mut f, n, "seed", 10)?);
+                }
                 "duration" => {
-                    plan.duration = Cycles(take_u64(&mut f, n, "duration", 10)?);
-                    if plan.duration > MAX_DURATION {
+                    once(duration.is_some(), n, "duration")?;
+                    let d = Cycles(take_u64(&mut f, n, "duration", 10)?);
+                    if d > MAX_DURATION {
                         return Err(bad(
                             n,
                             format!(
                                 "duration {} exceeds the cap of {} cycles",
-                                plan.duration.0, MAX_DURATION.0
+                                d.0, MAX_DURATION.0
                             ),
                         ));
                     }
+                    duration = Some(d);
                 }
                 "devices" => {
                     let count = take_u64(&mut f, n, "device count", 10)?;
@@ -283,7 +295,10 @@ impl ChaosPlan {
                         return Err(bad(n, format!("device count {count} is not 1")));
                     }
                 }
-                "digest" => plan.digest = Some(take_u64(&mut f, n, "digest", 16)?),
+                "digest" => {
+                    once(digest.is_some(), n, "digest")?;
+                    digest = Some(take_u64(&mut f, n, "digest", 16)?);
+                }
                 "burst" => {
                     let name = f
                         .next()
@@ -299,16 +314,39 @@ impl ChaosPlan {
                     let from = Cycles(take_u64(&mut f, n, "window start", 10)?);
                     let to = Cycles(take_u64(&mut f, n, "window end", 10)?);
                     let rate = f64::from_bits(take_u64(&mut f, n, "rate bits", 16)?);
-                    plan.bursts.push(ChaosBurst {
-                        kind,
-                        rate,
-                        from,
-                        to,
-                    });
+                    bursts.push((
+                        ChaosBurst {
+                            kind,
+                            rate,
+                            from,
+                            to,
+                        },
+                        n,
+                    ));
                 }
                 other => return Err(bad(n, format!("unknown directive `{other}`"))),
             }
         }
+        // A plan without its seed or duration would replay a default
+        // soak, not the recorded one.
+        let end = text.lines().count();
+        let seed = seed.ok_or_else(|| bad(end, "missing `seed`".into()))?;
+        let duration = duration.ok_or_else(|| bad(end, "missing `duration`".into()))?;
+        if let Some(&(b, n)) = bursts.iter().find(|(b, _)| b.to > duration) {
+            return Err(bad(
+                n,
+                format!(
+                    "burst window ends at {} past the duration {}",
+                    b.to.0, duration.0
+                ),
+            ));
+        }
+        let plan = ChaosPlan {
+            seed,
+            duration,
+            bursts: bursts.into_iter().map(|(b, _)| b).collect(),
+            digest,
+        };
         // Surface invalid windows and rates now, structurally, rather
         // than as a panic at run time.
         plan.to_fault_plan().map_err(SimError::FaultPlan)?;
@@ -513,7 +551,7 @@ mod tests {
         let e = ChaosPlan::parse(text).unwrap_err();
         assert!(matches!(e, SimError::Parse { line: 3, .. }), "{e}");
         // Structurally invalid plans are refused at parse time too.
-        let text = "chaos-plan/v1\nseed 1\nburst nic.drop 0 20 10 3fb999999999999a\n";
+        let text = "chaos-plan/v1\nseed 1\nduration 100\nburst nic.drop 0 20 10 3fb999999999999a\n";
         let e = ChaosPlan::parse(text).unwrap_err();
         assert!(matches!(e, SimError::FaultPlan(_)), "{e}");
     }
@@ -525,8 +563,63 @@ mod tests {
         assert!(matches!(e, SimError::Parse { line: 3, .. }), "{e}");
         let over = format!("chaos-plan/v1\nduration {}\n", MAX_DURATION.0 + 1);
         assert!(ChaosPlan::parse(&over).is_err());
-        let at_cap = format!("chaos-plan/v1\nduration {}\n", MAX_DURATION.0);
+        let at_cap = format!("chaos-plan/v1\nseed 1\nduration {}\n", MAX_DURATION.0);
         assert_eq!(ChaosPlan::parse(&at_cap).unwrap().duration, MAX_DURATION);
+    }
+
+    /// The line a parse error names, or a panic naming the plan.
+    fn parse_error_line(text: &str) -> usize {
+        match ChaosPlan::parse(text) {
+            Err(SimError::Parse { line, .. }) => line,
+            other => panic!("{text:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_refuses_a_plan_without_a_seed() {
+        assert_eq!(
+            parse_error_line("chaos-plan/v1\nduration 100\ndevices 1\n"),
+            3
+        );
+    }
+
+    #[test]
+    fn parse_refuses_a_plan_without_a_duration() {
+        assert_eq!(parse_error_line("chaos-plan/v1\nseed 1\n"), 2);
+    }
+
+    #[test]
+    fn parse_refuses_a_repeated_seed() {
+        assert_eq!(
+            parse_error_line("chaos-plan/v1\nseed 1\nseed 2\nduration 100\n"),
+            3
+        );
+    }
+
+    #[test]
+    fn parse_refuses_a_repeated_duration() {
+        let text = "chaos-plan/v1\nseed 1\nduration 100\n# again\nduration 200\n";
+        assert_eq!(parse_error_line(text), 5);
+    }
+
+    #[test]
+    fn parse_refuses_a_repeated_digest() {
+        let text = "chaos-plan/v1\nseed 1\nduration 100\ndigest 1f\ndigest 1f\n";
+        assert_eq!(parse_error_line(text), 5);
+    }
+
+    #[test]
+    fn parse_refuses_a_burst_ending_past_the_duration() {
+        let burst = "burst nic.drop 0 500 900000 3fb999999999999a";
+        // Checked once the duration is known, whichever line comes first.
+        let text = format!("chaos-plan/v1\nseed 1\nduration 1000\n{burst}\n");
+        assert_eq!(parse_error_line(&text), 4);
+        let text = format!("chaos-plan/v1\nseed 1\n{burst}\nduration 1000\n");
+        assert_eq!(parse_error_line(&text), 3);
+        // A window ending exactly at the duration is inside it.
+        let text =
+            "chaos-plan/v1\nseed 1\nduration 1000\nburst nic.drop 0 500 1000 3fb999999999999a\n";
+        assert_eq!(ChaosPlan::parse(text).unwrap().bursts.len(), 1);
     }
 
     #[test]

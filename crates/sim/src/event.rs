@@ -8,6 +8,13 @@
 //! it is queued. Every queued event is therefore live, so the queue keeps
 //! no per-seq state.
 //!
+//! A caller may keep some due values outside the queue and still share
+//! its order: [`EventQueue::issue_seq`] stamps such a value with the next
+//! seq, as a schedule would, and [`EventQueue::peek_key`] gives the
+//! head's `(time, seq)` to merge it against. The machine keeps each
+//! pipeline slot's next dispatch this way, so the queue holds only
+//! device events.
+//!
 //! # Internals: timing wheel + far FIFO + overflow heap
 //!
 //! Simulators schedule almost every event a short, bounded distance into
@@ -74,7 +81,8 @@ const _: () = assert!(WHEEL_WORDS == 64);
 /// | [`schedule`](EventQueue::schedule) | O(1) within the wheel horizon or in time order beyond it; O(log n) for out-of-order far or past events |
 /// | [`pop`](EventQueue::pop) / [`pop_due`](EventQueue::pop_due) | O(1) amortised, except O(log n) for heap entries |
 /// | [`cancel`](EventQueue::cancel)    | O(events due that cycle) in the wheel; O(log n) plus a shift in the far FIFO; O(n) in the heap |
-/// | [`peek_time`](EventQueue::peek_time) / [`peek`](EventQueue::peek) | O(1), exact, `&self` |
+/// | [`peek_time`](EventQueue::peek_time) / [`peek_key`](EventQueue::peek_key) | O(1), exact, `&self` |
+/// | [`issue_seq`](EventQueue::issue_seq) | O(1) |
 /// | [`len`](EventQueue::len) / [`is_empty`](EventQueue::is_empty) | O(1), exact |
 ///
 /// A cancel removes its event at once, so nothing cancelled is ever
@@ -300,8 +308,7 @@ impl<E> EventQueue<E> {
     /// past is allowed (the event fires "immediately", i.e. before any
     /// later-stamped event), which simplifies zero-latency notifications.
     pub fn schedule(&mut self, at: Cycles, event: E) -> EventToken {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.issue_seq();
         if self.in_wheel(at) {
             let slot = at.0 as usize & (WHEEL_SLOTS - 1);
             self.slot_push_back(slot, at, seq, event);
@@ -331,9 +338,8 @@ impl<E> EventQueue<E> {
     /// is queued: unlinked from its wheel slot's chain, binary-searched
     /// out of the far FIFO, or filtered out of the heap.
     ///
-    /// Returns `true` if the event was still queued. Cancelling a popped,
-    /// held (see [`EventQueue::pop_keyed`]) or already-cancelled token
-    /// finds nothing and returns `false`.
+    /// Returns `true` if the event was still queued. Cancelling a popped
+    /// or already-cancelled token finds nothing and returns `false`.
     pub fn cancel(&mut self, token: EventToken) -> bool {
         let EventToken { at, seq } = token;
         let removed =
@@ -406,46 +412,47 @@ impl<E> EventQueue<E> {
     ///
     /// A simulator executing work inline (without re-entering the queue
     /// per step) must never advance past this time: anything at or before
-    /// it (a device callback, a timer, a cross-core `SlotFree`) has to
-    /// observe machine state first. The empty-queue fast path is one
-    /// load, so callers can afford to consult it per step.
+    /// it (a device callback, a timer) has to observe machine state
+    /// first. The empty-queue fast path is one load, so callers can
+    /// afford to consult it per step.
     #[must_use]
     #[inline]
     pub fn peek_time(&self) -> Option<Cycles> {
         self.min_src().map(|(_, at, _)| at)
     }
 
-    /// Monotone count of schedules ever issued. A caller that cached
+    /// The earliest pending event's `(time, seq)` key without removing
+    /// it. O(1). A value kept outside the queue under a seq from
+    /// [`EventQueue::issue_seq`] pops before the head exactly when its
+    /// key is smaller.
+    #[must_use]
+    #[inline]
+    pub fn peek_key(&self) -> Option<(Cycles, u64)> {
+        self.min_src().map(|(_, at, seq)| (at, seq))
+    }
+
+    /// Issues the next seq without queueing anything, as a schedule
+    /// would. A caller that keeps a due value outside the queue (a
+    /// pipeline slot's next dispatch, say) stamps it with this seq and
+    /// merges it against [`EventQueue::peek_key`], so the outside value
+    /// and the queued events share one `(time, seq)` order.
+    #[inline]
+    pub fn issue_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Monotone count of seqs ever issued, by a schedule or by
+    /// [`EventQueue::issue_seq`]. A caller that cached
     /// [`EventQueue::peek_time`] may keep using the cached value while
-    /// this mark is unchanged: besides a schedule, only a
-    /// [`restore`](EventQueue::restore) of what the caller itself lifted
-    /// can move the head **earlier**. Pops and cancels can only move it
-    /// later, which leaves a cached value conservative, never unsafe.
+    /// this mark is unchanged: only a schedule can move the head
+    /// **earlier**. Pops and cancels can only move it later, which leaves
+    /// a cached value conservative, never unsafe.
     #[must_use]
     #[inline]
     pub fn schedule_mark(&self) -> u64 {
         self.next_seq
-    }
-
-    /// The earliest pending `(time, event)` without removing it. O(1).
-    /// Does not allocate.
-    #[must_use]
-    pub fn peek(&self) -> Option<(Cycles, &E)> {
-        Some(match self.min_src()? {
-            (Src::Wheel(slot), ..) => {
-                let head = self.slots[slot & (WHEEL_SLOTS - 1)].head;
-                let n = &self.slab[head as usize];
-                (n.at, n.event.as_ref().expect("live node has an event"))
-            }
-            (Src::Far, ..) => {
-                let e = self.far.front().expect("checked");
-                (e.at, &e.event)
-            }
-            (Src::Overflow, ..) => {
-                let Reverse(e) = self.overflow.peek().expect("checked");
-                (e.at, &e.event)
-            }
-        })
     }
 
     /// Pops the earliest pending event. O(1) amortised for wheel and far
@@ -454,68 +461,6 @@ impl<E> EventQueue<E> {
         let (src, ..) = self.min_src()?;
         let e = self.take(src);
         Some((e.at, e.event))
-    }
-
-    /// Pops the earliest pending event together with its token, so the
-    /// caller can later re-insert it *verbatim* with
-    /// [`EventQueue::restore`]. Burst executors use this to temporarily
-    /// lift a provably-inert event (e.g. a sibling SMT slot's retry) out
-    /// of the deadline computation without perturbing the queue's
-    /// `(time, seq)` order when it is put back.
-    pub fn pop_keyed(&mut self) -> Option<(Cycles, EventToken, E)> {
-        let (src, ..) = self.min_src()?;
-        let Entry { at, seq, event } = self.take(src);
-        Some((at, EventToken { at, seq }, event))
-    }
-
-    /// Re-inserts an event previously removed with
-    /// [`EventQueue::pop_keyed`], under its **original** `(time, seq)`
-    /// key. The queue afterwards pops exactly as if the event had never
-    /// been removed: the restored entry keeps its place in FIFO tie-break
-    /// order ahead of anything scheduled since. The caller must pass the
-    /// exact values returned by `pop_keyed` and restore each key at most
-    /// once.
-    pub fn restore(&mut self, token: EventToken, event: E) {
-        let EventToken { at, seq } = token;
-        debug_assert!(seq < self.next_seq, "restore of a foreign token");
-        if self.in_wheel(at) {
-            let slot = at.0 as usize & (WHEEL_SLOTS - 1);
-            // Slot FIFOs are kept in seq order; the restored entry is
-            // older than anything scheduled after it was popped, so it
-            // re-enters ahead of those.
-            let idx = self.alloc_node(at, seq, event);
-            let f = self.slots[slot];
-            if f.head == NIL {
-                self.slots[slot] = Fifo {
-                    head: idx,
-                    tail: idx,
-                    at,
-                    seq,
-                };
-            } else if seq < f.seq {
-                self.slab[idx as usize].next = f.head;
-                self.slots[slot] = Fifo {
-                    head: idx,
-                    tail: f.tail,
-                    at,
-                    seq,
-                };
-            } else {
-                let p = self.chain_pred(slot, seq);
-                let nxt = self.slab[p as usize].next;
-                self.slab[idx as usize].next = nxt;
-                self.slab[p as usize].next = idx;
-                if nxt == NIL {
-                    self.slots[slot].tail = idx;
-                }
-            }
-            self.mark_occupied(slot);
-        } else {
-            // `pop_keyed` moved the cursor to at least `at`, so a restored
-            // entry is never beyond the horizon: it is in the past.
-            self.overflow.push(Reverse(Entry { at, seq, event }));
-        }
-        self.live += 1;
     }
 
     /// Pops the earliest event only if it is due at or before `now`.
@@ -887,33 +832,22 @@ mod tests {
     }
 
     #[test]
-    fn pop_keyed_restore_is_invisible_to_ordering() {
+    fn issued_seqs_order_outside_values_against_the_head() {
         let mut q = EventQueue::new();
         q.schedule(Cycles(10), "a");
+        // A value kept outside the queue at the head's time: its seq is
+        // newer than "a"'s, older than "b"'s, so it ties between them.
+        let outside = (Cycles(10), q.issue_seq());
         q.schedule(Cycles(10), "b");
-        q.schedule(Cycles(20), "c");
-        // Lift the head out, schedule newer same-cycle work, put it back:
-        // the restored entry must still win its FIFO tie.
-        let (at, tok, ev) = q.pop_keyed().unwrap();
-        assert_eq!((at, ev), (Cycles(10), "a"));
-        q.schedule(Cycles(10), "d");
-        q.restore(tok, ev);
-        assert_eq!(q.len(), 4);
+        assert_eq!(q.len(), 2, "issuing a seq queues nothing");
+        assert!(q.peek_key() < Some(outside));
         assert_eq!(q.pop(), Some((Cycles(10), "a")));
-        assert_eq!(q.pop(), Some((Cycles(10), "b")));
-        assert_eq!(q.pop(), Some((Cycles(10), "d")));
-        assert_eq!(q.pop(), Some((Cycles(20), "c")));
-        assert_eq!(q.pop(), None);
-        // A restore below the advanced cursor lands in overflow and still
-        // pops first (and its token stays cancellable across the cycle).
-        q.schedule(Cycles(100), "far");
-        let (_, tok, ev) = q.pop_keyed().unwrap();
-        q.schedule(Cycles(150), "advance");
-        assert_eq!(q.pop(), Some((Cycles(150), "advance")));
-        q.restore(tok, ev);
-        assert_eq!(q.peek_time(), Some(Cycles(100)));
-        assert!(q.cancel(tok), "restored event is live again");
-        assert_eq!(q.peek_time(), None);
+        assert!(Some(outside) < q.peek_key());
+        assert_eq!(q.peek_key().map(|(at, _)| at), Some(Cycles(10)));
+        // Issues count toward the mark like schedules do.
+        let mark = q.schedule_mark();
+        q.issue_seq();
+        assert_eq!(q.schedule_mark(), mark + 1);
     }
 
     #[test]
@@ -999,13 +933,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_returns_event_without_removing() {
+    fn peek_key_returns_the_head_key_without_removing() {
         let mut q = EventQueue::new();
         let t = q.schedule(Cycles(3), "dead");
         q.schedule(Cycles(4), "live");
         q.cancel(t);
-        assert_eq!(q.peek(), Some((Cycles(4), &"live")));
-        assert_eq!(q.len(), 1, "peek must not remove live events");
+        assert_eq!(q.peek_key(), Some((Cycles(4), 1)));
+        assert_eq!(q.len(), 1, "peek_key must not remove live events");
         assert_eq!(q.pop(), Some((Cycles(4), "live")));
     }
 
@@ -1056,7 +990,7 @@ mod tests {
         assert!(q.cancel(t));
         assert_eq!((q.summary, q.occupied), (0, [0; WHEEL_WORDS]));
         assert!(q.is_empty());
-        assert_eq!(q.peek(), None);
+        assert_eq!(q.peek_key(), None);
         // The slot is reusable for the next lap's cycle.
         q.schedule(Cycles(700), "next");
         assert_eq!(q.pop(), Some((Cycles(700), "next")));

@@ -1,9 +1,13 @@
 //! Differential fuzz for `EventQueue`: random interleavings of
-//! `schedule` / `cancel` / `pop_due` / `pop_keyed` / `restore` with times
-//! spanning well past the 4096-cycle wheel horizon, checked against a
-//! naive reference model (a flat list ordered by the same `(time, issue
-//! order)` key). This is exactly the API surface the burst engine and the
-//! shard engine lean on; wheel-cursor and overflow-spill bugs hide here.
+//! `schedule` / `cancel` / `pop_due` and of values kept *outside* the
+//! queue under a seq from `issue_seq`, with times spanning well past the
+//! 4096-cycle wheel horizon, checked against a naive reference model (a
+//! flat list ordered by the same `(time, issue order)` key). An outside
+//! value is merged against `peek_key` the way the machine merges a
+//! slot's next dispatch with the device queue, so it must order against
+//! queued events by `(time, seq)`. This is exactly the API surface the
+//! machine's run loop and the epoch engine lean on; wheel-cursor and
+//! overflow-spill bugs hide here.
 //!
 //! Besides uniformly random times, the scenarios build the schedules the
 //! simulator really produces beyond the horizon: a pre-scheduled arrival
@@ -21,34 +25,42 @@ use switchless_sim::time::Cycles;
 /// The wheel horizon in cycles.
 const HORIZON: u64 = 4096;
 
-/// Where a scheduled event currently is, from the model's point of view.
+/// At most this many values are kept outside the queue at once (the
+/// machine keeps one per pipeline slot).
+const OUTSIDE_MAX: usize = 8;
+
+/// Where an issued record currently is, from the model's point of view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Where {
-    /// In the queue, poppable.
-    Live,
-    /// Removed with `pop_keyed`, restorable.
-    Held,
+    /// In the queue, poppable and cancellable.
+    Queued,
+    /// Kept outside the queue under an issued seq; pops by the merge.
+    Outside,
     /// Popped for good or cancelled.
     Gone,
 }
 
 struct Rec {
     at: Cycles,
-    token: EventToken,
+    /// The cancel token of a queued record; outside records have none.
+    token: Option<EventToken>,
     val: u64,
     site: Where,
 }
 
-/// The queue under test beside its reference model. The queue orders by
-/// `(time, schedule order)` and `restore` preserves the original key, so
-/// an ordered set of `(time, issue index)` pairs — the textbook
-/// priority-queue semantics — is the whole specification. Every method
-/// applies one operation to both and checks they agree.
+/// The queue under test beside its reference model. Every record takes
+/// one seq in issue order, so its index is its seq, and an ordered set
+/// of `(time, index)` pairs — the textbook priority-queue semantics —
+/// is the whole specification. Every method applies one operation to
+/// both and checks they agree.
 struct Harness {
     label: String,
     q: EventQueue<u64>,
     recs: Vec<Rec>,
+    /// Queued and outside records, in pop order.
     live: BTreeSet<(Cycles, usize)>,
+    /// Indices of the outside records.
+    outside: Vec<usize>,
     /// Highest time popped so far (the machine's clock).
     now: Cycles,
 }
@@ -60,22 +72,13 @@ impl Harness {
             q: EventQueue::new(),
             recs: Vec::new(),
             live: BTreeSet::new(),
+            outside: Vec::new(),
             now: Cycles(0),
         }
     }
 
     fn min_live(&self) -> Option<usize> {
         self.live.first().map(|&(_, i)| i)
-    }
-
-    fn set_site(&mut self, i: usize, site: Where) {
-        let key = (self.recs[i].at, i);
-        if site == Where::Live {
-            self.live.insert(key);
-        } else {
-            self.live.remove(&key);
-        }
-        self.recs[i].site = site;
     }
 
     /// Schedules a new event at `at`; returns its record index.
@@ -85,29 +88,63 @@ impl Harness {
         let token = self.q.schedule(at, val);
         self.recs.push(Rec {
             at,
-            token,
+            token: Some(token),
             val,
-            site: Where::Live,
+            site: Where::Queued,
         });
         self.live.insert((at, i));
         i
     }
 
-    /// Bounded pop; advances the clock. Returns the popped record.
+    /// Keeps a new value due at `at` outside the queue under an issued
+    /// seq, if fewer than [`OUTSIDE_MAX`] are outside already.
+    fn issue(&mut self, at: Cycles) {
+        if self.outside.len() >= OUTSIDE_MAX {
+            return;
+        }
+        let i = self.recs.len();
+        assert_eq!(self.q.issue_seq(), i as u64, "{}: issue_seq", self.label);
+        self.recs.push(Rec {
+            at,
+            token: None,
+            val: i as u64,
+            site: Where::Outside,
+        });
+        self.live.insert((at, i));
+        self.outside.push(i);
+    }
+
+    /// Bounded pop of the earliest record, queued or outside, merged by
+    /// `(time, seq)` against `peek_key`; advances the clock. Returns the
+    /// popped record.
     fn pop_due(&mut self, bound: Cycles) -> Option<usize> {
-        let got = self.q.pop_due(bound);
+        let out = self
+            .outside
+            .iter()
+            .map(|&i| (self.recs[i].at, i as u64))
+            .min()
+            .filter(|&key| self.q.peek_key().is_none_or(|head| key < head));
+        let got = match out {
+            Some((at, i)) if at <= bound => {
+                self.outside.retain(|&j| j as u64 != i);
+                Some((at, i))
+            }
+            Some(_) => None,
+            None => self.q.pop_due(bound),
+        };
         let want = self.min_live().filter(|&i| self.recs[i].at <= bound);
         match (got, want) {
             (None, None) => None,
             (Some((at, val)), Some(i)) => {
                 let r = &self.recs[i];
                 assert_eq!((at, val), (r.at, r.val), "{}: pop_due", self.label);
-                self.set_site(i, Where::Gone);
+                self.live.remove(&(r.at, i));
+                self.recs[i].site = Where::Gone;
                 self.now = self.now.max(at);
                 Some(i)
             }
             (got, want) => panic!(
-                "{}: pop_due diverged: queue {:?} vs model {:?}",
+                "{}: pop_due diverged: merge {:?} vs model {:?}",
                 self.label,
                 got,
                 want.map(|i| (self.recs[i].at, self.recs[i].val)),
@@ -115,63 +152,42 @@ impl Harness {
         }
     }
 
-    /// Unbounded pop that can be restored. Returns the held record.
-    fn pop_keyed(&mut self) -> Option<usize> {
-        match (self.q.pop_keyed(), self.min_live()) {
-            (None, None) => None,
-            (Some((at, token, val)), Some(i)) => {
-                let r = &self.recs[i];
-                assert_eq!(
-                    (at, token, val),
-                    (r.at, r.token, r.val),
-                    "{}: pop_keyed",
-                    self.label
-                );
-                self.set_site(i, Where::Held);
-                Some(i)
-            }
-            (got, want) => panic!(
-                "{}: pop_keyed diverged: queue {:?} vs model {:?}",
-                self.label,
-                got,
-                want.map(|i| (self.recs[i].at, self.recs[i].val)),
-            ),
-        }
-    }
-
-    /// Puts a held record back under its original key.
-    fn restore(&mut self, i: usize) {
-        let r = &self.recs[i];
-        assert_eq!(r.site, Where::Held, "{}: restore of a non-held", self.label);
-        self.q.restore(r.token, r.val);
-        self.set_site(i, Where::Live);
-    }
-
-    /// Cancels any record ever issued; the queue must report whether it
-    /// was actually live (popped/cancelled tokens are refused).
+    /// Cancels any queued record ever issued; the queue must report
+    /// whether it was actually queued (popped/cancelled tokens are
+    /// refused).
     fn cancel(&mut self, i: usize) -> bool {
-        let want = self.recs[i].site == Where::Live;
-        assert_eq!(
-            self.q.cancel(self.recs[i].token),
-            want,
-            "{}: cancel",
-            self.label
-        );
+        let Some(token) = self.recs[i].token else {
+            return false;
+        };
+        let want = self.recs[i].site == Where::Queued;
+        assert_eq!(self.q.cancel(token), want, "{}: cancel", self.label);
         if want {
-            self.set_site(i, Where::Gone);
+            self.live.remove(&(self.recs[i].at, i));
+            self.recs[i].site = Where::Gone;
         }
         want
     }
 
-    /// Checks the queue's exact length and deadline against the model.
+    /// Checks the queue's exact length, head time and head key against
+    /// the model's queued records.
     fn check(&self) {
         let label = &self.label;
-        assert_eq!(self.q.len(), self.live.len(), "{label}: len");
-        let want_deadline = self.min_live().map(|i| self.recs[i].at);
-        assert_eq!(self.q.peek_time(), want_deadline, "{label}: peek_time");
+        let mut queued = self
+            .live
+            .iter()
+            .filter(|&&(_, i)| self.recs[i].site == Where::Queued);
+        let head = queued.next().map(|&(at, i)| (at, i as u64));
+        let len = self.live.len() - self.outside.len();
+        assert_eq!(self.q.len(), len, "{label}: len");
+        assert_eq!(self.q.peek_key(), head, "{label}: peek_key");
+        assert_eq!(
+            self.q.peek_time(),
+            head.map(|(at, _)| at),
+            "{label}: peek_time"
+        );
     }
 
-    /// Drains what is left in the queue and checks full order agreement.
+    /// Drains what is left and checks full order agreement.
     fn drain(&mut self) {
         while self.pop_due(Cycles(u64::MAX)).is_some() {}
         assert_eq!(
@@ -185,13 +201,6 @@ impl Harness {
             "{}: model has leftover events",
             self.label
         );
-    }
-
-    /// Records currently held by `pop_keyed`.
-    fn held(&self) -> Vec<usize> {
-        (0..self.recs.len())
-            .filter(|&i| self.recs[i].site == Where::Held)
-            .collect()
     }
 }
 
@@ -211,18 +220,12 @@ fn fuzz_once(seed: u64, ops: u32) {
             40..=64 => {
                 h.pop_due(h.now + Cycles(rng.next_below(2 * HORIZON)));
             }
-            // pop_keyed: unbounded pop that can be restored.
-            65..=79 => {
-                h.pop_keyed();
+            // issue: a value kept outside the queue, due in the same
+            // spread of times.
+            65..=84 => {
+                h.issue(h.now + Cycles(rng.next_below(3 * HORIZON)));
             }
-            // restore: put a held entry back under its original key.
-            80..=89 => {
-                let held = h.held();
-                if !held.is_empty() {
-                    h.restore(held[rng.next_below(held.len() as u64) as usize]);
-                }
-            }
-            // cancel: any token ever issued.
+            // cancel: any record ever issued.
             _ => {
                 if !h.recs.is_empty() {
                     h.cancel(rng.next_below(h.recs.len() as u64) as usize);
@@ -248,26 +251,26 @@ fn event_queue_matches_reference_model_long_run() {
     fuzz_once(0xfeed, 40_000);
 }
 
-/// Serves every pending event the way the machine does: pop the head;
-/// a popped event may schedule a near-term follow-up (instruction and
-/// DMA latencies), now and then one in the past; sometimes the head is
-/// lifted with `pop_keyed` and restored after newer work is scheduled
-/// (epoch staging), and sometimes a random earlier token is cancelled.
+/// Serves every pending event the way the machine does: pop the
+/// earliest, queued or outside; a popped event may schedule a near-term
+/// follow-up (instruction and DMA latencies), now and then one in the
+/// past; sometimes an outside value is issued at the queue head's time
+/// with queued work scheduled behind it (a slot armed while device
+/// events wait), and sometimes a random earlier token is cancelled.
 fn serve(h: &mut Harness, rng: &mut Rng, far: &[usize]) {
     let mut step = 0u64;
     loop {
         step += 1;
         match rng.next_below(100) {
-            // Stage the head (often a far entry when the wheel is idle)
-            // and put it back after scheduling behind it.
+            // Tie an outside value with the head (often a far entry when
+            // the wheel is idle) and schedule behind it.
             0..=7 => {
-                let Some(i) = h.pop_keyed() else { break };
+                let Some((at, _)) = h.q.peek_key() else { break };
+                h.issue(at);
                 if rng.chance(0.5) {
-                    let at = h.recs[i].at;
                     h.schedule(at);
                     h.schedule(at + Cycles(rng.next_below(2 * HORIZON)));
                 }
-                h.restore(i);
             }
             // Cancel a far arrival (head, middle or already gone).
             8..=11 if !far.is_empty() => {
@@ -381,7 +384,8 @@ fn migrated_far_entries_tie_with_wheel_entries() {
     // Far arrivals on a coarse grid, up to three per cycle, move into
     // the wheel as the clock reaches their window. Follow-ups scheduled
     // onto the same grid cycles tie with them and must pop after them;
-    // cancels and stage-and-restore hit entries that already moved.
+    // cancels hit entries that already moved, and outside values tie
+    // with them.
     const GRID: u64 = 256;
     for seed in 0..8 {
         let mut rng = Rng::seed_from(0x71e5_0000 + seed);
@@ -418,13 +422,12 @@ fn migrated_far_entries_tie_with_wheel_entries() {
                         h.cancel(moved[rng.next_below(moved.len() as u64) as usize]);
                     }
                 }
-                // Stage the head, schedule a same-cycle tie behind it,
-                // put it back.
+                // Tie an outside value with the head, and schedule a
+                // same-cycle tie behind both.
                 3 => {
-                    let Some(i) = h.pop_keyed() else { break };
-                    let at = h.recs[i].at;
+                    let Some((at, _)) = h.q.peek_key() else { break };
+                    h.issue(at);
                     h.schedule(at);
-                    h.restore(i);
                 }
                 _ => {
                     if h.pop_due(Cycles(u64::MAX)).is_none() {
