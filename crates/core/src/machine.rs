@@ -14,9 +14,11 @@
 //!
 //! As a host-side fast path, a dispatch may execute a **burst** of
 //! instructions inline when the picked thread is provably the only
-//! possible pick and no pending event could observe state in between
-//! (DESIGN.md §8). Bursts never change the simulated timeline — they
-//! elide run-loop round-trips whose outcome is forced.
+//! possible pick (every other thread on the core is busy) and no pending
+//! event could observe state in between, and the run loop dispatches a
+//! core's own due slots inline in a **slot chain** while nothing else is
+//! due first (DESIGN.md §8). Neither changes the simulated timeline —
+//! they elide run-loop round-trips whose outcome is forced.
 //!
 //! # The only hardware state changes
 //!
@@ -209,10 +211,8 @@ pub(crate) struct Thread {
     pub(crate) arch: ArchState,
     pub(crate) state: ThreadState,
     /// Core this thread currently belongs to (changes on migration).
+    /// Its scheduler holds the time the thread is busy until.
     pub(crate) home: usize,
-    /// Busy executing an in-flight instruction (or a state transfer)
-    /// until this time; the scheduler skips it.
-    pub(crate) busy_until: Cycles,
     /// Set when a monitored write arrives between `monitor` and `mwait`
     /// (or while running), so the next `mwait` falls through.
     pub(crate) monitor_triggered: bool,
@@ -257,7 +257,6 @@ impl Thread {
             arch: ArchState::default(),
             state: ThreadState::Disabled,
             home,
-            busy_until: Cycles::ZERO,
             monitor_triggered: false,
             monitor_armed: false,
             activated: false,
@@ -339,15 +338,33 @@ impl Slot {
     }
 }
 
+impl CoreState {
+    /// This core's earliest due slot as `(time, seq, slot)`.
+    #[inline]
+    pub(crate) fn next_due(&self) -> Option<(Cycles, u64, usize)> {
+        // Keys compare as `(time, seq)`; nothing is due at `u128::MAX`,
+        // since the seq counter never gets there.
+        let key = |slot: Slot| match slot {
+            Slot::Due(at, seq) => u128::from(at.0) << 64 | u128::from(seq),
+            Slot::Idle | Slot::Running => u128::MAX,
+        };
+        let (s, k) = self
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(s, &slot)| (s, key(slot)))
+            .min_by_key(|&(_, k)| k)?;
+        (k != u128::MAX).then_some((Cycles((k >> 64) as u64), k as u64, s))
+    }
+}
+
 /// The earliest due slot over `cores` as `(time, seq, core, slot)`.
 pub(crate) fn next_slot(cores: &[CoreState]) -> Option<(Cycles, u64, usize, usize)> {
     let mut best: Option<(Cycles, u64, usize, usize)> = None;
     for (c, cs) in cores.iter().enumerate() {
-        for (s, slot) in cs.slots.iter().enumerate() {
-            if let Some((at, seq)) = slot.due() {
-                if best.is_none_or(|(bt, bs, ..)| (at, seq) < (bt, bs)) {
-                    best = Some((at, seq, c, s));
-                }
+        if let Some((at, seq, s)) = cs.next_due() {
+            if best.is_none_or(|(bt, bs, ..)| (at, seq) < (bt, bs)) {
+                best = Some((at, seq, c, s));
             }
         }
     }
@@ -443,6 +460,14 @@ impl Engine {
 /// and identical at every `machine_jobs` value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
+    /// Slot dispatches, whether the run loop popped them or a slot
+    /// chain ran them inline (DESIGN.md §8); one that finds no thread to
+    /// pick counts too.
+    pub slot_events: u64,
+    /// Events the serial run loop popped: device events, plus the slot
+    /// dispatch that heads each chain. On [`Engine::Reference`] every
+    /// slot dispatch is one.
+    pub loop_pops: u64,
     /// Dispatches that ran at least one instruction; each burst's first
     /// instruction is counted here, not in a tier below.
     pub bursts: u64,
@@ -498,6 +523,7 @@ impl EngineStats {
 
     /// Adds an epoch worker's deltas (the fields dispatch counts).
     pub(crate) fn absorb(&mut self, d: &EngineStats) {
+        self.slot_events += d.slot_events;
         self.bursts += d.bursts;
         self.step_insts += d.step_insts;
         self.reg_block_insts += d.reg_block_insts;
@@ -664,7 +690,8 @@ pub struct Machine {
     /// the watchdog, which the machine runs itself, and stays `None`; a
     /// handler is also `None` while it runs.
     devices: Vec<Option<DeviceHandler>>,
-    hcalls: FxHashMap<u16, HostCall>,
+    /// Registered hcall handlers; a handler is `None` while it runs.
+    hcalls: FxHashMap<u16, Option<HostCall>>,
     /// Device doorbells: store hooks keyed by exact 8-byte-aligned
     /// address; fired after the monitor filter on any covering store.
     pub(crate) mmio_hooks: FxHashMap<u64, MmioHook>,
@@ -709,6 +736,15 @@ pub struct Machine {
     pub(crate) epochs: EpochEngine,
     /// How the engines ran this machine ([`Machine::engine_stats`]).
     pub(crate) stats: EngineStats,
+    /// Slot arms by `kick_core`, on any core: with the device queue's
+    /// schedule count, the mark that `foreign` is valid for.
+    kicks: u64,
+    /// `(mark, core, time)`: the earliest pending event that is not one
+    /// of `core`'s own slots, cached at mark `events.schedules() +
+    /// kicks` ([`ExecCtx::foreign_bound`]). Only a schedule or a kick can
+    /// move it earlier; `step` voids it (mark `u64::MAX`) before each
+    /// chain, since its own pops move it later.
+    foreign: (u64, usize, Option<Cycles>),
     /// Host execution engine ([`Machine::set_engine`]).
     engine: Engine,
     /// Sorted MMIO hook addresses, maintained by [`Machine::register_mmio`].
@@ -785,6 +821,8 @@ impl Machine {
             device_ledgers: Vec::new(),
             epochs: EpochEngine::new(cfg.cores),
             stats: EngineStats::default(),
+            kicks: 0,
+            foreign: (u64::MAX, 0, None),
             engine: Engine::process_default(),
             mmio_addrs: Vec::new(),
             probe: None,
@@ -1140,9 +1178,12 @@ impl Machine {
         }
     }
 
-    /// Registers a host-service handler for `hcall num`.
+    /// Registers a host-service handler for `hcall num`, replacing any
+    /// earlier one. A handler may register its own number again while
+    /// it runs: the new handler serves every later call, and the running
+    /// one is dropped when it returns.
     pub fn register_hcall(&mut self, num: u16, f: impl FnMut(&mut Machine, ThreadId) + 'static) {
-        self.hcalls.insert(num, Box::new(f));
+        self.hcalls.insert(num, Some(Box::new(f)));
     }
 
     /// Adds cycles to the cost of the instruction currently executing
@@ -1549,7 +1590,8 @@ impl Machine {
         let now = self.now;
         let link = self.cfg.store.link_bytes_per_cycle.max(1);
         let l3_base = self.cfg.store.l3_base.0;
-        let (runnable, prio) = {
+        let busy = self.cores[old].sched.take_busy_until(ptid);
+        let (runnable, prio, xfer) = {
             let t = self.thread_mut(ptid);
             t.home = new_core;
             t.activated = false;
@@ -1557,9 +1599,10 @@ impl Machine {
             // the new side — two L3-class bulk transfers.
             let bytes = t.state_bytes();
             let xfer = Cycles(2 * (l3_base + bytes.div_ceil(link)));
-            t.busy_until = t.busy_until.max(now + xfer);
-            (t.state == ThreadState::Runnable, t.arch.prio)
+            (t.state == ThreadState::Runnable, t.arch.prio, xfer)
         };
+        let sched = &mut self.cores[new_core].sched;
+        sched.hold_until(ptid, busy.max(now + xfer));
         self.counters.inc("thread.migrations");
         let (from, to) = (old as u32, new_core as u32);
         self.trace_transition(ptid, Transition::Migrate { from, to });
@@ -1598,7 +1641,7 @@ impl Machine {
         if self.engine == Engine::Fast && self.cfg.cores > 1 {
             self.run_until_sharded(t);
         } else {
-            while self.halted.is_none() && self.step(t, t, None) {}
+            while self.halted.is_none() && self.step(t, t, None) > 0 {}
         }
         if self.invariants_on {
             self.check_invariants();
@@ -1609,29 +1652,48 @@ impl Machine {
     }
 
     /// Handles the earliest pending event if it is due at or before
-    /// `pop_bound`: a slot's dispatch, with `horizon` and `watch` (see
-    /// [`dispatch`]), or a device event. Returns whether one was
-    /// handled. The one event-step body of every run loop, including the
-    /// epoch engine's serial replay.
+    /// `pop_bound`: a device event, or a slot's dispatch with `horizon`
+    /// and `watch` (see [`dispatch`]). Returns how many events it
+    /// handled, 0 when none was due. The one event-step body of every
+    /// run loop, including the epoch engine's serial replay.
+    ///
+    /// On [`Engine::Fast`] a slot dispatch heads a **slot chain**: the
+    /// core's next own due slot is dispatched inline, in `(time, seq)`
+    /// order and through the same clock move (and invariant check) a
+    /// pop makes, while it is due at or before `pop_bound` and strictly
+    /// before every foreign event (the device queue's head, another
+    /// core's slot), the machine has not halted and `watch` is not
+    /// reached: exactly the events the run loop would pop next, in its
+    /// order (DESIGN.md §8). [`Engine::Reference`] pops each dispatch.
     pub(crate) fn step(
         &mut self,
         pop_bound: Cycles,
         horizon: Cycles,
         watch: Option<(Ptid, ThreadState)>,
-    ) -> bool {
+    ) -> u64 {
         let Some((ts, slot)) = self.next_pending().filter(|&(ts, _)| ts <= pop_bound) else {
-            return false;
+            return 0;
         };
-        if let Some((core, s)) = slot {
-            self.cores[core].slots[s] = Slot::Running;
-            self.clock_to(ts);
-            let Ok(()) = dispatch(self, core, s, horizon, watch);
-        } else {
+        self.stats.loop_pops += 1;
+        let Some((core, _)) = slot else {
             let (_, (id, arg)) = self.events.pop().expect("the head was peeked");
             self.clock_to(ts);
             self.run_device(id, arg);
-        }
-        true
+            return 1;
+        };
+        // Pops since the last chain may have moved the bound later.
+        self.foreign.0 = u64::MAX;
+        let chain = self.engine == Engine::Fast;
+        let mut head = true;
+        let Ok(n) = run_slots(self, core, horizon, watch, |m, ts, _| {
+            core::mem::take(&mut head)
+                || (chain
+                    && ts <= pop_bound
+                    && m.halted.is_none()
+                    && watch.is_none_or(|(p, s)| m.threads[p.0 as usize].state != s)
+                    && m.foreign_bound(core).is_none_or(|f| ts < f))
+        });
+        n
     }
 
     /// The earliest pending `(time, seq)` over every slot table and the
@@ -1650,15 +1712,17 @@ impl Machine {
         self.next_pending().map(|(at, _)| at)
     }
 
-    /// Moves the clock to the time of the event being handled.
-    fn clock_to(&mut self, ts: Cycles) {
-        if ts > self.now {
-            // Event boundary: all work at `now` has settled.
-            if self.invariants_on {
-                self.check_invariants();
-            }
-            self.now = ts;
-        }
+    /// Recomputes the [`ExecCtx::foreign_bound`] cache for `core` at
+    /// `mark`: the device queue's head or another core's due slot.
+    #[inline(never)]
+    fn refresh_foreign(&mut self, mark: u64, core: usize) {
+        let others = self.cores.iter().enumerate().filter(|&(c, _)| c != core);
+        let at = others
+            .filter_map(|(_, cs)| cs.next_due())
+            .map(|(at, ..)| at)
+            .chain(self.events.peek_time())
+            .min();
+        self.foreign = (mark, core, at);
     }
 
     /// Runs for `d` more cycles.
@@ -1674,7 +1738,7 @@ impl Machine {
         // The watch pair makes bursts bail the moment `tid` reaches
         // `state`, so `now` on return is exactly the single-step value.
         while self.now <= deadline && self.halted.is_none() && self.thread_state(tid) != state {
-            if !self.step(deadline, deadline, Some((tid.ptid, state))) {
+            if self.step(deadline, deadline, Some((tid.ptid, state))) == 0 {
                 break;
             }
         }
@@ -1732,8 +1796,7 @@ impl Machine {
                 // dispatched before the transfer completes, but other
                 // threads keep the pipeline busy meanwhile.
                 let done = self.now + cost - self.cfg.store.rf_start.min(cost);
-                let t = self.thread_mut(ptid);
-                t.busy_until = t.busy_until.max(done);
+                self.cores[core].sched.hold_until(ptid, done);
                 let part = self.threads[ptid.0 as usize].partition;
                 for &line in self.prefetcher.wake_set(WatchId(u64::from(ptid.0))) {
                     self.hier.warm(core, line, part);
@@ -1768,6 +1831,7 @@ impl Machine {
             if self.cores[core].slots[slot] == Slot::Idle {
                 let seq = self.events.issue_seq();
                 self.cores[core].slots[slot] = Slot::Due(self.now, seq);
+                self.kicks += 1;
             }
         }
     }
@@ -2062,25 +2126,31 @@ pub(crate) trait ExecCtx {
     fn cfg(&self) -> &MachineConfig;
     fn now(&self) -> Cycles;
     fn set_now(&mut self, t: Cycles);
+    /// Moves the clock to the due time `ts` of the slot about to be
+    /// dispatched; never moves it back.
+    fn clock_to(&mut self, ts: Cycles);
     fn halted(&self) -> bool;
     /// Whether bursts may run superblocks ([`Engine::Fast`]).
     fn superblocks(&self) -> bool;
+    /// Whether a burst may go on while other threads are enrolled on its
+    /// core, as long as every one of them is busy past the cursor (see
+    /// [`burst_eligible`]). [`Engine::Fast`] only, and on the serial
+    /// machine only with the invariant checker off: the reference loop
+    /// pops, and so checks, at every such instruction.
+    fn free_bursts(&self) -> bool;
     fn core_mut(&mut self, core: usize) -> &mut CoreState;
     fn th_index(&self, ptid: Ptid) -> usize;
     fn th(&self, h: usize) -> &Thread;
     fn th_mut(&mut self, h: usize) -> &mut Thread;
-    /// The scheduler's pick on `core` at `now`; when every enrolled
-    /// thread is busy, the earliest time one frees up.
-    fn pick(&mut self, core: usize, now: Cycles) -> Result<Ptid, Option<Cycles>>;
 
     /// Arms `core`'s `slot` to dispatch at `at`, after everything
     /// already pending at `at`.
     fn schedule_slot(&mut self, at: Cycles, core: usize, slot: usize);
-    /// Changes whenever a slot is armed or an event is scheduled.
-    fn schedule_mark(&self) -> u64;
     /// Time of the earliest pending event that is not one of `core`'s
-    /// own slots: the burst gate (see [`dispatch`]).
-    fn next_deadline(&mut self, core: usize) -> Option<Cycles>;
+    /// own slots, or an earlier time (a cached bound only goes stale
+    /// early): the burst gate and the slot chain's bound (see
+    /// [`dispatch`] and [`Machine::step`]).
+    fn foreign_bound(&mut self, core: usize) -> Option<Cycles>;
 
     /// One burst's instructions (each one dispatch): its first, then
     /// `steps` single-stepped and `reg_block`/`mem_block` retired in
@@ -2243,21 +2313,44 @@ pub(crate) fn write_le(bytes: &mut [u8], len: u64, v: u64) {
     }
 }
 
-/// [`ExecCtx::pick`] over a scheduler and a thread's `busy_until`.
-pub(crate) fn pick_free(
-    sched: &mut HwScheduler,
-    now: Cycles,
-    busy_until: impl Fn(Ptid) -> Cycles,
-) -> Result<Ptid, Option<Cycles>> {
-    sched
-        .pick(|p| busy_until(p) > now)
-        .ok_or_else(|| sched.min_over_enrolled(|p| Some(busy_until(p)).filter(|&b| b > now)))
+/// Dispatches `core`'s due slots in `(time, seq)` order, each at its
+/// due time, while `admit` accepts the next one's `(time, seq)`; returns
+/// how many it dispatched. The one core-local slot loop: the serial
+/// machine's slot chain ([`Machine::step`]) and an epoch worker's run
+/// (`shard.rs`) differ only in `admit`.
+pub(crate) fn run_slots<X: ExecCtx>(
+    x: &mut X,
+    core: usize,
+    horizon: Cycles,
+    watch: Option<(Ptid, ThreadState)>,
+    mut admit: impl FnMut(&mut X, Cycles, u64) -> bool,
+) -> Result<u64, X::Bail> {
+    let mut n = 0;
+    while let Some((ts, seq, slot)) = x.core_mut(core).next_due() {
+        if !admit(x, ts, seq) {
+            break;
+        }
+        x.core_mut(core).slots[slot] = Slot::Running;
+        x.clock_to(ts);
+        dispatch(x, core, slot, horizon, watch)?;
+        n += 1;
+    }
+    Ok(n)
 }
 
 /// Dispatches one pipeline slot: picks a thread, charges activation,
 /// and executes an instruction **burst** — up to [`MAX_BURST`]
 /// instructions inline, advancing a local cycle cursor, instead of one
 /// run-loop round-trip per instruction (see DESIGN.md §8).
+///
+/// The burst runs an instruction at cursor `done` only before its
+/// *gate*: the earlier of [`ExecCtx::foreign_bound`] (a pending event
+/// that is not one of this core's own slots) and the *rival bound*, the
+/// first cursor at which another thread enrolled on the core could win
+/// the pick (the earliest of their `busy_until`, or at once when
+/// [`ExecCtx::free_bursts`] is off). Own slots due inside the burst are
+/// inert: every pick they would make before the gate finds this thread
+/// the only free one, or finds it busy and re-arms.
 ///
 /// `horizon` is the last cycle an instruction may dispatch at (the run
 /// deadline, mirroring `step`'s `pop_bound`; a worker's fresh-event horizon).
@@ -2271,11 +2364,12 @@ pub(crate) fn dispatch<X: ExecCtx>(
     horizon: Cycles,
     watch: Option<(Ptid, ThreadState)>,
 ) -> Result<(), X::Bail> {
+    x.stats().slot_events += 1;
     if x.halted() {
         return Ok(());
     }
     let now = x.now();
-    let ptid = match x.pick(core, now) {
+    let ptid = match x.core_mut(core).sched.pick_free(now) {
         Ok(p) => p,
         // Runnable threads may exist but be busy (state transfer or an
         // in-flight instruction on the other slot): retry when the
@@ -2320,6 +2414,10 @@ pub(crate) fn dispatch<X: ExecCtx>(
         ws.2 = ws.2.max(sample);
     }
 
+    // The enrolled set the pick saw. A burst ends when it changes: a wake
+    // may stamp the woken thread's state-store recency (its prefetch),
+    // which the burst's elided touches of this thread must not pass.
+    let generation = x.core_mut(core).sched.generation();
     // Execute the first instruction (the one this dispatch paid for).
     cost = (cost + exec_charged(x, core, ptid, h)?).max(Cycles(1));
     let mut done = now + cost;
@@ -2328,16 +2426,11 @@ pub(crate) fn dispatch<X: ExecCtx>(
     // nothing else can observe machine state first, keep executing its
     // instructions inline. Continuation is decided *after* each
     // instruction's effects, so any cross-thread side effect (a wake
-    // that enrols a second thread, a scheduled callback, an exception,
-    // a halt) ends the burst exactly where single-stepping would have
-    // re-arbitrated differently. The gate is the earliest pending event
-    // on anything but this core's own slots: a sibling slot due inside
-    // the burst is inert, because `burst_eligible` keeps this thread the
-    // sole enrolled one and busy through every cursor, so the sibling's
-    // pick would find nothing free and only re-arm it at this burst's
-    // end. `next_deadline` is cached and only recomputed when something
-    // scheduled (schedules are the only way the deadline can move
-    // earlier).
+    // that enrols a free rival, a scheduled event, an exception, a
+    // halt) ends the burst exactly where single-stepping would have
+    // re-arbitrated differently. Both halves of the gate are cached:
+    // the foreign bound by the context, the rival bound until the
+    // scheduler's enrolment generation moves.
     let mut burst_cost = Cycles::ZERO;
     // Instructions beyond the first, and those of them retired in
     // register-only and memory blocks.
@@ -2353,19 +2446,26 @@ pub(crate) fn dispatch<X: ExecCtx>(
     // block exit.
     let mut seq_pc = u64::MAX;
     if watch.is_none_or(|(p, s)| x.th(x.th_index(p)).state != s) {
-        let mut mark = x.schedule_mark();
-        let mut qmin = x.next_deadline(core);
+        // The rival bound, derived at the first check and valid while
+        // the enrolled set is the one the pick saw.
+        let mut rivals: Option<Option<Cycles>> = None;
+        let mut foreign = x.foreign_bound(core);
         while extra < MAX_BURST
             && done <= horizon
+            && foreign.is_none_or(|q| q > done)
             && burst_eligible(x, core, ptid, h, done)
-            && qmin.is_none_or(|q| q > done)
+            && x.core_mut(core).sched.generation() == generation
+            && rivals
+                .get_or_insert_with(|| rival_bound(x, core, ptid, done))
+                .is_none_or(|r| r > done)
         {
+            let gate = min_time(foreign, rivals.flatten());
             // Superblock fast path (DESIGN.md §10): a formed region
             // executes as one unit — a looping one for as many whole
             // iterations as provably stay inside this burst's window.
             // Block instructions cannot schedule events, change any
             // thread state, or incur a pending charge, so the
-            // per-instruction mark/watch/eligibility re-checks are
+            // per-instruction gate/watch/eligibility re-checks are
             // constant across every iteration: the check at the loop
             // head covers every interior cursor (`busy_until <= done`
             // stays true as `done` only grows). Any failed precondition
@@ -2397,7 +2497,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
                     // most one iteration — burst length is observably
                     // invisible. The last one's final dispatch cursor,
                     // `done + n·bcost − last_cost`, must be inside the
-                    // horizon and before the deadline gate, exactly as
+                    // horizon and before the gate, exactly as
                     // single-stepping checks at every interior cursor:
                     // a gate at `q` admits the iterations whose last
                     // cursor is before it.
@@ -2408,7 +2508,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
                         1
                     };
                     n = n.min((horizon - done).0.saturating_add(last_cost) / bcost);
-                    if let Some(q) = qmin.filter(|&q| n > 0 && q <= last_at(n)) {
+                    if let Some(q) = gate.filter(|&q| n > 0 && q <= last_at(n)) {
                         n = ((q - done).0 - 1 + last_cost) / bcost;
                     }
                     let (iters, bailed) = if n > 0 {
@@ -2443,10 +2543,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
             done += c;
             burst_cost += c;
             extra += 1;
-            if x.schedule_mark() != mark {
-                mark = x.schedule_mark();
-                qmin = x.next_deadline(core);
-            }
+            foreign = x.foreign_bound(core);
             if watch.is_some_and(|(p, s)| x.th(x.th_index(p)).state == s) {
                 break;
             }
@@ -2454,14 +2551,37 @@ pub(crate) fn dispatch<X: ExecCtx>(
     }
     // Batched bookkeeping: one account/bump per burst, totals exactly
     // equal to per-instruction accounting.
-    x.core_mut(core).sched.account(ptid, cost + burst_cost);
-    let t = x.th_mut(h);
-    t.busy_until = t.busy_until.max(done);
+    let sched = &mut x.core_mut(core).sched;
+    sched.account(ptid, cost + burst_cost);
+    sched.hold_until(ptid, done);
     x.note_burst(extra - reg_block - mem_block, reg_block, mem_block);
     // A wake this burst raised on its own core armed only idle slots.
     debug_assert_eq!(x.core_mut(core).slots[slot], Slot::Running);
     x.schedule_slot(done, core, slot);
     Ok(())
+}
+
+/// The first cursor at or after which a thread enrolled on `core` other
+/// than `ptid` could win a pick (see [`burst_eligible`]): `None` when
+/// `ptid` is the sole enrolled thread, zero when
+/// [`ExecCtx::free_bursts`] is off.
+fn rival_bound<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, done: Cycles) -> Option<Cycles> {
+    let free = x.free_bursts();
+    let sched = &x.core_mut(core).sched;
+    match (sched.enrolled_len() == 1, free) {
+        (true, _) => None,
+        (false, true) => sched.rival_bound(ptid, done),
+        (false, false) => Some(Cycles::ZERO),
+    }
+}
+
+/// The earlier of two optional times.
+#[inline]
+fn min_time(a: Option<Cycles>, b: Option<Cycles>) -> Option<Cycles> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        _ => a.or(b),
+    }
 }
 
 /// One instruction plus the charge its hcall handler added.
@@ -2477,23 +2597,28 @@ fn exec_charged<X: ExecCtx>(
 }
 
 /// Whether the burst may execute one more instruction for `ptid`
-/// dispatching at time `done`. True only when the single-step machine
+/// dispatching at time `done`, given that `done` is before the burst's
+/// gate (see [`dispatch`]). True only when the single-step machine
 /// would provably arrive at the identical pick with identical charges:
 /// the thread is still runnable on this core with RF-resident,
-/// already-activated state, not made busy by anything, and it is the
-/// **sole** enrolled thread (so round-robin rotation is the identity).
-/// Everything an instruction's side effects can touch is re-read here,
-/// which makes the bailout effect-based.
+/// already-activated state and not made busy by anything. With the
+/// gate, that makes it the **only free** enrolled thread: every rival
+/// is busy past `done`, so a pick there finds this thread under both
+/// policies, and repeating that pick leaves the queues as the
+/// dispatch's own pick did (k such picks equal one; `sched.rs`). The
+/// rival bound is derived once per burst and holds while the enrolled
+/// set is the one the pick saw (the burst checks the scheduler's
+/// enrolment generation): a rival's busy time changes only by its own
+/// dispatch, which cannot happen inside the burst, or together with an
+/// enrolment (a wake's state prefetch, a migration). Everything an
+/// instruction's side effects can touch is re-read here, which makes
+/// the bailout effect-based.
 #[inline]
 fn burst_eligible<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, h: usize, done: Cycles) -> bool {
     let t = x.th(h);
-    let ready = t.state == ThreadState::Runnable
-        && t.activated
-        && t.home == core
-        && t.busy_until <= done
-        && !x.halted();
+    let ready = t.state == ThreadState::Runnable && t.activated && t.home == core && !x.halted();
     let cs = x.core_mut(core);
-    ready && cs.sched.sole_runnable() == Some(ptid) && cs.store.tier_of(ptid) == Tier::Rf
+    ready && cs.sched.busy_until(ptid) <= done && cs.store.tier_of(ptid) == Tier::Rf
 }
 
 /// `(code range, word slot)` of an aligned `pc` inside a loaded image,
@@ -2883,11 +3008,24 @@ impl ExecCtx for Machine {
     fn set_now(&mut self, t: Cycles) {
         self.now = t;
     }
+    /// A move forward is an event boundary: all work at `now` has
+    /// settled, so the invariant checker runs first.
+    fn clock_to(&mut self, ts: Cycles) {
+        if ts > self.now {
+            if self.invariants_on {
+                self.check_invariants();
+            }
+            self.now = ts;
+        }
+    }
     fn halted(&self) -> bool {
         self.halted.is_some()
     }
     fn superblocks(&self) -> bool {
         self.engine == Engine::Fast
+    }
+    fn free_bursts(&self) -> bool {
+        self.engine == Engine::Fast && !self.invariants_on
     }
     fn core_mut(&mut self, core: usize) -> &mut CoreState {
         &mut self.cores[core]
@@ -2901,29 +3039,19 @@ impl ExecCtx for Machine {
     fn th_mut(&mut self, h: usize) -> &mut Thread {
         &mut self.threads[h]
     }
-    #[inline]
-    fn pick(&mut self, core: usize, now: Cycles) -> Result<Ptid, Option<Cycles>> {
-        let threads = &self.threads;
-        pick_free(&mut self.cores[core].sched, now, |p| {
-            threads[p.0 as usize].busy_until
-        })
-    }
-
     fn schedule_slot(&mut self, at: Cycles, core: usize, slot: usize) {
         let seq = self.events.issue_seq();
         self.cores[core].slots[slot] = Slot::Due(at, seq);
     }
-    fn schedule_mark(&self) -> u64 {
-        self.events.schedule_mark()
-    }
-    /// The device queue's head or another core's due slot.
-    fn next_deadline(&mut self, core: usize) -> Option<Cycles> {
-        let others = self.cores.iter().enumerate().filter(|&(c, _)| c != core);
-        others
-            .flat_map(|(_, cs)| cs.slots.iter().filter_map(|s| s.due()))
-            .map(|(at, _)| at)
-            .chain(self.events.peek_time())
-            .min()
+    /// The device queue's head or another core's due slot, recomputed
+    /// only when the mark (schedules plus kicks) or the core changed.
+    #[inline]
+    fn foreign_bound(&mut self, core: usize) -> Option<Cycles> {
+        let mark = self.events.schedules() + self.kicks;
+        if self.foreign.0 != mark || self.foreign.1 != core {
+            self.refresh_foreign(mark, core);
+        }
+        self.foreign.2
     }
 
     fn note_burst(&mut self, steps: u64, reg_block: u64, mem_block: u64) {
@@ -3080,9 +3208,13 @@ impl ExecCtx for Machine {
             }
             HCall { num } => {
                 self.thread_mut(ptid).arch.pc = next_pc;
-                if let Some(mut h) = self.hcalls.remove(&num) {
+                // The handler leaves its slot while it runs and goes back
+                // only if it did not register a successor meanwhile.
+                if let Some(mut h) = self.hcalls.get_mut(&num).and_then(Option::take) {
                     h(self, ThreadId { core, ptid });
-                    self.hcalls.entry(num).or_insert(h);
+                    if let Some(slot @ None) = self.hcalls.get_mut(&num) {
+                        *slot = Some(h);
+                    }
                 } else {
                     self.raise_exception(ptid, ExceptionKind::BadInstruction, u64::from(num));
                 }

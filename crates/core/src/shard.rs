@@ -90,8 +90,8 @@ use switchless_sim::time::Cycles;
 
 use crate::exception::ExceptionKind;
 use crate::machine::{
-    dispatch, next_slot, pick_free, read_le, store_is_quiet, write_le, CodeRange, CoreState,
-    EngineStats, ExecCtx, Machine, MachineConfig, Probe, Slot, Thread,
+    read_le, run_slots, store_is_quiet, write_le, CodeRange, CoreState, EngineStats, ExecCtx,
+    Machine, MachineConfig, Probe, Slot, Thread,
 };
 use crate::tid::Ptid;
 
@@ -252,19 +252,12 @@ fn run_worker(sh: &Shared<'_>, s: Shard) -> Result<WorkerOk, Bail> {
         created: 0,
         probe: None,
     };
-    while let Some((ts, key, _, slot)) = next_slot(std::slice::from_ref(&w.s.cs)) {
-        if ts >= sh.b || (key >= sh.mark0 && ts >= fresh_b) {
-            // The core's window ends here: a fresh slot at or past its
-            // horizon survives to the next epoch, exactly as if it were
-            // due at or past `B`.
-            break;
-        }
-        w.s.cs.slots[slot] = Slot::Running;
-        if ts > w.local_now {
-            w.local_now = ts;
-        }
-        dispatch(&mut w, core, slot, horizon, None)?;
-    }
+    // The core's window ends at `B`, and a fresh slot at or past its
+    // horizon survives to the next epoch, exactly as if it were due at
+    // or past `B`.
+    run_slots(&mut w, core, horizon, None, |_, ts, key| {
+        ts < sh.b && !(key >= sh.mark0 && ts >= fresh_b)
+    })?;
     let mut survivors = Vec::new();
     for (slot, &st) in w.s.cs.slots.iter().enumerate() {
         let Some((at, key)) = st.due() else { continue };
@@ -329,10 +322,17 @@ impl ExecCtx for Worker<'_> {
     fn set_now(&mut self, t: Cycles) {
         self.local_now = t;
     }
+    /// An epoch's interior has no check boundaries (DESIGN.md §7).
+    fn clock_to(&mut self, ts: Cycles) {
+        self.local_now = self.local_now.max(ts);
+    }
     fn halted(&self) -> bool {
         false
     }
     fn superblocks(&self) -> bool {
+        true
+    }
+    fn free_bursts(&self) -> bool {
         true
     }
     fn core_mut(&mut self, _: usize) -> &mut CoreState {
@@ -347,13 +347,6 @@ impl ExecCtx for Worker<'_> {
     fn th_mut(&mut self, h: usize) -> &mut Thread {
         &mut self.s.threads[h].1
     }
-    fn pick(&mut self, _: usize, now: Cycles) -> Result<Ptid, Option<Cycles>> {
-        let threads = &self.s.threads;
-        pick_free(&mut self.s.cs.sched, now, |p| {
-            threads[find(threads, p)].1.busy_until
-        })
-    }
-
     /// Arms a fresh slot; local keys continue after `mark0` in
     /// creation order.
     fn schedule_slot(&mut self, at: Cycles, _: usize, slot: usize) {
@@ -361,12 +354,9 @@ impl ExecCtx for Worker<'_> {
         self.created += 1;
         self.s.cs.slots[slot] = Slot::Due(at, key);
     }
-    fn schedule_mark(&self) -> u64 {
-        self.created
-    }
     /// Nothing: a worker cannot wake, kick or run a device, so during
     /// its burst every pending entry is a sibling slot of the same core.
-    fn next_deadline(&mut self, _: usize) -> Option<Cycles> {
+    fn foreign_bound(&mut self, _: usize) -> Option<Cycles> {
         None
     }
 
@@ -602,8 +592,7 @@ impl Machine {
             while self.halted.is_none()
                 && self.next_time().is_some_and(|h| h < serial_floor && h <= t)
             {
-                self.step(bound, t, None);
-                self.stats.serial_events += 1;
+                self.stats.serial_events += self.step(bound, t, None);
             }
         }
     }
@@ -857,6 +846,8 @@ mod tests {
         let got = m.engine_stats();
         assert_eq!(got.insts(), m.counters.get("inst.executed"), "{got:?}");
         let want = EngineStats {
+            slot_events: 6792,
+            loop_pops: 4010,
             bursts: 3392,
             step_insts: 3253,
             reg_block_insts: 0,

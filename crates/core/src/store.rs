@@ -190,10 +190,12 @@ impl StateStore {
     /// A burst dispatch (machine.rs) touches once per *burst*, not once
     /// per instruction. That is exact, not approximate: ticks are
     /// strictly increasing and only their relative order is ever read
-    /// (LRU victim choice compares stamps), and a burst is only entered
-    /// while its thread is the sole enrolled thread on the core — no
-    /// other thread's stamp can land between the elided touches, so
-    /// every victim comparison orders identically.
+    /// (LRU victim choice compares stamps), and no other thread is
+    /// dispatched on the core inside a burst (every rival is busy past
+    /// each cursor) — no other thread's stamp can land between the
+    /// elided touches, so every victim comparison orders identically. A
+    /// wake's state prefetch does stamp another thread, but a wake
+    /// changes the enrolled set, which ends the burst.
     pub fn touch(&mut self, ptid: Ptid) {
         self.tick += 1;
         let tick = self.tick;

@@ -1,11 +1,19 @@
 //! The machinery the burst engine leans on (DESIGN.md §8): idle-slot
-//! parking and `kick_core` re-arming, and the exact deadline-boundary
+//! parking and `kick_core` re-arming, the exact deadline-boundary
 //! semantics of `run_until_state` that the burst's watch-pair bailout
-//! must preserve.
+//! must preserve, and the differential of [`Engine::Fast`]'s slot chains
+//! and rival-bounded bursts against [`Engine::Reference`] on one-core
+//! serving machines of 2 to 8 threads.
 
-use switchless_core::machine::{Machine, MachineConfig};
+#[path = "support/serving.rs"]
+mod serving;
+
+use serving::{fingerprint, Serving};
+use switchless_core::machine::{Engine, Machine, MachineConfig};
+use switchless_core::sched::SchedPolicy;
 use switchless_core::tid::ThreadState;
 use switchless_isa::asm::assemble;
+use switchless_sim::rng::Rng;
 use switchless_sim::time::Cycles;
 
 /// A worker that parks on a mailbox and halts once it reads a nonzero
@@ -112,4 +120,133 @@ fn run_until_state_deadline_boundary_is_inclusive_and_exact() {
     let now = m.now();
     assert!(m.run_until_state(t, ThreadState::Halted, Cycles(100_000)));
     assert_eq!(m.now(), now);
+}
+
+/// The serving shapes the differential runs: 2, 4 and 8 threads, on one
+/// and two SMT slots, under both policies, half of them serving through
+/// an hcall charge and half through `work`.
+fn shapes() -> Vec<Serving> {
+    let mut out = Vec::new();
+    for workers in [1, 3, 7] {
+        for slots in [1, 2] {
+            for policy in [SchedPolicy::RoundRobin, SchedPolicy::Priority] {
+                out.push(Serving {
+                    workers,
+                    slots,
+                    policy,
+                    period: 700,
+                    service: 300 + 150 * workers as u32,
+                    hcall: (workers + slots) % 2 == 0,
+                    ticks: 40,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// A run long enough to drain the last tick's request.
+fn horizon(s: &Serving) -> u64 {
+    Serving::START + s.ticks * s.period + 4_000
+}
+
+/// `s` on `engine` with invariants `on`, run to `t` through each cut in
+/// turn, then fingerprinted, with its engine statistics.
+fn run_cut(
+    s: &Serving,
+    engine: Engine,
+    on: bool,
+    cuts: &[u64],
+) -> (String, switchless_core::EngineStats) {
+    let (mut m, tids, spans) = s.build(engine, on);
+    for &c in cuts {
+        m.run_until(Cycles(c));
+    }
+    (fingerprint(&m, &tids, &spans), m.engine_stats())
+}
+
+/// Fast and Reference under one cut schedule: the same fingerprint, the
+/// invariant checker's check count included. Returns both engines'
+/// statistics.
+fn assert_engines_agree(
+    s: &Serving,
+    on: bool,
+    cuts: &[u64],
+) -> (switchless_core::EngineStats, switchless_core::EngineStats) {
+    let (want, reference) = run_cut(s, Engine::Reference, on, cuts);
+    let (got, fast) = run_cut(s, Engine::Fast, on, cuts);
+    assert_eq!(want, got, "{s:?}, invariants {on}, cuts {cuts:?}");
+    (fast, reference)
+}
+
+/// Seeded cut schedules over `(0, t]`, each ending at `t`.
+fn seeded_cuts(t: u64, seeds: u64) -> Vec<Vec<u64>> {
+    (0..seeds)
+        .map(|seed| {
+            let mut rng = Rng::seed_from(0x5e7 + seed);
+            let n = 1 + rng.next_below(8);
+            let mut cuts: Vec<u64> = (0..n).map(|_| 1 + rng.next_below(t - 1)).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts.push(t);
+            cuts
+        })
+        .collect()
+}
+
+/// The slot chain and rival-bounded bursts change only how the host
+/// runs a serving machine: at one `run_until` and at seeded cut
+/// schedules, with the invariant checker off and on, [`Engine::Fast`]
+/// ends exactly where [`Engine::Reference`] does. Both mechanisms must
+/// actually run here: the fast engine pops fewer events, and with the
+/// checker off it runs fewer dispatches.
+#[test]
+fn serving_fast_matches_reference_at_seeded_cuts() {
+    let (mut chained, mut merged) = (false, false);
+    for s in shapes() {
+        let t = horizon(&s);
+        for on in [false, true] {
+            let (fast, reference) = assert_engines_agree(&s, on, &[t]);
+            assert_eq!(
+                reference.loop_pops,
+                reference.slot_events + s.ticks,
+                "{s:?}"
+            );
+            assert!(fast.loop_pops < reference.loop_pops, "{s:?}: {fast:?}");
+            chained |= fast.slot_events > fast.loop_pops;
+            if on {
+                assert_eq!(
+                    fast.slot_events, reference.slot_events,
+                    "{s:?}: checked bursts"
+                );
+            } else {
+                merged |= fast.slot_events < reference.slot_events;
+            }
+            for cuts in seeded_cuts(t, 6) {
+                assert_engines_agree(&s, on, &cuts);
+            }
+        }
+    }
+    assert!(
+        chained && merged,
+        "the chain ran: {chained}, bursts merged: {merged}"
+    );
+}
+
+/// Cuts one cycle before every device tick and every wake: each lands a
+/// `run_until` deadline just ahead of the event that ends a chain or a
+/// rival-bounded burst.
+#[test]
+fn serving_fast_matches_reference_at_targeted_cuts() {
+    for s in shapes() {
+        let t = horizon(&s);
+        let mut cuts: Vec<u64> = s.ticks().chain(s.wake_times(t)).map(|at| at - 1).collect();
+        cuts.push(t);
+        cuts.sort_unstable();
+        cuts.dedup();
+        assert!(cuts.len() > s.ticks as usize, "{s:?}: wakes were traced");
+        for on in [false, true] {
+            assert_engines_agree(&s, on, &cuts);
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Pinned host-engine work: each machine below runs a fixed number of
-//! cycles and must report exactly these [`EngineStats`] — instructions
-//! per engine tier, bursts, superblocks formed, entered and bailed,
-//! decode-cache misses. Host noise cannot move these counts, so they
+//! cycles and must report exactly these [`EngineStats`] — slot
+//! dispatches and run-loop pops, instructions per engine tier, bursts,
+//! superblocks formed, entered and bailed, decode-cache misses. Host noise cannot move these counts, so they
 //! are the gate for the engines whose only job is speed: halving
 //! `MAX_BURST`, turning superblocks off, or forming register-only blocks
 //! changes them while leaving every simulated result unchanged. A
@@ -9,7 +9,12 @@
 //! epoch machine's pin is in `shard.rs`'s unit tests, next to that
 //! machine.
 
+#[path = "support/serving.rs"]
+mod serving;
+
+use serving::Serving;
 use switchless_core::machine::{Engine, EngineStats, Machine, MachineConfig, MonitorKind};
+use switchless_core::sched::SchedPolicy;
 use switchless_isa::asm::assemble;
 use switchless_sim::time::Cycles;
 
@@ -58,6 +63,8 @@ fn spin_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 392,
+            loop_pops: 1,
             bursts: 195,
             step_insts: 699,
             reg_block_insts: 198_656,
@@ -69,7 +76,8 @@ fn spin_stats_are_pinned() {
 }
 
 /// One SMT slot, so no sibling slot for the burst gate to skip: every
-/// burst runs to `MAX_BURST`, as on two slots.
+/// burst runs to `MAX_BURST`, as on two slots, with half the slot
+/// events (two slots add the sibling's inert retry after each burst).
 #[test]
 fn one_slot_burst_stats_are_pinned() {
     let mut cfg = MachineConfig::small();
@@ -79,6 +87,8 @@ fn one_slot_burst_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 196,
+            loop_pops: 1,
             bursts: 195,
             step_insts: 699,
             reg_block_insts: 198_656,
@@ -98,6 +108,8 @@ fn reference_spin_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 392,
+            loop_pops: 392,
             bursts: 195,
             step_insts: 199_355,
             ..EngineStats::default()
@@ -145,6 +157,8 @@ fn cam_store_loop_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 153,
+            loop_pops: 1,
             bursts: 108,
             step_insts: 193,
             mem_block_insts: 53_805,
@@ -162,6 +176,8 @@ fn hash_store_loop_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 153,
+            loop_pops: 1,
             bursts: 108,
             step_insts: 193,
             mem_block_insts: 53_805,
@@ -188,6 +204,8 @@ fn store_run_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 96,
+            loop_pops: 1,
             bursts: 47,
             step_insts: 183,
             mem_block_insts: 47_044,
@@ -221,6 +239,8 @@ fn ring_drain_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 196,
+            loop_pops: 1,
             bursts: 97,
             step_insts: 418,
             mem_block_insts: 98_871,
@@ -256,12 +276,71 @@ fn f15c_loop_stats_are_pinned() {
         &mut m,
         200_000,
         EngineStats {
+            slot_events: 122,
+            loop_pops: 1,
             bursts: 60,
             step_insts: 690,
             mem_block_insts: 60_871,
             blocks_formed: 2,
             block_runs: 180,
             block_bails: 62,
+            ..EngineStats::default()
+        },
+    );
+}
+
+/// The serving fixture: a dispatcher and 8 workers on one core's two
+/// SMT slots, a tail bump every 500 cycles, 600 cycles of `work` per
+/// request.
+const SERVING: Serving = Serving {
+    workers: 8,
+    slots: 2,
+    policy: SchedPolicy::RoundRobin,
+    period: 500,
+    service: 600,
+    hcall: false,
+    ticks: 400,
+};
+
+/// Cycles the serving fixture runs.
+const SERVING_CYCLES: u64 = 210_000;
+
+/// On the fast engine, most slot dispatches run inline in a chain, so
+/// the run loop pops one event per 17 instructions (0.059; the
+/// reference engine pops 0.86), and rival-bounded bursts merge 3,510 of
+/// the reference engine's dispatches.
+#[test]
+fn serving_stats_are_pinned() {
+    let (mut m, _, _) = SERVING.build(Engine::Fast, false);
+    assert_pinned(
+        &mut m,
+        SERVING_CYCLES,
+        EngineStats {
+            slot_events: 6814,
+            loop_pops: 735,
+            bursts: 6296,
+            step_insts: 6187,
+            blocks_formed: 11,
+            block_bails: 307,
+            ..EngineStats::default()
+        },
+    );
+}
+
+/// The reference engine pops every slot dispatch and every tick, and
+/// stops a burst at any rival thread: its 10,324 dispatches are the
+/// count every engine made before slot chains and rival-bounded bursts.
+#[test]
+fn reference_serving_stats_are_pinned() {
+    let (mut m, _, _) = SERVING.build(Engine::Reference, false);
+    assert_pinned(
+        &mut m,
+        SERVING_CYCLES,
+        EngineStats {
+            slot_events: 10_324,
+            loop_pops: 10_724,
+            bursts: 9806,
+            step_insts: 2677,
             ..EngineStats::default()
         },
     );

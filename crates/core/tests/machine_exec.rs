@@ -738,6 +738,35 @@ fn hcall_invokes_host_service_with_charge() {
     let _ = t0;
 }
 
+/// A handler that registers its own hcall number while it runs hands
+/// every later call to its successor and is dropped itself; a call to
+/// a number nobody registered still faults.
+#[test]
+fn hcall_that_re_registers_its_number_keeps_the_new_handler() {
+    let mut m = small();
+    let p = assemble("entry: hcall 9\nhcall 9\nhcall 9\nhcall 10\nhalt\n").unwrap();
+    let tid = m.load_program(0, &p).unwrap();
+    let edp = m.alloc(64);
+    m.set_thread_edp(tid, edp);
+    let calls: Rc<RefCell<Vec<&str>>> = Rc::default();
+    let log = Rc::clone(&calls);
+    m.register_hcall(9, move |mach, _| {
+        log.borrow_mut().push("first");
+        let log = Rc::clone(&log);
+        mach.register_hcall(9, move |_, _| log.borrow_mut().push("second"));
+    });
+    m.start_thread(tid);
+    run(&mut m, 10_000);
+    assert_eq!(*calls.borrow(), ["first", "second", "second"]);
+    assert_eq!(
+        m.counters()
+            .get(ExceptionKind::BadInstruction.counter_name()),
+        1,
+        "hcall 10 has no handler"
+    );
+    assert_eq!(m.thread_state(tid), ThreadState::Disabled);
+}
+
 #[test]
 fn round_robin_shares_pipeline_between_spinners() {
     let mut m = small();

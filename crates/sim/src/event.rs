@@ -115,6 +115,8 @@ pub struct EventQueue<E> {
     /// Exact number of queued events.
     live: usize,
     next_seq: u64,
+    /// Calls to [`EventQueue::schedule`] ([`EventQueue::schedules`]).
+    schedules: u64,
     /// Timestamp of the most recently popped event; pops are monotone,
     /// which is what anchors the wheel window.
     last_popped: Cycles,
@@ -200,6 +202,7 @@ impl<E> EventQueue<E> {
             overflow: BinaryHeap::new(),
             live: 0,
             next_seq: 0,
+            schedules: 0,
             last_popped: Cycles::ZERO,
         }
     }
@@ -309,6 +312,7 @@ impl<E> EventQueue<E> {
     /// later-stamped event), which simplifies zero-latency notifications.
     pub fn schedule(&mut self, at: Cycles, event: E) -> EventToken {
         let seq = self.issue_seq();
+        self.schedules += 1;
         if self.in_wheel(at) {
             let slot = at.0 as usize & (WHEEL_SLOTS - 1);
             self.slot_push_back(slot, at, seq, event);
@@ -444,15 +448,25 @@ impl<E> EventQueue<E> {
     }
 
     /// Monotone count of seqs ever issued, by a schedule or by
-    /// [`EventQueue::issue_seq`]. A caller that cached
-    /// [`EventQueue::peek_time`] may keep using the cached value while
-    /// this mark is unchanged: only a schedule can move the head
-    /// **earlier**. Pops and cancels can only move it later, which leaves
-    /// a cached value conservative, never unsafe.
+    /// [`EventQueue::issue_seq`]: the seq the next one gets.
     #[must_use]
     #[inline]
     pub fn schedule_mark(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Monotone count of [`EventQueue::schedule`] calls. A caller that
+    /// cached [`EventQueue::peek_time`] may keep using the cached value
+    /// while this count is unchanged: only a schedule can move the head
+    /// **earlier**. Pops and cancels can only move it later, which leaves
+    /// a cached value conservative, never unsafe. Unlike
+    /// [`EventQueue::schedule_mark`], an [`EventQueue::issue_seq`] does
+    /// not move it: a seq issued for a value kept outside the queue
+    /// leaves the head where it was.
+    #[must_use]
+    #[inline]
+    pub fn schedules(&self) -> u64 {
+        self.schedules
     }
 
     /// Pops the earliest pending event. O(1) amortised for wheel and far
@@ -815,6 +829,7 @@ mod tests {
         let m0 = q.schedule_mark();
         q.schedule(Cycles(50), "far");
         assert_eq!(q.schedule_mark(), m0 + 1);
+        assert_eq!(q.schedules(), 1);
         assert_eq!(q.peek_time(), Some(Cycles(50)));
         // A later schedule can only pull the deadline earlier.
         q.schedule(Cycles(10), "near");
@@ -844,10 +859,14 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycles(10), "a")));
         assert!(Some(outside) < q.peek_key());
         assert_eq!(q.peek_key().map(|(at, _)| at), Some(Cycles(10)));
-        // Issues count toward the mark like schedules do.
-        let mark = q.schedule_mark();
+        // Issues count toward the mark like schedules do, but not
+        // toward the schedule count: they queue nothing.
+        let (mark, n) = (q.schedule_mark(), q.schedules());
         q.issue_seq();
         assert_eq!(q.schedule_mark(), mark + 1);
+        assert_eq!(q.schedules(), n);
+        q.schedule(Cycles(20), "c");
+        assert_eq!((q.schedule_mark(), q.schedules()), (mark + 2, n + 1));
     }
 
     #[test]

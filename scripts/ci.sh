@@ -39,7 +39,11 @@
 #            the machine-wide invariant checker on — must be
 #            violation-free, every plan must replay bit-identically
 #            from its chaos-plan/v1 artifact, and a second soak run in
-#            a fresh process must print identical digests
+#            a fresh process must print identical digests; a third run
+#            on the reference engine (SWITCHLESS_ENGINE=reference) must
+#            print the same bytes, invariant-check totals included: the
+#            fast engine's slot chains check at the boundaries the
+#            reference loop does
 #   artifact --replay of the committed chaos-plan/v1 artifact
 #            (crates/sim/tests/data/) must exit 0 with its recorded
 #            digest matched: the replay format and every draw behind it
@@ -190,7 +194,13 @@ if [ "$s1" != "$s2" ]; then
     diff <(printf '%s\n' "$s1") <(printf '%s\n' "$s2") >&2 || true
     exit 1
 fi
-echo "chaos soak: violation-free, digests stable across processes"
+s3="$(SWITCHLESS_ENGINE=reference cargo run -q --release -p switchless-experiments -- --soak 25 --quick)"
+if [ "$s1" != "$s3" ]; then
+    echo "FAIL: chaos soak differs between the fast and reference engines" >&2
+    diff <(printf '%s\n' "$s1") <(printf '%s\n' "$s3") >&2 || true
+    exit 1
+fi
+echo "chaos soak: violation-free, digests stable across processes and engines"
 
 step "committed chaos-plan/v1 artifact (--replay must match its digest)"
 if ! cargo run -q --release -p switchless-experiments -- \
