@@ -14,7 +14,7 @@
 //!
 //! As a host-side fast path, a dispatch may execute a **burst** of
 //! instructions inline when the picked thread is provably the only
-//! possible pick (every other thread on the core is busy) and no pending
+//! possible pick (the sole enrolled thread on its core) and no pending
 //! event could observe state in between, and the run loop dispatches a
 //! core's own due slots inline in a **slot chain** while nothing else is
 //! due first (DESIGN.md §8). Neither changes the simulated timeline —
@@ -2132,12 +2132,6 @@ pub(crate) trait ExecCtx {
     fn halted(&self) -> bool;
     /// Whether bursts may run superblocks ([`Engine::Fast`]).
     fn superblocks(&self) -> bool;
-    /// Whether a burst may go on while other threads are enrolled on its
-    /// core, as long as every one of them is busy past the cursor (see
-    /// [`burst_eligible`]). [`Engine::Fast`] only, and on the serial
-    /// machine only with the invariant checker off: the reference loop
-    /// pops, and so checks, at every such instruction.
-    fn free_bursts(&self) -> bool;
     fn core_mut(&mut self, core: usize) -> &mut CoreState;
     fn th_index(&self, ptid: Ptid) -> usize;
     fn th(&self, h: usize) -> &Thread;
@@ -2343,14 +2337,12 @@ pub(crate) fn run_slots<X: ExecCtx>(
 /// instructions inline, advancing a local cycle cursor, instead of one
 /// run-loop round-trip per instruction (see DESIGN.md §8).
 ///
-/// The burst runs an instruction at cursor `done` only before its
-/// *gate*: the earlier of [`ExecCtx::foreign_bound`] (a pending event
-/// that is not one of this core's own slots) and the *rival bound*, the
-/// first cursor at which another thread enrolled on the core could win
-/// the pick (the earliest of their `busy_until`, or at once when
-/// [`ExecCtx::free_bursts`] is off). Own slots due inside the burst are
-/// inert: every pick they would make before the gate finds this thread
-/// the only free one, or finds it busy and re-arms.
+/// The burst runs an instruction at cursor `done` only while the thread
+/// is the core's sole enrolled one ([`burst_eligible`]) and `done` is
+/// before its *gate*, [`ExecCtx::foreign_bound`] (a pending event that
+/// is not one of this core's own slots). Own slots due inside the burst
+/// are inert: the thread is busy through every cursor, so their pick
+/// would find nothing free and only re-arm them at the burst's end.
 ///
 /// `horizon` is the last cycle an instruction may dispatch at (the run
 /// deadline, mirroring `step`'s `pop_bound`; a worker's fresh-event horizon).
@@ -2414,10 +2406,6 @@ pub(crate) fn dispatch<X: ExecCtx>(
         ws.2 = ws.2.max(sample);
     }
 
-    // The enrolled set the pick saw. A burst ends when it changes: a wake
-    // may stamp the woken thread's state-store recency (its prefetch),
-    // which the burst's elided touches of this thread must not pass.
-    let generation = x.core_mut(core).sched.generation();
     // Execute the first instruction (the one this dispatch paid for).
     cost = (cost + exec_charged(x, core, ptid, h)?).max(Cycles(1));
     let mut done = now + cost;
@@ -2426,11 +2414,10 @@ pub(crate) fn dispatch<X: ExecCtx>(
     // nothing else can observe machine state first, keep executing its
     // instructions inline. Continuation is decided *after* each
     // instruction's effects, so any cross-thread side effect (a wake
-    // that enrols a free rival, a scheduled event, an exception, a
+    // that enrols a second thread, a scheduled event, an exception, a
     // halt) ends the burst exactly where single-stepping would have
-    // re-arbitrated differently. Both halves of the gate are cached:
-    // the foreign bound by the context, the rival bound until the
-    // scheduler's enrolment generation moves.
+    // re-arbitrated differently. The gate is cached by the context and
+    // re-read after each instruction.
     let mut burst_cost = Cycles::ZERO;
     // Instructions beyond the first, and those of them retired in
     // register-only and memory blocks.
@@ -2446,20 +2433,12 @@ pub(crate) fn dispatch<X: ExecCtx>(
     // block exit.
     let mut seq_pc = u64::MAX;
     if watch.is_none_or(|(p, s)| x.th(x.th_index(p)).state != s) {
-        // The rival bound, derived at the first check and valid while
-        // the enrolled set is the one the pick saw.
-        let mut rivals: Option<Option<Cycles>> = None;
-        let mut foreign = x.foreign_bound(core);
+        let mut gate = x.foreign_bound(core);
         while extra < MAX_BURST
             && done <= horizon
-            && foreign.is_none_or(|q| q > done)
             && burst_eligible(x, core, ptid, h, done)
-            && x.core_mut(core).sched.generation() == generation
-            && rivals
-                .get_or_insert_with(|| rival_bound(x, core, ptid, done))
-                .is_none_or(|r| r > done)
+            && gate.is_none_or(|q| q > done)
         {
-            let gate = min_time(foreign, rivals.flatten());
             // Superblock fast path (DESIGN.md §10): a formed region
             // executes as one unit — a looping one for as many whole
             // iterations as provably stay inside this burst's window.
@@ -2543,7 +2522,7 @@ pub(crate) fn dispatch<X: ExecCtx>(
             done += c;
             burst_cost += c;
             extra += 1;
-            foreign = x.foreign_bound(core);
+            gate = x.foreign_bound(core);
             if watch.is_some_and(|(p, s)| x.th(x.th_index(p)).state == s) {
                 break;
             }
@@ -2559,29 +2538,6 @@ pub(crate) fn dispatch<X: ExecCtx>(
     debug_assert_eq!(x.core_mut(core).slots[slot], Slot::Running);
     x.schedule_slot(done, core, slot);
     Ok(())
-}
-
-/// The first cursor at or after which a thread enrolled on `core` other
-/// than `ptid` could win a pick (see [`burst_eligible`]): `None` when
-/// `ptid` is the sole enrolled thread, zero when
-/// [`ExecCtx::free_bursts`] is off.
-fn rival_bound<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, done: Cycles) -> Option<Cycles> {
-    let free = x.free_bursts();
-    let sched = &x.core_mut(core).sched;
-    match (sched.enrolled_len() == 1, free) {
-        (true, _) => None,
-        (false, true) => sched.rival_bound(ptid, done),
-        (false, false) => Some(Cycles::ZERO),
-    }
-}
-
-/// The earlier of two optional times.
-#[inline]
-fn min_time(a: Option<Cycles>, b: Option<Cycles>) -> Option<Cycles> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        _ => a.or(b),
-    }
 }
 
 /// One instruction plus the charge its hcall handler added.
@@ -2601,24 +2557,19 @@ fn exec_charged<X: ExecCtx>(
 /// gate (see [`dispatch`]). True only when the single-step machine
 /// would provably arrive at the identical pick with identical charges:
 /// the thread is still runnable on this core with RF-resident,
-/// already-activated state and not made busy by anything. With the
-/// gate, that makes it the **only free** enrolled thread: every rival
-/// is busy past `done`, so a pick there finds this thread under both
-/// policies, and repeating that pick leaves the queues as the
-/// dispatch's own pick did (k such picks equal one; `sched.rs`). The
-/// rival bound is derived once per burst and holds while the enrolled
-/// set is the one the pick saw (the burst checks the scheduler's
-/// enrolment generation): a rival's busy time changes only by its own
-/// dispatch, which cannot happen inside the burst, or together with an
-/// enrolment (a wake's state prefetch, a migration). Everything an
-/// instruction's side effects can touch is re-read here, which makes
-/// the bailout effect-based.
+/// already-activated state, not made busy by anything, and it is the
+/// **sole** enrolled thread (so round-robin rotation is the identity).
+/// Everything an instruction's side effects can touch is re-read here,
+/// which makes the bailout effect-based.
 #[inline]
 fn burst_eligible<X: ExecCtx>(x: &mut X, core: usize, ptid: Ptid, h: usize, done: Cycles) -> bool {
     let t = x.th(h);
     let ready = t.state == ThreadState::Runnable && t.activated && t.home == core && !x.halted();
     let cs = x.core_mut(core);
-    ready && cs.sched.busy_until(ptid) <= done && cs.store.tier_of(ptid) == Tier::Rf
+    ready
+        && cs.sched.busy_until(ptid) <= done
+        && cs.sched.sole_runnable() == Some(ptid)
+        && cs.store.tier_of(ptid) == Tier::Rf
 }
 
 /// `(code range, word slot)` of an aligned `pc` inside a loaded image,
@@ -3023,9 +2974,6 @@ impl ExecCtx for Machine {
     }
     fn superblocks(&self) -> bool {
         self.engine == Engine::Fast
-    }
-    fn free_bursts(&self) -> bool {
-        self.engine == Engine::Fast && !self.invariants_on
     }
     fn core_mut(&mut self, core: usize) -> &mut CoreState {
         &mut self.cores[core]

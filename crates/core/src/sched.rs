@@ -20,6 +20,8 @@
 //! The scheduler also keeps per-thread cycle accounting — §4's "fine-grain
 //! tracking of threads' resource consumption for cloud billing".
 
+use std::collections::VecDeque;
+
 use switchless_sim::time::Cycles;
 
 use crate::tid::Ptid;
@@ -39,9 +41,6 @@ pub enum SchedPolicy {
 /// Number of priority classes supported by [`SchedPolicy::Priority`].
 pub const PRIO_CLASSES: usize = 8;
 
-// `HwScheduler::occupied` holds one bit per class.
-const _: () = assert!(PRIO_CLASSES == u8::BITS as usize);
-
 /// `ptid`'s busy time in a per-thread table; zero for a thread never
 /// held.
 #[inline]
@@ -51,102 +50,32 @@ fn busy_of(per_thread: &[PerThread], ptid: Ptid) -> Cycles {
         .map_or(Cycles::ZERO, |e| e.busy)
 }
 
-/// The first thread that is not `busy`, visiting the occupied classes
-/// from the highest down (see [`HwScheduler::pick`]).
-fn pick_in(
-    queues: &mut [Ring; PRIO_CLASSES],
-    occupied: u8,
-    mut busy: impl FnMut(Ptid) -> bool,
-) -> Option<Ptid> {
-    let mut classes = occupied;
-    while classes != 0 {
-        let class = 7 - classes.leading_zeros() as usize;
-        classes &= !(1 << class);
-        if let Some(p) = queues[class].pick(&mut busy) {
-            return Some(p);
-        }
-    }
-    None
-}
-
-/// One class's round-robin order: `ids[head..]` then `ids[..head]`.
-/// A pick rotates the order by moving `head` past the thread it picks,
-/// so it touches no element.
-#[derive(Clone, Debug, Default)]
-struct Ring {
-    ids: Vec<Ptid>,
-    head: usize,
-}
-
-impl Ring {
-    fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// The threads in order.
-    fn iter(&self) -> impl Iterator<Item = Ptid> + '_ {
-        let (wrapped, front) = self.ids.split_at(self.head);
-        front.iter().chain(wrapped).copied()
-    }
-
-    /// Appends `p` at the end of the order.
-    fn push_back(&mut self, p: Ptid) {
-        if self.head == 0 {
-            self.ids.push(p);
-        } else {
-            self.ids.insert(self.head, p);
-            self.head += 1;
-        }
-    }
-
-    fn remove(&mut self, p: Ptid) {
-        if let Some(v) = self.ids.iter().position(|&q| q == p) {
-            self.ids.remove(v);
-            if v < self.head {
-                self.head -= 1;
-            }
-            if self.head == self.ids.len() {
-                self.head = 0;
-            }
-        }
-    }
-
-    /// The first thread in order that is not `busy`; the order then
-    /// continues after it, as if it and every thread before it had moved
-    /// to the back. With every thread busy the order is unchanged: a
-    /// full turn.
-    fn pick(&mut self, mut busy: impl FnMut(Ptid) -> bool) -> Option<Ptid> {
-        let n = self.ids.len();
-        let mut i = self.head;
-        for _ in 0..n {
-            let p = self.ids[i];
-            i = if i + 1 == n { 0 } else { i + 1 };
+/// [`HwScheduler::pick`] over the class queues.
+fn pick_in(queues: &mut [VecDeque<Ptid>], mut busy: impl FnMut(Ptid) -> bool) -> Option<Ptid> {
+    for q in queues.iter_mut().rev() {
+        for _ in 0..q.len() {
+            let p = q.pop_front().expect("queue length checked");
+            q.push_back(p);
             if !busy(p) {
-                self.head = i;
                 return Some(p);
             }
         }
-        None
     }
+    None
 }
 
 /// Per-core hardware scheduler state.
 #[derive(Clone, Debug)]
 pub struct HwScheduler {
     policy: SchedPolicy,
-    /// One queue per priority class; RoundRobin uses only class 0.
-    queues: [Ring; PRIO_CLASSES],
-    /// Bit `c` set while `queues[c]` is non-empty, so a pick visits
-    /// only occupied classes.
-    occupied: u8,
+    /// One queue per priority class, lowest first; RoundRobin has only
+    /// class 0, so a pick visits one queue.
+    queues: Box<[VecDeque<Ptid>]>,
     /// Which queue each enqueued thread is in (for removal), indexed by
     /// ptid; `None` when not enqueued. Grows to the highest ptid seen.
     enrolled: Vec<Option<u8>>,
     /// Number of `Some` entries in `enrolled`.
     enrolled_len: usize,
-    /// Bumped by every enqueue and dequeue that changes the enrolled
-    /// set ([`HwScheduler::generation`]).
-    generation: u64,
     /// Per-thread billing and busy time, indexed by ptid. A plain
     /// vector: every dispatch writes its thread's entry, and every pick
     /// reads the entry of each thread it passes.
@@ -169,11 +98,13 @@ impl HwScheduler {
     pub fn new(policy: SchedPolicy) -> HwScheduler {
         HwScheduler {
             policy,
-            queues: Default::default(),
-            occupied: 0,
+            queues: match policy {
+                SchedPolicy::RoundRobin => vec![VecDeque::new()],
+                SchedPolicy::Priority => vec![VecDeque::new(); PRIO_CLASSES],
+            }
+            .into(),
             enrolled: Vec::new(),
             enrolled_len: 0,
-            generation: 0,
             per_thread: Vec::new(),
         }
     }
@@ -210,20 +141,16 @@ impl HwScheduler {
         }
         *slot = Some(class);
         self.enrolled_len += 1;
-        self.generation += 1;
         self.queues[class as usize].push_back(ptid);
-        self.occupied |= 1 << class;
     }
 
     /// Removes a thread that blocked, was stopped, or halted.
     pub fn dequeue(&mut self, ptid: Ptid) {
         if let Some(class) = self.enrolled_slot(ptid).take() {
             self.enrolled_len -= 1;
-            self.generation += 1;
             let q = &mut self.queues[class as usize];
-            q.remove(ptid);
-            if q.is_empty() {
-                self.occupied &= !(1 << class);
+            if let Some(pos) = q.iter().position(|&p| p == ptid) {
+                q.remove(pos);
             }
         }
     }
@@ -243,35 +170,28 @@ impl HwScheduler {
     /// The picked thread is rotated to the back of its queue, giving
     /// instruction-granular round robin.
     pub fn pick(&mut self, busy: impl FnMut(Ptid) -> bool) -> Option<Ptid> {
-        pick_in(&mut self.queues, self.occupied, busy)
+        pick_in(&mut self.queues, busy)
     }
 
-    /// Number of enqueued (runnable) threads.
+    /// The single enqueued thread, if exactly one is enrolled — the
+    /// "alone and unpreemptable" query behind burst execution: with one
+    /// runnable thread, instruction-granular round robin (and strict
+    /// priority) degenerate to "pick it again", so the machine may execute
+    /// a run of its instructions inline without consulting the scheduler
+    /// per instruction. Any second enrolment (a wake, a migration in)
+    /// makes this return `None`, forcing single-step arbitration again.
     #[must_use]
     #[inline]
-    pub fn enrolled_len(&self) -> usize {
-        self.enrolled_len
+    pub fn sole_runnable(&self) -> Option<Ptid> {
+        if self.enrolled_len != 1 {
+            return None;
+        }
+        self.queues.iter().find_map(|q| q.front().copied())
     }
 
-    /// Changes whenever the enrolled set does; an idempotent enqueue or
-    /// a dequeue of a thread that is not enrolled leaves it alone. The
-    /// burst engine (machine.rs) caches what it derives from the
-    /// enrolled set and re-derives it only when this moves, so a burst
-    /// re-checks its rivals in O(1) per instruction.
-    #[must_use]
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Iterates every enqueued (runnable) thread in the order the next
-    /// pick would visit them: highest class first, queue order within a
-    /// class.
+    /// Iterates every enqueued (runnable) thread, in no particular order.
     pub fn iter_enrolled(&self) -> impl Iterator<Item = Ptid> + '_ {
-        (0..PRIO_CLASSES)
-            .rev()
-            .filter(|&c| self.occupied & (1 << c) != 0)
-            .flat_map(|c| self.queues[c].iter())
+        self.queues.iter().flatten().copied()
     }
 
     /// Time before which `ptid` cannot issue.
@@ -301,47 +221,10 @@ impl HwScheduler {
     /// (`None` when none is enrolled).
     pub fn pick_free(&mut self, now: Cycles) -> Result<Ptid, Option<Cycles>> {
         let per_thread = &self.per_thread;
-        match pick_in(&mut self.queues, self.occupied, |p| {
-            busy_of(per_thread, p) > now
-        }) {
+        match pick_in(&mut self.queues, |p| busy_of(per_thread, p) > now) {
             Some(p) => Ok(p),
-            // Every enrolled thread is busy past `now`: the scan finds
-            // none free and returns the earliest.
-            None => Err(self.scan_busy(None, now)),
+            None => Err(self.iter_enrolled().map(|p| busy_of(per_thread, p)).min()),
         }
-    }
-
-    /// The burst engine's rival bound for `ptid` at cursor `done` (see
-    /// `burst_eligible` in machine.rs): the earliest busy time over the
-    /// other enrolled threads when every one of them is busy past
-    /// `done`, or else the first one at or before `done` in pick order,
-    /// which ends a burst just as well; `None` when `ptid` is the only
-    /// enrolled thread.
-    #[must_use]
-    pub fn rival_bound(&self, ptid: Ptid, done: Cycles) -> Option<Cycles> {
-        self.scan_busy(Some(ptid), done)
-    }
-
-    /// The first busy time at or before `done` over the enrolled threads
-    /// but `skip`, in pick order, or else the earliest; `None` when none
-    /// is enrolled.
-    fn scan_busy(&self, skip: Option<Ptid>, done: Cycles) -> Option<Cycles> {
-        let mut min: Option<Cycles> = None;
-        let mut classes = self.occupied;
-        while classes != 0 {
-            let class = 7 - classes.leading_zeros() as usize;
-            classes &= !(1 << class);
-            for p in self.queues[class].iter().filter(|&p| Some(p) != skip) {
-                let t = busy_of(&self.per_thread, p);
-                if t <= done {
-                    return Some(t);
-                }
-                if min.is_none_or(|m| t < m) {
-                    min = Some(t);
-                }
-            }
-        }
-        min
     }
 
     /// Charges `cycles` of pipeline time to `ptid` (billing).
@@ -408,8 +291,7 @@ mod tests {
         let mut s = HwScheduler::new(SchedPolicy::RoundRobin);
         s.enqueue(Ptid(1), 0);
         s.enqueue(Ptid(1), 0);
-        assert_eq!(s.iter_enrolled().collect::<Vec<_>>(), [Ptid(1)]);
-        assert_eq!(s.enrolled_len(), 1);
+        assert_eq!(s.sole_runnable(), Some(Ptid(1)));
         s.dequeue(Ptid(1));
         assert!(!s.is_enrolled(Ptid(1)));
         assert_eq!(s.pick(|_| false), None);
@@ -421,9 +303,7 @@ mod tests {
         s.dequeue(Ptid(9));
         assert_eq!(s.pick(|_| false), None);
         s.enqueue(Ptid(1), 0);
-        assert_eq!(s.iter_enrolled().collect::<Vec<_>>(), [Ptid(1)]);
-        assert_eq!(s.generation(), 1, "the missing dequeue did not count");
-        assert_eq!(s.enrolled_len(), 1);
+        assert_eq!(s.sole_runnable(), Some(Ptid(1)), "the count did not move");
     }
 
     #[test]
@@ -444,104 +324,17 @@ mod tests {
     }
 
     #[test]
-    fn generation_moves_only_when_enrolment_changes() {
+    fn sole_runnable_requires_exactly_one() {
         let mut s = HwScheduler::new(SchedPolicy::Priority);
-        assert_eq!(s.generation(), 0);
+        assert_eq!(s.sole_runnable(), None);
         s.enqueue(Ptid(3), 5);
-        let g = s.generation();
-        assert_ne!(g, 0);
-        s.enqueue(Ptid(3), 5);
-        s.dequeue(Ptid(9));
-        let _ = s.pick(|_| false);
-        s.account(Ptid(3), Cycles(4));
-        assert_eq!(s.generation(), g, "no enrolment change");
+        assert_eq!(s.sole_runnable(), Some(Ptid(3)));
         s.enqueue(Ptid(4), 0);
-        assert_ne!(s.generation(), g, "a second thread enrolled");
-        let g = s.generation();
+        assert_eq!(s.sole_runnable(), None, "contention forces single-step");
         s.dequeue(Ptid(3));
-        assert_ne!(s.generation(), g, "a thread left");
-    }
-
-    /// The burst engine's rotation fact: once a pick has found `p` the
-    /// only free thread, further picks with every other thread still
-    /// busy find `p` again and leave every queue as that first pick did,
-    /// so `k` elided picks equal one. Under `Priority` a busy higher
-    /// class is rotated through whole (the identity) and lower classes
-    /// are never reached.
-    #[test]
-    fn k_picks_with_every_rival_busy_equal_one_pick() {
-        for policy in [SchedPolicy::RoundRobin, SchedPolicy::Priority] {
-            for target in 0..5u32 {
-                let mut s = HwScheduler::new(policy);
-                for (i, prio) in [(0u32, 0u8), (1, 7), (2, 3), (3, 7), (4, 0)] {
-                    s.enqueue(Ptid(i), prio);
-                }
-                // Rotate a little first so the queues do not start sorted.
-                let _ = s.pick(|_| false);
-                let busy = |p: Ptid| p != Ptid(target);
-                assert_eq!(s.pick(busy), Some(Ptid(target)), "{policy:?}");
-                let once: Vec<Ptid> = s.iter_enrolled().collect();
-                for k in 1..4 {
-                    assert_eq!(s.pick(busy), Some(Ptid(target)), "{policy:?}");
-                    let order: Vec<Ptid> = s.iter_enrolled().collect();
-                    assert_eq!(order, once, "{policy:?} after {k} more");
-                }
-            }
-        }
-    }
-
-    /// The cursor rings rotate exactly as rotating queues would: the
-    /// picked thread and every busy one before it move to the back. A
-    /// seeded mix of enqueues, dequeues and picks under random busy sets
-    /// is replayed on `VecDeque` models, one per class.
-    #[test]
-    fn rings_match_rotating_queues() {
-        use std::collections::VecDeque;
-        use switchless_sim::rng::Rng;
-        for policy in [SchedPolicy::RoundRobin, SchedPolicy::Priority] {
-            let mut rng = Rng::seed_from(7);
-            let mut s = HwScheduler::new(policy);
-            let mut model: [VecDeque<Ptid>; PRIO_CLASSES] = Default::default();
-            for step in 0..20_000 {
-                let p = Ptid(rng.next_below(12) as u32);
-                match rng.next_below(4) {
-                    0 => {
-                        let prio = rng.next_below(8) as u8;
-                        if !s.is_enrolled(p) {
-                            model[usize::from(s.class_of(prio))].push_back(p);
-                        }
-                        s.enqueue(p, prio);
-                    }
-                    1 => {
-                        for q in &mut model {
-                            q.retain(|&x| x != p);
-                        }
-                        s.dequeue(p);
-                    }
-                    _ => {
-                        let busy_mask = rng.next_u64();
-                        let busy = |x: Ptid| busy_mask >> x.0 & 1 == 1;
-                        let mut want = None;
-                        for q in model.iter_mut().rev() {
-                            for _ in 0..q.len() {
-                                let x = q.pop_front().expect("non-empty");
-                                q.push_back(x);
-                                if !busy(x) {
-                                    want = Some(x);
-                                    break;
-                                }
-                            }
-                            if want.is_some() {
-                                break;
-                            }
-                        }
-                        assert_eq!(s.pick(busy), want, "{policy:?} step {step}");
-                    }
-                }
-                let order: Vec<Ptid> = model.iter().rev().flatten().copied().collect();
-                assert_eq!(s.iter_enrolled().collect::<Vec<_>>(), order, "step {step}");
-            }
-        }
+        assert_eq!(s.sole_runnable(), Some(Ptid(4)));
+        s.dequeue(Ptid(4));
+        assert_eq!(s.sole_runnable(), None);
     }
 
     #[test]

@@ -332,9 +332,6 @@ impl ExecCtx for Worker<'_> {
     fn superblocks(&self) -> bool {
         true
     }
-    fn free_bursts(&self) -> bool {
-        true
-    }
     fn core_mut(&mut self, _: usize) -> &mut CoreState {
         &mut self.s.cs
     }

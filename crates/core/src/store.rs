@@ -191,11 +191,11 @@ impl StateStore {
     /// per instruction. That is exact, not approximate: ticks are
     /// strictly increasing and only their relative order is ever read
     /// (LRU victim choice compares stamps), and no other thread is
-    /// dispatched on the core inside a burst (every rival is busy past
-    /// each cursor) — no other thread's stamp can land between the
+    /// dispatched on the core inside a burst (it is the core's sole
+    /// enrolled thread) — no other thread's stamp can land between the
     /// elided touches, so every victim comparison orders identically. A
     /// wake's state prefetch does stamp another thread, but a wake
-    /// changes the enrolled set, which ends the burst.
+    /// enrols that thread, which ends the burst.
     pub fn touch(&mut self, ptid: Ptid) {
         self.tick += 1;
         let tick = self.tick;

@@ -2,8 +2,8 @@
 //! parking and `kick_core` re-arming, the exact deadline-boundary
 //! semantics of `run_until_state` that the burst's watch-pair bailout
 //! must preserve, and the differential of [`Engine::Fast`]'s slot chains
-//! and rival-bounded bursts against [`Engine::Reference`] on one-core
-//! serving machines of 2 to 8 threads.
+//! against [`Engine::Reference`] on one-core serving machines of 2 to 8
+//! threads.
 
 #[path = "support/serving.rs"]
 mod serving;
@@ -194,15 +194,14 @@ fn seeded_cuts(t: u64, seeds: u64) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// The slot chain and rival-bounded bursts change only how the host
-/// runs a serving machine: at one `run_until` and at seeded cut
-/// schedules, with the invariant checker off and on, [`Engine::Fast`]
-/// ends exactly where [`Engine::Reference`] does. Both mechanisms must
-/// actually run here: the fast engine pops fewer events, and with the
-/// checker off it runs fewer dispatches.
+/// The slot chain changes only how the host runs a serving machine: at
+/// one `run_until` and at seeded cut schedules, with the invariant
+/// checker off and on, [`Engine::Fast`] ends exactly where
+/// [`Engine::Reference`] does. The chain must actually run here: the
+/// fast engine pops fewer events for the same dispatches.
 #[test]
 fn serving_fast_matches_reference_at_seeded_cuts() {
-    let (mut chained, mut merged) = (false, false);
+    let mut chained = false;
     for s in shapes() {
         let t = horizon(&s);
         for on in [false, true] {
@@ -213,29 +212,19 @@ fn serving_fast_matches_reference_at_seeded_cuts() {
                 "{s:?}"
             );
             assert!(fast.loop_pops < reference.loop_pops, "{s:?}: {fast:?}");
+            assert_eq!(fast.slot_events, reference.slot_events, "{s:?}");
             chained |= fast.slot_events > fast.loop_pops;
-            if on {
-                assert_eq!(
-                    fast.slot_events, reference.slot_events,
-                    "{s:?}: checked bursts"
-                );
-            } else {
-                merged |= fast.slot_events < reference.slot_events;
-            }
             for cuts in seeded_cuts(t, 6) {
                 assert_engines_agree(&s, on, &cuts);
             }
         }
     }
-    assert!(
-        chained && merged,
-        "the chain ran: {chained}, bursts merged: {merged}"
-    );
+    assert!(chained, "no slot chain ran");
 }
 
 /// Cuts one cycle before every device tick and every wake: each lands a
 /// `run_until` deadline just ahead of the event that ends a chain or a
-/// rival-bounded burst.
+/// burst.
 #[test]
 fn serving_fast_matches_reference_at_targeted_cuts() {
     for s in shapes() {

@@ -307,8 +307,8 @@ const SERVING_CYCLES: u64 = 210_000;
 
 /// On the fast engine, most slot dispatches run inline in a chain, so
 /// the run loop pops one event per 17 instructions (0.059; the
-/// reference engine pops 0.86), and rival-bounded bursts merge 3,510 of
-/// the reference engine's dispatches.
+/// reference engine pops 0.86) for the reference engine's dispatches
+/// and bursts.
 #[test]
 fn serving_stats_are_pinned() {
     let (mut m, _, _) = SERVING.build(Engine::Fast, false);
@@ -316,20 +316,20 @@ fn serving_stats_are_pinned() {
         &mut m,
         SERVING_CYCLES,
         EngineStats {
-            slot_events: 6814,
+            slot_events: 10_324,
             loop_pops: 735,
-            bursts: 6296,
-            step_insts: 6187,
-            blocks_formed: 11,
-            block_bails: 307,
+            bursts: 9806,
+            step_insts: 2677,
+            blocks_formed: 10,
+            block_bails: 179,
             ..EngineStats::default()
         },
     );
 }
 
-/// The reference engine pops every slot dispatch and every tick, and
-/// stops a burst at any rival thread: its 10,324 dispatches are the
-/// count every engine made before slot chains and rival-bounded bursts.
+/// The reference engine pops every slot dispatch and every tick: its
+/// 10,324 dispatches are the count every engine made before slot
+/// chains.
 #[test]
 fn reference_serving_stats_are_pinned() {
     let (mut m, _, _) = SERVING.build(Engine::Reference, false);
